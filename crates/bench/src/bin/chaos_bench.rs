@@ -3,9 +3,12 @@
 //! Drives the fault-tolerant serving layer with a single deterministic
 //! submitter under seeded [`FaultPlan`]s, sweeping the panic-injection
 //! rate over {0, 25, 100, 400} per 10,000 requests (plus a constant trickle
-//! of injected errors) for each service workload, and records what fault
+//! of injected errors) for each service workload and each resident-state
+//! size (2¹², 2¹⁶, 2²⁰ preloaded hash keys), and records what fault
 //! tolerance costs: goodput, shed/failed counts, per-batch snapshot
-//! overhead, and mean rollback-plus-bisection recovery latency.  Every run
+//! overhead (time and cells copied), and mean rollback-plus-bisection
+//! recovery latency — the last three flat across the resident axis is the
+//! committed evidence that checkpoints cost O(batch), not O(state).  Every run
 //! is validated — no wedged tickets, exact poison isolation, and digest
 //! parity against a fault-free oneshot replay of the applied requests —
 //! and `"all_valid"` gates CI.
@@ -17,6 +20,7 @@
 //! cargo run -p qrqw-bench --release --bin chaos_bench -- \
 //!     [--requests N] [--window N] [--batch-max N] \
 //!     [--panic-rates 0,25,100,400] [--workloads hash,counter,task] \
+//!     [--resident-keys 4096,65536,1048576] \
 //!     [--threads T] [--seed S] [--smoke] [--json-out BENCH_chaos.json]
 //! ```
 //!
@@ -38,6 +42,7 @@ struct Cli {
     batch_max: usize,
     panic_rates: Vec<u32>,
     workloads: Vec<ServiceWorkload>,
+    resident_keys: Vec<usize>,
     threads: Option<usize>,
     seed: u64,
     smoke: bool,
@@ -48,10 +53,21 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: chaos_bench [--requests N] [--window N] [--batch-max N] \
-         [--panic-rates N,N] [--workloads hash,counter,task] [--threads T] \
+         [--panic-rates N,N] [--workloads hash,counter,task] [--resident-keys N,N] [--threads T] \
          [--seed S] [--smoke] [--json-out PATH]"
     );
     std::process::exit(2);
+}
+
+/// A comma-separated list of numbers; `what` names one element in errors.
+fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Vec<T> {
+    raw.split(',')
+        .map(|s| {
+            s.trim()
+                .parse()
+                .unwrap_or_else(|_| usage(&format!("bad {what} {s:?}")))
+        })
+        .collect()
 }
 
 fn parse_args() -> Cli {
@@ -61,6 +77,7 @@ fn parse_args() -> Cli {
         batch_max: 64,
         panic_rates: vec![0, 25, 100, 400],
         workloads: ServiceWorkload::ALL.to_vec(),
+        resident_keys: vec![1 << 12, 1 << 16, 1 << 20],
         threads: None,
         seed: 1,
         smoke: false,
@@ -80,16 +97,7 @@ fn parse_args() -> Cli {
             "--batch-max" => {
                 cli.batch_max = value().parse().unwrap_or_else(|_| usage("bad --batch-max"))
             }
-            "--panic-rates" => {
-                cli.panic_rates = value()
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage(&format!("bad panic rate {s:?}")))
-                    })
-                    .collect();
-            }
+            "--panic-rates" => cli.panic_rates = parse_list(&value(), "panic rate"),
             "--workloads" => {
                 cli.workloads = value()
                     .split(',')
@@ -99,6 +107,7 @@ fn parse_args() -> Cli {
                     })
                     .collect();
             }
+            "--resident-keys" => cli.resident_keys = parse_list(&value(), "resident key count"),
             "--threads" => {
                 cli.threads = Some(value().parse().unwrap_or_else(|_| usage("bad --threads")))
             }
@@ -108,8 +117,8 @@ fn parse_args() -> Cli {
             other => usage(&format!("unknown flag {other:?}")),
         }
     }
-    if cli.panic_rates.is_empty() || cli.workloads.is_empty() {
-        usage("need at least one panic rate and one workload");
+    if cli.panic_rates.is_empty() || cli.workloads.is_empty() || cli.resident_keys.is_empty() {
+        usage("need at least one panic rate, one workload and one resident key count");
     }
     cli
 }
@@ -130,55 +139,66 @@ fn main() {
     let threads = cli
         .threads
         .unwrap_or_else(|| qrqw_exec::StepPool::from_env().threads());
-    let requests = if cli.smoke {
-        cli.requests.min(400)
+    let (requests, resident_keys) = if cli.smoke {
+        (cli.requests.min(400), vec![1 << 12])
     } else {
-        cli.requests
+        (cli.requests, cli.resident_keys)
     };
     println!(
         "chaos_bench: {} requests, window {}, batch_max {}, panic rates {:?}/10k, \
-         workloads {:?}, seed {}, threads {}{}",
+         workloads {:?}, resident keys {:?}, seed {}, threads {}{}",
         requests,
         cli.window,
         cli.batch_max,
         cli.panic_rates,
         cli.workloads.iter().map(|w| w.name()).collect::<Vec<_>>(),
+        resident_keys,
         cli.seed,
         threads,
         if cli.smoke { " [smoke]" } else { "" },
     );
     let mut runs = Vec::new();
-    for &panic_per_10k in &cli.panic_rates {
-        for &workload in &cli.workloads {
-            // A constant trickle of injected errors and stalls rides along
-            // (they are cheap faults; panics are the expensive dimension).
-            let plan = FaultPlan {
-                panic_per_10k,
-                error_per_10k: 25,
-                delay_per_10k: if cli.smoke { 0 } else { 5 },
-                delay: Duration::from_micros(200),
-                seed: cli.seed ^ 0xFA17,
+    for &resident_keys in &resident_keys {
+        for &panic_per_10k in &cli.panic_rates {
+            for &workload in &cli.workloads {
+                // A constant trickle of injected errors and stalls rides
+                // along (they are cheap faults; panics are the expensive
+                // dimension).
+                let plan = FaultPlan {
+                    panic_per_10k,
+                    error_per_10k: 25,
+                    delay_per_10k: if cli.smoke { 0 } else { 5 },
+                    delay: Duration::from_micros(200),
+                    seed: cli.seed ^ 0xFA17,
+                }
+                .from_env();
+                let spec = ChaosSpec {
+                    workload,
+                    requests,
+                    window: cli.window,
+                    keyspace: 512,
+                    resident_keys,
+                    seed: cli.seed,
+                };
+                let policy =
+                    BatchPolicy::with_max_batch(cli.batch_max).linger(Duration::from_micros(100));
+                // The table is sized for its resident load (quarter full),
+                // so no run straddles a capacity doubling — growth is the
+                // one event that legitimately rewrites O(state) cells.
+                let config = ServiceConfig {
+                    seed: cli.seed,
+                    hash_capacity: ServiceConfig::default()
+                        .hash_capacity
+                        .max(4 * resident_keys),
+                    ..ServiceConfig::default()
+                };
+                let summary = run_chaos(config, policy, threads, plan, &spec);
+                summary.print_row();
+                for finding in &summary.validation_errors {
+                    eprintln!("chaos_bench: validator: {finding}");
+                }
+                runs.push(summary);
             }
-            .from_env();
-            let spec = ChaosSpec {
-                workload,
-                requests,
-                window: cli.window,
-                keyspace: 512,
-                seed: cli.seed,
-            };
-            let policy =
-                BatchPolicy::with_max_batch(cli.batch_max).linger(Duration::from_micros(100));
-            let config = ServiceConfig {
-                seed: cli.seed,
-                ..ServiceConfig::default()
-            };
-            let summary = run_chaos(config, policy, threads, plan, &spec);
-            summary.print_row();
-            for finding in &summary.validation_errors {
-                eprintln!("chaos_bench: validator: {finding}");
-            }
-            runs.push(summary);
         }
     }
     let all_valid = runs.iter().all(|r| r.valid());

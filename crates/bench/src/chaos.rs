@@ -159,9 +159,16 @@ pub struct ChaosSpec {
     pub window: usize,
     /// Keyspace of the generated traffic.
     pub keyspace: usize,
+    /// Hash keys preloaded (from [`RESIDENT_KEY_BASE`] up, disjoint from
+    /// the traffic's keyspace) before the server starts: the resident-state
+    /// axis.  Checkpoint and recovery cost must not depend on it.
+    pub resident_keys: usize,
     /// Workload-generator seed.
     pub seed: u64,
 }
+
+/// First preloaded key of the resident-state axis.
+pub const RESIDENT_KEY_BASE: u64 = 1 << 24;
 
 /// Everything one chaos run produced.
 #[derive(Debug)]
@@ -172,6 +179,8 @@ pub struct ChaosSummary {
     pub plan: FaultPlan,
     /// Batch cap the server ran under.
     pub batch_max: usize,
+    /// Hash keys resident before the first request.
+    pub resident_keys: u64,
     /// Total submissions.
     pub requests: u64,
     /// Requests that got a real reply.
@@ -218,6 +227,7 @@ impl ChaosSummary {
             ("error_per_10k", Json::Int(self.plan.error_per_10k as u64)),
             ("delay_per_10k", Json::Int(self.plan.delay_per_10k as u64)),
             ("batch_max", Json::Int(self.batch_max as u64)),
+            ("resident_keys", Json::Int(self.resident_keys)),
             ("requests", Json::Int(self.requests)),
             ("served", Json::Int(self.served)),
             ("shed", Json::Int(self.shed)),
@@ -229,6 +239,10 @@ impl ChaosSummary {
             ("batches", Json::Int(self.stats.batches)),
             ("snapshots", Json::Int(self.stats.snapshots)),
             ("snapshot_us_per_batch", us(self.stats.mean_snapshot())),
+            (
+                "snapshot_cells_per_batch",
+                Json::float(self.stats.mean_snapshot_cells(), 1),
+            ),
             ("mean_recovery_us", us(self.stats.mean_recovery())),
             ("goodput_per_s", Json::float(self.goodput_per_s(), 1)),
             (
@@ -250,9 +264,11 @@ impl ChaosSummary {
     /// One human-readable summary line.
     pub fn print_row(&self) {
         println!(
-            "{:<8} panic {:>4}/10k  {:>9.0} goodput/s  served {:<6} shed {:<4} failed {:<5} \
-             wedged {:<2} recovery {:>8.1}us  snapshot {:>7.1}us/batch  valid={}",
+            "{:<8} resident {:>7}  panic {:>4}/10k  {:>9.0} goodput/s  served {:<6} shed {:<4} \
+             failed {:<5} wedged {:<2} recovery {:>8.1}us  snapshot {:>7.1}us {:>7.0} cells/batch  \
+             valid={}",
             self.workload,
+            self.resident_keys,
             self.plan.panic_per_10k,
             self.goodput_per_s(),
             self.served,
@@ -261,6 +277,7 @@ impl ChaosSummary {
             self.wedged,
             self.stats.mean_recovery().as_secs_f64() * 1e6,
             self.stats.mean_snapshot().as_secs_f64() * 1e6,
+            self.stats.mean_snapshot_cells(),
             self.valid(),
         );
     }
@@ -311,7 +328,16 @@ pub fn run_chaos(
     plan: FaultPlan,
     spec: &ChaosSpec,
 ) -> ChaosSummary {
-    let server = Server::spawn_with_pool(config, policy, StepPool::with_threads(threads));
+    // The resident state, preloaded as one direct batch on the server's
+    // state and (below) on the reference's: not part of the served trace.
+    let preload: Vec<Request> = (0..spec.resident_keys as u64)
+        .map(|k| Request::HashInsert {
+            key: RESIDENT_KEY_BASE + k,
+        })
+        .collect();
+    let mut state = ServiceState::with_pool(config, StepPool::with_threads(threads));
+    let _ = state.apply_batch(&preload);
+    let server = Server::spawn_with_state(state, policy);
     let handle = server.handle();
     let sampler = KeySampler::new(KeyDist::Zipf(1.0), spec.keyspace);
     let mut workload_rng = SmallRng::seed_from_u64(spec.seed);
@@ -428,6 +454,7 @@ pub fn run_chaos(
     // Recovery parity: the applied subset, replayed oneshot, must
     // reproduce both the served replies and the machine state bit for bit.
     let mut reference = ServiceState::with_pool(config, StepPool::with_threads(threads));
+    let _ = reference.apply_batch(&preload);
     let (want_responses, _) = reference.apply_batch(&applied);
     if want_responses != applied_responses {
         let diverged = want_responses
@@ -448,6 +475,7 @@ pub fn run_chaos(
         workload: spec.workload.name(),
         plan,
         batch_max: policy.max_batch,
+        resident_keys: spec.resident_keys as u64,
         requests: spec.requests as u64,
         served,
         shed,
@@ -531,6 +559,7 @@ mod tests {
                 requests: 200,
                 window: 16,
                 keyspace: 64,
+                resident_keys: 0,
                 seed: 5,
             },
         );
@@ -563,6 +592,7 @@ mod tests {
                 requests: 400,
                 window: 32,
                 keyspace: 64,
+                resident_keys: 300,
                 seed: 9,
             },
         );
@@ -596,6 +626,7 @@ mod tests {
                 requests: 120,
                 window: 8,
                 keyspace: 32,
+                resident_keys: 0,
                 seed: 3,
             },
         );

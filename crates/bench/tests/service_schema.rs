@@ -129,6 +129,7 @@ const CHAOS_RUN_FIELDS: &[(&str, FieldCheck)] = &[
     ("error_per_10k", |v| v.as_u64().is_some()),
     ("delay_per_10k", |v| v.as_u64().is_some()),
     ("batch_max", |v| v.as_u64().is_some()),
+    ("resident_keys", |v| v.as_u64().is_some()),
     ("requests", |v| v.as_u64().is_some()),
     ("served", |v| v.as_u64().is_some()),
     ("shed", |v| v.as_u64().is_some()),
@@ -140,6 +141,7 @@ const CHAOS_RUN_FIELDS: &[(&str, FieldCheck)] = &[
     ("batches", |v| v.as_u64().is_some()),
     ("snapshots", |v| v.as_u64().is_some()),
     ("snapshot_us_per_batch", |v| v.as_f64().is_some()),
+    ("snapshot_cells_per_batch", |v| v.as_f64().is_some()),
     ("mean_recovery_us", |v| v.as_f64().is_some()),
     ("goodput_per_s", |v| v.as_f64().is_some()),
     ("p99_us", |v| v.as_f64().is_some()),
@@ -186,6 +188,7 @@ fn bench_chaos_json_round_trips_and_matches_the_schema() {
             requests: 250,
             window: 16,
             keyspace: 64,
+            resident_keys: 500,
             seed: 7,
         },
     );
@@ -205,6 +208,44 @@ fn committed_chaos_artifact_parses_with_the_same_schema() {
         .expect("BENCH_chaos.json must be committed at the repository root");
     let doc = Json::parse(&text).expect("committed BENCH_chaos.json must parse");
     check_chaos_runs(&doc);
+    // The resident-state axis: at least three sizes up to 2^20 keys, and
+    // the cells a checkpoint copies do not follow it — per (workload,
+    // panic rate) the largest state copies at most a page more than twice
+    // what the smallest does, nowhere near its 2^22-cell table.
+    let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
+    let field = |run: &Json, name: &str| run.get(name).and_then(Json::as_f64).unwrap();
+    let mut sizes: Vec<u64> = runs
+        .iter()
+        .map(|r| field(r, "resident_keys") as u64)
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    assert!(
+        sizes.len() >= 3 && sizes[sizes.len() - 1] >= 1 << 20,
+        "{sizes:?}"
+    );
+    let (smallest, largest) = (sizes[0], sizes[sizes.len() - 1]);
+    for big in runs
+        .iter()
+        .filter(|r| field(r, "resident_keys") as u64 == largest)
+    {
+        let small = runs
+            .iter()
+            .find(|r| {
+                field(r, "resident_keys") as u64 == smallest
+                    && r.get("workload") == big.get("workload")
+                    && r.get("panic_per_10k") == big.get("panic_per_10k")
+            })
+            .expect("every cell of the sweep is present at every size");
+        let (small, big) = (
+            field(small, "snapshot_cells_per_batch"),
+            field(big, "snapshot_cells_per_batch"),
+        );
+        assert!(
+            big <= 2.0 * small + 512.0,
+            "checkpoint cells follow the resident state: {small} -> {big}"
+        );
+    }
 }
 
 #[test]

@@ -23,10 +23,13 @@
 //! keys into a fresh (possibly larger) region, which is the growth-time
 //! tombstone purge — and a delete-heavy workload triggers the same purge
 //! once tombstones alone exceed a quarter of the capacity, so sustained
-//! churn cannot degrade probes without bound.  The old region is abandoned
-//! (the machine allocator is a stack; a long-lived region cannot be freed
-//! from the middle), which is the same trade the service layer already
-//! makes for growth.
+//! churn cannot degrade probes without bound.  The machine allocator is a
+//! stack — a long-lived region cannot be freed from the middle — so the
+//! region a rebuild leaves is kept as the table's one **spare**: the next
+//! rebuild to that capacity clears and reuses it instead of allocating.
+//! Same-capacity purges therefore ping-pong between two regions and
+//! sustained churn holds `heap_top` flat; only growth abandons memory (the
+//! spare of the outgrown capacity), geometrically bounded.
 //!
 //! Every operation is deterministic on every backend: occupy-claim winners
 //! are the lowest claimant index everywhere (see `qrqw_sim::Machine::claim`),
@@ -70,15 +73,17 @@ pub struct TableGeometry {
     pub len: usize,
     /// Tombstoned cells awaiting the next purge.
     pub tombstones: usize,
+    /// `(base, cap)` of the region the last rebuild left, reusable by the
+    /// next rebuild to that capacity.
+    pub spare: Option<(usize, usize)>,
 }
 
 /// A machine-resident open-addressing hash set (see the module docs).
 #[derive(Debug)]
 pub struct OpenTable {
-    base: usize,
-    cap: usize,
-    len: usize,
-    tombstones: usize,
+    /// Everything host-side: the live region, the occupancy counters and
+    /// the spare region.
+    geo: TableGeometry,
 }
 
 impl OpenTable {
@@ -87,57 +92,50 @@ impl OpenTable {
     pub fn new<M: Machine>(m: &mut M, capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(64);
         OpenTable {
-            base: m.alloc(cap),
-            cap,
-            len: 0,
-            tombstones: 0,
+            geo: TableGeometry {
+                base: m.alloc(cap),
+                cap,
+                ..TableGeometry::default()
+            },
         }
     }
 
     /// Live keys currently present.
     pub fn len(&self) -> usize {
-        self.len
+        self.geo.len
     }
 
     /// True when no key is present.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.geo.len == 0
     }
 
     /// Current capacity in cells.
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.geo.cap
     }
 
     /// Tombstoned cells not yet purged by a rebuild.
     pub fn tombstones(&self) -> usize {
-        self.tombstones
+        self.geo.tombstones
     }
 
     /// The current geometry, for checkpointing.
     pub fn geometry(&self) -> TableGeometry {
-        TableGeometry {
-            base: self.base,
-            cap: self.cap,
-            len: self.len,
-            tombstones: self.tombstones,
-        }
+        self.geo
     }
 
     /// Rewinds the geometry to a checkpoint (the caller restores the
     /// machine memory the geometry points into).
     pub fn restore_geometry(&mut self, g: TableGeometry) {
-        self.base = g.base;
-        self.cap = g.cap;
-        self.len = g.len;
-        self.tombstones = g.tombstones;
+        self.geo = g;
     }
 
     /// One parallel probe step answering membership for `keys` against the
     /// current table.  Tombstoned cells are skipped; only [`EMPTY`]
     /// terminates a walk.
     pub fn lookup<M: Machine>(&self, m: &mut M, keys: &[u64]) -> Vec<bool> {
-        let (base, cap) = (self.base, self.cap);
+        let (base, cap) = (self.geo.base, self.geo.cap);
         m.par_map(keys.len(), |i, ctx| {
             let key = keys[i];
             for r in 0..cap as u64 {
@@ -168,7 +166,7 @@ impl OpenTable {
         );
         self.reserve(m, keys.len());
         self.insert_rounds(m, keys);
-        self.len += keys.len();
+        self.geo.len += keys.len();
     }
 
     /// Tombstones `keys` (distinct, and present in the table): one parallel
@@ -184,7 +182,7 @@ impl OpenTable {
         if keys.is_empty() {
             return;
         }
-        let (base, cap) = (self.base, self.cap);
+        let (base, cap) = (self.geo.base, self.geo.cap);
         let cells: Vec<u64> = m.par_map(keys.len(), |i, ctx| {
             let key = keys[i];
             for r in 0..cap as u64 {
@@ -208,17 +206,16 @@ impl OpenTable {
         m.par_for(keys.len(), |i, ctx| {
             ctx.write(base + cells[i] as usize, TOMBSTONE);
         });
-        self.len -= keys.len();
-        self.tombstones += keys.len();
-        if 4 * self.tombstones > self.cap {
-            let cap = self.cap;
-            self.rebuild(m, cap);
+        self.geo.len -= keys.len();
+        self.geo.tombstones += keys.len();
+        if 4 * self.geo.tombstones > self.geo.cap {
+            self.rebuild(m, self.geo.cap);
         }
     }
 
     /// The live keys in the machine region (unsorted; tombstones excluded).
     pub fn live_keys<M: Machine>(&self, m: &M) -> Vec<u64> {
-        m.dump(self.base, self.cap)
+        m.dump(self.geo.base, self.geo.cap)
             .into_iter()
             .filter(|&v| v != EMPTY && v != TOMBSTONE)
             .map(|v| v - 1)
@@ -226,7 +223,7 @@ impl OpenTable {
     }
 
     fn insert_rounds<M: Machine>(&self, m: &mut M, keys: &[u64]) {
-        let (base, cap) = (self.base, self.cap);
+        let (base, cap) = (self.geo.base, self.geo.cap);
         // (key, current probe index) of every still-unplaced key.
         let mut pending: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 0)).collect();
         let mut rounds = 0usize;
@@ -260,25 +257,36 @@ impl OpenTable {
     /// full.  A rebuild triggered by tombstones alone keeps the same
     /// capacity; the purge is the point.
     fn reserve<M: Machine>(&mut self, m: &mut M, additional: usize) {
-        if 2 * (self.len + self.tombstones + additional) <= self.cap {
+        let g = self.geo;
+        if 2 * (g.len + g.tombstones + additional) <= g.cap {
             return;
         }
-        let mut new_cap = self.cap;
-        while 2 * (self.len + additional) > new_cap {
+        let mut new_cap = g.cap;
+        while 2 * (g.len + additional) > new_cap {
             new_cap *= 2;
         }
         self.rebuild(m, new_cap);
     }
 
-    /// Re-inserts the live keys into a fresh region of `new_cap` cells,
-    /// dropping every tombstone.  The old region is abandoned (stack
-    /// allocator).
+    /// Re-inserts the live keys into an empty region of `new_cap` cells,
+    /// dropping every tombstone: the cleared spare when it has that
+    /// capacity, a fresh allocation otherwise.  The region left behind
+    /// becomes the spare.  (`clear_region` is un-accounted on every
+    /// backend, like `alloc`'s own clearing.)
     fn rebuild<M: Machine>(&mut self, m: &mut M, new_cap: usize) {
         let live = self.live_keys(m);
-        debug_assert_eq!(live.len(), self.len, "occupancy counter drifted");
-        self.base = m.alloc(new_cap);
-        self.cap = new_cap;
-        self.tombstones = 0;
+        debug_assert_eq!(live.len(), self.geo.len, "occupancy counter drifted");
+        let left = (self.geo.base, self.geo.cap);
+        self.geo.base = match self.geo.spare {
+            Some((base, cap)) if cap == new_cap => {
+                m.clear_region(base, cap);
+                base
+            }
+            _ => m.alloc(new_cap),
+        };
+        self.geo.cap = new_cap;
+        self.geo.tombstones = 0;
+        self.geo.spare = Some(left);
         self.insert_rounds(m, &live);
     }
 }
@@ -358,6 +366,31 @@ mod tests {
         assert_eq!(t.capacity(), 64);
         assert_eq!(t.len(), 10);
         assert!(t.lookup(&mut m, &ks[20..]).iter().all(|&f| f));
+    }
+
+    #[test]
+    fn growth_keeps_the_outgrown_region_as_spare_then_settles() {
+        let mut m = Pram::with_seed(16, 8);
+        let mut t = OpenTable::new(&mut m, 64);
+        let resident: Vec<u64> = (0..33).collect();
+        t.insert_new(&mut m, &resident); // grows 64 → 128
+        assert_eq!(t.capacity(), 128);
+        assert_eq!(t.geometry().spare.map(|(_, cap)| cap), Some(64));
+        // Each round leaves 31 tombstones, so from the second round on the
+        // insert path purges at capacity 128.  The first purge cannot use
+        // the 64-cell spare; every later one reuses the region its
+        // predecessor left.
+        let mut tops = Vec::new();
+        for round in 0..4u64 {
+            let ks: Vec<u64> = (0..31).map(|k| 10_000 + round * 100 + k).collect();
+            t.insert_new(&mut m, &ks);
+            t.remove_present(&mut m, &ks);
+            assert_eq!((t.capacity(), t.tombstones()), (128, 31));
+            tops.push(m.heap_top());
+        }
+        assert!(tops[1] > tops[0], "the first purge allocates");
+        assert_eq!(tops[1..], [tops[1]; 3], "heap grew after the first purge");
+        assert!(t.lookup(&mut m, &resident).iter().all(|&f| f));
     }
 
     #[test]

@@ -35,10 +35,28 @@
 //! the logical size, so the slack of the last shard can never hold stale
 //! data — which is what lets [`crate::NativeMachine`]'s `alloc` skip
 //! re-clearing freshly grown cells.
+//!
+//! # The dirty map
+//!
+//! Beside every shard sits a page-granular **dirty map**: one byte per
+//! [`PAGE_CELLS`]-cell page plus one "any page dirty" summary byte.
+//!
+//! ```text
+//!  shard s:  [ page 0 │ page 1 │ … │ page 511 ]   512 cells (4 KiB) each
+//!  dirty s:  [   0    │   1    │ … │    0     ]   one byte per page
+//!  any   s:      1                                 scan skips clean shards
+//! ```
+//!
+//! The map is **unarmed** until the machine's first snapshot, so one-shot
+//! machines pay one predictable branch per write.  Once armed, every write
+//! path of the machine marks the page it stores into (a relaxed byte load,
+//! plus two byte stores on the first touch of a page), and a snapshot or a
+//! rollback visits only the marked pages — `Arena::take_dirty` — so both
+//! cost O(cells written since the last one), not O(resident cells).
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use qrqw_sim::EMPTY;
 
@@ -57,6 +75,15 @@ pub const SHARD_MASK: usize = SHARD_CELLS - 1;
 /// shard): one cache line, so shard starts never false-share with foreign
 /// allocations.
 pub const CACHE_LINE: usize = 64;
+
+/// Cells per page of the dirty map: 2⁹ cells = 4 KiB, the granularity at
+/// which snapshots and rollbacks copy.
+pub const PAGE_CELLS: usize = 1 << PAGE_SHIFT;
+
+const PAGE_SHIFT: u32 = 9;
+
+/// Dirty-map pages per shard.
+const SHARD_PAGES: usize = SHARD_CELLS / PAGE_CELLS;
 
 const SHARD_BYTES: usize = SHARD_CELLS * std::mem::size_of::<AtomicU64>();
 
@@ -106,6 +133,24 @@ impl Drop for Shard {
     }
 }
 
+/// The dirty map of one shard: which of its pages were written since the
+/// map was last taken.
+struct DirtyMap {
+    /// Nonzero iff the page was written.
+    pages: [AtomicU8; SHARD_PAGES],
+    /// Nonzero iff any byte of `pages` is — lets a scan skip clean shards.
+    any: AtomicU8,
+}
+
+impl DirtyMap {
+    fn clean() -> DirtyMap {
+        DirtyMap {
+            pages: [const { AtomicU8::new(0) }; SHARD_PAGES],
+            any: AtomicU8::new(0),
+        }
+    }
+}
+
 /// A snapshot of an arena's shape, for harnesses and the service layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -130,6 +175,13 @@ impl ArenaStats {
 #[derive(Default)]
 pub(crate) struct Arena {
     shards: Vec<Shard>,
+    /// One dirty map per shard once armed (empty before, so an unarmed
+    /// arena allocates exactly what it did without tracking); kept apart
+    /// from `shards` so the hot cell→pointer table stays one pointer per
+    /// shard.
+    dirty: Vec<DirtyMap>,
+    /// Whether writes mark the dirty map (see [`Arena::arm`]).
+    armed: bool,
     /// Logical size in cells; every cell in `len..capacity()` is EMPTY.
     len: usize,
 }
@@ -164,6 +216,9 @@ impl Arena {
         let need = size.div_ceil(SHARD_CELLS);
         while self.shards.len() < need {
             self.shards.push(Shard::alloc_uninit());
+        }
+        if self.armed {
+            self.dirty.resize_with(self.shards.len(), DirtyMap::clean);
         }
         old_cap..self.capacity()
     }
@@ -207,6 +262,66 @@ impl Arena {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = addr;
+    }
+
+    /// Starts dirty tracking: from here on every write path marks the page
+    /// it stores into.  Never disarmed — a machine that snapshots once is a
+    /// long-lived one.
+    pub(crate) fn arm(&mut self) {
+        self.armed = true;
+        self.dirty.resize_with(self.shards.len(), DirtyMap::clean);
+    }
+
+    /// Records that the cell at `addr` (inside the logical size) was
+    /// written.  One predictable branch while unarmed.
+    #[inline(always)]
+    pub(crate) fn mark(&self, addr: usize) {
+        if self.armed {
+            self.mark_page(addr >> PAGE_SHIFT);
+        }
+    }
+
+    /// Records that `start..start + len` (inside the logical size) was
+    /// written.
+    pub(crate) fn mark_range(&self, start: usize, len: usize) {
+        if self.armed && len > 0 {
+            for page in start >> PAGE_SHIFT..=(start + len - 1) >> PAGE_SHIFT {
+                self.mark_page(page);
+            }
+        }
+    }
+
+    /// Out of line: the unarmed hot path is a test and a not-taken branch.
+    #[cold]
+    #[inline(never)]
+    fn mark_page(&self, page: usize) {
+        let map = &self.dirty[page / SHARD_PAGES];
+        let byte = &map.pages[page % SHARD_PAGES];
+        // Relaxed: the marks publish nothing by themselves — the step
+        // barrier (pool join) orders them before the host's next
+        // `take_dirty`.  Load first so a hot page's line is only ever read.
+        if byte.load(Ordering::Relaxed) == 0 {
+            byte.store(1, Ordering::Relaxed);
+            map.any.store(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Calls `f(first_cell)` for every page marked since the last call, in
+    /// address order, and leaves the map clean.  Visits only shards whose
+    /// summary byte is set.  Must not run concurrently with a step (all
+    /// callers hold `&mut NativeMachine`).
+    pub(crate) fn take_dirty(&self, mut f: impl FnMut(usize)) {
+        for (shard, map) in self.dirty.iter().enumerate() {
+            if map.any.swap(0, Ordering::Relaxed) == 0 {
+                continue;
+            }
+            for (page, byte) in map.pages.iter().enumerate() {
+                if byte.load(Ordering::Relaxed) != 0 {
+                    byte.store(0, Ordering::Relaxed);
+                    f((shard * SHARD_PAGES + page) << PAGE_SHIFT);
+                }
+            }
+        }
     }
 
     /// Raw address of the cell at `addr` — for the no-move and alignment

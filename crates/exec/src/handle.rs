@@ -18,10 +18,12 @@
 //! — the live cell prefix `[0, heap_top)` of the sharded arena plus the
 //! heap/step/contention counters — and [`PersistentMachine::restore`] rolls
 //! back to it, counters, marks, and (because random draws are a pure
-//! function of `(seed, step_idx, proc)`) RNG streams included.  Snapshots
-//! reuse their buffer via [`PersistentMachine::snapshot_into`], so a
-//! per-batch checkpoint of a steady working set costs one bulk copy and no
-//! allocation.
+//! function of `(seed, step_idx, proc)`) RNG streams included.  A
+//! [`MachineSnapshot`] reused through [`PersistentMachine::snapshot_into`]
+//! is a persistent *shadow* of the machine: the arena tracks which pages
+//! were written since the shadow was last synced, so the per-batch
+//! checkpoint and the rollback both cost O(cells the batch wrote), not
+//! O(resident cells), and allocate nothing.
 
 use std::time::{Duration, Instant};
 
@@ -64,9 +66,19 @@ impl std::ops::AddAssign for BatchCost {
 /// [`PersistentMachine::snapshot_into`]; consumed by
 /// [`PersistentMachine::restore`].  `Default` is an empty snapshot suitable
 /// only as a reusable buffer for `snapshot_into`.
+///
+/// A snapshot is stamped with the identity of the machine it was taken
+/// from and that machine's sync epoch.  Every `snapshot_into` bumps the
+/// epoch, so at most one stamp — the latest — matches the machine, and only
+/// a buffer carrying it takes the dirty-pages-only path of `snapshot_into`
+/// and `restore`; any other buffer is still valid input to both and takes
+/// the full copy.
 #[derive(Debug, Clone, Default)]
 pub struct MachineSnapshot {
     pub(crate) cells: Vec<u64>,
+    pub(crate) machine_id: u64,
+    pub(crate) epoch: u64,
+    pub(crate) copied: usize,
     pub(crate) heap_top: usize,
     pub(crate) steps_executed: u64,
     pub(crate) attempts: u64,
@@ -75,9 +87,21 @@ pub struct MachineSnapshot {
 
 impl MachineSnapshot {
     /// The allocation top at snapshot time — also the number of cells the
-    /// snapshot copied, i.e. its memory footprint in `u64`s.
+    /// snapshot holds, i.e. its memory footprint in `u64`s.
     pub fn heap_top(&self) -> usize {
         self.heap_top
+    }
+
+    /// The cell prefix `[0, heap_top)` the snapshot holds.
+    pub fn cells(&self) -> &[u64] {
+        &self.cells
+    }
+
+    /// Cells the last `snapshot_into` on this buffer copied: the whole
+    /// prefix for a full copy, the dirty pages (plus heap growth) for an
+    /// incremental sync, 0 when nothing was written in between.
+    pub fn copied_cells(&self) -> usize {
+        self.copied
     }
 
     /// The machine step counter at snapshot time.
@@ -173,16 +197,19 @@ impl PersistentMachine {
         (out, cost)
     }
 
-    /// Captures a [`MachineSnapshot`] of the current machine state.
-    pub fn snapshot(&self) -> MachineSnapshot {
+    /// Captures a fresh (full-copy) [`MachineSnapshot`] of the current
+    /// machine state, superseding every earlier snapshot.
+    pub fn snapshot(&mut self) -> MachineSnapshot {
         let mut snap = MachineSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
     }
 
-    /// Captures a snapshot into `snap`, reusing its buffer — the
-    /// allocation-free path for a per-batch checkpoint.
-    pub fn snapshot_into(&self, snap: &mut MachineSnapshot) {
+    /// Brings `snap` up to date with the machine — the per-batch
+    /// checkpoint.  Copies only what was written since `snap` was last
+    /// synced when `snap` is the latest snapshot, everything otherwise
+    /// (see [`NativeMachine::snapshot_into`]).
+    pub fn snapshot_into(&mut self, snap: &mut MachineSnapshot) {
         self.machine.snapshot_into(snap);
     }
 

@@ -48,7 +48,7 @@ pub mod machine;
 pub mod pool;
 pub mod steal;
 
-pub use arena::{ArenaStats, SHARD_CELLS};
+pub use arena::{ArenaStats, PAGE_CELLS, SHARD_CELLS};
 pub use contention::ContentionCounter;
 pub use handle::{BatchCost, MachineSnapshot, PersistentMachine};
 pub use machine::NativeMachine;

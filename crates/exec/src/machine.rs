@@ -66,9 +66,14 @@ use rand::Rng;
 use qrqw_sim::proc_rng;
 use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
-use crate::arena::{Arena, ArenaStats};
+use crate::arena::{Arena, ArenaStats, PAGE_CELLS};
 use crate::contention::ContentionCounter;
+use crate::handle::MachineSnapshot;
 use crate::pool::{Schedule, SendPtr, StepPool};
+
+/// Source of [`NativeMachine`] identities; starts at 1 so a default
+/// [`MachineSnapshot`] (identity 0) never matches a machine.
+static NEXT_MACHINE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Sentinel written by exclusive-claim losers so the CAS winner can detect
 /// that its cell was contested.  Claim tags must stay below this value
@@ -115,6 +120,12 @@ pub struct NativeMachine {
     created: Instant,
     pool: StepPool,
     scratch: Scratch,
+    /// Process-unique identity, stamped into snapshots.
+    id: u64,
+    /// Bumped by every [`NativeMachine::snapshot_into`] (and by a
+    /// full-copy restore): the snapshot stamped with the current value is
+    /// the one the arena's dirty map is relative to.
+    sync_epoch: u64,
 }
 
 impl NativeMachine {
@@ -181,6 +192,8 @@ impl NativeMachine {
             created: Instant::now(),
             pool,
             scratch: Scratch::default(),
+            id: NEXT_MACHINE_ID.fetch_add(1, Ordering::Relaxed),
+            sync_epoch: 0,
         };
         machine.grow(mem_size);
         machine
@@ -212,41 +225,90 @@ impl NativeMachine {
         self.arena.stats()
     }
 
-    /// Copies the machine's observable state — the live cell prefix
-    /// `[0, heap_top)` plus the step and contention counters — into `snap`,
-    /// reusing its buffer (a warm snapshot of a steady working set does not
-    /// allocate).  The copy is pool-parallel, walking shard segments like
-    /// [`Machine::dump`].
+    /// Whether `snap` is this machine's **latest** snapshot: the buffer its
+    /// dirty map is relative to.  Only such a buffer can be brought up to
+    /// date, or rolled back to, by copying dirty pages alone; every
+    /// [`NativeMachine::snapshot_into`] supersedes all earlier buffers
+    /// (clones of the latest one carry the same stamp and the same cells,
+    /// so they stay current with it).
+    pub fn is_current(&self, snap: &MachineSnapshot) -> bool {
+        snap.machine_id == self.id && snap.epoch == self.sync_epoch
+    }
+
+    /// Brings `snap` up to date with the machine's observable state — the
+    /// live cell prefix `[0, heap_top)` plus the step and contention
+    /// counters — and makes it the machine's latest snapshot.
+    ///
+    /// `snap` is a persistent **shadow**: when it already is the latest
+    /// snapshot ([`NativeMachine::is_current`]) only the pages written
+    /// since are copied, plus `[old_top, heap_top)` if the heap grew, so a
+    /// per-batch checkpoint costs O(cells the batch wrote).  Any other
+    /// buffer (fresh, superseded, or another machine's) gets the full
+    /// pool-parallel copy of the prefix.  Either way the dirty map is left
+    /// clean and [`MachineSnapshot::copied_cells`] reports what was copied.
+    /// The first call arms the arena's dirty tracking.
     ///
     /// The RNG needs no saving: random draws are a pure function of
     /// `(seed, step_idx, proc)`, so restoring `steps_executed` restores
     /// every random stream exactly.
-    pub fn snapshot_into(&self, snap: &mut crate::handle::MachineSnapshot) {
-        let len = self.heap_top;
-        debug_assert!(len <= self.arena.len(), "allocation top above the arena");
-        snap.cells.clear();
-        snap.cells.reserve(len);
+    pub fn snapshot_into(&mut self, snap: &mut MachineSnapshot) {
+        let top = self.heap_top;
+        debug_assert!(top <= self.arena.len(), "allocation top above the arena");
+        if self.is_current(snap) {
+            snap.cells.truncate(top);
+        } else {
+            self.arena.arm();
+            snap.cells.clear();
+        }
+        // The shadow holds `[0, kept)` as of the last sync; a full copy is
+        // the same procedure with nothing kept.
+        let kept = snap.cells.len();
+        let mut copied = top - kept;
         let arena = &self.arena;
-        let slots = SendPtr(snap.cells.as_mut_ptr());
-        let slots = &slots;
-        self.pool.dispatch(len, 1, |lo, hi| {
-            // Safety: bulk copy out of the quiescent arena (no step is
-            // running; `&self` here, every writer needs `&mut self`) into
-            // disjoint slots of the reserved buffer.
-            unsafe { arena.copy_out(lo, slots.0.add(lo), hi - lo) };
+        let shadow = &mut snap.cells;
+        arena.take_dirty(|page| {
+            if page < kept {
+                let stale = &mut shadow[page..(page + PAGE_CELLS).min(kept)];
+                // SAFETY: bulk copy out of the quiescent arena (`&mut self`:
+                // no step is running) into a slice of exactly that length.
+                unsafe { arena.copy_out(page, stale.as_mut_ptr(), stale.len()) };
+                copied += stale.len();
+            }
         });
-        unsafe { snap.cells.set_len(len) };
-        snap.heap_top = self.heap_top;
+        shadow.reserve(top - kept);
+        let slots = SendPtr(shadow.as_mut_ptr());
+        let slots = &slots;
+        self.pool.dispatch(top - kept, 1, |lo, hi| {
+            // SAFETY: as above, into disjoint slots of the reserved buffer.
+            unsafe { arena.copy_out(kept + lo, slots.0.add(kept + lo), hi - lo) };
+        });
+        // SAFETY: `[0, kept)` was initialized, `[kept, top)` just written.
+        unsafe { shadow.set_len(top) };
+        self.sync_epoch += 1;
+        snap.machine_id = self.id;
+        snap.epoch = self.sync_epoch;
+        snap.copied = copied;
+        snap.heap_top = top;
         snap.steps_executed = self.steps_executed;
         snap.attempts = self.counter.attempts();
         snap.failures = self.counter.failures();
     }
 
-    /// Rolls the machine back to `snap`: the cell prefix is copied back in,
-    /// every cell above the snapshot's allocation top reads [`EMPTY`] again,
-    /// and the step/contention counters rewind — so post-restore execution
+    /// Rolls the machine back to `snap`: the cell prefix `[0, heap_top)` of
+    /// the snapshot reads as it did then, the allocation top and the
+    /// step/contention counters rewind — so post-restore execution
     /// (including its random draws) is indistinguishable from execution
     /// that started at the snapshot point.
+    ///
+    /// When `snap` is the latest snapshot ([`NativeMachine::is_current`])
+    /// only the pages written since are touched: their cells below the
+    /// snapshot's top are copied back and their cells above it read
+    /// [`EMPTY`] again.  Cells above the top need no pre-image — nothing
+    /// reads them before `alloc` hands them out, and `alloc` clears every
+    /// reused cell.  The snapshot stays the latest one, so it can be
+    /// restored again.  Any other snapshot takes the full path: the whole
+    /// prefix is copied in, the whole tail EMPTY-filled, and no buffer is
+    /// in sync afterwards (the next `snapshot_into` is a full copy).
     ///
     /// The arena itself never shrinks (shards stay allocated); only the
     /// logical contents roll back.
@@ -255,7 +317,7 @@ impl NativeMachine {
     ///
     /// If `snap` spans more cells than this machine's arena holds — i.e. it
     /// was not taken from this machine.
-    pub fn restore(&mut self, snap: &crate::handle::MachineSnapshot) {
+    pub fn restore(&mut self, snap: &MachineSnapshot) {
         assert!(
             snap.heap_top <= self.arena.len(),
             "snapshot spans {} cells but the arena holds {}: not a snapshot of this machine",
@@ -265,22 +327,39 @@ impl NativeMachine {
         debug_assert_eq!(snap.cells.len(), snap.heap_top);
         let arena = &self.arena;
         let cells = &snap.cells[..];
-        self.pool.dispatch(cells.len(), 1, |lo, hi| {
-            // Safety: shard-segment bulk copy; `&mut self` rules out
-            // concurrent cell access, chunks are disjoint.
-            unsafe { arena.copy_in(lo, &cells[lo..hi]) };
-        });
-        // Cells the rolled-back execution allocated above the snapshot's
-        // top must read EMPTY again, exactly as a fresh allocation would
-        // find them.
-        let tail = self.arena.len() - snap.heap_top;
-        let base = snap.heap_top;
-        self.pool.dispatch(tail, 1, |lo, hi| {
-            // Safety: all-ones byte fill == EMPTY fill; same aliasing
-            // argument as above.
-            unsafe { arena.fill_empty(base + lo, hi - lo) };
-        });
-        self.heap_top = snap.heap_top;
+        let top = snap.heap_top;
+        let end = arena.len();
+        if self.is_current(snap) {
+            arena.take_dirty(|page| {
+                let stop = (page + PAGE_CELLS).min(end);
+                let saved = stop.min(top);
+                let fill_from = page.max(top);
+                // SAFETY: shard-segment bulk writes inside the logical
+                // size; `&mut self` rules out concurrent cell access.
+                unsafe {
+                    if page < saved {
+                        arena.copy_in(page, &cells[page..saved]);
+                    }
+                    if fill_from < stop {
+                        arena.fill_empty(fill_from, stop - fill_from);
+                    }
+                }
+            });
+        } else {
+            self.pool.dispatch(top, 1, |lo, hi| {
+                // SAFETY: shard-segment bulk copy; `&mut self` rules out
+                // concurrent cell access, chunks are disjoint.
+                unsafe { arena.copy_in(lo, &cells[lo..hi]) };
+            });
+            self.pool.dispatch(end - top, 1, |lo, hi| {
+                // SAFETY: all-ones byte fill == EMPTY fill; same aliasing
+                // argument as above.
+                unsafe { arena.fill_empty(top + lo, hi - lo) };
+            });
+            // The dirty map no longer describes the distance to any buffer.
+            self.sync_epoch += 1;
+        }
+        self.heap_top = top;
         self.steps_executed = snap.steps_executed;
         self.counter.store(snap.attempts, snap.failures);
     }
@@ -352,6 +431,7 @@ impl MachineProc for NativeProc<'_> {
             self.arena.len()
         );
         self.arena.cell(addr).store(value, Ordering::Relaxed);
+        self.arena.mark(addr);
     }
 
     fn compute(&mut self, _ops: u64) {}
@@ -418,6 +498,7 @@ impl Machine for NativeMachine {
     fn load(&mut self, base: usize, values: &[u64]) {
         self.grow(base + values.len());
         let arena = &self.arena;
+        arena.mark_range(base, values.len());
         self.pool.dispatch(values.len(), 1, |lo, hi| {
             // Safety: shard-segment bulk copy; `&mut self` rules out
             // concurrent cell access, chunks are disjoint.
@@ -451,11 +532,13 @@ impl Machine for NativeMachine {
 
     fn poke(&mut self, addr: usize, value: u64) {
         self.arena.cell(addr).store(value, Ordering::Relaxed);
+        self.arena.mark(addr);
     }
 
     fn clear_region(&mut self, base: usize, len: usize) {
         self.grow(base + len);
         let arena = &self.arena;
+        arena.mark_range(base, len);
         self.pool.dispatch(len, 1, |lo, hi| {
             // Safety: all-ones byte fill == EMPTY fill; `&mut self` rules
             // out concurrent cell access, chunks are disjoint.
@@ -524,6 +607,8 @@ impl Machine for NativeMachine {
         let nblocks = len.div_ceil(SCAN_BLOCK);
         ensure_words(&mut self.scratch.offsets, nblocks);
         let arena = &self.arena;
+        // The fill pass rewrites the whole range.
+        arena.mark_range(base, len);
         let offsets = &self.scratch.offsets[..];
         let val = |i: usize| {
             let v = arena.cell(base + i).load(Ordering::Relaxed);
@@ -690,9 +775,11 @@ impl Machine for NativeMachine {
                         }
                     }
                 });
+            let count = count.load(Ordering::Relaxed);
+            arena.mark_range(dst, count as usize);
             self.heap_top = heap_mark;
             self.steps_executed += 3;
-            return count.load(Ordering::Relaxed);
+            return count;
         }
         {
             let arena = &self.arena;
@@ -717,6 +804,7 @@ impl Machine for NativeMachine {
         }
         self.ensure_memory(dst + count as usize);
         let arena = &self.arena;
+        arena.mark_range(dst, count as usize);
         let offsets = &self.scratch.offsets[..];
         self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
             let mut i = lo;
@@ -817,6 +905,7 @@ impl Machine for NativeMachine {
                                 arena
                                     .cell(attempts[j].1)
                                     .fetch_min(j as u64, Ordering::AcqRel);
+                                arena.mark(attempts[j].1);
                             }
                         }
                         i = end;
@@ -866,6 +955,7 @@ impl Machine for NativeMachine {
                         for (off, &(tag, addr)) in attempts[i..end].iter().enumerate() {
                             if ww & (1u64 << off) != 0 {
                                 arena.cell(addr).store(tag, Ordering::Release);
+                                arena.mark(addr);
                             }
                         }
                         i = end;
@@ -914,6 +1004,8 @@ impl Machine for NativeMachine {
                                     arena.cell(attempts[j].1).store(POISON, Ordering::Release)
                                 }
                             }
+                            // Won or poisoned: the cell was written.
+                            arena.mark(attempts[j].1);
                         }
                         cas_won[i / 64].store(bits, Ordering::Relaxed);
                         i = end;
@@ -944,6 +1036,7 @@ impl Machine for NativeMachine {
                                     ok = true;
                                 } else {
                                     arena.cell(attempts[j].1).store(EMPTY, Ordering::Release);
+                                    arena.mark(attempts[j].1);
                                 }
                             }
                             succeeded += ok as u64;

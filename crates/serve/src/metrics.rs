@@ -190,6 +190,10 @@ pub struct ServiceStats {
     /// Total wall time spent taking pre-batch checkpoints — the price of
     /// the rollback guarantee, measured so `chaos_bench` can report it.
     pub snapshot_wall: Duration,
+    /// Machine cells those checkpoints copied.  Proportional to what the
+    /// batches wrote, not to the resident state: only the first checkpoint
+    /// of a server copies the whole live prefix.
+    pub snapshot_cells: u64,
     /// Total wall time spent in rollback + bisection replay after panics.
     pub recovery_wall: Duration,
 }
@@ -220,6 +224,15 @@ impl ServiceStats {
             Duration::ZERO
         } else {
             self.snapshot_wall.div_f64(self.snapshots as f64)
+        }
+    }
+
+    /// Mean machine cells copied per checkpoint (0 when none were taken).
+    pub fn mean_snapshot_cells(&self) -> f64 {
+        if self.snapshots == 0 {
+            0.0
+        } else {
+            self.snapshot_cells as f64 / self.snapshots as f64
         }
     }
 

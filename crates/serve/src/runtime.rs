@@ -17,16 +17,20 @@
 //!
 //! # Failure containment
 //!
-//! Before applying a batch, the batcher takes a [`ServiceCheckpoint`] —
-//! a machine snapshot plus the host-side tables (see
-//! [`ServiceState::checkpoint_into`]).  The batch then runs under
+//! Before applying a batch, the batcher syncs its one reusable
+//! [`ServiceCheckpoint`] — the machine's dirty-page shadow plus the hash
+//! geometry (see [`ServiceState::checkpoint_into`]) — which costs
+//! O(cells the previous batch wrote), not O(resident state).  The batch
+//! then runs under
 //! [`std::panic::catch_unwind`].  If it panics
 //! ([`crate::request::Fault::Panic`], or any future bug in decode), the
 //! batcher **rolls the state back** to the checkpoint and re-applies the
 //! batch by **bisection replay**: halves are re-applied in submission
 //! order (trace determinism makes sub-batch replies identical to the
 //! original batch's would-have-been replies), recursing on any half that
-//! panics until each poisoned request stands alone.  The poisoned
+//! panics until each poisoned request stands alone (every level re-syncs
+//! the same checkpoint buffer, so recovery never copies the resident state
+//! either).  The poisoned
 //! request(s) are answered [`ServiceError::RequestPanicked`] — and
 //! *definitely did not* take effect — while every innocent request in the
 //! batch receives its real answer, exactly as if the poison had never been
@@ -253,8 +257,11 @@ pub(crate) fn run_batcher(
 ) -> (ServiceState, ServiceStats) {
     let policy = policy.normalized();
     let mut stats = ServiceStats::default();
-    // Reused across batches: the pre-batch checkpoint buffer.
+    // Reused across batches: the pre-batch checkpoint buffer.  Its first
+    // sync is the one full copy of the state; take it here so no request
+    // pays for it (and the stats count per-batch checkpoints only).
     let mut ckpt = ServiceCheckpoint::default();
+    state.checkpoint_into(&mut ckpt);
     'serve: loop {
         // Block for the batch's first request.
         let first = match rx.recv() {
@@ -367,7 +374,7 @@ fn apply_and_complete(
     // Checkpoint first: the rollback substrate that turns "may or may not
     // have taken effect" into "definitely not".
     let snap_start = Instant::now();
-    state.checkpoint_into(ckpt);
+    stats.snapshot_cells += state.checkpoint_into(ckpt) as u64;
     stats.snapshots += 1;
     stats.snapshot_wall += snap_start.elapsed();
     match catch_unwind(AssertUnwindSafe(|| state.apply_batch(&requests))) {
@@ -384,7 +391,7 @@ fn apply_and_complete(
             state.restore(ckpt);
             let mut responses = Vec::with_capacity(requests.len());
             let mut cost = BatchCost::default();
-            isolate(state, stats, &requests, &mut responses, &mut cost);
+            isolate(state, stats, ckpt, &requests, &mut responses, &mut cost);
             debug_assert_eq!(responses.len(), live.len());
             stats.record_batch(live.len(), cost);
             stats.recovery_wall += recovery_start.elapsed();
@@ -403,9 +410,16 @@ fn apply_and_complete(
 /// poisoned request stands alone and is answered
 /// [`ServiceError::RequestPanicked`].  Every innocent request's response
 /// and effect are exactly those of the trace with the poison removed.
+///
+/// `ckpt` is the batcher's one checkpoint buffer: in sync with the state on
+/// entry (it was just restored), so every re-sync below copies only what
+/// the previous half wrote.  A recursion supersedes the caller's checkpoint,
+/// which is fine — the caller never restores it again, it moves on to the
+/// next half and syncs anew.
 fn isolate(
     state: &mut ServiceState,
     stats: &mut ServiceStats,
+    ckpt: &mut ServiceCheckpoint,
     requests: &[Request],
     responses: &mut Vec<Response>,
     cost: &mut BatchCost,
@@ -417,15 +431,15 @@ fn isolate(
     }
     let mid = requests.len() / 2;
     for half in [&requests[..mid], &requests[mid..]] {
-        let ckpt = state.checkpoint();
+        state.checkpoint_into(ckpt);
         match catch_unwind(AssertUnwindSafe(|| state.apply_batch(half))) {
             Ok((resp, c)) => {
                 *cost += c;
                 responses.extend(resp);
             }
             Err(_) => {
-                state.restore(&ckpt);
-                isolate(state, stats, half, responses, cost);
+                state.restore(ckpt);
+                isolate(state, stats, ckpt, half, responses, cost);
             }
         }
     }

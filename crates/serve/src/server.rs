@@ -126,11 +126,18 @@ impl Server {
 
     /// Spawns a server with an explicit machine dispatch policy.
     pub fn spawn_with_pool(config: ServiceConfig, policy: BatchPolicy, pool: StepPool) -> Server {
+        Self::spawn_with_state(ServiceState::with_pool(config, pool), policy)
+    }
+
+    /// Spawns a server over an already-populated state (e.g. one preloaded
+    /// by direct [`ServiceState::apply_batch`] calls), so the returned
+    /// stats cover served traffic only.
+    pub fn spawn_with_state(state: ServiceState, policy: BatchPolicy) -> Server {
         let policy = policy.normalized();
         let (tx, rx) = channel();
         let join = std::thread::Builder::new()
             .name("qrqw-serve-batcher".into())
-            .spawn(move || run_batcher(ServiceState::with_pool(config, pool), policy, rx))
+            .spawn(move || run_batcher(state, policy, rx))
             .expect("failed to spawn the batcher thread");
         Server {
             handle: ServiceHandle {

@@ -1,7 +1,7 @@
 //! The service's live state and the batch-application step.
 //!
 //! [`ServiceState`] owns a persistent native machine plus the three
-//! workload states living in (or mirrored against) its shared memory:
+//! workload states living in (or indexed beside) its shared memory:
 //!
 //! * a machine-resident **hash set** ([`qrqw_core::OpenTable`]: open
 //!   addressing, double-hash probe sequences; inserts are occupy-mode
@@ -10,9 +10,13 @@
 //!   growth rebuilds purge the tombstones);
 //! * a machine-resident **counter bank** (a batch of adds/reads is one
 //!   emulated Fetch&Add step, Lemma 7.5);
-//! * a **task pool** (host-side FIFO index; every batch with task traffic
+//! * a **task pool** (host-side FIFO queue; every batch with task traffic
 //!   rebalances the pending tasks across virtual processors with the §3
 //!   QRQW load-balancing algorithm).
+//!
+//! The machine table is the only record of key presence — a batch reads
+//! the pre-batch presence of its keys in the probe step it runs anyway — so
+//! no host structure, and no [`ServiceCheckpoint`], grows with the keys.
 //!
 //! [`ServiceState::apply_batch`] is the *only* way state advances, and it
 //! is shared verbatim by the live server and by the one-shot reference of
@@ -46,7 +50,7 @@
 //! while the counter region is compared raw (bit-identical) and the task
 //! pool by exact `(seq, payload)` content.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 
 use qrqw_core::{emulate_fetch_add_step, load_balance_qrqw, OpenTable, TableGeometry};
 use qrqw_exec::{BatchCost, MachineSnapshot, PersistentMachine, StepPool};
@@ -94,40 +98,82 @@ pub struct StateDigest {
     pub next_seq: u64,
 }
 
-/// The machine-resident hash set plus its host mirror.
-#[derive(Debug)]
-struct HashSetState {
-    /// The table itself ([`OpenTable`]: double-hash probes, occupy-claim
-    /// insert rounds, tombstone deletes, growth-time tombstone purge).
-    table: OpenTable,
-    /// Host mirror of the present keys (bookkeeping only; the machine
-    /// region is the measured artifact and the digest's source of truth).
-    mirror: HashSet<u64>,
-}
-
-/// Host-side FIFO index of the task pool.
+/// The task pool's FIFO queue, with a journal of what changed since the
+/// last checkpoint — enough to rewind without copying the queue.
 #[derive(Debug, Default)]
 struct TaskPool {
-    pending: BTreeMap<u64, u64>,
+    /// Pending `(seq, payload)`, oldest first.
+    pending: VecDeque<(u64, u64)>,
     next_seq: u64,
+    /// Tasks submitted since the checkpoint (all at the back of `pending`,
+    /// unless already stolen again).
+    pushed: usize,
+    /// Tasks stolen since the checkpoint, in steal order; `None` (nothing
+    /// is journaled) until the first checkpoint.
+    stolen: Option<Vec<(u64, u64)>>,
 }
 
-/// A point-in-time checkpoint of a [`ServiceState`]: the machine snapshot
-/// plus every host-side table [`ServiceState::apply_batch`] mutates (hash
-/// geometry and mirror, task pool, sequence counter).
-///
-/// The batcher takes one before each batch; restoring it rolls the service
-/// back to exactly the pre-batch observable state (digest-identical), which
-/// is what lets a panicked batch be re-applied by bisection with no trace
-/// of the failed attempt.  `Default` is an empty checkpoint suitable only
+impl TaskPool {
+    fn submit(&mut self, payload: u64) -> u64 {
+        self.pending.push_back((self.next_seq, payload));
+        self.pushed += 1;
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn steal(&mut self) -> Option<(u64, u64)> {
+        let task = self.pending.pop_front();
+        if let Some(journal) = &mut self.stolen {
+            journal.extend(task);
+        }
+        task
+    }
+
+    /// Starts a new journal: the current queue is the checkpointed one.
+    fn mark(&mut self) {
+        self.pushed = 0;
+        self.stolen.get_or_insert_default().clear();
+    }
+
+    /// Rewinds to the queue as of the last [`TaskPool::mark`]: un-steal
+    /// (the stolen tasks were the front of checkpoint-queue ++ submissions),
+    /// then drop the submissions off the back.
+    fn rewind(&mut self) {
+        if let Some(journal) = &mut self.stolen {
+            for task in journal.drain(..).rev() {
+                self.pending.push_front(task);
+            }
+        }
+        self.pending.truncate(self.pending.len() - self.pushed);
+        self.next_seq -= self.pushed as u64;
+        self.pushed = 0;
+    }
+}
+
+/// A checkpoint of a [`ServiceState`]: the machine's dirty-page shadow
+/// plus the hash table's host-side geometry (the task pool journals its own
+/// changes).  The batcher syncs one before each batch; restoring it rolls
+/// the service back to exactly the pre-batch observable state, which lets a
+/// panicked batch be re-applied by bisection with no trace of the failed
+/// attempt.  Only the **latest** checkpoint of a state can be restored (any
+/// number of `apply_batch` calls later, any number of times): taking
+/// another supersedes it.  `Default` is an empty checkpoint suitable only
 /// as a reusable buffer for [`ServiceState::checkpoint_into`].
 #[derive(Debug, Default)]
 pub struct ServiceCheckpoint {
     machine: MachineSnapshot,
     hash_geo: TableGeometry,
-    hash_mirror: HashSet<u64>,
-    pending: BTreeMap<u64, u64>,
-    next_seq: u64,
+}
+
+/// The key of a hash request, when it is in range.
+fn valid_hash_key(req: &Request) -> Option<u64> {
+    match *req {
+        Request::HashInsert { key }
+        | Request::HashDelete { key }
+        | Request::HashLookup { key }
+        | Request::HashContains { key } => Some(key).filter(|&k| k < MAX_KEY),
+        _ => None,
+    }
 }
 
 /// The live service state: persistent machine + workload structures.
@@ -136,29 +182,10 @@ pub struct ServiceState {
     pm: PersistentMachine,
     config: ServiceConfig,
     counter_base: usize,
-    hash: HashSetState,
+    /// The machine-resident hash set ([`OpenTable`]: double-hash probes,
+    /// occupy-claim insert rounds, tombstone deletes, purge rebuilds).
+    hash: OpenTable,
     tasks: TaskPool,
-}
-
-/// Decoded per-request routing, produced by the in-order decode walk.
-enum Routed {
-    /// Response fully determined at decode time.
-    Done(Response),
-    /// Hash lookup: answered from the in-batch overlay when an earlier
-    /// request in this batch changed the key's presence, else from the
-    /// machine's pre-batch probe step.
-    Lookup {
-        /// Index into the batch's lookup-key vector.
-        idx: usize,
-        /// Presence as of this trace position, if an earlier request in
-        /// this batch inserted or deleted the key.
-        in_batch: Option<bool>,
-        /// Expected pre-batch presence (host mirror), cross-checked against
-        /// the machine's probe step.
-        pre_present: bool,
-    },
-    /// Counter op: index into the batch's Fetch&Add request vector.
-    Counter(usize),
 }
 
 impl ServiceState {
@@ -172,10 +199,7 @@ impl ServiceState {
     pub fn with_pool(config: ServiceConfig, pool: StepPool) -> Self {
         let mut pm = PersistentMachine::with_pool(16, config.seed, pool);
         let counter_base = pm.machine().alloc(config.num_counters.max(1));
-        let hash = HashSetState {
-            table: OpenTable::new(pm.machine(), config.hash_capacity),
-            mirror: HashSet::new(),
-        };
+        let hash = OpenTable::new(pm.machine(), config.hash_capacity);
         ServiceState {
             pm,
             config,
@@ -192,18 +216,18 @@ impl ServiceState {
 
     /// Number of keys in the hash set.
     pub fn hash_len(&self) -> usize {
-        self.hash.table.len()
+        self.hash.len()
     }
 
     /// Tombstoned cells currently in the hash table (deleted keys whose
     /// cells have not yet been purged by a rebuild).
     pub fn hash_tombstones(&self) -> usize {
-        self.hash.table.tombstones()
+        self.hash.tombstones()
     }
 
     /// Current hash-table capacity in cells.
     pub fn hash_capacity(&self) -> usize {
-        self.hash.table.capacity()
+        self.hash.capacity()
     }
 
     /// Number of pending tasks.
@@ -217,144 +241,123 @@ impl ServiceState {
     /// Panics if the batch contains a [`Fault::Panic`] request (the server
     /// catches the unwind; direct callers see the panic).
     pub fn apply_batch(&mut self, batch: &[Request]) -> (Vec<Response>, BatchCost) {
-        // ---- Decode walk (host-side, strictly in batch order). ----
-        let mut routed: Vec<Routed> = Vec::with_capacity(batch.len());
-        let mut lookup_keys: Vec<u64> = Vec::new();
-        // Presence-as-of-trace-position for every key whose presence an
-        // earlier request in this batch *changed*, plus the first-touch
-        // order.  Machine operations are derived from `touched` (a Vec, in
-        // batch order) — never from map iteration — because occupy-claim
-        // winners are the lowest claimant *index*: the attempts vector must
-        // be ordered identically on every backend and thread count.
-        let mut overlay: HashMap<u64, bool> = HashMap::new();
-        let mut touched: Vec<u64> = Vec::new();
-        let mut fadd_reqs: Vec<(usize, u64)> = Vec::new();
-        let mut task_ops = 0usize;
+        // ---- Pass 1 (host): the batch's distinct hash keys, in first-touch
+        // order, and each hash request's index into them.  Injected faults
+        // fire here, before any machine step or host mutation.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut index: HashMap<u64, usize> = HashMap::new();
+        let mut key_of: Vec<usize> = Vec::new();
         for req in batch {
-            let r = match *req {
-                Request::HashInsert { key } => {
-                    if key >= MAX_KEY {
-                        Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
-                    } else {
-                        let was = overlay
-                            .get(&key)
-                            .copied()
-                            .unwrap_or_else(|| self.hash.mirror.contains(&key));
-                        if !was {
-                            if !overlay.contains_key(&key) {
-                                touched.push(key);
-                            }
-                            overlay.insert(key, true);
-                        }
-                        Routed::Done(Ok(Reply::Inserted(!was)))
-                    }
-                }
-                Request::HashDelete { key } => {
-                    if key >= MAX_KEY {
-                        Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
-                    } else {
-                        let was = overlay
-                            .get(&key)
-                            .copied()
-                            .unwrap_or_else(|| self.hash.mirror.contains(&key));
-                        if was {
-                            if !overlay.contains_key(&key) {
-                                touched.push(key);
-                            }
-                            overlay.insert(key, false);
-                        }
-                        Routed::Done(Ok(Reply::Removed(was)))
-                    }
-                }
-                Request::HashLookup { key } | Request::HashContains { key } => {
-                    if key >= MAX_KEY {
-                        Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
-                    } else {
-                        lookup_keys.push(key);
-                        Routed::Lookup {
-                            idx: lookup_keys.len() - 1,
-                            in_batch: overlay.get(&key).copied(),
-                            pre_present: self.hash.mirror.contains(&key),
-                        }
-                    }
-                }
-                Request::CounterAdd { counter, delta } => {
-                    if counter >= self.config.num_counters {
-                        Routed::Done(Err(ServiceError::UnknownCounter(counter)))
-                    } else {
-                        fadd_reqs.push((self.counter_base + counter, delta));
-                        Routed::Counter(fadd_reqs.len() - 1)
-                    }
-                }
-                Request::CounterRead { counter } => {
-                    if counter >= self.config.num_counters {
-                        Routed::Done(Err(ServiceError::UnknownCounter(counter)))
-                    } else {
-                        // A read is a zero-delta Fetch&Add: it serializes
-                        // with the batch's adds at its own batch position.
-                        fadd_reqs.push((self.counter_base + counter, 0));
-                        Routed::Counter(fadd_reqs.len() - 1)
-                    }
-                }
-                Request::TaskSubmit { payload } => {
-                    task_ops += 1;
-                    let seq = self.tasks.next_seq;
-                    self.tasks.next_seq += 1;
-                    self.tasks.pending.insert(seq, payload);
-                    Routed::Done(Ok(Reply::TaskQueued(seq)))
-                }
-                Request::TaskSteal => {
-                    task_ops += 1;
-                    let stolen = self.tasks.pending.pop_first();
-                    Routed::Done(Ok(Reply::TaskStolen(stolen)))
-                }
-                Request::Fault(Fault::Error) => Routed::Done(Err(ServiceError::Injected)),
-                Request::Fault(Fault::Panic) => {
-                    panic!("qrqw-serve: injected panic while decoding a batch")
-                }
-                Request::Fault(Fault::Crash) => {
-                    // The live batcher intercepts `Crash` before apply (it
-                    // kills the thread, not the batch); a direct caller
-                    // sees it as a decode panic like `Fault::Panic`.
-                    panic!("qrqw-serve: injected crash reached batch application")
-                }
-            };
-            routed.push(r);
-        }
-
-        // The batch's *net* key diff, in first-touch order: a key whose
-        // presence ends where it started (insert-then-delete, or
-        // delete-then-reinsert) needs no machine operation at all, which is
-        // what keeps machine work a function of the trace rather than of
-        // the batch partition.
-        let mut new_keys: Vec<u64> = Vec::new();
-        let mut dead_keys: Vec<u64> = Vec::new();
-        for &key in &touched {
-            let fin = overlay[&key];
-            let was = self.hash.mirror.contains(&key);
-            if fin && !was {
-                new_keys.push(key);
-            } else if !fin && was {
-                dead_keys.push(key);
+            if let Some(key) = valid_hash_key(req) {
+                key_of.push(*index.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                }));
+            } else if let Request::Fault(fault @ (Fault::Panic | Fault::Crash)) = req {
+                // The live batcher intercepts `Crash` before apply (it
+                // kills the thread, not the batch); a direct caller sees
+                // it as a decode panic like `Fault::Panic`.
+                panic!("qrqw-serve: injected panic while decoding a batch ({fault:?})")
             }
         }
 
-        // ---- Machine stage (fixed order: lookups against the pre-batch
-        // table, then deletes, then inserts, then the Fetch&Add step, then
-        // rebalancing).
-        let task_procs = self.config.task_procs.max(1);
+        // ---- Machine stage, fixed order: one probe step against the
+        // pre-batch table, then deletes, inserts, the Fetch&Add step, and
+        // rebalancing.
         let ServiceState {
             pm, hash, tasks, ..
         } = self;
-        let run_balance = task_ops > 0 && !tasks.pending.is_empty();
-        let ((lookup_found, olds), cost) = pm.batch(|m| {
-            let found = if lookup_keys.is_empty() {
+        let (pre, mut cost) = pm.batch(|m| {
+            if keys.is_empty() {
                 Vec::new()
             } else {
-                hash.table.lookup(m, &lookup_keys)
+                hash.lookup(m, &keys)
+            }
+        });
+
+        // ---- Pass 2 (host, strictly in batch order): every reply except
+        // the counter values, with `now[i]` the presence of `keys[i]` as of
+        // the current trace position.
+        let mut now = pre.clone();
+        let mut key_of = key_of.into_iter();
+        let mut next_key = || key_of.next().expect("pass 1 indexed every hash request");
+        let mut responses: Vec<Response> = Vec::with_capacity(batch.len());
+        // The Fetch&Add step's requests, and where in `responses` each
+        // one's old value goes.
+        let mut fadd_reqs: Vec<(usize, u64)> = Vec::new();
+        let mut fadd_slots: Vec<usize> = Vec::new();
+        let mut task_ops = 0usize;
+        for req in batch {
+            let resp = match *req {
+                Request::HashInsert { key }
+                | Request::HashDelete { key }
+                | Request::HashLookup { key }
+                | Request::HashContains { key }
+                    if key >= MAX_KEY =>
+                {
+                    Err(ServiceError::KeyOutOfRange(key))
+                }
+                Request::HashInsert { .. } => Ok(Reply::Inserted(!std::mem::replace(
+                    &mut now[next_key()],
+                    true,
+                ))),
+                Request::HashDelete { .. } => Ok(Reply::Removed(std::mem::replace(
+                    &mut now[next_key()],
+                    false,
+                ))),
+                Request::HashLookup { .. } | Request::HashContains { .. } => {
+                    Ok(Reply::Found(now[next_key()]))
+                }
+                Request::CounterAdd { counter, .. } | Request::CounterRead { counter }
+                    if counter >= self.config.num_counters =>
+                {
+                    Err(ServiceError::UnknownCounter(counter))
+                }
+                Request::CounterAdd { counter, .. } | Request::CounterRead { counter } => {
+                    // A read is a zero-delta Fetch&Add: it serializes with
+                    // the batch's adds at its own batch position.
+                    let delta = match *req {
+                        Request::CounterAdd { delta, .. } => delta,
+                        _ => 0,
+                    };
+                    fadd_reqs.push((self.counter_base + counter, delta));
+                    fadd_slots.push(responses.len());
+                    Ok(Reply::Counter(0))
+                }
+                Request::TaskSubmit { payload } => {
+                    task_ops += 1;
+                    Ok(Reply::TaskQueued(tasks.submit(payload)))
+                }
+                Request::TaskSteal => {
+                    task_ops += 1;
+                    Ok(Reply::TaskStolen(tasks.steal()))
+                }
+                Request::Fault(Fault::Error) => Err(ServiceError::Injected),
+                Request::Fault(_) => unreachable!("pass 1 panics on the other faults"),
             };
-            hash.table.remove_present(m, &dead_keys);
-            hash.table.insert_new(m, &new_keys);
+            responses.push(resp);
+        }
+
+        // The batch's *net* key diff, in first-touch order (a Vec, never
+        // map iteration: occupy-claim winners are the lowest claimant
+        // *index*, so the attempts vector must be ordered identically on
+        // every backend and thread count).  A key whose presence ends where
+        // it started (insert-then-delete, or delete-then-reinsert) needs no
+        // machine operation at all, which is what keeps machine work a
+        // function of the trace rather than of the batch partition.
+        let net = |becomes: bool| -> Vec<u64> {
+            (0..keys.len())
+                .filter(|&i| now[i] == becomes && pre[i] != becomes)
+                .map(|i| keys[i])
+                .collect()
+        };
+        let (new_keys, dead_keys) = (net(true), net(false));
+
+        let task_procs = self.config.task_procs.max(1);
+        let run_balance = task_ops > 0 && !tasks.pending.is_empty();
+        let (olds, rest) = pm.batch(|m| {
+            hash.remove_present(m, &dead_keys);
+            hash.insert_new(m, &new_keys);
             let olds = if fadd_reqs.is_empty() {
                 Vec::new()
             } else {
@@ -365,40 +368,18 @@ impl ServiceState {
                 // processors (§3); the balanced assignment is the machine
                 // work — FIFO steal order is decided by sequence number.
                 let mut loads = vec![0u64; task_procs];
-                for &seq in tasks.pending.keys() {
+                for &(seq, _) in &tasks.pending {
                     loads[(seq % task_procs as u64) as usize] += 1;
                 }
                 let res = load_balance_qrqw(m, &loads);
                 debug_assert!(res.covers_exactly(&loads));
             }
-            (found, olds)
+            olds
         });
-
-        // Commit the batch's net key diff to the host mirror.
-        for &key in &dead_keys {
-            hash.mirror.remove(&key);
+        cost += rest;
+        for (slot, old) in fadd_slots.into_iter().zip(olds) {
+            responses[slot] = Ok(Reply::Counter(old));
         }
-        hash.mirror.extend(new_keys.iter().copied());
-
-        // ---- Assemble responses in batch order. ----
-        let responses: Vec<Response> = routed
-            .into_iter()
-            .map(|r| match r {
-                Routed::Done(resp) => resp,
-                Routed::Lookup {
-                    idx,
-                    in_batch,
-                    pre_present,
-                } => {
-                    debug_assert_eq!(
-                        lookup_found[idx], pre_present,
-                        "machine probe diverged from the host mirror"
-                    );
-                    Ok(Reply::Found(in_batch.unwrap_or(lookup_found[idx])))
-                }
-                Routed::Counter(idx) => Ok(Reply::Counter(olds[idx])),
-            })
-            .collect();
         (responses, cost)
     }
 
@@ -406,46 +387,53 @@ impl ServiceState {
     /// compared bit-exactly vs. canonically).
     pub fn digest(&self) -> StateDigest {
         let m = self.pm.machine_ref();
-        let mut hash_keys = self.hash.table.live_keys(m);
+        let mut hash_keys = self.hash.live_keys(m);
         hash_keys.sort_unstable();
-        debug_assert_eq!(hash_keys.len(), self.hash.table.len());
+        debug_assert_eq!(hash_keys.len(), self.hash.len());
         StateDigest {
             hash_keys,
             counters: m.dump(self.counter_base, self.config.num_counters.max(1)),
-            pending_tasks: self.tasks.pending.iter().map(|(&s, &p)| (s, p)).collect(),
+            pending_tasks: self.tasks.pending.iter().copied().collect(),
             next_seq: self.tasks.next_seq,
         }
     }
 
-    /// Captures a checkpoint into `ck`, reusing its buffers — the
-    /// allocation-light path the batcher uses before every batch.
-    pub fn checkpoint_into(&self, ck: &mut ServiceCheckpoint) {
+    /// Brings `ck` up to date and makes it the state's latest checkpoint.
+    /// Returns the machine cells copied: only the pages written since, when
+    /// `ck` already was the latest; the whole live prefix for any other.
+    pub fn checkpoint_into(&mut self, ck: &mut ServiceCheckpoint) -> usize {
         self.pm.snapshot_into(&mut ck.machine);
-        ck.hash_geo = self.hash.table.geometry();
-        ck.hash_mirror.clone_from(&self.hash.mirror);
-        ck.pending.clone_from(&self.tasks.pending);
-        ck.next_seq = self.tasks.next_seq;
+        ck.hash_geo = self.hash.geometry();
+        self.tasks.mark();
+        ck.machine.copied_cells()
     }
 
-    /// Captures a fresh [`ServiceCheckpoint`] of the current state.
-    pub fn checkpoint(&self) -> ServiceCheckpoint {
+    /// Captures a fresh (full-copy) [`ServiceCheckpoint`] of the current
+    /// state, superseding every earlier one.
+    pub fn checkpoint(&mut self) -> ServiceCheckpoint {
         let mut ck = ServiceCheckpoint::default();
         self.checkpoint_into(&mut ck);
         ck
     }
 
     /// Rolls the service back to `ck`: machine memory, allocator, step and
-    /// contention counters, hash geometry/mirror, and the task pool all
-    /// rewind, so the digest (and every subsequent reply) is exactly what
-    /// it was at checkpoint time.  Restoring a checkpoint taken from a
-    /// *different* service is a logic error (and panics if the machine
-    /// shapes disagree).
+    /// contention counters, hash geometry, and the task pool all rewind,
+    /// so the digest (and every subsequent reply) is exactly what it was
+    /// at checkpoint time.  `ck` stays the latest checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// If `ck` is not this state's latest checkpoint (the epoch rule): the
+    /// task journal and the dirty map reach back no further.
     pub fn restore(&mut self, ck: &ServiceCheckpoint) {
+        assert!(
+            self.pm.machine_ref().is_current(&ck.machine),
+            "ServiceState::restore: superseded checkpoint — the epoch rule: only the latest \
+             checkpoint_into of this state can be restored"
+        );
         self.pm.restore(&ck.machine);
-        self.hash.table.restore_geometry(ck.hash_geo);
-        self.hash.mirror.clone_from(&ck.hash_mirror);
-        self.tasks.pending.clone_from(&ck.pending);
-        self.tasks.next_seq = ck.next_seq;
+        self.hash.restore_geometry(ck.hash_geo);
+        self.tasks.rewind();
     }
 
     /// Thread count of the underlying machine.
@@ -784,25 +772,146 @@ mod tests {
     }
 
     #[test]
-    fn restore_after_a_caught_panic_erases_partial_host_mutations() {
-        // Fault::Panic fires during the decode walk, *after* earlier
-        // requests in the batch have already mutated host-side task state —
-        // exactly the torn half-applied state the checkpoint must erase.
+    fn a_decode_panic_leaves_the_state_untouched_and_the_checkpoint_restorable() {
+        // Faults fire in the first decode pass: before the probe step and
+        // before the walk that mutates the task pool.  The batcher still
+        // restores (a future bug could panic later), so that must work too.
         let mut s = state();
+        let _ = s.apply_batch(&[Request::HashInsert { key: 5 }]);
+        let before = s.digest();
+        let steps = s.pm.machine_ref().steps_executed();
         let ck = s.checkpoint();
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.apply_batch(&[
                 Request::TaskSubmit { payload: 5 },
+                Request::HashInsert { key: 6 },
                 Request::Fault(Fault::Panic),
             ])
         }));
         assert!(torn.is_err());
-        assert_eq!(s.pending_tasks(), 1, "decode mutated before the panic");
+        assert_eq!(s.digest(), before, "nothing ran before the panic");
+        assert_eq!(s.pm.machine_ref().steps_executed(), steps);
         s.restore(&ck);
-        assert_eq!(s.pending_tasks(), 0);
-        // Replaying only the innocent request now observes a clean trace.
-        let (resp, _) = s.apply_batch(&[Request::TaskSubmit { payload: 5 }]);
-        assert_eq!(resp[0], Ok(Reply::TaskQueued(0)), "seq counter rewound");
+        assert_eq!(s.digest(), before);
+        // Replaying only the innocent requests observes a clean trace.
+        let (resp, _) = s.apply_batch(&[
+            Request::TaskSubmit { payload: 5 },
+            Request::HashInsert { key: 6 },
+        ]);
+        assert_eq!(resp[0], Ok(Reply::TaskQueued(0)));
+        assert_eq!(resp[1], Ok(Reply::Inserted(true)));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch rule")]
+    fn restoring_a_superseded_checkpoint_panics() {
+        let mut s = state();
+        let old = s.checkpoint();
+        let _ = s.apply_batch(&[Request::TaskSubmit { payload: 1 }]);
+        let _new = s.checkpoint();
+        // The task journal only reaches back to `_new`.
+        s.restore(&old);
+    }
+
+    #[test]
+    fn restore_rewinds_several_batches_completely_and_repeatedly() {
+        let reqs = |r: std::ops::Range<u64>, f: fn(u64) -> Request| r.map(f).collect::<Vec<_>>();
+        let insert = |key| Request::HashInsert { key };
+        let delete = |key| Request::HashDelete { key };
+        let add = |counter, delta| Request::CounterAdd { counter, delta };
+        let submit = |payload| Request::TaskSubmit { payload };
+        let observe = |s: &ServiceState| {
+            let m = s.pm.machine_ref();
+            (
+                s.digest(),
+                s.hash.geometry(),
+                m.heap_top(),
+                m.steps_executed(),
+                m.contention().attempts(),
+            )
+        };
+
+        let mut s = state(); // hash cap 64
+                             // Resident state with every moving part populated: live keys, a
+                             // purge behind it (so a spare region exists), fresh tombstones,
+                             // counters, a task queue with a hole at the front.
+        let _ = s.apply_batch(&reqs(0..20, insert));
+        let _ = s.apply_batch(&reqs(0..17, delete));
+        let _ = s.apply_batch(&reqs(17..19, delete));
+        let _ = s.apply_batch(&[
+            add(1, 5),
+            submit(70),
+            submit(71),
+            submit(72),
+            Request::TaskSteal,
+        ]);
+        assert!(s.hash.geometry().spare.is_some());
+        assert_eq!(s.hash_tombstones(), 2);
+        let mut ck = ServiceCheckpoint::default();
+        s.checkpoint_into(&mut ck);
+        let before = observe(&s);
+
+        for round in 0..3u64 {
+            // Growth (new region, the spare moves), a churn purge, steals
+            // that drain the checkpointed queue and reach into the
+            // submissions made since, counter traffic.
+            let _ = s.apply_batch(&reqs(100..200, insert));
+            let _ = s.apply_batch(&reqs(100..180, delete));
+            let (resp, _) = s.apply_batch(&[
+                Request::TaskSteal,
+                Request::TaskSteal,
+                submit(80 + round),
+                Request::TaskSteal,
+                Request::TaskSteal,
+                submit(90),
+                add(1, 7),
+                add(3, round),
+            ]);
+            assert_eq!(resp[0], Ok(Reply::TaskStolen(Some((1, 71)))));
+            assert_eq!(resp[3], Ok(Reply::TaskStolen(Some((3, 80 + round)))));
+            assert_eq!(resp[4], Ok(Reply::TaskStolen(None)));
+            assert_eq!(resp[5], Ok(Reply::TaskQueued(4)));
+            assert_ne!(observe(&s), before);
+            s.restore(&ck);
+            assert_eq!(observe(&s), before, "round {round}");
+        }
+        // FIFO order and the sequence counter are the checkpoint's.
+        let (resp, _) = s.apply_batch(&[
+            Request::TaskSteal,
+            submit(9),
+            Request::CounterRead { counter: 1 },
+        ]);
+        assert_eq!(resp[0], Ok(Reply::TaskStolen(Some((1, 71)))));
+        assert_eq!(resp[1], Ok(Reply::TaskQueued(3)));
+        assert_eq!(resp[2], Ok(Reply::Counter(5)));
+    }
+
+    #[test]
+    fn a_warm_checkpoint_copies_cells_proportional_to_the_batch() {
+        // Just under 2^15 resident keys: the table region alone is 2^16
+        // cells, with room for one more key before it doubles.
+        let mut s = state();
+        let keys: Vec<Request> = (0..(1 << 15) - 100)
+            .map(|key| Request::HashInsert { key })
+            .collect();
+        let _ = s.apply_batch(&keys);
+        let mut ck = ServiceCheckpoint::default();
+        let full = s.checkpoint_into(&mut ck);
+        assert!(full >= 1 << 16, "the first sync copies the live prefix");
+        assert_eq!(s.checkpoint_into(&mut ck), 0, "nothing written since");
+        let _ = s.apply_batch(&[
+            Request::HashInsert { key: 1 << 20 },
+            Request::HashLookup { key: 7 },
+            Request::CounterAdd {
+                counter: 2,
+                delta: 1,
+            },
+        ]);
+        let warm = s.checkpoint_into(&mut ck);
+        assert!(
+            warm > 0 && warm <= 8 * qrqw_exec::PAGE_CELLS,
+            "a few pages, got {warm} cells"
+        );
     }
 
     #[test]
