@@ -1,6 +1,6 @@
 //! Criterion timings behind Table II: the three random-permutation
 //! algorithms — one source each, executed through the `Machine` backend API
-//! on the native rayon/atomics machine at the paper's two machine sizes.
+//! on the native pooled-threads/atomics machine at the paper's two machine sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrqw_bench::{Algorithm, Backend};

@@ -14,7 +14,7 @@
 //! cargo run -p qrqw-bench --release --bin perf_report -- \
 //!     [--backend sim,native,native-steal,bsp|all] [--schedule chunked,stealing|all] \
 //!     [--sizes 65536,1048576] [--algos all|name,name] [--seed 1] [--threads N] \
-//!     [--sim-cap N] [--bsp-cap N] [--fuse-compare] [--out BENCH_native.json] [--append]
+//!     [--sim-cap N] [--bsp-cap N] [--out BENCH_native.json] [--append]
 //! cargo run -p qrqw-bench --release --bin perf_report -- \
 //!     --scenario all [--backend …] [--sizes 4096] [--out BENCH_workloads.json]
 //! ```
@@ -31,7 +31,7 @@
 //!   the step-drift guard is armed on **every** native/BSP cell (steps,
 //!   contention totals, per-epoch contention, end-state digest).  Defaults
 //!   change to `--sizes 4096` and `--out BENCH_workloads.json`;
-//!   `--algos`, `--append` and `--fuse-compare` are usage errors here;
+//!   `--algos` and `--append` are usage errors here;
 //! * `--schedule` (alias `--schedules`) selects which *native* schedules
 //!   run, mirroring `--backend`: `chunked` keeps only the `native` column,
 //!   `stealing` only `native-steal`, `chunked,stealing` / `all` both —
@@ -49,15 +49,6 @@
 //!   old and new).  That is what makes a huge-n sweep affordable on a
 //!   small box — the expensive sizes are added column by column across
 //!   invocations, and the committed artifact stays one file;
-//! * `--fuse-compare` additionally times each native column with fused
-//!   multi-pass dispatch disabled (`StepPool::with_fused(false)`), pinning
-//!   the main columns to the fused path regardless of `QRQW_FUSE`; the row
-//!   and the JSON then carry `native_unfused_wall_ms` /
-//!   `native_steal_unfused_wall_ms` and the `fused_speedup_*` ratios
-//!   (> 1 ⇒ fusion won).  Every A/B arm is timed best-of-3 with the arms
-//!   interleaved — the runs are bit-identical, so the minimum wall
-//!   isolates dispatch cost from host scheduler jitter, and interleaving
-//!   keeps slow host drift from biasing one arm;
 //! * whenever the simulator and a native column both ran, the **step-drift
 //!   guard** requires the native machine's executed step count and
 //!   contention total to equal the simulator's charge exactly — any drift
@@ -103,7 +94,6 @@ struct Config {
     threads: Option<usize>,
     sim_cap: usize,
     bsp_cap: usize,
-    fuse_compare: bool,
     out: String,
     append: bool,
 }
@@ -115,7 +105,7 @@ fn usage(msg: &str) -> ! {
          [--schedule chunked,stealing|all] [--sizes N,N] \
          [--algos all|name,name] [--scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
          [--seed S] [--threads T] [--sim-cap N] \
-         [--bsp-cap N] [--fuse-compare] [--json-out PATH] [--append]"
+         [--bsp-cap N] [--json-out PATH] [--append]"
     );
     std::process::exit(2);
 }
@@ -169,7 +159,6 @@ fn parse_args() -> Config {
         threads: None,
         sim_cap: usize::MAX,
         bsp_cap: 1 << 17,
-        fuse_compare: false,
         out: "BENCH_native.json".to_string(),
         append: false,
     };
@@ -227,7 +216,6 @@ fn parse_args() -> Config {
             }
             "--sim-cap" => cfg.sim_cap = value().parse().unwrap_or_else(|_| usage("bad --sim-cap")),
             "--bsp-cap" => cfg.bsp_cap = value().parse().unwrap_or_else(|_| usage("bad --bsp-cap")),
-            "--fuse-compare" => cfg.fuse_compare = true,
             "--out" | "--json-out" => {
                 out_explicit = true;
                 cfg.out = value();
@@ -242,14 +230,14 @@ fn parse_args() -> Config {
     }
     if !cfg.scenarios.is_empty() {
         // Scenario mode sweeps scenario × backend, not algorithm × backend:
-        // the algorithm axis, --append merging and the fuse A/B are
-        // per-algorithm machinery, so combining them is a usage error, not
+        // the algorithm axis and --append merging are per-algorithm
+        // machinery, so combining them is a usage error, not
         // something to ignore silently.
         if algos_explicit {
             usage("--scenario sweeps scenarios, not algorithms; drop --algos");
         }
-        if cfg.append || cfg.fuse_compare {
-            usage("--scenario does not support --append or --fuse-compare");
+        if cfg.append {
+            usage("--scenario does not support --append");
         }
         if !sizes_explicit {
             cfg.sizes = vec![4096];
@@ -538,64 +526,10 @@ fn main() {
             // when QRQW_SCHEDULE=stealing is set in the environment (the
             // env-following run_native would then run stolen chunks in the
             // "native" column too).
-            // Under --fuse-compare the pool is built explicitly so both
-            // arms are pinned (fused vs. unfused) no matter what QRQW_FUSE
-            // says; otherwise the env-following constructors decide.
-            let pinned_pool = |schedule: Schedule, fused: bool| {
-                match cfg.threads {
-                    Some(t) => qrqw_exec::StepPool::with_threads(t),
-                    None => qrqw_exec::StepPool::from_env(),
-                }
-                .with_schedule(schedule)
-                .with_fused(fused)
-            };
-            // Each A/B arm is measured best-of-3 with the arms interleaved
-            // (F U F U F U): the runs are bit-identical (outputs, steps,
-            // contention), so the minimum wall is the cleanest estimate of
-            // the dispatch cost — scheduler jitter on a shared host only
-            // ever adds time — and interleaving makes host drift (CPU
-            // frequency, cache and allocator state after the long sim run
-            // just above) bias both minima equally, where back-to-back
-            // blocks would hand whichever arm runs second a warmed process.
-            let ab_best = |schedule: Schedule| {
-                let mut best: [Option<BackendRun>; 2] = [None, None];
-                for _ in 0..3 {
-                    for (slot, fused) in [(0, true), (1, false)] {
-                        let r = algo.run_native_pool(n, cfg.seed, pinned_pool(schedule, fused));
-                        if best[slot].as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
-                            best[slot] = Some(r);
-                        }
-                    }
-                }
-                let [fused, unfused] = best;
-                (
-                    fused.expect("ab_best ran the fused arm"),
-                    unfused.expect("ab_best ran the unfused arm"),
-                )
-            };
-            let (native, native_unfused) = if wants(Backend::Native) {
-                if cfg.fuse_compare {
-                    let (f, u) = ab_best(Schedule::Chunked);
-                    (Some(f), Some(u))
-                } else {
-                    (
-                        Some(algo.run_native_with(n, cfg.seed, cfg.threads, Schedule::Chunked)),
-                        None,
-                    )
-                }
-            } else {
-                (None, None)
-            };
-            let (steal, steal_unfused) = if wants(Backend::NativeSteal) {
-                if cfg.fuse_compare {
-                    let (f, u) = ab_best(Schedule::Stealing);
-                    (Some(f), Some(u))
-                } else {
-                    (Some(algo.run_native_steal(n, cfg.seed, cfg.threads)), None)
-                }
-            } else {
-                (None, None)
-            };
+            let native = wants(Backend::Native)
+                .then(|| algo.run_native_with(n, cfg.seed, cfg.threads, Schedule::Chunked));
+            let steal = wants(Backend::NativeSteal)
+                .then(|| algo.run_native_steal(n, cfg.seed, cfg.threads));
             let bsp = (wants(Backend::Bsp) && n <= cfg.bsp_cap)
                 .then(|| algo.run_bsp(n, cfg.seed, cfg.threads));
             if wants(Backend::Bsp) && n > cfg.bsp_cap {
@@ -658,13 +592,9 @@ fn main() {
             let native_ok = native.as_ref().is_none_or(|r| r.valid) && no_drift("native", &native);
             let steal_ok =
                 steal.as_ref().is_none_or(|r| r.valid) && no_drift("native-steal", &steal);
-            let native_unfused_ok = native_unfused.as_ref().is_none_or(|r| r.valid)
-                && no_drift("native (unfused)", &native_unfused);
-            let steal_unfused_ok = steal_unfused.as_ref().is_none_or(|r| r.valid)
-                && no_drift("native-steal (unfused)", &steal_unfused);
             let bsp_ok = bsp.as_ref().is_none_or(|r| r.valid) && cross_ok;
-            all_valid &=
-                sim_ok && native_ok && steal_ok && native_unfused_ok && steal_unfused_ok && bsp_ok;
+            let valid = sim_ok && native_ok && steal_ok && bsp_ok;
+            all_valid &= valid;
             let ratio = match (&sim, &native) {
                 (Some(s), Some(nat)) => {
                     Some(s.elapsed.as_secs_f64() / nat.elapsed.as_secs_f64().max(f64::EPSILON))
@@ -694,30 +624,8 @@ fn main() {
                 }
                 None => "-".to_string(),
             };
-            // Unfused wall over fused wall: > 1 means fusion won.
-            let fuse_speedup =
-                |fused: &Option<BackendRun>, unfused: &Option<BackendRun>| match (fused, unfused) {
-                    (Some(f), Some(u)) => {
-                        Some(u.elapsed.as_secs_f64() / f.elapsed.as_secs_f64().max(f64::EPSILON))
-                    }
-                    _ => None,
-                };
-            let native_speedup = fuse_speedup(&native, &native_unfused);
-            let steal_speedup = fuse_speedup(&steal, &steal_unfused);
-            let fuse_str = if cfg.fuse_compare {
-                let fmt = |s: Option<f64>| s.map_or("-".to_string(), |r| format!("{r:.2}x"));
-                format!(
-                    "  fuse speedup native {} steal {}",
-                    fmt(native_speedup),
-                    fmt(steal_speedup)
-                )
-            } else {
-                String::new()
-            };
-            let valid =
-                sim_ok && native_ok && steal_ok && native_unfused_ok && steal_unfused_ok && bsp_ok;
             println!(
-                "{:<26} n={:<8} native {} ms  steal {} ms  chunked/steal {}  sim {} ms  sim/native {}  bsp {}  valid={}{}",
+                "{:<26} n={:<8} native {} ms  steal {} ms  chunked/steal {}  sim {} ms  sim/native {}  bsp {}  valid={}",
                 algo.name(),
                 n,
                 ms(&native),
@@ -727,12 +635,11 @@ fn main() {
                 ratio_str,
                 bsp_str,
                 valid,
-                fuse_str,
             );
             let opt_json = |r: &Option<BackendRun>, ok: bool| {
                 r.as_ref().map_or(Json::Null, |r| json_run(r, ok))
             };
-            let mut fields = vec![
+            let fields = vec![
                 ("algorithm", Json::str(algo.name())),
                 ("n", Json::Int(n as u64)),
                 ("native", opt_json(&native, native_ok)),
@@ -748,22 +655,6 @@ fn main() {
                     sched_ratio.map_or(Json::Null, |r| Json::float(r, 3)),
                 ),
             ];
-            if cfg.fuse_compare {
-                let wall = |r: &Option<BackendRun>| match r {
-                    Some(r) => Json::float(r.elapsed.as_secs_f64() * 1e3, 3),
-                    None => Json::Null,
-                };
-                fields.push(("native_unfused_wall_ms", wall(&native_unfused)));
-                fields.push(("native_steal_unfused_wall_ms", wall(&steal_unfused)));
-                fields.push((
-                    "fused_speedup_native",
-                    native_speedup.map_or(Json::Null, |r| Json::float(r, 3)),
-                ));
-                fields.push((
-                    "fused_speedup_steal",
-                    steal_speedup.map_or(Json::Null, |r| Json::float(r, 3)),
-                ));
-            }
             entries.push(Json::obj(fields));
         }
     }

@@ -49,7 +49,7 @@ pub mod workload;
 pub enum Backend {
     /// The exact-cost QRQW PRAM simulator ([`Pram`]).
     Sim,
-    /// The native rayon/atomics machine ([`NativeMachine`]) with its
+    /// The native pooled-threads/atomics machine ([`NativeMachine`]) with its
     /// default chunk schedule (chunked unless `QRQW_SCHEDULE` overrides).
     Native,
     /// The native machine pinned to work-stealing chunk dispatch
@@ -471,17 +471,6 @@ impl Algorithm {
             None => qrqw_exec::StepPool::from_env(),
         }
         .with_schedule(schedule);
-        self.run_native_pool(n, seed, pool)
-    }
-
-    /// Runs this algorithm on a fresh native machine built around an
-    /// explicit, fully-configured [`qrqw_exec::StepPool`] — thread count,
-    /// chunk schedule *and* fused-dispatch toggle all come from the pool.
-    /// This is the entry point for fused-vs-unfused A/B harnesses
-    /// (`perf_report --fuse-compare`), where the env-following
-    /// constructors would let `QRQW_FUSE` silently collapse both arms onto
-    /// one path.
-    pub fn run_native_pool(self, n: usize, seed: u64, pool: qrqw_exec::StepPool) -> BackendRun {
         let mut m = NativeMachine::with_pool(16, seed, pool);
         let (valid, elapsed) = self.run_on(&mut m, n);
         // The machine's schedule decides its backend identity; parse its

@@ -20,7 +20,7 @@
 //!
 //! Every algorithm here is generic over the [`Machine`] backend: the same
 //! source runs on the exact-cost simulator ([`qrqw_sim::Pram`]) and on the
-//! native rayon/atomics machine (`qrqw_exec::NativeMachine`).  Because both
+//! native pooled-threads/atomics machine (`qrqw_exec::NativeMachine`).  Because both
 //! backends draw per-`(seed, step, proc)` random streams from the same
 //! generator and exclusive claims resolve deterministically, the dart
 //! throwers produce *bit-identical* permutations on both backends for the

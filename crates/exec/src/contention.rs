@@ -94,11 +94,10 @@ mod tests {
 
     #[test]
     fn is_safe_to_share_across_threads() {
-        use rayon::prelude::*;
         let c = ContentionCounter::new();
-        (0..10_000)
-            .into_par_iter()
-            .for_each(|i| c.record(i % 4 == 0));
+        crate::StepPool::with_threads(4).dispatch(10_000, 1, |lo, hi| {
+            (lo..hi).for_each(|i| c.record(i % 4 == 0));
+        });
         assert_eq!(c.attempts(), 10_000);
         assert_eq!(c.failures(), 2_500);
     }

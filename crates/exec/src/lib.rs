@@ -5,7 +5,7 @@
 //! later Cray J90 exists here, so this crate substitutes a modern
 //! shared-memory multicore: [`NativeMachine`] implements the
 //! [`qrqw_sim::Machine`] backend API with an [`std::sync::atomic::AtomicU64`]
-//! arena and rayon-style thread fan-out, and threads contending on atomic
+//! arena and a persistent worker pool, and threads contending on atomic
 //! cells play the role of the MasPar router queues.
 //!
 //! The algorithms themselves live in `qrqw-core`, written once against the

@@ -445,6 +445,61 @@ impl MachineProc for NativeProc<'_> {
     }
 }
 
+/// Turns the per-block totals in `offsets` into exclusive offsets in place
+/// and returns the grand total — the serial middle pass of `scan_step` and
+/// `compact_step`.
+fn exclusive_scan(offsets: &[AtomicU64]) -> u64 {
+    let mut acc = 0u64;
+    for block in offsets {
+        let total = block.load(Ordering::Relaxed);
+        block.store(acc, Ordering::Relaxed);
+        acc += total;
+    }
+    acc
+}
+
+/// `compact_step`, count pass: the number of non-[`EMPTY`] cells of every
+/// [`SCAN_BLOCK`] of `src + [lo, hi)` into that block's `offsets` slot.
+fn count_survivors(arena: &Arena, offsets: &[AtomicU64], src: usize, lo: usize, hi: usize) {
+    let mut i = lo;
+    while i < hi {
+        let end = (i + SCAN_BLOCK).min(hi);
+        let survivors = (i..end)
+            .filter(|&j| arena.cell(src + j).load(Ordering::Relaxed) != EMPTY)
+            .count() as u64;
+        offsets[i / SCAN_BLOCK].store(survivors, Ordering::Relaxed);
+        i = end;
+    }
+}
+
+/// `compact_step`, gather pass: every non-[`EMPTY`] cell of `src + [lo, hi)`
+/// goes to `dst +` its global rank (its block's exclusive offset plus its
+/// rank inside the block).
+fn gather_survivors(
+    arena: &Arena,
+    offsets: &[AtomicU64],
+    src: usize,
+    dst: usize,
+    lo: usize,
+    hi: usize,
+) {
+    let mut i = lo;
+    while i < hi {
+        let end = (i + SCAN_BLOCK).min(hi);
+        let mut rank = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed) as usize;
+        for j in i..end {
+            let v = arena.cell(src + j).load(Ordering::Relaxed);
+            if v != EMPTY {
+                // Global ranks are disjoint across blocks, so every
+                // destination cell has exactly one writer.
+                arena.cell(dst + rank).store(v, Ordering::Relaxed);
+                rank += 1;
+            }
+        }
+        i = end;
+    }
+}
+
 impl Machine for NativeMachine {
     fn with_seed(mem_size: usize, seed: u64) -> Self {
         Self::build(mem_size, seed, StepPool::from_env())
@@ -609,7 +664,7 @@ impl Machine for NativeMachine {
         let arena = &self.arena;
         // The fill pass rewrites the whole range.
         arena.mark_range(base, len);
-        let offsets = &self.scratch.offsets[..];
+        let offsets = &self.scratch.offsets[..nblocks];
         let val = |i: usize| {
             let v = arena.cell(base + i).load(Ordering::Relaxed);
             if v == EMPTY {
@@ -618,7 +673,7 @@ impl Machine for NativeMachine {
                 v
             }
         };
-        // Two-pass parallel prefix: per-block totals into reused scratch, an
+        // Blocked parallel prefix: per-block totals into reused scratch, an
         // exclusive scan of those totals, then a parallel fill.  Chunks are
         // SCAN_BLOCK-aligned, so each block has one writer.
         let sum_blocks = |lo: usize, hi: usize| {
@@ -628,15 +683,6 @@ impl Machine for NativeMachine {
                 offsets[i / SCAN_BLOCK].store((i..end).map(val).sum(), Ordering::Relaxed);
                 i = end;
             }
-        };
-        let scan_blocks = || {
-            let mut acc = 0u64;
-            for block in &offsets[..nblocks] {
-                let total = block.load(Ordering::Relaxed);
-                block.store(acc, Ordering::Relaxed);
-                acc += total;
-            }
-            acc
         };
         let fill = |lo: usize, hi: usize| {
             let mut i = lo;
@@ -650,34 +696,24 @@ impl Machine for NativeMachine {
                 i = end;
             }
         };
-        let acc = if self.pool.fused() {
-            // One fused dispatch: block sums, then the serial exclusive
-            // scan of the block totals run by whichever participant owns
-            // the first chunk of the middle pass (the other chunks of that
-            // pass are no-ops — the barrier still separates it from the
-            // fill), then the fill.
-            let total = AtomicU64::new(0);
-            self.pool
-                .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
-                    0 => sum_blocks(lo, hi),
-                    1 => {
-                        if lo == 0 {
-                            total.store(scan_blocks(), Ordering::Relaxed);
-                        }
+        // One pool dispatch: block sums, then the serial exclusive scan of
+        // the block totals run by whichever participant owns the first
+        // chunk of the middle pass (the other chunks of that pass are
+        // no-ops — the barrier still separates it from the fill), then the
+        // fill.
+        let total = AtomicU64::new(0);
+        self.pool
+            .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
+                0 => sum_blocks(lo, hi),
+                1 => {
+                    if lo == 0 {
+                        total.store(exclusive_scan(offsets), Ordering::Relaxed);
                     }
-                    _ => fill(lo, hi),
-                });
-            total.load(Ordering::Relaxed)
-        } else {
-            // Unfused baseline: two dispatches with the host scanning the
-            // block totals in between.
-            self.pool.dispatch(len, SCAN_BLOCK, sum_blocks);
-            let acc = scan_blocks();
-            self.pool.dispatch(len, SCAN_BLOCK, fill);
-            acc
-        };
+                }
+                _ => fill(lo, hi),
+            });
         self.steps_executed += 1;
-        acc
+        total.into_inner()
     }
 
     fn global_or_step(&mut self, base: usize, len: usize) -> bool {
@@ -714,115 +750,48 @@ impl Machine for NativeMachine {
         // to this point even when `dst + count` lies above it; replicate
         // that so `heap_top` evolves identically on both backends.
         let heap_mark = self.heap_top;
-        // Fused equivalent of the trait's flag → scan → gather route: one
-        // block-count pass, a host scan of the (reused) per-block offsets,
-        // one gather pass writing survivors straight to their global rank.
-        // Ranks order identically, so the observable result is the same;
-        // the step index advances by 3 like the canonical route, keeping
-        // later RNG coordinates in cross-backend lockstep.
+        // Equivalent of the trait's flag → scan → gather route: one
+        // block-count pass, a serial scan of the (reused) per-block
+        // offsets, one gather pass writing survivors straight to their
+        // global rank.  Ranks order identically, so the observable result
+        // is the same; the step index advances by 3 like the canonical
+        // route, keeping later RNG coordinates in cross-backend lockstep.
         let nblocks = len.div_ceil(SCAN_BLOCK);
         ensure_words(&mut self.scratch.offsets, nblocks);
-        if self.pool.fused() && dst + len <= self.arena.len() {
-            // Fused route: the destination already fits (`count <= len`, so
-            // `dst + count` cannot outgrow the arena mid-group) — run
-            // flag-count, the serial block scan, and the gather as ONE
-            // fused dispatch.  `ensure_memory(dst + count)` would have been
-            // a pure no-op here: no growth, and `heap_top` is rolled back
-            // to `heap_mark` below exactly like the unfused route.
-            let arena = &self.arena;
-            let offsets = &self.scratch.offsets[..];
+        let (arena, offsets) = (&self.arena, &self.scratch.offsets[..nblocks]);
+        let count = if dst + len <= arena.len() {
+            // The destination already fits (`count <= len`, so `dst + count`
+            // cannot outgrow the arena mid-group): count, scan and gather
+            // run as ONE pool dispatch, the scan by whichever participant
+            // owns the first chunk of the middle pass.
             let count = AtomicU64::new(0);
             self.pool
                 .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
-                    0 => {
-                        let mut i = lo;
-                        while i < hi {
-                            let end = (i + SCAN_BLOCK).min(hi);
-                            let survivors = (i..end)
-                                .filter(|&j| arena.cell(src + j).load(Ordering::Relaxed) != EMPTY)
-                                .count() as u64;
-                            offsets[i / SCAN_BLOCK].store(survivors, Ordering::Relaxed);
-                            i = end;
-                        }
-                    }
+                    0 => count_survivors(arena, offsets, src, lo, hi),
                     1 => {
                         if lo == 0 {
-                            let mut acc = 0u64;
-                            for block in &offsets[..nblocks] {
-                                let total = block.load(Ordering::Relaxed);
-                                block.store(acc, Ordering::Relaxed);
-                                acc += total;
-                            }
-                            count.store(acc, Ordering::Relaxed);
+                            count.store(exclusive_scan(offsets), Ordering::Relaxed);
                         }
                     }
-                    _ => {
-                        let mut i = lo;
-                        while i < hi {
-                            let end = (i + SCAN_BLOCK).min(hi);
-                            let mut rank = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed) as usize;
-                            for j in i..end {
-                                let v = arena.cell(src + j).load(Ordering::Relaxed);
-                                if v != EMPTY {
-                                    // Global ranks are disjoint across blocks,
-                                    // so every destination cell has exactly one
-                                    // writer.
-                                    arena.cell(dst + rank).store(v, Ordering::Relaxed);
-                                    rank += 1;
-                                }
-                            }
-                            i = end;
-                        }
-                    }
+                    _ => gather_survivors(arena, offsets, src, dst, lo, hi),
                 });
-            let count = count.load(Ordering::Relaxed);
-            arena.mark_range(dst, count as usize);
-            self.heap_top = heap_mark;
-            self.steps_executed += 3;
-            return count;
-        }
-        {
-            let arena = &self.arena;
-            let offsets = &self.scratch.offsets[..];
+            count.into_inner()
+        } else {
+            // The arena must grow to hold the survivors, and growth cannot
+            // happen inside a step: two dispatches with the host scanning
+            // and growing in between.
             self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
-                let mut i = lo;
-                while i < hi {
-                    let end = (i + SCAN_BLOCK).min(hi);
-                    let survivors = (i..end)
-                        .filter(|&j| arena.cell(src + j).load(Ordering::Relaxed) != EMPTY)
-                        .count() as u64;
-                    offsets[i / SCAN_BLOCK].store(survivors, Ordering::Relaxed);
-                    i = end;
-                }
+                count_survivors(arena, offsets, src, lo, hi)
             });
-        }
-        let mut count = 0u64;
-        for block in &self.scratch.offsets[..nblocks] {
-            let total = block.load(Ordering::Relaxed);
-            block.store(count, Ordering::Relaxed);
-            count += total;
-        }
-        self.ensure_memory(dst + count as usize);
-        let arena = &self.arena;
-        arena.mark_range(dst, count as usize);
-        let offsets = &self.scratch.offsets[..];
-        self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                let mut rank = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed) as usize;
-                for j in i..end {
-                    let v = arena.cell(src + j).load(Ordering::Relaxed);
-                    if v != EMPTY {
-                        // Global ranks are disjoint across blocks, so every
-                        // destination cell has exactly one writer.
-                        arena.cell(dst + rank).store(v, Ordering::Relaxed);
-                        rank += 1;
-                    }
-                }
-                i = end;
-            }
-        });
+            let count = exclusive_scan(offsets);
+            self.ensure_memory(dst + count as usize);
+            let (arena, offsets) = (&self.arena, &self.scratch.offsets[..nblocks]);
+            self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
+                gather_survivors(arena, offsets, src, dst, lo, hi)
+            });
+            count
+        };
+        self.arena.mark_range(dst, count as usize);
         self.heap_top = heap_mark;
         self.steps_executed += 3;
         count

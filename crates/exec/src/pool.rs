@@ -17,10 +17,10 @@
 //!
 //! Multi-pass steps (the claim protocol, scan, compact) go through
 //! [`StepPool::dispatch_fused`]: all passes share one pool dispatch with a
-//! lightweight barrier between them, toggleable via `QRQW_FUSE` for A/B
-//! measurement.  Environment overrides are validated loudly — a set-but-
-//! invalid `QRQW_THREADS`, `QRQW_SCHEDULE`, or `QRQW_FUSE` panics at pool
-//! construction instead of silently running a different configuration.
+//! lightweight barrier between them; [`StepPool::dispatch`] is its one-pass
+//! case.  Environment overrides are validated loudly — a set-but-invalid
+//! `QRQW_THREADS` or `QRQW_SCHEDULE` panics at pool construction instead of
+//! silently running a different configuration.
 
 /// Environment variable overriding the native backend's thread count.
 /// Must be a positive integer when set; anything else (including `0`)
@@ -32,13 +32,6 @@ pub const THREADS_ENV: &str = "QRQW_THREADS";
 /// [`Schedule`] (`chunked` or `stealing`).  Any other value makes pool
 /// construction panic rather than silently falling back to chunked.
 pub const SCHEDULE_ENV: &str = "QRQW_SCHEDULE";
-
-/// Environment variable toggling fused multi-pass dispatch (`1`/`true`/`on`
-/// to enable — the default — `0`/`false`/`off` to disable).  Any other
-/// value makes pool construction panic.  Fusion never changes results,
-/// chunk boundaries, step counts, or contention totals; the knob exists
-/// for A/B measurement of the dispatch overhead it removes.
-pub const FUSE_ENV: &str = "QRQW_FUSE";
 
 /// Below this many items a step runs inline: pool dispatch costs more than
 /// it saves on tiny steps.
@@ -64,16 +57,16 @@ pub(crate) use rayon::pool::SendPtr;
 /// suite in `tests/schedule_skew.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// One shared chunk counter; every idle thread claims the next chunk
-    /// with a `fetch_add` (`rayon::pool::run`).
+    /// One shared chunk counter per pass; every idle thread claims the next
+    /// chunk with a `fetch_add`.
     #[default]
     Chunked,
     /// Work-stealing in the work-assisting style: chunks are
     /// pre-partitioned into one contiguous range per thread (an atomic
     /// `(lo, hi)` split index each), and threads whose range drains assist
     /// on others' remaining chunks by CAS-splitting the victim's range in
-    /// half (`rayon::pool::run_stealing`).  Wins when per-chunk costs are
-    /// skewed — e.g. a claim round whose collisions all land in one range.
+    /// half.  Wins when per-chunk costs are skewed — e.g. a claim round
+    /// whose collisions all land in one range.
     Stealing,
 }
 
@@ -137,54 +130,32 @@ fn threads_from_env_value(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// The fusion toggle a raw `QRQW_FUSE` value selects: enabled when unset.
-fn fused_from_env_value(raw: Option<&str>) -> Result<bool, String> {
-    match raw {
-        None => Ok(true),
-        Some(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => Ok(true),
-            "0" | "false" | "off" | "no" => Ok(false),
-            _ => Err(format!(
-                "invalid {FUSE_ENV}={v:?}: expected 1/true/on or 0/false/off"
-            )),
-        },
-    }
-}
-
-/// Reads `QRQW_FUSE`, panicking on an invalid value.
-fn fused_from_env() -> bool {
-    let raw = std::env::var(FUSE_ENV).ok();
-    fused_from_env_value(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Per-machine dispatch policy over the process-wide worker pool.
 #[derive(Debug, Clone)]
 pub struct StepPool {
     threads: usize,
     schedule: Schedule,
-    fused: bool,
 }
 
 impl StepPool {
     /// Policy with an explicit thread count (clamped to at least 1; the
     /// process-wide pool additionally clamps to
     /// [`rayon::pool::MAX_POOL_THREADS`]).  The schedule defaults to the
-    /// `QRQW_SCHEDULE` environment selection and the fusion toggle to
-    /// `QRQW_FUSE` (both panic on invalid values).
+    /// `QRQW_SCHEDULE` environment selection (which panics on an invalid
+    /// value).
     pub fn with_threads(threads: usize) -> Self {
         StepPool {
             threads: threads.clamp(1, rayon::pool::MAX_POOL_THREADS),
             schedule: Schedule::from_env(),
-            fused: fused_from_env(),
         }
     }
 
     /// Default policy: thread count from `QRQW_THREADS` (host parallelism
-    /// when unset), schedule from `QRQW_SCHEDULE`, fusion from `QRQW_FUSE`.
+    /// when unset), schedule from `QRQW_SCHEDULE`.
     ///
     /// # Panics
     ///
-    /// If any of those variables is set to an invalid value — a mistyped
+    /// If either variable is set to an invalid value — a mistyped
     /// override must never silently benchmark the wrong configuration.
     pub fn from_env() -> Self {
         let raw = std::env::var(THREADS_ENV).ok();
@@ -201,10 +172,13 @@ impl StepPool {
         self
     }
 
-    /// This policy with fused multi-pass dispatch explicitly enabled or
-    /// disabled, overriding the `QRQW_FUSE` environment selection.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
+    /// Source-compatibility shim for the benchmark harness, which still
+    /// spells `.with_fused(true)`: multi-pass steps always run as one pool
+    /// dispatch, so `true` is the only value there is.  Goes with the next
+    /// `benchmark` PR.
+    #[doc(hidden)]
+    pub fn with_fused(self, fused: bool) -> Self {
+        assert!(fused, "the one-dispatch-per-pass arm no longer exists");
         self
     }
 
@@ -218,59 +192,31 @@ impl StepPool {
         self.schedule
     }
 
-    /// Whether multi-pass steps fuse their passes into one pool dispatch.
-    pub fn fused(&self) -> bool {
-        self.fused
-    }
-
     /// Runs `f(lo, hi)` over `[0, len)` in contiguous chunks whose
     /// boundaries are multiples of `align` (last chunk excepted), on the
     /// worker pool under this policy's [`Schedule`].  Blocks until all
     /// chunks finish.  Small or single-threaded dispatches run inline as
-    /// one chunk.
+    /// one chunk.  This is the one-pass [`StepPool::dispatch_fused`].
     pub fn dispatch<F>(&self, len: usize, align: usize, f: F)
     where
         F: Fn(usize, usize) + Sync,
     {
-        if len == 0 {
-            return;
-        }
-        if self.threads <= 1 || len <= INLINE_CUTOFF.max(align) {
-            f(0, len);
-            return;
-        }
-        let raw = len
-            .div_ceil(self.threads * CHUNKS_PER_THREAD)
-            .max(MIN_CHUNK);
-        let chunk = raw.div_ceil(align) * align;
-        match self.schedule {
-            Schedule::Chunked => rayon::pool::run(len, chunk, self.threads, f),
-            Schedule::Stealing => rayon::pool::run_stealing(len, chunk, self.threads, f),
-        }
+        self.dispatch_fused(len, align, 1, |_, lo, hi| f(lo, hi));
     }
 
-    /// Runs a fused group of `passes` passes over `[0, len)`: pass `p`
-    /// calls `f(p, lo, hi)` for every chunk.  The inline cutoff and the
-    /// chunk boundaries are decided **once per group**, with exactly the
-    /// same rules as [`StepPool::dispatch`], so every pass sees the
-    /// boundaries `passes` separate `dispatch` calls would have seen —
-    /// fusion is observably equivalent, it only removes the per-pass pool
-    /// wakeup (see `rayon::pool::run_fused`).
-    ///
-    /// With fusion disabled (`QRQW_FUSE=0` or [`StepPool::with_fused`]),
-    /// each pass is its own `dispatch` — the honest unfused baseline for
-    /// A/B measurement.
+    /// Runs a group of `passes` passes over `[0, len)` as **one** pool
+    /// dispatch: pass `p` calls `f(p, lo, hi)` for every chunk, and pass
+    /// `p + 1` starts only after every chunk of pass `p` finished, with its
+    /// writes visible (see `rayon::pool::dispatch`).  The inline cutoff and
+    /// the chunk boundaries are decided once per group and are a pure
+    /// function of `(len, align, threads)`, so every pass sees the
+    /// boundaries `passes` separate [`StepPool::dispatch`] calls would have
+    /// seen — grouping only removes the per-pass pool wakeup.
     pub fn dispatch_fused<F>(&self, len: usize, align: usize, passes: usize, f: F)
     where
         F: Fn(usize, usize, usize) + Sync,
     {
-        if len == 0 || passes == 0 {
-            return;
-        }
-        if !self.fused {
-            for pass in 0..passes {
-                self.dispatch(len, align, |lo, hi| f(pass, lo, hi));
-            }
+        if len == 0 {
             return;
         }
         if self.threads <= 1 || len <= INLINE_CUTOFF.max(align) {
@@ -283,12 +229,8 @@ impl StepPool {
             .div_ceil(self.threads * CHUNKS_PER_THREAD)
             .max(MIN_CHUNK);
         let chunk = raw.div_ceil(align) * align;
-        match self.schedule {
-            Schedule::Chunked => rayon::pool::run_fused(len, chunk, self.threads, passes, f),
-            Schedule::Stealing => {
-                rayon::pool::run_fused_stealing(len, chunk, self.threads, passes, f)
-            }
-        }
+        let stealing = self.schedule == Schedule::Stealing;
+        rayon::pool::dispatch(len, chunk, self.threads, stealing, passes, f);
     }
 }
 
@@ -373,7 +315,6 @@ mod tests {
     fn unset_env_values_select_the_defaults() {
         assert_eq!(Schedule::from_env_value(None), Ok(Schedule::Chunked));
         assert_eq!(threads_from_env_value(None), Ok(None));
-        assert_eq!(fused_from_env_value(None), Ok(true));
     }
 
     #[test]
@@ -383,9 +324,6 @@ mod tests {
             Ok(Schedule::Stealing)
         );
         assert_eq!(threads_from_env_value(Some(" 8 ")), Ok(Some(8)));
-        assert_eq!(fused_from_env_value(Some("0")), Ok(false));
-        assert_eq!(fused_from_env_value(Some("ON")), Ok(true));
-        assert_eq!(fused_from_env_value(Some("off")), Ok(false));
     }
 
     #[test]
@@ -398,42 +336,33 @@ mod tests {
         }
         let zero = threads_from_env_value(Some("0")).unwrap_err();
         assert!(zero.contains(THREADS_ENV), "{zero}");
-        let fuse = fused_from_env_value(Some("maybe")).unwrap_err();
-        assert!(fuse.contains(FUSE_ENV), "{fuse}");
     }
 
     #[test]
     fn fused_dispatch_covers_every_pass_with_identical_boundaries() {
         for schedule in Schedule::ALL {
-            for fused in [true, false] {
-                let pool = StepPool::with_threads(4)
-                    .with_schedule(schedule)
-                    .with_fused(fused);
-                let unfused_ranges = {
-                    let seen = Mutex::new(Vec::new());
-                    pool.dispatch(100_000, 64, |lo, hi| seen.lock().unwrap().push((lo, hi)));
-                    let mut r = seen.into_inner().unwrap();
-                    r.sort_unstable();
-                    r
-                };
-                let seen = Mutex::new(vec![Vec::new(); 3]);
-                pool.dispatch_fused(100_000, 64, 3, |pass, lo, hi| {
-                    seen.lock().unwrap()[pass].push((lo, hi));
-                });
-                for (pass, mut ranges) in seen.into_inner().unwrap().into_iter().enumerate() {
-                    ranges.sort_unstable();
-                    assert_eq!(
-                        ranges, unfused_ranges,
-                        "{schedule:?} fused={fused} pass={pass}"
-                    );
-                }
+            let pool = StepPool::with_threads(4).with_schedule(schedule);
+            let single_ranges = {
+                let seen = Mutex::new(Vec::new());
+                pool.dispatch(100_000, 64, |lo, hi| seen.lock().unwrap().push((lo, hi)));
+                let mut r = seen.into_inner().unwrap();
+                r.sort_unstable();
+                r
+            };
+            let seen = Mutex::new(vec![Vec::new(); 3]);
+            pool.dispatch_fused(100_000, 64, 3, |pass, lo, hi| {
+                seen.lock().unwrap()[pass].push((lo, hi));
+            });
+            for (pass, mut ranges) in seen.into_inner().unwrap().into_iter().enumerate() {
+                ranges.sort_unstable();
+                assert_eq!(ranges, single_ranges, "{schedule:?} pass={pass}");
             }
         }
     }
 
     #[test]
     fn small_fused_dispatch_runs_inline_in_pass_order() {
-        let pool = StepPool::with_threads(8).with_fused(true);
+        let pool = StepPool::with_threads(8);
         let trace = Mutex::new(Vec::new());
         pool.dispatch_fused(100, 1, 3, |pass, lo, hi| {
             trace.lock().unwrap().push((pass, lo, hi));

@@ -14,9 +14,9 @@
 //! * `snapshot_into → program → snapshot_into` leaves the incremental
 //!   shadow equal, cell for cell, to a fresh full snapshot.
 //!
-//! Every case runs at threads {1, 2, 5} × {Chunked, Stealing} × fused
-//! on/off, on a machine whose heap starts just below a shard boundary so
-//! allocations grow across it.  A failing case prints its seed.
+//! Every case runs at threads {1, 2, 5} × {Chunked, Stealing}, on a machine
+//! whose heap starts just below a shard boundary so allocations grow across
+//! it.  A failing case prints its seed.
 
 use qrqw_exec::{MachineSnapshot, NativeMachine, Schedule, StepPool, PAGE_CELLS, SHARD_CELLS};
 use qrqw_sim::{ClaimMode, Machine, EMPTY};
@@ -353,13 +353,7 @@ fn pools() -> Vec<StepPool> {
     let mut pools = Vec::new();
     for threads in [1, 2, 5] {
         for schedule in Schedule::ALL {
-            for fused in [true, false] {
-                pools.push(
-                    StepPool::with_threads(threads)
-                        .with_schedule(schedule)
-                        .with_fused(fused),
-                );
-            }
+            pools.push(StepPool::with_threads(threads).with_schedule(schedule));
         }
     }
     pools
@@ -414,10 +408,9 @@ fn case(seed: u64, pool: StepPool) {
 fn reporting(seed: u64, pool: &StepPool, f: impl FnOnce()) {
     if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         eprintln!(
-            "snapshot_fuzz FAILED: seed={seed} threads={} schedule={:?} fused={}",
+            "snapshot_fuzz FAILED: seed={seed} threads={} schedule={:?}",
             pool.threads(),
-            pool.schedule(),
-            pool.fused()
+            pool.schedule()
         );
         std::panic::resume_unwind(panic);
     }
@@ -426,7 +419,7 @@ fn reporting(seed: u64, pool: &StepPool, f: impl FnOnce()) {
 #[test]
 fn random_programs_roll_back_and_resync_exactly() {
     for (i, pool) in pools().into_iter().enumerate() {
-        for s in 0..6u64 {
+        for s in 0..12u64 {
             let seed = 0x5EED_0000 + 1000 * i as u64 + s;
             reporting(seed, &pool, || case(seed, pool.clone()));
         }

@@ -60,7 +60,7 @@
 //!
 //! * [`machine`] — the [`Machine`] backend trait: the work–time presentation
 //!   as an API, implemented by [`Pram`] here and by the native
-//!   rayon/atomics machine in `qrqw-exec`, so each algorithm is written once
+//!   pooled-threads/atomics machine in `qrqw-exec`, so each algorithm is written once
 //!   and runs on either substrate.
 //! * [`memory`] — the flat shared memory and the `EMPTY` sentinel.
 //! * [`step`] — [`StepCtx`] / [`ProcCtx`]: the per-step, per-processor API.

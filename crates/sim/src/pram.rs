@@ -18,9 +18,9 @@ use crate::step::StepCtx;
 pub enum ExecMode {
     /// Run virtual processors on the calling thread.
     Sequential,
-    /// Always fan virtual processors out over the rayon thread pool.
+    /// Always fan virtual processors out over the worker pool.
     Parallel,
-    /// Use rayon only when a step launches at least a few thousand virtual
+    /// Use the pool only when a step launches at least a few thousand virtual
     /// processors (the default).
     #[default]
     Auto,

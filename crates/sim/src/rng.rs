@@ -3,7 +3,7 @@
 //! Every virtual processor in every step gets its own random stream derived
 //! from `(master seed, step index, processor id)` via a SplitMix64-style
 //! mixer.  This makes simulated executions fully reproducible (and
-//! insensitive to the order in which rayon schedules the virtual
+//! insensitive to the order in which the worker pool schedules the virtual
 //! processors), while still giving the independent random choices the
 //! paper's "Las Vegas" analyses assume.
 

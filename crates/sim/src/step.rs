@@ -14,7 +14,6 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::pram::ExecMode;
 use crate::rng::proc_rng;
@@ -149,35 +148,6 @@ impl<'a> StepCtx<'a> {
         }
     }
 
-    /// Launches one virtual processor per id in `procs`, returning their
-    /// results in order.  Processor ids are arbitrary `u64`s, which lets an
-    /// algorithm keep stable ids for "items" across steps.
-    pub fn par_map_ids<T, F>(&mut self, procs: &[u64], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut ProcCtx<'_>) -> T + Sync,
-    {
-        let snapshot = self.snapshot;
-        let seed = self.seed;
-        let step_idx = self.step_idx;
-        let run = |&p: &u64| {
-            let mut ctx = ProcCtx::new(snapshot, seed, step_idx, p);
-            let r = f(p, &mut ctx);
-            (r, ctx.into_log())
-        };
-        let pairs: Vec<(T, ProcLog)> = if self.run_parallel(procs.len()) {
-            procs.par_iter().map(run).collect()
-        } else {
-            procs.iter().map(run).collect()
-        };
-        let mut out = Vec::with_capacity(pairs.len());
-        for (r, log) in pairs {
-            out.push(r);
-            self.logs.push(log);
-        }
-        out
-    }
-
     /// Launches virtual processors `range.start .. range.end` and collects
     /// their results.
     pub fn par_map<T, F>(&mut self, range: std::ops::Range<usize>, f: F) -> Vec<T>
@@ -194,7 +164,7 @@ impl<'a> StepCtx<'a> {
             (r, ctx.into_log())
         };
         let pairs: Vec<(T, ProcLog)> = if self.run_parallel(range.len()) {
-            range.into_par_iter().map(run).collect()
+            rayon::par_collect(range.len(), |i| run(range.start + i))
         } else {
             range.map(run).collect()
         };
@@ -213,14 +183,6 @@ impl<'a> StepCtx<'a> {
         F: Fn(usize, &mut ProcCtx<'_>) + Sync,
     {
         let _ = self.par_map(range, |p, ctx| f(p, ctx));
-    }
-
-    /// Launches one virtual processor per id in `procs` for side effects.
-    pub fn par_for_ids<F>(&mut self, procs: &[u64], f: F)
-    where
-        F: Fn(u64, &mut ProcCtx<'_>) + Sync,
-    {
-        let _ = self.par_map_ids(procs, |p, ctx| f(p, ctx));
     }
 
     /// Finalises the step: computes the step statistics and the list of
@@ -364,21 +326,6 @@ mod tests {
         });
         let (stats, _) = step.finish();
         assert_eq!(stats.max_ops_per_proc, 5);
-    }
-
-    #[test]
-    fn par_map_ids_uses_given_processor_ids() {
-        let mem = snapshot(4);
-        let mut step = StepCtx::new(&mem, 7, 3, ExecMode::Sequential);
-        let ids = vec![10u64, 20, 30];
-        let got = step.par_map_ids(&ids, |p, ctx| {
-            ctx.compute(1);
-            p
-        });
-        assert_eq!(got, ids);
-        let (stats, _) = step.finish();
-        assert_eq!(stats.active_procs, 3);
-        assert_eq!(stats.total_computes, 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   generic over [`sim::Machine`]: load balancing, multiple compaction,
 //!   random (cyclic) permutation, hashing, the three sorts, Fetch&Add
 //!   emulation, the fat-tree,
-//! * [`exec`] — the native rayon/atomics backend ([`exec::NativeMachine`])
+//! * [`exec`] — the native pooled-threads/atomics backend ([`exec::NativeMachine`])
 //!   for wall-clock Table II runs,
 //! * [`bsp`] — the batch-message BSP backend ([`bsp::BspMachine`]) that
 //!   measures the Theorem 1.1 emulation instead of formula-charging it.

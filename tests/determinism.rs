@@ -578,94 +578,42 @@ fn qrqw_schedule_env_var_controls_the_default_schedule() {
     }
 }
 
-/// Probe used by [`qrqw_fuse_env_var_controls_fused_dispatch`]: with
-/// `QRQW_FUSE` set, checks that pool construction honours a valid toggle
-/// and panics loudly on garbage.
-#[test]
-fn helper_qrqw_fuse_env_probe() {
-    let Ok(spec) = std::env::var("QRQW_FUSE") else {
-        return;
-    };
-    match spec.trim() {
-        "1" | "on" => assert!(StepPool::from_env().fused()),
-        "0" | "off" => assert!(!StepPool::from_env().fused()),
-        _ => {
-            let payload = std::panic::catch_unwind(|| StepPool::from_env().fused())
-                .expect_err(&format!("invalid QRQW_FUSE={spec} must panic"));
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("QRQW_FUSE"),
-                "the panic must name the offending variable, got: {msg}"
-            );
-        }
-    }
-}
-
-#[test]
-fn qrqw_fuse_env_var_controls_fused_dispatch() {
-    let exe = std::env::current_exe().expect("test binary path");
-    for spec in ["1", "0", "on", "off", "sometimes"] {
-        let output = std::process::Command::new(&exe)
-            .args(["--exact", "helper_qrqw_fuse_env_probe"])
-            .env("QRQW_FUSE", spec)
-            .output()
-            .expect("re-exec test binary");
-        assert!(
-            output.status.success(),
-            "env probe failed for QRQW_FUSE={spec}:\n{}\n{}",
-            String::from_utf8_lossy(&output.stdout),
-            String::from_utf8_lossy(&output.stderr),
-        );
-    }
-}
-
-/// Builds a native machine with every (threads, schedule, fused)
-/// combination the fusion sweep exercises.
-fn fused_sweep_machine(
-    seed: u64,
-    threads: usize,
-    schedule: Schedule,
-    fused: bool,
-) -> NativeMachine {
+/// Builds a native machine with one (threads, schedule) combination of
+/// the dispatch sweeps below.  `threads = 1` runs every pass of a group
+/// inline, in program order: the reference a pooled group must match.
+fn sweep_machine(seed: u64, threads: usize, schedule: Schedule) -> NativeMachine {
     NativeMachine::with_pool(
         16,
         seed,
-        StepPool::with_threads(threads)
-            .with_schedule(schedule)
-            .with_fused(fused),
+        StepPool::with_threads(threads).with_schedule(schedule),
     )
 }
 
 #[test]
 fn fused_and_unfused_dispatch_agree_with_the_simulator_on_claim_heavy_work() {
-    // The tentpole's contract: fusing the claim protocol's passes into one
-    // pool dispatch changes nothing observable — outputs, CostReport step
-    // counts, and contention totals stay bit-identical to the simulator's
-    // charge across threads × schedules × fusion.
+    // Running the claim protocol's passes as one pool dispatch changes
+    // nothing observable — outputs, CostReport step counts, and contention
+    // totals stay bit-identical to the simulator's charge whether the
+    // passes run inline one after the other (threads = 1) or as a pooled
+    // group, under either schedule.
     let n = 8192usize;
     let seed = 11u64;
     let mut sim = Pram::with_seed(16, seed);
     let sim_order = random_permutation_qrqw(&mut sim, n).order;
     let rs = sim.cost_report();
     for threads in [1usize, 2, 5] {
-        for schedule in [Schedule::Chunked, Schedule::Stealing] {
-            for fused in [true, false] {
-                let label = format!("threads={threads} {schedule:?} fused={fused}");
-                let mut m = fused_sweep_machine(seed, threads, schedule, fused);
-                let order = random_permutation_qrqw(&mut m, n).order;
-                assert_eq!(order, sim_order, "{label}: outputs diverged");
-                let report = m.cost_report();
-                assert_eq!(report.steps, rs.steps, "{label}: step counts diverged");
-                assert_eq!(
-                    (report.claim_attempts, report.contended_claims),
-                    (rs.claim_attempts, rs.contended_claims),
-                    "{label}: contention totals diverged"
-                );
-            }
+        for schedule in Schedule::ALL {
+            let label = format!("threads={threads} {schedule:?}");
+            let mut m = sweep_machine(seed, threads, schedule);
+            let order = random_permutation_qrqw(&mut m, n).order;
+            assert_eq!(order, sim_order, "{label}: outputs diverged");
+            let report = m.cost_report();
+            assert_eq!(report.steps, rs.steps, "{label}: step counts diverged");
+            assert_eq!(
+                (report.claim_attempts, report.contended_claims),
+                (rs.claim_attempts, rs.contended_claims),
+                "{label}: contention totals diverged"
+            );
         }
     }
 }
@@ -693,27 +641,25 @@ fn occupy_claims_pick_the_lowest_claimant_on_every_schedule_and_thread_count() {
         assert_eq!(sim_won[j], seen.insert(addr), "sim winner at claimant {j}");
     }
     for threads in [1usize, 2, 5] {
-        for schedule in [Schedule::Chunked, Schedule::Stealing] {
-            for fused in [true, false] {
-                let label = format!("threads={threads} {schedule:?} fused={fused}");
-                let mut m = fused_sweep_machine(3, threads, schedule, fused);
-                let won = m.claim(&attempts, ClaimMode::Occupy);
-                assert_eq!(won, sim_won, "{label}: occupy winners diverged");
-                let report = m.cost_report();
-                assert_eq!(
-                    (report.steps, report.claim_attempts, report.contended_claims),
-                    (
-                        sim_report.steps,
-                        sim_report.claim_attempts,
-                        sim_report.contended_claims
-                    ),
-                    "{label}: claim accounting diverged"
-                );
-                // Each contested cell keeps the winning claimant's tag.
-                for (j, &(tag, addr)) in attempts.iter().enumerate() {
-                    if won[j] {
-                        assert_eq!(m.peek(addr), tag, "{label}: cell {addr}");
-                    }
+        for schedule in Schedule::ALL {
+            let label = format!("threads={threads} {schedule:?}");
+            let mut m = sweep_machine(3, threads, schedule);
+            let won = m.claim(&attempts, ClaimMode::Occupy);
+            assert_eq!(won, sim_won, "{label}: occupy winners diverged");
+            let report = m.cost_report();
+            assert_eq!(
+                (report.steps, report.claim_attempts, report.contended_claims),
+                (
+                    sim_report.steps,
+                    sim_report.claim_attempts,
+                    sim_report.contended_claims
+                ),
+                "{label}: claim accounting diverged"
+            );
+            // Each contested cell keeps the winning claimant's tag.
+            for (j, &(tag, addr)) in attempts.iter().enumerate() {
+                if won[j] {
+                    assert_eq!(m.peek(addr), tag, "{label}: cell {addr}");
                 }
             }
         }
@@ -722,41 +668,57 @@ fn occupy_claims_pick_the_lowest_claimant_on_every_schedule_and_thread_count() {
 
 #[test]
 fn fused_and_unfused_dispatch_agree_on_scan_and_compact() {
-    // scan_step and compact_step take the fused 3-pass route; both must be
-    // bit-identical to the unfused two-dispatch route and charge the same
-    // step counts, including the raw-destination compact case that falls
-    // back to the unfused route when the destination would need growth.
+    // scan_step and compact_step run as one 3-pass pool dispatch — except a
+    // compact whose destination needs arena growth, which falls back to two
+    // dispatches with the growth in between.  Both routes must match the
+    // simulator bit for bit and charge the same step counts.
     let n = 60_000usize;
     let vals: Vec<u64> = (0..n as u64).map(|i| (i * 31) % 13).collect();
     let sparse: Vec<u64> = (0..n as u64)
         .map(|i| if i % 3 == 0 { i + 1 } else { EMPTY })
         .collect();
-    // (scan total, scanned cells, kept count, compacted cells, steps).
-    type ScanCompactTrace = (u64, Vec<u64>, u64, Vec<u64>, u64);
-    let mut reference: Option<ScanCompactTrace> = None;
+    // (scan total, scanned cells, kept count, compacted cells, the same
+    // pair for the raw destination above the arena, heap top, steps).
+    type ScanCompactTrace = (u64, Vec<u64>, u64, Vec<u64>, u64, Vec<u64>, usize, u64);
+    fn drive<M: Machine>(m: &mut M, n: usize, vals: &[u64], sparse: &[u64]) -> ScanCompactTrace {
+        let base = m.alloc(n);
+        let dst = m.alloc(n);
+        m.load(base, vals);
+        let total = m.scan_step(base, n);
+        let scanned = m.dump(base, n);
+        m.load(base, sparse);
+        let kept = m.compact_step(base, n, dst);
+        let compacted = m.dump(dst, kept as usize);
+        // A raw destination at the very end of memory: the survivors only
+        // fit after growth.
+        let raw = m.heap_top();
+        let kept_raw = m.compact_step(base, n, raw);
+        let compacted_raw = m.dump(raw, kept_raw as usize);
+        (
+            total,
+            scanned,
+            kept,
+            compacted,
+            kept_raw,
+            compacted_raw,
+            m.heap_top(),
+            m.steps_executed(),
+        )
+    }
+    let reference = drive(&mut Pram::with_seed(16, 0), n, &vals, &sparse);
     for threads in [1usize, 2, 5] {
-        for schedule in [Schedule::Chunked, Schedule::Stealing] {
-            for fused in [true, false] {
-                let label = format!("threads={threads} {schedule:?} fused={fused}");
-                let mut m = fused_sweep_machine(0, threads, schedule, fused);
-                let base = m.alloc(n);
-                let dst = m.alloc(n);
-                m.load(base, &vals);
-                let total = m.scan_step(base, n);
-                let scanned = m.dump(base, n);
-                m.load(base, &sparse);
-                let kept = m.compact_step(base, n, dst);
-                let compacted = m.dump(dst, kept as usize);
-                let out = (total, scanned, kept, compacted, m.steps_executed());
-                match &reference {
-                    None => reference = Some(out),
-                    Some(r) => assert_eq!(&out, r, "{label}: scan/compact diverged"),
-                }
-            }
+        for schedule in Schedule::ALL {
+            let mut m = sweep_machine(0, threads, schedule);
+            let out = drive(&mut m, n, &vals, &sparse);
+            assert!(
+                out == reference,
+                "threads={threads} {schedule:?}: scan/compact diverged"
+            );
         }
     }
-    let (total, _, kept, compacted, _) = reference.unwrap();
+    let (total, _, kept, compacted, kept_raw, compacted_raw, ..) = reference;
     assert_eq!(total, vals.iter().sum::<u64>());
     assert_eq!(kept as usize, n.div_ceil(3));
     assert!(compacted.iter().zip(0..).all(|(&v, i)| v == 3 * i + 1));
+    assert_eq!((kept_raw, compacted_raw), (kept, compacted));
 }
