@@ -12,9 +12,9 @@
 //! `algorithm` is one of the names printed by the sweep (e.g.
 //! `permutation-qrqw`, `linear-compaction`, `load-balance-qrqw`) or `all`;
 //! `backend` is a backend name (`sim`, `native`, `native-steal`, `bsp`), a
-//! comma-separated list, or `all` (aka the historical `both`).  The plain
-//! `native` backend additionally honours `QRQW_SCHEDULE=stealing`;
-//! `native-steal` is pinned to work-stealing dispatch regardless.
+//! comma-separated list, or `all` (aka the historical `both`).  `native`
+//! and `native-steal` are the native machine under the chunked and the
+//! work-stealing chunk schedule.
 
 use qrqw_bench::{Algorithm, Backend, BackendRun};
 
@@ -22,7 +22,7 @@ fn run_cell(algo: Algorithm, backend: Backend, n: usize, reps: u64, seed: u64) {
     let mut last: Option<BackendRun> = None;
     let mut total_ms = 0.0;
     for r in 0..reps {
-        let run = algo.run(backend, n, seed + r);
+        let run = algo.run(backend, n, seed + r, None);
         assert!(
             run.valid,
             "{} produced an invalid output on {}",

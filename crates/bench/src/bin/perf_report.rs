@@ -12,15 +12,17 @@
 //! ```text
 //! cargo run -p qrqw-bench --release --bin perf_report            # full sweep
 //! cargo run -p qrqw-bench --release --bin perf_report -- \
-//!     [--backend sim,native,native-steal,bsp|all] [--schedule chunked,stealing|all] \
-//!     [--sizes 65536,1048576] [--algos all|name,name] [--seed 1] [--threads N] \
+//!     [--backend sim,native,native-steal,bsp|all] [--sizes 65536,1048576] \
+//!     [--algos all|name,name] [--seed 1] [--threads N] \
 //!     [--sim-cap N] [--bsp-cap N] [--out BENCH_native.json] [--append]
 //! cargo run -p qrqw-bench --release --bin perf_report -- \
 //!     --scenario all [--backend …] [--sizes 4096] [--out BENCH_workloads.json]
 //! ```
 //!
 //! * `--backend` (alias `--backends`) selects which backends run
-//!   (default: all);
+//!   (default: all); `native` and `native-steal` are the native machine
+//!   under the chunked and the work-stealing schedule, and whenever both
+//!   ran the JSON carries their wall-clock ratio;
 //! * `--scenario` (alias `--scenarios`) switches the sweep axis from
 //!   algorithms to churn **scenarios** (`qrqw_bench::scenario`): each cell
 //!   runs the multi-epoch churn driver (hash table with deletes, fetch&add,
@@ -32,11 +34,6 @@
 //!   contention totals, per-epoch contention, end-state digest).  Defaults
 //!   change to `--sizes 4096` and `--out BENCH_workloads.json`;
 //!   `--algos` and `--append` are usage errors here;
-//! * `--schedule` (alias `--schedules`) selects which *native* schedules
-//!   run, mirroring `--backend`: `chunked` keeps only the `native` column,
-//!   `stealing` only `native-steal`, `chunked,stealing` / `all` both —
-//!   so one invocation compares the two scheduler configurations and the
-//!   JSON carries their ratio, instead of two invocations plus hand-diffing;
 //! * `--threads` forces the native/BSP thread count (otherwise
 //!   `QRQW_THREADS` / host parallelism decides);
 //! * `--sim-cap` / `--bsp-cap` skip simulator / BSP runs above that size
@@ -83,7 +80,6 @@
 use qrqw_bench::report::{write_json_file, Json};
 use qrqw_bench::scenario::{scenario_row_json, workloads_report_json, Scenario, ScenarioRun};
 use qrqw_bench::{Algorithm, Backend, BackendRun};
-use qrqw_exec::Schedule;
 
 struct Config {
     backends: Vec<Backend>,
@@ -102,51 +98,12 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: perf_report [--backend sim,native,native-steal,bsp|all] \
-         [--schedule chunked,stealing|all] [--sizes N,N] \
+         [--sizes N,N] \
          [--algos all|name,name] [--scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
          [--seed S] [--threads T] [--sim-cap N] \
          [--bsp-cap N] [--json-out PATH] [--append]"
     );
     std::process::exit(2);
-}
-
-/// Applies a `--schedule` spec: keeps the non-native backends of `backends`
-/// and replaces its native entries with the selected schedules' backends
-/// (`chunked` → `native`, `stealing` → `native-steal`), preserving registry
-/// order.
-fn apply_schedule_spec(backends: &mut Vec<Backend>, spec: &str) -> Result<(), ()> {
-    let schedules: Vec<Schedule> = if spec == "all" || spec == "both" {
-        Schedule::ALL.to_vec()
-    } else {
-        spec.split(',')
-            .map(|s| Schedule::parse(s.trim()).ok_or(()))
-            .collect::<Result<Vec<_>, ()>>()?
-    };
-    if schedules.is_empty() {
-        return Err(());
-    }
-    let keep_backend = |b: Backend| match b {
-        Backend::Native => schedules.contains(&Schedule::Chunked),
-        Backend::NativeSteal => schedules.contains(&Schedule::Stealing),
-        _ => true,
-    };
-    // Selected schedules run even if --backend dropped their column, that
-    // is the point of the flag; insert in registry order.
-    for want in Backend::ALL {
-        let selected = match want {
-            Backend::Native => schedules.contains(&Schedule::Chunked),
-            Backend::NativeSteal => schedules.contains(&Schedule::Stealing),
-            _ => false,
-        };
-        if selected && !backends.contains(&want) {
-            backends.push(want);
-        }
-    }
-    backends.retain(|&b| keep_backend(b));
-    let order = |b: &Backend| Backend::ALL.iter().position(|a| a == b).unwrap();
-    backends.sort_by_key(order);
-    backends.dedup();
-    Ok(())
 }
 
 fn parse_args() -> Config {
@@ -162,7 +119,6 @@ fn parse_args() -> Config {
         out: "BENCH_native.json".to_string(),
         append: false,
     };
-    let mut schedule_spec: Option<String> = None;
     let mut sizes_explicit = false;
     let mut out_explicit = false;
     let mut algos_explicit = false;
@@ -178,10 +134,6 @@ fn parse_args() -> Config {
                 cfg.backends = Backend::parse_set(&spec)
                     .unwrap_or_else(|| usage(&format!("bad backend set {spec:?}")));
             }
-            // Recorded here, applied after the whole command line is
-            // parsed — so `--schedule stealing --backend sim,native` and
-            // the reverse order mean the same thing.
-            "--schedule" | "--schedules" => schedule_spec = Some(value()),
             "--scenario" | "--scenarios" => {
                 let spec = value();
                 cfg.scenarios = Scenario::parse_set(&spec).unwrap_or_else(|e| usage(&e));
@@ -223,10 +175,6 @@ fn parse_args() -> Config {
             "--append" => cfg.append = true,
             other => usage(&format!("unknown flag {other:?}")),
         }
-    }
-    if let Some(spec) = schedule_spec {
-        apply_schedule_spec(&mut cfg.backends, &spec)
-            .unwrap_or_else(|()| usage(&format!("bad schedule set {spec:?}")));
     }
     if !cfg.scenarios.is_empty() {
         // Scenario mode sweeps scenario × backend, not algorithm × backend:
@@ -399,7 +347,7 @@ fn scenario_sweep(cfg: &Config, threads_used: usize) -> ! {
             ));
         }
         for scenario in &cfg.scenarios {
-            let reference = scenario.run(Backend::Sim, n, cfg.seed);
+            let reference = scenario.run(Backend::Sim, n, cfg.seed, cfg.threads);
             println!("{}", reference.format());
             let mut row_valid = reference.valid;
             let mut cells: Vec<(&'static str, Json)> = Vec::new();
@@ -435,21 +383,18 @@ fn scenario_sweep(cfg: &Config, threads_used: usize) -> ! {
                 row_valid &= run.valid && drift_free;
                 cells.push((run.backend, run.cell_json(drift_free)));
             };
-            if wants(Backend::Native) {
-                guarded(scenario.run_native_with(n, cfg.seed, cfg.threads, Schedule::Chunked));
-            }
-            if wants(Backend::NativeSteal) {
-                guarded(scenario.run_native_with(n, cfg.seed, cfg.threads, Schedule::Stealing));
-            }
-            if wants(Backend::Bsp) {
-                if n <= cfg.bsp_cap {
-                    guarded(scenario.run_bsp(n, cfg.seed, cfg.threads));
-                } else {
+            for backend in Backend::ALL
+                .into_iter()
+                .filter(|&b| b != Backend::Sim && wants(b))
+            {
+                if backend == Backend::Bsp && n > cfg.bsp_cap {
                     eprintln!(
                         "perf_report: note: skipping bsp at n={n} (> --bsp-cap {}); \
                          raise --bsp-cap to include it",
                         cfg.bsp_cap
                     );
+                } else {
+                    guarded(scenario.run(backend, n, cfg.seed, cfg.threads));
                 }
             }
             all_valid &= row_valid;
@@ -519,19 +464,13 @@ fn main() {
             // Simulator first, matching `backend_bench` ordering: the other
             // machines then allocate against a warmed process heap rather
             // than only the later ones.
-            let sim = (wants(Backend::Sim) && n <= cfg.sim_cap)
-                .then(|| algo.run(Backend::Sim, n, cfg.seed));
-            // Both native columns pin their schedule explicitly: the
-            // report's chunked-vs-stealing ratio must stay meaningful even
-            // when QRQW_SCHEDULE=stealing is set in the environment (the
-            // env-following run_native would then run stolen chunks in the
-            // "native" column too).
-            let native = wants(Backend::Native)
-                .then(|| algo.run_native_with(n, cfg.seed, cfg.threads, Schedule::Chunked));
-            let steal = wants(Backend::NativeSteal)
-                .then(|| algo.run_native_steal(n, cfg.seed, cfg.threads));
-            let bsp = (wants(Backend::Bsp) && n <= cfg.bsp_cap)
-                .then(|| algo.run_bsp(n, cfg.seed, cfg.threads));
+            let run = |backend: Backend, cap: usize| {
+                (wants(backend) && n <= cap).then(|| algo.run(backend, n, cfg.seed, cfg.threads))
+            };
+            let sim = run(Backend::Sim, cfg.sim_cap);
+            let native = run(Backend::Native, usize::MAX);
+            let steal = run(Backend::NativeSteal, usize::MAX);
+            let bsp = run(Backend::Bsp, cfg.bsp_cap);
             if wants(Backend::Bsp) && n > cfg.bsp_cap {
                 // Never let an explicitly requested backend be skipped
                 // silently — a "-" row plus a stderr note, so a green
@@ -602,8 +541,8 @@ fn main() {
                 _ => None,
             };
             let ratio_str = ratio.map_or(format!("{:>8}", "-"), |r| format!("{r:>7.1}x"));
-            // The scheduler comparison the --schedule flag exists for:
-            // chunked wall over stealing wall (> 1 ⇒ stealing won).
+            // The scheduler comparison: chunked wall over stealing wall
+            // (> 1 ⇒ stealing won).
             let sched_ratio = match (&native, &steal) {
                 (Some(c), Some(s)) => {
                     Some(c.elapsed.as_secs_f64() / s.elapsed.as_secs_f64().max(f64::EPSILON))

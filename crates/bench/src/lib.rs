@@ -18,8 +18,6 @@
 //!   layer (committed `BENCH_chaos.json`): goodput, shed rate, snapshot
 //!   overhead and recovery latency vs. fault rate, with digest-parity and
 //!   no-wedged-ticket validators (see [`chaos`]).
-//!
-//! Criterion benches (`cargo bench -p qrqw-bench`) time the same workloads.
 
 #![deny(missing_docs)]
 
@@ -34,7 +32,7 @@ use qrqw_core::{
     random_permutation_sorting_erew, sample_sort_crqw, sample_sort_qrqw, sort_uniform_keys,
     QrqwHashTable,
 };
-use qrqw_exec::NativeMachine;
+use qrqw_exec::{NativeMachine, Schedule, StepPool};
 use qrqw_prims::{linear_compaction, list_rank};
 use qrqw_sim::{CostModel, CostReport, Machine, Pram, TraceSummary, EMPTY};
 
@@ -49,12 +47,12 @@ pub mod workload;
 pub enum Backend {
     /// The exact-cost QRQW PRAM simulator ([`Pram`]).
     Sim,
-    /// The native pooled-threads/atomics machine ([`NativeMachine`]) with its
-    /// default chunk schedule (chunked unless `QRQW_SCHEDULE` overrides).
+    /// The native pooled-threads/atomics machine ([`NativeMachine`]) on a
+    /// [`Schedule::Chunked`] step pool.
     Native,
-    /// The native machine pinned to work-stealing chunk dispatch
-    /// ([`qrqw_exec::StealingMachine`]) — bit-identical to [`Backend::Native`] in
-    /// every observable; only wall-clock under skew differs.
+    /// The same machine on a [`Schedule::Stealing`] step pool — bit-identical
+    /// to [`Backend::Native`] in every observable; only wall-clock under
+    /// skew differs.
     NativeSteal,
     /// The batch-message BSP machine ([`BspMachine`]) measuring the
     /// Theorem 1.1 emulation.
@@ -96,6 +94,46 @@ impl Backend {
             .collect::<Option<Vec<_>>>()
             .filter(|v| !v.is_empty())
     }
+
+    /// Builds the machine this backend names — seeded with `seed`, its step
+    /// pool on `threads` threads (`None`: `QRQW_THREADS` / host parallelism)
+    /// — runs `job` on it, and returns the job's output next to the
+    /// machine's cost report.  Every harness machine is constructed here, so
+    /// a run's backend label and its machine cannot disagree.
+    pub(crate) fn run_job<J: MachineJob>(
+        self,
+        seed: u64,
+        threads: Option<usize>,
+        job: J,
+    ) -> (J::Output, CostReport) {
+        fn go<M: Machine, J: MachineJob>(mut m: M, job: J) -> (J::Output, CostReport) {
+            let out = job.run(&mut m);
+            (out, m.cost_report())
+        }
+        let pool = || threads.map_or_else(StepPool::from_env, StepPool::with_threads);
+        match self {
+            Backend::Sim => go(Pram::with_seed(16, seed), job),
+            Backend::Native | Backend::NativeSteal => {
+                let schedule = if self == Backend::Native {
+                    Schedule::Chunked
+                } else {
+                    Schedule::Stealing
+                };
+                let pool = pool().with_schedule(schedule);
+                go(NativeMachine::with_pool(16, seed, pool), job)
+            }
+            Backend::Bsp => go(BspMachine::with_threads(16, seed, pool().threads()), job),
+        }
+    }
+}
+
+/// Work for whichever machine a [`Backend`] names (see [`Backend::run_job`]).
+pub(crate) trait MachineJob {
+    /// What the job hands back.
+    type Output;
+
+    /// Runs the job on the freshly built machine.
+    fn run<M: Machine>(self, m: &mut M) -> Self::Output;
 }
 
 /// An algorithm ported to the [`Machine`] backend API, runnable (and timed)
@@ -106,12 +144,13 @@ impl Backend {
 ///
 /// // Parse a registry name, run it on a backend, check its validator.
 /// let algo = Algorithm::parse("permutation-qrqw").unwrap();
-/// let sim = algo.run(Backend::Sim, 256, 1);
+/// let sim = algo.run(Backend::Sim, 256, 1, None);
 /// assert!(sim.valid);
 ///
 /// // The same seed on the native work-stealing backend is the same
 /// // trajectory: lockstep step counters, identical contention totals.
-/// let steal = algo.run(Backend::NativeSteal, 256, 1);
+/// let steal = algo.run(Backend::NativeSteal, 256, 1, Some(2));
+/// assert_eq!(steal.backend, "native-steal");
 /// assert!(steal.valid);
 /// assert_eq!(sim.report.steps, steal.report.steps);
 /// assert_eq!(sim.report.contended_claims, steal.report.contended_claims);
@@ -416,91 +455,19 @@ impl Algorithm {
         }
     }
 
-    /// Creates a fresh machine of the requested backend, runs this algorithm
-    /// on it, and reports timing, validity and the backend's cost report.
-    pub fn run(self, backend: Backend, n: usize, seed: u64) -> BackendRun {
-        match backend {
-            Backend::Sim => {
-                let mut m = Pram::with_seed(16, seed);
-                let (valid, elapsed) = self.run_on(&mut m, n);
-                self.package(backend, n, seed, valid, elapsed, m.cost_report())
+    /// Creates a fresh machine of the requested backend — step pool on
+    /// `threads` threads, or `QRQW_THREADS` / host parallelism when `None` —
+    /// runs this algorithm on it, and reports timing, validity and the
+    /// machine's cost report.
+    pub fn run(self, backend: Backend, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
+        struct Job(Algorithm, usize);
+        impl MachineJob for Job {
+            type Output = (bool, Duration);
+            fn run<M: Machine>(self, m: &mut M) -> Self::Output {
+                self.0.run_on(m, self.1)
             }
-            Backend::Native => self.run_native(n, seed, None),
-            Backend::NativeSteal => self.run_native_steal(n, seed, None),
-            Backend::Bsp => self.run_bsp(n, seed, None),
         }
-    }
-
-    /// Runs this algorithm on a fresh [`NativeMachine`], optionally with an
-    /// explicit thread count (otherwise `QRQW_THREADS` / host parallelism,
-    /// as [`qrqw_sim::Machine::with_seed`] resolves it).  The chunk
-    /// schedule follows `QRQW_SCHEDULE` (default chunked); use
-    /// [`Algorithm::run_native_steal`] to force work-stealing.
-    pub fn run_native(self, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
-        let mut m = match threads {
-            Some(t) => NativeMachine::with_threads(16, seed, t),
-            None => NativeMachine::with_seed(16, seed),
-        };
-        let (valid, elapsed) = self.run_on(&mut m, n);
-        self.package(Backend::Native, n, seed, valid, elapsed, m.cost_report())
-    }
-
-    /// Runs this algorithm with work-stealing chunk dispatch regardless of
-    /// `QRQW_SCHEDULE` (the machine behind [`Backend::NativeSteal`];
-    /// equivalent to a [`qrqw_exec::StealingMachine`] — pinned by the
-    /// wrapper-equals-builder test in `tests/schedule_skew.rs`), optionally
-    /// with an explicit thread count.
-    pub fn run_native_steal(self, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
-        self.run_native_with(n, seed, threads, qrqw_exec::Schedule::Stealing)
-    }
-
-    /// Runs this algorithm on a fresh native machine with an *explicit*
-    /// chunk schedule, ignoring `QRQW_SCHEDULE` entirely.  This is what a
-    /// scheduler-comparison harness must use: with the env-following
-    /// [`Algorithm::run_native`], `QRQW_SCHEDULE=stealing` would silently
-    /// turn a chunked-vs-stealing comparison into stealing-vs-stealing.
-    pub fn run_native_with(
-        self,
-        n: usize,
-        seed: u64,
-        threads: Option<usize>,
-        schedule: qrqw_exec::Schedule,
-    ) -> BackendRun {
-        let pool = match threads {
-            Some(t) => qrqw_exec::StepPool::with_threads(t),
-            None => qrqw_exec::StepPool::from_env(),
-        }
-        .with_schedule(schedule);
-        let mut m = NativeMachine::with_pool(16, seed, pool);
-        let (valid, elapsed) = self.run_on(&mut m, n);
-        // The machine's schedule decides its backend identity; parse its
-        // own reported name instead of keeping a second mapping here.
-        let backend = Backend::parse(m.backend())
-            .expect("every native backend name is registered in Backend::ALL");
-        self.package(backend, n, seed, valid, elapsed, m.cost_report())
-    }
-
-    /// Runs this algorithm on a fresh [`BspMachine`], optionally with an
-    /// explicit compute-phase thread count (components come from
-    /// `QRQW_BSP_COMPONENTS` / the crate default either way).
-    pub fn run_bsp(self, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
-        let mut m = match threads {
-            Some(t) => BspMachine::with_threads(16, seed, t),
-            None => BspMachine::with_seed(16, seed),
-        };
-        let (valid, elapsed) = self.run_on(&mut m, n);
-        self.package(Backend::Bsp, n, seed, valid, elapsed, m.cost_report())
-    }
-
-    fn package(
-        self,
-        backend: Backend,
-        n: usize,
-        seed: u64,
-        valid: bool,
-        elapsed: Duration,
-        report: CostReport,
-    ) -> BackendRun {
+        let ((valid, elapsed), report) = backend.run_job(seed, threads, Job(self, n));
         BackendRun {
             algorithm: self.name(),
             backend: backend.name(),
@@ -620,9 +587,35 @@ mod tests {
     fn every_algorithm_runs_on_every_backend() {
         for algo in Algorithm::ALL {
             for backend in Backend::ALL {
-                let run = algo.run(backend, 128, 5);
+                let run = algo.run(backend, 128, 5, None);
                 assert!(run.valid, "{} failed on {}", algo.name(), backend.name());
                 assert!(run.format().contains(backend.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn every_backend_and_pool_size_runs_the_machine_its_label_names() {
+        // The one constructor knows what it built: the run's label, the
+        // machine's own report and the registry name agree, and the charged
+        // trajectory is the simulator's on every backend at every pool size.
+        let counters = |r: &CostReport| (r.steps, r.claim_attempts, r.contended_claims);
+        let scenario = scenario::Scenario::parse("zipf-hot").unwrap();
+        let algo_sim = Algorithm::PermutationQrqw.run(Backend::Sim, 3000, 9, None);
+        let scenario_sim = scenario.run(Backend::Sim, 64, 9, None);
+        for backend in Backend::ALL {
+            for threads in [None, Some(1), Some(2), Some(5)] {
+                let check = |valid: bool, label: &str, report: &CostReport, sim: &CostReport| {
+                    let at = format!("{} threads={threads:?}", backend.name());
+                    assert!(valid, "{at}");
+                    assert_eq!(label, backend.name(), "{at}");
+                    assert_eq!(report.backend, backend.name(), "{at}");
+                    assert_eq!(counters(report), counters(sim), "{at}");
+                };
+                let run = Algorithm::PermutationQrqw.run(backend, 3000, 9, threads);
+                check(run.valid, run.backend, &run.report, &algo_sim.report);
+                let run = scenario.run(backend, 64, 9, threads);
+                check(run.valid, run.backend, &run.report, &scenario_sim.report);
             }
         }
     }
@@ -653,7 +646,7 @@ mod tests {
 
     #[test]
     fn bsp_runs_carry_measured_and_predicted_costs() {
-        let run = Algorithm::PermutationQrqw.run(Backend::Bsp, 256, 3);
+        let run = Algorithm::PermutationQrqw.run(Backend::Bsp, 256, 3, None);
         assert!(run.valid);
         let bsp = run.report.bsp.expect("bsp run must fill the BSP section");
         assert!(bsp.measured_cost > 0);
@@ -665,7 +658,7 @@ mod tests {
         );
         // The sim and bsp runs of one seed are the same trajectory, so the
         // claim counters must agree exactly.
-        let sim = Algorithm::PermutationQrqw.run(Backend::Sim, 256, 3);
+        let sim = Algorithm::PermutationQrqw.run(Backend::Sim, 256, 3, None);
         assert_eq!(run.report.claim_attempts, sim.report.claim_attempts);
         assert_eq!(run.report.contended_claims, sim.report.contended_claims);
         assert_eq!(run.report.steps, sim.report.steps);

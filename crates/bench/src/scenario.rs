@@ -28,16 +28,14 @@
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use qrqw_bsp::BspMachine;
 use qrqw_core::{emulate_fetch_add_step, load_balance_qrqw, OpenTable};
-use qrqw_exec::NativeMachine;
-use qrqw_sim::{CostReport, Machine, Pram};
+use qrqw_sim::{CostReport, Machine};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::Json;
 use crate::workload::{KeyDist, KeySampler};
-use crate::Backend;
+use crate::{Backend, MachineJob};
 
 /// One scenario: a named workload parameter block.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +91,7 @@ impl Scenario {
     /// Parses one scenario: a registry name, or a custom spec
     /// `<dist>/<ins>:<del>:<look>/<epochs>` (e.g. `zipf:1.5/3:1:4/8`).
     /// Unknown names are an error carrying the vocabulary — never a
-    /// silent default (the `QRQW_SCHEDULE` contract).
+    /// silent default.
     pub fn parse(spec: &str) -> Result<Scenario, String> {
         if let Some(s) = Self::registry().into_iter().find(|s| s.name == spec) {
             return Ok(s);
@@ -298,95 +296,27 @@ impl Scenario {
         }
     }
 
-    /// Creates a fresh machine of the requested backend, runs the churn
-    /// driver on it, and packages the result (the scenario analogue of
-    /// `Algorithm::run`).
-    pub fn run(&self, backend: Backend, n: usize, seed: u64) -> ScenarioRun {
-        match backend {
-            Backend::Sim => {
-                let mut m = Pram::with_seed(16, seed);
-                let started = Instant::now();
-                let outcome = self.run_churn(&mut m, n, seed);
-                self.package(
-                    backend,
-                    n,
-                    seed,
-                    started.elapsed(),
-                    m.cost_report(),
-                    outcome,
-                )
-            }
-            Backend::Native => self.run_native_pool(n, seed, qrqw_exec::StepPool::from_env()),
-            Backend::NativeSteal => {
-                self.run_native_with(n, seed, None, qrqw_exec::Schedule::Stealing)
-            }
-            Backend::Bsp => self.run_bsp(n, seed, None),
-        }
-    }
-
-    /// Runs the driver on a fresh native machine with an explicit chunk
-    /// schedule (ignoring `QRQW_SCHEDULE`), optionally pinning threads.
-    pub fn run_native_with(
-        &self,
-        n: usize,
-        seed: u64,
-        threads: Option<usize>,
-        schedule: qrqw_exec::Schedule,
-    ) -> ScenarioRun {
-        let pool = match threads {
-            Some(t) => qrqw_exec::StepPool::with_threads(t),
-            None => qrqw_exec::StepPool::from_env(),
-        }
-        .with_schedule(schedule);
-        self.run_native_pool(n, seed, pool)
-    }
-
-    /// Runs the driver on a fresh native machine built around an explicit,
-    /// fully-configured [`qrqw_exec::StepPool`].
-    pub fn run_native_pool(&self, n: usize, seed: u64, pool: qrqw_exec::StepPool) -> ScenarioRun {
-        let mut m = NativeMachine::with_pool(16, seed, pool);
-        let started = Instant::now();
-        let outcome = self.run_churn(&mut m, n, seed);
-        let backend = Backend::parse(m.backend())
-            .expect("every native backend name is registered in Backend::ALL");
-        self.package(
-            backend,
-            n,
-            seed,
-            started.elapsed(),
-            m.cost_report(),
-            outcome,
-        )
-    }
-
-    /// Runs the driver on a fresh BSP machine, optionally pinning the
-    /// compute-phase thread count.
-    pub fn run_bsp(&self, n: usize, seed: u64, threads: Option<usize>) -> ScenarioRun {
-        let mut m = match threads {
-            Some(t) => BspMachine::with_threads(16, seed, t),
-            None => BspMachine::with_seed(16, seed),
-        };
-        let started = Instant::now();
-        let outcome = self.run_churn(&mut m, n, seed);
-        self.package(
-            Backend::Bsp,
-            n,
-            seed,
-            started.elapsed(),
-            m.cost_report(),
-            outcome,
-        )
-    }
-
-    fn package(
+    /// Creates a fresh machine of the requested backend (step pool on
+    /// `threads` threads, or `QRQW_THREADS` / host parallelism when `None`),
+    /// runs the churn driver on it, and packages the result — the scenario
+    /// analogue of `Algorithm::run`.
+    pub fn run(
         &self,
         backend: Backend,
         n: usize,
         seed: u64,
-        elapsed: Duration,
-        report: CostReport,
-        outcome: ChurnOutcome,
+        threads: Option<usize>,
     ) -> ScenarioRun {
+        struct Job<'a>(&'a Scenario, usize, u64);
+        impl MachineJob for Job<'_> {
+            type Output = (ChurnOutcome, Duration);
+            fn run<M: Machine>(self, m: &mut M) -> Self::Output {
+                let started = Instant::now();
+                let outcome = self.0.run_churn(m, self.1, self.2);
+                (outcome, started.elapsed())
+            }
+        }
+        let ((outcome, elapsed), report) = backend.run_job(seed, threads, Job(self, n, seed));
         ScenarioRun {
             scenario: self.name.clone(),
             backend: backend.name(),
@@ -576,6 +506,7 @@ pub fn workloads_report_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrqw_sim::Pram;
 
     #[test]
     fn registry_names_parse_back_to_themselves() {

@@ -11,7 +11,7 @@
 //!
 //! Distribution names parse **loudly**: an unknown name is an error
 //! carrying the valid vocabulary, never a silent default — the same
-//! contract as `QRQW_SCHEDULE`/`QRQW_THREADS` parsing.
+//! contract as `QRQW_THREADS` parsing.
 
 use qrqw_core::hashing::HASH_PRIME;
 use qrqw_core::open_table::probe_home;

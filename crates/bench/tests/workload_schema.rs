@@ -89,9 +89,9 @@ fn workloads_report_round_trips_and_matches_the_schema() {
     let backends = [Backend::Sim, Backend::Native];
     let mut rows = Vec::new();
     for scenario in &scenarios {
-        let reference = scenario.run(Backend::Sim, 64, 3);
+        let reference = scenario.run(Backend::Sim, 64, 3, None);
         assert!(reference.valid, "{} invalid on sim", scenario.name);
-        let native = scenario.run_native_with(64, 3, Some(2), qrqw_exec::Schedule::Chunked);
+        let native = scenario.run(Backend::Native, 64, 3, Some(2));
         let drift_free = native.report.steps == reference.report.steps
             && native.report.contended_claims == reference.report.contended_claims
             && native.outcome.digest == reference.outcome.digest;

@@ -55,13 +55,15 @@ use rand::Rng;
 use rayon::pool::SendPtr;
 
 use qrqw_exec::StepPool;
-use qrqw_sim::{bsp_emulation_time, proc_rng};
+use qrqw_sim::{bsp_emulation_time, claim_by_steps, proc_rng};
 use qrqw_sim::{BspCost, ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
 use crate::router::{self, RoutedStep};
 
 /// Environment variable overriding the number of BSP components (`p` in the
-/// Theorem 1.1 bound).  Must parse as an integer ≥ 2 to take effect.
+/// Theorem 1.1 bound).  Must be an integer ≥ 2 when set; anything else
+/// makes machine construction panic — a mistyped override must never
+/// silently report a `predicted_cost` at the wrong `⌈lg p⌉`.
 pub const COMPONENTS_ENV: &str = "QRQW_BSP_COMPONENTS";
 
 /// Default component count: `2^10`, giving the Theorem 1.1 formula its
@@ -114,6 +116,11 @@ impl BspMachine {
 
     /// Creates a machine with an explicit compute-phase thread count,
     /// overriding `QRQW_THREADS` / host parallelism.
+    ///
+    /// # Panics
+    ///
+    /// If [`COMPONENTS_ENV`] is set to anything but an integer ≥ 2 (as does
+    /// [`Machine::with_seed`]).
     pub fn with_threads(mem_size: usize, seed: u64, threads: usize) -> Self {
         Self::build(
             mem_size,
@@ -279,12 +286,24 @@ impl std::fmt::Debug for BspMachine {
     }
 }
 
+/// The component count a raw `QRQW_BSP_COMPONENTS` value selects:
+/// [`DEFAULT_COMPONENTS`] when unset, an error when set but not an integer
+/// ≥ 2.
+fn components_from_env_value(raw: Option<&str>) -> Result<u64, String> {
+    match raw {
+        None => Ok(DEFAULT_COMPONENTS),
+        Some(v) => match v.trim().parse::<u64>() {
+            Ok(c) if c >= 2 => Ok(c),
+            _ => Err(format!(
+                "invalid {COMPONENTS_ENV}={v:?}: expected an integer >= 2"
+            )),
+        },
+    }
+}
+
 fn components_from_env() -> u64 {
-    std::env::var(COMPONENTS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&c| c >= 2)
-        .unwrap_or(DEFAULT_COMPONENTS)
+    let raw = std::env::var(COMPONENTS_ENV).ok();
+    components_from_env_value(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Message buffers of one compute-phase chunk.
@@ -571,73 +590,14 @@ impl Machine for BspMachine {
         any
     }
 
+    /// The Section 5.1 protocol, step for step like the simulator
+    /// ([`claim_by_steps`]), each pass a routed message step whose queues
+    /// are measured — the longest S2 write batch *is* the realized
+    /// contention of the claim.  The router's processor-order delivery makes
+    /// the write arbitration identical to the simulator's lowest-id rule.
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
-        let k = attempts.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        debug_assert!(
-            attempts.iter().all(|&(tag, _)| tag != EMPTY),
-            "claim tags must differ from EMPTY"
-        );
-        if let Some(max_addr) = attempts.iter().map(|&(_, a)| a).max() {
-            self.ensure_memory(max_addr + 1);
-        }
-
-        // The Section 5.1 protocol, step for step like the simulator, each
-        // pass a routed message step whose queues are measured.  The
-        // router's processor-order delivery makes S2's write arbitration
-        // identical to the simulator's lowest-id rule.
-
-        // S1: probe — an already-occupied cell rejects the claim outright.
-        let live: Vec<bool> = self.exec_step(k, |i, ctx| ctx.read(attempts[i].1) == EMPTY);
-
-        // S2: live claimants send their tag; the longest write batch here
-        // *is* the realized contention k of the claim.
-        self.exec_step(k, |i, ctx| {
-            if live[i] {
-                ctx.write(attempts[i].1, attempts[i].0);
-            }
-        });
-
-        // S3: live claimants read back; holding one's own tag makes one the
-        // tentative winner of the cell.
-        let tentative: Vec<bool> = self.exec_step(k, |i, ctx| {
-            live[i] && ctx.read(attempts[i].1) == attempts[i].0
-        });
-
-        let success = match mode {
-            ClaimMode::Occupy => tentative,
-            ClaimMode::Exclusive => {
-                // S4: the losers re-send their tag, poisoning the cell so
-                // the tentative winner can detect contestation.
-                self.exec_step(k, |i, ctx| {
-                    if live[i] && !tentative[i] {
-                        ctx.write(attempts[i].1, attempts[i].0);
-                    }
-                });
-                // S5: tentative winners re-read; an unchanged cell means the
-                // claim was uncontested.
-                let success: Vec<bool> = self.exec_step(k, |i, ctx| {
-                    tentative[i] && ctx.read(attempts[i].1) == attempts[i].0
-                });
-                // S6: contested cells are restored to empty.
-                self.exec_step(k, |i, ctx| {
-                    if live[i] && !success[i] {
-                        ctx.write(attempts[i].1, EMPTY);
-                    }
-                });
-                success
-            }
-        };
-
-        let live_total = live.iter().filter(|&&l| l).count() as u64;
-        let contended = live
-            .iter()
-            .zip(&success)
-            .filter(|&(&l, &won)| l && !won)
-            .count() as u64;
-        self.claim_attempts += live_total;
+        let (success, live, contended) = claim_by_steps(self, attempts, mode);
+        self.claim_attempts += live;
         self.claim_failures += contended;
         success
     }
@@ -863,6 +823,16 @@ mod tests {
         assert_eq!(m.components(), 2, "component count must clamp to ≥ 2");
         let m = BspMachine::with_components(8, 0, 4096);
         assert_eq!(m.components(), 4096);
+    }
+
+    #[test]
+    fn component_env_values_default_when_unset_and_reject_loudly_when_invalid() {
+        assert_eq!(components_from_env_value(None), Ok(DEFAULT_COMPONENTS));
+        assert_eq!(components_from_env_value(Some("64")), Ok(64));
+        for bad in ["1", "0", "abc"] {
+            let err = components_from_env_value(Some(bad)).unwrap_err();
+            assert!(err.contains(COMPONENTS_ENV), "{err}");
+        }
     }
 
     #[test]

@@ -147,8 +147,8 @@ impl PersistentMachine {
     }
 
     /// Creates a machine with `mem_size` cells and the given seed, resolving
-    /// thread count and schedule from the environment (`QRQW_THREADS`,
-    /// `QRQW_SCHEDULE`) exactly like [`Machine::with_seed`] does.
+    /// the thread count from `QRQW_THREADS` / host parallelism exactly like
+    /// [`Machine::with_seed`] does.
     pub fn from_env(mem_size: usize, seed: u64) -> Self {
         Self::new(NativeMachine::with_seed(mem_size, seed))
     }

@@ -31,13 +31,12 @@
 //!
 //! Chunks reach threads under one of two [`pool::Schedule`]s — `Chunked`
 //! (one shared claim counter) or `Stealing` (per-worker ranges with
-//! work-assisting steal-half splits, for skewed per-chunk costs) — chosen
-//! per machine ([`NativeMachine::with_schedule`]) or per process
-//! (`QRQW_SCHEDULE`).  [`StealingMachine`] is the backend pinned to the
-//! stealing schedule, registered as `native-steal` in the bench registry.
-//! Both schedules run identical chunk boundaries, so they are
-//! bit-identical in every observable (see `ARCHITECTURE.md`, "The
-//! determinism contract").
+//! work-assisting steal-half splits, for skewed per-chunk costs) — a value
+//! of the machine's [`StepPool`], set by [`StepPool::with_schedule`]
+//! ([`NativeMachine::with_schedule`] / [`NativeMachine::with_pool`]); the
+//! bench registry's `native` / `native-steal` name the two values.  Both
+//! schedules run identical chunk boundaries, so they are bit-identical in
+//! every observable (see `ARCHITECTURE.md`, "The determinism contract").
 
 #![deny(missing_docs)]
 
@@ -46,11 +45,9 @@ pub mod contention;
 pub mod handle;
 pub mod machine;
 pub mod pool;
-pub mod steal;
 
 pub use arena::{ArenaStats, PAGE_CELLS, SHARD_CELLS};
 pub use contention::ContentionCounter;
 pub use handle::{BatchCost, MachineSnapshot, PersistentMachine};
 pub use machine::NativeMachine;
 pub use pool::{Schedule, StepPool};
-pub use steal::StealingMachine;

@@ -136,15 +136,13 @@ impl NativeMachine {
 
     /// Creates a machine with an explicit thread count, overriding both the
     /// host parallelism default and the `QRQW_THREADS` environment variable
-    /// (see [`crate::pool::THREADS_ENV`]).  The schedule still follows
-    /// `QRQW_SCHEDULE`.
+    /// (see [`crate::pool::THREADS_ENV`]), on the default chunked schedule.
     pub fn with_threads(mem_size: usize, seed: u64, threads: usize) -> Self {
         Self::build(mem_size, seed, StepPool::with_threads(threads))
     }
 
-    /// Creates a machine with an explicit chunk [`Schedule`], overriding
-    /// the `QRQW_SCHEDULE` environment selection (threads still resolve
-    /// from `QRQW_THREADS` / host parallelism).
+    /// Creates a machine with an explicit chunk [`Schedule`] (threads
+    /// resolve from `QRQW_THREADS` / host parallelism).
     pub fn with_schedule(mem_size: usize, seed: u64, schedule: Schedule) -> Self {
         Self::build(mem_size, seed, StepPool::from_env().with_schedule(schedule))
     }
@@ -1186,6 +1184,48 @@ mod tests {
             let draws = native.par_map(5000, |_p, ctx| ctx.random_index(1 << 30));
             assert_eq!(draws, sim_draws, "thread count {threads} diverged");
         }
+    }
+
+    fn stealing(mem_size: usize, seed: u64, threads: usize) -> NativeMachine {
+        let pool = StepPool::with_threads(threads).with_schedule(Schedule::Stealing);
+        NativeMachine::with_pool(mem_size, seed, pool)
+    }
+
+    #[test]
+    fn stealing_steps_claims_and_memory_behave_like_the_chunked_machine() {
+        let attempts: Vec<(u64, usize)> = (0..5000u64)
+            .map(|i| (i + 1, (i as usize * 7) % 2048))
+            .collect();
+        let mut chunked = NativeMachine::with_threads(2048, 0, 4);
+        let mut stealing = stealing(2048, 0, 4);
+        assert_eq!(stealing.backend(), "native-steal");
+        let a = chunked.claim(&attempts, ClaimMode::Exclusive);
+        let b = stealing.claim(&attempts, ClaimMode::Exclusive);
+        assert_eq!(a, b);
+        assert_eq!(
+            chunked.contention().failures(),
+            stealing.contention().failures()
+        );
+        assert_eq!(
+            Machine::steps_executed(&chunked),
+            Machine::steps_executed(&stealing)
+        );
+        for addr in 0..2048 {
+            assert_eq!(
+                Machine::peek(&chunked, addr),
+                Machine::peek(&stealing, addr)
+            );
+        }
+        assert!((0..2048).any(|a| Machine::peek(&stealing, a) == EMPTY));
+    }
+
+    #[test]
+    fn stealing_random_streams_match_the_chunked_machine() {
+        let mut chunked = NativeMachine::with_threads(4, 77, 3);
+        let mut stealing = stealing(4, 77, 3);
+        let a = chunked.par_map(5000, |_p, ctx| ctx.random_index(1 << 30));
+        let b = stealing.par_map(5000, |_p, ctx| ctx.random_index(1 << 30));
+        assert_eq!(a, b);
     }
 
     #[test]

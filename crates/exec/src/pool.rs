@@ -9,29 +9,24 @@
 //!
 //! The thread count is configurable per machine (builder) and per process
 //! (the `QRQW_THREADS` environment variable), mirroring how the Section 5.2
-//! MasPar experiment swept machine sizes; the schedule likewise comes from
-//! [`StepPool::with_schedule`] or `QRQW_SCHEDULE`.  Determinism depends on
-//! neither choice: chunk boundaries are a pure function of the dispatch
+//! MasPar experiment swept machine sizes; the schedule is a value of the
+//! policy, chosen only by [`StepPool::with_schedule`].  Determinism depends
+//! on neither choice: chunk boundaries are a pure function of the dispatch
 //! shape under both schedules, and boundaries only decide which thread
 //! computes an index, never what is computed for it.
 //!
 //! Multi-pass steps (the claim protocol, scan, compact) go through
 //! [`StepPool::dispatch_fused`]: all passes share one pool dispatch with a
 //! lightweight barrier between them; [`StepPool::dispatch`] is its one-pass
-//! case.  Environment overrides are validated loudly — a set-but-invalid
-//! `QRQW_THREADS` or `QRQW_SCHEDULE` panics at pool construction instead of
-//! silently running a different configuration.
+//! case.  The environment override is validated loudly — a set-but-invalid
+//! `QRQW_THREADS` panics at pool construction instead of silently running a
+//! different configuration.
 
 /// Environment variable overriding the native backend's thread count.
 /// Must be a positive integer when set; anything else (including `0`)
 /// makes pool construction panic — a mistyped override must never
 /// silently benchmark the wrong configuration.
 pub const THREADS_ENV: &str = "QRQW_THREADS";
-
-/// Environment variable selecting the native backend's default
-/// [`Schedule`] (`chunked` or `stealing`).  Any other value makes pool
-/// construction panic rather than silently falling back to chunked.
-pub const SCHEDULE_ENV: &str = "QRQW_SCHEDULE";
 
 /// Below this many items a step runs inline: pool dispatch costs more than
 /// it saves on tiny steps.
@@ -74,44 +69,12 @@ impl Schedule {
     /// Every schedule, in the order the harnesses report them.
     pub const ALL: [Schedule; 2] = [Schedule::Chunked, Schedule::Stealing];
 
-    /// Stable lowercase name (`"chunked"` / `"stealing"`), also accepted by
-    /// [`Schedule::parse`] and the `QRQW_SCHEDULE` environment variable.
+    /// Stable lowercase name (`"chunked"` / `"stealing"`).
     pub fn name(self) -> &'static str {
         match self {
             Schedule::Chunked => "chunked",
             Schedule::Stealing => "stealing",
         }
-    }
-
-    /// Parses a schedule name as printed by [`Schedule::name`].
-    pub fn parse(s: &str) -> Option<Schedule> {
-        Schedule::ALL.into_iter().find(|c| c.name() == s)
-    }
-
-    /// The schedule a raw `QRQW_SCHEDULE` value selects: the default
-    /// ([`Schedule::Chunked`]) when unset, an error when set but not a
-    /// valid schedule name.  Value-level for unit testing; the same policy
-    /// `BatchPolicy::from_env` established — a mistyped override must fail
-    /// loudly, not silently benchmark the wrong configuration.
-    pub fn from_env_value(raw: Option<&str>) -> Result<Schedule, String> {
-        match raw {
-            None => Ok(Schedule::default()),
-            Some(v) => Schedule::parse(v.trim()).ok_or_else(|| {
-                format!("invalid {SCHEDULE_ENV}={v:?}: expected \"chunked\" or \"stealing\"")
-            }),
-        }
-    }
-
-    /// The schedule `QRQW_SCHEDULE` selects, defaulting to
-    /// [`Schedule::Chunked`] when unset.
-    ///
-    /// # Panics
-    ///
-    /// If `QRQW_SCHEDULE` is set to anything other than a valid schedule
-    /// name.
-    pub fn from_env() -> Schedule {
-        let raw = std::env::var(SCHEDULE_ENV).ok();
-        Schedule::from_env_value(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -140,23 +103,22 @@ pub struct StepPool {
 impl StepPool {
     /// Policy with an explicit thread count (clamped to at least 1; the
     /// process-wide pool additionally clamps to
-    /// [`rayon::pool::MAX_POOL_THREADS`]).  The schedule defaults to the
-    /// `QRQW_SCHEDULE` environment selection (which panics on an invalid
-    /// value).
+    /// [`rayon::pool::MAX_POOL_THREADS`]) and the default
+    /// [`Schedule::Chunked`].
     pub fn with_threads(threads: usize) -> Self {
         StepPool {
             threads: threads.clamp(1, rayon::pool::MAX_POOL_THREADS),
-            schedule: Schedule::from_env(),
+            schedule: Schedule::Chunked,
         }
     }
 
     /// Default policy: thread count from `QRQW_THREADS` (host parallelism
-    /// when unset), schedule from `QRQW_SCHEDULE`.
+    /// when unset), [`Schedule::Chunked`].
     ///
     /// # Panics
     ///
-    /// If either variable is set to an invalid value — a mistyped
-    /// override must never silently benchmark the wrong configuration.
+    /// If `QRQW_THREADS` is set to an invalid value — a mistyped override
+    /// must never silently benchmark the wrong configuration.
     pub fn from_env() -> Self {
         let raw = std::env::var(THREADS_ENV).ok();
         let threads = threads_from_env_value(raw.as_deref())
@@ -165,8 +127,8 @@ impl StepPool {
         StepPool::with_threads(threads)
     }
 
-    /// This policy with an explicit [`Schedule`], overriding the
-    /// environment selection.
+    /// This policy with the given [`Schedule`] — the one place a schedule
+    /// is chosen.
     pub fn with_schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
         self
@@ -303,33 +265,25 @@ mod tests {
     }
 
     #[test]
-    fn schedule_names_round_trip_and_unknown_names_are_rejected() {
-        for schedule in Schedule::ALL {
-            assert_eq!(Schedule::parse(schedule.name()), Some(schedule));
-        }
-        assert_eq!(Schedule::parse("fifo"), None);
+    fn schedule_names_are_distinct_and_the_default_is_chunked() {
+        assert_eq!(Schedule::Chunked.name(), "chunked");
+        assert_eq!(Schedule::Stealing.name(), "stealing");
         assert_eq!(Schedule::default(), Schedule::Chunked);
+        assert_eq!(StepPool::with_threads(3).schedule(), Schedule::Chunked);
     }
 
     #[test]
     fn unset_env_values_select_the_defaults() {
-        assert_eq!(Schedule::from_env_value(None), Ok(Schedule::Chunked));
         assert_eq!(threads_from_env_value(None), Ok(None));
     }
 
     #[test]
     fn valid_env_values_are_accepted() {
-        assert_eq!(
-            Schedule::from_env_value(Some(" stealing ")),
-            Ok(Schedule::Stealing)
-        );
         assert_eq!(threads_from_env_value(Some(" 8 ")), Ok(Some(8)));
     }
 
     #[test]
     fn invalid_env_values_are_rejected_loudly_with_the_variable_name() {
-        let schedule = Schedule::from_env_value(Some("fifo")).unwrap_err();
-        assert!(schedule.contains(SCHEDULE_ENV), "{schedule}");
         for bad in ["zero", "-1", "", "1.5"] {
             let threads = threads_from_env_value(Some(bad)).unwrap_err();
             assert!(threads.contains(THREADS_ENV), "{threads}");

@@ -24,8 +24,8 @@
 //!
 //! All four have environment overrides (`QRQW_BATCH_MAX`,
 //! `QRQW_LINGER_US`, `QRQW_QUEUE_MAX`, `QRQW_DEADLINE_US`), documented
-//! alongside `QRQW_THREADS` / `QRQW_SCHEDULE` in `ARCHITECTURE.md` and the
-//! README knob table.
+//! alongside `QRQW_THREADS` in `ARCHITECTURE.md` and the README knob
+//! table.
 
 use std::time::Duration;
 

@@ -118,8 +118,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawns a server whose machine resolves threads/schedule from the
-    /// environment (`QRQW_THREADS`, `QRQW_SCHEDULE`).
+    /// Spawns a server whose machine resolves its thread count from the
+    /// environment (`QRQW_THREADS`).
     pub fn spawn(config: ServiceConfig, policy: BatchPolicy) -> Server {
         Self::spawn_with_pool(config, policy, StepPool::from_env())
     }

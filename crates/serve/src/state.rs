@@ -189,8 +189,8 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// Builds a fresh state on a machine resolved from the environment
-    /// (`QRQW_THREADS`, `QRQW_SCHEDULE`).
+    /// Builds a fresh state on a machine whose thread count resolves from
+    /// the environment (`QRQW_THREADS`).
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_pool(config, StepPool::from_env())
     }

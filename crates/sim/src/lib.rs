@@ -82,10 +82,10 @@ pub mod schedule;
 pub mod stats;
 pub mod step;
 
-pub use machine::{BspCost, ClaimMode, CostReport, Machine, MachineProc};
+pub use machine::{claim_by_steps, BspCost, ClaimMode, CostReport, Machine, MachineProc};
 pub use memory::{SharedMemory, EMPTY};
 pub use model::CostModel;
-pub use pram::{ExecMode, Pram};
+pub use pram::Pram;
 pub use rng::proc_rng;
 pub use schedule::{
     brent_time, bsp_emulation_time, geometric_decaying_processors, l_spawning_processors,

@@ -1,4 +1,4 @@
-//! The `Machine` backend API: one algorithm source, three machines.
+//! The `Machine` backend API: one algorithm source, every machine.
 //!
 //! The paper evaluates its algorithms twice — analytically on the QRQW PRAM
 //! cost model and empirically on a real machine (the MasPar Table II
@@ -9,7 +9,8 @@
 //! * [`crate::Pram`] — the simulator: exact per-step traces, every cost
 //!   model, deterministic write arbitration.
 //! * `NativeMachine` (crate `qrqw-exec`) — real threads and atomics:
-//!   wall-clock time and contended-CAS counts.
+//!   wall-clock time and contended-CAS counts, under either chunk
+//!   schedule of its step pool.
 //! * `BspMachine` (crate `qrqw-bsp`) — batch-message BSP supersteps:
 //!   requests routed by destination cell, contention measured as realized
 //!   queue lengths next to the Theorem 1.1 predicted bound ([`BspCost`]).
@@ -419,6 +420,78 @@ pub trait Machine {
     fn cost_report(&self) -> CostReport;
 }
 
+/// The Section 5.1 cell-claiming protocol written out as six (Exclusive)
+/// or three (Occupy) ordinary [`Machine::par_map`] / [`Machine::par_for`]
+/// steps — the [`Machine::claim`] of every backend whose concurrent writes
+/// are arbitrated lowest-processor-id-first (the simulator's write rule,
+/// the BSP router's delivery order).  Returns the success vector plus
+/// `(live attempts, contended attempts)` for the caller's own counters.
+pub fn claim_by_steps<M: Machine>(
+    m: &mut M,
+    attempts: &[(u64, usize)],
+    mode: ClaimMode,
+) -> (Vec<bool>, u64, u64) {
+    let k = attempts.len();
+    debug_assert!(
+        attempts.iter().all(|&(tag, _)| tag != EMPTY),
+        "claim tags must differ from EMPTY"
+    );
+    let Some(max_addr) = attempts.iter().map(|&(_, a)| a).max() else {
+        return (Vec::new(), 0, 0);
+    };
+    m.ensure_memory(max_addr + 1);
+
+    // S1: probe — an already-occupied cell rejects the claim outright.
+    let live: Vec<bool> = m.par_map(k, |i, ctx| ctx.read(attempts[i].1) == EMPTY);
+
+    // S2: live claimants write their tag; the number of tags landing on one
+    // cell here *is* the contention of the claim.
+    m.par_for(k, |i, ctx| {
+        if live[i] {
+            ctx.write(attempts[i].1, attempts[i].0);
+        }
+    });
+
+    // S3: live claimants read back; holding one's own tag makes one the
+    // tentative winner of the cell.
+    let tentative: Vec<bool> = m.par_map(k, |i, ctx| {
+        live[i] && ctx.read(attempts[i].1) == attempts[i].0
+    });
+
+    let success = match mode {
+        ClaimMode::Occupy => tentative,
+        ClaimMode::Exclusive => {
+            // S4: the losers of a collision re-write their tag, poisoning
+            // the cell so the tentative winner can detect contestation.
+            m.par_for(k, |i, ctx| {
+                if live[i] && !tentative[i] {
+                    ctx.write(attempts[i].1, attempts[i].0);
+                }
+            });
+            // S5: tentative winners re-read; an unchanged cell means the
+            // claim was uncontested.
+            let success: Vec<bool> = m.par_map(k, |i, ctx| {
+                tentative[i] && ctx.read(attempts[i].1) == attempts[i].0
+            });
+            // S6: contested cells are restored to empty.
+            m.par_for(k, |i, ctx| {
+                if live[i] && !success[i] {
+                    ctx.write(attempts[i].1, EMPTY);
+                }
+            });
+            success
+        }
+    };
+
+    let live_total = live.iter().filter(|&&l| l).count() as u64;
+    let contended = live
+        .iter()
+        .zip(&success)
+        .filter(|&(&l, &won)| l && !won)
+        .count() as u64;
+    (success, live_total, contended)
+}
+
 impl Machine for Pram {
     fn with_seed(mem_size: usize, seed: u64) -> Self {
         Pram::with_seed(mem_size, seed)
@@ -496,77 +569,8 @@ impl Machine for Pram {
     }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
-        let k = attempts.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        debug_assert!(
-            attempts.iter().all(|&(tag, _)| tag != EMPTY),
-            "claim tags must differ from EMPTY"
-        );
-        if let Some(max_addr) = attempts.iter().map(|&(_, a)| a).max() {
-            Pram::ensure_memory(self, max_addr + 1);
-        }
-
-        // S1: probe — an already-occupied cell rejects the claim outright.
-        let live: Vec<bool> =
-            self.step(|s| s.par_map(0..k, |i, ctx| ctx.read(attempts[i].1) == EMPTY));
-
-        // S2: live claimants write their tag.
-        self.step(|s| {
-            s.par_for(0..k, |i, ctx| {
-                if live[i] {
-                    ctx.write(attempts[i].1, attempts[i].0);
-                }
-            });
-        });
-
-        // S3: live claimants read back; holding one's own tag makes one the
-        // tentative winner of the cell.
-        let tentative: Vec<bool> = self.step(|s| {
-            s.par_map(0..k, |i, ctx| {
-                live[i] && ctx.read(attempts[i].1) == attempts[i].0
-            })
-        });
-
-        let success = match mode {
-            ClaimMode::Occupy => tentative,
-            ClaimMode::Exclusive => {
-                // S4: the losers of a collision re-write their tag, poisoning
-                // the cell so the tentative winner can detect contestation.
-                self.step(|s| {
-                    s.par_for(0..k, |i, ctx| {
-                        if live[i] && !tentative[i] {
-                            ctx.write(attempts[i].1, attempts[i].0);
-                        }
-                    });
-                });
-                // S5: tentative winners re-read; an unchanged cell means the
-                // claim was uncontested.
-                let success: Vec<bool> = self.step(|s| {
-                    s.par_map(0..k, |i, ctx| {
-                        tentative[i] && ctx.read(attempts[i].1) == attempts[i].0
-                    })
-                });
-                // S6: contested cells are restored to empty.
-                self.step(|s| {
-                    s.par_for(0..k, |i, ctx| {
-                        if live[i] && !success[i] {
-                            ctx.write(attempts[i].1, EMPTY);
-                        }
-                    });
-                });
-                success
-            }
-        };
-
-        let live_total = live.iter().filter(|&&l| l).count() as u64;
-        let contended = live
-            .iter()
-            .zip(&success)
-            .filter(|&(&l, &won)| l && !won)
-            .count() as u64;
-        self.note_claims(live_total, contended);
+        let (success, live, contended) = claim_by_steps(self, attempts, mode);
+        self.note_claims(live, contended);
         success
     }
 

@@ -9,23 +9,6 @@ use crate::rng::proc_rng;
 use crate::stats::{StepStats, Trace};
 use crate::step::StepCtx;
 
-/// How virtual processors inside a step are executed on the host.
-///
-/// This affects only simulation speed, never results: per-processor random
-/// streams are derived from `(seed, step, proc)` and write arbitration is
-/// deterministic, so sequential and parallel execution are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Run virtual processors on the calling thread.
-    Sequential,
-    /// Always fan virtual processors out over the worker pool.
-    Parallel,
-    /// Use the pool only when a step launches at least a few thousand virtual
-    /// processors (the default).
-    #[default]
-    Auto,
-}
-
 /// A simulated PRAM: shared memory, a master random seed, and the trace of
 /// every step executed so far.
 ///
@@ -36,7 +19,6 @@ pub struct Pram {
     mem: SharedMemory,
     trace: Trace,
     seed: u64,
-    mode: ExecMode,
     steps_executed: u64,
     heap_top: usize,
     created: std::time::Instant,
@@ -57,7 +39,6 @@ impl Pram {
             mem: SharedMemory::new(mem_size),
             trace: Trace::new(),
             seed,
-            mode: ExecMode::default(),
             steps_executed: 0,
             heap_top: mem_size,
             created: std::time::Instant::now(),
@@ -113,11 +94,6 @@ impl Pram {
         self.heap_top
     }
 
-    /// Sets the host execution mode (see [`ExecMode`]).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
     /// The master random seed of this run.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -161,7 +137,7 @@ impl Pram {
     /// step's statistics are appended to the trace.
     pub fn step<R>(&mut self, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
         let step_idx = self.steps_executed;
-        let mut ctx = StepCtx::new(self.mem.as_slice(), self.seed, step_idx, self.mode);
+        let mut ctx = StepCtx::new(self.mem.as_slice(), self.seed, step_idx);
         let result = f(&mut ctx);
         let (stats, writes) = ctx.finish();
         for (addr, value) in writes {

@@ -15,7 +15,6 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::pram::ExecMode;
 use crate::rng::proc_rng;
 use crate::stats::StepStats;
 
@@ -120,37 +119,45 @@ impl<'a> ProcCtx<'a> {
     }
 }
 
+/// A step launching at least this many virtual processors fans them out
+/// over the worker pool; smaller steps run on the calling thread.  Host
+/// speed only: per-processor random streams are keyed by
+/// `(seed, step, proc)` and write arbitration is deterministic, so both
+/// ways are bit-identical.
+const PARALLEL_CUTOFF: usize = 4096;
+
 /// Handle for one synchronous PRAM step.
 pub struct StepCtx<'a> {
     snapshot: &'a [u64],
     seed: u64,
     step_idx: u64,
-    mode: ExecMode,
     logs: Vec<ProcLog>,
 }
 
 impl<'a> StepCtx<'a> {
-    pub(crate) fn new(snapshot: &'a [u64], seed: u64, step_idx: u64, mode: ExecMode) -> Self {
+    pub(crate) fn new(snapshot: &'a [u64], seed: u64, step_idx: u64) -> Self {
         StepCtx {
             snapshot,
             seed,
             step_idx,
-            mode,
             logs: Vec::new(),
-        }
-    }
-
-    fn run_parallel(&self, len: usize) -> bool {
-        match self.mode {
-            ExecMode::Sequential => false,
-            ExecMode::Parallel => true,
-            ExecMode::Auto => len >= 4096,
         }
     }
 
     /// Launches virtual processors `range.start .. range.end` and collects
     /// their results.
     pub fn par_map<T, F>(&mut self, range: std::ops::Range<usize>, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &mut ProcCtx<'_>) -> T + Sync,
+    {
+        let parallel = range.len() >= PARALLEL_CUTOFF;
+        self.par_map_on(range, parallel, f)
+    }
+
+    /// [`StepCtx::par_map`] with the pool-or-inline decision made by the
+    /// caller.
+    fn par_map_on<T, F>(&mut self, range: std::ops::Range<usize>, parallel: bool, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut ProcCtx<'_>) -> T + Sync,
@@ -163,7 +170,7 @@ impl<'a> StepCtx<'a> {
             let r = f(p, &mut ctx);
             (r, ctx.into_log())
         };
-        let pairs: Vec<(T, ProcLog)> = if self.run_parallel(range.len()) {
+        let pairs: Vec<(T, ProcLog)> = if parallel {
             rayon::par_collect(range.len(), |i| run(range.start + i))
         } else {
             range.map(run).collect()
@@ -280,7 +287,7 @@ mod tests {
     #[test]
     fn reads_see_start_of_step_snapshot() {
         let mem = snapshot(8);
-        let mut step = StepCtx::new(&mem, 0, 0, ExecMode::Sequential);
+        let mut step = StepCtx::new(&mem, 0, 0);
         let vals = step.par_map(0..8, |p, ctx| {
             ctx.write(p, 100);
             ctx.read(p)
@@ -291,7 +298,7 @@ mod tests {
     #[test]
     fn contention_counts_distinct_processors_per_location() {
         let mem = snapshot(8);
-        let mut step = StepCtx::new(&mem, 0, 0, ExecMode::Sequential);
+        let mut step = StepCtx::new(&mem, 0, 0);
         step.par_for(0..6, |p, ctx| {
             // everyone reads location 3; three processors write location 5
             let _ = ctx.read(3);
@@ -313,7 +320,7 @@ mod tests {
     #[test]
     fn max_ops_per_proc_tracks_substep_maximum() {
         let mem = snapshot(16);
-        let mut step = StepCtx::new(&mem, 0, 0, ExecMode::Sequential);
+        let mut step = StepCtx::new(&mem, 0, 0);
         step.par_for(0..2, |p, ctx| {
             if p == 0 {
                 for i in 0..5 {
@@ -331,9 +338,9 @@ mod tests {
     #[test]
     fn parallel_and_sequential_execution_agree() {
         let mem = snapshot(10_000);
-        let run = |mode| {
-            let mut step = StepCtx::new(&mem, 42, 0, mode);
-            let out = step.par_map(0..10_000, |p, ctx| {
+        let run = |parallel| {
+            let mut step = StepCtx::new(&mem, 42, 0);
+            let out = step.par_map_on(0..10_000, parallel, |p, ctx| {
                 let v = ctx.read(p);
                 let r = ctx.random_index(50);
                 ctx.write((p + 1) % 10_000, v + r as u64);
@@ -342,8 +349,8 @@ mod tests {
             let (stats, writes) = step.finish();
             (out, stats, writes)
         };
-        let (o1, s1, w1) = run(ExecMode::Sequential);
-        let (o2, s2, w2) = run(ExecMode::Parallel);
+        let (o1, s1, w1) = run(false);
+        let (o2, s2, w2) = run(true);
         assert_eq!(o1, o2);
         assert_eq!(s1, s2);
         assert_eq!(w1, w2);
@@ -352,7 +359,7 @@ mod tests {
     #[test]
     fn idle_processors_are_not_counted_active() {
         let mem = snapshot(4);
-        let mut step = StepCtx::new(&mem, 0, 0, ExecMode::Sequential);
+        let mut step = StepCtx::new(&mem, 0, 0);
         step.par_for(0..4, |p, ctx| {
             if p == 2 {
                 ctx.write(0, 9);
@@ -372,7 +379,7 @@ mod tests {
     #[should_panic(expected = "outside shared memory")]
     fn out_of_bounds_read_panics() {
         let mem = snapshot(4);
-        let mut step = StepCtx::new(&mem, 0, 0, ExecMode::Sequential);
+        let mut step = StepCtx::new(&mem, 0, 0);
         step.par_for(0..1, |_p, ctx| {
             let _ = ctx.read(100);
         });

@@ -1,6 +1,6 @@
 //! Umbrella crate for the QRQW PRAM reproduction workspace.
 //!
-//! Re-exports the four library crates so the examples and integration tests
+//! Re-exports the five library crates so the examples and integration tests
 //! (and downstream users who just want everything) can depend on a single
 //! package:
 //!

@@ -17,7 +17,7 @@ fn every_registry_variant_runs_and_validates_on_every_backend() {
     for n in [64usize, 257] {
         for algo in Algorithm::ALL {
             for backend in Backend::ALL {
-                let run = algo.run(backend, n, 11);
+                let run = algo.run(backend, n, 11, None);
                 assert!(
                     run.valid,
                     "{} produced an invalid output on {} at n={n}",
@@ -67,10 +67,10 @@ fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() 
         Algorithm::ListRank,
         Algorithm::FetchAdd,
     ] {
-        let reference = algo.run(Backend::Sim, 200, 7);
+        let reference = algo.run(Backend::Sim, 200, 7, None);
         assert!(reference.valid, "{}", algo.name());
         for backend in Backend::ALL {
-            let run = algo.run(backend, 200, 7);
+            let run = algo.run(backend, 200, 7, None);
             assert!(run.valid, "{} on {}", algo.name(), backend.name());
             assert_eq!(
                 reference.report.steps,
@@ -100,7 +100,7 @@ fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() 
 #[test]
 fn only_the_bsp_backend_fills_the_bsp_cost_section() {
     for backend in Backend::ALL {
-        let run = Algorithm::ListRank.run(backend, 64, 1);
+        let run = Algorithm::ListRank.run(backend, 64, 1, None);
         assert_eq!(
             run.report.bsp.is_some(),
             backend == Backend::Bsp,

@@ -9,12 +9,15 @@
 //! file instantiates the whole battery once per backend — the simulator
 //! (self-parity: the suite's reference is the simulator itself), the native
 //! machine under both chunk schedules (chunked and work-stealing), and the
-//! batch-message BSP machine.  Adding a backend is one `parity_suite!`
-//! line plus its name in [`PARITY_SUITE_BACKENDS`].
+//! batch-message BSP machine.  A backend is a constructor value; adding one
+//! is one `parity_suite!` line plus its name in [`PARITY_SUITE_BACKENDS`].
 
 mod common;
 
 use common::parity::parity_suite;
+use qrqw_suite::bsp::BspMachine;
+use qrqw_suite::exec::{NativeMachine, Schedule};
+use qrqw_suite::sim::{Machine, Pram};
 
 /// Backends the parity suite is instantiated for below.  The drift-guard
 /// test pins this list to `qrqw_bench::Backend::ALL`, so registering a
@@ -22,10 +25,14 @@ use common::parity::parity_suite;
 /// instantiation fails the build.
 pub const PARITY_SUITE_BACKENDS: &[&str] = &["sim", "native", "native-steal", "bsp"];
 
-parity_suite!(sim, qrqw_suite::sim::Pram);
-parity_suite!(native, qrqw_suite::exec::NativeMachine);
-parity_suite!(native_steal, qrqw_suite::exec::StealingMachine);
-parity_suite!(bsp, qrqw_suite::bsp::BspMachine);
+fn native_steal(mem_size: usize, seed: u64) -> NativeMachine {
+    NativeMachine::with_schedule(mem_size, seed, Schedule::Stealing)
+}
+
+parity_suite!(sim, qrqw_suite::sim::Pram::with_seed);
+parity_suite!(native, qrqw_suite::exec::NativeMachine::with_seed);
+parity_suite!(native_steal, crate::native_steal);
+parity_suite!(bsp, qrqw_suite::bsp::BspMachine::with_seed);
 
 #[test]
 fn parity_suite_covers_every_registered_backend() {
@@ -33,7 +40,7 @@ fn parity_suite_covers_every_registered_backend() {
     assert_eq!(
         PARITY_SUITE_BACKENDS, registered,
         "backend registry and parity-suite instantiations drifted apart — \
-         add a parity_suite!(name, MachineType) line for the new backend"
+         add a parity_suite!(name, constructor) line for the new backend"
     );
 }
 
@@ -44,29 +51,27 @@ fn contention_totals_agree_across_all_backends() {
     // counters must coincide for the same seed even where the occupy
     // winners differ.
     use qrqw_suite::algos::random_permutation_qrqw;
-    use qrqw_suite::sim::Machine;
 
-    fn totals<M: Machine>() -> (u64, u64, u64) {
-        let mut m = M::with_seed(16, 3);
+    fn totals<M: Machine>(mut m: M) -> (u64, u64, u64) {
         let _ = random_permutation_qrqw(&mut m, 2048);
         let r = m.cost_report();
         (r.claim_attempts, r.contended_claims, r.steps)
     }
 
-    let sim = totals::<qrqw_suite::sim::Pram>();
+    let sim = totals(Pram::with_seed(16, 3));
     assert_eq!(
         sim,
-        totals::<qrqw_suite::exec::NativeMachine>(),
+        totals(NativeMachine::with_seed(16, 3)),
         "sim vs native counters diverged"
     );
     assert_eq!(
         sim,
-        totals::<qrqw_suite::exec::StealingMachine>(),
+        totals(native_steal(16, 3)),
         "sim vs native-steal counters diverged"
     );
     assert_eq!(
         sim,
-        totals::<qrqw_suite::bsp::BspMachine>(),
+        totals(BspMachine::with_seed(16, 3)),
         "sim vs bsp counters diverged"
     );
 }

@@ -19,9 +19,10 @@
 //!
 //! This module is those two patterns as generic functions over
 //! `M: Machine`, plus the [`parity_suite!`] macro that instantiates the
-//! whole battery as one `#[test]` per pattern for a named backend.  Adding
-//! a backend is one `parity_suite!(name, MachineType)` line (plus its entry
-//! in the instantiation list the drift-guard test checks).
+//! whole battery as one `#[test]` per pattern for a named backend.  A
+//! backend is a constructor `Fn(mem_size, seed) -> M`, so adding one is one
+//! `parity_suite!(name, constructor)` line (plus its entry in the
+//! instantiation list the drift-guard test checks).
 
 use std::collections::HashSet;
 
@@ -48,11 +49,11 @@ pub fn scattered_keys(n: usize, offset: usize) -> Vec<u64> {
 
 /// All three §5 random-permutation algorithms produce the simulator's exact
 /// output on the backend under test, over a size/seed sweep.
-pub fn permutations_match_the_reference<M: Machine>() {
+pub fn permutations_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     for n in [1usize, 2, 77, 500] {
         for seed in [0u64, 7, 41] {
             let mut reference = Pram::with_seed(16, seed);
-            let mut m = M::with_seed(16, seed);
+            let mut m = mk(16, seed);
             let a = random_permutation_qrqw(&mut reference, n);
             let b = random_permutation_qrqw(&mut m, n);
             assert!(is_permutation(&a.order));
@@ -63,14 +64,14 @@ pub fn permutations_match_the_reference<M: Machine>() {
             assert_eq!(a.rounds, b.rounds);
 
             let mut reference = Pram::with_seed(16, seed);
-            let mut m = M::with_seed(16, seed);
+            let mut m = mk(16, seed);
             let a = random_permutation_dart_scan(&mut reference, n);
             let b = random_permutation_dart_scan(&mut m, n);
             assert!(is_permutation(&a.order));
             assert_eq!(a.order, b.order, "dart+scan diverged (n={n}, seed={seed})");
 
             let mut reference = Pram::with_seed(16, seed);
-            let mut m = M::with_seed(16, seed);
+            let mut m = mk(16, seed);
             let a = random_permutation_sorting_erew(&mut reference, n);
             let b = random_permutation_sorting_erew(&mut m, n);
             assert!(is_permutation(&a.order));
@@ -85,11 +86,11 @@ pub fn permutations_match_the_reference<M: Machine>() {
 /// Both cyclic-permutation generators (exclusive claims + deterministic
 /// linking) match the reference bit for bit, including the round count and
 /// the step/claim counters.
-pub fn cyclic_permutations_match_the_reference<M: Machine>() {
+pub fn cyclic_permutations_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     for n in [2usize, 5, 120, 700] {
         for seed in [0u64, 9, 23] {
             let mut reference = Pram::with_seed(16, seed);
-            let mut m = M::with_seed(16, seed);
+            let mut m = mk(16, seed);
             let a = random_cyclic_permutation_fast(&mut reference, n);
             let b = random_cyclic_permutation_fast(&mut m, n);
             assert!(is_permutation(&a.successor) && is_cyclic(&a.successor));
@@ -104,7 +105,7 @@ pub fn cyclic_permutations_match_the_reference<M: Machine>() {
             assert_eq!(rs.contended_claims, rm.contended_claims);
 
             let mut reference = Pram::with_seed(16, seed);
-            let mut m = M::with_seed(16, seed);
+            let mut m = mk(16, seed);
             let a = random_cyclic_permutation_efficient(&mut reference, n);
             let b = random_cyclic_permutation_efficient(&mut m, n);
             assert!(is_cyclic(&a.successor));
@@ -120,7 +121,7 @@ pub fn cyclic_permutations_match_the_reference<M: Machine>() {
 /// The fully deterministic primitives — stable packed radix sort, list
 /// ranking, Fetch&Add emulation — leave identical memory images on the
 /// backend under test and the reference.
-pub fn deterministic_prims_match_the_reference<M: Machine>() {
+pub fn deterministic_prims_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     // Stable radix sort of packed (key, value) words.
     let n = 700usize;
     let words: Vec<u64> = (0..n as u64).map(|i| pack((i * 131) % 257, i)).collect();
@@ -130,7 +131,7 @@ pub fn deterministic_prims_match_the_reference<M: Machine>() {
     radix_sort_packed(&mut reference, base, n, 16);
     let a = Machine::dump(&reference, base, n);
 
-    let mut m = M::with_seed(16, 0);
+    let mut m = mk(16, 0);
     let base = m.alloc(n);
     m.load(base, &words);
     radix_sort_packed(&mut m, base, n, 16);
@@ -162,7 +163,7 @@ pub fn deterministic_prims_match_the_reference<M: Machine>() {
     list_rank(&mut reference, sb, n, rb);
     let a = Machine::dump(&reference, rb, n);
 
-    let mut m = M::with_seed(16, 0);
+    let mut m = mk(16, 0);
     let sb = m.alloc(n);
     let rb = m.alloc(n);
     m.load(sb, &succ);
@@ -181,7 +182,7 @@ pub fn deterministic_prims_match_the_reference<M: Machine>() {
         .collect();
     let mut reference = Pram::with_seed(64, 1);
     let a = emulate_fetch_add_step(&mut reference, &requests);
-    let mut m = M::with_seed(64, 1);
+    let mut m = mk(64, 1);
     let b = emulate_fetch_add_step(&mut m, &requests);
     assert_eq!(a, b, "fetch&add old values diverged");
     for addr in 0..13 {
@@ -193,7 +194,7 @@ pub fn deterministic_prims_match_the_reference<M: Machine>() {
 /// An adversarial seed forces the QRQW dart thrower into its sequential
 /// Las-Vegas clean-up at tiny `n`; the backend must walk the identical
 /// `seq_step` path and emit the identical permutation.
-pub fn forced_las_vegas_fallback_matches_the_reference<M: Machine>() {
+pub fn forced_las_vegas_fallback_matches_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let n = 4usize;
     let seed = (0..3000u64)
         .find(|&seed| {
@@ -205,7 +206,7 @@ pub fn forced_las_vegas_fallback_matches_the_reference<M: Machine>() {
         );
 
     let mut reference = Pram::with_seed(16, seed);
-    let mut m = M::with_seed(16, seed);
+    let mut m = mk(16, seed);
     let a = random_permutation_qrqw(&mut reference, n);
     let b = random_permutation_qrqw(&mut m, n);
     assert!(
@@ -221,10 +222,10 @@ pub fn forced_las_vegas_fallback_matches_the_reference<M: Machine>() {
 /// measure must equal the simulator's collision count — and the paper's
 /// core §5 effect (fresh geometric subarrays collide less than re-throwing
 /// into one arena) must show up in it.
-pub fn claim_counters_are_in_lockstep_with_the_reference<M: Machine>() {
+pub fn claim_counters_are_in_lockstep_with_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let n = 2048usize;
     let mut reference = Pram::with_seed(16, 3);
-    let mut m = M::with_seed(16, 3);
+    let mut m = mk(16, 3);
     let _ = random_permutation_qrqw(&mut reference, n);
     let _ = random_permutation_qrqw(&mut m, n);
     let rs = reference.cost_report();
@@ -233,7 +234,7 @@ pub fn claim_counters_are_in_lockstep_with_the_reference<M: Machine>() {
     assert_eq!(rs.contended_claims, rm.contended_claims);
     assert_eq!(rs.steps, rm.steps, "step counters must advance in lockstep");
 
-    let mut scan = M::with_seed(16, 3);
+    let mut scan = mk(16, 3);
     let _ = random_permutation_dart_scan(&mut scan, n);
     let q = rm.contended_claims;
     let s = scan.cost_report().contended_claims;
@@ -245,12 +246,12 @@ pub fn claim_counters_are_in_lockstep_with_the_reference<M: Machine>() {
 
 /// Direct trait-level parity: the same exclusive-claim attempts produce the
 /// same outcomes and the same memory image as the reference.
-pub fn exclusive_claims_agree_cell_by_cell<M: Machine>() {
+pub fn exclusive_claims_agree_cell_by_cell<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let attempts: Vec<(u64, usize)> = (0..200u64)
         .map(|i| (i + 1, (i as usize * 7) % 64))
         .collect();
     let mut reference = Pram::with_seed(16, 0);
-    let mut m = M::with_seed(16, 0);
+    let mut m = mk(16, 0);
     let a = Machine::claim(&mut reference, &attempts, ClaimMode::Exclusive);
     let b = m.claim(&attempts, ClaimMode::Exclusive);
     assert_eq!(a, b);
@@ -264,7 +265,7 @@ pub fn exclusive_claims_agree_cell_by_cell<M: Machine>() {
 /// The sequential-step contract: read-after-own-write returns the fresh
 /// value, the step index advances by one, and the random stream matches
 /// processor 0's.
-pub fn seq_step_sees_same_step_writes<M: Machine>() {
+pub fn seq_step_sees_same_step_writes<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     fn drive<M: Machine>(m: &mut M) -> (u64, u64, usize) {
         let base = m.alloc(4);
         let observed = m.seq_step(|ctx| {
@@ -277,7 +278,7 @@ pub fn seq_step_sees_same_step_writes<M: Machine>() {
         (observed, m.steps_executed(), draw)
     }
     let mut reference = Pram::with_seed(16, 44);
-    let mut m = M::with_seed(16, 44);
+    let mut m = mk(16, 44);
     let a = drive(&mut reference);
     let b = drive(&mut m);
     assert_eq!(a.0, 2, "seq_step must see its own writes");
@@ -286,10 +287,10 @@ pub fn seq_step_sees_same_step_writes<M: Machine>() {
 
 /// The built-in scan and global-OR primitives return the reference's
 /// results and leave the same memory behind.
-pub fn scan_and_global_or_match_the_reference<M: Machine>() {
+pub fn scan_and_global_or_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let vals: Vec<u64> = (0..10_000u64).map(|i| (i * i) % 5).collect();
     let mut reference = Pram::with_seed(16, 0);
-    let mut m = M::with_seed(16, 0);
+    let mut m = mk(16, 0);
     Machine::ensure_memory(&mut reference, vals.len());
     m.ensure_memory(vals.len());
     Machine::load(&mut reference, 0, &vals);
@@ -309,10 +310,10 @@ pub fn scan_and_global_or_match_the_reference<M: Machine>() {
 }
 
 /// Same seed, same output, run after run — and different seeds differ.
-pub fn outputs_are_seed_stable<M: Machine>() {
+pub fn outputs_are_seed_stable<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     for n in [256usize, 3000] {
         let run = |seed: u64| {
-            let mut m = M::with_seed(16, seed);
+            let mut m = mk(16, seed);
             random_permutation_qrqw(&mut m, n).order
         };
         assert_eq!(run(5), run(5));
@@ -326,10 +327,10 @@ pub fn outputs_are_seed_stable<M: Machine>() {
 
 /// Linear compaction places every item injectively, whatever occupy-claim
 /// arbitration the backend uses.
-pub fn linear_compaction_is_valid<M: Machine>() {
+pub fn linear_compaction_is_valid<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let n = 1024usize;
     let k = n / 2;
-    let mut m = M::with_seed(16, 11);
+    let mut m = mk(16, 11);
     let src = m.alloc(n);
     for i in (0..n).step_by(2) {
         m.poke(src + i, i as u64 + 1);
@@ -345,7 +346,7 @@ pub fn linear_compaction_is_valid<M: Machine>() {
 
 /// Load balancing covers the load vector exactly and respects the §3 final
 /// load bound, on both the QRQW and EREW routes.
-pub fn load_balancing_is_valid<M: Machine>() {
+pub fn load_balancing_is_valid<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let n = 512usize;
     let loads: Vec<u64> = (0..n)
         .map(|i| if i % 64 == 0 { 128 } else { (i % 2) as u64 })
@@ -353,19 +354,19 @@ pub fn load_balancing_is_valid<M: Machine>() {
     let total: u64 = loads.iter().sum();
     let bound = 64 * (1 + total / n as u64);
 
-    let mut m = M::with_seed(16, 4);
+    let mut m = mk(16, 4);
     let r = load_balance_qrqw(&mut m, &loads);
     assert!(r.covers_exactly(&loads));
     assert!(r.max_final_load <= bound, "final load {}", r.max_final_load);
 
-    let mut m = M::with_seed(16, 5);
+    let mut m = mk(16, 5);
     let r = load_balance_erew(&mut m, &loads);
     assert!(r.covers_exactly(&loads));
 }
 
 /// Multiple compaction puts every item in a private cell of its own
 /// label's subarray.
-pub fn multiple_compaction_is_valid<M: Machine>() {
+pub fn multiple_compaction_is_valid<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let n = 900usize;
     let num_labels = 24usize;
     let labels: Vec<u64> = (0..n)
@@ -395,17 +396,17 @@ pub fn multiple_compaction_is_valid<M: Machine>() {
         }
     }
 
-    let mut m = M::with_seed(16, 5);
+    let mut m = mk(16, 5);
     check(&multiple_compaction(&mut m, &labels, &counts), &labels);
 }
 
 /// The hash table answers membership exactly: every inserted key found,
 /// every probe rejected.
-pub fn hashing_answers_membership_exactly<M: Machine>() {
+pub fn hashing_answers_membership_exactly<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     for (n, seed) in [(40usize, 3u64), (300, 7), (900, 1)] {
         let keys = scattered_keys(n, 0);
         let probes = scattered_keys(n, n);
-        let mut m = M::with_seed(16, seed);
+        let mut m = mk(16, seed);
         let table = QrqwHashTable::build(&mut m, &keys);
         assert!(table.lookup_batch(&mut m, &keys).iter().all(|&h| h));
         assert!(table.lookup_batch(&mut m, &probes).iter().all(|&h| !h));
@@ -415,17 +416,17 @@ pub fn hashing_answers_membership_exactly<M: Machine>() {
 /// The §7 sorts' placement phases race through occupy claims, but a
 /// multiset has exactly one sorted order, so the outputs must equal the
 /// std-sort reference bit for bit.
-pub fn sorts_produce_the_one_sorted_output<M: Machine>() {
+pub fn sorts_produce_the_one_sorted_output<M: Machine>(mk: impl Fn(usize, u64) -> M) {
     let n = 1200usize;
     let keys = scattered_keys(n, 0);
     let mut expect = keys.clone();
     expect.sort_unstable();
 
-    let mut m = M::with_seed(16, 2);
+    let mut m = mk(16, 2);
     assert_eq!(sample_sort_qrqw(&mut m, &keys), expect, "sample-sort-qrqw");
-    let mut m = M::with_seed(16, 3);
+    let mut m = mk(16, 3);
     assert_eq!(sample_sort_crqw(&mut m, &keys), expect, "sample-sort-crqw");
-    let mut m = M::with_seed(16, 4);
+    let mut m = mk(16, 4);
     assert_eq!(
         sort_uniform_keys(&mut m, &keys),
         expect,
@@ -436,7 +437,7 @@ pub fn sorts_produce_the_one_sorted_output<M: Machine>() {
     let small: Vec<u64> = keys.iter().map(|&k| k % max_key).collect();
     let mut expect_small = small.clone();
     expect_small.sort_unstable();
-    let mut m = M::with_seed(16, 5);
+    let mut m = mk(16, 5);
     assert_eq!(
         qrqw_suite::algos::integer_sort_crqw(&mut m, &small, max_key),
         expect_small,
@@ -450,13 +451,13 @@ pub fn sorts_produce_the_one_sorted_output<M: Machine>() {
 /// (`PARITY_SUITE_BACKENDS`), so a backend registered in `qrqw-bench`
 /// without a `parity_suite!` line fails the build.
 macro_rules! parity_suite {
-    ($backend:ident, $machine:ty) => {
+    ($backend:ident, $mk:expr) => {
         mod $backend {
             use qrqw_suite::sim::Machine;
 
             #[test]
             fn suite_instantiation_is_recorded_for_the_drift_guard() {
-                let m = <$machine as Machine>::with_seed(1, 0);
+                let m = ($mk)(1, 0);
                 assert!(
                     crate::PARITY_SUITE_BACKENDS.contains(&m.backend()),
                     "backend {:?} runs a parity suite but is missing from PARITY_SUITE_BACKENDS",
@@ -466,73 +467,72 @@ macro_rules! parity_suite {
 
             #[test]
             fn permutations_match_the_reference() {
-                crate::common::parity::permutations_match_the_reference::<$machine>();
+                crate::common::parity::permutations_match_the_reference($mk);
             }
 
             #[test]
             fn cyclic_permutations_match_the_reference() {
-                crate::common::parity::cyclic_permutations_match_the_reference::<$machine>();
+                crate::common::parity::cyclic_permutations_match_the_reference($mk);
             }
 
             #[test]
             fn deterministic_prims_match_the_reference() {
-                crate::common::parity::deterministic_prims_match_the_reference::<$machine>();
+                crate::common::parity::deterministic_prims_match_the_reference($mk);
             }
 
             #[test]
             fn forced_las_vegas_fallback_matches_the_reference() {
-                crate::common::parity::forced_las_vegas_fallback_matches_the_reference::<$machine>();
+                crate::common::parity::forced_las_vegas_fallback_matches_the_reference($mk);
             }
 
             #[test]
             fn claim_counters_are_in_lockstep_with_the_reference() {
-                crate::common::parity::claim_counters_are_in_lockstep_with_the_reference::<$machine>(
-                );
+                crate::common::parity::claim_counters_are_in_lockstep_with_the_reference($mk);
             }
 
             #[test]
             fn exclusive_claims_agree_cell_by_cell() {
-                crate::common::parity::exclusive_claims_agree_cell_by_cell::<$machine>();
+                crate::common::parity::exclusive_claims_agree_cell_by_cell($mk);
             }
 
             #[test]
             fn seq_step_sees_same_step_writes() {
-                crate::common::parity::seq_step_sees_same_step_writes::<$machine>();
+                crate::common::parity::seq_step_sees_same_step_writes($mk);
             }
 
             #[test]
             fn scan_and_global_or_match_the_reference() {
-                crate::common::parity::scan_and_global_or_match_the_reference::<$machine>();
+                crate::common::parity::scan_and_global_or_match_the_reference($mk);
             }
 
             #[test]
             fn outputs_are_seed_stable() {
-                crate::common::parity::outputs_are_seed_stable::<$machine>();
+                crate::common::parity::outputs_are_seed_stable($mk);
             }
 
             #[test]
             fn linear_compaction_is_valid() {
-                crate::common::parity::linear_compaction_is_valid::<$machine>();
+                crate::common::parity::linear_compaction_is_valid($mk);
             }
 
             #[test]
             fn load_balancing_is_valid() {
-                crate::common::parity::load_balancing_is_valid::<$machine>();
+                crate::common::parity::load_balancing_is_valid($mk);
             }
 
             #[test]
             fn multiple_compaction_is_valid() {
-                crate::common::parity::multiple_compaction_is_valid::<$machine>();
+                crate::common::parity::multiple_compaction_is_valid($mk);
             }
 
             #[test]
             fn hashing_answers_membership_exactly() {
-                crate::common::parity::hashing_answers_membership_exactly::<$machine>();
+                crate::common::parity::hashing_answers_membership_exactly($mk);
             }
 
             #[test]
             fn sorts_produce_the_one_sorted_output() {
-                crate::common::parity::sorts_produce_the_one_sorted_output::<$machine>();
+                crate::common::parity::sorts_produce_the_one_sorted_output($mk);
             }
         }
     };

@@ -4,7 +4,7 @@
 //! All pooled machines dispatch every step as contiguous chunks, and the
 //! chunk layout changes with the thread count (builder override or
 //! `QRQW_THREADS`) while the chunk→thread assignment changes with the
-//! schedule (`QRQW_SCHEDULE` / `Schedule::Stealing`).  The backend
+//! schedule (`StepPool::with_schedule`).  The backend
 //! contract says both must be *unobservable*: per-`(seed, step, proc)` RNG
 //! streams and deterministic exclusive-claim outcomes do not depend on
 //! which thread computed which index — and for the BSP machine, neither
@@ -24,7 +24,7 @@ use qrqw_suite::algos::{
     sample_sort_qrqw, sort_uniform_keys,
 };
 use qrqw_suite::bsp::BspMachine;
-use qrqw_suite::exec::{NativeMachine, Schedule, StealingMachine, StepPool};
+use qrqw_suite::exec::{NativeMachine, Schedule, StepPool};
 use qrqw_suite::prims::{list_rank, pack, radix_sort_packed, unpack_key};
 use qrqw_suite::sim::{ClaimMode, CostModel, Machine, Pram, EMPTY};
 
@@ -33,51 +33,43 @@ use qrqw_suite::sim::{ClaimMode, CostModel, Machine, Pram, EMPTY};
 /// process default (`QRQW_THREADS` / host parallelism).
 const THREAD_COUNTS: [Option<usize>; 4] = [Some(1), Some(2), Some(5), None];
 
-/// Machines that can be built with an explicit thread count — the hook the
-/// generic thread-sweep helper needs.  A new pooled backend joins the
-/// sweeps with one impl plus a thin `*_invariant_under_threads` wrapper.
-trait ThreadSweepMachine: Machine {
-    fn with_thread_count(seed: u64, threads: Option<usize>) -> Self;
+/// A native machine on one (threads, schedule) point of the sweeps;
+/// `threads = None` is the process default.
+fn native(seed: u64, threads: Option<usize>, schedule: Schedule) -> NativeMachine {
+    let pool = threads.map_or_else(StepPool::from_env, StepPool::with_threads);
+    NativeMachine::with_pool(16, seed, pool.with_schedule(schedule))
 }
 
-impl ThreadSweepMachine for NativeMachine {
-    fn with_thread_count(seed: u64, threads: Option<usize>) -> Self {
-        match threads {
-            Some(t) => NativeMachine::with_threads(16, seed, t),
-            None => Machine::with_seed(16, seed),
-        }
+fn native_chunked(seed: u64, threads: Option<usize>) -> NativeMachine {
+    native(seed, threads, Schedule::Chunked)
+}
+
+fn native_stealing(seed: u64, threads: Option<usize>) -> NativeMachine {
+    native(seed, threads, Schedule::Stealing)
+}
+
+fn bsp(seed: u64, threads: Option<usize>) -> BspMachine {
+    match threads {
+        Some(t) => BspMachine::with_threads(16, seed, t),
+        None => BspMachine::with_seed(16, seed),
     }
 }
 
-impl ThreadSweepMachine for BspMachine {
-    fn with_thread_count(seed: u64, threads: Option<usize>) -> Self {
-        match threads {
-            Some(t) => BspMachine::with_threads(16, seed, t),
-            None => Machine::with_seed(16, seed),
-        }
-    }
-}
-
-impl ThreadSweepMachine for StealingMachine {
-    fn with_thread_count(seed: u64, threads: Option<usize>) -> Self {
-        match threads {
-            Some(t) => StealingMachine::with_threads(16, seed, t),
-            None => Machine::with_seed(16, seed),
-        }
-    }
-}
-
-/// Runs `f` on a fresh machine at every thread count and asserts all runs
-/// return the same value; returns that value.
-fn sweep_invariant<M, T, F>(seed: u64, label: &str, f: F) -> T
+/// Runs `f` on a fresh `mk(seed, threads)` machine at every thread count
+/// and asserts all runs return the same value; returns that value.  A
+/// pooled backend joins the sweeps with one constructor function.
+fn sweep_invariant<M, T>(
+    mk: impl Fn(u64, Option<usize>) -> M,
+    seed: u64,
+    label: &str,
+    f: impl Fn(&mut M) -> T,
+) -> T
 where
-    M: ThreadSweepMachine,
     T: PartialEq + std::fmt::Debug,
-    F: Fn(&mut M) -> T,
 {
     let mut baseline: Option<T> = None;
     for threads in THREAD_COUNTS {
-        let mut m = M::with_thread_count(seed, threads);
+        let mut m = mk(seed, threads);
         let out = f(&mut m);
         match &baseline {
             None => baseline = Some(out),
@@ -90,20 +82,10 @@ where
     baseline.unwrap()
 }
 
-/// [`sweep_invariant`] pinned to the native backend, so call sites keep
-/// closure-parameter inference.
-fn invariant_under_threads<T, F>(seed: u64, label: &str, f: F) -> T
-where
-    T: PartialEq + std::fmt::Debug,
-    F: Fn(&mut NativeMachine) -> T,
-{
-    sweep_invariant::<NativeMachine, T, F>(seed, label, f)
-}
-
 #[test]
 fn permutations_are_bit_identical_at_every_thread_count() {
     for (n, seed) in [(3000usize, 7u64), (777, 41)] {
-        let native = invariant_under_threads(seed, "permutation-qrqw", |m| {
+        let native = sweep_invariant(native_chunked, seed, "permutation-qrqw", |m| {
             random_permutation_qrqw(m, n).order
         });
         let mut sim = Pram::with_seed(16, seed);
@@ -113,13 +95,13 @@ fn permutations_are_bit_identical_at_every_thread_count() {
             "native must agree with the simulator reference"
         );
 
-        let native = invariant_under_threads(seed, "permutation-dart-scan", |m| {
+        let native = sweep_invariant(native_chunked, seed, "permutation-dart-scan", |m| {
             random_permutation_dart_scan(m, n).order
         });
         let mut sim = Pram::with_seed(16, seed);
         assert_eq!(native, random_permutation_dart_scan(&mut sim, n).order);
 
-        let native = invariant_under_threads(seed, "permutation-sorting-erew", |m| {
+        let native = sweep_invariant(native_chunked, seed, "permutation-sorting-erew", |m| {
             random_permutation_sorting_erew(m, n).order
         });
         let mut sim = Pram::with_seed(16, seed);
@@ -131,13 +113,13 @@ fn permutations_are_bit_identical_at_every_thread_count() {
 fn cyclic_permutations_are_bit_identical_at_every_thread_count() {
     let n = 2048usize;
     for seed in [3u64, 19] {
-        let fast = invariant_under_threads(seed, "cyclic-fast", |m| {
+        let fast = sweep_invariant(native_chunked, seed, "cyclic-fast", |m| {
             random_cyclic_permutation_fast(m, n).successor
         });
         let mut sim = Pram::with_seed(16, seed);
         assert_eq!(fast, random_cyclic_permutation_fast(&mut sim, n).successor);
 
-        let eff = invariant_under_threads(seed, "cyclic-efficient", |m| {
+        let eff = sweep_invariant(native_chunked, seed, "cyclic-efficient", |m| {
             random_cyclic_permutation_efficient(m, n).successor
         });
         let mut sim = Pram::with_seed(16, seed);
@@ -160,7 +142,7 @@ fn deterministic_prims_are_bit_identical_at_every_thread_count() {
     for w in order.windows(2) {
         succ[w[0]] = w[1] as u64;
     }
-    let ranks = invariant_under_threads(0, "list-rank", |m| {
+    let ranks = sweep_invariant(native_chunked, 0, "list-rank", |m| {
         let succ_base = m.alloc(n);
         let rank_base = m.alloc(n);
         m.load(succ_base, &succ);
@@ -174,7 +156,7 @@ fn deterministic_prims_are_bit_identical_at_every_thread_count() {
     let pairs: Vec<u64> = (0..n)
         .map(|i| pack(((i * 37) % 64) as u64, i as u64))
         .collect();
-    let sorted = invariant_under_threads(0, "radix-sort-packed", |m| {
+    let sorted = sweep_invariant(native_chunked, 0, "radix-sort-packed", |m| {
         let base = m.alloc(n);
         m.load(base, &pairs);
         radix_sort_packed(m, base, n, 6);
@@ -186,7 +168,9 @@ fn deterministic_prims_are_bit_identical_at_every_thread_count() {
 
     // One emulated Fetch&Add step over a hot address set.
     let requests: Vec<(usize, u64)> = (0..n).map(|i| (i % 97, 1 + (i % 3) as u64)).collect();
-    invariant_under_threads(5, "fetch-add", |m| emulate_fetch_add_step(m, &requests));
+    sweep_invariant(native_chunked, 5, "fetch-add", |m| {
+        emulate_fetch_add_step(m, &requests)
+    });
 }
 
 #[test]
@@ -194,9 +178,13 @@ fn sorts_are_bit_identical_at_every_thread_count() {
     let keys = qrqw_bench::Algorithm::scattered_keys(3000, 0);
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let got = invariant_under_threads(2, "sample-sort-qrqw", |m| sample_sort_qrqw(m, &keys));
+    let got = sweep_invariant(native_chunked, 2, "sample-sort-qrqw", |m| {
+        sample_sort_qrqw(m, &keys)
+    });
     assert_eq!(got, expect);
-    let got = invariant_under_threads(2, "distributive-sort", |m| sort_uniform_keys(m, &keys));
+    let got = sweep_invariant(native_chunked, 2, "distributive-sort", |m| {
+        sort_uniform_keys(m, &keys)
+    });
     assert_eq!(got, expect);
 }
 
@@ -207,11 +195,12 @@ fn contention_totals_are_invariant_across_thread_counts() {
     // winner's identity is not.  The observed counters must not depend on
     // chunking.
     let n = 8192usize;
-    let (attempts, failures, steps) = invariant_under_threads(11, "contention-totals", |m| {
-        let _ = random_permutation_qrqw(m, n);
-        let report = m.cost_report();
-        (report.claim_attempts, report.contended_claims, report.steps)
-    });
+    let (attempts, failures, steps) =
+        sweep_invariant(native_chunked, 11, "contention-totals", |m| {
+            let _ = random_permutation_qrqw(m, n);
+            let report = m.cost_report();
+            (report.claim_attempts, report.contended_claims, report.steps)
+        });
     let mut sim = Pram::with_seed(16, 11);
     let _ = random_permutation_qrqw(&mut sim, n);
     let rs = sim.cost_report();
@@ -226,7 +215,7 @@ fn contention_totals_are_invariant_across_thread_counts() {
 fn scan_and_global_or_are_invariant_across_thread_counts() {
     let n = 50_000usize;
     let vals: Vec<u64> = (0..n as u64).map(|i| i % 11).collect();
-    let reference = invariant_under_threads(0, "scan-step", |m| {
+    let reference = sweep_invariant(native_chunked, 0, "scan-step", |m| {
         m.ensure_memory(n);
         m.load(0, &vals);
         let total = m.scan_step(0, n);
@@ -234,7 +223,7 @@ fn scan_and_global_or_are_invariant_across_thread_counts() {
     });
     assert_eq!(reference.0, vals.iter().sum::<u64>());
 
-    invariant_under_threads(0, "global-or", |m| {
+    sweep_invariant(native_chunked, 0, "global-or", |m| {
         m.ensure_memory(n);
         let empty = m.global_or_step(0, n);
         m.poke(n - 1, 3);
@@ -247,20 +236,10 @@ fn scan_and_global_or_are_invariant_across_thread_counts() {
     });
 }
 
-/// [`sweep_invariant`] pinned to the BSP backend, so call sites keep
-/// closure-parameter inference.
-fn bsp_invariant_under_threads<T, F>(seed: u64, label: &str, f: F) -> T
-where
-    T: PartialEq + std::fmt::Debug,
-    F: Fn(&mut BspMachine) -> T,
-{
-    sweep_invariant::<BspMachine, T, F>(seed, label, f)
-}
-
 #[test]
 fn bsp_outputs_are_bit_identical_at_every_thread_count() {
     for (n, seed) in [(3000usize, 7u64), (777, 41)] {
-        let bsp = bsp_invariant_under_threads(seed, "bsp permutation-qrqw", |m| {
+        let bsp = sweep_invariant(bsp, seed, "bsp permutation-qrqw", |m| {
             random_permutation_qrqw(m, n).order
         });
         let mut sim = Pram::with_seed(16, seed);
@@ -273,8 +252,9 @@ fn bsp_outputs_are_bit_identical_at_every_thread_count() {
     let keys = qrqw_bench::Algorithm::scattered_keys(3000, 0);
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let got =
-        bsp_invariant_under_threads(2, "bsp sample-sort-qrqw", |m| sample_sort_qrqw(m, &keys));
+    let got = sweep_invariant(bsp, 2, "bsp sample-sort-qrqw", |m| {
+        sample_sort_qrqw(m, &keys)
+    });
     assert_eq!(got, expect);
 }
 
@@ -285,7 +265,7 @@ fn bsp_contention_totals_and_measured_profile_are_thread_count_invariant() {
     // the per-step profile nor any aggregate of the BSP cost section.
     let n = 8192usize;
     let (attempts, failures, steps, profile, bsp_cost) =
-        bsp_invariant_under_threads(11, "bsp contention-totals", |m| {
+        sweep_invariant(bsp, 11, "bsp contention-totals", |m| {
             let _ = random_permutation_qrqw(m, n);
             let report = m.cost_report();
             (
@@ -327,7 +307,7 @@ fn bsp_routing_order_never_affects_results() {
         let v = if v == EMPTY { 0 } else { v };
         ctx.write(100 + p % 97, p as u64 + v);
     };
-    let (image, profile, messages) = bsp_invariant_under_threads(0, "bsp routing-order", |m| {
+    let (image, profile, messages) = sweep_invariant(bsp, 0, "bsp routing-order", |m| {
         m.ensure_memory(256);
         m.par_for(procs, body);
         (
@@ -351,26 +331,16 @@ fn bsp_routing_order_never_affects_results() {
     );
 }
 
-/// [`sweep_invariant`] pinned to the work-stealing native backend, so call
-/// sites keep closure-parameter inference.
-fn steal_invariant_under_threads<T, F>(seed: u64, label: &str, f: F) -> T
-where
-    T: PartialEq + std::fmt::Debug,
-    F: Fn(&mut StealingMachine) -> T,
-{
-    sweep_invariant::<StealingMachine, T, F>(seed, label, f)
-}
-
 #[test]
 fn stealing_outputs_are_bit_identical_at_every_thread_count() {
     // The stealing sweep and the chunked sweep of the same seed must agree
     // with each other (and with the simulator) at 1/2/5/default threads —
     // the chunk→thread assignment is the only thing the schedule changes.
     for (n, seed) in [(3000usize, 7u64), (777, 41)] {
-        let stealing = steal_invariant_under_threads(seed, "steal permutation-qrqw", |m| {
+        let stealing = sweep_invariant(native_stealing, seed, "steal permutation-qrqw", |m| {
             random_permutation_qrqw(m, n).order
         });
-        let chunked = invariant_under_threads(seed, "permutation-qrqw", |m| {
+        let chunked = sweep_invariant(native_chunked, seed, "permutation-qrqw", |m| {
             random_permutation_qrqw(m, n).order
         });
         assert_eq!(stealing, chunked, "chunked vs stealing diverged");
@@ -381,7 +351,7 @@ fn stealing_outputs_are_bit_identical_at_every_thread_count() {
             "stealing must agree with the simulator reference"
         );
 
-        let stealing = steal_invariant_under_threads(seed, "steal cyclic-fast", |m| {
+        let stealing = sweep_invariant(native_stealing, seed, "steal cyclic-fast", |m| {
             random_cyclic_permutation_fast(m, n).successor
         });
         let mut sim = Pram::with_seed(16, seed);
@@ -393,10 +363,11 @@ fn stealing_outputs_are_bit_identical_at_every_thread_count() {
     let keys = qrqw_bench::Algorithm::scattered_keys(3000, 0);
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let got =
-        steal_invariant_under_threads(2, "steal sample-sort-qrqw", |m| sample_sort_qrqw(m, &keys));
+    let got = sweep_invariant(native_stealing, 2, "steal sample-sort-qrqw", |m| {
+        sample_sort_qrqw(m, &keys)
+    });
     assert_eq!(got, expect);
-    let got = steal_invariant_under_threads(2, "steal distributive-sort", |m| {
+    let got = sweep_invariant(native_stealing, 2, "steal distributive-sort", |m| {
         sort_uniform_keys(m, &keys)
     });
     assert_eq!(got, expect);
@@ -405,12 +376,12 @@ fn stealing_outputs_are_bit_identical_at_every_thread_count() {
 #[test]
 fn stealing_contention_totals_match_chunked_and_the_simulator() {
     let n = 8192usize;
-    let stealing = steal_invariant_under_threads(11, "steal contention-totals", |m| {
+    let stealing = sweep_invariant(native_stealing, 11, "steal contention-totals", |m| {
         let _ = random_permutation_qrqw(m, n);
         let report = m.cost_report();
         (report.claim_attempts, report.contended_claims, report.steps)
     });
-    let chunked = invariant_under_threads(11, "contention-totals", |m| {
+    let chunked = sweep_invariant(native_chunked, 11, "contention-totals", |m| {
         let _ = random_permutation_qrqw(m, n);
         let report = m.cost_report();
         (report.claim_attempts, report.contended_claims, report.steps)
@@ -492,103 +463,6 @@ fn qrqw_threads_env_var_controls_the_default_thread_count() {
     }
 }
 
-/// Probe used by [`qrqw_schedule_env_var_controls_the_default_schedule`]:
-/// when re-executed in a child process with `QRQW_SCHEDULE` set, it checks
-/// that machine construction honours a valid value and **panics loudly** on
-/// an invalid one (the same policy as `QRQW_THREADS` — no silent fallback
-/// to chunked).  Without the variable it trivially passes, so a normal run
-/// is unaffected.
-#[test]
-fn helper_qrqw_schedule_env_probe() {
-    let Ok(spec) = std::env::var("QRQW_SCHEDULE") else {
-        return;
-    };
-    match Schedule::parse(spec.trim()) {
-        Some(want) => {
-            let m = NativeMachine::with_seed(16, 0);
-            assert_eq!(
-                m.schedule(),
-                want,
-                "QRQW_SCHEDULE={spec} must set the schedule"
-            );
-            let expect_backend = match want {
-                Schedule::Chunked => "native",
-                Schedule::Stealing => "native-steal",
-            };
-            assert_eq!(m.backend(), expect_backend);
-            // The builder must override the environment in both directions.
-            assert_eq!(
-                NativeMachine::with_schedule(16, 0, Schedule::Stealing).schedule(),
-                Schedule::Stealing
-            );
-            assert_eq!(
-                NativeMachine::with_schedule(16, 0, Schedule::Chunked).schedule(),
-                Schedule::Chunked
-            );
-            assert_eq!(StealingMachine::with_seed(16, 0).backend(), "native-steal");
-        }
-        None => {
-            // Loud rejection: every env-consulting construction — including
-            // the builders, which still read the variable for the pool's
-            // defaults — must panic and name the variable.
-            fn build_default() {
-                let _ = NativeMachine::with_seed(16, 0);
-            }
-            fn build_with_schedule() {
-                let _ = NativeMachine::with_schedule(16, 0, Schedule::Stealing);
-            }
-            fn build_stealing() {
-                let _ = StealingMachine::with_seed(16, 0);
-            }
-            for build in [build_default as fn(), build_with_schedule, build_stealing] {
-                let payload = std::panic::catch_unwind(build).expect_err(&format!(
-                    "invalid QRQW_SCHEDULE={spec} must make construction panic"
-                ));
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
-                assert!(
-                    msg.contains("QRQW_SCHEDULE"),
-                    "the panic must name the offending variable, got: {msg}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn qrqw_schedule_env_var_controls_the_default_schedule() {
-    // Same child-process pattern as the QRQW_THREADS test above, for the
-    // same POSIX `setenv` reason.
-    let exe = std::env::current_exe().expect("test binary path");
-    for spec in ["stealing", "chunked", "not-a-schedule"] {
-        let output = std::process::Command::new(&exe)
-            .args(["--exact", "helper_qrqw_schedule_env_probe"])
-            .env("QRQW_SCHEDULE", spec)
-            .output()
-            .expect("re-exec test binary");
-        assert!(
-            output.status.success(),
-            "env probe failed for QRQW_SCHEDULE={spec}:\n{}\n{}",
-            String::from_utf8_lossy(&output.stdout),
-            String::from_utf8_lossy(&output.stderr),
-        );
-    }
-}
-
-/// Builds a native machine with one (threads, schedule) combination of
-/// the dispatch sweeps below.  `threads = 1` runs every pass of a group
-/// inline, in program order: the reference a pooled group must match.
-fn sweep_machine(seed: u64, threads: usize, schedule: Schedule) -> NativeMachine {
-    NativeMachine::with_pool(
-        16,
-        seed,
-        StepPool::with_threads(threads).with_schedule(schedule),
-    )
-}
-
 #[test]
 fn fused_and_unfused_dispatch_agree_with_the_simulator_on_claim_heavy_work() {
     // Running the claim protocol's passes as one pool dispatch changes
@@ -604,7 +478,7 @@ fn fused_and_unfused_dispatch_agree_with_the_simulator_on_claim_heavy_work() {
     for threads in [1usize, 2, 5] {
         for schedule in Schedule::ALL {
             let label = format!("threads={threads} {schedule:?}");
-            let mut m = sweep_machine(seed, threads, schedule);
+            let mut m = native(seed, Some(threads), schedule);
             let order = random_permutation_qrqw(&mut m, n).order;
             assert_eq!(order, sim_order, "{label}: outputs diverged");
             let report = m.cost_report();
@@ -643,7 +517,7 @@ fn occupy_claims_pick_the_lowest_claimant_on_every_schedule_and_thread_count() {
     for threads in [1usize, 2, 5] {
         for schedule in Schedule::ALL {
             let label = format!("threads={threads} {schedule:?}");
-            let mut m = sweep_machine(3, threads, schedule);
+            let mut m = native(3, Some(threads), schedule);
             let won = m.claim(&attempts, ClaimMode::Occupy);
             assert_eq!(won, sim_won, "{label}: occupy winners diverged");
             let report = m.cost_report();
@@ -708,7 +582,7 @@ fn fused_and_unfused_dispatch_agree_on_scan_and_compact() {
     let reference = drive(&mut Pram::with_seed(16, 0), n, &vals, &sparse);
     for threads in [1usize, 2, 5] {
         for schedule in Schedule::ALL {
-            let mut m = sweep_machine(0, threads, schedule);
+            let mut m = native(0, Some(threads), schedule);
             let out = drive(&mut m, n, &vals, &sparse);
             assert!(
                 out == reference,

@@ -15,9 +15,12 @@ use qrqw_bench::Backend;
 
 const N: usize = 128;
 const SEED: u64 = 21;
+/// Pool sizes every backend runs at: sequential, smallest chunked, odd
+/// oversubscribed.
+const THREADS: [Option<usize>; 3] = [Some(1), Some(2), Some(5)];
 
 fn reference(scenario: &Scenario) -> ScenarioRun {
-    let run = scenario.run(Backend::Sim, N, SEED);
+    let run = scenario.run(Backend::Sim, N, SEED, None);
     assert!(run.valid, "{} invalid on the simulator", scenario.name);
     run
 }
@@ -55,28 +58,13 @@ fn assert_matches_reference(want: &ScenarioRun, got: &ScenarioRun, label: &str) 
 fn every_registered_scenario_is_bit_identical_across_all_backends_and_threads() {
     for scenario in Scenario::registry() {
         let want = reference(&scenario);
-        for backend in [Backend::Native, Backend::NativeSteal, Backend::Bsp] {
-            match backend {
-                Backend::Bsp => {
-                    let got = scenario.run_bsp(N, SEED, None);
-                    assert_matches_reference(&want, &got, &format!("{}/bsp", scenario.name));
-                }
-                _ => {
-                    let schedule = if backend == Backend::NativeSteal {
-                        qrqw_exec::Schedule::Stealing
-                    } else {
-                        qrqw_exec::Schedule::Chunked
-                    };
-                    for threads in [1usize, 2, 5] {
-                        let got = scenario.run_native_with(N, SEED, Some(threads), schedule);
-                        assert_eq!(got.backend, backend.name());
-                        assert_matches_reference(
-                            &want,
-                            &got,
-                            &format!("{}/{}/t{}", scenario.name, backend.name(), threads),
-                        );
-                    }
-                }
+        for backend in Backend::ALL {
+            for threads in THREADS {
+                let got = scenario.run(backend, N, SEED, threads);
+                assert_eq!(got.backend, backend.name());
+                assert_eq!(got.report.backend, backend.name());
+                let label = format!("{}/{}/{threads:?}", scenario.name, backend.name());
+                assert_matches_reference(&want, &got, &label);
             }
         }
     }
@@ -95,16 +83,12 @@ fn delete_reinsert_digest_regression_pins_tombstone_behavior() {
         want.report.claim_attempts > 0,
         "churn must actually exercise claims"
     );
-    for threads in [1usize, 2, 5] {
-        let chunked =
-            scenario.run_native_with(N, SEED, Some(threads), qrqw_exec::Schedule::Chunked);
-        assert_matches_reference(&want, &chunked, &format!("native/t{threads}"));
-        let stealing =
-            scenario.run_native_with(N, SEED, Some(threads), qrqw_exec::Schedule::Stealing);
-        assert_matches_reference(&want, &stealing, &format!("native-steal/t{threads}"));
+    for backend in Backend::ALL {
+        for threads in THREADS {
+            let got = scenario.run(backend, N, SEED, threads);
+            assert_matches_reference(&want, &got, &format!("{}/{threads:?}", backend.name()));
+        }
     }
-    let bsp = scenario.run_bsp(N, SEED, None);
-    assert_matches_reference(&want, &bsp, "bsp");
 }
 
 #[test]
@@ -116,7 +100,9 @@ fn scenario_contention_orders_by_skew_on_the_simulator() {
     // collisions).  At n=256, seed 5 this reads uniform ≈ 1.4%,
     // zipf ≈ 4.6%, adversarial ≈ 42%.
     let rate = |name: &str| {
-        let run = Scenario::parse(name).unwrap().run(Backend::Sim, 256, 5);
+        let run = Scenario::parse(name)
+            .unwrap()
+            .run(Backend::Sim, 256, 5, None);
         assert!(run.valid);
         run.report.contended_claims as f64 / (run.report.claim_attempts as f64).max(1.0)
     };
@@ -138,7 +124,7 @@ fn scenario_contention_orders_by_skew_on_the_simulator() {
     // hot fraction records the skew instead.
     let run = Scenario::parse("all-same-key")
         .unwrap()
-        .run(Backend::Sim, 256, 5);
+        .run(Backend::Sim, 256, 5, None);
     assert!(run.valid);
     assert!((run.outcome.hot_fraction - 1.0).abs() < 1e-12);
     assert!(run.report.claim_attempts <= run.outcome.epoch_contention.len() as u64);

@@ -17,7 +17,7 @@
 //! point of maximum imbalance; the uniform-workload sweeps live in
 //! `tests/determinism.rs`.
 
-use qrqw_suite::exec::{NativeMachine, Schedule, StealingMachine, StepPool};
+use qrqw_suite::exec::{NativeMachine, Schedule, StepPool};
 use qrqw_suite::sim::{ClaimMode, Machine, MachineProc, Pram};
 
 /// The thread counts every skew test sweeps (mirrors
@@ -171,30 +171,4 @@ fn hot_splitter_style_algorithm_is_identical_under_maximum_skew() {
             stealing.contention().failures()
         );
     }
-}
-
-#[test]
-fn stealing_machine_wrapper_equals_schedule_built_native_machine() {
-    // The registry's `native-steal` entry goes through `StealingMachine`;
-    // the builder route goes through `with_schedule`.  Both must be the
-    // same machine.
-    let attempts = skewed_attempts(20_000);
-    let mut wrapper = StealingMachine::with_threads(16, 5, 4);
-    let mut built = NativeMachine::with_pool(
-        16,
-        5,
-        StepPool::with_threads(4).with_schedule(Schedule::Stealing),
-    );
-    assert_eq!(wrapper.backend(), built.backend());
-    let a = wrapper.claim(&attempts, ClaimMode::Exclusive);
-    let b = built.claim(&attempts, ClaimMode::Exclusive);
-    assert_eq!(a, b);
-    assert_eq!(
-        wrapper.cost_report().contended_claims,
-        built.cost_report().contended_claims
-    );
-    assert_eq!(
-        Machine::dump(&wrapper, 0, 1024),
-        Machine::dump(&built, 0, 1024)
-    );
 }
