@@ -53,18 +53,35 @@ impl PolyHash {
     }
 
     /// Evaluates the polynomial (Horner) — `degree + 1` arithmetic ops.
+    ///
+    /// `x` may be any `u64` (lookups take arbitrary queries): it is reduced
+    /// mod `q` once, after which every operand is below `2^31` and Horner
+    /// runs in `u64` — `acc·x + c < 2^62 + 2^31`.
+    #[inline]
     pub fn eval(&self, x: u64) -> u64 {
-        let mut acc: u128 = 0;
+        let x = x % HASH_PRIME;
+        let mut acc = 0u64;
         for &c in self.coeffs.iter().rev() {
-            acc = (acc * (x as u128) + c as u128) % HASH_PRIME as u128;
+            acc = (acc * x + c) % HASH_PRIME;
         }
-        (acc as u64) % self.range
+        acc % self.range
     }
 
     /// Number of arithmetic operations one evaluation charges.
+    #[inline]
     pub fn cost(&self) -> u64 {
         self.coeffs.len() as u64
     }
+}
+
+/// The secondary (per-bucket) linear hash `((sa·x + sb) mod q) mod size`,
+/// the cell of key `x` inside its bucket's block.  `sa, sb < q`; `x` may be
+/// any `u64` and is reduced mod `q` first, so the product stays below
+/// `2^62` in `u64`.
+#[inline]
+fn linear_hash(sa: u64, sb: u64, x: u64, size: u64) -> usize {
+    debug_assert!(sa < HASH_PRIME && sb < HASH_PRIME);
+    ((sa * (x % HASH_PRIME) + sb) % HASH_PRIME % size) as usize
 }
 
 /// A two-level hash table built by the QRQW algorithm of Theorem 6.1.
@@ -190,8 +207,7 @@ impl QrqwHashTable {
                 let (sa, sb) = sec[slot];
                 let body = attempts[slot].1 + 1;
                 for &key in &bucket_keys[b] {
-                    let pos = (((sa as u128 * key as u128 + sb as u128) % HASH_PRIME as u128)
-                        % x_t as u128) as usize;
+                    let pos = linear_hash(sa, sb, key, x_t as u64);
                     writes.push((key, body + pos));
                     write_owner.push(slot);
                 }
@@ -254,10 +270,7 @@ impl QrqwHashTable {
                     let sb = rng.gen_range(0..HASH_PRIME);
                     let mut cells: Vec<usize> = keys_b
                         .iter()
-                        .map(|&key| {
-                            (((sa as u128 * key as u128 + sb as u128) % HASH_PRIME as u128)
-                                % size as u128) as usize
-                        })
+                        .map(|&key| linear_hash(sa, sb, key, size as u64))
                         .collect();
                     cells.sort_unstable();
                     cells.dedup();
@@ -270,8 +283,7 @@ impl QrqwHashTable {
                 let keys_ref = &keys_b;
                 m.par_for(keys_ref.len(), |i, ctx| {
                     let key = keys_ref[i];
-                    let pos = (((sa as u128 * key as u128 + sb as u128) % HASH_PRIME as u128)
-                        % size as u128) as usize;
+                    let pos = linear_hash(sa, sb, key, size as u64);
                     ctx.write(block + 1 + pos, key);
                     ctx.compute(2);
                 });
@@ -322,9 +334,7 @@ impl QrqwHashTable {
             let size = block_size[b].max(1);
             let x = queries[i];
             ctx.compute(2);
-            let pos = (((sa as u128 * x as u128 + sb as u128) % HASH_PRIME as u128) % size as u128)
-                as usize;
-            ctx.read(base as usize + pos) == x
+            ctx.read(base as usize + linear_hash(sa, sb, x, size)) == x
         })
     }
 
@@ -338,9 +348,7 @@ impl QrqwHashTable {
         let sa = m.peek(self.directory + 3 * b + 1);
         let sb = m.peek(self.directory + 3 * b + 2);
         let size = self.block_size[b].max(1);
-        let pos =
-            (((sa as u128 * x as u128 + sb as u128) % HASH_PRIME as u128) % size as u128) as usize;
-        m.peek(base as usize + pos) == x
+        m.peek(base as usize + linear_hash(sa, sb, x, size)) == x
     }
 
     /// Number of first-level displacement parameters (`k = Θ(n^{3/7})`).
@@ -366,6 +374,62 @@ mod tests {
             set.insert(rng.gen_range(0..HASH_PRIME));
         }
         set.into_iter().collect()
+    }
+
+    /// The `u128` forms the `u64` arithmetic replaced, kept as references.
+    fn poly_u128(coeffs: &[u64], range: u64, x: u64) -> u64 {
+        let mut acc: u128 = 0;
+        for &c in coeffs.iter().rev() {
+            acc = (acc * (x as u128) + c as u128) % HASH_PRIME as u128;
+        }
+        (acc as u64) % range
+    }
+
+    fn linear_u128(sa: u64, sb: u64, x: u64, size: u64) -> usize {
+        (((sa as u128 * x as u128 + sb as u128) % HASH_PRIME as u128) % size as u128) as usize
+    }
+
+    #[test]
+    fn u64_hash_arithmetic_equals_the_u128_reference() {
+        let mut rng = SmallRng::seed_from_u64(0xA71);
+        // Lookups accept arbitrary queries: cover the field's edge and
+        // values far past it besides ordinary keys.
+        let mut xs = vec![
+            0,
+            1,
+            HASH_PRIME - 1,
+            HASH_PRIME,
+            HASH_PRIME + 1,
+            (1 << 33) + 7,
+            u64::MAX,
+        ];
+        xs.extend((0..200).map(|_| rng.gen_range(0..1u64 << 31)));
+        for _ in 0..50 {
+            let range = match rng.gen_range(0..3) {
+                0 => 1,
+                1 => rng.gen_range(1..1 << 20),
+                _ => rng.gen_range(1..u64::MAX),
+            };
+            for degree in [0, 1, 7, 11] {
+                let mut h = PolyHash::random(&mut rng, degree, range);
+                if degree == 1 {
+                    // the worst case for the u64 product
+                    h.coeffs = vec![HASH_PRIME - 1; 2];
+                }
+                for &x in &xs {
+                    assert_eq!(h.eval(x), poly_u128(&h.coeffs, h.range, x), "x = {x}");
+                }
+            }
+            let sa = [1, HASH_PRIME - 1, rng.gen_range(1..HASH_PRIME)][rng.gen_range(0..3usize)];
+            let sb = [0, HASH_PRIME - 1, rng.gen_range(0..HASH_PRIME)][rng.gen_range(0..3usize)];
+            for &x in &xs {
+                assert_eq!(
+                    linear_hash(sa, sb, x, range),
+                    linear_u128(sa, sb, x, range),
+                    "x = {x}"
+                );
+            }
+        }
     }
 
     #[test]

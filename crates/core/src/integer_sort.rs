@@ -14,12 +14,10 @@
 //! directly, so under the QRQW metric the same trace shows the higher
 //! contention the paper predicts — a contrast the ablation bench reports.
 
-use crate::multiple_compaction::{build_layout, McLayout};
-use qrqw_prims::{
-    claim_cells, compact_erew, pack, stable_sort_small_range, unpack_payload, ClaimMode,
-};
-use qrqw_sim::schedule::{ceil_lg, log_star};
-use qrqw_sim::{Machine, EMPTY};
+use crate::multiple_compaction::{build_layout, place_values};
+use qrqw_prims::{compact_erew, pack, stable_sort_small_range, unpack_payload};
+use qrqw_sim::schedule::ceil_lg;
+use qrqw_sim::Machine;
 
 /// Sorts `keys`, each below `max_key ≤ n · lg^c n` for a small constant `c`
 /// (asserted loosely), returning the sorted sequence.
@@ -98,81 +96,6 @@ pub fn integer_sort_crqw<M: Machine>(m: &mut M, keys: &[u64], max_key: u64) -> V
         .collect();
     m.release_to(packed);
     sorted
-}
-
-/// Dart-throwing placement of key values into label subarrays (relaxed
-/// heavy multiple compaction specialised to value cells).
-fn place_values<M: Machine>(m: &mut M, keys: &[u64], labels: &[u64], layout: &McLayout) -> bool {
-    let n = keys.len();
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut team = 1usize;
-    let team_cap = ceil_lg(n as u64).max(2) as usize;
-    let max_rounds = 8 + 2 * log_star(n as u64);
-    let mut rounds = 0;
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
-        let q = team;
-        let k = active.len();
-        let active_ref = &active;
-        let targets: Vec<usize> = m.par_map(k * q, |a, ctx| {
-            let item = active_ref[a / q];
-            let label = labels[item] as usize;
-            layout.cell(label, ctx.random_index(layout.subarray_len[label].max(1)))
-        });
-        let attempts: Vec<(u64, usize)> = (0..k * q)
-            .map(|a| {
-                (
-                    (a % q) as u64 * n as u64 + active[a / q] as u64 + 1,
-                    targets[a],
-                )
-            })
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Occupy);
-        let mut keep: Vec<Option<usize>> = vec![None; k];
-        for a in 0..k * q {
-            if won[a] && keep[a / q].is_none() {
-                keep[a / q] = Some(a);
-            }
-        }
-        let (keep_ref, attempts_ref, won_ref) = (&keep, &attempts, &won);
-        m.par_for(k * q, |a, ctx| {
-            if !won_ref[a] {
-                return;
-            }
-            let slot = a / q;
-            if keep_ref[slot] == Some(a) {
-                ctx.write(attempts_ref[a].1, keys[active_ref[slot]]);
-            } else {
-                ctx.write(attempts_ref[a].1, EMPTY);
-            }
-        });
-        active = active
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| keep[slot].is_none())
-            .map(|(_, &item)| item)
-            .collect();
-        team = (team * 4).min(team_cap);
-    }
-    if active.is_empty() {
-        return true;
-    }
-    // Sequential Las-Vegas clean-up; an exhausted subarray reports failure.
-    let mut cursors: std::collections::HashMap<usize, usize> = Default::default();
-    let placed = qrqw_prims::seq_place_leftovers(
-        m,
-        &active,
-        |item| {
-            let label = labels[item] as usize;
-            let cur = cursors.entry(label).or_insert(0);
-            (*cur < layout.subarray_len[label]).then(|| {
-                *cur += 1;
-                layout.cell(label, *cur - 1)
-            })
-        },
-        |item| keys[item],
-    );
-    placed.iter().all(|&(_, spot)| spot.is_some())
 }
 
 fn radix_fallback<M: Machine>(m: &mut M, keys: &[u64], max_key: u64) -> Vec<u64> {

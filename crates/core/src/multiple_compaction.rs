@@ -45,6 +45,7 @@ pub struct McLayout {
 
 impl McLayout {
     /// Absolute address of cell `slot` of label `j`'s subarray.
+    #[inline]
     pub fn cell(&self, label: usize, slot: usize) -> usize {
         debug_assert!(slot < self.subarray_len[label]);
         self.b_base + self.subarray_offset[label] + slot
@@ -195,6 +196,89 @@ fn place_by_dart_throwing<M: Machine>(
         }
     }
     (failed, rounds)
+}
+
+/// Dart-throwing placement of the keys' *values* into their labels'
+/// subarrays — the relaxed heavy multiple compaction of Section 4.1 with the
+/// cells holding key values rather than item indices, because the sorting
+/// algorithms of Section 7 finish their subarrays in place.  Returns false
+/// if some subarray overflowed.
+pub(crate) fn place_values<M: Machine>(
+    m: &mut M,
+    keys: &[u64],
+    labels: &[u64],
+    layout: &McLayout,
+) -> bool {
+    let n = keys.len();
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut team = 1usize;
+    let team_cap = ceil_lg(n as u64).max(2) as usize;
+    let max_rounds = 8 + 2 * log_star(n as u64);
+    let mut rounds = 0;
+    while !active.is_empty() && rounds < max_rounds {
+        rounds += 1;
+        let q = team;
+        let k = active.len();
+        let active_ref = &active;
+        let targets: Vec<usize> = m.par_map(k * q, |a, ctx| {
+            let item = active_ref[a / q];
+            let label = labels[item] as usize;
+            layout.cell(label, ctx.random_index(layout.subarray_len[label].max(1)))
+        });
+        let attempts: Vec<(u64, usize)> = (0..k * q)
+            .map(|a| {
+                (
+                    (a % q) as u64 * n as u64 + active[a / q] as u64 + 1,
+                    targets[a],
+                )
+            })
+            .collect();
+        let won = claim_cells(m, &attempts, ClaimMode::Occupy);
+        let mut keep: Vec<Option<usize>> = vec![None; k];
+        for a in 0..k * q {
+            if won[a] && keep[a / q].is_none() {
+                keep[a / q] = Some(a);
+            }
+        }
+        let (keep_ref, attempts_ref, won_ref) = (&keep, &attempts, &won);
+        m.par_for(k * q, |a, ctx| {
+            if !won_ref[a] {
+                return;
+            }
+            let slot = a / q;
+            if keep_ref[slot] == Some(a) {
+                ctx.write(attempts_ref[a].1, keys[active_ref[slot]]);
+            } else {
+                ctx.write(attempts_ref[a].1, EMPTY);
+            }
+        });
+        active = active
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| keep[slot].is_none())
+            .map(|(_, &item)| item)
+            .collect();
+        team = (team * 4).min(team_cap);
+    }
+    if active.is_empty() {
+        return true;
+    }
+    // Sequential Las-Vegas clean-up; an exhausted subarray reports failure.
+    let mut cursors: std::collections::HashMap<usize, usize> = Default::default();
+    let placed = qrqw_prims::seq_place_leftovers(
+        m,
+        &active,
+        |item| {
+            let label = labels[item] as usize;
+            let cur = cursors.entry(label).or_insert(0);
+            (*cur < layout.subarray_len[label]).then(|| {
+                *cur += 1;
+                layout.cell(label, *cur - 1)
+            })
+        },
+        |item| keys[item],
+    );
+    placed.iter().all(|&(_, spot)| spot.is_some())
 }
 
 /// The heavy multiple-compaction algorithm (Lemma 4.2): every count is at

@@ -23,10 +23,10 @@
 //! recursion would bottom out.  This is recorded in DESIGN.md.
 
 use crate::fat_tree::FatTree;
-use crate::multiple_compaction::{build_layout, McLayout};
-use qrqw_prims::{bitonic_sort, bitonic_sort_segments, claim_cells, compact_erew, ClaimMode};
+use crate::multiple_compaction::{build_layout, place_values};
+use qrqw_prims::{bitonic_sort, bitonic_sort_segments, compact_erew};
 use qrqw_sim::schedule::ceil_lg;
-use qrqw_sim::{Machine, EMPTY};
+use qrqw_sim::Machine;
 
 /// Which labelling strategy a sample-sort run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ fn sample_sort<M: Machine>(m: &mut M, keys: &[u64], kind: SearchKind) -> Vec<u64
     let counts = vec![(seg / 4) as u64; num_buckets];
     let labels_u64: Vec<u64> = labels.iter().map(|&l| l as u64).collect();
     let layout = build_layout(m, &counts);
-    let placed = place_keys(m, keys, &labels_u64, &layout);
+    let placed = place_values(m, keys, &labels_u64, &layout);
     if !placed {
         // Las-Vegas restart path of the paper, collapsed to the safe
         // fallback: sort the whole input with the system (bitonic) sort.
@@ -151,83 +151,6 @@ fn sample_sort<M: Machine>(m: &mut M, keys: &[u64], kind: SearchKind) -> Vec<u64
     let out = m.dump(out_region, n);
     m.release_to(input);
     out
-}
-
-/// Dart-throwing placement of the keys' *values* into their buckets'
-/// subarrays (the relaxed heavy multiple compaction of Section 4.1, with
-/// the cells holding key values rather than item indices because the finish
-/// sorts values in place).  Returns false if some bucket overflowed.
-fn place_keys<M: Machine>(m: &mut M, keys: &[u64], labels: &[u64], layout: &McLayout) -> bool {
-    let n = keys.len();
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut team = 1usize;
-    let team_cap = ceil_lg(n as u64).max(2) as usize;
-    let mut rounds = 0;
-    let max_rounds = 8 + 2 * qrqw_sim::schedule::log_star(n as u64);
-
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
-        let q = team;
-        let k = active.len();
-        let active_ref = &active;
-        let targets: Vec<usize> = m.par_map(k * q, |a, ctx| {
-            let item = active_ref[a / q];
-            let label = labels[item] as usize;
-            layout.cell(label, ctx.random_index(layout.subarray_len[label].max(1)))
-        });
-        let attempts: Vec<(u64, usize)> = (0..k * q)
-            .map(|a| {
-                let item = active[a / q];
-                ((a % q) as u64 * n as u64 + item as u64 + 1, targets[a])
-            })
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Occupy);
-        let mut keep: Vec<Option<usize>> = vec![None; k];
-        for a in 0..k * q {
-            if won[a] && keep[a / q].is_none() {
-                keep[a / q] = Some(a);
-            }
-        }
-        let (keep_ref, attempts_ref, won_ref) = (&keep, &attempts, &won);
-        m.par_for(k * q, |a, ctx| {
-            if !won_ref[a] {
-                return;
-            }
-            let slot = a / q;
-            if keep_ref[slot] == Some(a) {
-                ctx.write(attempts_ref[a].1, keys[active_ref[slot]]);
-            } else {
-                ctx.write(attempts_ref[a].1, EMPTY);
-            }
-        });
-        active = active
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| keep[slot].is_none())
-            .map(|(_, &item)| item)
-            .collect();
-        team = (team * 4).min(team_cap);
-    }
-
-    if active.is_empty() {
-        return true;
-    }
-    // Sequential clean-up; reports overflow as failure (relaxed semantics).
-    let mut cursors: std::collections::HashMap<usize, usize> = Default::default();
-    let placed = qrqw_prims::seq_place_leftovers(
-        m,
-        &active,
-        |item| {
-            let label = labels[item] as usize;
-            let cur = cursors.entry(label).or_insert(0);
-            (*cur < layout.subarray_len[label]).then(|| {
-                *cur += 1;
-                layout.cell(label, *cur - 1)
-            })
-        },
-        |item| keys[item],
-    );
-    placed.iter().all(|&(_, spot)| spot.is_some())
 }
 
 #[cfg(test)]

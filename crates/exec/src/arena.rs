@@ -230,6 +230,18 @@ impl Arena {
         self.len = self.len.max(len);
     }
 
+    /// The arena's hot-path invariants by value, for the duration of one
+    /// borrow (see [`ArenaView`]).
+    #[inline(always)]
+    pub(crate) fn view(&self) -> ArenaView<'_> {
+        ArenaView {
+            arena: self,
+            shards: &self.shards,
+            len: self.len,
+            armed: self.armed,
+        }
+    }
+
     /// The cell at `addr`.  Panics when `addr` is outside the logical
     /// size — the same bounds discipline the monolithic `Vec` had.
     #[inline(always)]
@@ -241,10 +253,7 @@ impl Arena {
         );
         // Safety: addr < len ≤ capacity, so the shard exists and was
         // EMPTY-filled before being published by `set_len`.
-        unsafe {
-            let shard = self.shards.get_unchecked(addr >> SHARD_SHIFT);
-            &*shard.cells.as_ptr().add(addr & SHARD_MASK)
-        }
+        unsafe { cell_unchecked(&self.shards, addr) }
     }
 
     /// Hints the cache that the cell at `addr` is about to be accessed.
@@ -404,6 +413,67 @@ impl Arena {
             std::ptr::copy_nonoverlapping(ptr.cast::<u64>().cast_const(), dst.add(done), seg);
             done += seg;
         });
+    }
+}
+
+/// The cell→shard map: shift for the shard, mask for the offset in it.
+///
+/// # Safety
+/// `addr` must lie inside the shards of `shards` that were EMPTY-filled —
+/// below the logical size of the arena they belong to.
+#[inline(always)]
+unsafe fn cell_unchecked(shards: &[Shard], addr: usize) -> &AtomicU64 {
+    let shard = shards.get_unchecked(addr >> SHARD_SHIFT);
+    &*shard.cells.as_ptr().add(addr & SHARD_MASK)
+}
+
+/// What the per-cell path needs of an [`Arena`], **by value**: the logical
+/// length, the shard table and whether writes mark the dirty map.
+///
+/// Cells are reached through raw pointers, so behind every store the
+/// compiler must assume the `Arena` struct itself may have changed and
+/// reload `len`, the table pointer and `armed` through `&Arena`.  A step
+/// cannot change them (growth and arming need `&mut`), so a chunk copies
+/// them out once and its per-processor loop keeps them in registers.
+/// (The closure-free claim, scan and compact kernels still read through
+/// `&Arena`; only the per-processor `MachineProc` path uses the view.)
+#[derive(Clone, Copy)]
+pub(crate) struct ArenaView<'a> {
+    /// Only the cold dirty-page path goes back through the arena.
+    arena: &'a Arena,
+    shards: &'a [Shard],
+    /// The *logical* size: the slack of the last shard stays out of bounds.
+    len: usize,
+    armed: bool,
+}
+
+impl<'a> ArenaView<'a> {
+    /// Logical size in cells.
+    #[inline(always)]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The cell at `addr`.  Panics when `addr` is outside the logical size.
+    #[inline(always)]
+    pub(crate) fn cell(&self, addr: usize) -> &'a AtomicU64 {
+        assert!(
+            addr < self.len,
+            "address {addr} outside shared memory of size {}",
+            self.len
+        );
+        // Safety: addr < len ≤ capacity (the view was taken from an arena
+        // whose `set_len` published `len` cells), as in `Arena::cell`.
+        unsafe { cell_unchecked(self.shards, addr) }
+    }
+
+    /// Records that the cell at `addr` (inside the logical size) was
+    /// written.  One predictable branch while unarmed.
+    #[inline(always)]
+    pub(crate) fn mark(&self, addr: usize) {
+        if self.armed {
+            self.arena.mark_page(addr >> PAGE_SHIFT);
+        }
     }
 }
 

@@ -35,6 +35,17 @@
 //! * each chunk runs one `NativeProc` context with one lazily re-seeded
 //!   RNG slot, re-pointed per virtual processor, instead of constructing a
 //!   context per processor;
+//! * **the inlining rule**: anything a step closure calls per virtual
+//!   processor is `#[inline]` — `NativeProc`'s five [`MachineProc`]
+//!   methods, [`qrqw_sim::proc_rng`], the vendored `SmallRng`'s seeding and
+//!   draw — because step closures are monomorphised in downstream crates
+//!   and every consumer of these crates builds without LTO: without the
+//!   attribute each `ctx.read` is an out-of-line call around a bounds
+//!   check and a load.  The chunk's context also holds the arena's length,
+//!   shard table and armed flag *by value* (`ArenaView`), so the
+//!   per-processor loop does not reload them behind every store.
+//!   `tests/step_kernel_cost.rs` pins the resulting cost against a raw
+//!   loop over a `Vec<AtomicU64>`;
 //! * `claim` keeps its `live` / `cas_won` pass state in reusable
 //!   bitset-backed scratch buffers (one bit per attempt, chunk boundaries
 //!   word-aligned so chunks own whole words), and aggregates contention
@@ -66,7 +77,7 @@ use rand::Rng;
 use qrqw_sim::proc_rng;
 use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
-use crate::arena::{Arena, ArenaStats, PAGE_CELLS};
+use crate::arena::{Arena, ArenaStats, ArenaView, PAGE_CELLS};
 use crate::contention::ContentionCounter;
 use crate::handle::MachineSnapshot;
 use crate::pool::{Schedule, SendPtr, StepPool};
@@ -401,39 +412,45 @@ impl std::fmt::Debug for NativeMachine {
 /// processor, so the observable behaviour is identical to a context per
 /// processor without the per-processor setup.
 struct NativeProc<'a> {
-    arena: &'a Arena,
+    mem: ArenaView<'a>,
     seed: u64,
     step_idx: u64,
     proc: u64,
     rng: Option<SmallRng>,
 }
 
+// Every method is `#[inline]` — the inlining rule of the module docs.
 impl MachineProc for NativeProc<'_> {
+    #[inline]
     fn proc_id(&self) -> u64 {
         self.proc
     }
 
+    #[inline]
     fn read(&mut self, addr: usize) -> u64 {
         assert!(
-            addr < self.arena.len(),
+            addr < self.mem.len(),
             "read of address {addr} outside shared memory of size {}",
-            self.arena.len()
+            self.mem.len()
         );
-        self.arena.cell(addr).load(Ordering::Relaxed)
+        self.mem.cell(addr).load(Ordering::Relaxed)
     }
 
+    #[inline]
     fn write(&mut self, addr: usize, value: u64) {
         assert!(
-            addr < self.arena.len(),
+            addr < self.mem.len(),
             "write of address {addr} outside shared memory of size {}",
-            self.arena.len()
+            self.mem.len()
         );
-        self.arena.cell(addr).store(value, Ordering::Relaxed);
-        self.arena.mark(addr);
+        self.mem.cell(addr).store(value, Ordering::Relaxed);
+        self.mem.mark(addr);
     }
 
+    #[inline]
     fn compute(&mut self, _ops: u64) {}
 
+    #[inline]
     fn random_index(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "random_index bound must be positive");
         if self.rng.is_none() {
@@ -606,13 +623,13 @@ impl Machine for NativeMachine {
     {
         let step_idx = self.steps_executed;
         let seed = self.seed;
-        let arena = &self.arena;
+        let mem = self.arena.view();
         let mut out: Vec<T> = Vec::with_capacity(procs);
         let slots = SendPtr(out.as_mut_ptr());
         let slots = &slots;
         self.pool.dispatch(procs, 1, |lo, hi| {
             let mut ctx = NativeProc {
-                arena,
+                mem,
                 seed,
                 step_idx,
                 proc: 0,
@@ -640,7 +657,7 @@ impl Machine for NativeMachine {
         // same as for a one-processor parallel step.
         let step_idx = self.steps_executed;
         let mut ctx = NativeProc {
-            arena: &self.arena,
+            mem: self.arena.view(),
             seed: self.seed,
             step_idx,
             proc: 0,
@@ -1362,14 +1379,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside shared memory")]
+    #[should_panic(expected = "write of address 64 outside shared memory of size 64")]
     fn growth_mid_step_is_rejected() {
         // Steps may not grow the machine: a processor touching an address
         // beyond the logical length must panic, not silently allocate.
         // One thread so the step closure runs inline and the panic
         // propagates to the caller.
         let mut m = NativeMachine::with_threads(64, 0, 1);
-        let _ = m.par_map(1, |_, ctx| ctx.write(64, 1));
+        m.par_for(1, |_, ctx| ctx.write(64, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "read of address 64 outside shared memory of size 64")]
+    fn reads_in_the_last_shards_slack_are_rejected_too() {
+        // Cell 64 is allocated (a shard holds SHARD_CELLS cells) but lies
+        // past the logical size: the by-value view a chunk checks against
+        // must carry the logical length, not the capacity.
+        let mut m = NativeMachine::with_threads(64, 0, 1);
+        m.par_for(1, |_, ctx| {
+            ctx.read(64);
+        });
     }
 
     #[test]

@@ -81,18 +81,20 @@ pub fn bitonic_sort_segments<M: Machine>(m: &mut M, base: usize, seg_size: usize
     );
     m.ensure_memory(base + seg_size * num_segs);
     let total = seg_size * num_segs;
+    // `seg_size` is a power of two: a mask splits the global index, no
+    // run-time division per processor.
+    let in_seg = seg_size - 1;
     let mut k = 2usize;
     while k <= seg_size {
         let mut j = k / 2;
         while j >= 1 {
             m.par_for(total, |g, ctx| {
-                let seg = g / seg_size;
-                let i = g % seg_size;
+                let i = g & in_seg;
                 let l = i ^ j;
                 if l <= i {
                     return;
                 }
-                let off = base + seg * seg_size;
+                let off = base + (g - i);
                 let a = ctx.read(off + i);
                 let b = ctx.read(off + l);
                 let ascending = (i & k) == 0;
@@ -193,6 +195,45 @@ mod tests {
             assert_eq!(pram.memory().dump(s * size, size), expect);
         }
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
+    }
+
+    #[test]
+    fn segmented_sort_handles_odd_segment_counts_and_keeps_its_trace() {
+        // The mask/offset indexing must agree with `g / seg_size`,
+        // `g % seg_size` for every shape, not just power-of-two totals.
+        let mut rng = SmallRng::seed_from_u64(21);
+        for segs in [1usize, 3, 17] {
+            for size in [2usize, 16, 64] {
+                let data: Vec<u64> = (0..segs * size).map(|_| rng.gen_range(0..500)).collect();
+                let mut pram = Pram::new(5 + segs * size);
+                pram.memory_mut().load(5, &data);
+                bitonic_sort_segments(&mut pram, 5, size, segs);
+                for s in 0..segs {
+                    let mut expect = data[s * size..(s + 1) * size].to_vec();
+                    expect.sort_unstable();
+                    assert_eq!(
+                        pram.memory().dump(5 + s * size, size),
+                        expect,
+                        "segment {s} of {segs} x {size}"
+                    );
+                }
+            }
+        }
+        // Same four accesses per processor at the same addresses as the
+        // division form: the charges of one fixed input, read off it.
+        let data: Vec<u64> = (0..17 * 16).map(|i| (i * 7919 + 13) % 1009).collect();
+        let mut pram = Pram::new(3 + data.len());
+        pram.memory_mut().load(3, &data);
+        bitonic_sort_segments(&mut pram, 3, 16, 17);
+        let trace = pram.trace();
+        assert_eq!(
+            (
+                trace.work(),
+                trace.time(CostModel::Qrqw),
+                trace.max_contention()
+            ),
+            (4082, 20, 1)
+        );
     }
 
     #[test]

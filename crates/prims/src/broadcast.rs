@@ -65,9 +65,17 @@ pub fn duplicate_values<M: Machine>(
     let mut have = 1usize;
     while have < copies {
         let add = have.min(copies - have);
+        // `add == have`, a power of two, in every round but the last: split
+        // the processor index with a shift and a mask there instead of a
+        // run-time division per processor.
+        let pow2 = add.is_power_of_two();
+        let shift = add.trailing_zeros();
         m.par_for(k * add, |p, ctx| {
-            let i = p / add;
-            let j = p % add;
+            let (i, j) = if pow2 {
+                (p >> shift, p & (add - 1))
+            } else {
+                (p / add, p % add)
+            };
             let v = ctx.read(dest_base + i * copies + j);
             ctx.write(dest_base + i * copies + have + j, v);
         });
@@ -160,6 +168,29 @@ mod tests {
         duplicate_values(&mut pram, 0, 2, dest, 7);
         assert!(pram.memory().dump(dest, 7).iter().all(|&v| v == 3));
         assert!(pram.memory().dump(dest + 7, 7).iter().all(|&v| v == 4));
+    }
+
+    #[test]
+    fn duplicate_values_matches_a_host_reference_for_every_round_shape() {
+        // 1: no doubling round; 2 and 8: power-of-two rounds only; 7 and
+        // 2260 (hashing's count at n = 2^16): a non-power-of-two last round.
+        for copies in [1usize, 2, 7, 8, 2260] {
+            let src: Vec<u64> = (0..5).map(|i| 100 + 3 * i).collect();
+            let mut pram = Pram::new(src.len());
+            pram.memory_mut().load(0, &src);
+            let dest = pram.alloc(src.len() * copies);
+            duplicate_values(&mut pram, 0, src.len(), dest, copies);
+            let expect: Vec<u64> = src
+                .iter()
+                .flat_map(|&v| std::iter::repeat_n(v, copies))
+                .collect();
+            assert_eq!(
+                pram.memory().dump(dest, expect.len()),
+                expect,
+                "{copies} copies"
+            );
+            assert_eq!(pram.trace().violations(CostModel::Erew), 0);
+        }
     }
 
     #[test]

@@ -47,16 +47,14 @@ pub fn list_rank<M: Machine>(m: &mut M, base_succ: usize, n: usize, base_rank: u
     let rounds = (usize::BITS - (n - 1).leading_zeros()).max(1);
     for _ in 0..rounds {
         // Publish: every node writes its own cells (exclusive).
-        let snapshot = state.clone();
         m.par_for(n, |i, ctx| {
-            let (rank, succ) = snapshot[i];
+            let (rank, succ) = state[i];
             ctx.write(base_rank + i, rank);
             ctx.write(s_pub + i, succ);
         });
         // Jump: every node reads its unique successor's cells (exclusive).
-        let prev = state.clone();
-        state = m.par_map(n, |i, ctx| {
-            let (rank, succ) = prev[i];
+        let next = m.par_map(n, |i, ctx| {
+            let (rank, succ) = state[i];
             if succ == NIL {
                 return (rank, succ);
             }
@@ -64,6 +62,7 @@ pub fn list_rank<M: Machine>(m: &mut M, base_succ: usize, n: usize, base_rank: u
             let succ_succ = ctx.read(s_pub + succ as usize);
             (rank + succ_rank, succ_succ)
         });
+        state = next;
     }
 
     // Final publish of the converged ranks.

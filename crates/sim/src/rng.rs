@@ -21,6 +21,11 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 
 /// Derives the deterministic random generator for processor `proc` in step
 /// `step` of a run seeded with `seed`.
+///
+/// `#[inline]`: every backend's `random_index` calls this per drawing
+/// processor from step closures monomorphised in downstream crates, which
+/// build without LTO.
+#[inline]
 pub fn proc_rng(seed: u64, step: u64, proc: u64) -> SmallRng {
     let s0 = mix64(seed ^ mix64(step));
     let s1 = mix64(s0 ^ mix64(proc.wrapping_add(0xA5A5_A5A5_A5A5_A5A5)));
