@@ -19,12 +19,12 @@
 //! predicted bound side by side ([`qrqw_sim::BspCost`]), which is what the
 //! `perf_report` harness prints as measured-vs-predicted.
 //!
-//! Because the router's processor-order delivery coincides with the
-//! simulator's write arbitration, every algorithm in the repository runs
-//! bit-identically on `BspMachine` and on the simulator for the same seed —
-//! so the measured queues can be compared step-for-step against the charged
-//! contention (`tests/theorem11.rs` pins measured ≤ charged for the whole
-//! registry).
+//! Because the router's processor-order delivery *is* the simulator's
+//! write arbitration (both run [`qrqw_sim::StepScratch::finish`]), every
+//! algorithm in the repository runs bit-identically on `BspMachine` and on
+//! the simulator for the same seed — so the measured queues can be compared
+//! step-for-step against the charged contention (`tests/theorem11.rs` pins
+//! measured ≤ charged for the whole registry).
 
 #![deny(missing_docs)]
 

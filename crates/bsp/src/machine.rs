@@ -6,8 +6,9 @@
 //! races).  This backend **measures** it: every [`Machine`] step runs as
 //! BSP supersteps — a local-computation phase in which virtual processors
 //! buffer their read/write requests as messages, then a routing phase
-//! ([`crate::router`]) that sorts the traffic by destination cell and
-//! delivers it in batches.  The longest batch any cell accumulates is the
+//! ([`crate::router`]) that walks the traffic in processor order, queues it
+//! per destination cell and delivers it.  The longest queue any cell
+//! accumulates is the
 //! *realized* queue length of the step, recorded per step in
 //! [`BspMachine::queue_profile`] and summed into
 //! [`qrqw_sim::BspCost::measured_cost`]; the Theorem 1.1 formula bound for
@@ -28,17 +29,20 @@
 //!   Section 5.1 protocol as 6 (Exclusive) or 3 (Occupy) message steps of
 //!   its own).
 //! * **Claim semantics** — concurrent writes are arbitrated by the router:
-//!   message batches arrive in processor order, so the lowest processor id
-//!   wins a cell, exactly like the simulator.  Exclusive claims therefore
+//!   messages arrive in processor order, so the lowest processor id wins a
+//!   cell — the simulator's rule, computed by the simulator's own walk.  Exclusive claims therefore
 //!   succeed iff they are the unique live claimant — the same outcome the
 //!   native CAS-plus-poison passes produce — and Occupy hands contested
 //!   cells to the lowest-id claimant (a legal instance of the
 //!   backend-defined "arbitrary" rule).
 //! * **Thread-count invariance** — the compute phase fans out over the
 //!   persistent worker pool ([`qrqw_exec::StepPool`], `QRQW_THREADS` /
-//!   [`BspMachine::with_threads`]), each chunk buffering messages locally;
-//!   the router sorts the merged traffic, so chunk boundaries and buffer
-//!   order are unobservable.
+//!   [`BspMachine::with_threads`]), each chunk buffering messages in its
+//!   own [`qrqw_sim::ChunkLog`] through the simulator's per-processor
+//!   context ([`qrqw_sim::ProcCtx`]: snapshot reads, writes held back until
+//!   routing); the router walks the logs in processor
+//!   order whatever order the chunks finished in, so chunk boundaries and
+//!   thread assignment are unobservable.
 //!
 //! Because routing arbitration coincides with the simulator's, a `BspMachine`
 //! re-executes the simulator's exact trajectory for *every* algorithm in the
@@ -47,7 +51,6 @@
 //! checked cell-for-cell against the contention the simulator charged for
 //! the very same step (see `tests/theorem11.rs`).
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -55,10 +58,10 @@ use rand::Rng;
 use rayon::pool::SendPtr;
 
 use qrqw_exec::StepPool;
-use qrqw_sim::{bsp_emulation_time, claim_by_steps, proc_rng};
+use qrqw_sim::{bsp_emulation_time, claim_by_steps, proc_rng, ProcCtx, StepScratch};
 use qrqw_sim::{BspCost, ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
-use crate::router::{self, RoutedStep};
+use crate::router::{RoutedStep, Router};
 
 /// Environment variable overriding the number of BSP components (`p` in the
 /// Theorem 1.1 bound).  Must be an integer ≥ 2 when set; anything else
@@ -106,6 +109,8 @@ pub struct BspMachine {
     claim_attempts: u64,
     claim_failures: u64,
     stats: BspStats,
+    scratch: StepScratch,
+    router: Router,
 }
 
 impl BspMachine {
@@ -149,6 +154,8 @@ impl BspMachine {
             claim_attempts: 0,
             claim_failures: 0,
             stats: BspStats::default(),
+            scratch: StepScratch::default(),
+            router: Router::new(components as usize),
         }
     }
 
@@ -187,7 +194,7 @@ impl BspMachine {
     }
 
     /// Runs one message step: compute phase over the pool (processors
-    /// buffer requests per chunk), routing phase (sort, measure, deliver),
+    /// buffer requests per chunk), routing phase (walk, measure, deliver),
     /// then the bookkeeping that one step-index advance owes the stats.
     fn exec_step<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
     where
@@ -197,38 +204,34 @@ impl BspMachine {
         let step_idx = self.steps_executed;
         let seed = self.seed;
         let cells = &self.cells[..];
+        self.scratch.begin_step();
+        let scratch = &self.scratch;
         let mut out: Vec<T> = Vec::with_capacity(procs);
         let slots = SendPtr(out.as_mut_ptr());
         let slots = &slots;
-        let chunk_logs: Mutex<Vec<ChunkLog>> = Mutex::new(Vec::new());
         self.pool.dispatch(procs, 1, |lo, hi| {
-            let mut ctx = BspProc::new(cells, seed, step_idx);
+            let mut log = scratch.take_log(lo);
+            let mut ctx = ProcCtx::new(cells, seed, step_idx, &mut log);
             for p in lo..hi {
                 ctx.begin(p as u64);
                 let value = f(p, &mut ctx);
-                // Safety: each index is written exactly once, chunks are
-                // disjoint, and `set_len` happens after the dispatch barrier.
+                // SAFETY: each index is written exactly once and chunks are
+                // disjoint.
                 unsafe { slots.0.add(p).write(value) };
                 ctx.end();
             }
-            chunk_logs.lock().unwrap().push(ctx.log);
+            scratch.put_log(log);
         });
+        // SAFETY: the dispatch is a barrier, so all `procs` slots are
+        // initialized; on a chunk panic it re-throws before here.
         unsafe { out.set_len(procs) };
 
-        // Merge the chunk buffers.  Order is irrelevant: the router sorts
-        // every message by destination before measuring or delivering.
-        let mut log = ChunkLog::default();
-        for chunk in chunk_logs.into_inner().unwrap() {
-            log.reads.extend_from_slice(&chunk.reads);
-            log.writes.extend_from_slice(&chunk.writes);
-            log.active += chunk.active;
-            log.max_substep_ops = log.max_substep_ops.max(chunk.max_substep_ops);
-        }
-        let routed = router::route(log.reads, log.writes, self.components as usize);
-        for &(addr, value) in &routed.winners {
-            self.cells[addr] = value;
-        }
-        self.record_message_step(&routed, log.active, log.max_substep_ops);
+        let (procs_stats, routed) = self.router.route(&mut self.scratch, &mut self.cells);
+        self.record_message_step(
+            &routed,
+            procs_stats.active_procs,
+            procs_stats.max_ops_per_proc,
+        );
         self.steps_executed += 1;
         out
     }
@@ -304,110 +307,6 @@ fn components_from_env_value(raw: Option<&str>) -> Result<u64, String> {
 fn components_from_env() -> u64 {
     let raw = std::env::var(COMPONENTS_ENV).ok();
     components_from_env_value(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Message buffers of one compute-phase chunk.
-#[derive(Debug, Default)]
-struct ChunkLog {
-    /// Buffered read requests `(addr, proc)`.
-    reads: Vec<(usize, u64)>,
-    /// Buffered write messages `(addr, proc, value)`.
-    writes: Vec<(usize, u64, u64)>,
-    /// Processors that issued at least one operation.
-    active: u64,
-    /// Max over processors of `max(reads, writes, computes)` — the `m` of
-    /// the Definition 2.3 charge, counted exactly like the simulator.
-    max_substep_ops: u64,
-}
-
-/// Per-chunk processor context: reads the start-of-step snapshot directly
-/// (no write is delivered before routing), buffers writes as messages.
-struct BspProc<'a> {
-    cells: &'a [u64],
-    seed: u64,
-    step_idx: u64,
-    proc: u64,
-    rng: Option<SmallRng>,
-    log: ChunkLog,
-    cur_reads: u64,
-    cur_writes: u64,
-    cur_computes: u64,
-}
-
-impl<'a> BspProc<'a> {
-    fn new(cells: &'a [u64], seed: u64, step_idx: u64) -> Self {
-        BspProc {
-            cells,
-            seed,
-            step_idx,
-            proc: 0,
-            rng: None,
-            log: ChunkLog::default(),
-            cur_reads: 0,
-            cur_writes: 0,
-            cur_computes: 0,
-        }
-    }
-
-    fn begin(&mut self, proc: u64) {
-        self.proc = proc;
-        self.rng = None;
-        self.cur_reads = 0;
-        self.cur_writes = 0;
-        self.cur_computes = 0;
-    }
-
-    fn end(&mut self) {
-        if self.cur_reads + self.cur_writes + self.cur_computes > 0 {
-            self.log.active += 1;
-        }
-        self.log.max_substep_ops = self
-            .log
-            .max_substep_ops
-            .max(self.cur_reads)
-            .max(self.cur_writes)
-            .max(self.cur_computes);
-    }
-}
-
-impl MachineProc for BspProc<'_> {
-    fn proc_id(&self) -> u64 {
-        self.proc
-    }
-
-    fn read(&mut self, addr: usize) -> u64 {
-        assert!(
-            addr < self.cells.len(),
-            "read of address {addr} outside shared memory of size {}",
-            self.cells.len()
-        );
-        self.cur_reads += 1;
-        self.log.reads.push((addr, self.proc));
-        self.cells[addr]
-    }
-
-    fn write(&mut self, addr: usize, value: u64) {
-        assert!(
-            addr < self.cells.len(),
-            "write of address {addr} outside shared memory of size {}",
-            self.cells.len()
-        );
-        self.cur_writes += 1;
-        self.log.writes.push((addr, self.proc, value));
-    }
-
-    fn compute(&mut self, ops: u64) {
-        self.cur_computes += ops;
-    }
-
-    fn random_index(&mut self, bound: usize) -> usize {
-        assert!(bound > 0, "random_index bound must be positive");
-        self.cur_computes += 1;
-        if self.rng.is_none() {
-            self.rng = Some(proc_rng(self.seed, self.step_idx, self.proc));
-        }
-        self.rng.as_mut().unwrap().gen_range(0..bound)
-    }
 }
 
 /// Write-through context for [`Machine::seq_step`]: one processor on one
@@ -593,8 +492,8 @@ impl Machine for BspMachine {
     /// The Section 5.1 protocol, step for step like the simulator
     /// ([`claim_by_steps`]), each pass a routed message step whose queues
     /// are measured — the longest S2 write batch *is* the realized
-    /// contention of the claim.  The router's processor-order delivery makes
-    /// the write arbitration identical to the simulator's lowest-id rule.
+    /// contention of the claim.  The router's processor-order delivery is
+    /// the simulator's lowest-id write arbitration.
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
         let (success, live, contended) = claim_by_steps(self, attempts, mode);
         self.claim_attempts += live;

@@ -18,7 +18,8 @@
 //!   verify-and-restore pass, separated by barriers.  Exclusive claims are
 //!   therefore exactly as deterministic as on the simulator — an attempt
 //!   succeeds iff it is the only live claim on its cell — while occupy
-//!   claims hand the cell to whichever thread wins the CAS.
+//!   claims hand the cell to the lowest claimant index (a `fetch_min`
+//!   bidding pass), whichever thread gets there first.
 //!
 //! # Execution hot path
 //!

@@ -63,7 +63,8 @@
 //!   pooled-threads/atomics machine in `qrqw-exec`, so each algorithm is written once
 //!   and runs on either substrate.
 //! * [`memory`] — the flat shared memory and the `EMPTY` sentinel.
-//! * [`step`] — [`StepCtx`] / [`ProcCtx`]: the per-step, per-processor API.
+//! * [`step`] — [`StepCtx`] / [`ProcCtx`]: the per-step, per-processor API,
+//!   and the step accounting ([`StepScratch`]) both model backends share.
 //! * [`stats`] — [`StepStats`] and [`Trace`].
 //! * [`model`] — the [`CostModel`] enumeration and per-step cost functions.
 //! * [`pram`] — the [`Pram`] driver tying everything together.
@@ -92,4 +93,4 @@ pub use schedule::{
     GeometricDecayCheck, SpawningProfile,
 };
 pub use stats::{StepStats, Trace, TraceSummary};
-pub use step::{ProcCtx, StepCtx};
+pub use step::{ChunkLog, ProcCtx, StepCtx, StepScratch, StepSink};

@@ -47,7 +47,12 @@
 //!    scheduler-ordered.  Cross-processor races are expressed through
 //!    [`Machine::claim`], whose outcome is well-defined on both backends.
 //!    (Concurrent *reads* of a location no processor writes in the step are
-//!    always fine — that is the Q in QRQW.)
+//!    always fine — that is the Q in QRQW.)  The arbitration the model
+//!    backends apply is: **the lowest processor id wins a cell; among that
+//!    processor's writes to it, the last in program order lands.**  The
+//!    second half holds on every backend — a processor may overwrite its
+//!    own cell within a step, as a native thread's later store does — and
+//!    is not contention.
 //! 4. **Claim semantics.**  [`ClaimMode::Exclusive`] is fully deterministic:
 //!    an attempt succeeds iff it is the only live claim on its cell, so
 //!    algorithms built on exclusive claims (e.g. random permutation) produce
@@ -109,22 +114,27 @@ pub trait MachineProc {
 }
 
 impl MachineProc for ProcCtx<'_> {
+    #[inline]
     fn proc_id(&self) -> u64 {
         ProcCtx::proc_id(self)
     }
 
+    #[inline]
     fn read(&mut self, addr: usize) -> u64 {
         ProcCtx::read(self, addr)
     }
 
+    #[inline]
     fn write(&mut self, addr: usize, value: u64) {
         ProcCtx::write(self, addr, value)
     }
 
+    #[inline]
     fn compute(&mut self, ops: u64) {
         ProcCtx::compute(self, ops)
     }
 
+    #[inline]
     fn random_index(&mut self, bound: usize) -> usize {
         ProcCtx::random_index(self, bound)
     }
@@ -423,8 +433,8 @@ pub trait Machine {
 /// The Section 5.1 cell-claiming protocol written out as six (Exclusive)
 /// or three (Occupy) ordinary [`Machine::par_map`] / [`Machine::par_for`]
 /// steps — the [`Machine::claim`] of every backend whose concurrent writes
-/// are arbitrated lowest-processor-id-first (the simulator's write rule,
-/// the BSP router's delivery order).  Returns the success vector plus
+/// are arbitrated lowest-processor-id-first (the simulator and the BSP
+/// router, which share one walk: [`crate::StepScratch::finish`]).  Returns the success vector plus
 /// `(live attempts, contended attempts)` for the caller's own counters.
 pub fn claim_by_steps<M: Machine>(
     m: &mut M,

@@ -7,7 +7,7 @@ use crate::machine::MachineProc;
 use crate::memory::SharedMemory;
 use crate::rng::proc_rng;
 use crate::stats::{StepStats, Trace};
-use crate::step::StepCtx;
+use crate::step::{StepCtx, StepScratch};
 
 /// A simulated PRAM: shared memory, a master random seed, and the trace of
 /// every step executed so far.
@@ -24,6 +24,7 @@ pub struct Pram {
     created: std::time::Instant,
     claim_attempts: u64,
     claim_failures: u64,
+    scratch: StepScratch,
 }
 
 impl Pram {
@@ -44,6 +45,7 @@ impl Pram {
             created: std::time::Instant::now(),
             claim_attempts: 0,
             claim_failures: 0,
+            scratch: StepScratch::default(),
         }
     }
 
@@ -133,16 +135,19 @@ impl Pram {
     /// Inside the closure, launch virtual processors with
     /// [`StepCtx::par_map`] / [`StepCtx::par_for`].  All reads observe the
     /// memory as it was when the step began; all writes take effect when the
-    /// step ends (lowest-processor-id winner for concurrent writes).  The
-    /// step's statistics are appended to the trace.
+    /// step ends (the lowest processor id wins a concurrently written cell,
+    /// and its last write to it lands).  The step's statistics are appended
+    /// to the trace.
+    ///
+    /// # Panics
+    ///
+    /// If two launches inside `f` overlap in processor ids.
     pub fn step<R>(&mut self, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
         let step_idx = self.steps_executed;
-        let mut ctx = StepCtx::new(self.mem.as_slice(), self.seed, step_idx);
+        self.scratch.begin_step();
+        let mut ctx = StepCtx::new(self.mem.as_slice(), self.seed, step_idx, &self.scratch);
         let result = f(&mut ctx);
-        let (stats, writes) = ctx.finish();
-        for (addr, value) in writes {
-            self.mem.apply(addr, value);
-        }
+        let stats = self.scratch.finish(self.mem.len(), &mut self.mem);
         self.trace.push(stats);
         self.steps_executed += 1;
         result

@@ -285,6 +285,26 @@ pub fn seq_step_sees_same_step_writes<M: Machine>(mk: impl Fn(usize, u64) -> M) 
     assert_eq!(a, b);
 }
 
+/// Backend-contract rule 3's arbitration: the lowest processor id wins a
+/// cell, and among that processor's writes to it the last in program order
+/// lands — what a native thread does, and what the model backends' walk
+/// delivers.  A processor re-writing its own cell is not contention.
+pub fn repeated_writes_by_one_processor_land_in_program_order<M: Machine>(
+    mk: impl Fn(usize, u64) -> M,
+) {
+    let mut m = mk(16, 0);
+    let b = m.alloc(64);
+    m.par_for(64, |p, ctx| {
+        ctx.write(b + p, 7);
+        ctx.write(b + p, 3);
+        ctx.write(b + p, 5);
+    });
+    assert_eq!(m.dump(b, 64), vec![5; 64], "{}", m.backend());
+    if let Some(contention) = m.cost_report().max_contention {
+        assert_eq!(contention, 1, "own re-writes are not write contention");
+    }
+}
+
 /// The built-in scan and global-OR primitives return the reference's
 /// results and leave the same memory behind.
 pub fn scan_and_global_or_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
@@ -498,6 +518,11 @@ macro_rules! parity_suite {
             #[test]
             fn seq_step_sees_same_step_writes() {
                 crate::common::parity::seq_step_sees_same_step_writes($mk);
+            }
+
+            #[test]
+            fn repeated_writes_by_one_processor_land_in_program_order() {
+                crate::common::parity::repeated_writes_by_one_processor_land_in_program_order($mk);
             }
 
             #[test]
