@@ -22,7 +22,7 @@
 //! The successor relation *is* the cyclic permutation: `successor[i] = j`
 //! means `π(i) = j`.
 
-use qrqw_prims::{claim_cells, ClaimMode};
+use qrqw_prims::{ClaimMode, TeamDarts};
 use qrqw_sim::schedule::{ceil_lg, lg_lg, log_star, sqrt_lg};
 use qrqw_sim::{Machine, MachineProc, EMPTY};
 
@@ -98,76 +98,27 @@ fn place_items<M: Machine>(
     darts_per_item: usize,
 ) -> (Vec<usize>, bool, u64) {
     let mut cells = vec![usize::MAX; n];
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut rounds = 0u64;
     let max_rounds = 6 + 2 * log_star(n.max(2) as u64);
     let mut q = darts_per_item.max(1);
     let q_cap = ceil_lg(n.max(2) as u64).max(2) as usize;
 
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
-        let k = active.len();
-        let active_ref = &active;
-        let targets: Vec<usize> = m.par_map(k * q, |_a, ctx| arena + ctx.random_index(size));
-        let attempts: Vec<(u64, usize)> = (0..k * q)
-            .map(|a| {
-                let item = active_ref[a / q];
-                let member = (a % q) as u64;
-                (member * n as u64 + item as u64 + 1, targets[a])
-            })
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Exclusive);
-
-        // Keep the first claimed cell per item, mark the rest unclaimed
-        // (step 2 of Theorem 5.2), and stamp the kept cell with the item id.
-        let mut keep: Vec<Option<usize>> = vec![None; k];
-        for a in 0..k * q {
-            if won[a] && keep[a / q].is_none() {
-                keep[a / q] = Some(a);
-            }
-        }
-        let (keep_ref, attempts_ref, won_ref) = (&keep, &attempts, &won);
-        m.par_for(k * q, |a, ctx| {
-            if !won_ref[a] {
-                return;
-            }
-            if keep_ref[a / q] == Some(a) {
-                ctx.write(attempts_ref[a].1, active_ref[a / q] as u64);
-            } else {
-                ctx.write(attempts_ref[a].1, EMPTY);
-            }
-        });
-        let mut still = Vec::new();
-        for (slot, &item) in active.iter().enumerate() {
-            match keep[slot] {
-                Some(a) => cells[item] = attempts[a].1,
-                None => still.push(item),
-            }
-        }
-        active = still;
+    // Step 2 of Theorem 5.2: an item keeps the first cell its team claimed
+    // uncontested, stamped with the item id, and marks the rest unclaimed.
+    let mut darts = TeamDarts::new((0..n).collect(), n, ClaimMode::Exclusive);
+    while !darts.live().is_empty() && darts.rounds() < max_rounds {
+        darts.throw(m, q, |_item, ctx| arena + ctx.random_index(size));
+        darts.settle(m, 0, |item| item as u64, |item, addr| cells[item] = addr);
         q = (q * 2).min(q_cap);
     }
+    let rounds = darts.rounds();
 
-    let fallback = !active.is_empty();
-    if fallback {
-        // Sequential Las-Vegas clean-up: one shared-cursor walk of the arena.
-        let mut cursor = 0usize;
-        let spots = qrqw_prims::seq_place_leftovers(
-            m,
-            &active,
-            |_item| {
-                (cursor < size).then(|| {
-                    cursor += 1;
-                    arena + cursor - 1
-                })
-            },
-            |item| item as u64,
-        );
-        for (item, addr) in spots {
-            cells[item] = addr.expect("the dart arena has at least 2n free cells");
-        }
+    // Sequential Las-Vegas clean-up: one shared-cursor walk of the arena.
+    let mut walk = arena..arena + size;
+    let leftovers = darts.finish(m, |_item| walk.next(), |item| item as u64);
+    for &(item, addr) in &leftovers {
+        cells[item] = addr.expect("the dart arena has at least 2n free cells");
     }
-    (cells, fallback, rounds)
+    (cells, !leftovers.is_empty(), rounds)
 }
 
 /// Finds, for every placed item, the item occupying the next non-empty cell

@@ -26,7 +26,7 @@
 //! Lookups recompute the first-level function (same duplicated reads), read
 //! the bucket's directory entry and probe one cell of its block.
 
-use qrqw_prims::{claim_cells, duplicate_values, ClaimMode};
+use qrqw_prims::{duplicate_values, ClaimMode};
 use qrqw_sim::schedule::lg_lg;
 use qrqw_sim::{Machine, EMPTY};
 use rand::rngs::SmallRng;
@@ -118,9 +118,13 @@ impl QrqwHashTable {
     /// on any [`Machine`] backend.  Host-side random draws (the hash
     /// functions themselves) come from a `SmallRng` seeded by the machine
     /// seed, so two backends with the same seed build with the same hash
-    /// functions; the occupy-mode block claims may still resolve
-    /// differently, so the resulting tables are semantically equivalent
-    /// (identical membership answers) rather than bit-identical.
+    /// functions, and the occupy-mode block claims go to the lowest claimant
+    /// index on every backend (the determinism contract's claim rule, pinned
+    /// by `tests/determinism.rs`), so the same seed takes the same build
+    /// trajectory everywhere: the same buckets win the same blocks in the
+    /// same iterations, with the same step count and contention totals.
+    /// Only the residue in blocks a failed iteration abandoned may differ —
+    /// two keys colliding inside a block are plain racing writes.
     pub fn build<M: Machine>(m: &mut M, keys: &[u64]) -> QrqwHashTable {
         let n = keys.len().max(1);
         assert!(
@@ -189,7 +193,7 @@ impl QrqwHashTable {
                 .zip(&picks)
                 .map(|(&b, &blk)| (b as u64 + 1, blocks + blk * (x_t + 1)))
                 .collect();
-            let won = claim_cells(m, &attempts, ClaimMode::Occupy);
+            let won = m.claim(&attempts, ClaimMode::Occupy);
 
             // Hashing substep: claimed buckets try a random linear function.
             let mut sec: Vec<(u64, u64)> = Vec::with_capacity(active.len());

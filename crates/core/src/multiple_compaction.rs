@@ -25,10 +25,10 @@
 //! for a single-pass sort.  This is recorded in DESIGN.md.
 
 use qrqw_prims::{
-    claim_cells, prefix_sums_exclusive, propagate_nonempty_forward, radix_sort_packed, ClaimMode,
+    prefix_sums_exclusive, propagate_nonempty_forward, radix_sort_packed, ClaimMode, TeamDarts,
 };
 use qrqw_sim::schedule::{ceil_lg, log_star};
-use qrqw_sim::{Machine, EMPTY};
+use qrqw_sim::{Machine, MachineProc};
 
 /// The position of every label's private subarray inside the output array.
 #[derive(Debug, Clone)]
@@ -93,10 +93,37 @@ pub fn build_layout<M: Machine>(m: &mut M, counts: &[u64]) -> McLayout {
     }
 }
 
+/// A team member's dart: a random slot of its item's label subarray.
+fn random_subarray_cell(
+    labels: &[u64],
+    layout: &McLayout,
+    item: usize,
+    ctx: &mut dyn MachineProc,
+) -> usize {
+    let label = labels[item] as usize;
+    layout.cell(label, ctx.random_index(layout.subarray_len[label].max(1)))
+}
+
+/// The candidate stream of the sequential clean-up: one cursor per label,
+/// each walking its label's subarray once and then exhausted.
+fn label_cursors<'a>(
+    labels: &'a [u64],
+    layout: &'a McLayout,
+) -> impl FnMut(usize) -> Option<usize> + 'a {
+    let mut cursors: std::collections::HashMap<usize, usize> = Default::default();
+    move |item| {
+        let label = labels[item] as usize;
+        let cur = cursors.entry(label).or_insert(0);
+        (*cur < layout.subarray_len[label]).then(|| {
+            *cur += 1;
+            layout.cell(label, *cur - 1)
+        })
+    }
+}
+
 /// Places the given items into their label subarrays by log-star
-/// dart-throwing (the heavy algorithm of Section 4.1); used by both the
-/// heavy case and, internally, by the sorting algorithms of Section 7 that
-/// call "relaxed heavy multiple compaction".
+/// dart-throwing (the heavy algorithm of Section 4.1), leaving each claimed
+/// cell holding its item's index.
 fn place_by_dart_throwing<M: Machine>(
     m: &mut M,
     items: &[usize],
@@ -106,92 +133,35 @@ fn place_by_dart_throwing<M: Machine>(
     relaxed: bool,
 ) -> (bool, u64) {
     let n = labels.len().max(2);
-    let mut active: Vec<usize> = items.to_vec();
     let team_cap = ceil_lg(n as u64).max(2);
     let mut team: u64 = 1;
-    let mut rounds = 0u64;
     let max_rounds = 8 + 2 * log_star(n as u64);
-    let mut failed = false;
 
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
-        let q = team as usize;
-        let k = active.len();
-
-        // Every team member picks a random slot inside its item's subarray.
-        let active_ref = &active;
-        let targets: Vec<usize> = m.par_map(k * q, |a, ctx| {
-            let item = active_ref[a / q];
-            let label = labels[item] as usize;
-            let len = layout.subarray_len[label];
-            layout.cell(label, ctx.random_index(len.max(1)))
+    let mut darts = TeamDarts::new(items.to_vec(), n, ClaimMode::Occupy);
+    while !darts.live().is_empty() && darts.rounds() < max_rounds {
+        darts.throw(m, team as usize, |item, ctx| {
+            random_subarray_cell(labels, layout, item, ctx)
         });
-        let attempts: Vec<(u64, usize)> = (0..k * q)
-            .map(|a| {
-                let item = active[a / q];
-                let member = (a % q) as u64;
-                (member * n as u64 + item as u64 + 1, targets[a])
-            })
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Occupy);
-
-        // Keep the first successful copy per item, release the others, and
-        // stamp the winning cell with the item's index.
-        let mut keep: Vec<Option<usize>> = vec![None; k];
-        for a in 0..k * q {
-            if won[a] && keep[a / q].is_none() {
-                keep[a / q] = Some(a);
-            }
-        }
-        let (keep_ref, attempts_ref, won_ref) = (&keep, &attempts, &won);
-        m.par_for(k * q, |a, ctx| {
-            ctx.compute(1);
-            if !won_ref[a] {
-                return;
-            }
-            let slot = a / q;
-            if keep_ref[slot] == Some(a) {
-                ctx.write(attempts_ref[a].1, active_ref[slot] as u64);
-            } else {
-                ctx.write(attempts_ref[a].1, EMPTY);
-            }
-        });
-
-        let mut still = Vec::new();
-        for (slot, &item) in active.iter().enumerate() {
-            match keep[slot] {
-                Some(a) => positions[item] = attempts[a].1,
-                None => still.push(item),
-            }
-        }
-        active = still;
+        // one compute per team member for the team-internal select
+        darts.settle(
+            m,
+            1,
+            |item| item as u64,
+            |item, addr| positions[item] = addr,
+        );
         team = (1u64 << team.min(6)).min(team_cap).max(team + 1);
     }
+    let rounds = darts.rounds();
 
     // Las-Vegas clean-up (or relaxed failure report): one sequential step
     // scans each leftover label's subarray for free cells.
-    if !active.is_empty() {
-        let mut cursors: std::collections::HashMap<usize, usize> = Default::default();
-        let placed = qrqw_prims::seq_place_leftovers(
-            m,
-            &active,
-            |item| {
-                let label = labels[item] as usize;
-                let cur = cursors.entry(label).or_insert(0);
-                (*cur < layout.subarray_len[label]).then(|| {
-                    *cur += 1;
-                    layout.cell(label, *cur - 1)
-                })
-            },
-            |item| item as u64,
-        );
-        for (item, spot) in placed {
-            match spot {
-                Some(addr) => positions[item] = addr,
-                None => {
-                    failed = true;
-                    assert!(relaxed, "multiple compaction overflowed a subarray whose count was promised to be an upper bound");
-                }
+    let mut failed = false;
+    for (item, spot) in darts.finish(m, label_cursors(labels, layout), |item| item as u64) {
+        match spot {
+            Some(addr) => positions[item] = addr,
+            None => {
+                failed = true;
+                assert!(relaxed, "multiple compaction overflowed a subarray whose count was promised to be an upper bound");
             }
         }
     }
@@ -210,75 +180,23 @@ pub(crate) fn place_values<M: Machine>(
     layout: &McLayout,
 ) -> bool {
     let n = keys.len();
-    let mut active: Vec<usize> = (0..n).collect();
     let mut team = 1usize;
     let team_cap = ceil_lg(n as u64).max(2) as usize;
     let max_rounds = 8 + 2 * log_star(n as u64);
-    let mut rounds = 0;
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
-        let q = team;
-        let k = active.len();
-        let active_ref = &active;
-        let targets: Vec<usize> = m.par_map(k * q, |a, ctx| {
-            let item = active_ref[a / q];
-            let label = labels[item] as usize;
-            layout.cell(label, ctx.random_index(layout.subarray_len[label].max(1)))
+
+    let mut darts = TeamDarts::new((0..n).collect(), n, ClaimMode::Occupy);
+    while !darts.live().is_empty() && darts.rounds() < max_rounds {
+        darts.throw(m, team, |item, ctx| {
+            random_subarray_cell(labels, layout, item, ctx)
         });
-        let attempts: Vec<(u64, usize)> = (0..k * q)
-            .map(|a| {
-                (
-                    (a % q) as u64 * n as u64 + active[a / q] as u64 + 1,
-                    targets[a],
-                )
-            })
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Occupy);
-        let mut keep: Vec<Option<usize>> = vec![None; k];
-        for a in 0..k * q {
-            if won[a] && keep[a / q].is_none() {
-                keep[a / q] = Some(a);
-            }
-        }
-        let (keep_ref, attempts_ref, won_ref) = (&keep, &attempts, &won);
-        m.par_for(k * q, |a, ctx| {
-            if !won_ref[a] {
-                return;
-            }
-            let slot = a / q;
-            if keep_ref[slot] == Some(a) {
-                ctx.write(attempts_ref[a].1, keys[active_ref[slot]]);
-            } else {
-                ctx.write(attempts_ref[a].1, EMPTY);
-            }
-        });
-        active = active
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| keep[slot].is_none())
-            .map(|(_, &item)| item)
-            .collect();
+        darts.settle(m, 0, |item| keys[item], |_item, _addr| {});
         team = (team * 4).min(team_cap);
     }
-    if active.is_empty() {
-        return true;
-    }
     // Sequential Las-Vegas clean-up; an exhausted subarray reports failure.
-    let mut cursors: std::collections::HashMap<usize, usize> = Default::default();
-    let placed = qrqw_prims::seq_place_leftovers(
-        m,
-        &active,
-        |item| {
-            let label = labels[item] as usize;
-            let cur = cursors.entry(label).or_insert(0);
-            (*cur < layout.subarray_len[label]).then(|| {
-                *cur += 1;
-                layout.cell(label, *cur - 1)
-            })
-        },
-        |item| keys[item],
-    );
-    placed.iter().all(|&(_, spot)| spot.is_some())
+    darts
+        .finish(m, label_cursors(labels, layout), |item| keys[item])
+        .iter()
+        .all(|&(_, spot)| spot.is_some())
 }
 
 /// The heavy multiple-compaction algorithm (Lemma 4.2): every count is at
@@ -480,6 +398,21 @@ mod tests {
             let hi = lo + result.layout.subarray_len[label];
             assert!(pos >= lo && pos < hi, "item {item} outside its subarray");
         }
+    }
+
+    #[test]
+    fn label_cursors_walk_each_subarray_once_and_then_report_it_exhausted() {
+        let layout = McLayout {
+            b_base: 10,
+            b_len: 6,
+            subarray_offset: vec![0, 4, 4],
+            subarray_len: vec![4, 0, 2],
+        };
+        let labels = [2u64, 0, 2, 2, 1];
+        let mut next = label_cursors(&labels, &layout);
+        let got: Vec<_> = [0, 1, 2, 3, 4, 1].into_iter().map(&mut next).collect();
+        // label 2 runs out after two cells, label 1 owns none
+        assert_eq!(got, [Some(14), Some(10), Some(15), None, None, Some(11)]);
     }
 
     #[test]

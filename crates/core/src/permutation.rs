@@ -26,7 +26,7 @@
 //! throwers produce *bit-identical* permutations on both backends for the
 //! same seed.
 
-use qrqw_prims::{bitonic_sort, claim_cells, compact_erew, global_or, ClaimMode};
+use qrqw_prims::{bitonic_sort, compact_erew, global_or, ClaimMode};
 use qrqw_sim::schedule::lg_lg;
 use qrqw_sim::{Machine, EMPTY};
 
@@ -101,7 +101,7 @@ pub fn random_permutation_qrqw<M: Machine>(m: &mut M, n: usize) -> PermutationOu
         let attempts: Vec<(u64, usize)> = m.par_map(active.len(), |a, ctx| {
             (active[a] as u64, sub_base + ctx.random_index(sub_len))
         });
-        let won = claim_cells(m, &attempts, ClaimMode::Exclusive);
+        let won = m.claim(&attempts, ClaimMode::Exclusive);
         let mut survived = won.iter();
         active.retain(|_| !*survived.next().unwrap());
     }
@@ -176,13 +176,10 @@ pub fn random_permutation_dart_scan<M: Machine>(m: &mut M, n: usize) -> Permutat
 
     while !active.is_empty() && rounds < max_rounds {
         rounds += 1;
-        let targets: Vec<usize> = m.par_map(active.len(), |_a, ctx| arena + ctx.random_index(n));
-        let attempts: Vec<(u64, usize)> = active
-            .iter()
-            .zip(&targets)
-            .map(|(&item, &t)| (item as u64, t))
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Exclusive);
+        let attempts: Vec<(u64, usize)> = m.par_map(active.len(), |a, ctx| {
+            (active[a] as u64, arena + ctx.random_index(n))
+        });
+        let won = m.claim(&attempts, ClaimMode::Exclusive);
 
         // Winners publish a flag at their cell; a scan (MasPar `enumerate`)
         // ranks them and they transfer themselves to the output positions

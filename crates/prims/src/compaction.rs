@@ -31,48 +31,7 @@
 use qrqw_sim::schedule::ceil_lg;
 use qrqw_sim::{Machine, EMPTY};
 
-use crate::claim::{claim_cells, ClaimMode};
-
-/// The shared sequential Las-Vegas clean-up walk behind every dart-throwing
-/// algorithm's fallback path: for each leftover `item`, advance its
-/// candidate-cell stream (`candidates(item)`, `None` = exhausted) until an
-/// [`EMPTY`] cell turns up, write `value_of(item)` there, and report the
-/// cell.  Runs as one [`Machine::seq_step`], so the walk observes its own
-/// placements immediately on every backend — the property the fallbacks
-/// need to stay injective.
-///
-/// `candidates` is stateful across items (a shared cursor models one
-/// processor scanning an arena; per-label cursors model one scan per
-/// subarray), which is exactly how the w.h.p.-dead tails of Sections 4–7
-/// are specified.
-pub fn seq_place_leftovers<M, C, V>(
-    m: &mut M,
-    items: &[usize],
-    mut candidates: C,
-    value_of: V,
-) -> Vec<(usize, Option<usize>)>
-where
-    M: Machine,
-    C: FnMut(usize) -> Option<usize>,
-    V: Fn(usize) -> u64,
-{
-    m.seq_step(|ctx| {
-        items
-            .iter()
-            .map(|&item| {
-                let mut found = None;
-                while let Some(addr) = candidates(item) {
-                    if ctx.read(addr) == EMPTY {
-                        ctx.write(addr, value_of(item));
-                        found = Some(addr);
-                        break;
-                    }
-                }
-                (item, found)
-            })
-            .collect()
-    })
-}
+use crate::claim::{ClaimMode, TeamDarts};
 
 /// Moves the non-empty cells of `[src_base, src_base+n)` to the front of
 /// `[dst_base, dst_base+n)` in their original order, returning how many
@@ -117,8 +76,8 @@ pub fn linear_compaction<M: Machine>(
     // Each processor inspects its own cell (one read each) and the hosts of
     // non-empty cells become the active item set.
     let occupied: Vec<bool> = m.par_map(n, |i, ctx| ctx.read(src_base + i) != EMPTY);
-    let mut active: Vec<usize> = (0..n).filter(|&i| occupied[i]).collect();
-    let count = active.len();
+    let items: Vec<usize> = (0..n).filter(|&i| occupied[i]).collect();
+    let count = items.len();
     assert!(
         count == 0 || dst_size >= 4 * count,
         "linear compaction needs an output array of size >= 4k (k = {count}, dst_size = {dst_size})"
@@ -126,99 +85,37 @@ pub fn linear_compaction<M: Machine>(
 
     let team_cap = (2 * ceil_lg(n.max(2) as u64)).max(2);
     let mut team: u64 = 1;
-    let mut rounds = 0u64;
     let max_rounds = 4 + 2 * qrqw_sim::schedule::log_star(n.max(2) as u64);
     let mut placements: Vec<(usize, usize)> = Vec::with_capacity(count);
 
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
-        let q = team as usize;
-        let k_active = active.len();
-
-        // Every team member picks a random target cell (one accounted
-        // random draw per member).
-        let targets: Vec<usize> = m.par_map(k_active * q, |_a, ctx| ctx.random_index(dst_size));
-
-        // Claim attempts: tag = member * n + source_index + 1 (unique, below
-        // EMPTY for all simulated sizes).
-        let attempts: Vec<(u64, usize)> = (0..k_active * q)
-            .map(|a| {
-                let item = active[a / q];
-                let member = (a % q) as u64;
-                (member * n as u64 + item as u64 + 1, dst_base + targets[a])
-            })
-            .collect();
-        let won = claim_cells(m, &attempts, ClaimMode::Occupy);
-
+    let mut darts = TeamDarts::new(items, n, ClaimMode::Occupy);
+    while !darts.live().is_empty() && darts.rounds() < max_rounds {
+        darts.throw(m, team as usize, |_item, ctx| {
+            dst_base + ctx.random_index(dst_size)
+        });
         // Team-internal selection of the surviving copy (the paper charges a
         // within-group prefix computation for this; we account one compute
-        // operation per team member).
-        m.par_for(k_active * q, |_a, ctx| ctx.compute(1));
-
-        // Fix-up step: the selected winner rewrites its cell with the source
-        // index, redundant winners release their cells.
-        let mut keep: Vec<Option<usize>> = vec![None; k_active]; // attempt index kept per item
-        for (a, &got) in won.iter().enumerate() {
-            if got {
-                let item_slot = a / q;
-                if keep[item_slot].is_none() {
-                    keep[item_slot] = Some(a);
-                }
-            }
-        }
-        let keep_ref = &keep;
-        let attempts_ref = &attempts;
-        let won_ref = &won;
-        m.par_for(k_active * q, |a, ctx| {
-            if !won_ref[a] {
-                return;
-            }
-            let item_slot = a / q;
-            let item = active[item_slot];
-            if keep_ref[item_slot] == Some(a) {
-                ctx.write(attempts_ref[a].1, item as u64);
-            } else {
-                ctx.write(attempts_ref[a].1, EMPTY);
-            }
-        });
-
-        let mut still_active = Vec::new();
-        for (slot, &item) in active.iter().enumerate() {
-            match keep[slot] {
-                Some(a) => placements.push((item, attempts[a].1 - dst_base)),
-                None => still_active.push(item),
-            }
-        }
-        active = still_active;
+        // operation per team member, as a step of its own).
+        m.par_for(darts.darts(), |_a, ctx| ctx.compute(1));
+        darts.settle(
+            m,
+            0,
+            |item| item as u64,
+            |item, addr| placements.push((item, addr - dst_base)),
+        );
         team = (1u64 << team.min(6)).min(team_cap).max(team + 1);
     }
+    let rounds = darts.rounds();
 
     // Las-Vegas clean-up: one sequential step walks the output array and
     // places whatever is left (w.h.p. nothing).
-    let fallback_used = !active.is_empty();
-    if fallback_used {
-        let mut cursor = 0usize;
-        let placed = seq_place_leftovers(
-            m,
-            &active,
-            |_item| {
-                (cursor < dst_size).then(|| {
-                    cursor += 1;
-                    dst_base + cursor - 1
-                })
-            },
-            |item| item as u64,
-        );
-        assert!(
-            placed.iter().all(|&(_, spot)| spot.is_some()),
-            "output array too small for the linear-compaction fallback"
-        );
-        placements.extend(
-            placed
-                .into_iter()
-                .map(|(item, spot)| (item, spot.unwrap() - dst_base)),
-        );
-    }
+    let mut walk = dst_base..dst_base + dst_size;
+    let leftovers = darts.finish(m, |_item| walk.next(), |item| item as u64);
+    let fallback_used = !leftovers.is_empty();
+    placements.extend(leftovers.into_iter().map(|(item, spot)| {
+        let addr = spot.expect("output array too small for the linear-compaction fallback");
+        (item, addr - dst_base)
+    }));
 
     LinearCompactionOutcome {
         placements,

@@ -17,7 +17,9 @@
 //!   input-format conversion of Section 3).
 //! * [`claim`] — the "write, read, write, read" cell-claiming protocol of
 //!   Section 5.1, in both *exclusive* (all colliders fail) and *occupy*
-//!   (arbitration winner succeeds) flavours.
+//!   (arbitration winner succeeds) flavours, and [`TeamDarts`], the one team
+//!   dart-throwing round (throw → claim → settle → shrink) every
+//!   randomized placement of Sections 4–5 is a caller of.
 //! * [`compaction`] — the compaction and linear-compaction problems
 //!   (Section 4 preliminaries): an EREW prefix-sums compaction and a
 //!   low-contention dart-throwing linear compaction with log-star team
@@ -42,10 +44,8 @@ pub mod util;
 
 pub use bitonic::{bitonic_sort, bitonic_sort_segments};
 pub use broadcast::{broadcast_cell, duplicate_values, propagate_nonempty_forward};
-pub use claim::{claim_cells, ClaimMode};
-pub use compaction::{
-    compact_erew, linear_compaction, seq_place_leftovers, LinearCompactionOutcome,
-};
+pub use claim::{ClaimMode, TeamDarts};
+pub use compaction::{compact_erew, linear_compaction, LinearCompactionOutcome};
 pub use intsort::{radix_sort_packed, stable_sort_small_range};
 pub use listrank::list_rank;
 pub use prefix::{prefix_sums_exclusive, prefix_sums_inclusive};

@@ -69,8 +69,8 @@
 //! * [`model`] — the [`CostModel`] enumeration and per-step cost functions.
 //! * [`pram`] — the [`Pram`] driver tying everything together.
 //! * [`rng`] — deterministic per-(seed, step, processor) random streams.
-//! * [`schedule`] — Brent scheduling, BSP emulation cost, geometric-decaying
-//!   and L-spawning processor-allocation bounds (Theorems 2.3, 2.4, 3.6).
+//! * [`schedule`] — the BSP emulation charge of Theorem 1.1 and the integer
+//!   logarithms (`lg`, `√lg`, `lg lg`, `lg*`) of the paper's bounds.
 
 #![deny(missing_docs)]
 
@@ -88,9 +88,6 @@ pub use memory::{SharedMemory, EMPTY};
 pub use model::CostModel;
 pub use pram::Pram;
 pub use rng::proc_rng;
-pub use schedule::{
-    brent_time, bsp_emulation_time, geometric_decaying_processors, l_spawning_processors,
-    GeometricDecayCheck, SpawningProfile,
-};
+pub use schedule::bsp_emulation_time;
 pub use stats::{StepStats, Trace, TraceSummary};
 pub use step::{ChunkLog, ProcCtx, StepCtx, StepScratch, StepSink};

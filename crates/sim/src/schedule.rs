@@ -1,21 +1,13 @@
-//! Processor allocation and machine-emulation cost helpers.
+//! Machine-emulation cost and the integer logarithms of the paper's bounds.
 //!
-//! These functions implement the *analytic* side of the paper's scheduling
-//! results: Brent's principle as adapted to the QRQW work–time framework
-//! (Theorem 2.3), the geometric-decaying allocation theorem (Theorem 2.4),
-//! the L-spawning allocation theorem driven by load balancing
-//! (Theorem 3.6 / Corollaries 3.7–3.8), and the BSP emulation of
-//! Theorem 1.1.  The *operational* load-balancing algorithm that realises
-//! these schedules lives in `qrqw-core::load_balancing`.
-
-/// Brent-scheduled running time (Theorem 2.3): an algorithm in the QRQW
-/// work–time presentation with `work` operations and `time` (sum of per-step
-/// maximum contention) runs in at most `work/p + time` on `p` processors,
-/// assuming processor allocation is free.
-pub fn brent_time(work: u64, time: u64, p: u64) -> u64 {
-    assert!(p > 0, "need at least one processor");
-    work.div_ceil(p) + time
-}
+//! What is left of the *analytic* side of the paper's scheduling results is
+//! what the tree calls: the BSP emulation charge of Theorem 1.1
+//! ([`bsp_emulation_time`], the "predicted" column next to `qrqw-bsp`'s
+//! measured cost) and the `lg`, `√lg`, `lg lg` and `lg*` terms the
+//! algorithms size their teams, arenas and round caps with.  Brent's
+//! principle (Theorem 2.3) is [`crate::Trace::brent_time`]; the *operational*
+//! load-balancing algorithm behind Theorems 2.4 / 3.6 lives in
+//! `qrqw-core::load_balancing`.
 
 /// Emulation time of a `p`-processor QRQW PRAM algorithm running in time `t`
 /// on a `(p / lg p)`-component standard BSP (Theorem 1.1): `O(t · lg p)`.
@@ -55,110 +47,9 @@ pub fn log_star(mut x: u64) -> u64 {
     i
 }
 
-/// Result of checking whether a work-load sequence is geometric-decaying in
-/// the sense of Theorem 2.4 (bounded above by a decreasing geometric
-/// series).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeometricDecayCheck {
-    /// True if the sequence is bounded by `w_1 · ratio^{i-1}` for the fitted
-    /// ratio below.
-    pub is_geometric_decaying: bool,
-    /// The smallest ratio `< 1` that upper-bounds successive quotients, or
-    /// 1.0 if the sequence is not decaying.
-    pub fitted_ratio: f64,
-    /// Total work of the sequence.
-    pub total_work: u64,
-}
-
-/// Checks the geometric-decay property of a per-step work-load sequence.
-pub fn check_geometric_decay(workloads: &[u64]) -> GeometricDecayCheck {
-    let total_work: u64 = workloads.iter().sum();
-    if workloads.len() <= 1 {
-        return GeometricDecayCheck {
-            is_geometric_decaying: true,
-            fitted_ratio: 0.5,
-            total_work,
-        };
-    }
-    let mut worst_ratio: f64 = 0.0;
-    for w in workloads.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        if a == 0 {
-            if b > 0 {
-                worst_ratio = f64::INFINITY;
-            }
-            continue;
-        }
-        worst_ratio = worst_ratio.max(b as f64 / a as f64);
-    }
-    GeometricDecayCheck {
-        is_geometric_decaying: worst_ratio < 1.0,
-        fitted_ratio: if worst_ratio < 1.0 { worst_ratio } else { 1.0 },
-        total_work,
-    }
-}
-
-/// Number of processors on which a geometric-decaying algorithm with work
-/// `n` and work–time `t` can be implemented in `O(n/p)` time w.h.p.
-/// (Theorem 2.4): `p = Θ(n / (t + √(lg n)·lg lg n))`.
-pub fn geometric_decaying_processors(n: u64, t: u64) -> u64 {
-    let denom = t + sqrt_lg(n) * lg_lg(n).max(1);
-    (n / denom.max(1)).max(1)
-}
-
-/// Description of an execution in the L-spawning model (Section 3.3): per
-/// parallel step, the predicted work-load bound `n_i`, plus the spawning
-/// factor `L`.
-#[derive(Debug, Clone)]
-pub struct SpawningProfile {
-    /// Predicted per-step work-load bounds `n_i` (each task may spawn at
-    /// most `L-1` new tasks per step, so `n_{i+1} ≤ L · n_i` must hold).
-    pub predicted_loads: Vec<u64>,
-    /// The spawning factor `L`.
-    pub spawn_factor: u64,
-}
-
-impl SpawningProfile {
-    /// Whether the profile is *predicted* in the sense of Section 3.3:
-    /// `n_{i+1} ≤ L · n_i` for all steps.
-    pub fn is_predicted(&self) -> bool {
-        self.predicted_loads
-            .windows(2)
-            .all(|w| w[1] <= self.spawn_factor.saturating_mul(w[0].max(1)))
-    }
-
-    /// Total predicted work `Σ n_i`.
-    pub fn total_work(&self) -> u64 {
-        self.predicted_loads.iter().sum()
-    }
-}
-
-/// Number of processors on which a *predicted* L-spawning algorithm with
-/// work `n`, work–time `t` and `t'` parallel steps can be implemented in
-/// `O(n/p)` time w.h.p. (Corollary 3.7):
-/// `p = Θ(n / (t + t'·√(lg n)·lg lg L + t'·lg L))`.
-pub fn l_spawning_processors(n: u64, t: u64, t_prime: u64, spawn_factor: u64) -> u64 {
-    let lb = load_balancing_time_bound(n, spawn_factor);
-    let denom = t + t_prime.saturating_mul(lb);
-    (n / denom.max(1)).max(1)
-}
-
-/// The paper's load-balancing time bound `Θ(√(lg n)·lg lg L + lg L)`
-/// (Theorem 3.4), used by the L-spawning schedule.
-pub fn load_balancing_time_bound(n: u64, max_load: u64) -> u64 {
-    sqrt_lg(n) * lg_lg(max_load).max(1) + ceil_lg(max_load)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn brent_matches_work_over_p_plus_time() {
-        assert_eq!(brent_time(1000, 10, 100), 20);
-        assert_eq!(brent_time(1000, 10, 1), 1010);
-        assert_eq!(brent_time(1001, 10, 100), 21);
-    }
 
     #[test]
     fn bsp_is_t_log_p() {
@@ -179,61 +70,5 @@ mod tests {
         assert_eq!(log_star(16), 2);
         assert_eq!(log_star(65536), 3);
         assert_eq!(log_star(u64::MAX), 4);
-    }
-
-    #[test]
-    fn geometric_decay_detection() {
-        let decaying = [1000u64, 400, 150, 60, 20];
-        let check = check_geometric_decay(&decaying);
-        assert!(check.is_geometric_decaying);
-        assert!(check.fitted_ratio < 1.0);
-        assert_eq!(check.total_work, 1630);
-
-        let flat = [100u64, 100, 100];
-        assert!(!check_geometric_decay(&flat).is_geometric_decaying);
-
-        let growing = [10u64, 20];
-        assert!(!check_geometric_decay(&growing).is_geometric_decaying);
-
-        assert!(check_geometric_decay(&[]).is_geometric_decaying);
-    }
-
-    #[test]
-    fn geometric_decaying_processor_bound_is_sublinear() {
-        let n = 1 << 20;
-        let p = geometric_decaying_processors(n, 10);
-        assert!(p > 1);
-        assert!(p < n);
-    }
-
-    #[test]
-    fn spawning_profile_prediction() {
-        let ok = SpawningProfile {
-            predicted_loads: vec![8, 16, 32, 16],
-            spawn_factor: 2,
-        };
-        assert!(ok.is_predicted());
-        assert_eq!(ok.total_work(), 72);
-
-        let bad = SpawningProfile {
-            predicted_loads: vec![8, 32],
-            spawn_factor: 2,
-        };
-        assert!(!bad.is_predicted());
-    }
-
-    #[test]
-    fn l_spawning_processors_shrink_with_spawn_factor() {
-        let n = 1 << 20;
-        let p_small_l = l_spawning_processors(n, 32, 8, 2);
-        let p_big_l = l_spawning_processors(n, 32, 8, 1 << 16);
-        assert!(p_small_l >= p_big_l);
-        assert!(p_big_l >= 1);
-    }
-
-    #[test]
-    fn load_balancing_bound_grows_with_l() {
-        let n = 1 << 16;
-        assert!(load_balancing_time_bound(n, 4) < load_balancing_time_bound(n, 1 << 12));
     }
 }
