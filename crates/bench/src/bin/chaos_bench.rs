@@ -180,8 +180,7 @@ fn main() {
                     resident_keys,
                     seed: cli.seed,
                 };
-                let policy =
-                    BatchPolicy::with_max_batch(cli.batch_max).linger(Duration::from_micros(100));
+                let policy = BatchPolicy::with_max_batch(cli.batch_max);
                 // The table is sized for its resident load (quarter full),
                 // so no run straddles a capacity doubling — growth is the
                 // one event that legitimately rewrites O(state) cells.

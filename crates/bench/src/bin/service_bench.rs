@@ -14,20 +14,19 @@
 //!     [--clients N] [--requests N]   # per client \
 //!     [--window W] [--rate R]        # pipelining / target aggregate req/s \
 //!     [--workload hash|counter|task|churn|mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
-//!     [--keyspace N] [--batch-max B] [--linger-us L] \
+//!     [--keyspace N] [--batch-max B] \
 //!     [--threads T] [--seed S] [--json-out PATH] [--smoke]
 //! ```
 //!
-//! * `--batch-max` / `--linger-us` default to the `QRQW_BATCH_MAX` /
-//!   `QRQW_LINGER_US` environment resolution (see `ARCHITECTURE.md`);
+//! * `--batch-max` defaults to the `QRQW_BATCH_MAX` environment
+//!   resolution (see `ARCHITECTURE.md`); a batch is whatever the queue
+//!   holds when the batcher takes it, up to that cap;
 //! * `--key-dist zipf` concentrates traffic on a few hot keys — the
 //!   high-contention regime the model charges for; compare its
 //!   `contention_per_batch` against `uniform`;
 //! * `--smoke` runs a small fixed configuration (2 clients) and fails
 //!   loudly unless the run completes with nonzero throughput, zero
 //!   errors, and a clean validator — the CI entry point.
-
-use std::time::Duration;
 
 use qrqw_bench::report::write_json_file;
 use qrqw_bench::service::{run_service_load, KeyDist, LoadSpec, ServiceWorkload};
@@ -46,7 +45,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: service_bench [--clients N] [--requests N] [--window W] [--rate R] \
          [--workload hash|counter|task|churn|mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] [--keyspace N] \
-         [--batch-max B] [--linger-us L] [--threads T] [--seed S] [--json-out PATH] [--smoke]"
+         [--batch-max B] [--threads T] [--seed S] [--json-out PATH] [--smoke]"
     );
     std::process::exit(2);
 }
@@ -104,11 +103,6 @@ fn parse_args() -> Cli {
                     .unwrap_or_else(|_| usage("bad --batch-max"))
                     .max(1)
             }
-            "--linger-us" => {
-                cli.policy.linger = Duration::from_micros(
-                    value().parse().unwrap_or_else(|_| usage("bad --linger-us")),
-                )
-            }
             "--threads" => {
                 cli.threads = Some(value().parse().unwrap_or_else(|_| usage("bad --threads")))
             }
@@ -127,7 +121,7 @@ fn parse_args() -> Cli {
         cli.spec.rate = 0.0;
         cli.spec.workload = ServiceWorkload::Mix;
         cli.spec.keyspace = 512;
-        cli.policy = BatchPolicy::with_max_batch(64).linger(Duration::from_micros(100));
+        cli.policy = BatchPolicy::with_max_batch(64);
     }
     cli
 }
@@ -140,7 +134,7 @@ fn main() {
     };
     println!(
         "service_bench: {} clients x {} requests, window {}, workload {}, key-dist {} over {}, \
-         batch_max {}, linger {:?}{}",
+         batch_max {}{}",
         cli.spec.clients,
         cli.spec.requests_per_client,
         cli.spec.window,
@@ -148,7 +142,6 @@ fn main() {
         cli.spec.key_dist.name(),
         cli.spec.keyspace,
         cli.policy.max_batch,
-        cli.policy.linger,
         if cli.smoke { " [smoke]" } else { "" },
     );
     let summary = run_service_load(config, cli.policy, cli.threads, &cli.spec);

@@ -26,8 +26,6 @@
 //! `--quick` shrinks the per-run load for CI smoke use; the committed
 //! artifact is generated with the defaults.
 
-use std::time::Duration;
-
 use qrqw_bench::report::write_json_file;
 use qrqw_bench::service::{
     run_service_load, service_report_json, KeyDist, LoadSpec, ServiceWorkload,
@@ -152,7 +150,7 @@ fn main() {
                 keyspace: 4096,
                 seed: cli.seed,
             };
-            let policy = BatchPolicy::with_max_batch(batch_max).linger(Duration::from_micros(100));
+            let policy = BatchPolicy::with_max_batch(batch_max);
             let config = ServiceConfig {
                 seed: cli.seed,
                 ..ServiceConfig::default()

@@ -551,7 +551,7 @@ mod tests {
                 task_procs: 4,
                 hash_capacity: 64,
             },
-            BatchPolicy::with_max_batch(16).linger(Duration::from_micros(50)),
+            BatchPolicy::with_max_batch(16),
             2,
             FaultPlan::default(),
             &ChaosSpec {
@@ -584,7 +584,7 @@ mod tests {
                 task_procs: 4,
                 hash_capacity: 64,
             },
-            BatchPolicy::with_max_batch(32).linger(Duration::from_micros(50)),
+            BatchPolicy::with_max_batch(32),
             2,
             plan,
             &ChaosSpec {
@@ -615,7 +615,7 @@ mod tests {
                 task_procs: 4,
                 hash_capacity: 64,
             },
-            BatchPolicy::with_max_batch(8).linger(Duration::from_micros(50)),
+            BatchPolicy::with_max_batch(8),
             1,
             FaultPlan {
                 panic_per_10k: 300,

@@ -4,8 +4,6 @@
 //! renderer/parser), so a schema drift breaks this test before it breaks
 //! a downstream consumer.
 
-use std::time::Duration;
-
 use qrqw_bench::chaos::{chaos_report_json, run_chaos, ChaosSpec, FaultPlan};
 use qrqw_bench::report::Json;
 use qrqw_bench::service::{
@@ -59,7 +57,7 @@ fn micro_sweep() -> Json {
                 task_procs: 4,
                 hash_capacity: 64,
             },
-            BatchPolicy::with_max_batch(batch_max).linger(Duration::from_micros(50)),
+            BatchPolicy::with_max_batch(batch_max),
             Some(2),
             &LoadSpec {
                 clients: 2,
@@ -176,7 +174,7 @@ fn bench_chaos_json_round_trips_and_matches_the_schema() {
             task_procs: 4,
             hash_capacity: 64,
         },
-        BatchPolicy::with_max_batch(16).linger(Duration::from_micros(50)),
+        BatchPolicy::with_max_batch(16),
         2,
         FaultPlan {
             panic_per_10k: 400,

@@ -10,9 +10,12 @@
 //!
 //! * clients submit **individual** requests (hash-set inserts/lookups,
 //!   counter fetch-adds, task submit/steal) through a [`ServiceHandle`];
-//! * a batcher thread accumulates them under a [`BatchPolicy`] (size cap +
-//!   linger) and drives each batch as machine steps on one persistent
-//!   [`qrqw_exec::NativeMachine`] whose state lives across batches;
+//! * a batcher thread blocks for a batch's first request, takes whatever
+//!   is already queued up to [`BatchPolicy::max_batch`], and drives each
+//!   batch as machine steps on one persistent
+//!   [`qrqw_exec::NativeMachine`] whose state lives across batches — so
+//!   batch size follows the load, as a QRQW step serves whatever has
+//!   queued up;
 //! * each client blocks on a [`Ticket`] until its batch completes.
 //!
 //! The batch is the h-relation of the QRQW story: batch size is the
@@ -47,7 +50,7 @@ pub mod server;
 pub mod state;
 
 pub use metrics::{Histogram, ServiceStats};
-pub use policy::{BatchPolicy, BATCH_MAX_ENV, DEADLINE_US_ENV, LINGER_US_ENV, QUEUE_MAX_ENV};
+pub use policy::{BatchPolicy, BATCH_MAX_ENV, DEADLINE_US_ENV, QUEUE_MAX_ENV};
 pub use request::{Fault, Reply, Request, Response, ServiceError, MAX_KEY};
 pub use runtime::Ticket;
 pub use server::{Server, ServiceHandle};

@@ -1,14 +1,16 @@
 //! The batching policy: when does the batcher close a batch, and what may
 //! enter the queue at all?
 //!
-//! Two batching knobs, the classic throughput/latency trade:
+//! One batching knob.  The batcher blocks for a batch's first request,
+//! then takes whatever is already queued behind it — never waiting for
+//! more — up to:
 //!
-//! * **max batch size** — close as soon as this many requests have been
-//!   collected.  Bigger batches amortize the per-step protocol (and, per
-//!   the QRQW thesis, spread contention over more parallel slots) at the
-//!   price of queueing latency.
-//! * **max linger** — close an under-full batch this long after its first
-//!   request arrived, so a trickle of traffic still gets served promptly.
+//! * **max batch size** — the bound on work per step.  Under load the
+//!   queue refills while a batch is applied, so batches fill to the cap
+//!   and amortize the per-step protocol (and, per the QRQW thesis, spread
+//!   contention over more parallel slots); under light load a batch is
+//!   the one or few requests that arrived, answered at once.  Batch size
+//!   follows the load, not a timer.
 //!
 //! Two admission knobs, the overload story:
 //!
@@ -22,8 +24,8 @@
 //!   machine ([`crate::ServiceHandle::submit_with_deadline`] overrides it
 //!   per request).
 //!
-//! All four have environment overrides (`QRQW_BATCH_MAX`,
-//! `QRQW_LINGER_US`, `QRQW_QUEUE_MAX`, `QRQW_DEADLINE_US`), documented
+//! All three have environment overrides (`QRQW_BATCH_MAX`,
+//! `QRQW_QUEUE_MAX`, `QRQW_DEADLINE_US`), documented
 //! alongside `QRQW_THREADS` in `ARCHITECTURE.md` and the README knob
 //! table.
 
@@ -31,9 +33,6 @@ use std::time::Duration;
 
 /// Environment variable overriding [`BatchPolicy::max_batch`].
 pub const BATCH_MAX_ENV: &str = "QRQW_BATCH_MAX";
-
-/// Environment variable overriding [`BatchPolicy::linger`] (microseconds).
-pub const LINGER_US_ENV: &str = "QRQW_LINGER_US";
 
 /// Environment variable overriding [`BatchPolicy::queue_max`] (requests;
 /// unset means unbounded).
@@ -46,19 +45,12 @@ pub const DEADLINE_US_ENV: &str = "QRQW_DEADLINE_US";
 /// Default [`BatchPolicy::max_batch`].
 pub const DEFAULT_BATCH_MAX: usize = 256;
 
-/// Default [`BatchPolicy::linger`].
-pub const DEFAULT_LINGER: Duration = Duration::from_micros(200);
-
-/// When the batcher closes a batch: at `max_batch` requests, or `linger`
-/// after the batch's first request arrived, whichever comes first — plus
-/// the admission bounds the handles enforce.
+/// When the batcher closes a batch: at `max_batch` requests, or as soon as
+/// the queue is empty — plus the admission bounds the handles enforce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum requests per batch (≥ 1; 0 is clamped to 1).
     pub max_batch: usize,
-    /// Maximum time an under-full batch waits for more requests.  Zero
-    /// means "never wait": a batch is whatever is already queued.
-    pub linger: Duration,
     /// Maximum outstanding requests (queued or in the open batch) before
     /// submits are shed with [`crate::ServiceError::Overloaded`].
     /// `usize::MAX` (the default) means unbounded.
@@ -72,7 +64,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: DEFAULT_BATCH_MAX,
-            linger: DEFAULT_LINGER,
             queue_max: usize::MAX,
             deadline: None,
         }
@@ -80,18 +71,12 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// A policy with the given batch cap and the default linger.
+    /// A policy with the given batch cap and unbounded admission.
     pub fn with_max_batch(max_batch: usize) -> Self {
         BatchPolicy {
             max_batch: max_batch.max(1),
             ..Default::default()
         }
-    }
-
-    /// Builder: sets the linger time.
-    pub fn linger(mut self, linger: Duration) -> Self {
-        self.linger = linger;
-        self
     }
 
     /// Builder: bounds the outstanding-request count (admission control).
@@ -107,20 +92,20 @@ impl BatchPolicy {
     }
 
     /// Resolves the policy from the environment: `QRQW_BATCH_MAX`
-    /// (requests), `QRQW_LINGER_US` (microseconds), `QRQW_QUEUE_MAX`
-    /// (outstanding requests) and `QRQW_DEADLINE_US` (microseconds),
-    /// falling back to the defaults when unset.
+    /// (requests), `QRQW_QUEUE_MAX` (outstanding requests) and
+    /// `QRQW_DEADLINE_US` (microseconds), falling back to the defaults
+    /// when unset.
     ///
     /// A *set but invalid* value is a configuration error and panics with
     /// the offending variable and value, rather than being silently
     /// replaced — a typo'd `QRQW_BATCH_MAX` that falls back to the default
     /// batch cap looks exactly like a perf regression, and nobody debugs
     /// the environment first.  `QRQW_BATCH_MAX=0` is rejected too (the
-    /// batcher needs at least one request per batch); `QRQW_LINGER_US=0`
-    /// stays legal and means "never wait".  `QRQW_QUEUE_MAX=0` is rejected
-    /// (a queue that admits nothing serves nothing — unset the variable
-    /// for an unbounded queue), as is `QRQW_DEADLINE_US=0` (it would
-    /// expire every request on arrival — unset it for no deadline).
+    /// batcher needs at least one request per batch), as is
+    /// `QRQW_QUEUE_MAX=0` (a queue that admits nothing serves nothing —
+    /// unset the variable for an unbounded queue) and `QRQW_DEADLINE_US=0`
+    /// (it would expire every request on arrival — unset it for no
+    /// deadline).
     ///
     /// # Panics
     ///
@@ -129,7 +114,6 @@ impl BatchPolicy {
     pub fn from_env() -> Self {
         match Self::from_env_values(
             std::env::var(BATCH_MAX_ENV).ok().as_deref(),
-            std::env::var(LINGER_US_ENV).ok().as_deref(),
             std::env::var(QUEUE_MAX_ENV).ok().as_deref(),
             std::env::var(DEADLINE_US_ENV).ok().as_deref(),
         ) {
@@ -139,13 +123,12 @@ impl BatchPolicy {
     }
 
     /// The value-level core of [`BatchPolicy::from_env`]: the arguments are
-    /// the raw values of `QRQW_BATCH_MAX` / `QRQW_LINGER_US` /
-    /// `QRQW_QUEUE_MAX` / `QRQW_DEADLINE_US` (`None` = unset).  Split out
+    /// the raw values of `QRQW_BATCH_MAX` / `QRQW_QUEUE_MAX` /
+    /// `QRQW_DEADLINE_US` (`None` = unset).  Split out
     /// so the rejection rules are testable without racing on
     /// process-global environment state.
     pub fn from_env_values(
         batch: Option<&str>,
-        linger: Option<&str>,
         queue: Option<&str>,
         deadline: Option<&str>,
     ) -> Result<Self, String> {
@@ -161,12 +144,6 @@ impl BatchPolicy {
                 ));
             }
             policy.max_batch = v;
-        }
-        if let Some(raw) = linger {
-            let v: u64 = raw.trim().parse().map_err(|_| {
-                format!("invalid {LINGER_US_ENV}={raw:?}: expected microseconds as a non-negative integer")
-            })?;
-            policy.linger = Duration::from_micros(v);
         }
         if let Some(raw) = queue {
             let v: usize = raw.trim().parse().map_err(|_| {
@@ -214,7 +191,8 @@ mod tests {
     fn defaults_are_sane() {
         let p = BatchPolicy::default();
         assert!(p.max_batch >= 1);
-        assert!(p.linger > Duration::ZERO);
+        assert_eq!(p.queue_max, usize::MAX);
+        assert_eq!(p.deadline, None);
     }
 
     #[test]
@@ -234,45 +212,36 @@ mod tests {
     fn env_values_resolve_or_reject_loudly() {
         // Unset → defaults.
         assert_eq!(
-            BatchPolicy::from_env_values(None, None, None, None).unwrap(),
+            BatchPolicy::from_env_values(None, None, None).unwrap(),
             BatchPolicy::default()
         );
         // Valid overrides (whitespace tolerated).
-        let p = BatchPolicy::from_env_values(Some(" 64 "), Some("500"), Some("4096"), Some("2000"))
-            .unwrap();
+        let p = BatchPolicy::from_env_values(Some(" 64 "), Some("4096"), Some("2000")).unwrap();
         assert_eq!(p.max_batch, 64);
-        assert_eq!(p.linger, Duration::from_micros(500));
         assert_eq!(p.queue_max, 4096);
         assert_eq!(p.deadline, Some(Duration::from_micros(2000)));
-        // Linger 0 is legal: "never wait".
-        let p = BatchPolicy::from_env_values(None, Some("0"), None, None).unwrap();
-        assert_eq!(p.linger, Duration::ZERO);
         // Zero bounds and unparseable values are configuration errors, not
         // silent fallbacks.
-        let err = BatchPolicy::from_env_values(Some("0"), None, None, None).unwrap_err();
+        let err = BatchPolicy::from_env_values(Some("0"), None, None).unwrap_err();
         assert!(err.contains("QRQW_BATCH_MAX=0"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(Some("lots"), None, None, None).unwrap_err();
+        let err = BatchPolicy::from_env_values(Some("lots"), None, None).unwrap_err();
         assert!(err.contains("QRQW_BATCH_MAX"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, Some("-3"), None, None).unwrap_err();
-        assert!(err.contains("QRQW_LINGER_US"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, None, Some("0"), None).unwrap_err();
+        let err = BatchPolicy::from_env_values(None, Some("0"), None).unwrap_err();
         assert!(err.contains("QRQW_QUEUE_MAX=0"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, None, Some("many"), None).unwrap_err();
+        let err = BatchPolicy::from_env_values(None, Some("many"), None).unwrap_err();
         assert!(err.contains("QRQW_QUEUE_MAX"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, None, None, Some("0")).unwrap_err();
+        let err = BatchPolicy::from_env_values(None, None, Some("0")).unwrap_err();
         assert!(err.contains("QRQW_DEADLINE_US=0"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, None, None, Some("soon")).unwrap_err();
+        let err = BatchPolicy::from_env_values(None, None, Some("soon")).unwrap_err();
         assert!(err.contains("QRQW_DEADLINE_US"), "unhelpful error: {err}");
     }
 
     #[test]
-    fn builder_sets_linger_queue_and_deadline() {
+    fn builder_sets_queue_and_deadline() {
         let p = BatchPolicy::with_max_batch(8)
-            .linger(Duration::from_millis(5))
             .queue_max(128)
             .deadline(Duration::from_millis(50));
         assert_eq!(p.max_batch, 8);
-        assert_eq!(p.linger, Duration::from_millis(5));
         assert_eq!(p.queue_max, 128);
         assert_eq!(p.deadline, Some(Duration::from_millis(50)));
         assert_eq!(BatchPolicy::default().queue_max(0).queue_max, 1);

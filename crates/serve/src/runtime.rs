@@ -7,10 +7,10 @@
 //!   **submission queue**), bounded by the admission control in
 //!   `server.rs` (see [`crate::BatchPolicy::queue_max`]);
 //! * a single **batcher thread** owns the [`ServiceState`] and loops:
-//!   block for the first request, keep pulling until the
-//!   [`BatchPolicy`] closes the batch (size cap hit, or linger expired
-//!   since the batch's first request), apply the batch, complete every
-//!   request's slot;
+//!   block for the first request, take whatever is already queued behind
+//!   it up to [`BatchPolicy::max_batch`] — never waiting for more (see
+//!   [`crate::policy`] for why batches still fill under load) — apply the
+//!   batch, complete every request's slot;
 //! * each request carries an `Arc`'d **oneshot slot** (mutex + condvar);
 //!   the client half is a [`Ticket`] that blocks on [`Ticket::wait`]
 //!   (or bounds its own latency with [`Ticket::wait_timeout`]).
@@ -71,7 +71,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -177,11 +177,6 @@ impl Ticket {
 pub(crate) struct Envelope {
     pub(crate) request: Request,
     slot: Arc<ResponseSlot>,
-    /// When the request entered the submission queue.  The batcher's
-    /// linger window opens here, not when the batcher dequeues the
-    /// request — a request that waited in the queue has already spent
-    /// its linger budget.
-    enqueued: Instant,
     deadline: Option<Instant>,
     depth: Option<Arc<AtomicUsize>>,
 }
@@ -192,7 +187,6 @@ impl Envelope {
         Envelope {
             request,
             slot,
-            enqueued: Instant::now(),
             deadline: None,
             depth: None,
         }
@@ -207,7 +201,6 @@ impl Envelope {
         Envelope {
             request,
             slot,
-            enqueued: Instant::now(),
             deadline,
             depth: Some(depth),
         }
@@ -268,43 +261,18 @@ pub(crate) fn run_batcher(
             Ok(Msg::Submit(env)) => env,
             Ok(Msg::Shutdown) | Err(_) => break 'serve,
         };
-        // The linger window opens when the batch's first request was
-        // *enqueued*, not here: a request that already sat in the queue
-        // (behind a long batch, or before the batcher woke) has spent its
-        // linger budget and must not wait a second full window.
-        let deadline = first.enqueued + policy.linger;
         let mut batch = vec![first];
-        // Fill until the policy closes the batch.
+        // Take what is already queued, without waiting for more: the batch
+        // closes when the queue is empty or the cap is reached.
         let mut shutting_down = false;
         while batch.len() < policy.max_batch {
-            // Already-queued requests ride along without blocking, even
-            // when the linger window has expired.
             match rx.try_recv() {
-                Ok(Msg::Submit(env)) => {
-                    batch.push(env);
-                    continue;
-                }
+                Ok(Msg::Submit(env)) => batch.push(env),
                 Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => {
                     shutting_down = true;
                     break;
                 }
-                Err(TryRecvError::Empty) => {}
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(left) {
-                Ok(Msg::Submit(env)) => batch.push(env),
-                Ok(Msg::Shutdown) => {
-                    shutting_down = true;
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    shutting_down = true;
-                    break;
-                }
+                Err(TryRecvError::Empty) => break,
             }
         }
         apply_and_complete(&mut state, &mut stats, &mut ckpt, batch);
@@ -569,14 +537,32 @@ mod tests {
     }
 
     #[test]
-    fn linger_window_opens_at_enqueue_not_at_batch_loop_entry() {
-        use crate::policy::BatchPolicy;
-        use crate::state::{ServiceConfig, ServiceState};
+    fn a_batch_is_what_the_queue_holds_up_to_max_batch() {
+        use crate::request::Reply;
+        use crate::state::ServiceConfig;
         use qrqw_exec::StepPool;
-        use std::sync::mpsc::channel;
+        use std::sync::mpsc::{channel, Sender};
+        use std::thread::spawn;
 
-        let linger = Duration::from_millis(200);
-        let policy = BatchPolicy::with_max_batch(8).linger(linger);
+        // Every request is a fetch-add on counter 0, so the replies are
+        // 0, 1, 2, ... exactly when they follow submission order.
+        fn submit(tx: &Sender<Msg>) -> Ticket {
+            let slot = Arc::new(ResponseSlot::default());
+            let ticket = Ticket::new(Arc::clone(&slot));
+            let add = Request::CounterAdd {
+                counter: 0,
+                delta: 1,
+            };
+            tx.send(Msg::Submit(Envelope::new(add, slot))).unwrap();
+            ticket
+        }
+        fn replies(tickets: Vec<Ticket>, from: u64) {
+            for (i, ticket) in (from..).zip(tickets) {
+                assert_eq!(ticket.wait(), Ok(Reply::Counter(i)));
+            }
+        }
+        let policy = BatchPolicy::with_max_batch(4);
+        let start = |state, rx| spawn(move || run_batcher(state, policy, rx));
         let state = ServiceState::with_pool(
             ServiceConfig {
                 num_counters: 4,
@@ -586,34 +572,35 @@ mod tests {
             },
             StepPool::with_threads(1),
         );
+
+        // Ten requests queued before the batcher starts: two full batches,
+        // then the last two close the third when the queue runs empty.
         let (tx, rx) = channel();
-        let slot = Arc::new(ResponseSlot::default());
-        let ticket = Ticket::new(Arc::clone(&slot));
-        tx.send(Msg::Submit(Envelope::new(
-            Request::CounterAdd {
-                counter: 0,
-                delta: 1,
-            },
-            slot,
-        )))
-        .unwrap();
-        // Let the request outlive its whole linger window *in the queue*
-        // before the batcher even starts.
-        std::thread::sleep(linger + Duration::from_millis(50));
-        let handle = std::thread::spawn(move || run_batcher(state, policy, rx));
-        let start = Instant::now();
-        let resp = ticket.wait();
-        let waited = start.elapsed();
-        assert!(resp.is_ok(), "expected a real reply, got {resp:?}");
-        // The buggy clock (window re-opened at batch-loop entry) would
-        // hold the reply for a second full linger window.
-        assert!(
-            waited < linger / 2,
-            "reply took {waited:?}; the linger window must not re-open"
-        );
+        let tickets: Vec<_> = (0..10).map(|_| submit(&tx)).collect();
+        let batcher = start(state, rx);
+        replies(tickets, 0);
         drop(tx);
-        let (_state, stats) = handle.join().unwrap();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.requests, 1);
+        let (state, stats) = batcher.join().unwrap();
+        assert_eq!((stats.batches, stats.max_batch, stats.requests), (3, 4, 10));
+
+        // An idle batcher blocks in `recv`; a request sent to it is a batch
+        // of its own, answered without waiting for company.
+        let (tx, rx) = channel();
+        let batcher = start(state, rx);
+        assert_eq!(submit(&tx).wait(), Ok(Reply::Counter(10)));
+        tx.send(Msg::Shutdown).unwrap();
+        let (state, stats) = batcher.join().unwrap();
+        assert_eq!((stats.batches, stats.max_batch, stats.requests), (1, 1, 1));
+
+        // A `Shutdown` queued behind two requests ends their fill; the five
+        // behind it are drained in cap-sized batches: 2 | 4 + 1.
+        let (tx, rx) = channel();
+        let mut tickets: Vec<_> = (0..2).map(|_| submit(&tx)).collect();
+        tx.send(Msg::Shutdown).unwrap();
+        tickets.extend((0..5).map(|_| submit(&tx)));
+        let (state, stats) = start(state, rx).join().unwrap();
+        replies(tickets, 11);
+        assert_eq!((stats.batches, stats.max_batch, stats.requests), (3, 4, 7));
+        assert_eq!(state.digest().counters[0], 18);
     }
 }

@@ -17,7 +17,7 @@
 //! request.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,6 +46,21 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
+    /// A handle enforcing `policy`'s admission bounds, and the queue it
+    /// feeds (the batcher's end).
+    fn with_queue(policy: &BatchPolicy) -> (ServiceHandle, Receiver<Msg>) {
+        let (tx, rx) = channel();
+        let handle = ServiceHandle {
+            tx,
+            closed: Arc::new(AtomicBool::new(false)),
+            depth: Arc::new(AtomicUsize::new(0)),
+            shed: Arc::new(AtomicU64::new(0)),
+            queue_max: policy.queue_max,
+            deadline: policy.deadline,
+        };
+        (handle, rx)
+    }
+
     /// Submits one request; returns immediately with a [`Ticket`] for the
     /// response.  The policy's default deadline (if any) applies.  After
     /// shutdown the ticket resolves at once to
@@ -134,20 +149,13 @@ impl Server {
     /// stats cover served traffic only.
     pub fn spawn_with_state(state: ServiceState, policy: BatchPolicy) -> Server {
         let policy = policy.normalized();
-        let (tx, rx) = channel();
+        let (handle, rx) = ServiceHandle::with_queue(&policy);
         let join = std::thread::Builder::new()
             .name("qrqw-serve-batcher".into())
             .spawn(move || run_batcher(state, policy, rx))
             .expect("failed to spawn the batcher thread");
         Server {
-            handle: ServiceHandle {
-                tx,
-                closed: Arc::new(AtomicBool::new(false)),
-                depth: Arc::new(AtomicUsize::new(0)),
-                shed: Arc::new(AtomicU64::new(0)),
-                queue_max: policy.queue_max,
-                deadline: policy.deadline,
-            },
+            handle,
             join: Some(join),
         }
     }
@@ -192,38 +200,57 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Reply;
+    use crate::request::{Fault, Reply};
+
+    fn config() -> ServiceConfig {
+        ServiceConfig {
+            num_counters: 4,
+            task_procs: 4,
+            hash_capacity: 64,
+            seed: 7,
+        }
+    }
 
     fn tiny() -> Server {
         Server::spawn_with_pool(
-            ServiceConfig {
-                num_counters: 4,
-                task_procs: 4,
-                hash_capacity: 64,
-                seed: 7,
-            },
+            config(),
             BatchPolicy::with_max_batch(4),
             StepPool::with_threads(2),
         )
     }
 
+    /// A handle whose queue has no batcher yet: submits pile up in it, in
+    /// order, until the returned `start` spawns one over them — so the
+    /// test, not the scheduler, decides what the first batch holds.
+    fn parked(policy: BatchPolicy) -> (ServiceHandle, impl FnOnce() -> Server) {
+        let policy = policy.normalized();
+        let (handle, rx) = ServiceHandle::with_queue(&policy);
+        let server_handle = handle.clone();
+        let start = move || {
+            let state = ServiceState::with_pool(config(), StepPool::with_threads(2));
+            Server {
+                handle: server_handle,
+                join: Some(std::thread::spawn(move || run_batcher(state, policy, rx))),
+            }
+        };
+        (handle, start)
+    }
+
+    /// Generous bound for waits that must complete: long enough for any CI
+    /// machine, short enough that a wedged ticket fails the test rather
+    /// than hanging it.
+    const WEDGE: Duration = Duration::from_secs(30);
+
     #[test]
     fn idle_batcher_blocks_and_performs_zero_snapshots() {
-        use std::time::Duration;
-        let linger = Duration::from_millis(5);
         let server = Server::spawn_with_pool(
-            ServiceConfig {
-                num_counters: 4,
-                task_procs: 4,
-                hash_capacity: 64,
-                seed: 7,
-            },
-            BatchPolicy::with_max_batch(4).linger(linger),
+            config(),
+            BatchPolicy::with_max_batch(4),
             StepPool::with_threads(1),
         );
-        // Many linger windows pass with no traffic; an idle batcher must
-        // sit in `recv`, not spin through empty batches and checkpoints.
-        std::thread::sleep(linger * 10);
+        // Time passes with no traffic; an idle batcher must sit in `recv`,
+        // not spin through empty batches and checkpoints.
+        std::thread::sleep(Duration::from_millis(50));
         let (_state, stats) = server.shutdown();
         assert_eq!(stats.snapshots, 0);
         assert_eq!(stats.batches, 0);
@@ -309,5 +336,136 @@ mod tests {
         );
         // A post-shutdown submit holds no admission slot.
         assert_eq!(h.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_crashed_batcher_answers_every_outstanding_ticket() {
+        // The crash request and its twenty companions are all queued
+        // before the batcher starts, so they ride one batch and the
+        // batcher dies holding every one of them.
+        let (handle, start) = parked(BatchPolicy::with_max_batch(64));
+        let mut tickets = Vec::new();
+        for key in 0..10u64 {
+            tickets.push(handle.submit(Request::HashInsert { key }));
+        }
+        let crash = handle.submit(Request::Fault(Fault::Crash));
+        for key in 10..20u64 {
+            tickets.push(handle.submit(Request::HashInsert { key }));
+        }
+        // The thread dies abnormally; shutdown() would propagate the panic,
+        // so drop the server (its Drop ignores the join error).
+        drop(start());
+        // Every ticket resolves to the exit guard's answer — no client
+        // wedges on the dead server, and none got a real reply.
+        assert_eq!(
+            crash.wait_timeout(WEDGE),
+            Some(Err(ServiceError::ServerGone)),
+            "the crash ticket wedged or got a bogus reply"
+        );
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            assert_eq!(
+                ticket.wait_timeout(WEDGE),
+                Some(Err(ServiceError::ServerGone)),
+                "ticket {i} wedged or was answered by a crashed batch"
+            );
+        }
+        // Late submits resolve immediately too.
+        assert_eq!(
+            handle.call(Request::TaskSteal),
+            Err(ServiceError::ShuttingDown)
+        );
+    }
+
+    #[test]
+    fn the_queue_bound_sheds_submits_past_the_limit() {
+        // queue_max 2 and no batcher yet: both admitted requests are still
+        // outstanding when the 3rd..6th submits arrive, so all four are
+        // shed on the spot.
+        let (handle, start) = parked(BatchPolicy::with_max_batch(100).queue_max(2));
+        let admitted: Vec<_> = (0..2u64)
+            .map(|key| handle.submit(Request::HashInsert { key }))
+            .collect();
+        for key in 2..6u64 {
+            assert_eq!(
+                handle.submit(Request::HashInsert { key }).try_wait(),
+                Some(Err(ServiceError::Overloaded)),
+                "over-bound submit {key} was not shed"
+            );
+        }
+        let server = start();
+        for ticket in admitted {
+            assert_eq!(ticket.wait_timeout(WEDGE), Some(Ok(Reply::Inserted(true))));
+        }
+        let (state, stats) = server.shutdown();
+        assert_eq!(stats.overload_shed, 4);
+        assert_eq!((stats.batches, stats.max_batch, stats.requests), (1, 2, 2));
+        // Shed requests definitely did not take effect.
+        assert_eq!(state.digest().hash_keys, vec![0, 1]);
+    }
+
+    #[test]
+    fn wait_timeout_expires_while_the_batch_lingers_then_delivers() {
+        // No batcher yet, so nothing can answer within the client's
+        // patience: the first wait times out, the ticket stays live, and a
+        // later wait delivers the real response once a batcher applies it.
+        let (handle, start) = parked(BatchPolicy::with_max_batch(100));
+        let ticket = handle.submit(Request::CounterAdd {
+            counter: 0,
+            delta: 5,
+        });
+        assert_eq!(ticket.wait_timeout(Duration::from_millis(10)), None);
+        let server = start();
+        assert_eq!(ticket.wait_timeout(WEDGE), Some(Ok(Reply::Counter(0))));
+        let (state, _) = server.shutdown();
+        assert_eq!(state.digest().counters[0], 5);
+    }
+
+    #[test]
+    fn an_injected_error_fails_only_its_own_request() {
+        // All three are queued before the batcher starts, so they ride one
+        // batch: the fault must not leak into its batch-mates.
+        let (handle, start) = parked(BatchPolicy::with_max_batch(8));
+        let a = handle.submit(Request::HashInsert { key: 1 });
+        let b = handle.submit(Request::Fault(Fault::Error));
+        let c = handle.submit(Request::HashInsert { key: 2 });
+        let server = start();
+        assert_eq!(a.wait(), Ok(Reply::Inserted(true)));
+        assert_eq!(b.wait(), Err(ServiceError::Injected));
+        assert_eq!(c.wait(), Ok(Reply::Inserted(true)));
+        let (state, stats) = server.shutdown();
+        assert_eq!((stats.batches, stats.max_batch), (1, 3));
+        assert_eq!(stats.panicked_batches, 0);
+        assert_eq!(state.digest().hash_keys, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_poisoned_batch_fails_only_the_poison_and_the_server_keeps_serving() {
+        // All three ride one batch (queued before the batcher starts).
+        let (handle, start) = parked(BatchPolicy::with_max_batch(8));
+        let a = handle.submit(Request::HashInsert { key: 5 });
+        let b = handle.submit(Request::Fault(Fault::Panic));
+        let c = handle.submit(Request::CounterAdd {
+            counter: 0,
+            delta: 1,
+        });
+        let server = start();
+        // The batch is rolled back and re-applied by bisection: only the
+        // poison fails, its batch-mates get their real answers...
+        assert_eq!(a.wait(), Ok(Reply::Inserted(true)));
+        assert_eq!(b.wait(), Err(ServiceError::RequestPanicked));
+        assert_eq!(c.wait(), Ok(Reply::Counter(0)));
+        // ...and the batcher is alive and consistent afterwards.
+        assert_eq!(
+            handle.call(Request::HashInsert { key: 7 }),
+            Ok(Reply::Inserted(true))
+        );
+        let (state, stats) = server.shutdown();
+        assert_eq!((stats.batches, stats.max_batch), (2, 3));
+        assert_eq!(stats.panicked_batches, 1);
+        assert_eq!(stats.isolated_panics, 1);
+        let digest = state.digest();
+        // The innocents' effects survive; the panicked request's do not.
+        assert_eq!(digest.hash_keys, vec![5, 7]);
+        assert_eq!(digest.counters[0], 1);
     }
 }

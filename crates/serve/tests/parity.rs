@@ -12,8 +12,6 @@
 //! are the one observable allowed to differ (occupy-claim winners are
 //! backend-defined), which is exactly why the digest canonicalizes them.
 
-use std::time::Duration;
-
 use qrqw_exec::StepPool;
 use qrqw_serve::{
     BatchPolicy, Fault, Request, Response, Server, ServiceConfig, ServiceState, StateDigest,
@@ -86,7 +84,7 @@ fn oneshot(requests: &[Request], threads: usize) -> (Vec<Response>, StateDigest)
 fn served(requests: &[Request], batch_max: usize, threads: usize) -> (Vec<Response>, StateDigest) {
     let server = Server::spawn_with_pool(
         config(),
-        BatchPolicy::with_max_batch(batch_max).linger(Duration::from_micros(50)),
+        BatchPolicy::with_max_batch(batch_max),
         StepPool::with_threads(threads),
     );
     let handle = server.handle();
@@ -155,7 +153,7 @@ fn recovery_parity_after_injected_panics_at_random_positions() {
         for batch_max in [1usize, 7, 64, 600] {
             let server = Server::spawn_with_pool(
                 config(),
-                BatchPolicy::with_max_batch(batch_max).linger(Duration::from_micros(50)),
+                BatchPolicy::with_max_batch(batch_max),
                 StepPool::with_threads(threads),
             );
             let handle = server.handle();

@@ -4,8 +4,6 @@
 //! round-trip on a state whose arena spans several shards.  The exhaustive
 //! suites live in `crates/serve/tests/`.
 
-use std::time::Duration;
-
 use qrqw_exec::{StepPool, SHARD_CELLS};
 use qrqw_serve::{
     BatchPolicy, Fault, Reply, Request, Response, Server, ServiceCheckpoint, ServiceConfig,
@@ -57,7 +55,7 @@ fn oneshot(requests: &[Request]) -> (Vec<Response>, StateDigest) {
 fn served(requests: &[Request], batch_max: usize) -> (Vec<Response>, StateDigest, u64) {
     let server = Server::spawn_with_pool(
         config(),
-        BatchPolicy::with_max_batch(batch_max).linger(Duration::from_micros(50)),
+        BatchPolicy::with_max_batch(batch_max),
         StepPool::with_threads(2),
     );
     let handle = server.handle();
