@@ -548,7 +548,6 @@ mod tests {
             ServiceConfig {
                 seed: 5,
                 num_counters: 8,
-                task_procs: 4,
                 hash_capacity: 64,
             },
             BatchPolicy::with_max_batch(16),
@@ -581,7 +580,6 @@ mod tests {
             ServiceConfig {
                 seed: 9,
                 num_counters: 8,
-                task_procs: 4,
                 hash_capacity: 64,
             },
             BatchPolicy::with_max_batch(32),
@@ -612,7 +610,6 @@ mod tests {
             ServiceConfig {
                 seed: 3,
                 num_counters: 4,
-                task_procs: 4,
                 hash_capacity: 64,
             },
             BatchPolicy::with_max_batch(8),

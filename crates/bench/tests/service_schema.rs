@@ -54,7 +54,6 @@ fn micro_sweep() -> Json {
             ServiceConfig {
                 seed: 5,
                 num_counters: 16,
-                task_procs: 4,
                 hash_capacity: 64,
             },
             BatchPolicy::with_max_batch(batch_max),
@@ -171,7 +170,6 @@ fn bench_chaos_json_round_trips_and_matches_the_schema() {
         ServiceConfig {
             seed: 7,
             num_counters: 8,
-            task_procs: 4,
             hash_capacity: 64,
         },
         BatchPolicy::with_max_batch(16),

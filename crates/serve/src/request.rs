@@ -1,15 +1,15 @@
 //! The service's request/response vocabulary.
 //!
-//! Three workloads, each backed by a paper algorithm running on the shared
-//! persistent machine:
+//! Three workloads; the first two are backed by a paper algorithm running
+//! on the shared persistent machine:
 //!
 //! * **hash** — set membership over 31-bit keys (§6 hashing: inserts are
 //!   occupy-mode cell claims along a per-key probe sequence, lookups are
 //!   one parallel probe step);
 //! * **counter** — named counters (§7.3: a batch of adds/reads is one
 //!   emulated Fetch&Add step, Lemma 7.5);
-//! * **task** — a FIFO task pool (§3: every batch rebalances the pending
-//!   tasks with the QRQW load-balancing algorithm).
+//! * **task** — a FIFO task pool kept on the host: submits and steals run
+//!   no machine step and cost nothing in a batch's machine cost.
 //!
 //! Every request receives exactly one [`Response`].  The reply semantics
 //! are **trace-deterministic**: what a request observes depends only on

@@ -566,7 +566,6 @@ mod tests {
         let state = ServiceState::with_pool(
             ServiceConfig {
                 num_counters: 4,
-                task_procs: 4,
                 hash_capacity: 64,
                 seed: 7,
             },

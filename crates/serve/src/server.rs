@@ -205,7 +205,6 @@ mod tests {
     fn config() -> ServiceConfig {
         ServiceConfig {
             num_counters: 4,
-            task_procs: 4,
             hash_capacity: 64,
             seed: 7,
         }

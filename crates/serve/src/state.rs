@@ -10,9 +10,10 @@
 //!   growth rebuilds purge the tombstones);
 //! * a machine-resident **counter bank** (a batch of adds/reads is one
 //!   emulated Fetch&Add step, Lemma 7.5);
-//! * a **task pool** (host-side FIFO queue; every batch with task traffic
-//!   rebalances the pending tasks across virtual processors with the §3
-//!   QRQW load-balancing algorithm).
+//! * a **task pool** (a host-side FIFO queue journaled for rollback; task
+//!   requests run no machine step, so they cost nothing in
+//!   [`BatchCost`] — a per-batch §3 rebalance could not drive steal
+//!   order without making replies depend on where batches were cut).
 //!
 //! The machine table is the only record of key presence — a batch reads
 //! the pre-batch presence of its keys in the probe step it runs anyway — so
@@ -52,13 +53,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use qrqw_core::{emulate_fetch_add_step, load_balance_qrqw, OpenTable, TableGeometry};
+use qrqw_core::{emulate_fetch_add_step, OpenTable, TableGeometry};
 use qrqw_exec::{BatchCost, MachineSnapshot, PersistentMachine, StepPool};
 use qrqw_sim::Machine;
 
 use crate::request::{Fault, Reply, Request, Response, ServiceError, MAX_KEY};
 
-/// Sizing and seeding of a [`ServiceState`].
+/// Sizing and seeding of a [`ServiceState`].  The task pool takes none: it
+/// is a host-side queue that grows with its pending tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Machine seed (all host-side structures are deterministic; the seed
@@ -66,8 +68,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Number of counters in the bank.
     pub num_counters: usize,
-    /// Virtual processors the task pool balances over.
-    pub task_procs: usize,
     /// Initial hash-table capacity (rounded up to a power of two; the
     /// table grows whenever it would exceed half full).
     pub hash_capacity: usize,
@@ -78,7 +78,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             seed: 0,
             num_counters: 1024,
-            task_procs: 256,
             hash_capacity: 4096,
         }
     }
@@ -262,8 +261,7 @@ impl ServiceState {
         }
 
         // ---- Machine stage, fixed order: one probe step against the
-        // pre-batch table, then deletes, inserts, the Fetch&Add step, and
-        // rebalancing.
+        // pre-batch table, then deletes, inserts and the Fetch&Add step.
         let ServiceState {
             pm, hash, tasks, ..
         } = self;
@@ -286,7 +284,6 @@ impl ServiceState {
         // one's old value goes.
         let mut fadd_reqs: Vec<(usize, u64)> = Vec::new();
         let mut fadd_slots: Vec<usize> = Vec::new();
-        let mut task_ops = 0usize;
         for req in batch {
             let resp = match *req {
                 Request::HashInsert { key }
@@ -324,14 +321,8 @@ impl ServiceState {
                     fadd_slots.push(responses.len());
                     Ok(Reply::Counter(0))
                 }
-                Request::TaskSubmit { payload } => {
-                    task_ops += 1;
-                    Ok(Reply::TaskQueued(tasks.submit(payload)))
-                }
-                Request::TaskSteal => {
-                    task_ops += 1;
-                    Ok(Reply::TaskStolen(tasks.steal()))
-                }
+                Request::TaskSubmit { payload } => Ok(Reply::TaskQueued(tasks.submit(payload))),
+                Request::TaskSteal => Ok(Reply::TaskStolen(tasks.steal())),
                 Request::Fault(Fault::Error) => Err(ServiceError::Injected),
                 Request::Fault(_) => unreachable!("pass 1 panics on the other faults"),
             };
@@ -353,28 +344,14 @@ impl ServiceState {
         };
         let (new_keys, dead_keys) = (net(true), net(false));
 
-        let task_procs = self.config.task_procs.max(1);
-        let run_balance = task_ops > 0 && !tasks.pending.is_empty();
         let (olds, rest) = pm.batch(|m| {
             hash.remove_present(m, &dead_keys);
             hash.insert_new(m, &new_keys);
-            let olds = if fadd_reqs.is_empty() {
+            if fadd_reqs.is_empty() {
                 Vec::new()
             } else {
                 emulate_fetch_add_step(m, &fadd_reqs)
-            };
-            if run_balance {
-                // Rebalance the pending tasks across the virtual
-                // processors (§3); the balanced assignment is the machine
-                // work — FIFO steal order is decided by sequence number.
-                let mut loads = vec![0u64; task_procs];
-                for &(seq, _) in &tasks.pending {
-                    loads[(seq % task_procs as u64) as usize] += 1;
-                }
-                let res = load_balance_qrqw(m, &loads);
-                debug_assert!(res.covers_exactly(&loads));
             }
-            olds
         });
         cost += rest;
         for (slot, old) in fadd_slots.into_iter().zip(olds) {
@@ -459,7 +436,6 @@ mod tests {
         ServiceState::with_pool(
             ServiceConfig {
                 num_counters: 8,
-                task_procs: 4,
                 hash_capacity: 64,
                 seed: 1,
             },
@@ -657,6 +633,58 @@ mod tests {
     }
 
     #[test]
+    fn task_requests_cost_nothing_on_the_machine() {
+        let submit = |payload| Request::TaskSubmit { payload };
+        let mut s = state();
+        let mut ck = ServiceCheckpoint::default();
+        s.checkpoint_into(&mut ck);
+        // Steals from an empty pool, then traffic that leaves tasks pending.
+        for batch in [
+            vec![Request::TaskSteal, Request::TaskSteal],
+            vec![submit(1), submit(2), submit(3), Request::TaskSteal],
+            vec![Request::TaskSteal, submit(4)],
+        ] {
+            let (resp, cost) = s.apply_batch(&batch);
+            assert!(resp.iter().all(Result::is_ok));
+            assert_eq!(
+                (cost.steps, cost.claim_attempts, cost.contended_claims),
+                (0, 0, 0),
+                "{batch:?}"
+            );
+            assert_eq!(s.checkpoint_into(&mut ck), 0, "no machine cell written");
+        }
+        assert_eq!(s.pending_tasks(), 2);
+
+        // Mixed in, task requests add nothing to the hash and counter work.
+        let mixed = vec![
+            submit(5),
+            Request::HashInsert { key: 3 },
+            Request::TaskSteal,
+            Request::CounterAdd {
+                counter: 2,
+                delta: 4,
+            },
+            Request::HashLookup { key: 9 },
+            submit(6),
+            Request::HashInsert { key: 9 },
+            Request::CounterRead { counter: 2 },
+            Request::TaskSteal,
+        ];
+        let machine_only: Vec<Request> = mixed
+            .iter()
+            .copied()
+            .filter(|r| !matches!(r, Request::TaskSubmit { .. } | Request::TaskSteal))
+            .collect();
+        let (_, with_tasks) = state().apply_batch(&mixed);
+        let (_, without) = state().apply_batch(&machine_only);
+        assert!(with_tasks.steps > 0 && with_tasks.claim_attempts > 0);
+        assert_eq!(
+            (with_tasks.steps, with_tasks.claim_attempts),
+            (without.steps, without.claim_attempts)
+        );
+    }
+
+    #[test]
     fn growth_across_batches_spans_shards_and_keeps_oneshot_parity() {
         // A multi-shard service: the counter bank alone crosses a shard
         // boundary and ends just below the next one, so the hash table's
@@ -665,7 +693,6 @@ mod tests {
         // arena is growing underneath the batches.
         let config = ServiceConfig {
             num_counters: 2 * qrqw_exec::SHARD_CELLS - 1500,
-            task_procs: 4,
             hash_capacity: 64,
             seed: 1,
         };

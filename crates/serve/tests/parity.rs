@@ -24,7 +24,6 @@ fn config() -> ServiceConfig {
     ServiceConfig {
         seed: 11,
         num_counters: 8,
-        task_procs: 4,
         hash_capacity: 64, // small: the trace forces growth mid-stream
     }
 }

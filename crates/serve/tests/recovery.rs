@@ -15,7 +15,6 @@ fn spawn(policy: BatchPolicy) -> Server {
         ServiceConfig {
             seed: 11,
             num_counters: 4,
-            task_procs: 4,
             hash_capacity: 64,
         },
         policy,

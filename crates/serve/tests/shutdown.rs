@@ -11,7 +11,6 @@ fn spawn(batch_max: usize) -> Server {
         ServiceConfig {
             seed: 3,
             num_counters: 8,
-            task_procs: 4,
             hash_capacity: 64,
         },
         BatchPolicy::with_max_batch(batch_max),

@@ -14,7 +14,6 @@ fn config() -> ServiceConfig {
     ServiceConfig {
         seed: 5,
         num_counters: 8,
-        task_procs: 4,
         hash_capacity: 64, // small: the trace forces growth and purges
     }
 }
