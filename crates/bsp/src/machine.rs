@@ -40,9 +40,10 @@
 //!   [`BspMachine::with_threads`]), each chunk buffering messages in its
 //!   own [`qrqw_sim::ChunkLog`] through the simulator's per-processor
 //!   context ([`qrqw_sim::ProcCtx`]: snapshot reads, writes held back until
-//!   routing); the router walks the logs in processor
-//!   order whatever order the chunks finished in, so chunk boundaries and
-//!   thread assignment are unobservable.
+//!   routing); the router walks each address range's part of the logs in
+//!   processor order on its own worker, whatever order the chunks finished
+//!   in, so chunk boundaries, the range cut and thread assignment are
+//!   unobservable.
 //!
 //! Because routing arbitration coincides with the simulator's, a `BspMachine`
 //! re-executes the simulator's exact trajectory for *every* algorithm in the
@@ -204,7 +205,9 @@ impl BspMachine {
         let step_idx = self.steps_executed;
         let seed = self.seed;
         let cells = &self.cells[..];
-        self.scratch.begin_step();
+        // The routing walk fans out over as many threads as the compute
+        // phase.
+        self.scratch.begin_step(cells.len(), self.pool.threads());
         let scratch = &self.scratch;
         let mut out: Vec<T> = Vec::with_capacity(procs);
         let slots = SendPtr(out.as_mut_ptr());

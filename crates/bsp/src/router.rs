@@ -4,25 +4,28 @@
 //! emit read/write *requests* during the local-computation phase, and a
 //! routing phase delivers them.  This module is that phase.  It runs the
 //! simulator's own stamp walk ([`qrqw_sim::StepScratch::finish`]) over the
-//! chunk logs the processors filled: the walk visits processors in
-//! ascending id, combines duplicate same-processor requests (the standard
-//! first move of a PRAM-on-BSP emulation — each component merges its own
-//! duplicates before injecting them into the network), and reports every
-//! combined message to the [`Router`], which *measures* what the delivery
-//! actually cost:
+//! chunk logs the processors filled: each address range is walked by one
+//! pool worker, which meets the range's requests in ascending processor id,
+//! combines duplicate same-processor requests (the standard first move of a
+//! PRAM-on-BSP emulation — each component merges its own duplicates before
+//! injecting them into the network), and counts every combined message into
+//! its own tally.  The [`Router`] keeps those tallies across steps and
+//! merges them into what the delivery actually cost:
 //!
 //! * the longest per-cell message queue (the realized contention `k` of
 //!   Theorem 1.1 — a queue of length `k` drains in `k` delivery cycles),
 //! * the heaviest per-component load (the `h` of the realized h-relation,
-//!   with cells distributed cyclically over components), and
+//!   with cells distributed cyclically over components: the tallies'
+//!   per-component histograms summed), and
 //! * the message count itself.
 //!
 //! Delivery is deterministic: messages arrive at a cell in processor-id
 //! order and the first sender takes the cell — the simulator's
 //! lowest-processor-id write arbitration, by construction: it is the same
-//! code.  Chunk boundaries and the order chunks finish in therefore never
-//! affect results, which is what lets the BSP backend keep bit-identical
-//! parity with the simulator at any thread count.
+//! code.  Chunk boundaries, the order chunks finish in and the way memory is
+//! cut into ranges therefore never affect results, which is what lets the
+//! BSP backend keep bit-identical parity with the simulator at any thread
+//! count.
 
 use qrqw_sim::{StepScratch, StepSink, StepStats};
 
@@ -57,35 +60,84 @@ impl RoutedStep {
 }
 
 /// The routing fabric: cells distributed cyclically (`addr % components`)
-/// over a fixed number of components, whose per-step load histogram is
+/// over a fixed number of components, and one tally per chunk of the walk,
 /// reused across steps.
 #[derive(Debug)]
 pub struct Router {
+    components: usize,
+    tallies: Vec<Tally>,
+}
+
+/// What one chunk of the walk counted.  Aligned to its own pair of cache
+/// lines: concurrent walkers bump neighbouring tallies once per message,
+/// and sharing a line made the parallel walk no faster than a serial one.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Tally {
+    read_msgs: u64,
+    write_msgs: u64,
+    /// Messages per component.
     per_component: Vec<u64>,
 }
 
-/// One step's delivery: counts the combined messages per component and
-/// lets each cell's first sender write it.
+/// One step's delivery: lets each cell's first sender write it, and holds
+/// the merged tallies.
 struct Delivery<'a> {
     cells: &'a mut [u64],
-    per_component: &'a mut [u64],
+    components: usize,
     read_msgs: u64,
     write_msgs: u64,
+    max_h: u64,
 }
 
 impl StepSink for Delivery<'_> {
-    fn read_pair(&mut self, addr: usize) {
-        self.read_msgs += 1;
-        self.per_component[addr % self.per_component.len()] += 2;
+    type Partial = Tally;
+
+    fn cells(&mut self) -> &mut [u64] {
+        self.cells
     }
 
-    fn write_pair(&mut self, addr: usize) {
-        self.write_msgs += 1;
-        self.per_component[addr % self.per_component.len()] += 1;
+    fn new_partial(&self) -> Tally {
+        Tally {
+            read_msgs: 0,
+            write_msgs: 0,
+            per_component: vec![0; self.components],
+        }
     }
 
-    fn deliver(&mut self, addr: usize, value: u64) {
-        self.cells[addr] = value;
+    fn read_pair(tally: &mut Tally, addr: usize) {
+        tally.read_msgs += 1;
+        let components = tally.per_component.len();
+        tally.per_component[addr % components] += 2;
+    }
+
+    fn write_pair(tally: &mut Tally, addr: usize) {
+        tally.write_msgs += 1;
+        let components = tally.per_component.len();
+        tally.per_component[addr % components] += 1;
+    }
+
+    /// Sums the tallies into the first, reads the heaviest component off
+    /// it, and zeroes them all on the way.
+    fn merge(&mut self, tallies: &mut [Tally]) {
+        let (total, rest) = tallies
+            .split_first_mut()
+            .expect("a walk has at least one chunk");
+        for tally in rest {
+            total.read_msgs += std::mem::take(&mut tally.read_msgs);
+            total.write_msgs += std::mem::take(&mut tally.write_msgs);
+            for (sum, part) in total.per_component.iter_mut().zip(&mut tally.per_component) {
+                *sum += std::mem::take(part);
+            }
+        }
+        self.read_msgs = std::mem::take(&mut total.read_msgs);
+        self.write_msgs = std::mem::take(&mut total.write_msgs);
+        self.max_h = total
+            .per_component
+            .iter_mut()
+            .map(std::mem::take)
+            .max()
+            .unwrap_or(0);
     }
 }
 
@@ -93,7 +145,8 @@ impl Router {
     /// A fabric of `components` components (at least one).
     pub fn new(components: usize) -> Self {
         Router {
-            per_component: vec![0; components.max(1)],
+            components: components.max(1),
+            tallies: Vec::new(),
         }
     }
 
@@ -105,25 +158,20 @@ impl Router {
         scratch: &mut StepScratch,
         cells: &mut [u64],
     ) -> (StepStats, RoutedStep) {
-        self.per_component.fill(0);
         let mut delivery = Delivery {
-            per_component: &mut self.per_component,
+            cells,
+            components: self.components,
             read_msgs: 0,
             write_msgs: 0,
-            cells,
+            max_h: 0,
         };
-        let stats = scratch.finish(delivery.cells.len(), &mut delivery);
-        let Delivery {
-            read_msgs,
-            write_msgs,
-            ..
-        } = delivery;
+        let stats = scratch.finish(&mut delivery, &mut self.tallies);
         let routed = RoutedStep {
-            read_msgs,
-            write_msgs,
+            read_msgs: delivery.read_msgs,
+            write_msgs: delivery.write_msgs,
             read_queue: stats.max_read_contention,
             write_queue: stats.max_write_contention,
-            max_h: self.per_component.iter().copied().max().unwrap_or(0),
+            max_h: delivery.max_h,
         };
         (stats, routed)
     }
@@ -145,16 +193,17 @@ mod tests {
 
     /// Buffers `program` (processor id, requests) in chunks of `chunk`
     /// processors handed back in `order`, then routes it over `components`
-    /// components into `cells`.
+    /// components into `cells`, walking on up to `walkers` threads.
     fn route_program(
         scratch: &mut StepScratch,
         cells: &mut [u64],
         components: usize,
         program: &[(usize, Requests)],
         chunk: usize,
+        walkers: usize,
         order: impl Fn(&mut Vec<qrqw_sim::ChunkLog>),
     ) -> RoutedStep {
-        scratch.begin_step();
+        scratch.begin_step(cells.len(), walkers);
         let mut logs: Vec<_> = program
             .chunks(chunk)
             .map(|procs| {
@@ -189,6 +238,7 @@ mod tests {
             components,
             program,
             2,
+            1,
             |_| {},
         );
         (step, cells)
@@ -367,23 +417,41 @@ mod tests {
 
     #[test]
     fn the_walk_agrees_with_the_sort_it_replaces() {
+        /// Every processor reads and writes one hot cell: ROADMAP's skew
+        /// adversary, all traffic in one range.
+        const HOT: u64 = 240;
+        /// A one-cell memory: however many ranges the step is cut into,
+        /// one holds all of it.
+        const ONE_RANGE: u64 = 241;
+        let machine_walkers = qrqw_exec::StepPool::from_env().threads();
         let mut scratch = StepScratch::default();
-        let mut cells: Vec<u64> = (0..40).collect();
-        for seed in 0..240u64 {
+        let mut grown: Vec<u64> = (0..40).collect();
+        let mut one_cell = vec![7u64];
+        for seed in 0..242u64 {
+            let cells = if seed == ONE_RANGE {
+                &mut one_cell
+            } else {
+                &mut grown
+            };
             let mut rng = SmallRng::seed_from_u64(seed);
             if seed % 9 == 4 {
                 // Memory grown between steps.
                 let grown = cells.len() + rng.gen_range(1..3000usize);
                 cells.resize(grown, qrqw_sim::EMPTY);
             }
-            let procs = [1usize, 6, 250, 4095, 13_000][seed as usize % 5];
+            let procs = if seed >= HOT {
+                13_000
+            } else {
+                [1usize, 6, 250, 4095, 13_000][seed as usize % 5]
+            };
             // 0 mixed, 1 writes only, 2 reads only
             let flavour = (seed / 5) % 3;
             let hot = rng.gen_range(0..cells.len());
             let components = [1usize, 2, 7, 1024][rng.gen_range(0..4usize)];
+            let near = cells.len().min(24);
             let addr = |rng: &mut SmallRng| {
                 if rng.gen::<bool>() {
-                    rng.gen_range(0..24usize)
+                    rng.gen_range(0..near)
                 } else {
                     rng.gen_range(0..cells.len())
                 }
@@ -391,8 +459,11 @@ mod tests {
             let program: Vec<(usize, Requests)> = (0..procs)
                 .map(|p| {
                     let mut requests = Requests::default();
-                    // A fifth of the processors stay idle.
-                    if rng.gen_range(0..5u32) > 0 {
+                    if seed == HOT {
+                        requests.reads.push(hot);
+                        requests.writes.push((hot, rng.gen()));
+                    } else if rng.gen_range(0..5u32) > 0 {
+                        // A fifth of the processors stay idle.
                         if flavour != 1 {
                             requests.reads.push(hot);
                             for _ in 0..rng.gen_range(0..3u32) {
@@ -428,7 +499,8 @@ mod tests {
                     .collect(),
                 components,
             );
-            let mut want_cells = cells.clone();
+            let before = cells.clone();
+            let mut want_cells = before.clone();
             for &(a, v) in &want.winners {
                 want_cells[a] = v;
             }
@@ -436,20 +508,33 @@ mod tests {
             // Chunks come back from the pool in any order.
             let chunk = rng.gen_range(1..600usize);
             let rotate = rng.gen_range(0..64usize);
-            let got = route_program(
-                &mut scratch,
-                &mut cells,
-                components,
-                &program,
-                chunk,
-                |logs| {
-                    logs.reverse();
-                    let by = rotate % logs.len();
-                    logs.rotate_left(by);
-                },
-            );
-            assert_eq!(got, want.step, "seed {seed}: measured traffic");
-            assert_eq!(cells, want_cells, "seed {seed}: memory image");
+            // As the machine would, then with the split forced: four
+            // walkers deal even the 40-cell memory to eight ranges.
+            for walkers in [machine_walkers, 4] {
+                cells.copy_from_slice(&before);
+                let got = route_program(
+                    &mut scratch,
+                    cells,
+                    components,
+                    &program,
+                    chunk,
+                    walkers,
+                    |logs| {
+                        logs.reverse();
+                        let by = rotate % logs.len();
+                        logs.rotate_left(by);
+                    },
+                );
+                // `read_msgs`, `write_msgs` and `max_h` are the merged tallies.
+                assert_eq!(
+                    got, want.step,
+                    "seed {seed}, {walkers} walkers: measured traffic"
+                );
+                assert_eq!(
+                    *cells, want_cells,
+                    "seed {seed}, {walkers} walkers: memory image"
+                );
+            }
         }
     }
 }

@@ -99,7 +99,13 @@ impl SharedMemory {
         &self.cells
     }
 
-    /// Applies a buffered write (used by the step machinery).
+    /// Mutable view of the whole memory (the step accounting writes each
+    /// address range's winning writes straight into it).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
+        &mut self.cells
+    }
+
+    /// Applies a host-side write (used by the built-in scan step).
     pub(crate) fn apply(&mut self, addr: usize, value: u64) {
         self.cells[addr] = value;
     }

@@ -141,13 +141,18 @@ impl Pram {
     ///
     /// # Panics
     ///
-    /// If two launches inside `f` overlap in processor ids.
+    /// If two launches inside `f` overlap in processor ids, or if the memory
+    /// has grown past `2^32` cells (the step accounting's address width).
     pub fn step<R>(&mut self, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
         let step_idx = self.steps_executed;
-        self.scratch.begin_step();
+        // The accounting walk fans out as wide as the launches do.
+        self.scratch
+            .begin_step(self.mem.len(), rayon::current_num_threads());
         let mut ctx = StepCtx::new(self.mem.as_slice(), self.seed, step_idx, &self.scratch);
         let result = f(&mut ctx);
-        let stats = self.scratch.finish(self.mem.len(), &mut self.mem);
+        // The plain memory counts nothing, so its partials are zero-sized
+        // and this vector never allocates.
+        let stats = self.scratch.finish(&mut self.mem, &mut Vec::new());
         self.trace.push(stats);
         self.steps_executed += 1;
         result

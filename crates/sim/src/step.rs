@@ -12,18 +12,31 @@
 //! Definition 2.2 is therefore enforced structurally: reads can never
 //! observe a write issued in the same step.
 //!
-//! # Accounting: chunk logs and the stamp walk
+//! # Accounting: chunk logs split by address, and the stamp walk
+//!
+//! Definition 2.1 charges a step by its per-cell queues, so the accounting
+//! of one cell never looks at another — the reason Theorem 1.1's emulation
+//! can let every memory module serve its own cells.  A step's memory is
+//! therefore dealt to a few address ranges the way that emulation spreads
+//! memory over modules: in blocks of cells, round robin, so that any long
+//! array is spread evenly over the ranges.  [`StepScratch::begin_step`]
+//! derives the cut from the memory size and the number of walkers its
+//! caller offers; one walker gets one range.
 //!
 //! Processors are launched in contiguous chunks, and each chunk appends to
-//! one flat [`ChunkLog`]: the addresses read, the `(address, value)` pairs
-//! written, and one pair of end offsets per processor.  Logs are recycled
+//! one [`ChunkLog`]: per range, the reads and the `(address, value)` writes
+//! that fall in it, each tagged with its processor id.  Logs are recycled
 //! through a [`StepScratch`], so a steady-state step allocates nothing.
 //!
 //! [`StepScratch::finish`] orders the step's logs by their first processor
-//! id and walks them once for the reads and once for the writes.  Because
-//! chunks are contiguous id ranges, that walk visits processors in ascending
-//! id and each processor's accesses contiguously, so one `(epoch, last
-//! processor, count)` stamp per cell is enough to tell, per access:
+//! id and walks every range on its own pool worker, over the range's own
+//! cells of a per-cell stamp table: the range's part of each log in chunk
+//! order, once for the reads and once for the writes.  Chunks are
+//! contiguous id ranges and each logs in processor order, so that walk
+//! meets every cell's accesses in ascending processor id, and one
+//! processor's accesses to it in program order — the one order the stamps
+//! rely on, and one no partition by address can break.  One `(epoch, last
+//! processor, count)` stamp per cell then tells, per access:
 //!
 //! * a stale epoch — the first processor on the cell this walk, hence its
 //!   lowest id: a new `(cell, processor)` pair, and for writes the owner of
@@ -32,12 +45,15 @@
 //!   owner's repeated writes land in program order, so its last one stays;
 //! * another processor — one more distinct processor queued on the cell.
 //!
-//! The largest count is the contention `κ` of Definition 2.1, the new-pair
-//! events are the messages a BSP router would carry, and the owner's writes
-//! are the arbitration.  Both model backends ([`crate::Pram`] and
+//! The largest count is the contention `κ` of Definition 2.1 (folded over
+//! the ranges by max), the new-pair events are the messages a BSP router
+//! would carry (counted per chunk of the walk, merged by the [`StepSink`]),
+//! and each walker writes its range's owner writes into the memory: the
+//! arbitration.  Both model backends ([`crate::Pram`] and
 //! `qrqw_bsp::BspMachine`) run this one walk; neither orders accesses by
 //! address.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
@@ -48,44 +64,215 @@ use crate::memory::SharedMemory;
 use crate::rng::proc_rng;
 use crate::stats::StepStats;
 
-/// The flat operation log of one contiguous chunk of virtual processors.
-///
-/// Processor `lo + i` is the `i`-th to finish in the chunk; its reads and
-/// writes are the records between the `(i − 1)`-th and the `i`-th entry of
-/// the end offsets, so no record carries a processor id.
+/// Most address ranges a step is cut into (a power of two).  Two per
+/// walker let the pool balance uneven ranges; many more would make every
+/// chunk keep that many part-filled sub-logs.
+const MAX_RANGES: usize = 8;
+
+/// The ranges interleave in blocks of at most `2^MAX_BLOCK_BITS` cells (48
+/// KiB of stamps): walkers working on neighbouring blocks share a cache line
+/// or a page only at the seams, and an array of some ten thousand cells is
+/// already spread over every range.  Smaller memories get smaller blocks,
+/// so that each range owns at least 16.
+const MAX_BLOCK_BITS: u32 = 12;
+
+/// Records per block of a [`SubLogs`] buffer.
+const BLOCK: usize = 128;
+
+/// How memory is dealt to `2^range_bits` address ranges: in blocks of
+/// `2^block_bits` cells, round robin, the way Theorem 1.1's emulation
+/// spreads memory over modules.  Range `r` owns the blocks `r`,
+/// `r + ranges`, `r + 2·ranges`, …, and with them those cells' stamps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cut {
+    range_bits: u32,
+    block_bits: u32,
+}
+
+impl Cut {
+    /// The range owning cell `addr`.
+    #[inline]
+    fn range_of(self, addr: usize) -> usize {
+        (addr >> self.block_bits) & ((1 << self.range_bits) - 1)
+    }
+}
+
+/// How a step's memory of `cells` cells is cut into address ranges, and how
+/// many walkers may walk them at once.
+#[derive(Debug, Clone, Copy, Default)]
+struct Split {
+    cut: Cut,
+    cells: usize,
+    walkers: usize,
+}
+
+impl Split {
+    /// About two ranges per walker, at most [`MAX_RANGES`], each owning at
+    /// least 16 blocks where the memory allows; one walker gets one range.
+    ///
+    /// # Panics
+    ///
+    /// If the memory has more than `2^32` cells: a record holds a 32-bit
+    /// address, as it holds a 32-bit processor id.
+    fn new(cells: usize, walkers: usize) -> Split {
+        assert!(
+            cells as u64 <= 1 << 32,
+            "the step accounting addresses at most 2^32 cells, not {cells}"
+        );
+        let walkers = walkers.max(1);
+        let target = if walkers == 1 {
+            1
+        } else {
+            (2 * walkers).min(MAX_RANGES)
+        };
+        let range_bits = target.next_power_of_two().trailing_zeros();
+        let block_bits = (cells >> (range_bits + 4))
+            .checked_ilog2()
+            .unwrap_or(0)
+            .min(MAX_BLOCK_BITS);
+        Split {
+            cut: Cut {
+                range_bits,
+                block_bits,
+            },
+            cells,
+            walkers,
+        }
+    }
+
+    fn ranges(&self) -> usize {
+        1 << self.cut.range_bits
+    }
+}
+
+/// A logged read: the reader and the cell.
+#[derive(Debug, Clone, Copy, Default)]
+struct Read {
+    proc: u32,
+    addr: u32,
+}
+
+/// A logged write: the writer, the cell and the value.
+#[derive(Debug, Clone, Copy, Default)]
+struct Write {
+    proc: u32,
+    addr: u32,
+    value: u64,
+}
+
+/// One side (reads or writes) of a chunk's log, partitioned by range in a
+/// single recycled buffer.  Records go into blocks of [`BLOCK`], each owned
+/// by one range and filled in logging order, so the buffer holds the
+/// chunk's records plus at most one part-filled block per range however
+/// the traffic is spread over the ranges.
+#[derive(Debug, Default)]
+struct SubLogs<R> {
+    /// The blocks, initialised up to the most any step used (a reset keeps
+    /// them, so a steady-state step never writes a record slot twice).
+    buf: Vec<R>,
+    /// The range owning each block in use.
+    owners: Vec<u32>,
+    /// Per range: its next free slot and the end of its open block (equal
+    /// when it has no room left, or no block yet).  Every `end` is at most
+    /// `buf.len()`.
+    tails: [(usize, usize); MAX_RANGES],
+}
+
+impl<R: Copy + Default> SubLogs<R> {
+    /// Empties the log, keeping its blocks.
+    fn reset(&mut self) {
+        self.owners.clear();
+        self.tails = Default::default();
+    }
+
+    #[inline]
+    fn push(&mut self, range: usize, record: R) {
+        let (next, end) = self.tails[range];
+        let at = if next == end {
+            self.open_block(range)
+        } else {
+            next
+        };
+        debug_assert!(at < self.buf.len());
+        // SAFETY: `at` is below its block's end, which is at most
+        // `buf.len()` (`tails`' invariant, kept by `open_block`).
+        unsafe { *self.buf.get_unchecked_mut(at) = record };
+        self.tails[range].0 = at + 1;
+    }
+
+    /// Gives `range` a fresh block and returns its first slot.
+    #[cold]
+    fn open_block(&mut self, range: usize) -> usize {
+        let start = self.owners.len() * BLOCK;
+        if self.buf.len() < start + BLOCK {
+            self.buf.resize(start + BLOCK, R::default());
+        }
+        self.owners.push(range as u32);
+        self.tails[range] = (start, start + BLOCK);
+        start
+    }
+
+    /// `range`'s records, in the order they were logged.
+    fn of_range(&self, range: usize) -> impl Iterator<Item = &[R]> + '_ {
+        let (next, end) = self.tails[range];
+        self.owners
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &owner)| owner as usize == range)
+            .map(move |(block, _)| {
+                let start = block * BLOCK;
+                let stop = if start + BLOCK == end {
+                    next
+                } else {
+                    start + BLOCK
+                };
+                &self.buf[start..stop]
+            })
+    }
+}
+
+/// The operation log of one contiguous chunk of virtual processors: its
+/// reads and writes split by address range, each tagged with its processor
+/// id, and the per-chunk sums of the per-processor counts.
 #[derive(Debug, Default)]
 pub struct ChunkLog {
     lo: usize,
-    reads: Vec<usize>,
-    writes: Vec<(usize, u64)>,
-    /// `(reads.len(), writes.len())` when each processor finished.
-    ends: Vec<(usize, usize)>,
+    /// Processors closed so far: the chunk is `lo .. lo + procs`.
+    procs: usize,
+    cut: Cut,
+    reads: SubLogs<Read>,
+    writes: SubLogs<Write>,
+    total_reads: u64,
+    total_writes: u64,
     active: u64,
     computes: u64,
     max_ops: u64,
 }
 
 impl ChunkLog {
-    /// Closes the current processor, which charged `computes` local
-    /// operations; the next record belongs to the next processor id.
+    /// Closes the current processor, which issued `reads` reads, `writes`
+    /// writes and charged `computes` local operations; the next record
+    /// belongs to the next processor id.
     #[inline]
-    fn end_processor(&mut self, computes: u64) {
-        let (read_from, write_from) = self.ends.last().copied().unwrap_or((0, 0));
-        let reads = (self.reads.len() - read_from) as u64;
-        let writes = (self.writes.len() - write_from) as u64;
-        self.ends.push((self.reads.len(), self.writes.len()));
+    fn end_processor(&mut self, reads: u64, writes: u64, computes: u64) {
+        self.procs += 1;
+        self.total_reads += reads;
+        self.total_writes += writes;
         self.active += (reads + writes + computes > 0) as u64;
         self.computes += computes;
         self.max_ops = self.max_ops.max(reads).max(writes).max(computes);
     }
 
     /// Empties the log, keeping its capacity, for a chunk starting at
-    /// processor `lo`.
-    fn reset(&mut self, lo: usize) {
+    /// processor `lo` of a step cut as `split`.
+    fn reset(&mut self, lo: usize, split: &Split) {
         self.lo = lo;
-        self.reads.clear();
-        self.writes.clear();
-        self.ends.clear();
+        self.procs = 0;
+        self.cut = split.cut;
+        self.reads.reset();
+        self.writes.reset();
+        self.total_reads = 0;
+        self.total_writes = 0;
         self.active = 0;
         self.computes = 0;
         self.max_ops = 0;
@@ -93,7 +280,7 @@ impl ChunkLog {
 
     /// One past the last processor id logged.
     fn hi(&self) -> usize {
-        self.lo + self.ends.len()
+        self.lo + self.procs
     }
 }
 
@@ -106,9 +293,12 @@ impl ChunkLog {
 pub struct ProcCtx<'a> {
     snapshot: &'a [u64],
     log: &'a mut ChunkLog,
+    cut: Cut,
     seed: u64,
     step_idx: u64,
     proc: u64,
+    reads: u64,
+    writes: u64,
     computes: u64,
     rng: Option<SmallRng>,
 }
@@ -119,10 +309,13 @@ impl<'a> ProcCtx<'a> {
     pub fn new(snapshot: &'a [u64], seed: u64, step_idx: u64, log: &'a mut ChunkLog) -> Self {
         ProcCtx {
             snapshot,
+            cut: log.cut,
             log,
             seed,
             step_idx,
             proc: 0,
+            reads: 0,
+            writes: 0,
             computes: 0,
             rng: None,
         }
@@ -134,6 +327,8 @@ impl<'a> ProcCtx<'a> {
     pub fn begin(&mut self, proc: u64) {
         debug_assert_eq!(proc as usize, self.log.hi(), "a chunk runs consecutive ids");
         self.proc = proc;
+        self.reads = 0;
+        self.writes = 0;
         self.computes = 0;
         self.rng = None;
     }
@@ -141,7 +336,8 @@ impl<'a> ProcCtx<'a> {
     /// Closes the current processor's stretch of the log.
     #[inline]
     pub fn end(&mut self) {
-        self.log.end_processor(self.computes);
+        self.log
+            .end_processor(self.reads, self.writes, self.computes);
     }
 
     /// The virtual-processor id this context belongs to.
@@ -159,7 +355,12 @@ impl<'a> ProcCtx<'a> {
             "read of address {addr} outside shared memory of size {}",
             self.snapshot.len()
         );
-        self.log.reads.push(addr);
+        self.reads += 1;
+        let record = Read {
+            proc: self.proc as u32,
+            addr: addr as u32,
+        };
+        self.log.reads.push(self.cut.range_of(addr), record);
         self.snapshot[addr]
     }
 
@@ -176,7 +377,13 @@ impl<'a> ProcCtx<'a> {
             "write of address {addr} outside shared memory of size {}",
             self.snapshot.len()
         );
-        self.log.writes.push((addr, value));
+        self.writes += 1;
+        let record = Write {
+            proc: self.proc as u32,
+            addr: addr as u32,
+            value,
+        };
+        self.log.writes.push(self.cut.range_of(addr), record);
     }
 
     /// Charges `ops` local RAM operations on the processor's private state.
@@ -210,6 +417,15 @@ impl<'a> ProcCtx<'a> {
 /// `(seed, step, proc)` and write arbitration is deterministic, so both
 /// ways are bit-identical.
 const PARALLEL_CUTOFF: usize = 4096;
+
+/// A step logging at least this many accesses walks its address ranges on
+/// the worker pool; smaller ones are walked inline.  A range is walked the
+/// same on any thread, so both ways are bit-identical.  Below about this
+/// size (some 70 µs of walk on the 2-vCPU reference box) the worker's
+/// wake-up and the cells its walk leaves in the other core's cache cost
+/// what the split saves: at half this cutoff `model` spent 8 % more CPU
+/// for no more throughput.
+const WALK_CUTOFF: u64 = 4 * PARALLEL_CUTOFF as u64;
 
 /// Smallest chunk a pooled launch is cut into: a few chunks per thread for
 /// dynamic load balance, but never degenerate slivers.
@@ -298,25 +514,46 @@ impl<'a> StepCtx<'a> {
     }
 }
 
-/// What [`StepScratch::finish`] reports while it walks a step's traffic.
+/// Where [`StepScratch::finish`] puts a step's outcome: the memory its
+/// winning writes land in, and whatever the sink counts on the way.
+///
+/// The walk runs in chunks — one when it runs inline, one per address
+/// range when it fans out over the pool — and each chunk counts into its
+/// own [`StepSink::Partial`]; [`StepSink::merge`] folds them.
 pub trait StepSink {
+    /// What one chunk of the walk counts.  Concurrent chunks update
+    /// neighbouring partials of one vector, so a partial written per
+    /// message should fill its own cache lines (`#[repr(align(128))]`).
+    type Partial: Send;
+
+    /// The memory the step's winning writes land in.
+    fn cells(&mut self) -> &mut [u64];
+
+    /// A zeroed partial, for a walk in more chunks than the caller kept
+    /// partials for.
+    fn new_partial(&self) -> Self::Partial;
+
     /// A distinct `(cell, processor)` read pair: one read request however
     /// often the processor re-read the cell.
-    fn read_pair(&mut self, _addr: usize) {}
+    fn read_pair(_partial: &mut Self::Partial, _addr: usize) {}
 
     /// A distinct `(cell, processor)` write pair.
-    fn write_pair(&mut self, _addr: usize) {}
+    fn write_pair(_partial: &mut Self::Partial, _addr: usize) {}
 
-    /// A write by the lowest processor id on `addr`.  Called in that
-    /// processor's program order, so applying every call as it comes leaves
-    /// its last value in the cell.
-    fn deliver(&mut self, addr: usize, value: u64);
+    /// Folds the partials the walk's chunks filled into the sink, leaving
+    /// them zeroed for the next step.
+    fn merge(&mut self, _partials: &mut [Self::Partial]) {}
 }
 
+/// The plain memory counts nothing: its partials are zero-sized.
 impl StepSink for SharedMemory {
-    fn deliver(&mut self, addr: usize, value: u64) {
-        self.apply(addr, value);
+    type Partial = ();
+
+    fn cells(&mut self) -> &mut [u64] {
+        self.as_mut_slice()
     }
+
+    fn new_partial(&self) {}
 }
 
 /// Per-cell scratch of the walk: valid only while `epoch` is the walk's own,
@@ -337,65 +574,80 @@ struct StampTable {
 }
 
 impl StampTable {
-    /// Walks one side (reads or writes) of `logs`, which must be in
-    /// ascending processor order, over a memory of `cells` cells; returns
-    /// the largest number of distinct processors found on one cell.
-    /// `visit(record, new_pair, owner)` sees every record with whether it is
-    /// its processor's first access to the cell, and whether no lower
-    /// processor id touched the cell.
-    fn walk<A>(
-        &mut self,
-        cells: usize,
-        logs: &[ChunkLog],
-        records: impl for<'l> Fn(&'l ChunkLog) -> &'l [A],
-        end: impl Fn(&(usize, usize)) -> usize,
-        addr: impl Fn(&A) -> usize,
-        mut visit: impl FnMut(&A, bool, bool),
-    ) -> u64 {
-        if logs.iter().all(|log| records(log).is_empty()) {
-            return 0;
-        }
-        if self.epoch == u32::MAX {
+    /// Fresh epochs for a step's reads walk and writes walk over a memory of
+    /// `cells` cells: every stamp the table holds reads as stale under
+    /// either.  Both are taken before either walk runs, so the table is
+    /// wiped before the pair is handed out whenever it would pass
+    /// `u32::MAX` — a wipe between them would leave the first walk's
+    /// stamps to be met again when the epochs come round.
+    fn next_epochs(&mut self, cells: usize) -> (u32, u32) {
+        if self.epoch > u32::MAX - 2 {
             self.stamps.fill(Stamp::default());
             self.epoch = 0;
         }
-        self.epoch += 1;
+        self.epoch += 2;
         if self.stamps.len() < cells {
             self.stamps.resize(cells, Stamp::default());
         }
-        let epoch = self.epoch;
-        let stamps = &mut self.stamps[..];
-        let mut longest = 1;
-        for log in logs {
-            let records = records(log);
-            let mut from = 0;
-            for (i, ends) in log.ends.iter().enumerate() {
-                let proc = (log.lo + i) as u32;
-                let to = end(ends);
-                for record in &records[from..to] {
-                    let stamp = &mut stamps[addr(record)];
-                    let (new_pair, owner) = if stamp.epoch != epoch {
-                        *stamp = Stamp {
-                            epoch,
-                            proc,
-                            count: 1,
-                        };
-                        (true, true)
-                    } else if stamp.proc == proc {
-                        (false, stamp.count == 1)
-                    } else {
-                        stamp.proc = proc;
-                        stamp.count += 1;
-                        longest = longest.max(stamp.count);
-                        (true, false)
-                    };
-                    visit(record, new_pair, owner);
-                }
-                from = to;
-            }
-        }
-        longest as u64
+        (self.epoch - 1, self.epoch)
     }
+}
+
+/// Walks one side (reads or writes) of one address range under `epoch`:
+/// `blocks` hold the range's records in ascending processor order, and
+/// `key` gives a record's `(processor, address)`.  Returns the largest
+/// number of distinct processors found on one cell.  `visit(record,
+/// new_pair, owner)` sees every record with whether it is its processor's
+/// first access to the cell, and whether no lower processor id touched the
+/// cell.
+///
+/// # Panics
+///
+/// If a record addresses a cell past `cells`.
+///
+/// # Safety
+///
+/// `stamps` points to a table of at least `cells` stamps, and while the
+/// walk runs no other thread touches the stamps of the cells `blocks`
+/// address.
+unsafe fn walk<'r, R: 'r>(
+    stamps: *mut Stamp,
+    cells: usize,
+    epoch: u32,
+    blocks: impl Iterator<Item = &'r [R]>,
+    key: impl Fn(&R) -> (u32, u32),
+    mut visit: impl FnMut(&R, bool, bool),
+) -> u64 {
+    let mut longest = 0;
+    for block in blocks {
+        for record in block {
+            let (proc, addr) = key(record);
+            // A log filled over a larger snapshot than the step's memory
+            // must not reach past it.
+            assert!((addr as usize) < cells, "access outside the step's memory");
+            // SAFETY: in bounds (just checked), and this walk's alone (the
+            // caller's contract).
+            let stamp = unsafe { &mut *stamps.add(addr as usize) };
+            let (new_pair, owner) = if stamp.epoch != epoch {
+                *stamp = Stamp {
+                    epoch,
+                    proc,
+                    count: 1,
+                };
+                longest = longest.max(1);
+                (true, true)
+            } else if stamp.proc == proc {
+                (false, stamp.count == 1)
+            } else {
+                stamp.proc = proc;
+                stamp.count += 1;
+                longest = longest.max(stamp.count);
+                (true, false)
+            };
+            visit(record, new_pair, owner);
+        }
+    }
+    longest as u64
 }
 
 #[derive(Debug, Default)]
@@ -417,21 +669,26 @@ struct LogPool {
 pub struct StepScratch {
     logs: Mutex<LogPool>,
     stamps: StampTable,
+    split: Split,
 }
 
 impl StepScratch {
-    /// Opens a step, recycling whatever a previous step left behind when a
-    /// processor body unwound out of it.
-    pub fn begin_step(&mut self) {
+    /// Opens a step over a memory of `cells` cells whose accounting
+    /// [`StepScratch::finish`] may walk on up to `walkers` threads (the
+    /// caller's own parallelism; 1 walks one address range inline), and
+    /// recycles whatever a previous step left behind when a processor body
+    /// unwound out of it.
+    pub fn begin_step(&mut self, cells: usize, walkers: usize) {
         let pool = self.logs.get_mut().expect("log pool lock poisoned");
         pool.free.append(&mut pool.filled);
+        self.split = Split::new(cells, walkers);
     }
 
     /// An empty log for a chunk whose first processor id is `lo`.
     pub fn take_log(&self, lo: usize) -> ChunkLog {
         let recycled = self.logs.lock().expect("log pool lock poisoned").free.pop();
         let mut log = recycled.unwrap_or_default();
-        log.reset(lo);
+        log.reset(lo, &self.split);
         log
     }
 
@@ -448,15 +705,28 @@ impl StepScratch {
         self.stamps.epoch = epoch;
     }
 
-    /// Closes the step over a memory of `cells` cells: computes its
-    /// statistics and reports every distinct `(cell, processor)` pair and
-    /// every winning write to `sink` (see the [module docs](self)).
+    /// The number of address ranges the open step is cut into.
+    #[cfg(test)]
+    fn ranges(&self) -> usize {
+        self.split.ranges()
+    }
+
+    /// Closes the step: computes its statistics, writes every winning write
+    /// into `sink`'s cells and reports every distinct `(cell, processor)`
+    /// pair to it (see the [module docs](self)).  `partials` holds the
+    /// sink's per-chunk partials, recycled across steps.
     ///
     /// # Panics
     ///
-    /// If a processor id was launched twice in the step, or does not fit 32
-    /// bits.
-    pub fn finish(&mut self, cells: usize, sink: &mut impl StepSink) -> StepStats {
+    /// If a processor id was launched twice in the step or does not fit 32
+    /// bits, if `sink`'s memory is not the size the step began with, or if
+    /// a log was taken for another step or logged a cell past that memory.
+    pub fn finish<S: StepSink>(
+        &mut self,
+        sink: &mut S,
+        partials: &mut Vec<S::Partial>,
+    ) -> StepStats {
+        let split = self.split;
         let pool = self.logs.get_mut().expect("log pool lock poisoned");
         // The only ordering a step pays for: chunks, not accesses.
         pool.filled.sort_unstable_by_key(|log| log.lo);
@@ -472,47 +742,109 @@ impl StepScratch {
             "processor ids must fit 32 bits"
         );
 
-        let max_read_contention = self.stamps.walk(
-            cells,
-            logs,
-            |log| &log.reads[..],
-            |ends| ends.0,
-            |&addr| addr,
-            |&addr, new_pair, _| {
-                if new_pair {
-                    sink.read_pair(addr);
-                }
-            },
-        );
-        let max_write_contention = self.stamps.walk(
-            cells,
-            logs,
-            |log| &log.writes[..],
-            |ends| ends.1,
-            |&(addr, _)| addr,
-            |&(addr, value), new_pair, owner| {
-                if new_pair {
-                    sink.write_pair(addr);
-                }
-                if owner {
-                    sink.deliver(addr, value);
-                }
-            },
-        );
-
         let stats = StepStats {
             active_procs: logs.iter().map(|log| log.active).sum(),
-            total_reads: logs.iter().map(|log| log.reads.len() as u64).sum(),
-            total_writes: logs.iter().map(|log| log.writes.len() as u64).sum(),
+            total_reads: logs.iter().map(|log| log.total_reads).sum(),
+            total_writes: logs.iter().map(|log| log.total_writes).sum(),
             total_computes: logs.iter().map(|log| log.computes).sum(),
             max_ops_per_proc: logs.iter().map(|log| log.max_ops).max().unwrap_or(0),
-            max_read_contention,
-            max_write_contention,
+            max_read_contention: 0,
+            max_write_contention: 0,
             is_scan: false,
             scan_width: 0,
         };
+        // One chunk per range on the pool, or all ranges in one chunk inline.
+        let ranges = split.ranges();
+        let (threads, chunk_len) = if stats.total_reads + stats.total_writes >= WALK_CUTOFF {
+            (split.walkers, 1)
+        } else {
+            (1, ranges)
+        };
+        let chunks = ranges.div_ceil(chunk_len);
+        while partials.len() < chunks {
+            partials.push(sink.new_partial());
+        }
+        let (read_epoch, write_epoch) = self.stamps.next_epochs(split.cells);
+        let cells = sink.cells();
+        assert_eq!(
+            cells.len(),
+            split.cells,
+            "the memory changed size during the step"
+        );
+        // A record sits in the sub-log of its cell's range only if its log
+        // was cut as this step is.
+        assert!(
+            logs.iter().all(|log| log.cut == split.cut),
+            "a chunk log taken for another step"
+        );
+
+        let longest_read = AtomicU64::new(0);
+        let longest_write = AtomicU64::new(0);
+        let stamps = SendPtr(self.stamps.stamps.as_mut_ptr());
+        let cells = SendPtr(cells.as_mut_ptr());
+        let parts = SendPtr(partials.as_mut_ptr());
+        let (stamps, cells, parts) = (&stamps, &cells, &parts);
+        rayon::pool::dispatch(ranges, chunk_len, threads, false, 1, |_, lo, hi| {
+            // SAFETY: `partials` holds at least `chunks` partials (grown
+            // above), and each chunk index is run by one body only.
+            let partial = unsafe { &mut *parts.0.add(lo / chunk_len) };
+            for range in lo..hi {
+                let count_read = |r: &Read, new_pair: bool, _| {
+                    if new_pair {
+                        S::read_pair(partial, r.addr as usize);
+                    }
+                };
+                let read_blocks = logs.iter().flat_map(|log| log.reads.of_range(range));
+                // SAFETY (both walks): the table holds `split.cells` stamps
+                // (`next_epochs`); every record in a range's sub-logs
+                // addresses a cell of that range (asserted cut), and each
+                // range is walked by one body only, so no two threads touch
+                // one stamp.  `dispatch` is a barrier: nothing here outlives
+                // the borrows behind the pointers.
+                let read = unsafe {
+                    walk(
+                        stamps.0,
+                        split.cells,
+                        read_epoch,
+                        read_blocks,
+                        |r| (r.proc, r.addr),
+                        count_read,
+                    )
+                };
+                let deliver = |w: &Write, new_pair: bool, owner: bool| {
+                    if new_pair {
+                        S::write_pair(partial, w.addr as usize);
+                    }
+                    if owner {
+                        // SAFETY: `walk` checked the address against the
+                        // memory's length, and the cell is this range's,
+                        // walked by this body only.
+                        unsafe { cells.0.add(w.addr as usize).write(w.value) };
+                    }
+                };
+                let write_blocks = logs.iter().flat_map(|log| log.writes.of_range(range));
+                let write = unsafe {
+                    walk(
+                        stamps.0,
+                        split.cells,
+                        write_epoch,
+                        write_blocks,
+                        |w| (w.proc, w.addr),
+                        deliver,
+                    )
+                };
+                // Relaxed: the dispatch's completion is what publishes them.
+                longest_read.fetch_max(read, Ordering::Relaxed);
+                longest_write.fetch_max(write, Ordering::Relaxed);
+            }
+        });
+        sink.merge(&mut partials[..chunks]);
         pool.free.append(&mut pool.filled);
-        stats
+        StepStats {
+            max_read_contention: longest_read.into_inner(),
+            max_write_contention: longest_write.into_inner(),
+            ..stats
+        }
     }
 }
 
@@ -521,10 +853,13 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    /// A memory and its scratch, stepped the way [`crate::Pram::step`] does.
+    /// A memory and its scratch, stepped the way [`crate::Pram::step`] does
+    /// with `walkers` walkers (the host parallelism unless a test forces
+    /// another count).
     struct Harness {
         mem: SharedMemory,
         scratch: StepScratch,
+        walkers: usize,
     }
 
     impl Harness {
@@ -535,6 +870,7 @@ mod tests {
             Harness {
                 mem,
                 scratch: StepScratch::default(),
+                walkers: rayon::current_num_threads(),
             }
         }
 
@@ -544,10 +880,10 @@ mod tests {
             step_idx: u64,
             f: impl FnOnce(&mut StepCtx<'_>) -> R,
         ) -> (R, StepStats) {
-            self.scratch.begin_step();
+            self.scratch.begin_step(self.mem.len(), self.walkers);
             let mut ctx = StepCtx::new(self.mem.as_slice(), seed, step_idx, &self.scratch);
             let result = f(&mut ctx);
-            let stats = self.scratch.finish(self.mem.len(), &mut self.mem);
+            let stats = self.scratch.finish(&mut self.mem, &mut Vec::new());
             (result, stats)
         }
     }
@@ -818,8 +1154,20 @@ mod tests {
     #[test]
     fn the_walk_agrees_with_the_sort_it_replaces() {
         const SIZES: [usize; 5] = [1, 7, 300, PARALLEL_CUTOFF - 1, 3 * PARALLEL_CUTOFF + 17];
-        let mut h = Harness::counting(64);
-        for seed in 0..240u64 {
+        /// Every processor reads and writes one hot cell: ROADMAP's skew
+        /// adversary, all traffic in one range.
+        const HOT: u64 = 240;
+        /// A one-cell memory: however many ranges the step is cut into,
+        /// one holds all of it.
+        const ONE_RANGE: u64 = 241;
+        let mut grown = Harness::counting(64);
+        let mut one_cell = Harness::counting(1);
+        for seed in 0..242u64 {
+            let h = if seed == ONE_RANGE {
+                &mut one_cell
+            } else {
+                &mut grown
+            };
             let mut rng = SmallRng::seed_from_u64(seed);
             if seed % 7 == 3 {
                 // Memory grown between steps: the stamp table must follow.
@@ -827,20 +1175,30 @@ mod tests {
                 h.mem.ensure(grown);
             }
             if seed == 100 {
-                // The reads walk takes the last epoch, the writes walk wraps.
+                // The step's two epochs would pass the last: the table is
+                // wiped before either walk.
                 h.scratch.force_epoch(u32::MAX - 1);
             }
             let cells = h.mem.len();
-            let procs = SIZES[seed as usize % SIZES.len()];
+            let procs = if seed >= HOT {
+                SIZES[4]
+            } else {
+                SIZES[seed as usize % SIZES.len()]
+            };
             // 0 mixed, 1 writes only, 2 reads only
             let flavour = (seed / 5) % 3;
             let hot = rng.gen_range(0..cells);
             let first = rng.gen_range(0..1000usize);
             let program: Vec<(u64, Vec<Op>)> = (first..first + procs)
-                .map(|p| (p as u64, random_ops(&mut rng, cells, flavour, hot)))
+                .map(|p| {
+                    let ops = if seed == HOT {
+                        vec![Op::Read(hot), Op::Write(hot, rng.gen())]
+                    } else {
+                        random_ops(&mut rng, cells, flavour, hot)
+                    };
+                    (p as u64, ops)
+                })
                 .collect();
-
-            let before = h.mem.dump(0, cells);
             let body = |p: usize, ctx: &mut ProcCtx<'_>| {
                 let mut sum = 0u64;
                 for &op in &program[p - first].1 {
@@ -852,31 +1210,90 @@ mod tests {
                 }
                 sum
             };
-            // Two launches, upper half first, on every other seed; above the
-            // cutoff four pool threads deliver the logs out of order.
-            let split = first + if seed % 2 == 0 { procs / 2 } else { 0 };
-            let threads = if procs >= PARALLEL_CUTOFF { 4 } else { 1 };
-            let ((upper, lower), stats) = h.step(seed, seed, |s| {
-                let upper = s.par_map_on(split..first + procs, threads, body);
-                let lower = s.par_map_on(first..split, threads, body);
-                (upper, lower)
-            });
 
+            let before = h.mem.dump(0, cells);
             let (want_stats, winners) = sorted_reference(&program);
-            assert_eq!(stats, want_stats, "seed {seed}: step statistics");
             let mut want_mem = before.clone();
             for (a, v) in winners {
                 want_mem[a] = v;
             }
-            assert_eq!(h.mem.dump(0, cells), want_mem, "seed {seed}: memory image");
-            let sums: Vec<u64> = lower.into_iter().chain(upper).collect();
-            for ((_, ops), got) in program.iter().zip(sums) {
-                let want = ops.iter().fold(0u64, |sum, op| match op {
-                    Op::Read(a) => sum.wrapping_add(before[*a]),
-                    _ => sum,
+            // As the machine would, then with the split forced: four
+            // walkers deal even the 64-cell memory to eight ranges, and
+            // above the walk cutoff up to four threads walk them.
+            for walkers in [rayon::current_num_threads(), 4] {
+                let tag = format!("seed {seed}, {walkers} walkers");
+                h.mem.load(0, &before);
+                h.walkers = walkers;
+                // Two launches, upper half first, on every other seed; above
+                // the cutoff four pool threads deliver the logs out of order.
+                let split = first + if seed % 2 == 0 { procs / 2 } else { 0 };
+                let threads = if procs >= PARALLEL_CUTOFF { 4 } else { 1 };
+                let ((upper, lower), stats) = h.step(seed, seed, |s| {
+                    let upper = s.par_map_on(split..first + procs, threads, body);
+                    let lower = s.par_map_on(first..split, threads, body);
+                    (upper, lower)
                 });
-                assert_eq!(got, want, "seed {seed}: a read missed the snapshot");
+                if walkers == 4 {
+                    assert_eq!(h.scratch.ranges(), MAX_RANGES, "{tag}: ranges");
+                }
+
+                assert_eq!(stats, want_stats, "{tag}: step statistics");
+                assert_eq!(h.mem.dump(0, cells), want_mem, "{tag}: memory image");
+                let sums: Vec<u64> = lower.into_iter().chain(upper).collect();
+                for ((_, ops), got) in program.iter().zip(sums) {
+                    let want = ops.iter().fold(0u64, |sum, op| match op {
+                        Op::Read(a) => sum.wrapping_add(before[*a]),
+                        _ => sum,
+                    });
+                    assert_eq!(got, want, "{tag}: a read missed the snapshot");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn no_stamp_survives_the_epoch_wrap() {
+        // Stored epochs at the wrap, in an order that hands the top epochs
+        // out again after a wipe.  Each is either ahead of the one the last
+        // step left, as if the steps in between had run, or close enough to
+        // the top to wipe.  Every step touches the same few cells, and a
+        // reads-only step is followed by a writes-only one, so a stamp left
+        // by an earlier step would read as this step's.
+        const MAX: u32 = u32::MAX;
+        let mut h = Harness::counting(64);
+        for (i, epoch) in [MAX - 1, MAX - 2, MAX - 1, MAX - 3, MAX, MAX - 2]
+            .into_iter()
+            .enumerate()
+        {
+            h.scratch.force_epoch(epoch);
+            let mut rng = SmallRng::seed_from_u64(i as u64);
+            // reads only, writes only, mixed
+            let flavour = [2, 1, 0][i % 3];
+            let program: Vec<(u64, Vec<Op>)> = (0..300)
+                .map(|p| (p, random_ops(&mut rng, 64, flavour, 5)))
+                .collect();
+            let (want_stats, winners) = sorted_reference(&program);
+            let mut want_mem = h.mem.dump(0, 64);
+            for (a, v) in winners {
+                want_mem[a] = v;
+            }
+            let ((), stats) = h.step(0, i as u64, |s| {
+                s.par_for(0..300, |p, ctx| {
+                    for &op in &program[p].1 {
+                        match op {
+                            Op::Read(a) => _ = ctx.read(a),
+                            Op::Write(a, v) => ctx.write(a, v),
+                            Op::Compute(c) => ctx.compute(c),
+                        }
+                    }
+                })
+            });
+            assert_eq!(stats, want_stats, "step {i}, epoch {epoch}: statistics");
+            assert_eq!(
+                h.mem.dump(0, 64),
+                want_mem,
+                "step {i}, epoch {epoch}: memory"
+            );
         }
     }
 }

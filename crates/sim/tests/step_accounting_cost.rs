@@ -4,19 +4,23 @@
 //! A simulated access has to be remembered until the step ends: the least
 //! a step body can do per processor is load its cell, append the address
 //! to a read log, append `(address, value)` to a write log, and have the
-//! writes applied afterwards.  `Pram` adds the accounting on top — end
-//! offsets per processor, one stamp walk over the reads and one over the
-//! writes — and stays within a small multiple of that floor only while the
-//! logs are per chunk and recycled, nothing is sorted, and everything a
+//! writes applied afterwards.  `Pram` adds the accounting on top — records
+//! tagged with processor ids and filed by address range, one stamp walk
+//! per range over the reads and one over the writes, the ranges walked on
+//! the pool — and stays within a small multiple of that floor only while
+//! the logs are per chunk and recycled, nothing is sorted, and everything a
 //! step closure calls per processor is `#[inline]` (an integration test is
 //! a downstream crate built without LTO, like the bench bins and
 //! `perfbench`).  A per-processor allocation or a per-step sort coming
-//! back shows here as a ratio above 50 instead of about 3.
+//! back shows here as a ratio above 50 instead of about 2–3.
 //!
-//! Timing test, so `#[ignore]`d; CI runs it in release:
+//! Timing test, so `#[ignore]`d; CI runs it in release twice, as is and on
+//! one CPU (`available_parallelism` follows the affinity mask, so `Pram`
+//! logs one range and walks it inline — the cost of the split itself):
 //!
 //! ```text
 //! cargo test --release -p qrqw-sim --test step_accounting_cost -- --ignored --nocapture
+//! taskset -c 0 cargo test --release -p qrqw-sim --test step_accounting_cost -- --ignored --nocapture
 //! ```
 
 use std::hint::black_box;
@@ -26,8 +30,11 @@ use qrqw_sim::{Machine, Pram};
 
 const PROCS: usize = 1 << 18;
 const REPS: usize = 15;
-/// Measured on the 2-vCPU reference box: 2.5–3.3 with chunk logs and the
-/// stamp walk, 52–78 with a log per processor and two sorts per step.
+/// Measured on the 2-vCPU reference box, alternating with the serial walk
+/// it replaced: on two CPUs 1.2–2.0 with the walk split by address range
+/// (serial walk 1.9–2.6); on one CPU 2.34–2.41 (serial walk 2.49–2.63),
+/// and in a noisier sitting medians 2.71 against 2.79 over 10 runs each.
+/// A log per processor and two sorts per step read 52–78.
 const MAX_RATIO: f64 = 12.0;
 
 /// Best-of-[`REPS`] wall of one pass over [`PROCS`] processors, in ns per
