@@ -4,7 +4,9 @@
 //! worker pool (`rayon::pool`): how many threads participate, which
 //! [`Schedule`] assigns chunks to them, how the index space is chunked, and
 //! when a step is small enough to run inline on the calling thread.  The
-//! pool threads themselves are process-wide and parked between steps — a
+//! pool threads themselves are process-wide: between steps they poll for
+//! the next one for a few tens of microseconds and then park, so
+//! back-to-back steps hand off without a kernel wakeup, and a
 //! `NativeMachine` never spawns threads on the step path.
 //!
 //! The thread count is configurable per machine (builder) and per process

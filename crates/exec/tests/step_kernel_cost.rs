@@ -1,4 +1,4 @@
-//! Guard for the step kernel's cost relative to the loop it should be.
+//! Guards for the step kernel's cost relative to the loop it should be.
 //!
 //! A `par_for` that reads a cell and writes it back is, per virtual
 //! processor, a bounds check, a relaxed load and a relaxed store.  It stays
@@ -9,14 +9,21 @@
 //! `perfbench` — so a dropped attribute shows here as an out-of-line call
 //! per access and the ratio below jumps from ~3 to ~9.
 //!
-//! Timing test, so `#[ignore]`d; CI runs it in release:
+//! The second guard prices the pool handoff a small step pays: the same
+//! kind of step, just over the inline cutoff, dispatched to a 2-thread pool
+//! against run inline.
+//!
+//! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
+//! to one CPU:
 //!
 //! ```text
 //! cargo test --release -p qrqw-exec --test step_kernel_cost -- --ignored --nocapture
+//! taskset -c 0 cargo test --release -p qrqw-exec --test step_kernel_cost -- --ignored --nocapture
 //! ```
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use qrqw_exec::{NativeMachine, StepPool};
@@ -27,6 +34,22 @@ const REPS: usize = 15;
 /// Measured on the 2-vCPU reference box: 2.8–3.5 with the attributes,
 /// 8–9.4 without them.
 const MAX_RATIO: f64 = 5.0;
+
+/// Cells of one dispatch-guard step: just over the 2048-item inline cutoff,
+/// so on two threads every step is a pool dispatch.
+const STEP_CELLS: usize = 4096;
+/// Back-to-back steps per timed repetition of the dispatch guard.
+const STEPS: usize = 2000;
+/// Bound on a 2-thread step's wall over an inline one's.  Measured on the
+/// 2-vCPU reference box: 2.23–2.76 when every dispatch woke a parked worker
+/// and the worker signalled the caller back through a condvar, 1.18–1.70
+/// with lingering workers (6 runs each); pinned to one CPU, 1.65–1.77 and
+/// 0.93–1.10 (4 runs each).
+const MAX_DISPATCH_RATIO: f64 = 2.0;
+
+/// The guards time on every CPU the process has, so they must not overlap
+/// when the harness runs them on parallel threads.
+static TIMING: Mutex<()> = Mutex::new(());
 
 /// Best-of-[`REPS`] wall of one pass over [`CELLS`] cells, in ns per cell.
 fn best_ns_per_cell(mut pass: impl FnMut()) -> f64 {
@@ -39,22 +62,26 @@ fn best_ns_per_cell(mut pass: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// One read-write-back step over the first `len` cells.
+fn bump(machine: &mut NativeMachine, len: usize) {
+    machine.par_for(len, |p, ctx| {
+        let v = ctx.read(p);
+        ctx.write(p, v.wrapping_add(1));
+    })
+}
+
 #[test]
 #[ignore = "timing guard: run with --release -- --ignored"]
 fn a_read_write_step_stays_within_five_raw_loops() {
     if cfg!(debug_assertions) {
         panic!("the ratio is only meaningful in an optimized build: pass --release");
     }
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let zeros = vec![0u64; CELLS];
 
     let mut machine = NativeMachine::with_pool(CELLS, 1, StepPool::with_threads(1));
     machine.load(0, &zeros);
-    let step = best_ns_per_cell(|| {
-        machine.par_for(CELLS, |p, ctx| {
-            let v = ctx.read(p);
-            ctx.write(p, v.wrapping_add(1));
-        })
-    });
+    let step = best_ns_per_cell(|| bump(&mut machine, CELLS));
     assert_eq!(machine.peek(CELLS - 1), REPS as u64);
 
     let cells: Vec<AtomicU64> = zeros.into_iter().map(AtomicU64::new).collect();
@@ -72,5 +99,46 @@ fn a_read_write_step_stays_within_five_raw_loops() {
         ratio <= MAX_RATIO,
         "a read-write-back par_for costs {ratio:.1}x the raw loop (limit {MAX_RATIO}): \
          is something a step closure calls per processor no longer #[inline]?"
+    );
+}
+
+#[test]
+#[ignore = "timing guard: run with --release -- --ignored"]
+fn a_dispatched_small_step_stays_within_its_bound_of_an_inline_one() {
+    if cfg!(debug_assertions) {
+        panic!("the ratio is only meaningful in an optimized build: pass --release");
+    }
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let machine = |threads: usize| {
+        let mut m = NativeMachine::with_pool(STEP_CELLS, 1, StepPool::with_threads(threads));
+        m.load(0, &[0; STEP_CELLS]);
+        m
+    };
+    let (mut inline_m, mut pooled_m) = (machine(1), machine(2));
+    // The repetitions alternate, so a change of the host's speed while the
+    // guard runs meets both sides.
+    let (mut inline, mut pooled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        for (m, best) in [(&mut inline_m, &mut inline), (&mut pooled_m, &mut pooled)] {
+            let start = Instant::now();
+            for _ in 0..STEPS {
+                bump(m, STEP_CELLS);
+            }
+            *best = best.min(start.elapsed().as_secs_f64() * 1e9 / STEPS as f64);
+        }
+    }
+    for m in [&inline_m, &pooled_m] {
+        assert_eq!(m.peek(STEP_CELLS - 1), (REPS * STEPS) as u64);
+    }
+
+    let ratio = pooled / inline;
+    println!(
+        "dispatch handoff: {STEP_CELLS}-cell step {pooled:.0} ns on 2 threads, \
+         {inline:.0} ns inline, ratio {ratio:.2}"
+    );
+    assert!(
+        ratio <= MAX_DISPATCH_RATIO,
+        "a {STEP_CELLS}-cell step on a 2-thread pool costs {ratio:.2}x the inline step \
+         (limit {MAX_DISPATCH_RATIO}): does every dispatch go through the kernel again?"
     );
 }
