@@ -1,20 +1,34 @@
 //! [`BspMachine`]: the batch-message BSP implementation of the [`Machine`]
-//! backend API.
+//! backend API — a [`Pram`] whose parallel steps are routed as messages.
 //!
-//! The other two backends *charge* contention (the simulator, by formula
-//! over its exact trace) or *suffer* it (the native machine, as lost CAS
-//! races).  This backend **measures** it: every [`Machine`] step runs as
-//! BSP supersteps — a local-computation phase in which virtual processors
-//! buffer their read/write requests as messages, then a routing phase
-//! ([`crate::router`]) that walks the traffic in processor order, queues it
-//! per destination cell and delivers it.  The longest queue any cell
-//! accumulates is the
-//! *realized* queue length of the step, recorded per step in
-//! [`BspMachine::queue_profile`] and summed into
-//! [`qrqw_sim::BspCost::measured_cost`]; the Theorem 1.1 formula bound for
-//! the same run (`charged QRQW time · ⌈lg components⌉`, via
-//! [`qrqw_sim::bsp_emulation_time`]) is reported next to it as
-//! [`qrqw_sim::BspCost::predicted_cost`].
+//! The simulator *charges* contention (by formula over its exact trace) and
+//! the native machine *suffers* it (as lost CAS races).  This backend runs
+//! every [`Machine`] step as BSP supersteps: a local-computation phase in
+//! which virtual processors buffer their read/write requests as messages,
+//! then a routing phase ([`crate::router`]) that walks the traffic in
+//! processor order, queues it per destination cell, delivers it and counts
+//! it per component.
+//!
+//! The machine is a [`Pram`] plus that router.  Memory, allocator, launches,
+//! [`Machine::seq_step`], the scan and global-OR primitives and the trace
+//! are the simulator's; a parallel step's accounting walk finishes into the
+//! router ([`Pram::step_into`]) instead of straight into memory.  What this
+//! type adds is the BSP bookkeeping — supersteps, messages and the heaviest
+//! h-relation — read off each step the `Pram` just ran.
+//!
+//! # What is measured
+//!
+//! The router's message, superstep and `h` counts are its own.  The realized
+//! queue of a step is the longest per-cell message queue it drained, and
+//! with same-processor combining that queue *is* the Definition 2.1
+//! contention `κ`: [`BspMachine::queue_profile`] and
+//! [`qrqw_sim::BspCost::measured_cost`] (Σ `max(m, queue)`) are read off the
+//! `Pram`'s trace, so `measured_cost` equals the trace's QRQW time by
+//! construction, and its comparison with
+//! [`qrqw_sim::BspCost::predicted_cost`] (`t · ⌈lg components⌉`, via
+//! [`qrqw_sim::bsp_emulation_time`]) holds for every program.  A cost that
+//! could exceed the bound needs cells hashed to components and each
+//! superstep charged `w + g·h + L`; that is not built yet.
 //!
 //! # Keeping the backend contract
 //!
@@ -30,39 +44,29 @@
 //!   its own).
 //! * **Claim semantics** — concurrent writes are arbitrated by the router:
 //!   messages arrive in processor order, so the lowest processor id wins a
-//!   cell — the simulator's rule, computed by the simulator's own walk.  Exclusive claims therefore
-//!   succeed iff they are the unique live claimant — the same outcome the
-//!   native CAS-plus-poison passes produce — and Occupy hands contested
-//!   cells to the lowest-id claimant (a legal instance of the
-//!   backend-defined "arbitrary" rule).
-//! * **Thread-count invariance** — the compute phase fans out over the
-//!   persistent worker pool ([`qrqw_exec::StepPool`], `QRQW_THREADS` /
-//!   [`BspMachine::with_threads`]), each chunk buffering messages in its
-//!   own [`qrqw_sim::ChunkLog`] through the simulator's per-processor
-//!   context ([`qrqw_sim::ProcCtx`]: snapshot reads, writes held back until
-//!   routing); the router walks each address range's part of the logs in
-//!   processor order on its own worker, whatever order the chunks finished
-//!   in, so chunk boundaries, the range cut and thread assignment are
-//!   unobservable.
+//!   cell — the simulator's rule, computed by the simulator's own walk.
+//!   Exclusive claims therefore succeed iff they are the unique live
+//!   claimant — the same outcome the native CAS-plus-poison passes produce
+//!   — and Occupy hands contested cells to the lowest-id claimant (a legal
+//!   instance of the backend-defined "arbitrary" rule).
+//! * **Thread-count invariance** — a step's launches and its routing walk
+//!   fan out over up to [`BspMachine::threads`] threads of the process-wide
+//!   pool (`QRQW_THREADS` / [`BspMachine::with_threads`]), launched as every
+//!   `Pram` step is; the walk meets each address range's requests in
+//!   processor order whatever order the chunks finished in, so chunk
+//!   boundaries, the range cut and thread assignment are unobservable.
 //!
-//! Because routing arbitration coincides with the simulator's, a `BspMachine`
-//! re-executes the simulator's exact trajectory for *every* algorithm in the
-//! repository (occupy-based ones included), which is what makes the
-//! measured-vs-charged comparison exact: the realized per-step queue can be
-//! checked cell-for-cell against the contention the simulator charged for
-//! the very same step (see `tests/theorem11.rs`).
-
-use std::time::Instant;
-
-use rand::rngs::SmallRng;
-use rand::Rng;
-use rayon::pool::SendPtr;
+//! Because routing arbitration coincides with the simulator's, a
+//! `BspMachine` re-executes the simulator's exact trajectory for *every*
+//! algorithm in the repository (occupy-based ones included), which
+//! `tests/theorem11.rs` checks step for step against an independent
+//! simulator run.
 
 use qrqw_exec::StepPool;
-use qrqw_sim::{bsp_emulation_time, claim_by_steps, proc_rng, ProcCtx, StepScratch};
-use qrqw_sim::{BspCost, ClaimMode, CostReport, Machine, MachineProc, EMPTY};
+use qrqw_sim::{bsp_emulation_time, claim_by_steps, CostModel, Pram, StepStats};
+use qrqw_sim::{BspCost, ClaimMode, CostReport, Machine, MachineProc};
 
-use crate::router::{RoutedStep, Router};
+use crate::router::Router;
 
 /// Environment variable overriding the number of BSP components (`p` in the
 /// Theorem 1.1 bound).  Must be an integer ≥ 2 when set; anything else
@@ -76,46 +80,28 @@ pub const COMPONENTS_ENV: &str = "QRQW_BSP_COMPONENTS";
 /// would emulate it on).
 pub const DEFAULT_COMPONENTS: u64 = 1024;
 
-/// Running totals of the measured emulation (see [`BspCost`] for the
-/// reported form).
+/// The BSP-only running totals (see [`BspCost`] for the reported form);
+/// everything else the machine reports is read off its `Pram`.
 #[derive(Debug, Default)]
 struct BspStats {
     supersteps: u64,
     messages: u64,
-    max_queue: u64,
     max_h_relation: u64,
-    /// Σ over steps of `max(local ops, realized queue)` — what the routed
-    /// supersteps actually cost in h-relation units.  In this router the
-    /// realized queue coincides with the Definition 2.1 contention `κ`
-    /// (one combined message per (cell, processor), drained one per
-    /// cycle), so this sum equals the QRQW formula charge `Σ max(m, κ)` —
-    /// an invariant this machine cannot check against itself; the
-    /// independent anchor is the simulator's exact trace, which
-    /// `tests/theorem11.rs` compares per step and in total.
-    measured_cost: u64,
-    /// Realized max queue length per [`Machine`] step, in step order (one
-    /// entry per step-index advance, like the simulator's trace).
-    queue_profile: Vec<u64>,
 }
 
 /// The batch-message BSP [`Machine`] backend.
+#[derive(Debug)]
 pub struct BspMachine {
-    cells: Vec<u64>,
-    seed: u64,
-    steps_executed: u64,
-    heap_top: usize,
-    created: Instant,
-    pool: StepPool,
-    components: u64,
-    claim_attempts: u64,
-    claim_failures: u64,
-    stats: BspStats,
-    scratch: StepScratch,
+    pram: Pram,
     router: Router,
+    components: u64,
+    threads: usize,
+    stats: BspStats,
 }
 
 impl BspMachine {
-    /// Creates a machine with `mem_size` cells (all [`EMPTY`]) and seed 0.
+    /// Creates a machine with `mem_size` cells (all [`qrqw_sim::EMPTY`]) and
+    /// seed 0.
     pub fn new(mem_size: usize) -> Self {
         Machine::with_seed(mem_size, 0)
     }
@@ -143,26 +129,21 @@ impl BspMachine {
         Self::build(mem_size, seed, StepPool::from_env(), components.max(2))
     }
 
+    /// `pool` only sizes the machine: its thread count, clamped as every
+    /// pool's is, goes to each [`Pram::step_into`].
     fn build(mem_size: usize, seed: u64, pool: StepPool, components: u64) -> Self {
         BspMachine {
-            cells: vec![EMPTY; mem_size],
-            seed,
-            steps_executed: 0,
-            heap_top: mem_size,
-            created: Instant::now(),
-            pool,
-            components,
-            claim_attempts: 0,
-            claim_failures: 0,
-            stats: BspStats::default(),
-            scratch: StepScratch::default(),
+            pram: Pram::with_seed(mem_size, seed),
             router: Router::new(components as usize),
+            components,
+            threads: pool.threads(),
+            stats: BspStats::default(),
         }
     }
 
-    /// Number of threads the compute phase fans out over.
+    /// Number of threads a step's launches and routing walk fan out over.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.threads
     }
 
     /// Number of BSP components the router distributes cells over.
@@ -172,123 +153,50 @@ impl BspMachine {
 
     /// The realized max queue length of every [`Machine`] step so far, in
     /// step order — the measured counterpart of the simulator's
-    /// `trace().contention_profile()`.
-    pub fn queue_profile(&self) -> &[u64] {
-        &self.stats.queue_profile
+    /// `trace().contention_profile()`, read off this machine's trace.
+    pub fn queue_profile(&self) -> Vec<u64> {
+        self.pram.trace().step_stats().iter().map(queue).collect()
     }
 
-    /// The measured emulation cost read as the QRQW charge it realizes —
-    /// the `t` whose Theorem 1.1 bound is `t · ⌈lg components⌉`.  The
-    /// router delivers every step at exactly its formula charge, so this
-    /// must equal the simulator's `trace().time(CostModel::Qrqw)` for the
-    /// same run — a cross-machine invariant only the simulator's
-    /// independent trace can witness (pinned by `tests/theorem11.rs` and
-    /// the `perf_report` validator, not by this machine's own counters).
+    /// The measured emulation cost read as the QRQW charge it realizes — the
+    /// `t` whose Theorem 1.1 bound is `t · ⌈lg components⌉`.  It is this
+    /// machine's own trace time under [`CostModel::Qrqw`]; that it equals the
+    /// simulator's for the same run says the two re-execute one trajectory
+    /// (pinned by `tests/theorem11.rs` and the `perf_report` validator).
     pub fn charged_qrqw_time(&self) -> u64 {
-        self.stats.measured_cost
+        self.pram.trace().time(CostModel::Qrqw)
     }
 
-    fn grow(&mut self, size: usize) {
-        if self.cells.len() < size {
-            self.cells.resize(size, EMPTY);
-        }
-    }
-
-    /// Runs one message step: compute phase over the pool (processors
-    /// buffer requests per chunk), routing phase (walk, measure, deliver),
-    /// then the bookkeeping that one step-index advance owes the stats.
-    fn exec_step<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
-    {
-        let step_idx = self.steps_executed;
-        let seed = self.seed;
-        let cells = &self.cells[..];
-        // The routing walk fans out over as many threads as the compute
-        // phase.
-        self.scratch.begin_step(cells.len(), self.pool.threads());
-        let scratch = &self.scratch;
-        let mut out: Vec<T> = Vec::with_capacity(procs);
-        let slots = SendPtr(out.as_mut_ptr());
-        let slots = &slots;
-        self.pool.dispatch(procs, 1, |lo, hi| {
-            let mut log = scratch.take_log(lo);
-            let mut ctx = ProcCtx::new(cells, seed, step_idx, &mut log);
-            for p in lo..hi {
-                ctx.begin(p as u64);
-                let value = f(p, &mut ctx);
-                // SAFETY: each index is written exactly once and chunks are
-                // disjoint.
-                unsafe { slots.0.add(p).write(value) };
-                ctx.end();
-            }
-            scratch.put_log(log);
-        });
-        // SAFETY: the dispatch is a barrier, so all `procs` slots are
-        // initialized; on a chunk panic it re-throws before here.
-        unsafe { out.set_len(procs) };
-
-        let (procs_stats, routed) = self.router.route(&mut self.scratch, &mut self.cells);
-        self.record_message_step(
-            &routed,
-            procs_stats.active_procs,
-            procs_stats.max_ops_per_proc,
-        );
-        self.steps_executed += 1;
-        out
-    }
-
-    fn record_message_step(&mut self, routed: &RoutedStep, active: u64, m: u64) {
-        let q = routed.max_queue();
-        // Read traffic costs a request and a reply superstep, write traffic
-        // a delivery superstep; even an all-compute step ends in a barrier.
-        let supersteps =
-            (2 * (routed.read_msgs > 0) as u64 + (routed.write_msgs > 0) as u64).max(1);
-        self.stats.supersteps += supersteps;
-        self.stats.messages += routed.messages();
-        self.stats.max_queue = self.stats.max_queue.max(q);
-        self.stats.max_h_relation = self.stats.max_h_relation.max(routed.max_h);
-        if active > 0 {
-            // The realized queues the router just drained.  Combining makes
-            // the realized queue coincide with the Definition 2.1 κ, so this
-            // is simultaneously the step's formula charge `max(m, κ)`; only
-            // the simulator's independently computed trace can tell whether
-            // the router still realizes that charge (tests/theorem11.rs).
-            self.stats.measured_cost += m.max(q).max(1);
-        }
-        self.stats.queue_profile.push(q);
-    }
-
-    /// Records a built-in tree primitive (scan / global OR) of `width`
-    /// leaves: `⌈lg width⌉` supersteps with unit queues (pairwise
-    /// combining), `width` messages into the fabric — matching the
-    /// `⌈lg width⌉` the simulator charges such a step.
-    fn record_tree_step(&mut self, width: usize) {
-        if width == 0 {
+    /// Books a step the router did not carry — a sequential step, a scan or
+    /// a global OR — from the statistics the `Pram` just pushed.
+    fn note_unrouted_step(&mut self) {
+        let s = self
+            .pram
+            .trace()
+            .step_stats()
+            .last()
+            .expect("a step just ran");
+        if s.is_scan && s.scan_width > 0 {
+            // A tree primitive: `⌈lg width⌉` supersteps of pairwise
+            // combining, `width` messages into the fabric.
+            self.stats.supersteps += CostModel::Qrqw.step_time(s);
+            self.stats.messages += s.scan_width;
+        } else {
+            // One component working serially, or an empty primitive: one
+            // superstep, every remote access a message.
             self.stats.supersteps += 1;
-            self.stats.queue_profile.push(0);
-            return;
+            self.stats.messages += s.total_reads + s.total_writes;
         }
-        let depth = (64 - (width.max(2) as u64 - 1).leading_zeros()) as u64;
-        self.stats.supersteps += depth;
-        self.stats.messages += width as u64;
-        self.stats.max_queue = self.stats.max_queue.max(1);
-        self.stats.measured_cost += depth;
-        self.stats.queue_profile.push(1);
     }
 }
 
-impl std::fmt::Debug for BspMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BspMachine")
-            .field("cells", &self.cells.len())
-            .field("seed", &self.seed)
-            .field("steps_executed", &self.steps_executed)
-            .field("heap_top", &self.heap_top)
-            .field("threads", &self.pool.threads())
-            .field("components", &self.components)
-            .finish()
+/// A step's realized queue: the longest per-cell queue, 0 when no processor
+/// was active (an empty scan still records unit contention).
+fn queue(s: &StepStats) -> u64 {
+    if s.active_procs == 0 {
+        0
+    } else {
+        s.max_read_contention.max(s.max_write_contention)
     }
 }
 
@@ -312,57 +220,6 @@ fn components_from_env() -> u64 {
     components_from_env_value(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Write-through context for [`Machine::seq_step`]: one processor on one
-/// component, reads see its own same-step writes.
-struct SeqBspProc<'a> {
-    cells: &'a mut Vec<u64>,
-    seed: u64,
-    step_idx: u64,
-    rng: Option<SmallRng>,
-    reads: u64,
-    writes: u64,
-    computes: u64,
-}
-
-impl MachineProc for SeqBspProc<'_> {
-    fn proc_id(&self) -> u64 {
-        0
-    }
-
-    fn read(&mut self, addr: usize) -> u64 {
-        assert!(
-            addr < self.cells.len(),
-            "read of address {addr} outside shared memory of size {}",
-            self.cells.len()
-        );
-        self.reads += 1;
-        self.cells[addr]
-    }
-
-    fn write(&mut self, addr: usize, value: u64) {
-        assert!(
-            addr < self.cells.len(),
-            "write of address {addr} outside shared memory of size {}",
-            self.cells.len()
-        );
-        self.writes += 1;
-        self.cells[addr] = value;
-    }
-
-    fn compute(&mut self, ops: u64) {
-        self.computes += ops;
-    }
-
-    fn random_index(&mut self, bound: usize) -> usize {
-        assert!(bound > 0, "random_index bound must be positive");
-        self.computes += 1;
-        if self.rng.is_none() {
-            self.rng = Some(proc_rng(self.seed, self.step_idx, 0));
-        }
-        self.rng.as_mut().unwrap().gen_range(0..bound)
-    }
-}
-
 impl Machine for BspMachine {
     fn with_seed(mem_size: usize, seed: u64) -> Self {
         Self::build(mem_size, seed, StepPool::from_env(), components_from_env())
@@ -373,62 +230,47 @@ impl Machine for BspMachine {
     }
 
     fn seed(&self) -> u64 {
-        self.seed
+        self.pram.seed()
     }
 
     fn steps_executed(&self) -> u64 {
-        self.steps_executed
+        self.pram.steps_executed()
     }
 
     fn ensure_memory(&mut self, size: usize) {
-        self.grow(size);
-        self.heap_top = self.heap_top.max(size);
+        self.pram.ensure_memory(size)
     }
 
     fn alloc(&mut self, len: usize) -> usize {
-        let base = self.heap_top;
-        self.heap_top += len;
-        let fresh_from = self.cells.len();
-        self.grow(self.heap_top);
-        // `grow` initializes everything past the old arena end to EMPTY;
-        // only the reused prefix (released and re-allocated cells) needs an
-        // explicit clear.
-        if base < fresh_from {
-            let reused = len.min(fresh_from - base);
-            self.cells[base..base + reused].fill(EMPTY);
-        }
-        base
+        self.pram.alloc(len)
     }
 
     fn release_to(&mut self, base: usize) {
-        assert!(base <= self.heap_top, "release_to past the allocation top");
-        self.heap_top = base;
+        self.pram.release_to(base)
     }
 
     fn heap_top(&self) -> usize {
-        self.heap_top
+        self.pram.heap_top()
     }
 
     fn load(&mut self, base: usize, values: &[u64]) {
-        self.grow(base + values.len());
-        self.cells[base..base + values.len()].copy_from_slice(values);
+        self.pram.load(base, values)
     }
 
     fn dump(&self, base: usize, len: usize) -> Vec<u64> {
-        self.cells[base..base + len].to_vec()
+        self.pram.dump(base, len)
     }
 
     fn peek(&self, addr: usize) -> u64 {
-        self.cells[addr]
+        self.pram.peek(addr)
     }
 
     fn poke(&mut self, addr: usize, value: u64) {
-        self.cells[addr] = value;
+        self.pram.poke(addr, value)
     }
 
     fn clear_region(&mut self, base: usize, len: usize) {
-        self.grow(base + len);
-        self.cells[base..base + len].fill(EMPTY);
+        self.pram.clear_region(base, len)
     }
 
     fn par_map<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
@@ -436,59 +278,33 @@ impl Machine for BspMachine {
         T: Send,
         F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
     {
-        self.exec_step(procs, f)
+        let (out, routed) = self.router.step(&mut self.pram, self.threads, |s| {
+            s.par_map(0..procs, |p, ctx| f(p, ctx))
+        });
+        self.stats.supersteps += routed.supersteps();
+        self.stats.messages += routed.messages();
+        self.stats.max_h_relation = self.stats.max_h_relation.max(routed.max_h);
+        out
     }
 
     fn seq_step<T, F>(&mut self, f: F) -> T
     where
         F: FnOnce(&mut dyn MachineProc) -> T,
     {
-        let step_idx = self.steps_executed;
-        let seed = self.seed;
-        let mut ctx = SeqBspProc {
-            cells: &mut self.cells,
-            seed,
-            step_idx,
-            rng: None,
-            reads: 0,
-            writes: 0,
-            computes: 0,
-        };
-        let result = f(&mut ctx);
-        let (reads, writes, computes) = (ctx.reads, ctx.writes, ctx.computes);
-        // One component working serially: every remote access is a message
-        // with a queue of one, and the step costs its full operation count.
-        let ops = reads + writes + computes;
-        self.stats.supersteps += 1;
-        self.stats.messages += reads + writes;
-        let q = ((reads + writes) > 0) as u64;
-        self.stats.max_queue = self.stats.max_queue.max(q);
-        self.stats.measured_cost += ops;
-        self.stats.queue_profile.push(q);
-        self.steps_executed += 1;
-        result
+        let out = self.pram.seq_step(f);
+        self.note_unrouted_step();
+        out
     }
 
     fn scan_step(&mut self, base: usize, len: usize) -> u64 {
-        self.grow(base + len);
-        let mut acc = 0u64;
-        for cell in &mut self.cells[base..base + len] {
-            let v = if *cell == EMPTY { 0 } else { *cell };
-            acc += v;
-            *cell = acc;
-        }
-        self.record_tree_step(len);
-        self.steps_executed += 1;
-        acc
+        let total = self.pram.scan_step(base, len);
+        self.note_unrouted_step();
+        total
     }
 
     fn global_or_step(&mut self, base: usize, len: usize) -> bool {
-        self.grow(base + len);
-        let any = self.cells[base..base + len]
-            .iter()
-            .any(|&v| v != 0 && v != EMPTY);
-        self.record_tree_step(len);
-        self.steps_executed += 1;
+        let any = self.pram.global_or_step(base, len);
+        self.note_unrouted_step();
         any
     }
 
@@ -499,18 +315,19 @@ impl Machine for BspMachine {
     /// the simulator's lowest-id write arbitration.
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
         let (success, live, contended) = claim_by_steps(self, attempts, mode);
-        self.claim_attempts += live;
-        self.claim_failures += contended;
+        self.pram.note_claims(live, contended);
         success
     }
 
     fn cost_report(&self) -> CostReport {
+        let (claim_attempts, contended_claims) = self.pram.claim_stats();
+        let measured_cost = self.charged_qrqw_time();
         CostReport {
             backend: "bsp",
-            steps: self.steps_executed,
-            wall: self.created.elapsed(),
-            claim_attempts: self.claim_attempts,
-            contended_claims: self.claim_failures,
+            steps: self.pram.steps_executed(),
+            wall: self.pram.wall_elapsed(),
+            claim_attempts,
+            contended_claims,
             work: None,
             max_contention: None,
             time_qrqw: None,
@@ -518,10 +335,17 @@ impl Machine for BspMachine {
                 components: self.components,
                 supersteps: self.stats.supersteps,
                 messages: self.stats.messages,
-                max_queue: self.stats.max_queue,
+                max_queue: self
+                    .pram
+                    .trace()
+                    .step_stats()
+                    .iter()
+                    .map(queue)
+                    .max()
+                    .unwrap_or(0),
                 max_h_relation: self.stats.max_h_relation,
-                measured_cost: self.stats.measured_cost,
-                predicted_cost: bsp_emulation_time(self.stats.measured_cost, self.components),
+                measured_cost,
+                predicted_cost: bsp_emulation_time(measured_cost, self.components),
             }),
         }
     }
@@ -530,7 +354,7 @@ impl Machine for BspMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrqw_sim::Pram;
+    use qrqw_sim::EMPTY;
 
     #[test]
     fn par_map_runs_all_processors_in_order() {
@@ -541,7 +365,7 @@ mod tests {
         });
         assert_eq!(out.len(), 5000);
         assert_eq!(out[1234], 2468);
-        assert_eq!(m.steps_executed, 1);
+        assert_eq!(m.steps_executed(), 1);
     }
 
     #[test]
@@ -565,7 +389,7 @@ mod tests {
         assert_eq!(ok, vec![false, false, false, true]);
         assert_eq!(Machine::peek(&m, 4), EMPTY, "contested cell restored");
         assert_eq!(Machine::peek(&m, 6), 4);
-        assert_eq!(m.steps_executed, 6);
+        assert_eq!(m.steps_executed(), 6);
         let report = m.cost_report();
         assert_eq!(report.claim_attempts, 4);
         assert_eq!(report.contended_claims, 3);
@@ -579,7 +403,7 @@ mod tests {
         let ok = m.claim(&[(10, 4), (11, 4), (12, 4)], ClaimMode::Occupy);
         assert_eq!(ok, vec![true, false, false]);
         assert_eq!(Machine::peek(&m, 4), 10);
-        assert_eq!(m.steps_executed, 3);
+        assert_eq!(m.steps_executed(), 3);
     }
 
     #[test]
@@ -664,7 +488,7 @@ mod tests {
         });
         assert_eq!(observed, 42);
         assert_eq!(Machine::peek(&m, 3), 42);
-        assert_eq!(m.steps_executed, 1);
+        assert_eq!(m.steps_executed(), 1);
     }
 
     #[test]
@@ -715,6 +539,10 @@ mod tests {
         assert_eq!(bsp.headroom(), Some(10.0));
         // reads travel request + reply, writes once
         assert_eq!(bsp.messages, 2 * 64 + 64);
+        // the 8 read cells sit on 8 of the 1024 components, each asked by 8
+        // readers at 2 messages apiece; the 64 writes land on distinct
+        // components
+        assert_eq!(bsp.max_h_relation, 16);
         assert_eq!(bsp.supersteps, 3);
         assert!(report.to_string().contains("measured=8 predicted=80"));
     }
@@ -747,6 +575,6 @@ mod tests {
         let bsp = m.cost_report().bsp.unwrap();
         assert_eq!(bsp.measured_cost, 0);
         assert_eq!(m.queue_profile(), &[0, 0, 0]);
-        assert_eq!(m.steps_executed, 3);
+        assert_eq!(m.steps_executed(), 3);
     }
 }

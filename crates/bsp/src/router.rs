@@ -2,22 +2,24 @@
 //!
 //! Processors do not touch shared cells directly on a BSP machine — they
 //! emit read/write *requests* during the local-computation phase, and a
-//! routing phase delivers them.  This module is that phase.  It runs the
-//! simulator's own stamp walk ([`qrqw_sim::StepScratch::finish`]) over the
-//! chunk logs the processors filled: each address range is walked by one
-//! pool worker, which meets the range's requests in ascending processor id,
-//! combines duplicate same-processor requests (the standard first move of a
-//! PRAM-on-BSP emulation — each component merges its own duplicates before
-//! injecting them into the network), and counts every combined message into
-//! its own tally.  The [`Router`] keeps those tallies across steps and
-//! merges them into what the delivery actually cost:
+//! routing phase delivers them.  This module is that phase, and it is a
+//! [`StepSink`] on the simulator's own step ([`Pram::step_into`]): the
+//! simulator's stamp walk meets each address range's requests in ascending
+//! processor id on its own pool worker, combines duplicate same-processor
+//! requests (the standard first move of a PRAM-on-BSP emulation — each
+//! component merges its own duplicates before injecting them into the
+//! network) and delivers the winning writes, and the router counts every
+//! combined message into that worker's tally.  The [`Router`] keeps those
+//! tallies across steps and merges them into what the delivery cost:
 //!
-//! * the longest per-cell message queue (the realized contention `k` of
-//!   Theorem 1.1 — a queue of length `k` drains in `k` delivery cycles),
 //! * the heaviest per-component load (the `h` of the realized h-relation,
 //!   with cells distributed cyclically over components: the tallies'
 //!   per-component histograms summed), and
 //! * the message count itself.
+//!
+//! The longest per-cell queue (the realized contention `k` of Theorem 1.1 —
+//! a queue of length `k` drains in `k` delivery cycles) is the walk's own
+//! contention count, in the step's [`qrqw_sim::StepStats`].
 //!
 //! Delivery is deterministic: messages arrive at a cell in processor-id
 //! order and the first sender takes the cell — the simulator's
@@ -27,35 +29,32 @@
 //! BSP backend keep bit-identical parity with the simulator at any thread
 //! count.
 
-use qrqw_sim::{StepScratch, StepSink, StepStats};
+use qrqw_sim::{Pram, StepCtx, StepSink};
 
-/// The measurements taken while routing one step's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The traffic one routed step put on the network.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoutedStep {
     /// Read requests routed, after same-processor combining.
     pub read_msgs: u64,
     /// Write messages routed, after same-processor combining.
     pub write_msgs: u64,
-    /// Longest realized per-cell read queue.
-    pub read_queue: u64,
-    /// Longest realized per-cell write queue.
-    pub write_queue: u64,
     /// Largest number of messages handled by one component (read requests
     /// count twice — request plus reply — write messages once).
     pub max_h: u64,
 }
 
 impl RoutedStep {
-    /// The realized contention of the step: the longest message queue any
-    /// single cell accumulated, reads or writes.
-    pub fn max_queue(&self) -> u64 {
-        self.read_queue.max(self.write_queue)
-    }
-
     /// Total messages this step put on the network (reads are
     /// request + reply).
     pub fn messages(&self) -> u64 {
         2 * self.read_msgs + self.write_msgs
+    }
+
+    /// Supersteps the traffic took: read traffic a request and a reply
+    /// superstep, write traffic a delivery superstep; even an all-compute
+    /// step ends in a barrier.
+    pub fn supersteps(&self) -> u64 {
+        (2 * (self.read_msgs > 0) as u64 + (self.write_msgs > 0) as u64).max(1)
     }
 }
 
@@ -80,22 +79,15 @@ struct Tally {
     per_component: Vec<u64>,
 }
 
-/// One step's delivery: lets each cell's first sender write it, and holds
-/// the merged tallies.
-struct Delivery<'a> {
-    cells: &'a mut [u64],
+/// One step's delivery: the sink that counts its messages per chunk, and
+/// the merged count.
+struct Delivery {
     components: usize,
-    read_msgs: u64,
-    write_msgs: u64,
-    max_h: u64,
+    routed: RoutedStep,
 }
 
-impl StepSink for Delivery<'_> {
+impl StepSink for Delivery {
     type Partial = Tally;
-
-    fn cells(&mut self) -> &mut [u64] {
-        self.cells
-    }
 
     fn new_partial(&self) -> Tally {
         Tally {
@@ -130,14 +122,16 @@ impl StepSink for Delivery<'_> {
                 *sum += std::mem::take(part);
             }
         }
-        self.read_msgs = std::mem::take(&mut total.read_msgs);
-        self.write_msgs = std::mem::take(&mut total.write_msgs);
-        self.max_h = total
-            .per_component
-            .iter_mut()
-            .map(std::mem::take)
-            .max()
-            .unwrap_or(0);
+        self.routed = RoutedStep {
+            read_msgs: std::mem::take(&mut total.read_msgs),
+            write_msgs: std::mem::take(&mut total.write_msgs),
+            max_h: total
+                .per_component
+                .iter_mut()
+                .map(std::mem::take)
+                .max()
+                .unwrap_or(0),
+        };
     }
 }
 
@@ -150,39 +144,31 @@ impl Router {
         }
     }
 
-    /// Routes the step buffered in `scratch`: delivers the winning writes
-    /// into `cells` and returns the processor-side statistics of the step
-    /// next to the measured traffic.
-    pub fn route(
+    /// Runs one step of `pram` ([`Pram::step_into`], launches and walk on up
+    /// to `threads` threads) with this fabric as its sink: the step's
+    /// result, next to the traffic routing it took.
+    pub fn step<R>(
         &mut self,
-        scratch: &mut StepScratch,
-        cells: &mut [u64],
-    ) -> (StepStats, RoutedStep) {
+        pram: &mut Pram,
+        threads: usize,
+        f: impl FnOnce(&mut StepCtx<'_>) -> R,
+    ) -> (R, RoutedStep) {
         let mut delivery = Delivery {
-            cells,
             components: self.components,
-            read_msgs: 0,
-            write_msgs: 0,
-            max_h: 0,
+            routed: RoutedStep::default(),
         };
-        let stats = scratch.finish(&mut delivery, &mut self.tallies);
-        let routed = RoutedStep {
-            read_msgs: delivery.read_msgs,
-            write_msgs: delivery.write_msgs,
-            read_queue: stats.max_read_contention,
-            write_queue: stats.max_write_contention,
-            max_h: delivery.max_h,
-        };
-        (stats, routed)
+        let out = pram.step_into(threads, &mut delivery, &mut self.tallies, f);
+        (out, delivery.routed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrqw_sim::ProcCtx;
+    use qrqw_sim::StepStats;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::ops::Range;
 
     /// One processor's requests, in program order.
     #[derive(Debug, Clone, Default)]
@@ -191,156 +177,135 @@ mod tests {
         writes: Vec<(usize, u64)>,
     }
 
-    /// Buffers `program` (processor id, requests) in chunks of `chunk`
-    /// processors handed back in `order`, then routes it over `components`
-    /// components into `cells`, walking on up to `walkers` threads.
-    fn route_program(
-        scratch: &mut StepScratch,
-        cells: &mut [u64],
+    /// Routes `program` (processor `p` issues `program[p]`) over
+    /// `components` components as one step of `pram` on `threads` threads,
+    /// launched in chunks of `chunk` processors in the order `order` leaves
+    /// them.  A launch below the parallel cutoff runs inline and files one
+    /// chunk log, so the walk receives the logs in exactly that order.  The
+    /// measured traffic and the step's statistics.
+    fn route(
+        pram: &mut Pram,
         components: usize,
-        program: &[(usize, Requests)],
+        program: &[Requests],
         chunk: usize,
-        walkers: usize,
-        order: impl Fn(&mut Vec<qrqw_sim::ChunkLog>),
-    ) -> RoutedStep {
-        scratch.begin_step(cells.len(), walkers);
-        let mut logs: Vec<_> = program
-            .chunks(chunk)
-            .map(|procs| {
-                let mut log = scratch.take_log(procs[0].0);
-                let mut ctx = ProcCtx::new(cells, 0, 0, &mut log);
-                for (proc, requests) in procs {
-                    ctx.begin(*proc as u64);
-                    for &a in &requests.reads {
+        order: impl FnOnce(&mut Vec<Range<usize>>),
+        threads: usize,
+    ) -> (RoutedStep, StepStats) {
+        let mut launches: Vec<Range<usize>> = (0..program.len())
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(program.len()))
+            .collect();
+        order(&mut launches);
+        let ((), routed) = Router::new(components).step(pram, threads, |s| {
+            for launch in launches {
+                s.par_for(launch, |p, ctx| {
+                    for &a in &program[p].reads {
                         ctx.read(a);
                     }
-                    for &(a, v) in &requests.writes {
+                    for &(a, v) in &program[p].writes {
                         ctx.write(a, v);
                     }
-                    ctx.end();
-                }
-                log
-            })
-            .collect();
-        order(&mut logs);
-        for log in logs {
-            scratch.put_log(log);
-        }
-        Router::new(components).route(scratch, cells).1
+                })
+            }
+        });
+        let stats = *pram.trace().step_stats().last().expect("one step ran");
+        (routed, stats)
     }
 
     /// Routes `program` into 16 fresh cells, one chunk per two processors.
-    fn routed(program: &[(usize, Requests)], components: usize) -> (RoutedStep, Vec<u64>) {
-        let mut cells = vec![0u64; 16];
-        let step = route_program(
-            &mut StepScratch::default(),
-            &mut cells,
-            components,
-            program,
-            2,
-            1,
-            |_| {},
-        );
-        (step, cells)
+    fn routed(program: &[Requests], components: usize) -> (RoutedStep, StepStats, Pram) {
+        let mut pram = Pram::new(16);
+        let (step, stats) = route(&mut pram, components, program, 2, |_| {}, 1);
+        (step, stats, pram)
     }
 
-    fn reads(proc: usize, addrs: &[usize]) -> (usize, Requests) {
-        let reads = addrs.to_vec();
-        (
-            proc,
-            Requests {
-                reads,
-                ..Requests::default()
-            },
-        )
+    fn reads(addrs: &[usize]) -> Requests {
+        Requests {
+            reads: addrs.to_vec(),
+            ..Requests::default()
+        }
     }
 
-    fn writes(proc: usize, recs: &[(usize, u64)]) -> (usize, Requests) {
-        let writes = recs.to_vec();
-        (
-            proc,
-            Requests {
-                writes,
-                ..Requests::default()
-            },
-        )
+    fn writes(recs: &[(usize, u64)]) -> Requests {
+        Requests {
+            writes: recs.to_vec(),
+            ..Requests::default()
+        }
     }
 
     #[test]
     fn lowest_processor_id_wins_each_cell() {
-        let (step, cells) = routed(
+        let (step, stats, pram) = routed(
             &[
-                writes(0, &[(4, 20)]),
-                writes(1, &[(4, 21)]),
-                writes(2, &[(4, 22)]),
-                writes(3, &[]),
-                writes(4, &[]),
-                writes(5, &[(9, 95)]),
+                writes(&[(4, 20)]),
+                writes(&[(4, 21)]),
+                writes(&[(4, 22)]),
+                writes(&[]),
+                writes(&[]),
+                writes(&[(9, 95)]),
             ],
             8,
         );
-        assert_eq!((cells[4], cells[9]), (20, 95));
-        assert_eq!(step.write_queue, 3);
+        let cells = pram.memory();
+        assert_eq!((cells.peek(4), cells.peek(9)), (20, 95));
+        assert_eq!(stats.max_write_contention, 3);
         assert_eq!(step.write_msgs, 4);
     }
 
     #[test]
     fn same_processor_duplicate_reads_are_combined() {
-        // Processor 7 reads cell 3 three times: one routed request.
-        let (step, _) = routed(&[reads(7, &[3, 3, 3]), reads(8, &[3])], 4);
+        // Processor 0 reads cell 3 three times: one routed request.
+        let (step, stats, _) = routed(&[reads(&[3, 3, 3]), reads(&[3])], 4);
         assert_eq!(step.read_msgs, 2);
-        assert_eq!(step.read_queue, 2);
+        assert_eq!(stats.max_read_contention, 2);
         assert_eq!(step.messages(), 4, "a read costs request + reply");
+        assert_eq!(step.supersteps(), 2, "a request and a reply superstep");
     }
 
     #[test]
     fn queue_lengths_count_distinct_processors_per_cell() {
         let program = [
-            (
-                1,
-                Requests {
-                    reads: vec![0],
-                    writes: vec![(5, 10)],
-                },
-            ),
-            (
-                2,
-                Requests {
-                    reads: vec![0],
-                    writes: vec![(5, 11)],
-                },
-            ),
-            reads(3, &[0]),
-            reads(4, &[1]),
+            Requests {
+                reads: vec![0],
+                writes: vec![(5, 10)],
+            },
+            Requests {
+                reads: vec![0],
+                writes: vec![(5, 11)],
+            },
+            reads(&[0]),
+            reads(&[1]),
         ];
-        let (step, _) = routed(&program, 4);
-        assert_eq!(step.read_queue, 3);
-        assert_eq!(step.write_queue, 2);
-        assert_eq!(step.max_queue(), 3);
+        let (step, stats, _) = routed(&program, 4);
+        assert_eq!(stats.max_read_contention, 3);
+        assert_eq!(stats.max_write_contention, 2);
+        assert_eq!(step.supersteps(), 3);
     }
 
     #[test]
     fn h_relation_counts_traffic_per_component() {
         // Cells 0 and 4 share component 0 of 4: 2 reads (×2) + 1 write = 5.
-        let (step, _) = routed(&[reads(1, &[0]), reads(2, &[4]), writes(3, &[(4, 1)])], 4);
+        let (step, _, _) = routed(&[reads(&[0]), reads(&[4]), writes(&[(4, 1)])], 4);
         assert_eq!(step.max_h, 5);
     }
 
     #[test]
     fn empty_step_routes_nothing() {
-        let (step, _) = routed(&[], 16);
-        assert_eq!(step.max_queue(), 0);
-        assert_eq!(step.messages(), 0);
-        assert_eq!(step.max_h, 0);
+        let (step, stats, _) = routed(&[], 16);
+        assert_eq!(step, RoutedStep::default());
+        assert_eq!(stats.active_procs, 0);
+        assert_eq!(step.supersteps(), 1, "a barrier all the same");
     }
 
     // ---- the walk against the sort it replaces ---------------------------
 
-    /// What `route` returned before the walk, winners included.
+    /// What routing returned before the walk, winners and queues included.
     #[derive(Debug, PartialEq, Eq)]
     struct SortedRoute {
         winners: Vec<(usize, u64)>,
         step: RoutedStep,
+        read_queue: u64,
+        write_queue: u64,
     }
 
     /// The router this module had before the walk — merge every request
@@ -390,10 +355,10 @@ mod tests {
             step: RoutedStep {
                 read_msgs: reads.len() as u64,
                 write_msgs: writes.len() as u64,
-                read_queue,
-                write_queue,
                 max_h: per_component.iter().copied().max().unwrap_or(0),
             },
+            read_queue,
+            write_queue,
         }
     }
 
@@ -424,11 +389,12 @@ mod tests {
         /// one holds all of it.
         const ONE_RANGE: u64 = 241;
         let machine_walkers = qrqw_exec::StepPool::from_env().threads();
-        let mut scratch = StepScratch::default();
-        let mut grown: Vec<u64> = (0..40).collect();
-        let mut one_cell = vec![7u64];
+        let mut grown = Pram::new(0);
+        grown.memory_mut().load(0, &(0..40).collect::<Vec<_>>());
+        let mut one_cell = Pram::new(0);
+        one_cell.memory_mut().load(0, &[7]);
         for seed in 0..242u64 {
-            let cells = if seed == ONE_RANGE {
+            let pram = if seed == ONE_RANGE {
                 &mut one_cell
             } else {
                 &mut grown
@@ -436,9 +402,10 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             if seed % 9 == 4 {
                 // Memory grown between steps.
-                let grown = cells.len() + rng.gen_range(1..3000usize);
-                cells.resize(grown, qrqw_sim::EMPTY);
+                let grown = pram.memory().len() + rng.gen_range(1..3000usize);
+                pram.memory_mut().ensure(grown);
             }
+            let cells = pram.memory().len();
             let procs = if seed >= HOT {
                 13_000
             } else {
@@ -446,18 +413,18 @@ mod tests {
             };
             // 0 mixed, 1 writes only, 2 reads only
             let flavour = (seed / 5) % 3;
-            let hot = rng.gen_range(0..cells.len());
+            let hot = rng.gen_range(0..cells);
             let components = [1usize, 2, 7, 1024][rng.gen_range(0..4usize)];
-            let near = cells.len().min(24);
+            let near = cells.min(24);
             let addr = |rng: &mut SmallRng| {
                 if rng.gen::<bool>() {
                     rng.gen_range(0..near)
                 } else {
-                    rng.gen_range(0..cells.len())
+                    rng.gen_range(0..cells)
                 }
             };
-            let program: Vec<(usize, Requests)> = (0..procs)
-                .map(|p| {
+            let program: Vec<Requests> = (0..procs)
+                .map(|_| {
                     let mut requests = Requests::default();
                     if seed == HOT {
                         requests.reads.push(hot);
@@ -484,55 +451,57 @@ mod tests {
                             }
                         }
                     }
-                    (p, requests)
+                    requests
                 })
                 .collect();
 
             let want = route_by_sorting(
-                program
-                    .iter()
-                    .flat_map(|(p, r)| r.reads.iter().map(move |&a| (a, *p as u64)))
+                (0..procs)
+                    .flat_map(|p| program[p].reads.iter().map(move |&a| (a, p as u64)))
                     .collect(),
-                program
-                    .iter()
-                    .flat_map(|(p, r)| r.writes.iter().map(move |&(a, v)| (a, *p as u64, v)))
+                (0..procs)
+                    .flat_map(|p| {
+                        program[p]
+                            .writes
+                            .iter()
+                            .map(move |&(a, v)| (a, p as u64, v))
+                    })
                     .collect(),
                 components,
             );
-            let before = cells.clone();
+            let before = pram.memory().dump(0, cells);
             let mut want_cells = before.clone();
             for &(a, v) in &want.winners {
                 want_cells[a] = v;
             }
 
-            // Chunks come back from the pool in any order.
+            // Chunks come back from the pool in any order: launch them
+            // reversed and rotated.
             let chunk = rng.gen_range(1..600usize);
             let rotate = rng.gen_range(0..64usize);
+            let scramble = |launches: &mut Vec<Range<usize>>| {
+                launches.reverse();
+                let by = rotate % launches.len();
+                launches.rotate_left(by);
+            };
             // As the machine would, then with the split forced: four
-            // walkers deal even the 40-cell memory to eight ranges.
-            for walkers in [machine_walkers, 4] {
-                cells.copy_from_slice(&before);
-                let got = route_program(
-                    &mut scratch,
-                    cells,
-                    components,
-                    &program,
-                    chunk,
-                    walkers,
-                    |logs| {
-                        logs.reverse();
-                        let by = rotate % logs.len();
-                        logs.rotate_left(by);
-                    },
-                );
+            // walkers deal even the 40-cell memory to eight ranges.  Last,
+            // the whole program as one launch, which above the cutoff four
+            // pool threads run in chunks of their own.
+            for (walkers, chunk) in [(machine_walkers, chunk), (4, chunk), (4, procs)] {
+                pram.memory_mut().load(0, &before);
+                let tag = format!("seed {seed}, {walkers} walkers, chunks of {chunk}");
+                let (step, stats) = route(pram, components, &program, chunk, scramble, walkers);
                 // `read_msgs`, `write_msgs` and `max_h` are the merged tallies.
                 assert_eq!(
-                    got, want.step,
-                    "seed {seed}, {walkers} walkers: measured traffic"
+                    (step, stats.max_read_contention, stats.max_write_contention),
+                    (want.step, want.read_queue, want.write_queue),
+                    "{tag}: measured traffic"
                 );
                 assert_eq!(
-                    *cells, want_cells,
-                    "seed {seed}, {walkers} walkers: memory image"
+                    pram.memory().dump(0, cells),
+                    want_cells,
+                    "{tag}: memory image"
                 );
             }
         }

@@ -1,6 +1,11 @@
 //! Crate-level integration check: a full paper algorithm re-executes the
 //! simulator's exact trajectory on the BSP backend, and the measured
-//! emulation stays within the Theorem 1.1 formula bound.
+//! emulation stays within the Theorem 1.1 formula bound.  The BSP machine
+//! is a `Pram` whose steps route through the router, so its queues and
+//! measured cost are its own trace read as queues — equal to an independent
+//! simulator run's charge exactly when the two trajectories agree, which is
+//! what this checks; the bound itself cannot fail until cells are hashed to
+//! components and supersteps charged `w + g·h + L`.
 
 use qrqw_bsp::BspMachine;
 use qrqw_core::{is_permutation, random_permutation_qrqw};

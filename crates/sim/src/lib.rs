@@ -64,7 +64,8 @@
 //!   and runs on either substrate.
 //! * [`memory`] — the flat shared memory and the `EMPTY` sentinel.
 //! * [`step`] — [`StepCtx`] / [`ProcCtx`]: the per-step, per-processor API,
-//!   and the step accounting ([`StepScratch`]) both model backends share.
+//!   and the step accounting both model backends share ([`StepSink`] is
+//!   what the BSP router plugs into it).
 //! * [`stats`] — [`StepStats`] and [`Trace`].
 //! * [`model`] — the [`CostModel`] enumeration and per-step cost functions.
 //! * [`pram`] — the [`Pram`] driver tying everything together.
@@ -90,4 +91,4 @@ pub use pram::Pram;
 pub use rng::proc_rng;
 pub use schedule::bsp_emulation_time;
 pub use stats::{StepStats, Trace, TraceSummary};
-pub use step::{ChunkLog, ProcCtx, StepCtx, StepScratch, StepSink};
+pub use step::{ProcCtx, StepCtx, StepSink};

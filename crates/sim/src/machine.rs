@@ -11,9 +11,11 @@
 //! * `NativeMachine` (crate `qrqw-exec`) — real threads and atomics:
 //!   wall-clock time and contended-CAS counts, under either chunk
 //!   schedule of its step pool.
-//! * `BspMachine` (crate `qrqw-bsp`) — batch-message BSP supersteps:
-//!   requests routed by destination cell, contention measured as realized
-//!   queue lengths next to the Theorem 1.1 predicted bound ([`BspCost`]).
+//! * `BspMachine` (crate `qrqw-bsp`) — a [`crate::Pram`] whose parallel
+//!   steps are routed as batch messages: supersteps, messages and the
+//!   heaviest h-relation counted next to the Theorem 1.1 predicted bound
+//!   ([`BspCost`]).  Its realized queues are the simulator's contention by
+//!   construction.
 //!
 //! A [`Machine`] exposes synchronous data-parallel steps ([`Machine::par_map`]
 //! / [`Machine::par_for`]), per-processor shared-memory access through
@@ -146,11 +148,15 @@ impl MachineProc for ProcCtx<'_> {
 /// Theorem 1.1 of the paper bounds the cost of emulating a QRQW PRAM
 /// algorithm of time `t` on a standard BSP machine by `O(t · lg p)` — the
 /// repository's formula charge is [`crate::bsp_emulation_time`].  A BSP
-/// backend *realizes* that emulation: every step becomes supersteps whose
-/// read/write requests travel as messages, routed in batches keyed by
-/// destination cell, and the contention actually paid is the longest
-/// realized per-cell message queue — measured, not charged.  This struct
-/// carries both sides so harnesses can print measured-vs-predicted.
+/// backend routes every step's read/write requests as messages, in batches
+/// keyed by destination cell.  Supersteps, messages and the h-relation are
+/// counted by its router.  The queue-derived fields are not an independent
+/// measurement: with same-processor combining the longest per-cell queue
+/// *is* the Definition 2.1 contention, so `max_queue` and `measured_cost`
+/// are the backend's own trace read as queues, and `measured_cost` equals
+/// that trace's QRQW time by construction.  Making it a measurement that
+/// could exceed `predicted_cost` needs cells hashed to components and each
+/// superstep charged `w + g·h + L`, which no backend does yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BspCost {
     /// Number of BSP components (`p` in the Theorem 1.1 bound).
@@ -161,14 +167,16 @@ pub struct BspCost {
     pub supersteps: u64,
     /// Messages routed (read requests count twice: request + reply).
     pub messages: u64,
-    /// Longest realized per-cell message queue in any superstep.
+    /// Longest per-cell message queue in any step: the largest contention
+    /// of the backend's trace (0 for a run of empty steps).
     pub max_queue: u64,
     /// Largest number of messages routed through one component in any
     /// superstep — the `h` of the costliest realized h-relation.
     pub max_h_relation: u64,
-    /// Realized emulation cost: the sum over supersteps of
-    /// `max(local ops, realized max queue)` in h-relation units (barrier
-    /// latency is visible in `supersteps`, not folded in here).
+    /// Emulation cost as the sum over steps of `max(local ops, longest
+    /// queue)` in h-relation units (barrier latency is visible in
+    /// `supersteps`, not folded in here) — the backend's trace time under
+    /// [`crate::CostModel::Qrqw`], by construction.
     pub measured_cost: u64,
     /// The Theorem 1.1 formula bound for the same run:
     /// `charged QRQW time · ⌈lg components⌉`.
@@ -433,9 +441,10 @@ pub trait Machine {
 /// The Section 5.1 cell-claiming protocol written out as six (Exclusive)
 /// or three (Occupy) ordinary [`Machine::par_map`] / [`Machine::par_for`]
 /// steps — the [`Machine::claim`] of every backend whose concurrent writes
-/// are arbitrated lowest-processor-id-first (the simulator and the BSP
-/// router, which share one walk: [`crate::StepScratch::finish`]).  Returns the success vector plus
-/// `(live attempts, contended attempts)` for the caller's own counters.
+/// are arbitrated lowest-processor-id-first (the simulator, and the BSP
+/// backend built on it through [`crate::Pram::step_into`]).  Returns the
+/// success vector plus `(live attempts, contended attempts)` for the
+/// caller's own counters.
 pub fn claim_by_steps<M: Machine>(
     m: &mut M,
     attempts: &[(u64, usize)],

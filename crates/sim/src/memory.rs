@@ -31,13 +31,6 @@ impl SharedMemory {
         }
     }
 
-    /// Creates a memory with `size` cells initialised to `value`.
-    pub fn filled(size: usize, value: u64) -> Self {
-        SharedMemory {
-            cells: vec![value; size],
-        }
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -88,26 +81,20 @@ impl SharedMemory {
     /// reusing scratch space between independent phases of a harness).
     pub fn clear_region(&mut self, base: usize, len: usize) {
         self.ensure(base + len);
-        for c in &mut self.cells[base..base + len] {
-            *c = EMPTY;
-        }
+        self.cells[base..base + len].fill(EMPTY);
     }
 
-    /// Immutable view of the whole memory (used by the step machinery to
-    /// provide the read-substep snapshot).
+    /// Immutable view of the whole memory (the read-substep snapshot, and
+    /// the built-in global OR).
     pub(crate) fn as_slice(&self) -> &[u64] {
         &self.cells
     }
 
     /// Mutable view of the whole memory (the step accounting writes each
-    /// address range's winning writes straight into it).
+    /// address range's winning writes straight into it; the built-in scan
+    /// rewrites its region in place).
     pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
         &mut self.cells
-    }
-
-    /// Applies a host-side write (used by the built-in scan step).
-    pub(crate) fn apply(&mut self, addr: usize, value: u64) {
-        self.cells[addr] = value;
     }
 }
 
@@ -124,8 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn filled_memory_has_value() {
-        let m = SharedMemory::filled(8, 7);
+    fn load_within_the_memory_keeps_its_size() {
+        let mut m = SharedMemory::new(8);
+        m.load(0, &[7; 8]);
+        assert_eq!(m.len(), 8);
         assert!((0..8).all(|i| m.peek(i) == 7));
     }
 
@@ -153,7 +142,8 @@ mod tests {
 
     #[test]
     fn clear_region_resets_to_empty() {
-        let mut m = SharedMemory::filled(6, 1);
+        let mut m = SharedMemory::new(6);
+        m.load(0, &[1; 6]);
         m.clear_region(2, 3);
         assert_eq!(m.dump(0, 6), vec![1, 1, EMPTY, EMPTY, EMPTY, 1]);
     }

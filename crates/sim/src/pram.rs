@@ -4,10 +4,10 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::machine::MachineProc;
-use crate::memory::SharedMemory;
+use crate::memory::{SharedMemory, EMPTY};
 use crate::rng::proc_rng;
 use crate::stats::{StepStats, Trace};
-use crate::step::{StepCtx, StepScratch};
+use crate::step::{StepCtx, StepScratch, StepSink};
 
 /// A simulated PRAM: shared memory, a master random seed, and the trace of
 /// every step executed so far.
@@ -62,7 +62,11 @@ impl Pram {
         (self.claim_attempts, self.claim_failures)
     }
 
-    pub(crate) fn note_claims(&mut self, live: u64, contended: u64) {
+    /// Adds one [`crate::claim_by_steps`] run's `(live attempts, collision
+    /// failures)` to [`Pram::claim_stats`]: [`crate::Machine::claim`] does
+    /// this, and so does a backend that runs the protocol through its own
+    /// steps on this PRAM.
+    pub fn note_claims(&mut self, live: u64, contended: u64) {
         self.claim_attempts += live;
         self.claim_failures += contended;
     }
@@ -77,8 +81,11 @@ impl Pram {
     pub fn alloc(&mut self, len: usize) -> usize {
         let base = self.heap_top;
         self.heap_top += len;
+        // Cells `ensure` creates are EMPTY already; only the reused prefix
+        // (released and re-allocated cells) needs clearing.
+        let reused = self.mem.len().saturating_sub(base).min(len);
+        self.mem.clear_region(base, reused);
         self.mem.ensure(self.heap_top);
-        self.mem.clear_region(base, len);
         base
     }
 
@@ -144,15 +151,40 @@ impl Pram {
     /// If two launches inside `f` overlap in processor ids, or if the memory
     /// has grown past `2^32` cells (the step accounting's address width).
     pub fn step<R>(&mut self, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
+        // `()` counts nothing, so its partials are zero-sized and this
+        // vector never allocates.
+        self.step_into(rayon::current_num_threads(), &mut (), &mut Vec::new(), f)
+    }
+
+    /// [`Pram::step`] with its launches and its accounting walk fanned out
+    /// over up to `threads` threads, and the walk reporting every distinct
+    /// `(cell, processor)` pair to `sink` on its way; `partials` holds the
+    /// sink's per-chunk partials, recycled across steps.  Thread count and
+    /// sink are unobservable in the step's results and statistics.  This is
+    /// how the BSP backend (crate `qrqw-bsp`) routes a step: its router is
+    /// the sink.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pram::step`].
+    pub fn step_into<S: StepSink, R>(
+        &mut self,
+        threads: usize,
+        sink: &mut S,
+        partials: &mut Vec<S::Partial>,
+        f: impl FnOnce(&mut StepCtx<'_>) -> R,
+    ) -> R {
         let step_idx = self.steps_executed;
-        // The accounting walk fans out as wide as the launches do.
-        self.scratch
-            .begin_step(self.mem.len(), rayon::current_num_threads());
-        let mut ctx = StepCtx::new(self.mem.as_slice(), self.seed, step_idx, &self.scratch);
+        self.scratch.begin_step(self.mem.len(), threads);
+        let mut ctx = StepCtx::new(
+            self.mem.as_slice(),
+            self.seed,
+            step_idx,
+            threads,
+            &self.scratch,
+        );
         let result = f(&mut ctx);
-        // The plain memory counts nothing, so its partials are zero-sized
-        // and this vector never allocates.
-        let stats = self.scratch.finish(&mut self.mem, &mut Vec::new());
+        let stats = self.scratch.finish(self.mem.as_mut_slice(), sink, partials);
         self.trace.push(stats);
         self.steps_executed += 1;
         result
@@ -207,11 +239,11 @@ impl Pram {
     pub fn scan_step(&mut self, base: usize, len: usize) -> u64 {
         self.mem.ensure(base + len);
         let mut acc = 0u64;
-        for i in 0..len {
-            let v = self.mem.peek(base + i);
-            let v = if v == crate::memory::EMPTY { 0 } else { v };
-            acc += v;
-            self.mem.apply(base + i, acc);
+        for cell in &mut self.mem.as_mut_slice()[base..base + len] {
+            if *cell != EMPTY {
+                acc += *cell;
+            }
+            *cell = acc;
         }
         self.trace.push(StepStats {
             active_procs: len as u64,
@@ -233,20 +265,14 @@ impl Pram {
     /// is non-zero and non-[`crate::EMPTY`].  Charged like a scan.
     pub fn global_or_step(&mut self, base: usize, len: usize) -> bool {
         self.mem.ensure(base + len);
-        let mut any = false;
-        let mut examined = 0u64;
-        for i in 0..len {
-            examined += 1;
-            let v = self.mem.peek(base + i);
-            if v != 0 && v != crate::memory::EMPTY {
-                any = true;
-                break;
-            }
-        }
+        let first = self.mem.as_slice()[base..base + len]
+            .iter()
+            .position(|&v| v != 0 && v != EMPTY);
         // Work reflects the cells actually inspected before the
         // short-circuit; the *time* charge keeps `scan_width = len` because
         // the machine primitive is a reduction tree over the whole region
         // regardless of where the first non-zero value sits.
+        let examined = first.map_or(len, |i| i + 1) as u64;
         self.trace.push(StepStats {
             active_procs: examined,
             total_reads: examined,
@@ -259,7 +285,7 @@ impl Pram {
             scan_width: len as u64,
         });
         self.steps_executed += 1;
-        any
+        first.is_some()
     }
 
     /// Splits off the trace accumulated so far, resetting this PRAM's trace
@@ -323,7 +349,6 @@ impl MachineProc for SeqProc<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::EMPTY;
     use crate::model::CostModel;
 
     #[test]

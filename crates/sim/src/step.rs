@@ -19,16 +19,16 @@
 //! can let every memory module serve its own cells.  A step's memory is
 //! therefore dealt to a few address ranges the way that emulation spreads
 //! memory over modules: in blocks of cells, round robin, so that any long
-//! array is spread evenly over the ranges.  [`StepScratch::begin_step`]
+//! array is spread evenly over the ranges.  `StepScratch::begin_step`
 //! derives the cut from the memory size and the number of walkers its
 //! caller offers; one walker gets one range.
 //!
 //! Processors are launched in contiguous chunks, and each chunk appends to
-//! one [`ChunkLog`]: per range, the reads and the `(address, value)` writes
+//! one `ChunkLog`: per range, the reads and the `(address, value)` writes
 //! that fall in it, each tagged with its processor id.  Logs are recycled
-//! through a [`StepScratch`], so a steady-state step allocates nothing.
+//! through a `StepScratch`, so a steady-state step allocates nothing.
 //!
-//! [`StepScratch::finish`] orders the step's logs by their first processor
+//! `StepScratch::finish` orders the step's logs by their first processor
 //! id and walks every range on its own pool worker, over the range's own
 //! cells of a per-cell stamp table: the range's part of each log in chunk
 //! order, once for the reads and once for the writes.  Chunks are
@@ -49,9 +49,9 @@
 //! the ranges by max), the new-pair events are the messages a BSP router
 //! would carry (counted per chunk of the walk, merged by the [`StepSink`]),
 //! and each walker writes its range's owner writes into the memory: the
-//! arbitration.  Both model backends ([`crate::Pram`] and
-//! `qrqw_bsp::BspMachine`) run this one walk; neither orders accesses by
-//! address.
+//! arbitration.  [`crate::Pram::step_into`] runs this walk for both model
+//! backends — `qrqw_bsp::BspMachine` is a `Pram` whose sink is its router
+//! — and it never orders accesses by address.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -60,7 +60,6 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use rayon::pool::SendPtr;
 
-use crate::memory::SharedMemory;
 use crate::rng::proc_rng;
 use crate::stats::StepStats;
 
@@ -235,7 +234,7 @@ impl<R: Copy + Default> SubLogs<R> {
 /// reads and writes split by address range, each tagged with its processor
 /// id, and the per-chunk sums of the per-processor counts.
 #[derive(Debug, Default)]
-pub struct ChunkLog {
+pub(crate) struct ChunkLog {
     lo: usize,
     /// Processors closed so far: the chunk is `lo .. lo + procs`.
     procs: usize,
@@ -287,7 +286,7 @@ impl ChunkLog {
 /// Handle given to each virtual processor for the duration of one step.
 ///
 /// One context serves a whole chunk, re-pointed per processor
-/// ([`ProcCtx::begin`] … [`ProcCtx::end`]), and its methods are
+/// (`ProcCtx::begin` … `ProcCtx::end`), and its methods are
 /// `#[inline]`: step closures are monomorphised in downstream crates, which
 /// build without LTO.
 pub struct ProcCtx<'a> {
@@ -306,7 +305,7 @@ pub struct ProcCtx<'a> {
 impl<'a> ProcCtx<'a> {
     /// A context for the chunk that fills `log`, reading `snapshot` in step
     /// `step_idx` of a run seeded with `seed`.
-    pub fn new(snapshot: &'a [u64], seed: u64, step_idx: u64, log: &'a mut ChunkLog) -> Self {
+    fn new(snapshot: &'a [u64], seed: u64, step_idx: u64, log: &'a mut ChunkLog) -> Self {
         ProcCtx {
             snapshot,
             cut: log.cut,
@@ -324,7 +323,7 @@ impl<'a> ProcCtx<'a> {
     /// Points the context at processor `proc`, which must be the chunk's
     /// next id.
     #[inline]
-    pub fn begin(&mut self, proc: u64) {
+    fn begin(&mut self, proc: u64) {
         debug_assert_eq!(proc as usize, self.log.hi(), "a chunk runs consecutive ids");
         self.proc = proc;
         self.reads = 0;
@@ -335,7 +334,7 @@ impl<'a> ProcCtx<'a> {
 
     /// Closes the current processor's stretch of the log.
     #[inline]
-    pub fn end(&mut self) {
+    fn end(&mut self) {
         self.log
             .end_processor(self.reads, self.writes, self.computes);
     }
@@ -436,6 +435,9 @@ pub struct StepCtx<'a> {
     snapshot: &'a [u64],
     seed: u64,
     step_idx: u64,
+    /// Threads a launch of at least [`PARALLEL_CUTOFF`] processors fans
+    /// out over.
+    threads: usize,
     scratch: &'a StepScratch,
 }
 
@@ -444,12 +446,14 @@ impl<'a> StepCtx<'a> {
         snapshot: &'a [u64],
         seed: u64,
         step_idx: u64,
+        threads: usize,
         scratch: &'a StepScratch,
     ) -> Self {
         StepCtx {
             snapshot,
             seed,
             step_idx,
+            threads,
             scratch,
         }
     }
@@ -462,7 +466,7 @@ impl<'a> StepCtx<'a> {
         F: Fn(usize, &mut ProcCtx<'_>) -> T + Sync,
     {
         let threads = if range.len() >= PARALLEL_CUTOFF {
-            rayon::current_num_threads()
+            self.threads
         } else {
             1
         };
@@ -514,8 +518,8 @@ impl<'a> StepCtx<'a> {
     }
 }
 
-/// Where [`StepScratch::finish`] puts a step's outcome: the memory its
-/// winning writes land in, and whatever the sink counts on the way.
+/// What a step's accounting walk reports besides its statistics: every
+/// distinct `(cell, processor)` pair it meets (see [`crate::Pram::step_into`]).
 ///
 /// The walk runs in chunks — one when it runs inline, one per address
 /// range when it fans out over the pool — and each chunk counts into its
@@ -525,9 +529,6 @@ pub trait StepSink {
     /// neighbouring partials of one vector, so a partial written per
     /// message should fill its own cache lines (`#[repr(align(128))]`).
     type Partial: Send;
-
-    /// The memory the step's winning writes land in.
-    fn cells(&mut self) -> &mut [u64];
 
     /// A zeroed partial, for a walk in more chunks than the caller kept
     /// partials for.
@@ -545,13 +546,9 @@ pub trait StepSink {
     fn merge(&mut self, _partials: &mut [Self::Partial]) {}
 }
 
-/// The plain memory counts nothing: its partials are zero-sized.
-impl StepSink for SharedMemory {
+/// The plain step counts nothing: its partials are zero-sized.
+impl StepSink for () {
     type Partial = ();
-
-    fn cells(&mut self) -> &mut [u64] {
-        self.as_mut_slice()
-    }
 
     fn new_partial(&self) {}
 }
@@ -666,7 +663,7 @@ struct LogPool {
 /// threads running its chunks (each filling its log through a
 /// [`ProcCtx`]), then `finish`.
 #[derive(Debug, Default)]
-pub struct StepScratch {
+pub(crate) struct StepScratch {
     logs: Mutex<LogPool>,
     stamps: StampTable,
     split: Split,
@@ -678,14 +675,14 @@ impl StepScratch {
     /// caller's own parallelism; 1 walks one address range inline), and
     /// recycles whatever a previous step left behind when a processor body
     /// unwound out of it.
-    pub fn begin_step(&mut self, cells: usize, walkers: usize) {
+    pub(crate) fn begin_step(&mut self, cells: usize, walkers: usize) {
         let pool = self.logs.get_mut().expect("log pool lock poisoned");
         pool.free.append(&mut pool.filled);
         self.split = Split::new(cells, walkers);
     }
 
     /// An empty log for a chunk whose first processor id is `lo`.
-    pub fn take_log(&self, lo: usize) -> ChunkLog {
+    fn take_log(&self, lo: usize) -> ChunkLog {
         let recycled = self.logs.lock().expect("log pool lock poisoned").free.pop();
         let mut log = recycled.unwrap_or_default();
         log.reset(lo, &self.split);
@@ -693,7 +690,7 @@ impl StepScratch {
     }
 
     /// Hands a chunk's filled log back for [`StepScratch::finish`].
-    pub fn put_log(&self, log: ChunkLog) {
+    fn put_log(&self, log: ChunkLog) {
         let mut pool = self.logs.lock().expect("log pool lock poisoned");
         pool.filled.push(log);
     }
@@ -712,17 +709,18 @@ impl StepScratch {
     }
 
     /// Closes the step: computes its statistics, writes every winning write
-    /// into `sink`'s cells and reports every distinct `(cell, processor)`
-    /// pair to it (see the [module docs](self)).  `partials` holds the
-    /// sink's per-chunk partials, recycled across steps.
+    /// into `cells` and reports every distinct `(cell, processor)` pair to
+    /// `sink` (see the [module docs](self)).  `partials` holds the sink's
+    /// per-chunk partials, recycled across steps.
     ///
     /// # Panics
     ///
     /// If a processor id was launched twice in the step or does not fit 32
-    /// bits, if `sink`'s memory is not the size the step began with, or if
-    /// a log was taken for another step or logged a cell past that memory.
-    pub fn finish<S: StepSink>(
+    /// bits, if `cells` is not the size the step began with, or if a log was
+    /// taken for another step or logged a cell past that memory.
+    pub(crate) fn finish<S: StepSink>(
         &mut self,
+        cells: &mut [u64],
         sink: &mut S,
         partials: &mut Vec<S::Partial>,
     ) -> StepStats {
@@ -765,7 +763,6 @@ impl StepScratch {
             partials.push(sink.new_partial());
         }
         let (read_epoch, write_epoch) = self.stamps.next_epochs(split.cells);
-        let cells = sink.cells();
         assert_eq!(
             cells.len(),
             split.cells,
@@ -851,10 +848,11 @@ impl StepScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::SharedMemory;
     use rand::SeedableRng;
 
-    /// A memory and its scratch, stepped the way [`crate::Pram::step`] does
-    /// with `walkers` walkers (the host parallelism unless a test forces
+    /// A memory and its scratch, stepped the way [`crate::Pram::step_into`]
+    /// does on `walkers` threads (the host parallelism unless a test forces
     /// another count).
     struct Harness {
         mem: SharedMemory,
@@ -881,9 +879,17 @@ mod tests {
             f: impl FnOnce(&mut StepCtx<'_>) -> R,
         ) -> (R, StepStats) {
             self.scratch.begin_step(self.mem.len(), self.walkers);
-            let mut ctx = StepCtx::new(self.mem.as_slice(), seed, step_idx, &self.scratch);
+            let mut ctx = StepCtx::new(
+                self.mem.as_slice(),
+                seed,
+                step_idx,
+                self.walkers,
+                &self.scratch,
+            );
             let result = f(&mut ctx);
-            let stats = self.scratch.finish(&mut self.mem, &mut Vec::new());
+            let stats = self
+                .scratch
+                .finish(self.mem.as_mut_slice(), &mut (), &mut Vec::new());
             (result, stats)
         }
     }
@@ -1217,6 +1223,26 @@ mod tests {
             for (a, v) in winners {
                 want_mem[a] = v;
             }
+            // Even seeds: two launches, upper half first; above the cutoff
+            // four pool threads deliver each one's logs out of order.  Odd
+            // seeds: launches of a random size, each filing its logs in
+            // turn, issued reversed and rotated.
+            let end = first + procs;
+            let launches: Vec<std::ops::Range<usize>> = if seed % 2 == 0 {
+                let split = first + procs / 2;
+                vec![split..end, first..split]
+            } else {
+                let chunk = rng.gen_range(1..600usize);
+                let mut launches: Vec<_> = (first..end)
+                    .step_by(chunk)
+                    .map(|lo| lo..(lo + chunk).min(end))
+                    .collect();
+                launches.reverse();
+                let by = rng.gen_range(0..64usize) % launches.len();
+                launches.rotate_left(by);
+                launches
+            };
+            let threads = if procs >= PARALLEL_CUTOFF { 4 } else { 1 };
             // As the machine would, then with the split forced: four
             // walkers deal even the 64-cell memory to eight ranges, and
             // above the walk cutoff up to four threads walk them.
@@ -1224,14 +1250,11 @@ mod tests {
                 let tag = format!("seed {seed}, {walkers} walkers");
                 h.mem.load(0, &before);
                 h.walkers = walkers;
-                // Two launches, upper half first, on every other seed; above
-                // the cutoff four pool threads deliver the logs out of order.
-                let split = first + if seed % 2 == 0 { procs / 2 } else { 0 };
-                let threads = if procs >= PARALLEL_CUTOFF { 4 } else { 1 };
-                let ((upper, lower), stats) = h.step(seed, seed, |s| {
-                    let upper = s.par_map_on(split..first + procs, threads, body);
-                    let lower = s.par_map_on(first..split, threads, body);
-                    (upper, lower)
+                let (mut outs, stats) = h.step(seed, seed, |s| {
+                    launches
+                        .iter()
+                        .map(|launch| (launch.start, s.par_map_on(launch.clone(), threads, body)))
+                        .collect::<Vec<_>>()
                 });
                 if walkers == 4 {
                     assert_eq!(h.scratch.ranges(), MAX_RANGES, "{tag}: ranges");
@@ -1239,7 +1262,9 @@ mod tests {
 
                 assert_eq!(stats, want_stats, "{tag}: step statistics");
                 assert_eq!(h.mem.dump(0, cells), want_mem, "{tag}: memory image");
-                let sums: Vec<u64> = lower.into_iter().chain(upper).collect();
+                outs.sort_unstable_by_key(|&(start, _)| start);
+                let sums: Vec<u64> = outs.into_iter().flat_map(|(_, out)| out).collect();
+                assert_eq!(sums.len(), procs, "{tag}: results");
                 for ((_, ops), got) in program.iter().zip(sums) {
                     let want = ops.iter().fold(0u64, |sum, op| match op {
                         Op::Read(a) => sum.wrapping_add(before[*a]),

@@ -1,20 +1,30 @@
-//! Theorem 1.1 conformance: the BSP backend's *measured* emulation never
-//! exceeds what the cost model *charged* for the same execution.
+//! Theorem 1.1 conformance: the BSP backend's emulation against what the
+//! cost model *charged* for the same execution.
 //!
 //! Theorem 1.1 is the paper's portability claim — a QRQW PRAM step whose
 //! maximum contention is `k` costs a BSP-style emulation only an additive
 //! `k` (the realized per-cell message queues drain one message per cycle),
 //! so a whole algorithm of QRQW time `t` emulates in `O(t · lg p)` on
 //! `p/lg p` components.  The simulator charges that by formula; the
-//! `BspMachine` routes real message batches and measures their queues.
-//! These tests run every registry variant on both machines with the same
-//! seed (the router's processor-order arbitration makes the two runs the
-//! same trajectory) and assert, step for step:
+//! `BspMachine` routes the message batches.  These tests run every registry
+//! variant on both machines with the same seed (the router's
+//! processor-order arbitration makes the two runs the same trajectory) and
+//! assert, step for step:
 //!
 //! * the realized max queue never exceeds the contention the simulator's
 //!   trace charged for that step (measured ≤ charged), and
 //! * the accumulated measured cost lands exactly on the simulator's QRQW
 //!   time and therefore under the `t · ⌈lg p⌉` predicted bound.
+//!
+//! What these checks can and cannot catch: `BspMachine` is a `Pram` whose
+//! step walk reports to the router, so its queues *are* its own trace's
+//! contention and `measured_cost` *is* that trace's QRQW time, by
+//! construction.  Comparing with an independent `Pram` run checks that the
+//! two re-execute one trajectory, and the bound check is `t ≤ t · ⌈lg p⌉`.
+//! A measurement that could break the bound needs cells hashed to
+//! components and each superstep charged `w + g·h + L`.  The router's own
+//! counts — supersteps, messages, the heaviest h-relation — are pinned
+//! exactly below.
 
 use qrqw_bench::Algorithm;
 use qrqw_suite::bsp::BspMachine;
@@ -131,6 +141,56 @@ fn the_additive_claim_shows_up_in_the_profile_of_a_contended_step() {
          not multiplicative"
     );
     assert_eq!(cost.supersteps, 1);
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= byte as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn bsp_costs_are_pinned_at_every_thread_count() {
+    // Every count the BSP backend reports, for five registry members at
+    // n = 257 and seed 11: supersteps, messages, max queue, max h, measured
+    // cost, predicted cost, queue-profile digest, steps, claim attempts,
+    // contended claims.  Read off the machine as it stood before its memory
+    // and step loop were folded into `Pram`; the fold must not move one.
+    #[rustfmt::skip]
+    const PINS: [(&str, [u64; 10]); 5] = [
+        ("permutation-qrqw",  [56, 9518, 4, 8, 66, 660, 11817106295901674309, 31, 414, 157]),
+        ("hashing",           [68, 10556, 4, 10, 124, 1240, 11543125333534476263, 38, 197, 23]),
+        ("sample-sort-qrqw",  [141, 52745, 1, 3, 92, 920, 7191353660525489028, 47, 0, 0]),
+        ("load-balance-qrqw", [23, 2127, 1, 2, 14, 140, 5885718554116463749, 13, 5, 0]),
+        ("list-rank",         [30, 12605, 1, 2, 38, 380, 17915376804715743845, 20, 0, 0]),
+    ];
+    for threads in [1, 2] {
+        for (name, want) in PINS {
+            let algo = Algorithm::parse(name).expect(name);
+            let mut bsp = BspMachine::with_threads(16, 11, threads);
+            let (valid, _) = algo.run_on(&mut bsp, 257);
+            assert!(valid, "{name} invalid on {threads} threads");
+            let report = bsp.cost_report();
+            let cost = report.bsp.expect("bsp cost section");
+            let got = [
+                cost.supersteps,
+                cost.messages,
+                cost.max_queue,
+                cost.max_h_relation,
+                cost.measured_cost,
+                cost.predicted_cost,
+                fnv1a(&bsp.queue_profile()),
+                report.steps,
+                report.claim_attempts,
+                report.contended_claims,
+            ];
+            assert_eq!(got, want, "{name} on {threads} threads");
+        }
+    }
 }
 
 #[test]
