@@ -25,14 +25,15 @@
 //! ```
 //!
 //! `--smoke` runs a small fixed matrix and writes no file — it exists for
-//! CI, exiting nonzero if any validator fails.  The fault rates can also be
-//! overridden through `QRQW_FAULT_PANIC` / `QRQW_FAULT_ERROR` /
-//! `QRQW_FAULT_DELAY` / `QRQW_FAULT_SEED` (see [`FaultPlan::from_env`]).
+//! CI, exiting nonzero if any validator fails.  `--panic-rates` sets the
+//! swept panic rate and `--seed` the fault stream's seed; every plan
+//! carries 25 injected errors (and, outside `--smoke`, 5 submitter stalls)
+//! per 10,000 requests.
 
 use std::time::Duration;
 
-use qrqw_bench::chaos::{chaos_report_json, run_chaos, ChaosSpec, FaultPlan};
-use qrqw_bench::report::write_json_file;
+use qrqw_bench::chaos::{run_chaos, ChaosSpec, ChaosSummary, FaultPlan};
+use qrqw_bench::report::{sweep_json, write_json_file};
 use qrqw_bench::service::ServiceWorkload;
 use qrqw_serve::{BatchPolicy, ServiceConfig};
 
@@ -170,8 +171,7 @@ fn main() {
                     delay_per_10k: if cli.smoke { 0 } else { 5 },
                     delay: Duration::from_micros(200),
                     seed: cli.seed ^ 0xFA17,
-                }
-                .from_env();
+                };
                 let spec = ChaosSpec {
                     workload,
                     requests,
@@ -202,7 +202,8 @@ fn main() {
     }
     let all_valid = runs.iter().all(|r| r.valid());
     if !cli.smoke {
-        let doc = chaos_report_json("chaos_bench", cli.seed, threads, &runs);
+        let runs = runs.iter().map(ChaosSummary::to_json).collect();
+        let doc = sweep_json("chaos_bench", cli.seed, threads, all_valid, runs);
         write_json_file(&cli.out, &doc);
         println!("wrote {}", cli.out);
     }

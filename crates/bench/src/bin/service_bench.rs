@@ -18,9 +18,8 @@
 //!     [--threads T] [--seed S] [--json-out PATH] [--smoke]
 //! ```
 //!
-//! * `--batch-max` defaults to the `QRQW_BATCH_MAX` environment
-//!   resolution (see `ARCHITECTURE.md`); a batch is whatever the queue
-//!   holds when the batcher takes it, up to that cap;
+//! * `--batch-max` sets `BatchPolicy::max_batch` (default 256); a batch
+//!   is whatever the queue holds when the batcher takes it, up to that cap;
 //! * `--key-dist zipf` concentrates traffic on a few hot keys — the
 //!   high-contention regime the model charges for; compare its
 //!   `contention_per_batch` against `uniform`;
@@ -28,7 +27,7 @@
 //!   loudly unless the run completes with nonzero throughput, zero
 //!   errors, and a clean validator — the CI entry point.
 
-use qrqw_bench::report::write_json_file;
+use qrqw_bench::report::{sweep_json, write_json_file};
 use qrqw_bench::service::{run_service_load, KeyDist, LoadSpec, ServiceWorkload};
 use qrqw_serve::{BatchPolicy, ServiceConfig};
 
@@ -62,7 +61,7 @@ fn parse_args() -> Cli {
             keyspace: 4096,
             seed: 1,
         },
-        policy: BatchPolicy::from_env(),
+        policy: BatchPolicy::default(),
         threads: None,
         json_out: None,
         smoke: false,
@@ -153,11 +152,12 @@ fn main() {
         let threads = cli
             .threads
             .unwrap_or_else(|| qrqw_exec::StepPool::from_env().threads());
-        let doc = qrqw_bench::service::service_report_json(
+        let doc = sweep_json(
             "service_bench",
             cli.spec.seed,
             threads,
-            std::slice::from_ref(&summary),
+            summary.valid() && summary.errors == 0,
+            vec![summary.to_json()],
         );
         write_json_file(path, &doc);
         println!("wrote {path}");

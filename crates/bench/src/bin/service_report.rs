@@ -26,10 +26,8 @@
 //! `--quick` shrinks the per-run load for CI smoke use; the committed
 //! artifact is generated with the defaults.
 
-use qrqw_bench::report::write_json_file;
-use qrqw_bench::service::{
-    run_service_load, service_report_json, KeyDist, LoadSpec, ServiceWorkload,
-};
+use qrqw_bench::report::{sweep_json, write_json_file};
+use qrqw_bench::service::{run_service_load, KeyDist, LoadSpec, RunSummary, ServiceWorkload};
 use qrqw_serve::{BatchPolicy, ServiceConfig};
 
 struct Cli {
@@ -164,7 +162,8 @@ fn main() {
         }
     }
     let all_valid = runs.iter().all(|r| r.valid() && r.errors == 0);
-    let doc = service_report_json("service_report", cli.seed, threads, &runs);
+    let runs = runs.iter().map(RunSummary::to_json).collect();
+    let doc = sweep_json("service_report", cli.seed, threads, all_valid, runs);
     write_json_file(&cli.out, &doc);
     println!("wrote {}", cli.out);
     if !all_valid {

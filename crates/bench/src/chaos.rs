@@ -24,7 +24,6 @@
 //! snapshot overhead, and mean recovery (rollback + bisection replay)
 //! latency per panicked batch.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use qrqw_exec::StepPool;
@@ -36,25 +35,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::Json;
-use crate::service::{generate, KeyDist, KeySampler, ServiceWorkload};
-
-/// Environment variable overriding [`FaultPlan::panic_per_10k`].
-pub const FAULT_PANIC_ENV: &str = "QRQW_FAULT_PANIC";
-
-/// Environment variable overriding [`FaultPlan::error_per_10k`].
-pub const FAULT_ERROR_ENV: &str = "QRQW_FAULT_ERROR";
-
-/// Environment variable overriding [`FaultPlan::delay_per_10k`].
-pub const FAULT_DELAY_ENV: &str = "QRQW_FAULT_DELAY";
-
-/// Environment variable overriding [`FaultPlan::seed`].
-pub const FAULT_SEED_ENV: &str = "QRQW_FAULT_SEED";
-
-/// How long a ticket may take before the harness declares it wedged.  Far
-/// beyond any legitimate batch latency; a wait this long means a lost
-/// completion, which is exactly the bug class the exit guard exists to
-/// kill.
-const WEDGE: Duration = Duration::from_secs(30);
+use crate::service::{
+    classify, generate, submit_windowed, Class, KeyDist, KeySampler, ServiceWorkload,
+};
 
 /// A seeded fault-injection plan: per-10,000-request rates for each fault
 /// kind, drawn independently per submission from one RNG stream, so a plan
@@ -90,61 +73,6 @@ impl FaultPlan {
     /// True when the plan injects nothing (the fault-free baseline row).
     pub fn is_quiet(&self) -> bool {
         self.panic_per_10k == 0 && self.error_per_10k == 0 && self.delay_per_10k == 0
-    }
-
-    /// Resolves the plan from the environment: `QRQW_FAULT_PANIC`,
-    /// `QRQW_FAULT_ERROR`, `QRQW_FAULT_DELAY` (each a per-10,000 rate) and
-    /// `QRQW_FAULT_SEED`, falling back to `self`'s values when unset.
-    ///
-    /// # Panics
-    ///
-    /// If any variable is set but unparseable, or a rate exceeds 10,000 —
-    /// a typo'd rate silently clamped would make a chaos run look much
-    /// healthier than it was.
-    pub fn from_env(self) -> Self {
-        match self.from_env_values(
-            std::env::var(FAULT_PANIC_ENV).ok().as_deref(),
-            std::env::var(FAULT_ERROR_ENV).ok().as_deref(),
-            std::env::var(FAULT_DELAY_ENV).ok().as_deref(),
-            std::env::var(FAULT_SEED_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// The value-level core of [`FaultPlan::from_env`], testable without
-    /// process-global environment state.
-    pub fn from_env_values(
-        mut self,
-        panic: Option<&str>,
-        error: Option<&str>,
-        delay: Option<&str>,
-        seed: Option<&str>,
-    ) -> Result<Self, String> {
-        let rate = |name: &str, raw: Option<&str>, into: &mut u32| -> Result<(), String> {
-            if let Some(raw) = raw {
-                let v: u32 = raw.trim().parse().map_err(|_| {
-                    format!("invalid {name}={raw:?}: expected a fault rate per 10,000 requests")
-                })?;
-                if v > 10_000 {
-                    return Err(format!(
-                        "invalid {name}={v}: a per-10,000 rate cannot exceed 10000"
-                    ));
-                }
-                *into = v;
-            }
-            Ok(())
-        };
-        rate(FAULT_PANIC_ENV, panic, &mut self.panic_per_10k)?;
-        rate(FAULT_ERROR_ENV, error, &mut self.error_per_10k)?;
-        rate(FAULT_DELAY_ENV, delay, &mut self.delay_per_10k)?;
-        if let Some(raw) = seed {
-            self.seed = raw.trim().parse().map_err(|_| {
-                format!("invalid {FAULT_SEED_ENV}={raw:?}: expected an unsigned integer seed")
-            })?;
-        }
-        Ok(self)
     }
 }
 
@@ -304,21 +232,6 @@ fn draw(plan: &FaultPlan, rng: &mut SmallRng) -> Slot {
     }
 }
 
-/// Was this response produced by *applying* the request (as opposed to
-/// shedding it or rolling it back)?  Applied responses — including injected
-/// errors and invalid-input rejections, which are deterministic parts of
-/// the trace — are what the oneshot replay must reproduce.
-fn was_applied(response: &Response) -> bool {
-    !matches!(
-        response,
-        Err(ServiceError::RequestPanicked
-            | ServiceError::Overloaded
-            | ServiceError::DeadlineExceeded
-            | ServiceError::ServerGone
-            | ServiceError::ShuttingDown)
-    )
-}
-
 /// Drives one chaos run and validates it (see the module docs for the
 /// three validated properties).
 pub fn run_chaos(
@@ -342,34 +255,19 @@ pub fn run_chaos(
     let sampler = KeySampler::new(KeyDist::Zipf(1.0), spec.keyspace);
     let mut workload_rng = SmallRng::seed_from_u64(spec.seed);
     let mut fault_rng = SmallRng::seed_from_u64(plan.seed);
-    let window = spec.window.max(1);
 
     let mut requests: Vec<Request> = Vec::with_capacity(spec.requests);
     let mut responses: Vec<Option<Response>> = Vec::with_capacity(spec.requests);
     let mut latency = Histogram::default();
-    let mut wedged = 0u64;
     let mut injected_panics = 0u64;
     let mut injected_delays = 0u64;
-    let mut inflight: VecDeque<(usize, Instant, qrqw_serve::Ticket)> = VecDeque::new();
-    responses.resize_with(spec.requests, || None);
-
-    let mut settle = |idx: usize,
-                      at: Instant,
-                      ticket: qrqw_serve::Ticket,
-                      responses: &mut Vec<Option<Response>>,
-                      wedged: &mut u64| {
-        match ticket.wait_timeout(WEDGE) {
-            Some(resp) => {
-                latency.record_duration(at.elapsed());
-                responses[idx] = Some(resp);
-            }
-            None => *wedged += 1,
-        }
-    };
 
     let started = Instant::now();
-    for i in 0..spec.requests {
-        let request = match draw(&plan, &mut fault_rng) {
+    submit_windowed(
+        &handle,
+        spec.requests,
+        spec.window,
+        |_| match draw(&plan, &mut fault_rng) {
             Slot::Panic => {
                 injected_panics += 1;
                 Request::Fault(Fault::Panic)
@@ -391,22 +289,21 @@ pub fn run_chaos(
                 config.num_counters,
                 &mut workload_rng,
             ),
-        };
-        requests.push(request);
-        inflight.push_back((i, Instant::now(), handle.submit(request)));
-        if inflight.len() >= window {
-            let (idx, at, ticket) = inflight.pop_front().unwrap();
-            settle(idx, at, ticket, &mut responses, &mut wedged);
-        }
-    }
-    for (idx, at, ticket) in inflight {
-        settle(idx, at, ticket, &mut responses, &mut wedged);
-    }
+        },
+        |request, outcome| {
+            requests.push(request);
+            responses.push(outcome.map(|(response, took)| {
+                latency.record_duration(took);
+                response
+            }));
+        },
+    );
     let wall = started.elapsed();
     let (state, stats) = server.shutdown();
 
     // --- Validators -----------------------------------------------------
     let mut errors = Vec::new();
+    let wedged = responses.iter().filter(|r| r.is_none()).count() as u64;
     if wedged > 0 {
         errors.push(format!("{wedged} tickets never resolved (wedge timeout)"));
     }
@@ -417,15 +314,11 @@ pub fn run_chaos(
     let mut applied_responses = Vec::with_capacity(spec.requests);
     for (i, (request, response)) in requests.iter().zip(&responses).enumerate() {
         let Some(response) = response else { continue };
-        match response {
-            Ok(_) => served += 1,
-            Err(
-                ServiceError::Overloaded
-                | ServiceError::DeadlineExceeded
-                | ServiceError::ShuttingDown
-                | ServiceError::ServerGone,
-            ) => shed += 1,
-            Err(_) => failed += 1,
+        let (class, was_applied) = classify(response);
+        match class {
+            Class::Served => served += 1,
+            Class::Shed => shed += 1,
+            Class::Failed => failed += 1,
         }
         let is_panic_request = *request == Request::Fault(Fault::Panic);
         let is_panic_reply = *response == Err(ServiceError::RequestPanicked);
@@ -440,7 +333,7 @@ pub fn run_chaos(
                 "innocent request at position {i} ({request:?}) was answered RequestPanicked"
             ));
         }
-        if was_applied(response) {
+        if was_applied {
             applied.push(*request);
             applied_responses.push(*response);
         }
@@ -490,57 +383,10 @@ pub fn run_chaos(
     }
 }
 
-/// Assembles the top-level `BENCH_chaos.json` document from a sweep of
-/// chaos summaries (shared by `chaos_bench` and the schema test).
-pub fn chaos_report_json(
-    generated_by: &str,
-    seed: u64,
-    threads: usize,
-    runs: &[ChaosSummary],
-) -> Json {
-    let all_valid = runs.iter().all(ChaosSummary::valid);
-    Json::obj(vec![
-        ("generated_by", Json::str(generated_by)),
-        ("seed", Json::Int(seed)),
-        ("threads", Json::Int(threads as u64)),
-        ("host_cores", Json::Int(rayon::current_num_threads() as u64)),
-        ("all_valid", Json::Bool(all_valid)),
-        (
-            "runs",
-            Json::Arr(runs.iter().map(ChaosSummary::to_json).collect()),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fault_plan_env_values_resolve_or_reject_loudly() {
-        let base = FaultPlan::default();
-        assert_eq!(base.from_env_values(None, None, None, None), Ok(base));
-        let plan = base
-            .from_env_values(Some(" 25 "), Some("100"), Some("4"), Some("99"))
-            .unwrap();
-        assert_eq!(plan.panic_per_10k, 25);
-        assert_eq!(plan.error_per_10k, 100);
-        assert_eq!(plan.delay_per_10k, 4);
-        assert_eq!(plan.seed, 99);
-        assert!(!plan.is_quiet());
-        let err = base
-            .from_env_values(Some("10001"), None, None, None)
-            .unwrap_err();
-        assert!(err.contains("QRQW_FAULT_PANIC"), "unhelpful error: {err}");
-        let err = base
-            .from_env_values(None, Some("lots"), None, None)
-            .unwrap_err();
-        assert!(err.contains("QRQW_FAULT_ERROR"), "unhelpful error: {err}");
-        let err = base
-            .from_env_values(None, None, None, Some("x"))
-            .unwrap_err();
-        assert!(err.contains("QRQW_FAULT_SEED"), "unhelpful error: {err}");
-    }
+    use crate::report::sweep_json;
 
     #[test]
     fn a_quiet_plan_validates_and_serves_everything() {
@@ -627,7 +473,7 @@ mod tests {
                 seed: 3,
             },
         );
-        let doc = chaos_report_json("test", 3, 1, &[summary]);
+        let doc = sweep_json("test", 3, 1, summary.valid(), vec![summary.to_json()]);
         let back = Json::parse(&doc.render()).expect("chaos report must parse");
         assert_eq!(back, doc);
     }

@@ -356,6 +356,26 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
+/// The top-level document of a service-harness sweep (`BENCH_service.json`,
+/// `BENCH_chaos.json`): the writer, its seed, the machine's thread count,
+/// the host's cores, whether every run passed, and the run entries.
+pub fn sweep_json(
+    generated_by: &str,
+    seed: u64,
+    threads: usize,
+    all_valid: bool,
+    runs: Vec<Json>,
+) -> Json {
+    Json::obj(vec![
+        ("generated_by", Json::str(generated_by)),
+        ("seed", Json::Int(seed)),
+        ("threads", Json::Int(threads as u64)),
+        ("host_cores", Json::Int(rayon::current_num_threads() as u64)),
+        ("all_valid", Json::Bool(all_valid)),
+        ("runs", Json::Arr(runs)),
+    ])
+}
+
 /// Writes a rendered [`Json`] document to `path` (the one writer shared by
 /// `perf_report`, `service_bench` and `service_report`).
 pub fn write_json_file(path: &str, json: &Json) {

@@ -28,9 +28,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use qrqw_exec::StepPool;
 use qrqw_serve::{
-    BatchPolicy, Histogram, Reply, Request, Server, ServiceConfig, ServiceError, ServiceStats,
-    StateDigest, Ticket,
+    BatchPolicy, Histogram, Reply, Request, Response, Server, ServiceConfig, ServiceError,
+    ServiceHandle, ServiceStats, StateDigest, Ticket,
 };
 use qrqw_sim::EMPTY;
 use rand::rngs::SmallRng;
@@ -91,6 +92,71 @@ impl ServiceWorkload {
 
 pub use crate::workload::{KeyDist, KeySampler};
 
+/// How long a ticket may take before a harness declares it wedged.  Far
+/// beyond any legitimate batch latency; a wait this long means a lost
+/// completion, which is exactly the bug class the exit guard exists to
+/// kill.
+const WEDGE: Duration = Duration::from_secs(30);
+
+/// Availability class of one response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// A real reply.
+    Served,
+    /// Refused at the admission edge (queue bound, deadline, shutdown race,
+    /// dead batcher) — loud, bounded, and by design.
+    Shed,
+    /// Reached application and failed (bad input, injected error,
+    /// rolled-back panic).
+    Failed,
+}
+
+/// Classifies one response: its availability [`Class`], and whether the
+/// request was *applied* — answered by running it, as opposed to shedding
+/// it or rolling it back.  Applied responses, injected errors and
+/// invalid-input rejections included, are deterministic parts of the
+/// trace: what a oneshot replay of the applied requests must reproduce.
+pub(crate) fn classify(response: &Response) -> (Class, bool) {
+    use ServiceError as E;
+    match response {
+        Ok(_) => (Class::Served, true),
+        Err(E::KeyOutOfRange(_) | E::UnknownCounter(_) | E::Injected) => (Class::Failed, true),
+        Err(E::RequestPanicked) => (Class::Failed, false),
+        Err(E::Overloaded | E::DeadlineExceeded | E::ShuttingDown | E::ServerGone) => {
+            (Class::Shed, false)
+        }
+    }
+}
+
+/// Submits `count` requests through `handle`, each drawn by `next(i)` just
+/// before its submit, keeping up to `window` of them in flight.  Hands
+/// every request to `settle` in submission order with its response and
+/// submit→response latency, or with `None` when its ticket did not resolve
+/// within [`WEDGE`].
+pub(crate) fn submit_windowed(
+    handle: &ServiceHandle,
+    count: usize,
+    window: usize,
+    mut next: impl FnMut(usize) -> Request,
+    mut settle: impl FnMut(Request, Option<(Response, Duration)>),
+) {
+    let mut inflight: VecDeque<(Request, Instant, Ticket)> = VecDeque::new();
+    let mut wait = |(request, at, ticket): (Request, Instant, Ticket)| {
+        settle(
+            request,
+            ticket.wait_timeout(WEDGE).map(|resp| (resp, at.elapsed())),
+        );
+    };
+    for i in 0..count {
+        let request = next(i);
+        inflight.push_back((request, Instant::now(), handle.submit(request)));
+        if inflight.len() >= window.max(1) {
+            wait(inflight.pop_front().unwrap());
+        }
+    }
+    inflight.into_iter().for_each(wait);
+}
+
 /// One load-generation run's shape.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadSpec {
@@ -123,6 +189,7 @@ struct ClientOutcome {
     submits: u64,
     steals: u64,
     completed: u64,
+    wedged: u64,
     errors: u64,
     served: u64,
     shed: u64,
@@ -138,6 +205,7 @@ impl ClientOutcome {
         self.submits += other.submits;
         self.steals += other.steals;
         self.completed += other.completed;
+        self.wedged += other.wedged;
         self.errors += other.errors;
         self.served += other.served;
         self.shed += other.shed;
@@ -145,23 +213,17 @@ impl ClientOutcome {
         self.hist.merge(&other.hist);
     }
 
-    fn settle(&mut self, request: Request, submitted: Instant, ticket: Ticket) {
-        let response = ticket.wait();
-        self.hist.record_duration(submitted.elapsed());
+    fn settle(&mut self, request: Request, outcome: Option<(Response, Duration)>) {
+        let Some((response, latency)) = outcome else {
+            self.wedged += 1;
+            return;
+        };
+        self.hist.record_duration(latency);
         self.completed += 1;
-        // Availability triage: a reply is *served*; an admission-side
-        // refusal (queue bound, deadline, shutdown races, dead batcher) is
-        // *shed* — loud, bounded, and by design; anything else is a
-        // *failed* request (bad input, injected error, rolled-back panic).
-        match &response {
-            Ok(_) => self.served += 1,
-            Err(
-                ServiceError::Overloaded
-                | ServiceError::DeadlineExceeded
-                | ServiceError::ShuttingDown
-                | ServiceError::ServerGone,
-            ) => self.shed += 1,
-            Err(_) => self.failed += 1,
+        match classify(&response).0 {
+            Class::Served => self.served += 1,
+            Class::Shed => self.shed += 1,
+            Class::Failed => self.failed += 1,
         }
         match (request, response) {
             (Request::HashInsert { key }, Ok(Reply::Inserted(true))) => self.inserted.push(key),
@@ -346,6 +408,12 @@ impl RunSummary {
 /// module docs for why exactly these properties are interleaving-proof).
 fn validate_digest(digest: &StateDigest, agg: &ClientOutcome) -> Vec<String> {
     let mut errors = Vec::new();
+    if agg.wedged > 0 {
+        errors.push(format!(
+            "{} tickets never resolved (wedge timeout)",
+            agg.wedged
+        ));
+    }
     // Per-key presence accounting.  Trace-determinism makes acknowledged
     // `Inserted(true)` / `Removed(true)` replies for one key strictly
     // alternate (starting with an insert), so for every key the acked
@@ -408,12 +476,9 @@ pub fn run_service_load(
     threads: Option<usize>,
     spec: &LoadSpec,
 ) -> RunSummary {
-    let server = match threads {
-        Some(t) => Server::spawn_with_pool(config, policy, qrqw_exec::StepPool::with_threads(t)),
-        None => Server::spawn(config, policy),
-    };
+    let pool = threads.map_or_else(StepPool::from_env, StepPool::with_threads);
+    let server = Server::spawn_with_pool(config, policy, pool);
     let sampler = Arc::new(KeySampler::new(spec.key_dist, spec.keyspace));
-    let window = spec.window.max(1);
     let per_client_interval = if spec.rate > 0.0 {
         Duration::from_secs_f64(spec.clients.max(1) as f64 / spec.rate)
     } else {
@@ -430,25 +495,22 @@ pub fn run_service_load(
                 let mut rng =
                     SmallRng::seed_from_u64(spec.seed ^ (client as u64).wrapping_mul(0x9E37));
                 let mut outcome = ClientOutcome::default();
-                let mut inflight: VecDeque<(Request, Instant, Ticket)> = VecDeque::new();
                 let client_started = Instant::now();
-                for i in 0..spec.requests_per_client {
-                    if !per_client_interval.is_zero() {
-                        let due = client_started + per_client_interval * i as u32;
-                        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                            std::thread::sleep(wait);
+                submit_windowed(
+                    &handle,
+                    spec.requests_per_client,
+                    spec.window,
+                    |i| {
+                        if !per_client_interval.is_zero() {
+                            let due = client_started + per_client_interval * i as u32;
+                            if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                                std::thread::sleep(wait);
+                            }
                         }
-                    }
-                    let request = generate(spec.workload, &sampler, num_counters, &mut rng);
-                    inflight.push_back((request, Instant::now(), handle.submit(request)));
-                    if inflight.len() >= window {
-                        let (req, at, ticket) = inflight.pop_front().unwrap();
-                        outcome.settle(req, at, ticket);
-                    }
-                }
-                for (req, at, ticket) in inflight {
-                    outcome.settle(req, at, ticket);
-                }
+                        generate(spec.workload, &sampler, num_counters, &mut rng)
+                    },
+                    |request, response| outcome.settle(request, response),
+                );
                 outcome
             })
         })
@@ -477,25 +539,30 @@ pub fn run_service_load(
     }
 }
 
-/// Assembles the top-level `BENCH_service.json` document from a sweep of
-/// run summaries (shared by `service_report` and the schema round-trip
-/// test).
-pub fn service_report_json(
-    generated_by: &str,
-    seed: u64,
-    threads: usize,
-    runs: &[RunSummary],
-) -> Json {
-    let all_valid = runs.iter().all(|r| r.valid() && r.errors == 0);
-    Json::obj(vec![
-        ("generated_by", Json::str(generated_by)),
-        ("seed", Json::Int(seed)),
-        ("threads", Json::Int(threads as u64)),
-        ("host_cores", Json::Int(rayon::current_num_threads() as u64)),
-        ("all_valid", Json::Bool(all_valid)),
-        (
-            "runs",
-            Json::Arr(runs.iter().map(RunSummary::to_json).collect()),
-        ),
-    ])
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_response_has_one_class_and_applied_flag() {
+        use ServiceError as E;
+        let cases = [
+            (Ok(Reply::Found(true)), Class::Served, true),
+            (
+                Err(E::KeyOutOfRange(qrqw_serve::MAX_KEY)),
+                Class::Failed,
+                true,
+            ),
+            (Err(E::UnknownCounter(9)), Class::Failed, true),
+            (Err(E::Injected), Class::Failed, true),
+            (Err(E::RequestPanicked), Class::Failed, false),
+            (Err(E::Overloaded), Class::Shed, false),
+            (Err(E::DeadlineExceeded), Class::Shed, false),
+            (Err(E::ServerGone), Class::Shed, false),
+            (Err(E::ShuttingDown), Class::Shed, false),
+        ];
+        for (response, class, applied) in cases {
+            assert_eq!(classify(&response), (class, applied), "{response:?}");
+        }
+    }
 }

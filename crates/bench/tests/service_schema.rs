@@ -1,14 +1,12 @@
 //! `BENCH_service.json` schema round-trip: the committed artifact's shape
 //! is produced and checked through the same code path
-//! (`RunSummary::to_json` + `service_report_json` + the shared
+//! (`RunSummary::to_json` + `sweep_json` + the shared
 //! renderer/parser), so a schema drift breaks this test before it breaks
 //! a downstream consumer.
 
-use qrqw_bench::chaos::{chaos_report_json, run_chaos, ChaosSpec, FaultPlan};
-use qrqw_bench::report::Json;
-use qrqw_bench::service::{
-    run_service_load, service_report_json, KeyDist, LoadSpec, ServiceWorkload,
-};
+use qrqw_bench::chaos::{run_chaos, ChaosSpec, FaultPlan};
+use qrqw_bench::report::{sweep_json, Json};
+use qrqw_bench::service::{run_service_load, KeyDist, LoadSpec, RunSummary, ServiceWorkload};
 use qrqw_serve::{BatchPolicy, ServiceConfig};
 
 /// A named type predicate over one JSON field.
@@ -71,8 +69,10 @@ fn micro_sweep() -> Json {
         )
     })
     .collect();
-    assert!(runs.iter().all(|r| r.valid() && r.errors == 0));
-    service_report_json("service_report", 5, 2, &runs)
+    let all_valid = runs.iter().all(|r| r.valid() && r.errors == 0);
+    assert!(all_valid);
+    let runs = runs.iter().map(RunSummary::to_json).collect();
+    sweep_json("service_report", 5, 2, all_valid, runs)
 }
 
 #[test]
@@ -189,7 +189,13 @@ fn bench_chaos_json_round_trips_and_matches_the_schema() {
         },
     );
     assert!(summary.valid(), "{:?}", summary.validation_errors);
-    let doc = chaos_report_json("chaos_bench", 7, 2, &[summary]);
+    let doc = sweep_json(
+        "chaos_bench",
+        7,
+        2,
+        summary.valid(),
+        vec![summary.to_json()],
+    );
     let back = Json::parse(&doc.render()).expect("generated chaos report must parse");
     assert_eq!(back, doc);
     check_chaos_runs(&back);

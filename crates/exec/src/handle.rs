@@ -14,16 +14,15 @@
 //!
 //! A batch server also needs *restartability*: a batch that panics
 //! mid-application must not leave the machine in a half-applied state.
-//! [`PersistentMachine::snapshot`] captures the machine's observable state
-//! — the live cell prefix `[0, heap_top)` of the sharded arena plus the
-//! heap/step/contention counters — and [`PersistentMachine::restore`] rolls
-//! back to it, counters, marks, and (because random draws are a pure
-//! function of `(seed, step_idx, proc)`) RNG streams included.  A
-//! [`MachineSnapshot`] reused through [`PersistentMachine::snapshot_into`]
-//! is a persistent *shadow* of the machine: the arena tracks which pages
-//! were written since the shadow was last synced, so the per-batch
-//! checkpoint and the rollback both cost O(cells the batch wrote), not
-//! O(resident cells), and allocate nothing.
+//! [`PersistentMachine::snapshot_into`] captures the machine's observable
+//! state — the live cell prefix `[0, heap_top)` of the sharded arena plus
+//! the heap/step/contention counters — and [`PersistentMachine::restore`]
+//! rolls back to it, counters, marks, and (because random draws are a pure
+//! function of `(seed, step_idx, proc)`) RNG streams included.  A reused
+//! [`MachineSnapshot`] is a persistent *shadow* of the machine: the arena
+//! tracks which pages were written since the shadow was last synced, so
+//! the per-batch checkpoint and the rollback both cost O(cells the batch
+//! wrote), not O(resident cells), and allocate nothing.
 
 use std::time::{Duration, Instant};
 
@@ -62,10 +61,9 @@ impl std::ops::AddAssign for BatchCost {
 /// cell prefix `[0, heap_top)`, the allocation top, the step counter (which
 /// pins the RNG streams), and the contention totals.
 ///
-/// Produced by [`PersistentMachine::snapshot`] /
-/// [`PersistentMachine::snapshot_into`]; consumed by
-/// [`PersistentMachine::restore`].  `Default` is an empty snapshot suitable
-/// only as a reusable buffer for `snapshot_into`.
+/// Filled by [`PersistentMachine::snapshot_into`]; consumed by
+/// [`PersistentMachine::restore`].  `Default` is an empty snapshot, the
+/// buffer the first `snapshot_into` fills with a full copy.
 ///
 /// A snapshot is stamped with the identity of the machine it was taken
 /// from and that machine's sync epoch.  Every `snapshot_into` bumps the
@@ -114,10 +112,10 @@ impl MachineSnapshot {
 /// attribution.
 ///
 /// ```
-/// use qrqw_exec::PersistentMachine;
+/// use qrqw_exec::{PersistentMachine, StepPool};
 /// use qrqw_sim::Machine;
 ///
-/// let mut pm = PersistentMachine::from_env(64, 1);
+/// let mut pm = PersistentMachine::with_pool(64, 1, StepPool::from_env());
 /// let (base, cost) = pm.batch(|m| m.alloc(16));
 /// assert_eq!(base, 64);
 /// assert_eq!(cost.steps, 0); // alloc is not a step
@@ -133,29 +131,16 @@ pub struct PersistentMachine {
 }
 
 impl PersistentMachine {
-    /// Wraps an already-constructed machine.
-    pub fn new(machine: NativeMachine) -> Self {
-        let steps_mark = machine.steps_executed();
-        let attempts_mark = machine.contention().attempts();
-        let failures_mark = machine.contention().failures();
-        PersistentMachine {
-            machine,
-            steps_mark,
-            attempts_mark,
-            failures_mark,
-        }
-    }
-
-    /// Creates a machine with `mem_size` cells and the given seed, resolving
-    /// the thread count from `QRQW_THREADS` / host parallelism exactly like
-    /// [`Machine::with_seed`] does.
-    pub fn from_env(mem_size: usize, seed: u64) -> Self {
-        Self::new(NativeMachine::with_seed(mem_size, seed))
-    }
-
-    /// Creates a machine with a fully explicit dispatch policy.
+    /// Creates a machine with `mem_size` cells and the given seed that
+    /// dispatches on `pool`.
     pub fn with_pool(mem_size: usize, seed: u64, pool: StepPool) -> Self {
-        Self::new(NativeMachine::with_pool(mem_size, seed, pool))
+        let machine = NativeMachine::with_pool(mem_size, seed, pool);
+        PersistentMachine {
+            steps_mark: machine.steps_executed(),
+            attempts_mark: machine.contention().attempts(),
+            failures_mark: machine.contention().failures(),
+            machine,
+        }
     }
 
     /// The wrapped machine, for direct (un-attributed) access.
@@ -195,14 +180,6 @@ impl PersistentMachine {
         self.attempts_mark = attempts;
         self.failures_mark = failures;
         (out, cost)
-    }
-
-    /// Captures a fresh (full-copy) [`MachineSnapshot`] of the current
-    /// machine state, superseding every earlier snapshot.
-    pub fn snapshot(&mut self) -> MachineSnapshot {
-        let mut snap = MachineSnapshot::default();
-        self.snapshot_into(&mut snap);
-        snap
     }
 
     /// Brings `snap` up to date with the machine — the per-batch
@@ -256,7 +233,7 @@ mod tests {
 
     #[test]
     fn state_persists_across_batches() {
-        let mut pm = PersistentMachine::from_env(8, 3);
+        let mut pm = PersistentMachine::with_pool(8, 3, StepPool::from_env());
         let ((), _) = pm.batch(|m| m.poke(3, 41));
         let (v, cost) = pm.batch(|m| m.peek(3));
         assert_eq!(v, 41);
@@ -270,7 +247,8 @@ mod tests {
             m.poke(5, 99);
             m.claim(&[(1, 4), (2, 4)], ClaimMode::Exclusive);
         });
-        let snap = pm.snapshot();
+        let mut snap = MachineSnapshot::default();
+        pm.snapshot_into(&mut snap);
         assert_eq!(snap.heap_top(), 64);
         // Mutate heavily after the snapshot: memory, allocation, steps,
         // contention.
@@ -307,7 +285,8 @@ mod tests {
         // RNG draws are a pure function of (seed, step_idx, proc):
         // restoring the step counter must replay the identical stream.
         let mut pm = PersistentMachine::with_pool(8, 42, StepPool::with_threads(2));
-        let snap = pm.snapshot();
+        let mut snap = MachineSnapshot::default();
+        pm.snapshot_into(&mut snap);
         let (first, _) = pm.batch(|m| m.par_map(16, |_p, ctx| ctx.random_index(1 << 30)));
         let (_, _) = pm.batch(|m| m.par_map(16, |_p, ctx| ctx.random_index(1 << 30)));
         pm.restore(&snap);

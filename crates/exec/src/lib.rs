@@ -32,8 +32,8 @@
 //! Chunks reach threads under one of two [`pool::Schedule`]s — `Chunked`
 //! (one shared claim counter) or `Stealing` (per-worker ranges with
 //! work-assisting steal-half splits, for skewed per-chunk costs) — a value
-//! of the machine's [`StepPool`], set by [`StepPool::with_schedule`]
-//! ([`NativeMachine::with_schedule`] / [`NativeMachine::with_pool`]); the
+//! of the machine's [`StepPool`], set by [`StepPool::with_schedule`] and
+//! handed to [`NativeMachine::with_pool`]; the
 //! bench registry's `native` / `native-steal` name the two values.  Both
 //! schedules run identical chunk boundaries, so they are bit-identical in
 //! every observable (see `ARCHITECTURE.md`, "The determinism contract").

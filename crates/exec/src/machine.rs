@@ -153,12 +153,6 @@ impl NativeMachine {
         Self::build(mem_size, seed, StepPool::with_threads(threads))
     }
 
-    /// Creates a machine with an explicit chunk [`Schedule`] (threads
-    /// resolve from `QRQW_THREADS` / host parallelism).
-    pub fn with_schedule(mem_size: usize, seed: u64, schedule: Schedule) -> Self {
-        Self::build(mem_size, seed, StepPool::from_env().with_schedule(schedule))
-    }
-
     /// Creates a machine with a fully explicit dispatch policy — thread
     /// count *and* schedule (e.g.
     /// `StepPool::with_threads(4).with_schedule(Schedule::Stealing)`).

@@ -50,7 +50,7 @@ pub mod server;
 pub mod state;
 
 pub use metrics::{Histogram, ServiceStats};
-pub use policy::{BatchPolicy, BATCH_MAX_ENV, DEADLINE_US_ENV, QUEUE_MAX_ENV};
+pub use policy::BatchPolicy;
 pub use request::{Fault, Reply, Request, Response, ServiceError, MAX_KEY};
 pub use runtime::Ticket;
 pub use server::{Server, ServiceHandle};

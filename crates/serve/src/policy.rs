@@ -23,24 +23,8 @@
 //!   [`crate::ServiceError::DeadlineExceeded`] without touching the
 //!   machine ([`crate::ServiceHandle::submit_with_deadline`] overrides it
 //!   per request).
-//!
-//! All three have environment overrides (`QRQW_BATCH_MAX`,
-//! `QRQW_QUEUE_MAX`, `QRQW_DEADLINE_US`), documented
-//! alongside `QRQW_THREADS` in `ARCHITECTURE.md` and the README knob
-//! table.
 
 use std::time::Duration;
-
-/// Environment variable overriding [`BatchPolicy::max_batch`].
-pub const BATCH_MAX_ENV: &str = "QRQW_BATCH_MAX";
-
-/// Environment variable overriding [`BatchPolicy::queue_max`] (requests;
-/// unset means unbounded).
-pub const QUEUE_MAX_ENV: &str = "QRQW_QUEUE_MAX";
-
-/// Environment variable overriding [`BatchPolicy::deadline`] (microseconds;
-/// unset means no deadline).
-pub const DEADLINE_US_ENV: &str = "QRQW_DEADLINE_US";
 
 /// Default [`BatchPolicy::max_batch`].
 pub const DEFAULT_BATCH_MAX: usize = 256;
@@ -91,87 +75,6 @@ impl BatchPolicy {
         self
     }
 
-    /// Resolves the policy from the environment: `QRQW_BATCH_MAX`
-    /// (requests), `QRQW_QUEUE_MAX` (outstanding requests) and
-    /// `QRQW_DEADLINE_US` (microseconds), falling back to the defaults
-    /// when unset.
-    ///
-    /// A *set but invalid* value is a configuration error and panics with
-    /// the offending variable and value, rather than being silently
-    /// replaced — a typo'd `QRQW_BATCH_MAX` that falls back to the default
-    /// batch cap looks exactly like a perf regression, and nobody debugs
-    /// the environment first.  `QRQW_BATCH_MAX=0` is rejected too (the
-    /// batcher needs at least one request per batch), as is
-    /// `QRQW_QUEUE_MAX=0` (a queue that admits nothing serves nothing —
-    /// unset the variable for an unbounded queue) and `QRQW_DEADLINE_US=0`
-    /// (it would expire every request on arrival — unset it for no
-    /// deadline).
-    ///
-    /// # Panics
-    ///
-    /// If any variable is set to an unparseable value, or `QRQW_BATCH_MAX`,
-    /// `QRQW_QUEUE_MAX`, or `QRQW_DEADLINE_US` is set to `0`.
-    pub fn from_env() -> Self {
-        match Self::from_env_values(
-            std::env::var(BATCH_MAX_ENV).ok().as_deref(),
-            std::env::var(QUEUE_MAX_ENV).ok().as_deref(),
-            std::env::var(DEADLINE_US_ENV).ok().as_deref(),
-        ) {
-            Ok(policy) => policy,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// The value-level core of [`BatchPolicy::from_env`]: the arguments are
-    /// the raw values of `QRQW_BATCH_MAX` / `QRQW_QUEUE_MAX` /
-    /// `QRQW_DEADLINE_US` (`None` = unset).  Split out
-    /// so the rejection rules are testable without racing on
-    /// process-global environment state.
-    pub fn from_env_values(
-        batch: Option<&str>,
-        queue: Option<&str>,
-        deadline: Option<&str>,
-    ) -> Result<Self, String> {
-        let mut policy = BatchPolicy::default();
-        if let Some(raw) = batch {
-            let v: usize = raw
-                .trim()
-                .parse()
-                .map_err(|_| format!("invalid {BATCH_MAX_ENV}={raw:?}: expected a positive integer (requests per batch)"))?;
-            if v == 0 {
-                return Err(format!(
-                    "invalid {BATCH_MAX_ENV}=0: a batch must hold at least one request"
-                ));
-            }
-            policy.max_batch = v;
-        }
-        if let Some(raw) = queue {
-            let v: usize = raw.trim().parse().map_err(|_| {
-                format!("invalid {QUEUE_MAX_ENV}={raw:?}: expected a positive integer (max outstanding requests)")
-            })?;
-            if v == 0 {
-                return Err(format!(
-                    "invalid {QUEUE_MAX_ENV}=0: a queue that admits nothing serves nothing; \
-                     unset the variable for an unbounded queue"
-                ));
-            }
-            policy.queue_max = v;
-        }
-        if let Some(raw) = deadline {
-            let v: u64 = raw.trim().parse().map_err(|_| {
-                format!("invalid {DEADLINE_US_ENV}={raw:?}: expected microseconds as a positive integer")
-            })?;
-            if v == 0 {
-                return Err(format!(
-                    "invalid {DEADLINE_US_ENV}=0: a zero deadline expires every request on \
-                     arrival; unset the variable for no deadline"
-                ));
-            }
-            policy.deadline = Some(Duration::from_micros(v));
-        }
-        Ok(policy)
-    }
-
     /// The policy with `max_batch` and `queue_max` clamped to at least 1,
     /// as the batcher uses it.
     pub fn normalized(self) -> Self {
@@ -206,34 +109,6 @@ mod tests {
         .normalized();
         assert_eq!(p.max_batch, 1);
         assert_eq!(p.queue_max, 1);
-    }
-
-    #[test]
-    fn env_values_resolve_or_reject_loudly() {
-        // Unset → defaults.
-        assert_eq!(
-            BatchPolicy::from_env_values(None, None, None).unwrap(),
-            BatchPolicy::default()
-        );
-        // Valid overrides (whitespace tolerated).
-        let p = BatchPolicy::from_env_values(Some(" 64 "), Some("4096"), Some("2000")).unwrap();
-        assert_eq!(p.max_batch, 64);
-        assert_eq!(p.queue_max, 4096);
-        assert_eq!(p.deadline, Some(Duration::from_micros(2000)));
-        // Zero bounds and unparseable values are configuration errors, not
-        // silent fallbacks.
-        let err = BatchPolicy::from_env_values(Some("0"), None, None).unwrap_err();
-        assert!(err.contains("QRQW_BATCH_MAX=0"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(Some("lots"), None, None).unwrap_err();
-        assert!(err.contains("QRQW_BATCH_MAX"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, Some("0"), None).unwrap_err();
-        assert!(err.contains("QRQW_QUEUE_MAX=0"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, Some("many"), None).unwrap_err();
-        assert!(err.contains("QRQW_QUEUE_MAX"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, None, Some("0")).unwrap_err();
-        assert!(err.contains("QRQW_DEADLINE_US=0"), "unhelpful error: {err}");
-        let err = BatchPolicy::from_env_values(None, None, Some("soon")).unwrap_err();
-        assert!(err.contains("QRQW_DEADLINE_US"), "unhelpful error: {err}");
     }
 
     #[test]

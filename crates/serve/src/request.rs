@@ -150,9 +150,9 @@ pub enum ServiceError {
     /// the request **definitely did not** take effect — and every other
     /// request in its batch got its real answer.
     RequestPanicked,
-    /// Shed at admission: the service already holds `queue_max`
-    /// outstanding requests (see `QRQW_QUEUE_MAX`).  The request was never
-    /// enqueued and definitely did not take effect.
+    /// Shed at admission: the service already holds
+    /// [`crate::BatchPolicy::queue_max`] outstanding requests.  The request
+    /// was never enqueued and definitely did not take effect.
     Overloaded,
     /// The request's deadline expired before its batch was applied; it was
     /// answered without touching the machine and definitely did not take

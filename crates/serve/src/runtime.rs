@@ -255,52 +255,36 @@ pub(crate) fn run_batcher(
     // pays for it (and the stats count per-batch checkpoints only).
     let mut ckpt = ServiceCheckpoint::default();
     state.checkpoint_into(&mut ckpt);
-    'serve: loop {
-        // Block for the batch's first request.
-        let first = match rx.recv() {
-            Ok(Msg::Submit(env)) => env,
-            Ok(Msg::Shutdown) | Err(_) => break 'serve,
-        };
-        let mut batch = vec![first];
+    // After a shutdown the batcher stops blocking and drains: it takes
+    // cap-sized batches from what is queued until the queue is empty.
+    let mut draining = false;
+    loop {
+        let mut batch = Vec::new();
+        if !draining {
+            // Block for the batch's first request.
+            match rx.recv() {
+                Ok(Msg::Submit(env)) => batch.push(env),
+                Ok(Msg::Shutdown) | Err(_) => draining = true,
+            }
+        }
         // Take what is already queued, without waiting for more: the batch
-        // closes when the queue is empty or the cap is reached.
-        let mut shutting_down = false;
+        // closes when the queue is empty, the cap is reached, or a shutdown
+        // arrives.
         while batch.len() < policy.max_batch {
             match rx.try_recv() {
                 Ok(Msg::Submit(env)) => batch.push(env),
+                Ok(Msg::Shutdown) if draining => {}
                 Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => {
-                    shutting_down = true;
+                    draining = true;
                     break;
                 }
                 Err(TryRecvError::Empty) => break,
             }
         }
+        if batch.is_empty() {
+            break;
+        }
         apply_and_complete(&mut state, &mut stats, &mut ckpt, batch);
-        if shutting_down {
-            break 'serve;
-        }
-    }
-    // Drain: answer everything already in the queue, then exit.
-    let mut leftover = Vec::new();
-    loop {
-        match rx.try_recv() {
-            Ok(Msg::Submit(env)) => {
-                leftover.push(env);
-                if leftover.len() == policy.max_batch {
-                    apply_and_complete(
-                        &mut state,
-                        &mut stats,
-                        &mut ckpt,
-                        std::mem::take(&mut leftover),
-                    );
-                }
-            }
-            Ok(Msg::Shutdown) => {}
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-        }
-    }
-    if !leftover.is_empty() {
-        apply_and_complete(&mut state, &mut stats, &mut ckpt, leftover);
     }
     (state, stats)
 }

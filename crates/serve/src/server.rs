@@ -133,13 +133,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawns a server whose machine resolves its thread count from the
-    /// environment (`QRQW_THREADS`).
-    pub fn spawn(config: ServiceConfig, policy: BatchPolicy) -> Server {
-        Self::spawn_with_pool(config, policy, StepPool::from_env())
-    }
-
-    /// Spawns a server with an explicit machine dispatch policy.
+    /// Spawns a server whose machine dispatches on `pool`
+    /// (`StepPool::from_env()` for the `QRQW_THREADS` default).
     pub fn spawn_with_pool(config: ServiceConfig, policy: BatchPolicy, pool: StepPool) -> Server {
         Self::spawn_with_state(ServiceState::with_pool(config, pool), policy)
     }

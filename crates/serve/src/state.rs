@@ -188,13 +188,7 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// Builds a fresh state on a machine whose thread count resolves from
-    /// the environment (`QRQW_THREADS`).
-    pub fn new(config: ServiceConfig) -> Self {
-        Self::with_pool(config, StepPool::from_env())
-    }
-
-    /// Builds a fresh state with an explicit dispatch policy.
+    /// Builds a fresh state on a machine that dispatches on `pool`.
     pub fn with_pool(config: ServiceConfig, pool: StepPool) -> Self {
         let mut pm = PersistentMachine::with_pool(16, config.seed, pool);
         let counter_base = pm.machine().alloc(config.num_counters.max(1));

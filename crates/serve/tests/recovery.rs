@@ -54,9 +54,8 @@ fn an_expired_deadline_is_answered_without_touching_the_machine() {
 
 #[test]
 fn a_default_deadline_from_the_policy_applies_to_plain_submits() {
-    // Policy-level deadline of zero microseconds is rejected by from_env,
-    // but the builder allows it — and it expires every plain submit, which
-    // is exactly what this test wants to observe deterministically.
+    // A zero policy deadline expires every plain submit, which is exactly
+    // what this test wants to observe deterministically.
     let server = spawn(BatchPolicy::with_max_batch(8).deadline(Duration::ZERO));
     let handle = server.handle();
     assert_eq!(

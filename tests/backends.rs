@@ -16,7 +16,7 @@ mod common;
 
 use common::parity::parity_suite;
 use qrqw_suite::bsp::BspMachine;
-use qrqw_suite::exec::{NativeMachine, Schedule};
+use qrqw_suite::exec::{NativeMachine, Schedule, StepPool};
 use qrqw_suite::sim::{Machine, Pram};
 
 /// Backends the parity suite is instantiated for below.  The drift-guard
@@ -26,7 +26,11 @@ use qrqw_suite::sim::{Machine, Pram};
 pub const PARITY_SUITE_BACKENDS: &[&str] = &["sim", "native", "native-steal", "bsp"];
 
 fn native_steal(mem_size: usize, seed: u64) -> NativeMachine {
-    NativeMachine::with_schedule(mem_size, seed, Schedule::Stealing)
+    NativeMachine::with_pool(
+        mem_size,
+        seed,
+        StepPool::from_env().with_schedule(Schedule::Stealing),
+    )
 }
 
 parity_suite!(sim, qrqw_suite::sim::Pram::with_seed);
