@@ -12,7 +12,7 @@
 //! `algorithm` is one of the names printed by the sweep (e.g.
 //! `permutation-qrqw`, `linear-compaction`, `load-balance-qrqw`) or `all`;
 //! `backend` is a backend name (`sim`, `native`, `native-steal`, `bsp`), a
-//! comma-separated list, or `all` (aka the historical `both`).  `native`
+//! comma-separated list, or `all` (the default).  `native`
 //! and `native-steal` are the native machine under the chunked and the
 //! work-stealing chunk schedule.
 
@@ -46,7 +46,7 @@ fn run_cell(algo: Algorithm, backend: Backend, n: usize, reps: u64, seed: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let algo_arg = args.first().map(String::as_str).unwrap_or("all");
-    let backend_arg = args.get(1).map(String::as_str).unwrap_or("both");
+    let backend_arg = args.get(1).map(String::as_str).unwrap_or("all");
     let n: usize = args.get(2).map(|s| s.parse().expect("n")).unwrap_or(4096);
     let reps: u64 = args.get(3).map(|s| s.parse().expect("reps")).unwrap_or(5);
     let seed: u64 = args.get(4).map(|s| s.parse().expect("seed")).unwrap_or(1);

@@ -21,7 +21,7 @@
 //!     [--requests N] [--window N] [--batch-max N] \
 //!     [--panic-rates 0,25,100,400] [--workloads hash,counter,task] \
 //!     [--resident-keys 4096,65536,1048576] \
-//!     [--threads T] [--seed S] [--smoke] [--json-out BENCH_chaos.json]
+//!     [--threads T] [--seed S] [--smoke] [--out BENCH_chaos.json]
 //! ```
 //!
 //! `--smoke` runs a small fixed matrix and writes no file — it exists for
@@ -55,7 +55,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: chaos_bench [--requests N] [--window N] [--batch-max N] \
          [--panic-rates N,N] [--workloads hash,counter,task] [--resident-keys N,N] [--threads T] \
-         [--seed S] [--smoke] [--json-out PATH]"
+         [--seed S] [--smoke] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -114,7 +114,7 @@ fn parse_args() -> Cli {
             }
             "--seed" => cli.seed = value().parse().unwrap_or_else(|_| usage("bad --seed")),
             "--smoke" => cli.smoke = true,
-            "--json-out" | "--out" => cli.out = value(),
+            "--out" => cli.out = value(),
             other => usage(&format!("unknown flag {other:?}")),
         }
     }

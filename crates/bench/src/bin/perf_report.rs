@@ -19,11 +19,11 @@
 //!     --scenario all [--backend …] [--sizes 4096] [--out BENCH_workloads.json]
 //! ```
 //!
-//! * `--backend` (alias `--backends`) selects which backends run
+//! * `--backend` selects which backends run
 //!   (default: all); `native` and `native-steal` are the native machine
 //!   under the chunked and the work-stealing schedule, and whenever both
 //!   ran the JSON carries their wall-clock ratio;
-//! * `--scenario` (alias `--scenarios`) switches the sweep axis from
+//! * `--scenario` switches the sweep axis from
 //!   algorithms to churn **scenarios** (`qrqw_bench::scenario`): each cell
 //!   runs the multi-epoch churn driver (hash table with deletes, fetch&add,
 //!   load balancing, live state carried across epochs) for one scenario on
@@ -101,7 +101,7 @@ fn usage(msg: &str) -> ! {
          [--sizes N,N] \
          [--algos all|name,name] [--scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
          [--seed S] [--threads T] [--sim-cap N] \
-         [--bsp-cap N] [--json-out PATH] [--append]"
+         [--bsp-cap N] [--out PATH] [--append]"
     );
     std::process::exit(2);
 }
@@ -129,12 +129,12 @@ fn parse_args() -> Config {
                 .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
         match flag.as_str() {
-            "--backend" | "--backends" => {
+            "--backend" => {
                 let spec = value();
                 cfg.backends = Backend::parse_set(&spec)
                     .unwrap_or_else(|| usage(&format!("bad backend set {spec:?}")));
             }
-            "--scenario" | "--scenarios" => {
+            "--scenario" => {
                 let spec = value();
                 cfg.scenarios = Scenario::parse_set(&spec).unwrap_or_else(|e| usage(&e));
             }
@@ -168,7 +168,7 @@ fn parse_args() -> Config {
             }
             "--sim-cap" => cfg.sim_cap = value().parse().unwrap_or_else(|_| usage("bad --sim-cap")),
             "--bsp-cap" => cfg.bsp_cap = value().parse().unwrap_or_else(|_| usage("bad --bsp-cap")),
-            "--out" | "--json-out" => {
+            "--out" => {
                 out_explicit = true;
                 cfg.out = value();
             }

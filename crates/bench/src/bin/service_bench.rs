@@ -15,7 +15,7 @@
 //!     [--window W] [--rate R]        # pipelining / target aggregate req/s \
 //!     [--workload hash|counter|task|churn|mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
 //!     [--keyspace N] [--batch-max B] \
-//!     [--threads T] [--seed S] [--json-out PATH] [--smoke]
+//!     [--threads T] [--seed S] [--out PATH] [--smoke]
 //! ```
 //!
 //! * `--batch-max` sets `BatchPolicy::max_batch` (default 256); a batch
@@ -35,7 +35,7 @@ struct Cli {
     spec: LoadSpec,
     policy: BatchPolicy,
     threads: Option<usize>,
-    json_out: Option<String>,
+    out: Option<String>,
     smoke: bool,
 }
 
@@ -44,7 +44,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: service_bench [--clients N] [--requests N] [--window W] [--rate R] \
          [--workload hash|counter|task|churn|mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] [--keyspace N] \
-         [--batch-max B] [--threads T] [--seed S] [--json-out PATH] [--smoke]"
+         [--batch-max B] [--threads T] [--seed S] [--out PATH] [--smoke]"
     );
     std::process::exit(2);
 }
@@ -63,7 +63,7 @@ fn parse_args() -> Cli {
         },
         policy: BatchPolicy::default(),
         threads: None,
-        json_out: None,
+        out: None,
         smoke: false,
     };
     let mut args = std::env::args().skip(1);
@@ -106,7 +106,7 @@ fn parse_args() -> Cli {
                 cli.threads = Some(value().parse().unwrap_or_else(|_| usage("bad --threads")))
             }
             "--seed" => cli.spec.seed = value().parse().unwrap_or_else(|_| usage("bad --seed")),
-            "--json-out" => cli.json_out = Some(value()),
+            "--out" => cli.out = Some(value()),
             "--smoke" => cli.smoke = true,
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -148,7 +148,7 @@ fn main() {
     for finding in &summary.validation_errors {
         eprintln!("service_bench: validator: {finding}");
     }
-    if let Some(path) = &cli.json_out {
+    if let Some(path) = &cli.out {
         let threads = cli
             .threads
             .unwrap_or_else(|| qrqw_exec::StepPool::from_env().threads());

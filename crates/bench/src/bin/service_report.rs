@@ -20,7 +20,7 @@
 //! cargo run -p qrqw-bench --release --bin service_report -- \
 //!     [--clients N] [--requests N] [--batch-sizes 1,64,1024,8192] \
 //!     [--workloads hash,counter,task,churn] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
-//!     [--threads T] [--seed S] [--quick] [--json-out BENCH_service.json]
+//!     [--threads T] [--seed S] [--quick] [--out BENCH_service.json]
 //! ```
 //!
 //! `--quick` shrinks the per-run load for CI smoke use; the committed
@@ -47,7 +47,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: service_report [--clients N] [--requests N] [--batch-sizes N,N] \
          [--workloads hash,counter,task,churn] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] [--threads T] \
-         [--seed S] [--quick] [--json-out PATH]"
+         [--seed S] [--quick] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -103,7 +103,7 @@ fn parse_args() -> Cli {
             }
             "--seed" => cli.seed = value().parse().unwrap_or_else(|_| usage("bad --seed")),
             "--quick" => cli.quick = true,
-            "--json-out" | "--out" => cli.out = value(),
+            "--out" => cli.out = value(),
             other => usage(&format!("unknown flag {other:?}")),
         }
     }

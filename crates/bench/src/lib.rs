@@ -84,9 +84,9 @@ impl Backend {
     }
 
     /// Parses a backend *set* specification: a comma-separated list of
-    /// backend names, `all`, or the historical `both` (= all backends).
+    /// backend names, or `all`.
     pub fn parse_set(spec: &str) -> Option<Vec<Backend>> {
-        if spec == "all" || spec == "both" {
+        if spec == "all" {
             return Some(Backend::ALL.to_vec());
         }
         spec.split(',')
@@ -633,9 +633,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_sets_parse_names_all_and_the_historical_both() {
+    fn backend_sets_parse_names_and_all() {
         assert_eq!(Backend::parse_set("all"), Some(Backend::ALL.to_vec()));
-        assert_eq!(Backend::parse_set("both"), Some(Backend::ALL.to_vec()));
         assert_eq!(
             Backend::parse_set("bsp,sim"),
             Some(vec![Backend::Bsp, Backend::Sim])

@@ -3,12 +3,15 @@
 //! A [`Scenario`] is a workload parameter block — key distribution
 //! ([`KeyDist`]), an insert:delete:lookup churn ratio, and an epoch count —
 //! and [`Scenario::run_churn`] is the multi-epoch driver that executes it
-//! on any [`Machine`] backend: every epoch applies a mixed batch of hash
-//! operations against a live [`OpenTable`] (deletes tombstone cells,
-//! growth rebuilds purge them), one emulated Fetch&Add step over a
-//! counter bank, and one §3 QRQW load-balancing pass over the epoch's
-//! key-traffic histogram — with **machine state carried between epochs**,
-//! unlike the one-shot registry algorithms.
+//! on any [`Machine`] backend.  Every epoch is **one service batch**,
+//! applied by the same [`ServiceCore`] the `qrqw-serve` server runs: mixed
+//! hash inserts, deletes and lookups (deletes tombstone cells, growth
+//! rebuilds purge them), then one counter add per counter slot (one
+//! emulated Fetch&Add step).  Lookups are answered at their trace
+//! position, and every reply is checked against a host model.  One §3 QRQW
+//! load-balancing pass over the epoch's key-traffic histogram follows each
+//! batch, with **machine state carried between epochs**, unlike the
+//! one-shot registry algorithms.
 //!
 //! The driver is deterministic by construction: the operation trace
 //! depends only on `(scenario, n, seed)`, machine operations are issued
@@ -28,7 +31,8 @@
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use qrqw_core::{emulate_fetch_add_step, load_balance_qrqw, OpenTable};
+use qrqw_core::load_balance_qrqw;
+use qrqw_serve::{Reply, Request, ServiceConfig, ServiceCore, StateDigest};
 use qrqw_sim::{CostReport, Machine};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -157,109 +161,66 @@ impl Scenario {
     /// cross-backend runs comparable.
     pub fn run_churn<M: Machine>(&self, m: &mut M, n: usize, seed: u64) -> ChurnOutcome {
         let ops_per_epoch = n.max(16);
-        let keyspace = n.max(16);
         let num_counters = (n / 4).max(4);
         let balance_procs = (n / 16).max(4);
-        let sampler = KeySampler::new(self.dist, keyspace);
-        let counter_base = m.alloc(num_counters);
+        let sampler = KeySampler::new(self.dist, n.max(16));
         // Start the table small relative to the epoch volume so growth
         // rebuilds (and their tombstone purges) actually fire mid-run.
-        let mut table = OpenTable::new(m, (ops_per_epoch / 4).max(1));
+        let config = ServiceConfig {
+            seed,
+            num_counters,
+            hash_capacity: (ops_per_epoch / 4).max(1),
+        };
+        let mut core = ServiceCore::new(m, &config);
 
         let mut valid = true;
         let mut model: HashSet<u64> = HashSet::new();
         let mut counter_model: Vec<u64> = vec![0; num_counters];
         let mut key_traffic: HashMap<u64, u64> = HashMap::new();
-        let mut hash_ops = 0u64;
-        let mut total_ops = 0u64;
+        let mut ops = 0u64;
         let mut epoch_contention = Vec::with_capacity(self.epochs);
-        let weights = self.churn;
-        let total_weight = u64::from(weights[0] + weights[1] + weights[2]);
+        let [ins, del, _] = self.churn;
+        let total_weight = u64::from(self.churn.iter().sum::<u32>());
 
         for epoch in 0..self.epochs {
             let contended_before = m.cost_report().contended_claims;
             let mut rng =
                 SmallRng::seed_from_u64(seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9));
 
-            // ---- Decode walk (host-side, strictly in trace order): the
-            // same overlay scheme as a qrqw-serve batch, so insert-delete
-            // pairs net away and machine ops derive from first-touch order.
-            let mut overlay: HashMap<u64, bool> = HashMap::new();
-            let mut touched: Vec<u64> = Vec::new();
-            let mut lookups: Vec<(u64, bool)> = Vec::new(); // (key, pre-epoch presence)
-            for _ in 0..ops_per_epoch {
-                let key = sampler.sample(&mut rng);
-                *key_traffic.entry(key).or_default() += 1;
-                hash_ops += 1;
-                let roll = rng.gen_range(0..total_weight) as u32;
-                let present = overlay
-                    .get(&key)
-                    .copied()
-                    .unwrap_or_else(|| model.contains(&key));
-                if roll < weights[0] {
-                    // insert
-                    if !present {
-                        if !overlay.contains_key(&key) {
-                            touched.push(key);
-                        }
-                        overlay.insert(key, true);
-                    }
-                } else if roll < weights[0] + weights[1] {
-                    // delete
-                    if present {
-                        if !overlay.contains_key(&key) {
-                            touched.push(key);
-                        }
-                        overlay.insert(key, false);
-                    }
-                } else {
-                    // lookup: answered against the pre-epoch table below
-                    lookups.push((key, model.contains(&key)));
-                }
-            }
-            let mut new_keys = Vec::new();
-            let mut dead_keys = Vec::new();
-            for &key in &touched {
-                let fin = overlay[&key];
-                let was = model.contains(&key);
-                if fin && !was {
-                    new_keys.push(key);
-                } else if !fin && was {
-                    dead_keys.push(key);
-                }
-            }
-
-            // ---- Machine stage: lookups against the pre-epoch table,
-            // then deletes, then inserts.
-            if !lookups.is_empty() {
-                let keys: Vec<u64> = lookups.iter().map(|&(k, _)| k).collect();
-                let found = table.lookup(m, &keys);
-                valid &= found
-                    .iter()
-                    .zip(&lookups)
-                    .all(|(&got, &(_, want))| got == want);
-            }
-            table.remove_present(m, &dead_keys);
-            table.insert_new(m, &new_keys);
-            for &key in &dead_keys {
-                model.remove(&key);
-            }
-            model.extend(new_keys.iter().copied());
-
-            // ---- One Fetch&Add step over the counter bank (Lemma 7.5),
-            // keys drawn from the same skewed distribution.
-            let fadd_reqs: Vec<(usize, u64)> = (0..num_counters.max(4))
+            // ---- The epoch is one service batch: the hash traffic, then
+            // one counter add per counter slot (together one Fetch&Add
+            // step, Lemma 7.5), keys drawn from the same distribution.
+            let mut batch: Vec<Request> = (0..ops_per_epoch)
                 .map(|_| {
-                    let c = (sampler.sample(&mut rng) % num_counters as u64) as usize;
-                    (counter_base + c, rng.gen_range(1..4u64))
+                    let key = sampler.sample(&mut rng);
+                    *key_traffic.entry(key).or_default() += 1;
+                    match rng.gen_range(0..total_weight) as u32 {
+                        roll if roll < ins => Request::HashInsert { key },
+                        roll if roll < ins + del => Request::HashDelete { key },
+                        _ => Request::HashLookup { key },
+                    }
                 })
                 .collect();
-            total_ops += fadd_reqs.len() as u64;
-            let olds = emulate_fetch_add_step(m, &fadd_reqs);
-            for (&(addr, delta), &old) in fadd_reqs.iter().zip(&olds) {
-                let c = addr - counter_base;
-                valid &= old == counter_model[c];
-                counter_model[c] += delta;
+            batch.extend((0..num_counters).map(|_| Request::CounterAdd {
+                counter: (sampler.sample(&mut rng) % num_counters as u64) as usize,
+                delta: rng.gen_range(1..4u64),
+            }));
+            ops += batch.len() as u64;
+
+            // Every reply against the host model, walked in trace order.
+            let replies = core.apply_batch(m, &batch);
+            for (req, reply) in batch.iter().zip(&replies) {
+                let want = match *req {
+                    Request::HashInsert { key } => Reply::Inserted(model.insert(key)),
+                    Request::HashDelete { key } => Reply::Removed(model.remove(&key)),
+                    Request::HashLookup { key } => Reply::Found(model.contains(&key)),
+                    Request::CounterAdd { counter, delta } => {
+                        counter_model[counter] += delta;
+                        Reply::Counter(counter_model[counter] - delta)
+                    }
+                    _ => unreachable!("the trace holds no other request"),
+                };
+                valid &= *reply == Ok(want);
             }
 
             // ---- Rebalance the epoch's key traffic across virtual
@@ -273,25 +234,19 @@ impl Scenario {
 
             epoch_contention.push(m.cost_report().contended_claims - contended_before);
         }
-        total_ops += hash_ops;
 
         // ---- Digest + final cross-check against the host model.
-        let mut keys = table.live_keys(m);
-        keys.sort_unstable();
-        let mut want: Vec<u64> = model.iter().copied().collect();
+        let digest = core.digest(m);
+        let mut want: Vec<u64> = model.into_iter().collect();
         want.sort_unstable();
-        valid &= keys == want;
-        let digest = ChurnDigest {
-            keys,
-            counters: m.dump(counter_base, num_counters),
-            len: table.len(),
-        };
+        valid &= digest.hash_keys == want;
+        let hash_ops = (ops_per_epoch * self.epochs) as f64;
         let hot = key_traffic.values().copied().max().unwrap_or(0);
         ChurnOutcome {
             valid,
             digest,
-            ops: total_ops,
-            hot_fraction: hot as f64 / (hash_ops as f64).max(1.0),
+            ops,
+            hot_fraction: hot as f64 / hash_ops.max(1.0),
             epoch_contention,
         }
     }
@@ -330,29 +285,14 @@ impl Scenario {
     }
 }
 
-/// Canonical observable end state of a churn run, for cross-backend
-/// parity: sorted live keys (placement is canonicalized away — occupy
-/// winners are backend-deterministic but the *digest* shouldn't depend on
-/// that), the raw counter region, and the live count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChurnDigest {
-    /// Sorted keys present in the table at the end of the run.
-    pub keys: Vec<u64>,
-    /// Raw dump of the counter region.
-    pub counters: Vec<u64>,
-    /// Live key count (cross-checks `keys.len()` against the table's
-    /// occupancy counter).
-    pub len: usize,
-}
-
 /// Everything one churn run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnOutcome {
-    /// All in-run validations passed (lookup answers, Fetch&Add
-    /// serialization, balance coverage, final model cross-check).
+    /// All in-run validations passed (every reply against the host
+    /// model, balance coverage, final key-set cross-check).
     pub valid: bool,
-    /// Canonical end state.
-    pub digest: ChurnDigest,
+    /// Canonical end state (sorted live keys, raw counter region).
+    pub digest: StateDigest,
     /// Total requests driven through the machine (hash + Fetch&Add).
     pub ops: u64,
     /// Fraction of hash traffic that hit the single hottest key — the
@@ -542,7 +482,7 @@ mod tests {
             let outcome = scenario.run_churn(&mut m, 64, 7);
             assert!(outcome.valid, "{} invalid on sim", scenario.name);
             assert_eq!(outcome.epoch_contention.len(), scenario.epochs);
-            assert_eq!(outcome.digest.keys.len(), outcome.digest.len);
+            assert!(outcome.digest.hash_keys.windows(2).all(|w| w[0] < w[1]));
             assert!(outcome.hot_fraction > 0.0 && outcome.hot_fraction <= 1.0);
         }
     }

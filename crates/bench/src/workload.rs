@@ -51,7 +51,7 @@ impl KeyDist {
             "uniform" => Ok(KeyDist::Uniform),
             "zipf" => Ok(KeyDist::Zipf(1.0)),
             "power-law" => Ok(KeyDist::PowerLaw),
-            "all-same" | "all-same-key" => Ok(KeyDist::AllSame),
+            "all-same" => Ok(KeyDist::AllSame),
             "adversarial" => Ok(KeyDist::Adversarial),
             other => {
                 if let Some(exp) = other.strip_prefix("zipf:") {
@@ -213,7 +213,6 @@ mod tests {
             let d = KeyDist::parse(name).expect(name);
             assert_eq!(KeyDist::parse(&d.label()), Ok(d), "label round-trip {name}");
         }
-        assert_eq!(KeyDist::parse("all-same-key"), Ok(KeyDist::AllSame));
         for bad in [
             "", "zipfian", "zipf:", "zipf:nan", "zipf:-1", "zipf:0", "Uniform",
         ] {

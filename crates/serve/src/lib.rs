@@ -28,7 +28,10 @@
 //! Replies are trace-deterministic (see [`state`]): what a request
 //! observes depends only on submission order, never on batch boundaries,
 //! so draining any trace through the server leaves the same observable
-//! state as applying it as one batch (`tests/parity.rs`).
+//! state as applying it as one batch (`tests/parity.rs`).  The batch
+//! engine, [`ServiceCore`], is generic over any `Machine`; the server runs
+//! it inside [`ServiceState`] on the native machine, and `crates/bench`'s
+//! churn scenarios run it on every backend, one epoch per batch.
 //!
 //! The service is **fault tolerant** (see [`runtime`]): every batch is
 //! applied against a pre-batch [`ServiceCheckpoint`], a panicking batch is
@@ -54,4 +57,4 @@ pub use policy::BatchPolicy;
 pub use request::{Fault, Reply, Request, Response, ServiceError, MAX_KEY};
 pub use runtime::Ticket;
 pub use server::{Server, ServiceHandle};
-pub use state::{ServiceCheckpoint, ServiceConfig, ServiceState, StateDigest};
+pub use state::{ServiceCheckpoint, ServiceConfig, ServiceCore, ServiceState, StateDigest};

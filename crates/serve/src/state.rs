@@ -1,7 +1,8 @@
 //! The service's live state and the batch-application step.
 //!
-//! [`ServiceState`] owns a persistent native machine plus the three
-//! workload states living in (or indexed beside) its shared memory:
+//! [`ServiceCore`] is the batch engine, generic over any [`Machine`]: it
+//! owns the three workload states living in (or indexed beside) the
+//! machine's shared memory and borrows the machine per call:
 //!
 //! * a machine-resident **hash set** ([`qrqw_core::OpenTable`]: open
 //!   addressing, double-hash probe sequences; inserts are occupy-mode
@@ -15,11 +16,16 @@
 //!   [`BatchCost`] — a per-batch §3 rebalance could not drive steal
 //!   order without making replies depend on where batches were cut).
 //!
+//! [`ServiceState`] is the live server's shell around it: a persistent
+//! native machine plus a core, with checkpoint and restore.  The scenario
+//! driver of `crates/bench` runs the same core on every backend, one churn
+//! epoch per batch.
+//!
 //! The machine table is the only record of key presence — a batch reads
 //! the pre-batch presence of its keys in the probe step it runs anyway — so
 //! no host structure, and no [`ServiceCheckpoint`], grows with the keys.
 //!
-//! [`ServiceState::apply_batch`] is the *only* way state advances, and it
+//! [`ServiceCore::apply_batch`] is the *only* way state advances, and it
 //! is shared verbatim by the live server and by the one-shot reference of
 //! the parity tests: running a request trace through the batcher under any
 //! batching policy must leave the same observable state as applying the
@@ -175,11 +181,12 @@ fn valid_hash_key(req: &Request) -> Option<u64> {
     }
 }
 
-/// The live service state: persistent machine + workload structures.
+/// The machine-generic batch engine: the counter bank, the hash set and the
+/// task pool, advanced one batch at a time on a machine borrowed per call.
+/// Every call must pass the machine the core was built on.
 #[derive(Debug)]
-pub struct ServiceState {
-    pm: PersistentMachine,
-    config: ServiceConfig,
+pub struct ServiceCore {
+    num_counters: usize,
     counter_base: usize,
     /// The machine-resident hash set ([`OpenTable`]: double-hash probes,
     /// occupy-claim insert rounds, tombstone deletes, purge rebuilds).
@@ -187,53 +194,25 @@ pub struct ServiceState {
     tasks: TaskPool,
 }
 
-impl ServiceState {
-    /// Builds a fresh state on a machine that dispatches on `pool`.
-    pub fn with_pool(config: ServiceConfig, pool: StepPool) -> Self {
-        let mut pm = PersistentMachine::with_pool(16, config.seed, pool);
-        let counter_base = pm.machine().alloc(config.num_counters.max(1));
-        let hash = OpenTable::new(pm.machine(), config.hash_capacity);
-        ServiceState {
-            pm,
-            config,
-            counter_base,
-            hash,
+impl ServiceCore {
+    /// Allocates the counter bank, then the hash table, on `m`.
+    /// (`config.seed` is the machine's; the core draws no randomness.)
+    pub fn new<M: Machine>(m: &mut M, config: &ServiceConfig) -> Self {
+        ServiceCore {
+            num_counters: config.num_counters,
+            counter_base: m.alloc(config.num_counters.max(1)),
+            hash: OpenTable::new(m, config.hash_capacity),
             tasks: TaskPool::default(),
         }
     }
 
-    /// The configuration this state was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// Number of keys in the hash set.
-    pub fn hash_len(&self) -> usize {
-        self.hash.len()
-    }
-
-    /// Tombstoned cells currently in the hash table (deleted keys whose
-    /// cells have not yet been purged by a rebuild).
-    pub fn hash_tombstones(&self) -> usize {
-        self.hash.tombstones()
-    }
-
-    /// Current hash-table capacity in cells.
-    pub fn hash_capacity(&self) -> usize {
-        self.hash.capacity()
-    }
-
-    /// Number of pending tasks.
-    pub fn pending_tasks(&self) -> usize {
-        self.tasks.pending.len()
-    }
-
-    /// Applies one batch in submission order and returns one response per
-    /// request plus what the batch cost on the machine.
+    /// Applies one batch in submission order on `m` and returns one
+    /// response per request.
     ///
-    /// Panics if the batch contains a [`Fault::Panic`] request (the server
-    /// catches the unwind; direct callers see the panic).
-    pub fn apply_batch(&mut self, batch: &[Request]) -> (Vec<Response>, BatchCost) {
+    /// Panics if the batch contains a [`Fault::Panic`] request, before any
+    /// machine step or host mutation (the server catches the unwind;
+    /// direct callers see the panic).
+    pub fn apply_batch<M: Machine>(&mut self, m: &mut M, batch: &[Request]) -> Vec<Response> {
         // ---- Pass 1 (host): the batch's distinct hash keys, in first-touch
         // order, and each hash request's index into them.  Injected faults
         // fire here, before any machine step or host mutation.
@@ -255,17 +234,13 @@ impl ServiceState {
         }
 
         // ---- Machine stage, fixed order: one probe step against the
-        // pre-batch table, then deletes, inserts and the Fetch&Add step.
-        let ServiceState {
-            pm, hash, tasks, ..
-        } = self;
-        let (pre, mut cost) = pm.batch(|m| {
-            if keys.is_empty() {
-                Vec::new()
-            } else {
-                hash.lookup(m, &keys)
-            }
-        });
+        // pre-batch table here, then deletes, inserts and the Fetch&Add
+        // step after pass 2.
+        let pre = if keys.is_empty() {
+            Vec::new()
+        } else {
+            self.hash.lookup(m, &keys)
+        };
 
         // ---- Pass 2 (host, strictly in batch order): every reply except
         // the counter values, with `now[i]` the presence of `keys[i]` as of
@@ -300,7 +275,7 @@ impl ServiceState {
                     Ok(Reply::Found(now[next_key()]))
                 }
                 Request::CounterAdd { counter, .. } | Request::CounterRead { counter }
-                    if counter >= self.config.num_counters =>
+                    if counter >= self.num_counters =>
                 {
                     Err(ServiceError::UnknownCounter(counter))
                 }
@@ -315,8 +290,10 @@ impl ServiceState {
                     fadd_slots.push(responses.len());
                     Ok(Reply::Counter(0))
                 }
-                Request::TaskSubmit { payload } => Ok(Reply::TaskQueued(tasks.submit(payload))),
-                Request::TaskSteal => Ok(Reply::TaskStolen(tasks.steal())),
+                Request::TaskSubmit { payload } => {
+                    Ok(Reply::TaskQueued(self.tasks.submit(payload)))
+                }
+                Request::TaskSteal => Ok(Reply::TaskStolen(self.tasks.steal())),
                 Request::Fault(Fault::Error) => Err(ServiceError::Injected),
                 Request::Fault(_) => unreachable!("pass 1 panics on the other faults"),
             };
@@ -336,37 +313,81 @@ impl ServiceState {
                 .map(|i| keys[i])
                 .collect()
         };
-        let (new_keys, dead_keys) = (net(true), net(false));
-
-        let (olds, rest) = pm.batch(|m| {
-            hash.remove_present(m, &dead_keys);
-            hash.insert_new(m, &new_keys);
-            if fadd_reqs.is_empty() {
-                Vec::new()
-            } else {
-                emulate_fetch_add_step(m, &fadd_reqs)
+        self.hash.remove_present(m, &net(false));
+        self.hash.insert_new(m, &net(true));
+        if !fadd_reqs.is_empty() {
+            let olds = emulate_fetch_add_step(m, &fadd_reqs);
+            for (slot, old) in fadd_slots.into_iter().zip(olds) {
+                responses[slot] = Ok(Reply::Counter(old));
             }
-        });
-        cost += rest;
-        for (slot, old) in fadd_slots.into_iter().zip(olds) {
-            responses[slot] = Ok(Reply::Counter(old));
         }
-        (responses, cost)
+        responses
     }
 
-    /// The canonical observable state (see the module docs for what is
-    /// compared bit-exactly vs. canonically).
-    pub fn digest(&self) -> StateDigest {
-        let m = self.pm.machine_ref();
+    /// The canonical observable state on `m` (see the module docs for what
+    /// is compared bit-exactly vs. canonically).
+    pub fn digest<M: Machine>(&self, m: &M) -> StateDigest {
         let mut hash_keys = self.hash.live_keys(m);
         hash_keys.sort_unstable();
         debug_assert_eq!(hash_keys.len(), self.hash.len());
         StateDigest {
             hash_keys,
-            counters: m.dump(self.counter_base, self.config.num_counters.max(1)),
+            counters: m.dump(self.counter_base, self.num_counters.max(1)),
             pending_tasks: self.tasks.pending.iter().copied().collect(),
             next_seq: self.tasks.next_seq,
         }
+    }
+}
+
+/// The live service state: a persistent native machine plus the
+/// [`ServiceCore`] that lives on it, with checkpoint and restore.
+#[derive(Debug)]
+pub struct ServiceState {
+    pm: PersistentMachine,
+    core: ServiceCore,
+}
+
+impl ServiceState {
+    /// Builds a fresh state on a machine that dispatches on `pool`.
+    pub fn with_pool(config: ServiceConfig, pool: StepPool) -> Self {
+        let mut pm = PersistentMachine::with_pool(16, config.seed, pool);
+        let core = ServiceCore::new(pm.machine(), &config);
+        ServiceState { pm, core }
+    }
+
+    /// Number of keys in the hash set.
+    pub fn hash_len(&self) -> usize {
+        self.core.hash.len()
+    }
+
+    /// Tombstoned cells currently in the hash table (deleted keys whose
+    /// cells have not yet been purged by a rebuild).
+    pub fn hash_tombstones(&self) -> usize {
+        self.core.hash.tombstones()
+    }
+
+    /// Current hash-table capacity in cells.
+    pub fn hash_capacity(&self) -> usize {
+        self.core.hash.capacity()
+    }
+
+    /// Number of pending tasks.
+    pub fn pending_tasks(&self) -> usize {
+        self.core.tasks.pending.len()
+    }
+
+    /// Applies one batch ([`ServiceCore::apply_batch`]) and returns one
+    /// response per request plus what the batch cost on the machine; the
+    /// cost's wall time covers the host decode passes too.
+    pub fn apply_batch(&mut self, batch: &[Request]) -> (Vec<Response>, BatchCost) {
+        let ServiceState { pm, core } = self;
+        pm.batch(|m| core.apply_batch(m, batch))
+    }
+
+    /// The canonical observable state (see the module docs for what is
+    /// compared bit-exactly vs. canonically).
+    pub fn digest(&self) -> StateDigest {
+        self.core.digest(self.pm.machine_ref())
     }
 
     /// Brings `ck` up to date and makes it the state's latest checkpoint.
@@ -374,17 +395,9 @@ impl ServiceState {
     /// `ck` already was the latest; the whole live prefix for any other.
     pub fn checkpoint_into(&mut self, ck: &mut ServiceCheckpoint) -> usize {
         self.pm.snapshot_into(&mut ck.machine);
-        ck.hash_geo = self.hash.geometry();
-        self.tasks.mark();
+        ck.hash_geo = self.core.hash.geometry();
+        self.core.tasks.mark();
         ck.machine.copied_cells()
-    }
-
-    /// Captures a fresh (full-copy) [`ServiceCheckpoint`] of the current
-    /// state, superseding every earlier one.
-    pub fn checkpoint(&mut self) -> ServiceCheckpoint {
-        let mut ck = ServiceCheckpoint::default();
-        self.checkpoint_into(&mut ck);
-        ck
     }
 
     /// Rolls the service back to `ck`: machine memory, allocator, step and
@@ -403,13 +416,8 @@ impl ServiceState {
              checkpoint_into of this state can be restored"
         );
         self.pm.restore(&ck.machine);
-        self.hash.restore_geometry(ck.hash_geo);
-        self.tasks.rewind();
-    }
-
-    /// Thread count of the underlying machine.
-    pub fn threads(&self) -> usize {
-        self.pm.machine_ref().threads()
+        self.core.hash.restore_geometry(ck.hash_geo);
+        self.core.tasks.rewind();
     }
 
     /// The shape of the machine's sharded arena.  A long-lived service
@@ -546,7 +554,8 @@ mod tests {
         let inserts: Vec<Request> = (0..20).map(|k| Request::HashInsert { key: k }).collect();
         let _ = s.apply_batch(&inserts);
         let before = s.digest();
-        let ck = s.checkpoint();
+        let mut ck = ServiceCheckpoint::default();
+        s.checkpoint_into(&mut ck);
         let deletes: Vec<Request> = (0..15).map(|k| Request::HashDelete { key: k }).collect();
         let _ = s.apply_batch(&deletes);
         assert_ne!(s.digest(), before);
@@ -764,7 +773,8 @@ mod tests {
             Request::TaskSubmit { payload: 9 },
         ]);
         let before = s.digest();
-        let ck = s.checkpoint();
+        let mut ck = ServiceCheckpoint::default();
+        s.checkpoint_into(&mut ck);
         // Mutate everything the checkpoint must cover, including a table
         // reserve (base/cap move, old region abandoned) and task churn.
         let mut churn: Vec<Request> = (100..300).map(|k| Request::HashInsert { key: k }).collect();
@@ -801,7 +811,8 @@ mod tests {
         let _ = s.apply_batch(&[Request::HashInsert { key: 5 }]);
         let before = s.digest();
         let steps = s.pm.machine_ref().steps_executed();
-        let ck = s.checkpoint();
+        let mut ck = ServiceCheckpoint::default();
+        s.checkpoint_into(&mut ck);
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.apply_batch(&[
                 Request::TaskSubmit { payload: 5 },
@@ -827,10 +838,11 @@ mod tests {
     #[should_panic(expected = "epoch rule")]
     fn restoring_a_superseded_checkpoint_panics() {
         let mut s = state();
-        let old = s.checkpoint();
+        let mut old = ServiceCheckpoint::default();
+        s.checkpoint_into(&mut old);
         let _ = s.apply_batch(&[Request::TaskSubmit { payload: 1 }]);
-        let _new = s.checkpoint();
-        // The task journal only reaches back to `_new`.
+        s.checkpoint_into(&mut ServiceCheckpoint::default());
+        // The task journal only reaches back to the second checkpoint.
         s.restore(&old);
     }
 
@@ -845,7 +857,7 @@ mod tests {
             let m = s.pm.machine_ref();
             (
                 s.digest(),
-                s.hash.geometry(),
+                s.core.hash.geometry(),
                 m.heap_top(),
                 m.steps_executed(),
                 m.contention().attempts(),
@@ -866,7 +878,7 @@ mod tests {
             submit(72),
             Request::TaskSteal,
         ]);
-        assert!(s.hash.geometry().spare.is_some());
+        assert!(s.core.hash.geometry().spare.is_some());
         assert_eq!(s.hash_tombstones(), 2);
         let mut ck = ServiceCheckpoint::default();
         s.checkpoint_into(&mut ck);

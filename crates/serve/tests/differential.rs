@@ -8,12 +8,21 @@
 //! batches at random points, and at random points takes a checkpoint and
 //! later restores it, re-applying everything since under fresh cuts.
 //! Every reply must equal the oracle's, and the final digest's task queue
-//! and sequence counter must match it.  A failing case prints its seed.
+//! and sequence counter must match it.
+//!
+//! Each case also applies the trace, under cuts of its own, to a bare
+//! [`ServiceCore`] on the simulator (`Pram`, seeded like the native state):
+//! the batch engine is machine-generic, so its replies must equal the
+//! oracle's there too, and its final digest the native state's.  A failing
+//! case prints its seed.
 
 use std::collections::{HashSet, VecDeque};
 
 use qrqw_exec::StepPool;
-use qrqw_serve::{Reply, Request, Response, ServiceCheckpoint, ServiceConfig, ServiceState};
+use qrqw_serve::{
+    Reply, Request, Response, ServiceCheckpoint, ServiceConfig, ServiceCore, ServiceState,
+};
+use qrqw_sim::Pram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,6 +125,17 @@ fn case(seed: u64) {
     let digest = s.digest();
     assert_eq!(digest.pending_tasks, Vec::from(oracle.tasks));
     assert_eq!(digest.next_seq, oracle.next_seq);
+
+    let mut pram = Pram::with_seed(16, seed);
+    let mut core = ServiceCore::new(&mut pram, &config);
+    let mut pos = 0;
+    while pos < trace.len() {
+        let end = (pos + rng.gen_range(1..13usize)).min(trace.len());
+        let resp = core.apply_batch(&mut pram, &trace[pos..end]);
+        assert_eq!(resp, expected[pos..end], "sim batch {pos}..{end}");
+        pos = end;
+    }
+    assert_eq!(core.digest(&pram), digest, "sim digest");
 }
 
 #[test]
