@@ -461,9 +461,8 @@ fn main() {
     let mut all_valid = true;
     for &n in &cfg.sizes {
         for &algo in &cfg.algos {
-            // Simulator first, matching `backend_bench` ordering: the other
-            // machines then allocate against a warmed process heap rather
-            // than only the later ones.
+            // Simulator first, so every other machine allocates against a
+            // warmed process heap.
             let run = |backend: Backend, cap: usize| {
                 (wants(backend) && n <= cap).then(|| algo.run(backend, n, cfg.seed, cfg.threads))
             };

@@ -19,7 +19,7 @@
 //! cargo run -p qrqw-bench --release --bin service_report            # full sweep
 //! cargo run -p qrqw-bench --release --bin service_report -- \
 //!     [--clients N] [--requests N] [--batch-sizes 1,64,1024,8192] \
-//!     [--workloads hash,counter,task,churn] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
+//!     [--workloads hash,counter,task,churn,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
 //!     [--threads T] [--seed S] [--quick] [--out BENCH_service.json]
 //! ```
 //!
@@ -46,7 +46,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: service_report [--clients N] [--requests N] [--batch-sizes N,N] \
-         [--workloads hash,counter,task,churn] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] [--threads T] \
+         [--workloads hash,counter,task,churn,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] [--threads T] \
          [--seed S] [--quick] [--out PATH]"
     );
     std::process::exit(2);
@@ -142,7 +142,6 @@ fn main() {
                 clients: cli.clients,
                 requests_per_client: base.max(2 * window),
                 window,
-                rate: 0.0,
                 workload,
                 key_dist: cli.key_dist,
                 keyspace: 4096,

@@ -69,13 +69,6 @@ impl Default for FaultPlan {
     }
 }
 
-impl FaultPlan {
-    /// True when the plan injects nothing (the fault-free baseline row).
-    pub fn is_quiet(&self) -> bool {
-        self.panic_per_10k == 0 && self.error_per_10k == 0 && self.delay_per_10k == 0
-    }
-}
-
 /// Shape of one chaos run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosSpec {
@@ -267,7 +260,7 @@ pub fn run_chaos(
         &handle,
         spec.requests,
         spec.window,
-        |_| match draw(&plan, &mut fault_rng) {
+        || match draw(&plan, &mut fault_rng) {
             Slot::Panic => {
                 injected_panics += 1;
                 Request::Fault(Fault::Panic)

@@ -14,6 +14,13 @@
 //!   cycle representations.
 //! * `ablation` — design-choice sweeps: dart-throwing subarray size,
 //!   fat-tree vs. concurrent binary search, linear-compaction output slack.
+//! * `perf_report` — any subset of the [`Algorithm`] registry (or the
+//!   churn [`scenario`]s) on any set of [`Backend`]s, with validators, the
+//!   step-drift guard and the BSP cross-check (committed
+//!   `BENCH_native.json` / `BENCH_workloads.json`).
+//! * `rss_guard` — peak-RSS probe of staged arena growth.
+//! * `service_report` — the `qrqw-serve` load sweep over batch caps ×
+//!   workloads (committed `BENCH_service.json`, see [`service`]).
 //! * `chaos_bench` — seeded fault-injection sweep of the `qrqw-serve`
 //!   layer (committed `BENCH_chaos.json`): goodput, shed rate, snapshot
 //!   overhead and recovery latency vs. fault rate, with digest-parity and

@@ -377,7 +377,7 @@ pub fn sweep_json(
 }
 
 /// Writes a rendered [`Json`] document to `path` (the one writer shared by
-/// `perf_report`, `service_bench` and `service_report`).
+/// `perf_report`, `service_report` and `chaos_bench`).
 pub fn write_json_file(path: &str, json: &Json) {
     let mut file =
         std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));

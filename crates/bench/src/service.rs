@@ -1,14 +1,13 @@
 //! Load generation and reporting for the `qrqw-serve` service layer.
 //!
-//! This module is the shared engine of the `service_bench` (interactive
-//! load generator) and `service_report` (committed `BENCH_service.json`
-//! sweep) binaries: it spawns a [`Server`], drives it with N concurrent
-//! closed-loop client threads (optionally rate-paced, optionally with a
-//! pipelining window so large batch caps can actually fill), folds every
-//! client's latency histogram and reply bookkeeping together, validates
-//! the final [`StateDigest`] against interleaving-invariant invariants,
-//! and renders one [`Json`] summary per run through the same writer
-//! `perf_report` uses.
+//! This module is the engine of the `service_report` binary (the committed
+//! `BENCH_service.json` sweep): it spawns a [`Server`], drives it with N
+//! concurrent closed-loop client threads (optionally with a pipelining
+//! window so large batch caps can actually fill), folds every client's
+//! latency histogram and reply bookkeeping together, validates the final
+//! [`StateDigest`] against interleaving-invariant invariants, and renders
+//! one [`Json`] summary per run through the same writer `perf_report`
+//! uses.
 //!
 //! # The validator
 //!
@@ -58,8 +57,8 @@ pub enum ServiceWorkload {
 }
 
 impl ServiceWorkload {
-    /// The sweep set of the committed report (the mix is a smoke-only
-    /// convenience, not a reported workload).
+    /// The default sweep set of `service_report` (churn and the mix are
+    /// opt-in through its `--workloads`).
     pub const ALL: [ServiceWorkload; 3] = [
         ServiceWorkload::Hash,
         ServiceWorkload::Counter,
@@ -128,7 +127,7 @@ pub(crate) fn classify(response: &Response) -> (Class, bool) {
     }
 }
 
-/// Submits `count` requests through `handle`, each drawn by `next(i)` just
+/// Submits `count` requests through `handle`, each drawn by `next()` just
 /// before its submit, keeping up to `window` of them in flight.  Hands
 /// every request to `settle` in submission order with its response and
 /// submit→response latency, or with `None` when its ticket did not resolve
@@ -137,7 +136,7 @@ pub(crate) fn submit_windowed(
     handle: &ServiceHandle,
     count: usize,
     window: usize,
-    mut next: impl FnMut(usize) -> Request,
+    mut next: impl FnMut() -> Request,
     mut settle: impl FnMut(Request, Option<(Response, Duration)>),
 ) {
     let mut inflight: VecDeque<(Request, Instant, Ticket)> = VecDeque::new();
@@ -147,8 +146,8 @@ pub(crate) fn submit_windowed(
             ticket.wait_timeout(WEDGE).map(|resp| (resp, at.elapsed())),
         );
     };
-    for i in 0..count {
-        let request = next(i);
+    for _ in 0..count {
+        let request = next();
         inflight.push_back((request, Instant::now(), handle.submit(request)));
         if inflight.len() >= window.max(1) {
             wait(inflight.pop_front().unwrap());
@@ -167,9 +166,6 @@ pub struct LoadSpec {
     /// Outstanding requests a client keeps in flight (1 = strict
     /// closed-loop; larger windows let big batch caps fill up).
     pub window: usize,
-    /// Target aggregate submission rate in requests/second (0 = as fast
-    /// as possible).
-    pub rate: f64,
     /// Request mix.
     pub workload: ServiceWorkload,
     /// Key distribution.
@@ -479,11 +475,6 @@ pub fn run_service_load(
     let pool = threads.map_or_else(StepPool::from_env, StepPool::with_threads);
     let server = Server::spawn_with_pool(config, policy, pool);
     let sampler = Arc::new(KeySampler::new(spec.key_dist, spec.keyspace));
-    let per_client_interval = if spec.rate > 0.0 {
-        Duration::from_secs_f64(spec.clients.max(1) as f64 / spec.rate)
-    } else {
-        Duration::ZERO
-    };
     let started = Instant::now();
     let workers: Vec<_> = (0..spec.clients.max(1))
         .map(|client| {
@@ -495,20 +486,11 @@ pub fn run_service_load(
                 let mut rng =
                     SmallRng::seed_from_u64(spec.seed ^ (client as u64).wrapping_mul(0x9E37));
                 let mut outcome = ClientOutcome::default();
-                let client_started = Instant::now();
                 submit_windowed(
                     &handle,
                     spec.requests_per_client,
                     spec.window,
-                    |i| {
-                        if !per_client_interval.is_zero() {
-                            let due = client_started + per_client_interval * i as u32;
-                            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                                std::thread::sleep(wait);
-                            }
-                        }
-                        generate(spec.workload, &sampler, num_counters, &mut rng)
-                    },
+                    || generate(spec.workload, &sampler, num_counters, &mut rng),
                     |request, response| outcome.settle(request, response),
                 );
                 outcome

@@ -45,6 +45,7 @@ fn micro_sweep() -> Json {
     let runs: Vec<_> = [
         (1usize, ServiceWorkload::Hash),
         (8, ServiceWorkload::Counter),
+        (8, ServiceWorkload::Mix),
     ]
     .into_iter()
     .map(|(batch_max, workload)| {
@@ -60,7 +61,6 @@ fn micro_sweep() -> Json {
                 clients: 2,
                 requests_per_client: 40,
                 window: 4,
-                rate: 0.0,
                 workload,
                 key_dist: KeyDist::Zipf(1.0),
                 keyspace: 128,
@@ -98,7 +98,7 @@ fn bench_service_json_round_trips_and_matches_the_schema() {
 
     // Per-run schema, through the parsed copy.
     let runs = back.get("runs").and_then(Json::as_arr).expect("runs array");
-    assert_eq!(runs.len(), 2);
+    assert_eq!(runs.len(), 3);
     for run in runs {
         for (field, type_ok) in RUN_FIELDS {
             let value = run

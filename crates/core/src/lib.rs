@@ -24,7 +24,7 @@
 //! and its contention profile can be read off the trace afterwards — and on
 //! the native threads/atomics machine (`qrqw_exec::NativeMachine`) for wall
 //! clock.  That is how the Table I / Table II harnesses and the
-//! `backend_bench` registry in `qrqw-bench` are built; the cross-backend
+//! `Algorithm` registry in `qrqw-bench` are built; the cross-backend
 //! parity suite in `tests/backends.rs` pins the exact contract each
 //! algorithm keeps (bit-identical output for exclusive-claim and
 //! deterministic routines, semantic validity for occupy-based ones).

@@ -163,13 +163,6 @@ pub struct ArenaStats {
     pub shard_cells: usize,
 }
 
-impl ArenaStats {
-    /// Bytes of cell storage the shards pin resident.
-    pub fn resident_bytes(&self) -> usize {
-        self.shards * SHARD_CELLS * std::mem::size_of::<AtomicU64>()
-    }
-}
-
 /// The sharded cell store.  See the module docs for the layout and the
 /// grow-without-move invariant.
 #[derive(Default)]
@@ -595,6 +588,5 @@ mod tests {
         assert_eq!(s.cells, 3 * SHARD_CELLS + 1);
         assert_eq!(s.shards, 4);
         assert_eq!(s.shard_cells, SHARD_CELLS);
-        assert_eq!(s.resident_bytes(), 4 * SHARD_CELLS * 8);
     }
 }

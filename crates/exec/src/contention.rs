@@ -59,16 +59,6 @@ impl ContentionCounter {
         self.attempts.store(attempts, Ordering::Relaxed);
         self.failures.store(failures, Ordering::Relaxed);
     }
-
-    /// Failure ratio (0 when nothing was recorded).
-    pub fn failure_ratio(&self) -> f64 {
-        let a = self.attempts();
-        if a == 0 {
-            0.0
-        } else {
-            self.failures() as f64 / a as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,18 +68,12 @@ mod tests {
     #[test]
     fn counts_attempts_and_failures() {
         let c = ContentionCounter::new();
+        assert_eq!((c.attempts(), c.failures()), (0, 0));
         c.record(false);
         c.record(true);
         c.record(true);
         assert_eq!(c.attempts(), 3);
         assert_eq!(c.failures(), 2);
-        assert!((c.failure_ratio() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_counter_has_zero_ratio() {
-        let c = ContentionCounter::new();
-        assert_eq!(c.failure_ratio(), 0.0);
     }
 
     #[test]

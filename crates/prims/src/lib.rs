@@ -12,7 +12,7 @@
 //! * [`broadcast`] — binary broadcasting of a cell to `k` cells in
 //!   `O(lg k)` EREW steps, and bulk value duplication (the paper's
 //!   "replace a program variable with k copies" technique, Section 1.2).
-//! * [`reduce`] — binary-tree global OR / sum / max reductions.
+//! * [`reduce`] — binary-tree global OR.
 //! * [`listrank`] — pointer-jumping list ranking (used by the load-balancing
 //!   input-format conversion of Section 3).
 //! * [`claim`] — the "write, read, write, read" cell-claiming protocol of
@@ -49,5 +49,5 @@ pub use compaction::{compact_erew, linear_compaction, LinearCompactionOutcome};
 pub use intsort::{radix_sort_packed, stable_sort_small_range};
 pub use listrank::list_rank;
 pub use prefix::{prefix_sums_exclusive, prefix_sums_inclusive};
-pub use reduce::{global_or, reduce_max, reduce_sum};
+pub use reduce::global_or;
 pub use util::{pack, unpack_key, unpack_payload};

@@ -1,31 +1,25 @@
-//! Binary-tree reductions: global OR, sum, max.
+//! Binary-tree global OR.
 //!
-//! These are the EREW bookkeeping tools the paper's algorithms use for
-//! "detect whether any item failed" / "count the survivors" style steps
-//! (e.g. the `globalor` calls in the MasPar experiment of Section 5.2 and
-//! the failure tests of the Las Vegas wrappers).  Each runs in `⌈lg n⌉ + 1`
-//! EREW-legal steps and `O(n)` work.
+//! The EREW bookkeeping tool the paper's algorithms use for "detect
+//! whether any item failed" steps (e.g. the `globalor` calls in the MasPar
+//! experiment of Section 5.2 and the failure tests of the Las Vegas
+//! wrappers).  It runs in `⌈lg n⌉ + 1` EREW-legal steps and `O(n)` work.
 
 use qrqw_sim::{Machine, EMPTY};
 
 use crate::util::next_pow2;
 
-fn tree_reduce<M: Machine>(
-    m: &mut M,
-    base: usize,
-    len: usize,
-    combine: fn(u64, u64) -> u64,
-    identity: u64,
-    map_empty: u64,
-) -> u64 {
+/// Returns true iff any cell in `[base, base+len)` is non-zero and
+/// non-[`EMPTY`].  `O(lg n)` EREW steps, `O(n)` work.
+pub fn global_or<M: Machine>(m: &mut M, base: usize, len: usize) -> bool {
     if len == 0 {
-        return identity;
+        return false;
     }
     let width = next_pow2(len);
     let w = m.alloc(width);
     m.par_for(width, |i, ctx| {
         let v = if i < len { ctx.read(base + i) } else { EMPTY };
-        ctx.write(w + i, if v == EMPTY { map_empty } else { v });
+        ctx.write(w + i, if v == EMPTY { 0 } else { v });
     });
     let levels = width.trailing_zeros() as usize;
     for d in 0..levels {
@@ -34,28 +28,12 @@ fn tree_reduce<M: Machine>(
         m.par_for(width / stride, |i, ctx| {
             let a = ctx.read(w + i * stride + half - 1);
             let b = ctx.read(w + i * stride + stride - 1);
-            ctx.write(w + i * stride + stride - 1, combine(a, b));
+            ctx.write(w + i * stride + stride - 1, (a != 0 || b != 0) as u64);
         });
     }
     let result = m.peek(w + width - 1);
     m.release_to(w);
-    result
-}
-
-/// Returns true iff any cell in `[base, base+len)` is non-zero and
-/// non-[`EMPTY`].  `O(lg n)` EREW steps, `O(n)` work.
-pub fn global_or<M: Machine>(m: &mut M, base: usize, len: usize) -> bool {
-    tree_reduce(m, base, len, |a, b| (a != 0 || b != 0) as u64, 0, 0) != 0
-}
-
-/// Sum of the region ([`EMPTY`] counts as zero).  `O(lg n)` EREW steps.
-pub fn reduce_sum<M: Machine>(m: &mut M, base: usize, len: usize) -> u64 {
-    tree_reduce(m, base, len, |a, b| a + b, 0, 0)
-}
-
-/// Maximum of the region ([`EMPTY`] counts as zero).  `O(lg n)` EREW steps.
-pub fn reduce_max<M: Machine>(m: &mut M, base: usize, len: usize) -> u64 {
-    tree_reduce(m, base, len, |a, b| a.max(b), 0, 0)
+    result != 0
 }
 
 #[cfg(test)]
@@ -80,28 +58,17 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_max_match_reference() {
-        let xs: Vec<u64> = (0..50).map(|i| (i * 13) % 29).collect();
-        let mut pram = Pram::new(64);
-        pram.memory_mut().load(0, &xs);
-        assert_eq!(reduce_sum(&mut pram, 0, 50), xs.iter().sum::<u64>());
-        assert_eq!(reduce_max(&mut pram, 0, 50), *xs.iter().max().unwrap());
-    }
-
-    #[test]
-    fn reductions_are_logarithmic_time() {
+    fn or_is_logarithmic_time() {
         let mut pram = Pram::new(4096);
         pram.memory_mut().load(0, &vec![1u64; 4096]);
-        reduce_sum(&mut pram, 0, 4096);
+        assert!(global_or(&mut pram, 0, 4096));
         let t = pram.trace().time(CostModel::Qrqw);
-        assert!(t <= 3 * 13, "sum of 4096 cells took {t} time");
+        assert!(t <= 3 * 13, "or of 4096 cells took {t} time");
     }
 
     #[test]
-    fn empty_region_reduces_to_identity() {
+    fn empty_region_is_false() {
         let mut pram = Pram::new(4);
-        assert_eq!(reduce_sum(&mut pram, 0, 0), 0);
-        assert_eq!(reduce_max(&mut pram, 0, 0), 0);
         assert!(!global_or(&mut pram, 0, 0));
     }
 }

@@ -23,7 +23,7 @@
 //! contention charge ([`ServiceStats::contention_per_batch`]).  The
 //! throughput/latency trade of batching — bigger batches amortize the
 //! step protocol, smaller ones answer sooner — is exactly what
-//! `service_bench` / `BENCH_service.json` in `crates/bench` measure.
+//! `service_report` / `BENCH_service.json` in `crates/bench` measure.
 //!
 //! Replies are trace-deterministic (see [`state`]): what a request
 //! observes depends only on submission order, never on batch boundaries,

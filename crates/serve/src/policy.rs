@@ -12,19 +12,17 @@
 //!   the one or few requests that arrived, answered at once.  Batch size
 //!   follows the load, not a timer.
 //!
-//! Two admission knobs, the overload story:
+//! One admission knob, the overload story:
 //!
 //! * **queue bound** — at most this many requests may be outstanding
 //!   (queued or riding the open batch) at once; a submit past the bound is
 //!   shed immediately with [`crate::ServiceError::Overloaded`] instead of
 //!   growing the queue without limit.
-//! * **deadline** — the default per-request deadline: a request the
-//!   batcher reaches after its deadline is answered
-//!   [`crate::ServiceError::DeadlineExceeded`] without touching the
-//!   machine ([`crate::ServiceHandle::submit_with_deadline`] overrides it
-//!   per request).
-
-use std::time::Duration;
+//!
+//! Deadlines are per request, not policy:
+//! [`crate::ServiceHandle::submit_with_deadline`] stamps one, and the
+//! batcher answers a request it reaches after its deadline with
+//! [`crate::ServiceError::DeadlineExceeded`] without touching the machine.
 
 /// Default [`BatchPolicy::max_batch`].
 pub const DEFAULT_BATCH_MAX: usize = 256;
@@ -39,9 +37,6 @@ pub struct BatchPolicy {
     /// submits are shed with [`crate::ServiceError::Overloaded`].
     /// `usize::MAX` (the default) means unbounded.
     pub queue_max: usize,
-    /// Default per-request deadline, measured from submission.  `None`
-    /// (the default) means requests never expire in the queue.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for BatchPolicy {
@@ -49,7 +44,6 @@ impl Default for BatchPolicy {
         BatchPolicy {
             max_batch: DEFAULT_BATCH_MAX,
             queue_max: usize::MAX,
-            deadline: None,
         }
     }
 }
@@ -69,19 +63,12 @@ impl BatchPolicy {
         self
     }
 
-    /// Builder: sets the default per-request deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// The policy with `max_batch` and `queue_max` clamped to at least 1,
     /// as the batcher uses it.
     pub fn normalized(self) -> Self {
         BatchPolicy {
             max_batch: self.max_batch.max(1),
             queue_max: self.queue_max.max(1),
-            ..self
         }
     }
 }
@@ -95,7 +82,6 @@ mod tests {
         let p = BatchPolicy::default();
         assert!(p.max_batch >= 1);
         assert_eq!(p.queue_max, usize::MAX);
-        assert_eq!(p.deadline, None);
     }
 
     #[test]
@@ -104,7 +90,6 @@ mod tests {
         let p = BatchPolicy {
             max_batch: 0,
             queue_max: 0,
-            ..Default::default()
         }
         .normalized();
         assert_eq!(p.max_batch, 1);
@@ -112,13 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_queue_and_deadline() {
-        let p = BatchPolicy::with_max_batch(8)
-            .queue_max(128)
-            .deadline(Duration::from_millis(50));
+    fn builder_sets_the_queue_bound() {
+        let p = BatchPolicy::with_max_batch(8).queue_max(128);
         assert_eq!(p.max_batch, 8);
         assert_eq!(p.queue_max, 128);
-        assert_eq!(p.deadline, Some(Duration::from_millis(50)));
         assert_eq!(BatchPolicy::default().queue_max(0).queue_max, 1);
     }
 }

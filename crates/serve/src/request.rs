@@ -102,22 +102,6 @@ pub enum Fault {
     Crash,
 }
 
-impl Request {
-    /// The workload this request belongs to (`"hash"` / `"counter"` /
-    /// `"task"` / `"fault"`), for metrics labelling.
-    pub fn workload(&self) -> &'static str {
-        match self {
-            Request::HashInsert { .. }
-            | Request::HashLookup { .. }
-            | Request::HashContains { .. }
-            | Request::HashDelete { .. } => "hash",
-            Request::CounterAdd { .. } | Request::CounterRead { .. } => "counter",
-            Request::TaskSubmit { .. } | Request::TaskSteal => "task",
-            Request::Fault(_) => "fault",
-        }
-    }
-}
-
 /// The payload of a successful response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reply {
@@ -191,23 +175,6 @@ pub type Response = Result<Reply, ServiceError>;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_labels_cover_every_variant() {
-        assert_eq!(Request::HashInsert { key: 1 }.workload(), "hash");
-        assert_eq!(Request::HashContains { key: 1 }.workload(), "hash");
-        assert_eq!(Request::HashDelete { key: 1 }.workload(), "hash");
-        assert_eq!(
-            Request::CounterAdd {
-                counter: 0,
-                delta: 1
-            }
-            .workload(),
-            "counter"
-        );
-        assert_eq!(Request::TaskSteal.workload(), "task");
-        assert_eq!(Request::Fault(Fault::Error).workload(), "fault");
-    }
 
     #[test]
     fn errors_render_a_reason() {

@@ -44,10 +44,10 @@
 //!
 //! # Admission control
 //!
-//! A request whose deadline (see [`crate::BatchPolicy::deadline`] and
-//! `ServiceHandle::submit_with_deadline`) has already expired when the
-//! batcher reaches it is answered [`ServiceError::DeadlineExceeded`]
-//! without touching the machine — it is not part of the applied trace.
+//! A request whose deadline (see `ServiceHandle::submit_with_deadline`)
+//! has already expired when the batcher reaches it is answered
+//! [`ServiceError::DeadlineExceeded`] without touching the machine — it is
+//! not part of the applied trace.
 //! Queue-bound shedding ([`ServiceError::Overloaded`]) happens earlier, at
 //! submit time, in `server.rs`.
 //!

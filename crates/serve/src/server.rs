@@ -12,9 +12,8 @@
 //! [`BatchPolicy::queue_max`] and sheds over-bound submits immediately
 //! with [`ServiceError::Overloaded`] — the shed request is never enqueued
 //! and definitely did not take effect.  Per-request deadlines
-//! ([`BatchPolicy::deadline`], or [`ServiceHandle::submit_with_deadline`])
-//! are stamped here and enforced by the batcher when it reaches the
-//! request.
+//! ([`ServiceHandle::submit_with_deadline`]) are stamped here and enforced
+//! by the batcher when it reaches the request.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -42,7 +41,6 @@ pub struct ServiceHandle {
     /// [`ServiceStats::overload_shed`] at shutdown.
     shed: Arc<AtomicU64>,
     queue_max: usize,
-    deadline: Option<Duration>,
 }
 
 impl ServiceHandle {
@@ -56,24 +54,21 @@ impl ServiceHandle {
             depth: Arc::new(AtomicUsize::new(0)),
             shed: Arc::new(AtomicU64::new(0)),
             queue_max: policy.queue_max,
-            deadline: policy.deadline,
         };
         (handle, rx)
     }
 
     /// Submits one request; returns immediately with a [`Ticket`] for the
-    /// response.  The policy's default deadline (if any) applies.  After
-    /// shutdown the ticket resolves at once to
-    /// [`ServiceError::ShuttingDown`]; past the queue bound it resolves at
-    /// once to [`ServiceError::Overloaded`].
+    /// response.  The request never expires in the queue.  After shutdown
+    /// the ticket resolves at once to [`ServiceError::ShuttingDown`]; past
+    /// the queue bound it resolves at once to [`ServiceError::Overloaded`].
     pub fn submit(&self, request: Request) -> Ticket {
-        self.submit_inner(request, self.deadline)
+        self.submit_inner(request, None)
     }
 
-    /// Submits one request with an explicit deadline, overriding the
-    /// policy default.  If the batcher does not reach the request within
-    /// `timeout` of now, it is answered [`ServiceError::DeadlineExceeded`]
-    /// without touching the machine.
+    /// Submits one request with a deadline.  If the batcher does not reach
+    /// the request within `timeout` of now, it is answered
+    /// [`ServiceError::DeadlineExceeded`] without touching the machine.
     pub fn submit_with_deadline(&self, request: Request, timeout: Duration) -> Ticket {
         self.submit_inner(request, Some(timeout))
     }

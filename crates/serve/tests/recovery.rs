@@ -53,24 +53,6 @@ fn an_expired_deadline_is_answered_without_touching_the_machine() {
 }
 
 #[test]
-fn a_default_deadline_from_the_policy_applies_to_plain_submits() {
-    // A zero policy deadline expires every plain submit, which is exactly
-    // what this test wants to observe deterministically.
-    let server = spawn(BatchPolicy::with_max_batch(8).deadline(Duration::ZERO));
-    let handle = server.handle();
-    assert_eq!(
-        handle.call(Request::HashInsert { key: 9 }),
-        Err(ServiceError::DeadlineExceeded)
-    );
-    // An explicit per-request deadline overrides the policy default.
-    let t = handle.submit_with_deadline(Request::HashInsert { key: 9 }, WEDGE);
-    assert_eq!(t.wait_timeout(WEDGE), Some(Ok(Reply::Inserted(true))));
-    let (state, stats) = server.shutdown();
-    assert_eq!(stats.deadline_shed, 1);
-    assert_eq!(state.digest().hash_keys, vec![9]);
-}
-
-#[test]
 fn recovery_keeps_serving_after_repeated_poisonings() {
     // Several poisoned batches in sequence: each is rolled back, bisected,
     // and the server keeps answering with correct state throughout.  The

@@ -108,14 +108,6 @@ impl CostModel {
             CostModel::Qrqw | CostModel::Crqw | CostModel::Crcw => false,
         }
     }
-
-    /// True for models that charge (some) contention, i.e. the queue models.
-    pub fn charges_contention(self) -> bool {
-        matches!(
-            self,
-            CostModel::Qrqw | CostModel::Crqw | CostModel::SimdQrqw | CostModel::ScanSimdQrqw
-        )
-    }
 }
 
 impl std::fmt::Display for CostModel {

@@ -179,23 +179,6 @@ pub struct TraceSummary {
     pub erew_violations: u64,
 }
 
-impl TraceSummary {
-    /// Renders the summary as a compact single-line report.
-    pub fn to_row(&self) -> String {
-        format!(
-            "steps={} work={} max_cont={} t_qrqw={} t_crqw={} t_crcw={} t_erew={} (erew_violations={})",
-            self.steps,
-            self.work,
-            self.max_contention,
-            self.time_qrqw,
-            self.time_crqw,
-            self.time_crcw,
-            self.time_erew,
-            self.erew_violations
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +240,6 @@ mod tests {
         assert_eq!(s.time_crqw, 2);
         assert_eq!(s.time_crcw, 2);
         assert_eq!(s.erew_violations, 1);
-        assert!(s.to_row().contains("work=8"));
     }
 
     #[test]

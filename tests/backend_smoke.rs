@@ -5,7 +5,7 @@
 //! a backend that breaks any single variant fails this build with the
 //! offending (variant, backend) pair in the message.
 //!
-//! This is the tier-1 twin of the CI `backend_bench` smoke step; the
+//! This is the tier-1 twin of the CI `perf_report` smoke step; the
 //! companion guard in `tests/backends.rs`
 //! (`parity_suite_covers_every_registered_backend`) additionally fails the
 //! build when a registered backend lacks a parity-suite instantiation.

@@ -37,7 +37,7 @@ use qrqw_suite::prims::{linear_compaction, list_rank, pack, radix_sort_packed, u
 use qrqw_suite::sim::{ClaimMode, Machine, Pram, EMPTY};
 
 /// Deterministic distinct keys below `2^31 − 1` — the same generator the
-/// `backend_bench` registry validators use, so the parity tests and the
+/// `Algorithm` registry validators use, so the parity tests and the
 /// harness exercise identical workloads.
 pub fn scattered_keys(n: usize, offset: usize) -> Vec<u64> {
     qrqw_bench::Algorithm::scattered_keys(n, offset)
