@@ -69,6 +69,8 @@ impl ServiceHandle {
     /// Submits one request with a deadline.  If the batcher does not reach
     /// the request within `timeout` of now, it is answered
     /// [`ServiceError::DeadlineExceeded`] without touching the machine.
+    /// A `timeout` too large to add to the present instant sets no
+    /// deadline: the request is treated as a plain [`ServiceHandle::submit`].
     pub fn submit_with_deadline(&self, request: Request, timeout: Duration) -> Ticket {
         self.submit_inner(request, Some(timeout))
     }
@@ -89,7 +91,8 @@ impl ServiceHandle {
             slot.complete(Err(ServiceError::Overloaded));
             return ticket;
         }
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // A timeout past the clock's range is no deadline at all.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let env = Envelope::with_admission(
             request,
             Arc::clone(&slot),
@@ -393,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_expires_while_the_batch_lingers_then_delivers() {
+    fn wait_timeout_expires_before_any_batcher_then_delivers() {
         // No batcher yet, so nothing can answer within the client's
         // patience: the first wait times out, the ticket stays live, and a
         // later wait delivers the real response once a batcher applies it.
@@ -407,6 +410,24 @@ mod tests {
         assert_eq!(ticket.wait_timeout(WEDGE), Some(Ok(Reply::Counter(0))));
         let (state, _) = server.shutdown();
         assert_eq!(state.digest().counters[0], 5);
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_range_is_no_deadline() {
+        // `now + Duration::MAX` overflows `Instant`: the submit must neither
+        // panic nor shed the request, just never expire it.
+        let server = tiny();
+        let ticket = server.handle().submit_with_deadline(
+            Request::CounterAdd {
+                counter: 1,
+                delta: 2,
+            },
+            Duration::MAX,
+        );
+        assert_eq!(ticket.wait_timeout(WEDGE), Some(Ok(Reply::Counter(0))));
+        let (state, stats) = server.shutdown();
+        assert_eq!((stats.requests, stats.deadline_shed), (1, 0));
+        assert_eq!(state.digest().counters[1], 2);
     }
 
     #[test]
