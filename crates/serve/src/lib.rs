@@ -10,8 +10,8 @@
 //!
 //! * clients submit **individual** requests (hash-set inserts/lookups,
 //!   counter fetch-adds, task submit/steal) through a [`ServiceHandle`];
-//! * a batcher thread blocks for a batch's first request, takes whatever
-//!   is already queued up to [`BatchPolicy::max_batch`], and drives each
+//! * a batcher thread takes the submission queue a batch at a time —
+//!   whatever is queued, up to [`BatchPolicy::max_batch`] — and drives each
 //!   batch as machine steps on one persistent
 //!   [`qrqw_exec::NativeMachine`] whose state lives across batches — so
 //!   batch size follows the load, as a QRQW step serves whatever has
@@ -38,8 +38,9 @@
 //! rolled back and re-applied by bisection so only the poisoned request
 //! fails ([`ServiceError::RequestPanicked`]), admission control bounds the
 //! queue ([`BatchPolicy::queue_max`] / [`ServiceError::Overloaded`]) and
-//! enforces per-request deadlines, and an envelope exit guard guarantees
-//! no [`Ticket::wait`] ever wedges on a dead batcher
+//! enforces per-request deadlines, and an exit guard on the queue and
+//! every envelope guarantees no [`Ticket::wait`] ever wedges on a dead
+//! batcher
 //! ([`ServiceError::ServerGone`]).  `chaos_bench` in `crates/bench` drives
 //! all of this under a seeded fault plan and writes `BENCH_chaos.json`.
 

@@ -1,9 +1,8 @@
 //! The batching policy: when does the batcher close a batch, and what may
 //! enter the queue at all?
 //!
-//! One batching knob.  The batcher blocks for a batch's first request,
-//! then takes whatever is already queued behind it — never waiting for
-//! more — up to:
+//! One batching knob.  The batcher parks until something is queued, then
+//! takes whatever is queued — never waiting for more — up to:
 //!
 //! * **max batch size** — the bound on work per step.  Under load the
 //!   queue refills while a batch is applied, so batches fill to the cap
@@ -15,9 +14,9 @@
 //! One admission knob, the overload story:
 //!
 //! * **queue bound** — at most this many requests may be outstanding
-//!   (queued or riding the open batch) at once; a submit past the bound is
-//!   shed immediately with [`crate::ServiceError::Overloaded`] instead of
-//!   growing the queue without limit.
+//!   (admitted and not yet taken into a batch) at once; a submit past the
+//!   bound is shed immediately with [`crate::ServiceError::Overloaded`]
+//!   instead of growing the queue without limit.
 //!
 //! Deadlines are per request, not policy:
 //! [`crate::ServiceHandle::submit_with_deadline`] stamps one, and the
@@ -33,8 +32,9 @@ pub const DEFAULT_BATCH_MAX: usize = 256;
 pub struct BatchPolicy {
     /// Maximum requests per batch (≥ 1; 0 is clamped to 1).
     pub max_batch: usize,
-    /// Maximum outstanding requests (queued or in the open batch) before
-    /// submits are shed with [`crate::ServiceError::Overloaded`].
+    /// Maximum outstanding requests (admitted, not yet taken into a
+    /// batch) before submits are shed with
+    /// [`crate::ServiceError::Overloaded`].
     /// `usize::MAX` (the default) means unbounded.
     pub queue_max: usize,
 }

@@ -1,21 +1,29 @@
 //! The serving runtime: submission queue, batcher loop, oneshot slots.
 //!
 //! No async runtime exists in this workspace (and none may be added), so
-//! the service is built from `std` threads and channels:
+//! the service is built from `std` threads, mutexes and condvars:
 //!
-//! * clients submit over a shared [`std::sync::mpsc`] channel (the
-//!   **submission queue**), bounded by the admission control in
-//!   `server.rs` (see [`crate::BatchPolicy::queue_max`]);
-//! * a single **batcher thread** owns the [`ServiceState`] and loops:
-//!   block for the first request, take whatever is already queued behind
-//!   it up to [`BatchPolicy::max_batch`] — never waiting for more (see
-//!   [`crate::policy`] for why batches still fill under load) — apply the
-//!   batch, complete every request's slot;
+//! * clients push onto one shared `SubmissionQueue` — a mutex over a
+//!   FIFO with a `closed` and a `parked` flag — bounded by admission
+//!   control under its lock (see [`crate::BatchPolicy::queue_max`]); a
+//!   push signals the queue's condvar only when the batcher is parked;
+//! * a single **batcher thread** owns the [`ServiceState`] and loops: it
+//!   swaps the whole queue out under the lock into a local backlog, cuts
+//!   batches of at most [`BatchPolicy::max_batch`] from that, tops the
+//!   backlog up from the queue when it runs dry, and closes a batch the
+//!   moment nothing is queued — never waiting for more (see
+//!   [`crate::policy`] for why batches still fill under load) — then
+//!   applies the batch and completes every request's slot.  It parks only
+//!   when the queue, the backlog and the batch are all empty;
 //! * each request carries an `Arc`'d **oneshot slot**: a ready flag, and
 //!   a mutex + condvar that the completion signals only when a client is
 //!   parked on it; the client half is a [`Ticket`] that blocks on
 //!   [`Ticket::wait`] (or bounds its own latency with
 //!   [`Ticket::wait_timeout`], or polls the flag with [`Ticket::try_wait`]).
+//!
+//! The batcher meets the submitters once per batch, not once per request:
+//! one lock to swap the queue out, and one `fetch_sub` that releases the
+//! whole batch's admission before any of its replies.
 //!
 //! # Failure containment
 //!
@@ -51,30 +59,32 @@
 //! [`ServiceError::DeadlineExceeded`] without touching the machine — it is
 //! not part of the applied trace.
 //! Queue-bound shedding ([`ServiceError::Overloaded`]) happens earlier, at
-//! submit time, in `server.rs`.
+//! submit time, under the submission queue's lock.
 //!
 //! # The exit guard
 //!
 //! If the batcher dies *outside* the containment above (abnormal death —
 //! e.g. the injected [`crate::request::Fault::Crash`], which deliberately
-//! panics before the checkpoint), every `Envelope` still alive (in the
-//! dying batch, or queued behind it) is dropped during unwinding, and
-//! `Envelope`'s `Drop` completes its slot with
-//! [`ServiceError::ServerGone`].  No [`Ticket::wait`] ever wedges on a
-//! dead server.
+//! panics before the checkpoint), the dying batch's envelopes are dropped
+//! during unwinding, and the batcher's end of the queue — a guard
+//! `run_batcher` owns — closes the queue, releases the admission of
+//! everything still queued or in its backlog, and drops those envelopes
+//! too.  `Envelope`'s `Drop` completes its slot with
+//! [`ServiceError::ServerGone`], so no [`Ticket::wait`] ever wedges on a
+//! dead server, and a submit after the crash is refused at once.
 //!
 //! # Shutdown
 //!
-//! A shutdown message (`Msg::Shutdown`) makes the batcher drain the queue
-//! — every request
-//! already submitted is applied (in policy-sized batches) and answered —
-//! then exit, returning the final state and cumulative stats to whoever
-//! joins it (see `server.rs`).
+//! `SubmissionQueue::close` refuses every later submit, and the batcher
+//! drains what is already queued — every request already submitted is
+//! applied (in policy-sized batches) and answered — until the queue is
+//! closed and empty, then exits, returning the final state and cumulative
+//! stats to whoever joins it (see `server.rs`).
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use qrqw_exec::BatchCost;
@@ -195,60 +205,37 @@ impl Ticket {
     }
 }
 
-/// A request travelling the submission queue with its completion slot, its
-/// (optional) deadline, and its slot in the bounded queue.
+/// A request travelling the submission queue with its completion slot and
+/// its (optional) deadline.
 ///
 /// The `Drop` impl is the **exit guard**: an envelope that dies unanswered
 /// — the batcher panicked outside containment and unwinding dropped the
-/// batch and the queue — resolves its client to
-/// [`ServiceError::ServerGone`] instead of wedging [`Ticket::wait`]
-/// forever.  On the normal path the slot was already completed, so the
-/// guard is a no-op; either way the envelope releases the admission slot
-/// it holds in the bounded queue.
+/// batch, or the queue's guard dropped what was still queued — resolves
+/// its client to [`ServiceError::ServerGone`] instead of wedging
+/// [`Ticket::wait`] forever.  On the normal path the slot was already
+/// completed, so the guard is a no-op.
 #[derive(Debug)]
 pub(crate) struct Envelope {
     pub(crate) request: Request,
     slot: Arc<ResponseSlot>,
     deadline: Option<Instant>,
-    depth: Option<Arc<AtomicUsize>>,
 }
 
 impl Envelope {
-    #[cfg(test)]
-    pub(crate) fn new(request: Request, slot: Arc<ResponseSlot>) -> Self {
-        Envelope {
-            request,
-            slot,
-            deadline: None,
-            depth: None,
-        }
-    }
-
-    pub(crate) fn with_admission(
+    pub(crate) fn new(
         request: Request,
         slot: Arc<ResponseSlot>,
         deadline: Option<Instant>,
-        depth: Arc<AtomicUsize>,
     ) -> Self {
         Envelope {
             request,
             slot,
             deadline,
-            depth: Some(depth),
         }
     }
 
-    /// Answers the request and releases its admission slot.  The release
-    /// happens *before* the slot completion: a client that has its reply
-    /// in hand must never observe its own request still counted as
-    /// outstanding (the completion sets the slot's `done` flag with
-    /// Release after the decrement; a poll reads the flag with Acquire and
-    /// a wait takes the mutex the flag is set under, so the client sees
-    /// the decrement).
-    pub(crate) fn complete(mut self, response: Response) {
-        if let Some(depth) = self.depth.take() {
-            depth.fetch_sub(1, Ordering::AcqRel);
-        }
+    /// Answers the request.
+    pub(crate) fn complete(self, response: Response) {
         self.slot.complete(response);
     }
 
@@ -259,28 +246,188 @@ impl Envelope {
 
 impl Drop for Envelope {
     fn drop(&mut self) {
-        if let Some(depth) = self.depth.take() {
-            depth.fetch_sub(1, Ordering::AcqRel);
-        }
         self.slot.complete(Err(ServiceError::ServerGone));
     }
 }
 
-/// Submission-queue message.
-#[derive(Debug)]
-pub(crate) enum Msg {
-    /// A client request.
-    Submit(Envelope),
-    /// Drain the queue, answer everything, and exit.
-    Shutdown,
+/// What the submission queue's mutex guards.
+#[derive(Debug, Default)]
+struct QueueState {
+    /// Admitted requests the batcher has not taken yet, in submission
+    /// order.
+    queued: VecDeque<Envelope>,
+    /// Set by [`SubmissionQueue::close`] or the batcher's exit guard: every
+    /// later push is refused.
+    closed: bool,
+    /// The batcher waits on `ready`: a push or a close signals the condvar
+    /// only when this is set, and clears it.
+    parked: bool,
 }
 
-/// Runs the batcher loop to completion.  Returns the final state and the
-/// cumulative stats; called on the dedicated batcher thread.
+/// The queue every [`crate::ServiceHandle`] clone shares with the batcher,
+/// and the admission counters beside it.
+#[derive(Debug)]
+pub(crate) struct SubmissionQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    /// Admitted requests not yet taken into a batch: counted under the
+    /// lock at admission, released by the batcher once per batch before
+    /// any of its replies, or by the exit guard for what it drops.
+    depth: AtomicUsize,
+    /// Submits shed with [`ServiceError::Overloaded`].
+    shed: AtomicU64,
+    /// The bound on `depth` ([`BatchPolicy::queue_max`]).
+    queue_max: usize,
+}
+
+impl SubmissionQueue {
+    pub(crate) fn new(queue_max: usize) -> Self {
+        SubmissionQueue {
+            state: Mutex::default(),
+            ready: Condvar::new(),
+            depth: AtomicUsize::new(0),
+            shed: AtomicU64::new(0),
+            queue_max,
+        }
+    }
+
+    /// The queue's state.  Every critical section leaves it whole, so a
+    /// lock poisoned by a panic elsewhere on a holder's thread is ignored
+    /// (and the exit guard can close the queue while unwinding).
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueues `env`, or answers it at once: [`ServiceError::ShuttingDown`]
+    /// once the queue is closed, [`ServiceError::Overloaded`] (counted in
+    /// the shed counter) when `queue_max` requests are already outstanding.
+    /// A refused request holds no admission slot.
+    pub(crate) fn push(&self, env: Envelope) {
+        let mut state = self.lock();
+        let refused = if state.closed {
+            ServiceError::ShuttingDown
+        } else if self.depth.load(Ordering::Acquire) >= self.queue_max {
+            // Admission only grows under this lock, so the check is exact.
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            ServiceError::Overloaded
+        } else {
+            self.depth.fetch_add(1, Ordering::AcqRel);
+            state.queued.push_back(env);
+            self.unlock_waking(state);
+            return;
+        };
+        drop(state);
+        env.complete(Err(refused));
+    }
+
+    /// Refuses every later push and wakes a parked batcher to drain what is
+    /// already queued.
+    pub(crate) fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        self.unlock_waking(state);
+    }
+
+    /// Unlocks `state`, and signals the batcher if it is parked (clearing
+    /// the flag, so one park costs one signal).
+    fn unlock_waking(&self, mut state: MutexGuard<'_, QueueState>) {
+        let parked = std::mem::take(&mut state.parked);
+        drop(state);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Admitted requests not yet taken into a batch.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.depth.load(Ordering::Acquire)
+    }
+
+    /// Submits shed with [`ServiceError::Overloaded`] so far.
+    pub(crate) fn shed(&self) -> u64 {
+        self.shed.load(Ordering::Relaxed)
+    }
+}
+
+/// The batcher's end of the [`SubmissionQueue`]: the backlog it cuts
+/// batches from, and the queue's **exit guard**.  Dropping it — after the
+/// drain, or while unwinding from a crash — closes the queue, releases the
+/// admission of everything still queued or in the backlog, and drops those
+/// envelopes, which answers their tickets [`ServiceError::ServerGone`].
+struct Intake<'q> {
+    queue: &'q SubmissionQueue,
+    /// Requests taken from the queue in one swap and not yet cut into a
+    /// batch, in submission order.
+    backlog: VecDeque<Envelope>,
+}
+
+impl<'q> Intake<'q> {
+    fn new(queue: &'q SubmissionQueue) -> Self {
+        Intake {
+            queue,
+            backlog: VecDeque::new(),
+        }
+    }
+
+    /// The next batch, in submission order: the backlog, topped up from
+    /// the queue whenever it runs dry, up to `max_batch` requests, and
+    /// closed the moment nothing is queued.  Parks only while the queue,
+    /// the backlog and the batch are all empty; `None` once the queue is
+    /// closed and empty.  The batch's admission is released before it is
+    /// returned, so before any of its replies (the slot's `done` flag is
+    /// stored with Release after this, and read with Acquire).
+    fn next_batch(&mut self, max_batch: usize) -> Option<Vec<Envelope>> {
+        let mut batch = Vec::new();
+        'fill: while batch.len() < max_batch {
+            if self.backlog.is_empty() {
+                let mut state = self.queue.lock();
+                while state.queued.is_empty() {
+                    if !batch.is_empty() || state.closed {
+                        break 'fill;
+                    }
+                    state.parked = true;
+                    state = self
+                        .queue
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                // O(1) under the lock: the queue gets the empty backlog's
+                // buffer, and keeps its capacity across batches.
+                std::mem::swap(&mut state.queued, &mut self.backlog);
+            }
+            let take = (max_batch - batch.len()).min(self.backlog.len());
+            batch.extend(self.backlog.drain(..take));
+        }
+        if batch.is_empty() {
+            return None;
+        }
+        self.queue.depth.fetch_sub(batch.len(), Ordering::AcqRel);
+        Some(batch)
+    }
+}
+
+impl Drop for Intake<'_> {
+    fn drop(&mut self) {
+        let queued = {
+            let mut state = self.queue.lock();
+            state.closed = true;
+            std::mem::take(&mut state.queued)
+        };
+        let dropped = queued.len() + self.backlog.len();
+        self.queue.depth.fetch_sub(dropped, Ordering::AcqRel);
+        drop(queued);
+        self.backlog.clear();
+    }
+}
+
+/// Runs the batcher loop to completion: batches until the queue is closed
+/// and drained.  Returns the final state and the cumulative stats; called
+/// on the dedicated batcher thread.
 pub(crate) fn run_batcher(
     mut state: ServiceState,
     policy: BatchPolicy,
-    rx: Receiver<Msg>,
+    queue: Arc<SubmissionQueue>,
 ) -> (ServiceState, ServiceStats) {
     let policy = policy.normalized();
     let mut stats = ServiceStats::default();
@@ -289,35 +436,8 @@ pub(crate) fn run_batcher(
     // pays for it (and the stats count per-batch checkpoints only).
     let mut ckpt = ServiceCheckpoint::default();
     state.checkpoint_into(&mut ckpt);
-    // After a shutdown the batcher stops blocking and drains: it takes
-    // cap-sized batches from what is queued until the queue is empty.
-    let mut draining = false;
-    loop {
-        let mut batch = Vec::new();
-        if !draining {
-            // Block for the batch's first request.
-            match rx.recv() {
-                Ok(Msg::Submit(env)) => batch.push(env),
-                Ok(Msg::Shutdown) | Err(_) => draining = true,
-            }
-        }
-        // Take what is already queued, without waiting for more: the batch
-        // closes when the queue is empty, the cap is reached, or a shutdown
-        // arrives.
-        while batch.len() < policy.max_batch {
-            match rx.try_recv() {
-                Ok(Msg::Submit(env)) => batch.push(env),
-                Ok(Msg::Shutdown) if draining => {}
-                Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => {
-                    draining = true;
-                    break;
-                }
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
+    let mut intake = Intake::new(&queue);
+    while let Some(batch) = intake.next_batch(policy.max_batch) {
         apply_and_complete(&mut state, &mut stats, &mut ckpt, batch);
     }
     (state, stats)
@@ -333,8 +453,9 @@ fn apply_and_complete(
 ) {
     // An injected crash kills the batcher thread *outside* the containment
     // below: it simulates abnormal server death, not a poisoned batch.
-    // Unwinding drops this batch's envelopes and (when the thread closure
-    // unwinds) the queue's — every exit guard answers `ServerGone`.
+    // Unwinding drops this batch's envelopes, then `run_batcher`'s intake
+    // guard drops the rest of the queue — every envelope answers
+    // `ServerGone`.
     if batch
         .iter()
         .any(|env| env.request == Request::Fault(Fault::Crash))
@@ -435,10 +556,13 @@ fn isolate(
 mod tests {
     use super::*;
     use crate::request::Reply;
+    use crate::state::ServiceConfig;
+    use qrqw_exec::StepPool;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::hint::black_box;
     use std::sync::{mpsc, Barrier};
+    use std::thread::JoinHandle;
 
     #[test]
     fn ticket_returns_a_completed_response() {
@@ -633,7 +757,7 @@ mod tests {
     fn dropped_envelope_answers_server_gone() {
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket::new(Arc::clone(&slot));
-        let env = Envelope::new(Request::TaskSteal, Arc::clone(&slot));
+        let env = Envelope::new(Request::TaskSteal, Arc::clone(&slot), None);
         drop(env);
         assert_eq!(ticket.wait(), Err(ServiceError::ServerGone));
     }
@@ -642,7 +766,7 @@ mod tests {
     fn exit_guard_does_not_override_a_real_completion() {
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket::new(Arc::clone(&slot));
-        let env = Envelope::new(Request::TaskSteal, Arc::clone(&slot));
+        let env = Envelope::new(Request::TaskSteal, Arc::clone(&slot), None);
         // `complete` consumes the envelope, so the exit guard fires right
         // behind the real answer: the done flag must block it from
         // overwriting the slot with ServerGone.
@@ -653,64 +777,25 @@ mod tests {
         assert_eq!(ticket.try_wait(), None);
     }
 
-    #[test]
-    fn envelope_completion_releases_its_admission_slot_before_replying() {
-        let depth = Arc::new(AtomicUsize::new(1));
+    /// Pushes a fetch-add of 1 on counter 0, so the replies are 0, 1, 2,
+    /// ... exactly when they follow submission order.
+    fn push_add(queue: &SubmissionQueue) -> Ticket {
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket::new(Arc::clone(&slot));
-        let env = Envelope::with_admission(
-            Request::TaskSteal,
-            Arc::clone(&slot),
-            None,
-            Arc::clone(&depth),
-        );
-        env.complete(Err(ServiceError::Injected));
-        // The client holds the reply; its request must no longer count as
-        // outstanding.
-        assert_eq!(ticket.wait(), Err(ServiceError::Injected));
-        assert_eq!(depth.load(Ordering::Acquire), 0);
+        let add = Request::CounterAdd {
+            counter: 0,
+            delta: 1,
+        };
+        queue.push(Envelope::new(add, slot, None));
+        ticket
     }
 
-    #[test]
-    fn envelope_drop_releases_its_admission_slot() {
-        let depth = Arc::new(AtomicUsize::new(1));
-        let slot = Arc::new(ResponseSlot::default());
-        let env = Envelope::with_admission(
-            Request::TaskSteal,
-            Arc::clone(&slot),
-            None,
-            Arc::clone(&depth),
-        );
-        drop(env);
-        assert_eq!(depth.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn a_batch_is_what_the_queue_holds_up_to_max_batch() {
-        use crate::state::ServiceConfig;
-        use qrqw_exec::StepPool;
-        use std::sync::mpsc::{channel, Sender};
-        use std::thread::spawn;
-
-        // Every request is a fetch-add on counter 0, so the replies are
-        // 0, 1, 2, ... exactly when they follow submission order.
-        fn submit(tx: &Sender<Msg>) -> Ticket {
-            let slot = Arc::new(ResponseSlot::default());
-            let ticket = Ticket::new(Arc::clone(&slot));
-            let add = Request::CounterAdd {
-                counter: 0,
-                delta: 1,
-            };
-            tx.send(Msg::Submit(Envelope::new(add, slot))).unwrap();
-            ticket
-        }
-        fn replies(tickets: Vec<Ticket>, from: u64) {
-            for (i, ticket) in (from..).zip(tickets) {
-                assert_eq!(ticket.wait(), Ok(Reply::Counter(i)));
-            }
-        }
-        let policy = BatchPolicy::with_max_batch(4);
-        let start = |state, rx| spawn(move || run_batcher(state, policy, rx));
+    /// A batcher over `queue`, on a fresh one-thread state.
+    fn start(
+        queue: &Arc<SubmissionQueue>,
+        max_batch: usize,
+    ) -> JoinHandle<(ServiceState, ServiceStats)> {
+        let queue = Arc::clone(queue);
         let state = ServiceState::with_pool(
             ServiceConfig {
                 num_counters: 4,
@@ -719,36 +804,150 @@ mod tests {
             },
             StepPool::with_threads(1),
         );
+        std::thread::spawn(move || {
+            run_batcher(state, BatchPolicy::with_max_batch(max_batch), queue)
+        })
+    }
+
+    /// Returns once the batcher is parked on `queue`'s condvar.
+    fn until_batcher_parked(queue: &SubmissionQueue) {
+        let started = Instant::now();
+        while !queue.lock().parked {
+            assert!(started.elapsed() < WEDGE, "the batcher never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_batch_is_what_the_queue_holds_up_to_max_batch() {
+        fn replies(tickets: Vec<Ticket>) -> Vec<Response> {
+            tickets.into_iter().map(Ticket::wait).collect()
+        }
+        fn counters(n: u64) -> Vec<Response> {
+            (0..n).map(|old| Ok(Reply::Counter(old))).collect()
+        }
 
         // Ten requests queued before the batcher starts: two full batches,
         // then the last two close the third when the queue runs empty.
-        let (tx, rx) = channel();
-        let tickets: Vec<_> = (0..10).map(|_| submit(&tx)).collect();
-        let batcher = start(state, rx);
-        replies(tickets, 0);
-        drop(tx);
-        let (state, stats) = batcher.join().unwrap();
+        let queue = Arc::new(SubmissionQueue::new(usize::MAX));
+        let tickets: Vec<_> = (0..10).map(|_| push_add(&queue)).collect();
+        let batcher = start(&queue, 4);
+        assert_eq!(replies(tickets), counters(10));
+        queue.close();
+        let (_, stats) = batcher.join().unwrap();
         assert_eq!((stats.batches, stats.max_batch, stats.requests), (3, 4, 10));
 
-        // An idle batcher blocks in `recv`; a request sent to it is a batch
-        // of its own, answered without waiting for company.
-        let (tx, rx) = channel();
-        let batcher = start(state, rx);
-        assert_eq!(submit(&tx).wait(), Ok(Reply::Counter(10)));
-        tx.send(Msg::Shutdown).unwrap();
-        let (state, stats) = batcher.join().unwrap();
+        // An idle batcher parks; a request pushed to it is a batch of its
+        // own, answered without waiting for company.
+        let queue = Arc::new(SubmissionQueue::new(usize::MAX));
+        let batcher = start(&queue, 4);
+        until_batcher_parked(&queue);
+        assert_eq!(
+            push_add(&queue).wait_timeout(WEDGE),
+            Some(Ok(Reply::Counter(0)))
+        );
+        queue.close();
+        let (_, stats) = batcher.join().unwrap();
         assert_eq!((stats.batches, stats.max_batch, stats.requests), (1, 1, 1));
 
-        // A `Shutdown` queued behind two requests ends their fill; the five
-        // behind it are drained in cap-sized batches: 2 | 4 + 1.
-        let (tx, rx) = channel();
-        let mut tickets: Vec<_> = (0..2).map(|_| submit(&tx)).collect();
-        tx.send(Msg::Shutdown).unwrap();
-        tickets.extend((0..5).map(|_| submit(&tx)));
-        let (state, stats) = start(state, rx).join().unwrap();
-        replies(tickets, 11);
-        assert_eq!((stats.batches, stats.max_batch, stats.requests), (3, 4, 7));
-        assert_eq!(state.digest().counters[0], 18);
+        // A close with seven queued: the drain answers all seven, in
+        // cap-sized batches, 4 | 3.
+        let queue = Arc::new(SubmissionQueue::new(usize::MAX));
+        let tickets: Vec<_> = (0..7).map(|_| push_add(&queue)).collect();
+        queue.close();
+        let (state, stats) = start(&queue, 4).join().unwrap();
+        assert_eq!(replies(tickets), counters(7));
+        assert_eq!((stats.batches, stats.max_batch, stats.requests), (2, 4, 7));
+        assert_eq!(state.digest().counters[0], 7);
+        assert_eq!(queue.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_poller_holding_its_reply_never_sees_its_request_outstanding() {
+        // Admission is released once per batch, before the batch's first
+        // reply: a lone client that has its last reply in hand must read
+        // zero outstanding, every time.
+        let queue = Arc::new(SubmissionQueue::new(usize::MAX));
+        let batcher = start(&queue, 2);
+        for round in 0..500u64 {
+            let tickets: Vec<_> = (0..3).map(|_| push_add(&queue)).collect();
+            let last = &tickets[2];
+            let started = Instant::now();
+            let response = loop {
+                if let Some(response) = last.try_wait() {
+                    break response;
+                }
+                assert!(started.elapsed() < WEDGE, "round {round}: never answered");
+                std::hint::spin_loop();
+            };
+            assert_eq!(response, Ok(Reply::Counter(3 * round + 2)));
+            assert_eq!(
+                queue.outstanding(),
+                0,
+                "round {round}: a reply arrived before its admission was released"
+            );
+        }
+        queue.close();
+        assert_eq!(batcher.join().unwrap().1.requests, 1500);
+    }
+
+    #[test]
+    fn the_exit_guard_releases_exactly_what_it_drops() {
+        let queue = SubmissionQueue::new(usize::MAX);
+        let tickets: Vec<_> = (0..10).map(|_| push_add(&queue)).collect();
+        let mut intake = Intake::new(&queue);
+        // The cut releases the batch's four; six wait in the backlog.
+        let batch = intake.next_batch(4).unwrap();
+        assert_eq!(batch.len(), 4);
+        assert_eq!((intake.backlog.len(), queue.outstanding()), (6, 6));
+        let late: Vec<_> = (0..3).map(|_| push_add(&queue)).collect();
+        assert_eq!(queue.outstanding(), 9);
+        // The guard drops the backlog's six and the queue's three, and
+        // releases exactly those.
+        drop(intake);
+        assert_eq!(queue.outstanding(), 0);
+        for ticket in tickets[4..].iter().chain(&late) {
+            assert_eq!(ticket.try_wait(), Some(Err(ServiceError::ServerGone)));
+        }
+        // The cut batch is not the guard's to answer.
+        assert!(tickets[..4]
+            .iter()
+            .all(|ticket| ticket.try_wait().is_none()));
+        // The queue is closed: a later push is refused and holds no slot.
+        assert_eq!(
+            push_add(&queue).try_wait(),
+            Some(Err(ServiceError::ShuttingDown))
+        );
+        assert_eq!(queue.outstanding(), 0);
+        drop(batch);
+        for ticket in &tickets[..4] {
+            assert_eq!(ticket.try_wait(), Some(Err(ServiceError::ServerGone)));
+        }
+        assert_eq!(queue.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_parked_batcher_is_always_woken() {
+        // A push signals the condvar only when the batcher is parked, so a
+        // push that lands while the batcher heads for its wait must still
+        // find it flagged.  Each round's reply sends the batcher back
+        // towards its park; the next push follows after a random 0-200
+        // iteration spin, landing before, during and after it.
+        let queue = Arc::new(SubmissionQueue::new(usize::MAX));
+        let batcher = start(&queue, 4);
+        let mut rng = SmallRng::seed_from_u64(38);
+        for round in 0..2000u64 {
+            for _ in 0..rng.gen_range(0..201u32) {
+                std::hint::spin_loop();
+            }
+            assert_eq!(
+                push_add(&queue).wait_timeout(WEDGE),
+                Some(Ok(Reply::Counter(round))),
+                "round {round}: the parked batcher was never woken"
+            );
+        }
+        queue.close();
+        assert_eq!(batcher.join().unwrap().1.requests, 2000);
     }
 
     /// The reply-cost gate: answering a request nobody waits on — the

@@ -1,22 +1,21 @@
 //! [`Server`]: spawn/submit/shutdown around the batcher runtime.
 //!
 //! A [`Server`] owns the batcher thread; any number of [`ServiceHandle`]
-//! clones (one per client thread, typically) submit requests into its
-//! queue and wait on [`Ticket`]s.  [`Server::shutdown`] drains the queue —
-//! every already-submitted request is applied and answered — and returns
-//! the final [`ServiceState`] (so tests can digest it) plus the cumulative
-//! [`ServiceStats`].
+//! clones (one per client thread, typically) push requests onto its one
+//! shared submission queue and wait on [`Ticket`]s.  [`Server::shutdown`]
+//! closes the queue and drains it — every already-submitted request is
+//! applied and answered — and returns the final [`ServiceState`] (so tests
+//! can digest it) plus the cumulative [`ServiceStats`].
 //!
-//! Admission control lives here, at the submit edge: the handle counts
-//! outstanding requests (submitted, envelope not yet dropped) against
-//! [`BatchPolicy::queue_max`] and sheds over-bound submits immediately
-//! with [`ServiceError::Overloaded`] — the shed request is never enqueued
-//! and definitely did not take effect.  Per-request deadlines
-//! ([`ServiceHandle::submit_with_deadline`]) are stamped here and enforced
-//! by the batcher when it reaches the request.
+//! Admission control sits at the submit edge: under the queue's lock a
+//! submit counts outstanding requests (admitted, not yet taken into a
+//! batch) against [`BatchPolicy::queue_max`] and sheds an over-bound one
+//! immediately with [`ServiceError::Overloaded`] — the shed request is
+//! never enqueued and definitely did not take effect.  The batcher
+//! releases a batch's admission in one step when it cuts the batch.
+//! Per-request deadlines ([`ServiceHandle::submit_with_deadline`]) are
+//! stamped here and enforced by the batcher when it reaches the request.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,37 +24,26 @@ use qrqw_exec::StepPool;
 
 use crate::metrics::ServiceStats;
 use crate::policy::BatchPolicy;
-use crate::request::{Request, Response, ServiceError};
-use crate::runtime::{run_batcher, Envelope, Msg, ResponseSlot, Ticket};
+#[cfg(doc)]
+use crate::request::ServiceError;
+use crate::request::{Request, Response};
+use crate::runtime::{run_batcher, Envelope, ResponseSlot, SubmissionQueue, Ticket};
 use crate::state::{ServiceConfig, ServiceState};
 
 /// A clonable client endpoint of a running [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServiceHandle {
-    tx: Sender<Msg>,
-    closed: Arc<AtomicBool>,
-    /// Outstanding requests: incremented at admission, decremented by the
-    /// envelope's drop (whether answered, shed, or orphaned).
-    depth: Arc<AtomicUsize>,
-    /// Submits shed with [`ServiceError::Overloaded`]; folded into
-    /// [`ServiceStats::overload_shed`] at shutdown.
-    shed: Arc<AtomicU64>,
-    queue_max: usize,
+    /// The submission queue, with the admission and shed counters beside
+    /// it.
+    queue: Arc<SubmissionQueue>,
 }
 
 impl ServiceHandle {
-    /// A handle enforcing `policy`'s admission bounds, and the queue it
-    /// feeds (the batcher's end).
-    fn with_queue(policy: &BatchPolicy) -> (ServiceHandle, Receiver<Msg>) {
-        let (tx, rx) = channel();
-        let handle = ServiceHandle {
-            tx,
-            closed: Arc::new(AtomicBool::new(false)),
-            depth: Arc::new(AtomicUsize::new(0)),
-            shed: Arc::new(AtomicU64::new(0)),
-            queue_max: policy.queue_max,
-        };
-        (handle, rx)
+    /// A handle enforcing `policy`'s admission bounds on a new queue.
+    fn new(policy: &BatchPolicy) -> ServiceHandle {
+        ServiceHandle {
+            queue: Arc::new(SubmissionQueue::new(policy.queue_max)),
+        }
     }
 
     /// Submits one request; returns immediately with a [`Ticket`] for the
@@ -78,36 +66,9 @@ impl ServiceHandle {
     fn submit_inner(&self, request: Request, timeout: Option<Duration>) -> Ticket {
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket::new(Arc::clone(&slot));
-        if self.closed.load(Ordering::Acquire) {
-            slot.complete(Err(ServiceError::ShuttingDown));
-            return ticket;
-        }
-        // Claim an admission slot before enqueueing; the envelope's drop
-        // releases it, so "outstanding" spans queue + open batch +
-        // in-flight application.
-        if self.depth.fetch_add(1, Ordering::AcqRel) >= self.queue_max {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            slot.complete(Err(ServiceError::Overloaded));
-            return ticket;
-        }
         // A timeout past the clock's range is no deadline at all.
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
-        let env = Envelope::with_admission(
-            request,
-            Arc::clone(&slot),
-            deadline,
-            Arc::clone(&self.depth),
-        );
-        if let Err(send_err) = self.tx.send(Msg::Submit(env)) {
-            // Racing a shutdown: recover the envelope and answer
-            // ShuttingDown explicitly (its drop would otherwise claim
-            // ServerGone, which is for abnormal death).
-            let Msg::Submit(env) = send_err.0 else {
-                unreachable!("submit sent a non-Submit message")
-            };
-            env.complete(Err(ServiceError::ShuttingDown));
-        }
+        self.queue.push(Envelope::new(request, slot, deadline));
         ticket
     }
 
@@ -116,9 +77,10 @@ impl ServiceHandle {
         self.submit(request).wait()
     }
 
-    /// Requests currently outstanding (submitted, not yet resolved).
+    /// Requests currently outstanding: admitted, and not yet taken into a
+    /// batch.  A client holding its reply never sees its own request here.
     pub fn outstanding(&self) -> usize {
-        self.depth.load(Ordering::Acquire)
+        self.queue.outstanding()
     }
 }
 
@@ -142,10 +104,11 @@ impl Server {
     /// stats cover served traffic only.
     pub fn spawn_with_state(state: ServiceState, policy: BatchPolicy) -> Server {
         let policy = policy.normalized();
-        let (handle, rx) = ServiceHandle::with_queue(&policy);
+        let handle = ServiceHandle::new(&policy);
+        let queue = Arc::clone(&handle.queue);
         let join = std::thread::Builder::new()
             .name("qrqw-serve-batcher".into())
-            .spawn(move || run_batcher(state, policy, rx))
+            .spawn(move || run_batcher(state, policy, queue))
             .expect("failed to spawn the batcher thread");
         Server {
             handle,
@@ -167,15 +130,14 @@ impl Server {
     /// [`crate::request::Fault::Crash`]) — callers expecting that use
     /// `drop` instead.
     pub fn shutdown(mut self) -> (ServiceState, ServiceStats) {
-        self.handle.closed.store(true, Ordering::Release);
-        let _ = self.handle.tx.send(Msg::Shutdown);
+        self.handle.queue.close();
         let (state, mut stats) = self
             .join
             .take()
             .expect("server already shut down")
             .join()
             .expect("batcher thread panicked outside a batch");
-        stats.overload_shed = self.handle.shed.load(Ordering::Relaxed);
+        stats.overload_shed = self.handle.queue.shed();
         (state, stats)
     }
 }
@@ -183,8 +145,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            self.handle.closed.store(true, Ordering::Release);
-            let _ = self.handle.tx.send(Msg::Shutdown);
+            self.handle.queue.close();
             let _ = join.join();
         }
     }
@@ -193,7 +154,10 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Fault, Reply};
+    use crate::request::{Fault, Reply, ServiceError};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Barrier;
 
     fn config() -> ServiceConfig {
         ServiceConfig {
@@ -216,13 +180,16 @@ mod tests {
     /// test, not the scheduler, decides what the first batch holds.
     fn parked(policy: BatchPolicy) -> (ServiceHandle, impl FnOnce() -> Server) {
         let policy = policy.normalized();
-        let (handle, rx) = ServiceHandle::with_queue(&policy);
+        let handle = ServiceHandle::new(&policy);
         let server_handle = handle.clone();
         let start = move || {
             let state = ServiceState::with_pool(config(), StepPool::with_threads(2));
+            let queue = Arc::clone(&server_handle.queue);
             Server {
                 handle: server_handle,
-                join: Some(std::thread::spawn(move || run_batcher(state, policy, rx))),
+                join: Some(std::thread::spawn(move || {
+                    run_batcher(state, policy, queue)
+                })),
             }
         };
         (handle, start)
@@ -240,7 +207,7 @@ mod tests {
             BatchPolicy::with_max_batch(4),
             StepPool::with_threads(1),
         );
-        // Time passes with no traffic; an idle batcher must sit in `recv`,
+        // Time passes with no traffic; an idle batcher must stay parked,
         // not spin through empty batches and checkpoints.
         std::thread::sleep(Duration::from_millis(50));
         let (_state, stats) = server.shutdown();
@@ -361,11 +328,15 @@ mod tests {
                 "ticket {i} wedged or was answered by a crashed batch"
             );
         }
-        // Late submits resolve immediately too.
+        // Every admitted request was released exactly once: the crashed
+        // batch when it was cut, the rest by the exit guard.
+        assert_eq!(handle.outstanding(), 0);
+        // Late submits resolve immediately too, and hold no admission slot.
         assert_eq!(
             handle.call(Request::TaskSteal),
             Err(ServiceError::ShuttingDown)
         );
+        assert_eq!(handle.outstanding(), 0);
     }
 
     #[test]
@@ -477,5 +448,57 @@ mod tests {
         // The innocents' effects survive; the panicked request's do not.
         assert_eq!(digest.hash_keys, vec![5, 7]);
         assert_eq!(digest.counters[0], 1);
+    }
+
+    #[test]
+    fn submits_racing_a_shutdown_are_applied_or_refused_exactly_once() {
+        // Four clients submit fetch-adds while `shutdown()` closes the
+        // queue: a submit that got in before the close is drained and
+        // applied, one after it is refused, and nothing is lost, applied
+        // twice or left counted as outstanding.
+        let add = Request::CounterAdd {
+            counter: 0,
+            delta: 1,
+        };
+        let mut rng = SmallRng::seed_from_u64(38);
+        for round in 0..50 {
+            let server = Server::spawn_with_pool(
+                config(),
+                BatchPolicy::with_max_batch(4),
+                StepPool::with_threads(1),
+            );
+            let go = Arc::new(Barrier::new(5));
+            let clients: Vec<_> = (0..4)
+                .map(|_| {
+                    let (handle, go) = (server.handle(), Arc::clone(&go));
+                    std::thread::spawn(move || {
+                        go.wait();
+                        (0..200).map(|_| handle.submit(add)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            // One fetch-add before the race, so the counter reads 1 plus
+            // the applied racers, and their replies are 1, 2, ...
+            let handle = server.handle();
+            assert_eq!(handle.call(add), Ok(Reply::Counter(0)));
+            go.wait();
+            for _ in 0..rng.gen_range(0..20_000u32) {
+                std::hint::spin_loop();
+            }
+            let (state, _) = server.shutdown();
+            let mut olds = Vec::new();
+            for ticket in clients.into_iter().flat_map(|c| c.join().unwrap()) {
+                match ticket.wait_timeout(WEDGE) {
+                    Some(Ok(Reply::Counter(old))) => olds.push(old),
+                    Some(Err(ServiceError::ShuttingDown)) => {}
+                    other => panic!("round {round}: a racing submit got {other:?}"),
+                }
+            }
+            olds.sort_unstable();
+            let applied = olds.len() as u64;
+            assert_eq!(olds, (1..=applied).collect::<Vec<_>>(), "round {round}");
+            assert_eq!(state.digest().counters[0], 1 + applied, "round {round}");
+            assert_eq!(handle.outstanding(), 0, "round {round}");
+        }
     }
 }
