@@ -92,6 +92,12 @@ pub fn duplicate_values<M: Machine>(
 /// bucket's subarray pointer to all items of the bucket after they have been
 /// sorted by label.  `⌈lg len⌉` steps of contention ≤ 2 each; the total work
 /// is `O(len · lg s)` where `s` is the longest empty run being filled.
+///
+/// Each round breaks step race freedom (rule 3 of the [`qrqw_sim::machine`]
+/// contract): processor `p` reads cell `base + i − jump`, which processor
+/// `p − jump` may fill in the same step, so `Pram` reads the start-of-step
+/// `EMPTY` where a native machine may read the fresh value; the fill is
+/// monotone, so the final contents agree.
 pub fn propagate_nonempty_forward<M: Machine>(m: &mut M, base: usize, len: usize) {
     use qrqw_sim::EMPTY;
     if len <= 1 {

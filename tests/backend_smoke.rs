@@ -6,9 +6,8 @@
 //! offending (variant, backend) pair in the message.
 //!
 //! This is the tier-1 twin of the CI `perf_report` smoke step; the
-//! companion guard in `tests/backends.rs`
-//! (`parity_suite_covers_every_registered_backend`) additionally fails the
-//! build when a registered backend lacks a parity-suite instantiation.
+//! companion guard in `tests/common/lockstep.rs` (`pairs`) additionally
+//! fails the build when a registered backend lacks Lockstep pairs.
 
 use qrqw_bench::{Algorithm, Backend};
 
@@ -55,45 +54,33 @@ fn registry_names_are_stable_and_parse_round_trips() {
 
 #[test]
 fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() {
-    // For the claim-deterministic variants all backends must agree not
-    // just on output but on the step and claim counters the harness
-    // prints — enumerated over Backend::ALL so a fourth backend is
-    // covered the moment it is registered.
-    for algo in [
-        Algorithm::PermutationQrqw,
-        Algorithm::PermutationDartScan,
-        Algorithm::CyclicFast,
-        Algorithm::CyclicEfficient,
-        Algorithm::ListRank,
-        Algorithm::FetchAdd,
-    ] {
-        let reference = algo.run(Backend::Sim, 200, 7, None);
-        assert!(reference.valid, "{}", algo.name());
-        for backend in Backend::ALL {
-            let run = algo.run(backend, 200, 7, None);
-            assert!(run.valid, "{} on {}", algo.name(), backend.name());
-            assert_eq!(
-                reference.report.steps,
-                run.report.steps,
-                "{} on {}: step counters out of lockstep",
-                algo.name(),
-                backend.name()
-            );
-            assert_eq!(
-                reference.report.claim_attempts,
-                run.report.claim_attempts,
-                "{} on {}: claim counters diverged",
-                algo.name(),
-                backend.name()
-            );
-            assert_eq!(
-                reference.report.contended_claims,
-                run.report.contended_claims,
-                "{} on {}: contention counters diverged",
-                algo.name(),
-                backend.name()
-            );
-        }
+    // Lockstep proves the machines agree step by step.  This checks the
+    // harness entry point `Algorithm::run`, which builds each backend's
+    // machine itself: its step and claim counters are what `perf_report`'s
+    // drift guard compares.
+    use Algorithm::*;
+    let exclusive = [
+        PermutationQrqw,
+        PermutationDartScan,
+        CyclicFast,
+        CyclicEfficient,
+        ListRank,
+        FetchAdd,
+    ];
+    for algo in exclusive {
+        let counters: Vec<_> = Backend::ALL
+            .map(|backend| {
+                let run = algo.run(backend, 200, 7, None);
+                assert!(run.valid, "{} on {}", algo.name(), backend.name());
+                let r = run.report;
+                (r.steps, r.claim_attempts, r.contended_claims)
+            })
+            .into();
+        assert!(
+            counters.windows(2).all(|w| w[0] == w[1]),
+            "{}: {counters:?}",
+            algo.name()
+        );
     }
 }
 

@@ -1,272 +1,151 @@
 //! The backend-generic parity harness.
 //!
-//! PR 2/PR 3 established a two-pattern recipe for validating a `Machine`
-//! backend, originally hand-instantiated for the native machine in
-//! `tests/backends.rs`:
+//! Two patterns validate a `Machine` backend:
 //!
-//! 1. **Bit-identical output** for every algorithm built only on the
-//!    deterministic facilities of the backend contract — shared
-//!    per-`(seed, step, proc)` random streams, lockstep step counters, and
-//!    deterministic *exclusive* claims: the three random permutations, both
-//!    cyclic permutations, list ranking, the stable/radix sorts and
-//!    Fetch&Add emulation must match the simulator reference exactly.
-//! 2. **Semantic validity** for algorithms that race through *occupy*-mode
-//!    claims, whose winner is backend-defined: linear compaction, load
-//!    balancing, multiple compaction, hashing builds, and the sorts'
-//!    placement phases are checked against their semantic contract on the
-//!    backend itself (for the sorts the *output* is still bit-identical —
-//!    a multiset has one sorted order).
+//! 1. **Lockstep with the simulator** for trait-level edge shapes — tiny
+//!    and odd sizes, the forced Las-Vegas fallback, raw exclusive claims,
+//!    sequential steps, scan and global-OR.  Each runs through every
+//!    `Lockstep<Pram, _>` pair of the backend (`tests/common/lockstep.rs`),
+//!    which compares the two machines after every step.  The registry-wide
+//!    sweep is in `tests/determinism.rs`.
+//! 2. **Semantic validity** on the backend alone, for the algorithms that
+//!    race through occupy claims: linear compaction, load balancing,
+//!    multiple compaction, hashing and the sorts must pass the registry's
+//!    validators (`Algorithm::run`).  A Lockstep resync makes the machine
+//!    under test partly the simulator, so these never run through one.
 //!
-//! This module is those two patterns as generic functions over
-//! `M: Machine`, plus the [`parity_suite!`] macro that instantiates the
-//! whole battery as one `#[test]` per pattern for a named backend.  A
-//! backend is a constructor `Fn(mem_size, seed) -> M`, so adding one is one
-//! `parity_suite!(name, constructor)` line (plus its entry in the
-//! instantiation list the drift-guard test checks).
+//! [`parity_suite!`] instantiates both as one `#[test]` per function for
+//! each named [`Backend`].
 
-use std::collections::HashSet;
-
+use qrqw_bench::{Algorithm, Backend};
 use qrqw_suite::algos::{
-    emulate_fetch_add_step, is_cyclic, is_permutation, load_balance_erew, load_balance_qrqw,
-    multiple_compaction, random_cyclic_permutation_efficient, random_cyclic_permutation_fast,
-    random_permutation_dart_scan, random_permutation_qrqw, random_permutation_sorting_erew,
-    sample_sort_crqw, sample_sort_qrqw, sort_uniform_keys, McResult, QrqwHashTable,
+    emulate_fetch_add_step, is_cyclic, is_permutation, random_cyclic_permutation_efficient,
+    random_cyclic_permutation_fast, random_permutation_dart_scan, random_permutation_qrqw,
+    random_permutation_sorting_erew,
 };
 use qrqw_suite::prims::listrank::NIL;
-use qrqw_suite::prims::{linear_compaction, list_rank, pack, radix_sort_packed, unpack_key};
+use qrqw_suite::prims::{list_rank, pack, radix_sort_packed, unpack_key};
 use qrqw_suite::sim::{ClaimMode, Machine, Pram, EMPTY};
 
-/// Deterministic distinct keys below `2^31 − 1` — the same generator the
-/// `Algorithm` registry validators use, so the parity tests and the
-/// harness exercise identical workloads.
-pub fn scattered_keys(n: usize, offset: usize) -> Vec<u64> {
-    qrqw_bench::Algorithm::scattered_keys(n, offset)
-}
+use super::lockstep::{each_machine, each_pair, pairs};
 
 // ---------------------------------------------------------------------------
-// Pattern 1: bit-identical output against the simulator reference.
+// Pattern 1: lockstep with the simulator.
 // ---------------------------------------------------------------------------
 
-/// All three §5 random-permutation algorithms produce the simulator's exact
-/// output on the backend under test, over a size/seed sweep.
-pub fn permutations_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    for n in [1usize, 2, 77, 500] {
+/// All three §5 random-permutation algorithms at tiny and odd sizes.
+pub fn permutations_match_the_reference(backend: Backend) {
+    for n in [1usize, 2, 77] {
         for seed in [0u64, 7, 41] {
-            let mut reference = Pram::with_seed(16, seed);
-            let mut m = mk(16, seed);
-            let a = random_permutation_qrqw(&mut reference, n);
-            let b = random_permutation_qrqw(&mut m, n);
-            assert!(is_permutation(&a.order));
-            assert_eq!(
-                a.order, b.order,
-                "qrqw dart thrower diverged (n={n}, seed={seed})"
-            );
-            assert_eq!(a.rounds, b.rounds);
-
-            let mut reference = Pram::with_seed(16, seed);
-            let mut m = mk(16, seed);
-            let a = random_permutation_dart_scan(&mut reference, n);
-            let b = random_permutation_dart_scan(&mut m, n);
-            assert!(is_permutation(&a.order));
-            assert_eq!(a.order, b.order, "dart+scan diverged (n={n}, seed={seed})");
-
-            let mut reference = Pram::with_seed(16, seed);
-            let mut m = mk(16, seed);
-            let a = random_permutation_sorting_erew(&mut reference, n);
-            let b = random_permutation_sorting_erew(&mut m, n);
-            assert!(is_permutation(&a.order));
-            assert_eq!(
-                a.order, b.order,
-                "sorting baseline diverged (n={n}, seed={seed})"
-            );
+            each_pair!(pairs(backend), seed, |m| {
+                let orders = [
+                    random_permutation_qrqw(&mut m, n).order,
+                    random_permutation_dart_scan(&mut m, n).order,
+                    random_permutation_sorting_erew(&mut m, n).order,
+                ];
+                assert!(orders.iter().all(|order| is_permutation(order)));
+            });
         }
     }
 }
 
 /// Both cyclic-permutation generators (exclusive claims + deterministic
-/// linking) match the reference bit for bit, including the round count and
-/// the step/claim counters.
-pub fn cyclic_permutations_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    for n in [2usize, 5, 120, 700] {
+/// linking) at small sizes.
+pub fn cyclic_permutations_match_the_reference(backend: Backend) {
+    for n in [2usize, 5, 120] {
         for seed in [0u64, 9, 23] {
-            let mut reference = Pram::with_seed(16, seed);
-            let mut m = mk(16, seed);
-            let a = random_cyclic_permutation_fast(&mut reference, n);
-            let b = random_cyclic_permutation_fast(&mut m, n);
-            assert!(is_permutation(&a.successor) && is_cyclic(&a.successor));
-            assert_eq!(
-                a.successor, b.successor,
-                "fast diverged (n={n}, seed={seed})"
-            );
-            assert_eq!(a.rounds, b.rounds);
-            let (rs, rm) = (reference.cost_report(), m.cost_report());
-            assert_eq!(rs.steps, rm.steps, "step counters out of lockstep");
-            assert_eq!(rs.claim_attempts, rm.claim_attempts);
-            assert_eq!(rs.contended_claims, rm.contended_claims);
-
-            let mut reference = Pram::with_seed(16, seed);
-            let mut m = mk(16, seed);
-            let a = random_cyclic_permutation_efficient(&mut reference, n);
-            let b = random_cyclic_permutation_efficient(&mut m, n);
-            assert!(is_cyclic(&a.successor));
-            assert_eq!(
-                a.successor, b.successor,
-                "efficient diverged (n={n}, seed={seed})"
-            );
-            assert_eq!(reference.cost_report().steps, m.cost_report().steps);
+            each_pair!(pairs(backend), seed, |m| {
+                let fast = random_cyclic_permutation_fast(&mut m, n).successor;
+                let efficient = random_cyclic_permutation_efficient(&mut m, n).successor;
+                assert!(is_cyclic(&fast) && is_cyclic(&efficient));
+            });
         }
     }
 }
 
-/// The fully deterministic primitives — stable packed radix sort, list
-/// ranking, Fetch&Add emulation — leave identical memory images on the
-/// backend under test and the reference.
-pub fn deterministic_prims_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    // Stable radix sort of packed (key, value) words.
-    let n = 700usize;
-    let words: Vec<u64> = (0..n as u64).map(|i| pack((i * 131) % 257, i)).collect();
-    let mut reference = Pram::with_seed(16, 0);
-    let base = reference.alloc(n);
-    Machine::load(&mut reference, base, &words);
-    radix_sort_packed(&mut reference, base, n, 16);
-    let a = Machine::dump(&reference, base, n);
-
-    let mut m = mk(16, 0);
-    let base = m.alloc(n);
-    m.load(base, &words);
-    radix_sort_packed(&mut m, base, n, 16);
-    let b = m.dump(base, n);
-
-    assert_eq!(a, b, "radix sort diverged");
-    let mut expect = words;
-    expect.sort_by_key(|&w| unpack_key(w));
-    assert_eq!(a, expect, "radix sort is not the stable sort of the input");
-    assert_eq!(reference.steps_executed(), m.steps_executed());
-
-    // List ranking over a scrambled chain.
+/// The fully deterministic primitives on instances the registry does not
+/// build: a stable packed radix sort with duplicate keys, list ranking over
+/// a scrambled chain, and Fetch&Add over a small hot address set.
+pub fn deterministic_prims_match_the_reference(backend: Backend) {
+    let words: Vec<u64> = (0..700u64).map(|i| pack((i * 131) % 257, i)).collect();
+    let mut sorted = words.clone();
+    sorted.sort_by_key(|&w| unpack_key(w));
     let n = 513usize;
-    let order: Vec<usize> = {
-        let mut v: Vec<usize> = (0..n).collect();
-        for i in 1..n {
-            v.swap(i, (i * 7919) % (i + 1));
-        }
-        v
-    };
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in 1..n {
+        order.swap(i, (i * 7919) % (i + 1));
+    }
     let mut succ = vec![NIL; n];
     for w in order.windows(2) {
         succ[w[0]] = w[1] as u64;
     }
-    let mut reference = Pram::with_seed(16, 0);
-    let sb = reference.alloc(n);
-    let rb = reference.alloc(n);
-    Machine::load(&mut reference, sb, &succ);
-    list_rank(&mut reference, sb, n, rb);
-    let a = Machine::dump(&reference, rb, n);
-
-    let mut m = mk(16, 0);
-    let sb = m.alloc(n);
-    let rb = m.alloc(n);
-    m.load(sb, &succ);
-    list_rank(&mut m, sb, n, rb);
-    let b = m.dump(rb, n);
-
-    assert_eq!(a, b, "list ranking diverged");
-    for (j, &node) in order.iter().enumerate() {
-        assert_eq!(a[node], (n - 1 - j) as u64);
-    }
-
-    // One emulated Fetch&Add step: the deterministic stable-sort reduction
-    // makes even the per-request old values exact.
+    each_pair!(pairs(backend), 1, |m| {
+        let base = m.alloc(words.len());
+        m.load(base, &words);
+        radix_sort_packed(&mut m, base, words.len(), 16);
+        assert_eq!(m.dump(base, words.len()), sorted, "not the stable sort");
+        let (sb, rb) = (m.alloc(n), m.alloc(n));
+        m.load(sb, &succ);
+        list_rank(&mut m, sb, n, rb);
+        let ranks = m.dump(rb, n);
+        assert!((0..n).all(|j| ranks[order[j]] == (n - 1 - j) as u64));
+    });
+    // The Fetch&Add step reaches `propagate_nonempty_forward`, whose
+    // rule-3 steps a Lockstep resyncs: the old values, the cells and the
+    // step count are compared between lone runs.
     let requests: Vec<(usize, u64)> = (0..200)
         .map(|i| ((i * i) % 13, (i % 7) as u64 + 1))
         .collect();
-    let mut reference = Pram::with_seed(64, 1);
-    let a = emulate_fetch_add_step(&mut reference, &requests);
-    let mut m = mk(64, 1);
-    let b = emulate_fetch_add_step(&mut m, &requests);
-    assert_eq!(a, b, "fetch&add old values diverged");
-    for addr in 0..13 {
-        assert_eq!(Machine::peek(&reference, addr), m.peek(addr), "cell {addr}");
+    fn run<M: Machine>(m: &mut M, requests: &[(usize, u64)]) -> (Vec<u64>, Vec<u64>, u64) {
+        let old = emulate_fetch_add_step(m, requests);
+        (old, m.dump(0, 13), m.steps_executed())
     }
-    assert_eq!(reference.cost_report().steps, m.cost_report().steps);
+    let want = run(&mut Pram::with_seed(16, 1), &requests);
+    each_machine!(pairs(backend), 1, |pair, m| {
+        assert_eq!(run(&mut m, &requests), want, "fetch&add alone on {pair:?}");
+    });
 }
 
 /// An adversarial seed forces the QRQW dart thrower into its sequential
-/// Las-Vegas clean-up at tiny `n`; the backend must walk the identical
-/// `seq_step` path and emit the identical permutation.
-pub fn forced_las_vegas_fallback_matches_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    let n = 4usize;
-    let seed = (0..3000u64)
-        .find(|&seed| {
-            let mut pram = Pram::with_seed(16, seed);
-            random_permutation_qrqw(&mut pram, n).fallback_used
-        })
-        .expect(
-            "an adversarial seed below 3000 forces the fallback (2974 did at the time of writing)",
-        );
-
-    let mut reference = Pram::with_seed(16, seed);
-    let mut m = mk(16, seed);
-    let a = random_permutation_qrqw(&mut reference, n);
-    let b = random_permutation_qrqw(&mut m, n);
-    assert!(
-        a.fallback_used && b.fallback_used,
-        "both must take the clean-up path"
-    );
-    assert!(is_permutation(&a.order));
-    assert_eq!(a.order, b.order, "fallback output diverged (seed={seed})");
-    assert_eq!(reference.cost_report().steps, m.cost_report().steps);
+/// Las-Vegas clean-up at tiny `n` (2974 is the only one below 3000); the
+/// backend must walk the identical `seq_step` path.
+pub fn forced_las_vegas_fallback_matches_the_reference(backend: Backend) {
+    each_pair!(pairs(backend), 2974, |m| {
+        let out = random_permutation_qrqw(&mut m, 4);
+        assert!(out.fallback_used, "seed 2974 no longer forces the fallback");
+        assert!(is_permutation(&out.order));
+    });
 }
 
-/// Exclusive-claim contention is deterministic, so the backend's contention
-/// measure must equal the simulator's collision count — and the paper's
-/// core §5 effect (fresh geometric subarrays collide less than re-throwing
-/// into one arena) must show up in it.
-pub fn claim_counters_are_in_lockstep_with_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    let n = 2048usize;
-    let mut reference = Pram::with_seed(16, 3);
-    let mut m = mk(16, 3);
-    let _ = random_permutation_qrqw(&mut reference, n);
-    let _ = random_permutation_qrqw(&mut m, n);
-    let rs = reference.cost_report();
-    let rm = m.cost_report();
-    assert_eq!(rs.claim_attempts, rm.claim_attempts);
-    assert_eq!(rs.contended_claims, rm.contended_claims);
-    assert_eq!(rs.steps, rm.steps, "step counters must advance in lockstep");
-
-    let mut scan = mk(16, 3);
-    let _ = random_permutation_dart_scan(&mut scan, n);
-    let q = rm.contended_claims;
-    let s = scan.cost_report().contended_claims;
-    assert!(
-        q < s,
-        "larger fresh subarrays must reduce claim contention ({q} vs {s})"
-    );
+/// The claim counters are compared at every claim — and the paper's core
+/// §5 effect (fresh geometric subarrays collide less than re-throwing into
+/// one arena) must show up in them.
+pub fn claim_counters_are_in_lockstep_with_the_reference(backend: Backend) {
+    each_pair!(pairs(backend), 3, |m| {
+        let _ = random_permutation_qrqw(&mut m, 2048);
+        let q = m.cost_report().contended_claims;
+        let _ = random_permutation_dart_scan(&mut m, 2048);
+        let s = m.cost_report().contended_claims - q;
+        assert!(q < s, "fresh subarrays must collide less ({q} vs {s})");
+    });
 }
 
-/// Direct trait-level parity: the same exclusive-claim attempts produce the
-/// same outcomes and the same memory image as the reference.
-pub fn exclusive_claims_agree_cell_by_cell<M: Machine>(mk: impl Fn(usize, u64) -> M) {
+/// Raw exclusive-claim attempts: same outcomes, same memory image.
+pub fn exclusive_claims_agree_cell_by_cell(backend: Backend) {
     let attempts: Vec<(u64, usize)> = (0..200u64)
         .map(|i| (i + 1, (i as usize * 7) % 64))
         .collect();
-    let mut reference = Pram::with_seed(16, 0);
-    let mut m = mk(16, 0);
-    let a = Machine::claim(&mut reference, &attempts, ClaimMode::Exclusive);
-    let b = m.claim(&attempts, ClaimMode::Exclusive);
-    assert_eq!(a, b);
-    for addr in 0..64 {
-        assert_eq!(Machine::peek(&reference, addr), m.peek(addr), "cell {addr}");
-    }
-    // contested cells really are restored
-    assert!((0..64).any(|addr| m.peek(addr) == EMPTY));
+    each_pair!(pairs(backend), 0, |m| {
+        let _ = m.claim(&attempts, ClaimMode::Exclusive);
+        // contested cells really are restored
+        assert!(m.dump(0, 64).contains(&EMPTY));
+    });
 }
 
 /// The sequential-step contract: read-after-own-write returns the fresh
-/// value, the step index advances by one, and the random stream matches
-/// processor 0's.
-pub fn seq_step_sees_same_step_writes<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    fn drive<M: Machine>(m: &mut M) -> (u64, u64, usize) {
+/// value, and the random stream matches processor 0's.
+pub fn seq_step_sees_same_step_writes(backend: Backend) {
+    each_pair!(pairs(backend), 44, |m| {
         let base = m.alloc(4);
         let observed = m.seq_step(|ctx| {
             ctx.write(base, 1);
@@ -274,67 +153,51 @@ pub fn seq_step_sees_same_step_writes<M: Machine>(mk: impl Fn(usize, u64) -> M) 
             ctx.write(base + 1, v + 1);
             ctx.read(base + 1)
         });
-        let draw = m.seq_step(|ctx| ctx.random_index(1 << 20));
-        (observed, m.steps_executed(), draw)
-    }
-    let mut reference = Pram::with_seed(16, 44);
-    let mut m = mk(16, 44);
-    let a = drive(&mut reference);
-    let b = drive(&mut m);
-    assert_eq!(a.0, 2, "seq_step must see its own writes");
-    assert_eq!(a, b);
+        assert_eq!(observed, 2, "seq_step must see its own writes");
+        let _ = m.seq_step(|ctx| ctx.random_index(1 << 20));
+    });
 }
 
 /// Backend-contract rule 3's arbitration: the lowest processor id wins a
 /// cell, and among that processor's writes to it the last in program order
 /// lands — what a native thread does, and what the model backends' walk
 /// delivers.  A processor re-writing its own cell is not contention.
-pub fn repeated_writes_by_one_processor_land_in_program_order<M: Machine>(
-    mk: impl Fn(usize, u64) -> M,
-) {
-    let mut m = mk(16, 0);
-    let b = m.alloc(64);
-    m.par_for(64, |p, ctx| {
-        ctx.write(b + p, 7);
-        ctx.write(b + p, 3);
-        ctx.write(b + p, 5);
+pub fn repeated_writes_by_one_processor_land_in_program_order(backend: Backend) {
+    each_machine!(pairs(backend), 0, |pair, m| {
+        let b = m.alloc(64);
+        m.par_for(64, |p, ctx| {
+            ctx.write(b + p, 7);
+            ctx.write(b + p, 3);
+            ctx.write(b + p, 5);
+        });
+        assert_eq!(m.dump(b, 64), vec![5; 64], "{pair:?}");
+        if let Some(contention) = m.cost_report().max_contention {
+            assert_eq!(contention, 1, "own re-writes are not write contention");
+        }
     });
-    assert_eq!(m.dump(b, 64), vec![5; 64], "{}", m.backend());
-    if let Some(contention) = m.cost_report().max_contention {
-        assert_eq!(contention, 1, "own re-writes are not write contention");
-    }
 }
 
-/// The built-in scan and global-OR primitives return the reference's
-/// results and leave the same memory behind.
-pub fn scan_and_global_or_match_the_reference<M: Machine>(mk: impl Fn(usize, u64) -> M) {
+/// The built-in scan and global-OR primitives.
+pub fn scan_and_global_or_match_the_reference(backend: Backend) {
     let vals: Vec<u64> = (0..10_000u64).map(|i| (i * i) % 5).collect();
-    let mut reference = Pram::with_seed(16, 0);
-    let mut m = mk(16, 0);
-    Machine::ensure_memory(&mut reference, vals.len());
-    m.ensure_memory(vals.len());
-    Machine::load(&mut reference, 0, &vals);
-    m.load(0, &vals);
-    assert_eq!(
-        Machine::scan_step(&mut reference, 0, vals.len()),
-        m.scan_step(0, vals.len())
-    );
-    assert_eq!(
-        Machine::dump(&reference, 0, vals.len()),
-        m.dump(0, vals.len())
-    );
-    assert_eq!(
-        Machine::global_or_step(&mut reference, 0, vals.len()),
-        m.global_or_step(0, vals.len())
-    );
+    each_pair!(pairs(backend), 0, |m| {
+        m.ensure_memory(vals.len());
+        m.load(0, &vals);
+        assert_eq!(m.scan_step(0, vals.len()), vals.iter().sum::<u64>());
+        assert!(m.global_or_step(0, vals.len()));
+    });
 }
 
-/// Same seed, same output, run after run — and different seeds differ.
-pub fn outputs_are_seed_stable<M: Machine>(mk: impl Fn(usize, u64) -> M) {
+/// Same seed, same output, run after run — and different seeds differ —
+/// on the backend's pair with the most threads.
+pub fn outputs_are_seed_stable(backend: Backend) {
     for n in [256usize, 3000] {
         let run = |seed: u64| {
-            let mut m = mk(16, seed);
-            random_permutation_qrqw(&mut m, n).order
+            let mut order = Vec::new();
+            each_machine!([*pairs(backend).last().unwrap()], seed, |_pair, m| {
+                order = random_permutation_qrqw(&mut m, n).order;
+            });
+            order
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
@@ -345,221 +208,107 @@ pub fn outputs_are_seed_stable<M: Machine>(mk: impl Fn(usize, u64) -> M) {
 // Pattern 2: semantic validity for the occupy-claim algorithms.
 // ---------------------------------------------------------------------------
 
+/// Runs each of `members` at size `n` on a fresh `backend` machine seeded
+/// `seed` and requires the registry's own validator (`Algorithm::run_on`)
+/// to pass.
+fn validates(backend: Backend, members: &[Algorithm], n: usize, seed: u64) {
+    for algo in members {
+        let valid = algo.run(backend, n, seed, None).valid;
+        assert!(valid, "{} invalid at n={n}, seed {seed}", algo.name());
+    }
+}
+
 /// Linear compaction places every item injectively, whatever occupy-claim
 /// arbitration the backend uses.
-pub fn linear_compaction_is_valid<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    let n = 1024usize;
-    let k = n / 2;
-    let mut m = mk(16, 11);
-    let src = m.alloc(n);
-    for i in (0..n).step_by(2) {
-        m.poke(src + i, i as u64 + 1);
-    }
-    let dst = m.alloc(4 * k);
-    let placements = linear_compaction(&mut m, src, n, dst, 4 * k).placements;
-    assert_eq!(placements.len(), k);
-    let sources: HashSet<usize> = placements.iter().map(|&(s, _)| s).collect();
-    assert_eq!(sources, (0..n).step_by(2).collect::<HashSet<_>>());
-    let dests: HashSet<usize> = placements.iter().map(|&(_, d)| d).collect();
-    assert_eq!(dests.len(), k, "destinations must be distinct");
+pub fn linear_compaction_is_valid(backend: Backend) {
+    validates(backend, &[Algorithm::LinearCompaction], 1024, 11);
 }
 
 /// Load balancing covers the load vector exactly and respects the §3 final
 /// load bound, on both the QRQW and EREW routes.
-pub fn load_balancing_is_valid<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    let n = 512usize;
-    let loads: Vec<u64> = (0..n)
-        .map(|i| if i % 64 == 0 { 128 } else { (i % 2) as u64 })
-        .collect();
-    let total: u64 = loads.iter().sum();
-    let bound = 64 * (1 + total / n as u64);
-
-    let mut m = mk(16, 4);
-    let r = load_balance_qrqw(&mut m, &loads);
-    assert!(r.covers_exactly(&loads));
-    assert!(r.max_final_load <= bound, "final load {}", r.max_final_load);
-
-    let mut m = mk(16, 5);
-    let r = load_balance_erew(&mut m, &loads);
-    assert!(r.covers_exactly(&loads));
+pub fn load_balancing_is_valid(backend: Backend) {
+    validates(backend, &[Algorithm::LoadBalanceQrqw], 512, 4);
+    validates(backend, &[Algorithm::LoadBalanceErew], 512, 5);
 }
 
 /// Multiple compaction puts every item in a private cell of its own
 /// label's subarray.
-pub fn multiple_compaction_is_valid<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    let n = 900usize;
-    let num_labels = 24usize;
-    let labels: Vec<u64> = (0..n)
-        .map(|i| {
-            if i % 3 == 0 {
-                0
-            } else {
-                (i % num_labels) as u64
-            }
-        })
-        .collect();
-    let mut counts = vec![0u64; num_labels];
-    for &l in &labels {
-        counts[l as usize] += 1;
-    }
-
-    fn check(res: &McResult, labels: &[u64]) {
-        assert!(!res.failed, "run reported failure");
-        let mut seen = HashSet::new();
-        for (item, &pos) in res.positions.iter().enumerate() {
-            assert_ne!(pos, usize::MAX, "item {item} unplaced");
-            assert!(seen.insert(pos), "position {pos} reused");
-            let label = labels[item] as usize;
-            let lo = res.layout.b_base + res.layout.subarray_offset[label];
-            let hi = lo + res.layout.subarray_len[label];
-            assert!(pos >= lo && pos < hi, "item {item} outside its subarray");
-        }
-    }
-
-    let mut m = mk(16, 5);
-    check(&multiple_compaction(&mut m, &labels, &counts), &labels);
+pub fn multiple_compaction_is_valid(backend: Backend) {
+    validates(backend, &[Algorithm::MultipleCompaction], 900, 5);
 }
 
 /// The hash table answers membership exactly: every inserted key found,
 /// every probe rejected.
-pub fn hashing_answers_membership_exactly<M: Machine>(mk: impl Fn(usize, u64) -> M) {
+pub fn hashing_answers_membership_exactly(backend: Backend) {
     for (n, seed) in [(40usize, 3u64), (300, 7), (900, 1)] {
-        let keys = scattered_keys(n, 0);
-        let probes = scattered_keys(n, n);
-        let mut m = mk(16, seed);
-        let table = QrqwHashTable::build(&mut m, &keys);
-        assert!(table.lookup_batch(&mut m, &keys).iter().all(|&h| h));
-        assert!(table.lookup_batch(&mut m, &probes).iter().all(|&h| !h));
+        validates(backend, &[Algorithm::Hashing], n, seed);
     }
 }
 
 /// The §7 sorts' placement phases race through occupy claims, but a
 /// multiset has exactly one sorted order, so the outputs must equal the
 /// std-sort reference bit for bit.
-pub fn sorts_produce_the_one_sorted_output<M: Machine>(mk: impl Fn(usize, u64) -> M) {
-    let n = 1200usize;
-    let keys = scattered_keys(n, 0);
-    let mut expect = keys.clone();
-    expect.sort_unstable();
-
-    let mut m = mk(16, 2);
-    assert_eq!(sample_sort_qrqw(&mut m, &keys), expect, "sample-sort-qrqw");
-    let mut m = mk(16, 3);
-    assert_eq!(sample_sort_crqw(&mut m, &keys), expect, "sample-sort-crqw");
-    let mut m = mk(16, 4);
-    assert_eq!(
-        sort_uniform_keys(&mut m, &keys),
-        expect,
-        "distributive sort"
-    );
-
-    let max_key = (n as u64) * 8;
-    let small: Vec<u64> = keys.iter().map(|&k| k % max_key).collect();
-    let mut expect_small = small.clone();
-    expect_small.sort_unstable();
-    let mut m = mk(16, 5);
-    assert_eq!(
-        qrqw_suite::algos::integer_sort_crqw(&mut m, &small, max_key),
-        expect_small,
-        "integer sort"
-    );
+pub fn sorts_produce_the_one_sorted_output(backend: Backend) {
+    use Algorithm::*;
+    let sorts = [
+        SampleSortQrqw,
+        SampleSortCrqw,
+        DistributiveSort,
+        IntegerSort,
+    ];
+    validates(backend, &sorts, 1200, 2);
 }
 
-/// Instantiates the whole parity battery for one backend: one `#[test]`
-/// per pattern function, in a module named after the backend.  The first
-/// test pins the instantiation to the drift-guard list at the crate root
-/// (`PARITY_SUITE_BACKENDS`), so a backend registered in `qrqw-bench`
-/// without a `parity_suite!` line fails the build.
+/// Instantiates the whole parity battery once per `name: backend` entry:
+/// one `#[test]` per pattern function, in a module named `name`.  It also
+/// records the entries' backends in `SUITE_BACKENDS`, which the drift guard
+/// pins to `Backend::ALL`.
 macro_rules! parity_suite {
-    ($backend:ident, $mk:expr) => {
-        mod $backend {
-            use qrqw_suite::sim::Machine;
+    ($($name:ident: $backend:expr),* $(,)?) => {
+        /// The backends a parity suite is instantiated for.
+        const SUITE_BACKENDS: &[Backend] = &[$($backend),*];
+        $(crate::common::parity::parity_suite!(@suite $name, $backend);)*
+    };
+    (@suite $name:ident, $backend:expr) => {
+        mod $name {
+            use super::*;
 
+            /// The suite is recorded for the drift guard, and the machines
+            /// it runs are the backend it is named for.
             #[test]
             fn suite_instantiation_is_recorded_for_the_drift_guard() {
-                let m = ($mk)(1, 0);
-                assert!(
-                    crate::PARITY_SUITE_BACKENDS.contains(&m.backend()),
-                    "backend {:?} runs a parity suite but is missing from PARITY_SUITE_BACKENDS",
-                    m.backend()
-                );
+                use crate::common::lockstep::{each_machine, pairs};
+                assert!(super::SUITE_BACKENDS.contains(&$backend));
+                each_machine!(pairs($backend), 0, |_pair, m| {
+                    assert_eq!(m.backend(), $backend.name());
+                });
             }
 
-            #[test]
-            fn permutations_match_the_reference() {
-                crate::common::parity::permutations_match_the_reference($mk);
-            }
-
-            #[test]
-            fn cyclic_permutations_match_the_reference() {
-                crate::common::parity::cyclic_permutations_match_the_reference($mk);
-            }
-
-            #[test]
-            fn deterministic_prims_match_the_reference() {
-                crate::common::parity::deterministic_prims_match_the_reference($mk);
-            }
-
-            #[test]
-            fn forced_las_vegas_fallback_matches_the_reference() {
-                crate::common::parity::forced_las_vegas_fallback_matches_the_reference($mk);
-            }
-
-            #[test]
-            fn claim_counters_are_in_lockstep_with_the_reference() {
-                crate::common::parity::claim_counters_are_in_lockstep_with_the_reference($mk);
-            }
-
-            #[test]
-            fn exclusive_claims_agree_cell_by_cell() {
-                crate::common::parity::exclusive_claims_agree_cell_by_cell($mk);
-            }
-
-            #[test]
-            fn seq_step_sees_same_step_writes() {
-                crate::common::parity::seq_step_sees_same_step_writes($mk);
-            }
-
-            #[test]
-            fn repeated_writes_by_one_processor_land_in_program_order() {
-                crate::common::parity::repeated_writes_by_one_processor_land_in_program_order($mk);
-            }
-
-            #[test]
-            fn scan_and_global_or_match_the_reference() {
-                crate::common::parity::scan_and_global_or_match_the_reference($mk);
-            }
-
-            #[test]
-            fn outputs_are_seed_stable() {
-                crate::common::parity::outputs_are_seed_stable($mk);
-            }
-
-            #[test]
-            fn linear_compaction_is_valid() {
-                crate::common::parity::linear_compaction_is_valid($mk);
-            }
-
-            #[test]
-            fn load_balancing_is_valid() {
-                crate::common::parity::load_balancing_is_valid($mk);
-            }
-
-            #[test]
-            fn multiple_compaction_is_valid() {
-                crate::common::parity::multiple_compaction_is_valid($mk);
-            }
-
-            #[test]
-            fn hashing_answers_membership_exactly() {
-                crate::common::parity::hashing_answers_membership_exactly($mk);
-            }
-
-            #[test]
-            fn sorts_produce_the_one_sorted_output() {
-                crate::common::parity::sorts_produce_the_one_sorted_output($mk);
-            }
+            crate::common::parity::parity_suite!(@tests $backend;
+                permutations_match_the_reference,
+                cyclic_permutations_match_the_reference,
+                deterministic_prims_match_the_reference,
+                forced_las_vegas_fallback_matches_the_reference,
+                claim_counters_are_in_lockstep_with_the_reference,
+                exclusive_claims_agree_cell_by_cell,
+                seq_step_sees_same_step_writes,
+                scan_and_global_or_match_the_reference,
+                repeated_writes_by_one_processor_land_in_program_order,
+                outputs_are_seed_stable,
+                linear_compaction_is_valid,
+                load_balancing_is_valid,
+                multiple_compaction_is_valid,
+                hashing_answers_membership_exactly,
+                sorts_produce_the_one_sorted_output);
         }
+    };
+    (@tests $arg:expr; $($test:ident),*) => {
+        $(
+            #[test]
+            fn $test() {
+                crate::common::parity::$test($arg);
+            }
+        )*
     };
 }
 pub(crate) use parity_suite;

@@ -1,94 +1,82 @@
-//! Cross-backend parity for every registered churn scenario.
-//!
-//! The scenario driver (`qrqw_bench::scenario`) promises that one churn
-//! trace — skewed or adversarial keys, mixed insert/delete/lookup epochs,
-//! live table state carried throughout — produces **bit-identical**
-//! observables on every backend at every thread count: the end-state
-//! digest (sorted live keys + raw counter region), the synchronous step
-//! count, the claim counters, and the per-epoch contention totals.  This
-//! is the `parity_suite!` contract extended from one-shot algorithms to
-//! stateful multi-epoch workloads, and it is what entitles `perf_report
-//! --scenario` to arm the sim-vs-native drift guard on every cell.
+//! Every registered churn scenario through `Lockstep<Pram, _>` on every
+//! native and BSP pair: one churn trace (skewed keys, mixed epochs, live
+//! table state, each epoch one service batch) must re-execute step for step
+//! on every backend at every thread count.  The scenarios reach
+//! `propagate_nonempty_forward`, so each has a pinned count of rule-3 steps,
+//! and each also runs alone on every pair against a lone simulator run.
 
-use qrqw_bench::scenario::{Scenario, ScenarioRun};
+mod common;
+
+use common::lockstep::{each_machine, each_pair, pairs_of};
+use qrqw_bench::scenario::{ChurnOutcome, Scenario};
 use qrqw_bench::Backend;
+use qrqw_suite::sim::{Machine, Pram};
 
 const N: usize = 128;
 const SEED: u64 = 21;
-/// Pool sizes every backend runs at: sequential, smallest chunked, odd
-/// oversubscribed.
-const THREADS: [Option<usize>; 3] = [Some(1), Some(2), Some(5)];
+const PAIRS: [Backend; 3] = [Backend::Native, Backend::NativeSteal, Backend::Bsp];
 
-fn reference(scenario: &Scenario) -> ScenarioRun {
-    let run = scenario.run(Backend::Sim, N, SEED, None);
-    assert!(run.valid, "{} invalid on the simulator", scenario.name);
-    run
+/// A lone run of `scenario`: its outcome (end-state digest, per-epoch
+/// contention, measured skew) and its step and claim totals.
+fn lone<M: Machine>(m: &mut M, scenario: &Scenario) -> (ChurnOutcome, [u64; 3]) {
+    let outcome = scenario.run_churn(m, N, SEED);
+    let r = m.cost_report();
+    (outcome, [r.steps, r.claim_attempts, r.contended_claims])
 }
 
-fn assert_matches_reference(want: &ScenarioRun, got: &ScenarioRun, label: &str) {
-    assert!(got.valid, "{label}: run invalid");
-    assert_eq!(
-        got.outcome.digest, want.outcome.digest,
-        "{label}: digest diverged"
-    );
-    assert_eq!(
-        got.report.steps, want.report.steps,
-        "{label}: step count diverged"
-    );
-    assert_eq!(
-        got.report.claim_attempts, want.report.claim_attempts,
-        "{label}: claim attempts diverged"
-    );
-    assert_eq!(
-        got.report.contended_claims, want.report.contended_claims,
-        "{label}: contention total diverged"
-    );
-    assert_eq!(
-        got.outcome.epoch_contention, want.outcome.epoch_contention,
-        "{label}: per-epoch contention diverged"
-    );
-    assert_eq!(
-        got.outcome.hot_fraction.to_bits(),
-        want.outcome.hot_fraction.to_bits(),
-        "{label}: measured skew diverged"
-    );
+/// Runs `scenario` through every pair: the run validates against the host
+/// model, its rule-3 step count is `rule3_steps`, and BSP never resyncs.
+/// A resync makes the machine under test partly the simulator, so every
+/// pair's machine also runs the scenario alone and must match a lone
+/// simulator run.  Returns the simulator's claim attempts.
+fn lockstep(scenario: &Scenario, rule3_steps: u64) -> u64 {
+    let want = lone(&mut Pram::with_seed(16, SEED), scenario);
+    each_machine!(pairs_of(PAIRS), SEED, |pair, b| {
+        let got = lone(&mut b, scenario);
+        assert!(got == want, "{} alone on {pair:?}", scenario.name);
+    });
+    let mut claims = 0;
+    each_pair!(pairs_of(PAIRS), SEED, |m| {
+        let label = format!("{} on {}", scenario.name, m.backend());
+        let valid = scenario.run_churn(&mut m, N, SEED).valid;
+        assert!(valid, "{label}: invalid");
+        assert_eq!(m.rule3_steps(), rule3_steps, "{label}: rule-3 steps");
+        if m.backend() == "bsp" {
+            assert_eq!(m.resynced_steps(), 0, "{label}: bsp resynced");
+        }
+        claims = m.cost_report().claim_attempts;
+    });
+    claims
 }
 
 #[test]
 fn every_registered_scenario_is_bit_identical_across_all_backends_and_threads() {
-    for scenario in Scenario::registry() {
-        let want = reference(&scenario);
-        for backend in Backend::ALL {
-            for threads in THREADS {
-                let got = scenario.run(backend, N, SEED, threads);
-                assert_eq!(got.backend, backend.name());
-                assert_eq!(got.report.backend, backend.name());
-                let label = format!("{}/{}/{threads:?}", scenario.name, backend.name());
-                assert_matches_reference(&want, &got, &label);
-            }
+    let pins = [
+        ("uniform-churn", 16),
+        ("zipf-hot", 30),
+        ("power-law-churn", 34),
+        ("all-same-key", 32),
+        ("adversarial-collide", 24),
+    ];
+    let registry = Scenario::registry();
+    assert_eq!(registry.len(), pins.len());
+    // One thread per scenario: the sweep is the longest test in the file.
+    std::thread::scope(|threads| {
+        for (scenario, (name, rule3_steps)) in registry.iter().zip(pins) {
+            assert_eq!(scenario.name, name);
+            threads.spawn(move || lockstep(scenario, rule3_steps));
         }
-    }
+    });
 }
 
 #[test]
 fn delete_reinsert_digest_regression_pins_tombstone_behavior() {
     // A delete-only-then-reinsert cycle at 1:1:0 churn: every epoch flips
     // roughly half the keyspace, so tombstone writes and purge rebuilds
-    // dominate.  The digest must still be bit-identical everywhere, and
-    // the key set must match the host model exactly (pinned implicitly by
-    // `valid`, which cross-checks live_keys against the model).
+    // dominate.  `valid` cross-checks the live keys against the host model.
     let scenario = Scenario::parse("uniform/1:1:0/8").expect("spec parses");
-    let want = reference(&scenario);
-    assert!(
-        want.report.claim_attempts > 0,
-        "churn must actually exercise claims"
-    );
-    for backend in Backend::ALL {
-        for threads in THREADS {
-            let got = scenario.run(backend, N, SEED, threads);
-            assert_matches_reference(&want, &got, &format!("{}/{threads:?}", backend.name()));
-        }
-    }
+    let claims = lockstep(&scenario, 20);
+    assert!(claims > 0, "churn must actually exercise claims");
 }
 
 #[test]

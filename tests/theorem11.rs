@@ -26,6 +26,9 @@
 //! counts — supersteps, messages, the heaviest h-relation — are pinned
 //! exactly below.
 
+mod common;
+
+use common::lockstep::Lockstep;
 use qrqw_bench::Algorithm;
 use qrqw_suite::bsp::BspMachine;
 use qrqw_suite::sim::{bsp_emulation_time, CostModel, Machine, Pram};
@@ -101,25 +104,14 @@ fn measured_total_cost_equals_the_charged_qrqw_time_and_respects_the_bound() {
 
 #[test]
 fn claim_and_step_counters_stay_in_lockstep_with_the_simulator() {
-    // The emulation must not skip or add protocol steps: step indices and
-    // claim counters agree for every variant, occupy-based ones included
-    // (the router's lowest-id arbitration is the simulator's).
+    // The emulation must not skip or add protocol steps: Lockstep compares
+    // the step indices after every step and the claim counters after every
+    // claim, occupy-based variants included (the router's lowest-id
+    // arbitration is the simulator's).
     for algo in Algorithm::ALL {
-        let (sim, bsp) = run_pair(algo, 128, 7);
-        let (rs, rb) = (sim.cost_report(), bsp.cost_report());
-        assert_eq!(rs.steps, rb.steps, "{}: steps diverged", algo.name());
-        assert_eq!(
-            rs.claim_attempts,
-            rb.claim_attempts,
-            "{}: claim attempts diverged",
-            algo.name()
-        );
-        assert_eq!(
-            rs.contended_claims,
-            rb.contended_claims,
-            "{}: contended claims diverged",
-            algo.name()
-        );
+        let bsp = BspMachine::with_seed(16, 7);
+        let mut m = Lockstep::new(Pram::with_seed(16, 7), bsp, algo.name());
+        assert!(algo.run_on(&mut m, 128).0, "{}", algo.name());
     }
 }
 
