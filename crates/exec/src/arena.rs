@@ -460,6 +460,31 @@ impl<'a> ArenaView<'a> {
         unsafe { cell_unchecked(self.shards, addr) }
     }
 
+    /// The cells `addr..addr + len` as plain words, or `None` when they
+    /// cross a shard boundary.  Panics when the range leaves the logical
+    /// size.
+    ///
+    /// # Safety
+    /// No other access to these cells may happen while the slice lives —
+    /// within a step, the range must be this chunk's alone.
+    #[inline(always)]
+    pub(crate) unsafe fn words_mut(&self, addr: usize, len: usize) -> Option<&'a mut [u64]> {
+        assert!(
+            addr + len <= self.len,
+            "cells {addr}..{} outside shared memory of size {}",
+            addr + len,
+            self.len
+        );
+        if (addr & SHARD_MASK) + len > SHARD_CELLS {
+            return None;
+        }
+        // `u64` and `AtomicU64` share layout; the range lies in one
+        // published shard.
+        let shard = self.shards.get_unchecked(addr >> SHARD_SHIFT);
+        let first = shard.cells.as_ptr().add(addr & SHARD_MASK).cast::<u64>();
+        Some(std::slice::from_raw_parts_mut(first, len))
+    }
+
     /// Records that the cell at `addr` (inside the logical size) was
     /// written.  One predictable branch while unarmed.
     #[inline(always)]

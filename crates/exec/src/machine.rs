@@ -53,6 +53,13 @@
 //!   bookkeeping per chunk into two atomic adds via
 //!   [`ContentionCounter::add`];
 //! * `scan_step` keeps its per-block offset table in reusable scratch;
+//! * `bitonic_segments` runs the whole network as block-resident passes:
+//!   every stage with `k <= BITONIC_BLOCK` in one pass, block by block,
+//!   and per larger `k` one whole-range pass per stage `j >= BITONIC_BLOCK`
+//!   plus one block-resident pass for the rest, whose last three stages
+//!   per `k` run in registers over 8-cell groups — the same
+//!   compare–exchanges as the stage route, over plain word slices, with no
+//!   scratch at all;
 //! * bulk memory traffic (`load` / `dump` / `clear_region` and arena
 //!   growth) is a parallel fill above the inline cutoff.
 //!
@@ -78,7 +85,7 @@ use rand::Rng;
 use qrqw_sim::proc_rng;
 use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
-use crate::arena::{Arena, ArenaStats, ArenaView, PAGE_CELLS};
+use crate::arena::{Arena, ArenaStats, ArenaView, PAGE_CELLS, SHARD_CELLS, SHARD_MASK};
 use crate::contention::ContentionCounter;
 use crate::handle::MachineSnapshot;
 use crate::pool::{Schedule, SendPtr, StepPool};
@@ -96,6 +103,12 @@ const POISON: u64 = u64::MAX - 1;
 /// [`Machine::scan_step`]; also the chunk alignment of its dispatches, so
 /// every block belongs to exactly one chunk.
 const SCAN_BLOCK: usize = 8192;
+
+/// Cells per block of the cache-blocked bitonic network in
+/// [`Machine::bitonic_segments`] (128 KiB, L2-resident); also the chunk
+/// alignment of its dispatches (the segment size when segments are
+/// smaller), so every block belongs to one chunk.
+const BITONIC_BLOCK: usize = 1 << 14;
 
 /// How often the `global_or_step` scan re-polls the shared "found" flag.
 const OR_POLL_MASK: usize = 0x1FF;
@@ -510,6 +523,150 @@ fn gather_survivors(
     }
 }
 
+/// The pair `(x, y)` in order: smaller first when `ascending`, larger
+/// first otherwise.  Storing an in-order pair back unchanged leaves what
+/// the stage route's skipped write leaves.
+#[inline(always)]
+fn ordered(x: u64, y: u64, ascending: bool) -> (u64, u64) {
+    // A select and an xor for the larger value: branch-free when
+    // optimized, and no call in a debug build, where the test suite sorts
+    // its 2^18-cell networks.
+    let small = if x <= y { x } else { y };
+    let large = x ^ y ^ small;
+    if ascending {
+        (small, large)
+    } else {
+        (large, small)
+    }
+}
+
+/// Orders every pair `(lower[t], upper[t])` (see [`ordered`]).
+#[inline]
+fn order_pairs(lower: &mut [u64], upper: &mut [u64], ascending: bool) {
+    let upper = &mut upper[..lower.len()];
+    let mut t = 0;
+    while t < lower.len() {
+        (lower[t], upper[t]) = ordered(lower[t], upper[t], ascending);
+        t += 1;
+    }
+}
+
+/// Stages `(k, 4)`, `(k, 2)` and `(k, 1)` at once over every 8-cell group
+/// of `cells`, whose first cell has global index `first` (`k >= 8`, so a
+/// group has one direction): twelve compare–exchanges in registers
+/// instead of three sweeps.
+fn order_eights(cells: &mut [u64], first: usize, in_seg: usize, k: usize) {
+    const PAIRS: [(usize, usize); 12] = [
+        (0, 4),
+        (1, 5),
+        (2, 6),
+        (3, 7),
+        (0, 2),
+        (1, 3),
+        (4, 6),
+        (5, 7),
+        (0, 1),
+        (2, 3),
+        (4, 5),
+        (6, 7),
+    ];
+    let mut group = 0;
+    while group < cells.len() {
+        let ascending = (first + group) & in_seg & k == 0;
+        let g = &mut cells[group..group + 8];
+        for (a, b) in PAIRS {
+            (g[a], g[b]) = ordered(g[a], g[b], ascending);
+        }
+        group += 8;
+    }
+}
+
+/// One call's bitonic network: the segmented range at `base`, whose
+/// global index `g` has in-segment index `g & in_seg`.
+#[derive(Clone, Copy)]
+struct Network<'a> {
+    mem: ArenaView<'a>,
+    base: usize,
+    /// Segment size − 1.
+    in_seg: usize,
+}
+
+impl Network<'_> {
+    /// Stage `(k, j)` restricted to the lower partners among the global
+    /// indices `[lo, hi)`: every `x` with bit `j` clear orders the pair
+    /// `(x, x + j)`, ascending iff bit `k` of its in-segment index is
+    /// clear.  `[lo, hi)` may cut a run of pairs anywhere and the upper
+    /// partners may lie past `hi`: no other lower partner of the stage
+    /// touches them, so the caller must own the pairs, not the range.
+    fn stage(self, k: usize, j: usize, lo: usize, hi: usize) {
+        let mut g = lo;
+        while g < hi {
+            // Runs of 2j: j lower partners, then their j upper partners.
+            let run = g & !(2 * j - 1);
+            let ascending = run & self.in_seg & k == 0;
+            let end = (run + j).min(hi);
+            let mut x = g;
+            while x < end {
+                let (a, b) = (self.base + x, self.base + x + j);
+                let n = (end - x)
+                    .min(SHARD_CELLS - (a & SHARD_MASK))
+                    .min(SHARD_CELLS - (b & SHARD_MASK));
+                // SAFETY: this chunk owns these pairs for the pass, and
+                // the halves are disjoint (n <= j).
+                let (lower, upper) =
+                    unsafe { (self.mem.words_mut(a, n), self.mem.words_mut(b, n)) };
+                let in_shard = "n stops both halves at their shard's end";
+                order_pairs(lower.expect(in_shard), upper.expect(in_shard), ascending);
+                x += n;
+            }
+            g = run + 2 * j;
+        }
+    }
+
+    /// The block-resident stages: for every block of `[lo, hi)` in turn
+    /// ([`BITONIC_BLOCK`] cells from `lo` on), each stage `(k, j)` with
+    /// `k` a power of two in `k_from..=k_to` and `j < min(k, BITONIC_BLOCK)`,
+    /// in network order.  `lo` is `BITONIC_BLOCK`-aligned, or aligned to
+    /// the segment size when `k_to` is, so every such pair lies inside one
+    /// block and the block stays in cache across its stages.
+    fn blocks(self, k_from: usize, k_to: usize, lo: usize, hi: usize) {
+        let mut block = lo;
+        while block < hi {
+            let end = (block + BITONIC_BLOCK).min(hi);
+            // SAFETY: the chunk owns its blocks for the pass.  A block
+            // across a shard boundary (`None`) takes the pair-run route.
+            let mut cells = unsafe { self.mem.words_mut(self.base + block, end - block) };
+            let mut k = k_from;
+            while k <= k_to {
+                let mut j = (k / 2).min(BITONIC_BLOCK / 2);
+                while j >= 1 {
+                    match cells.as_deref_mut() {
+                        // Runs of 2j tile the block: it starts 2j-aligned
+                        // and its length is a multiple of
+                        // min(seg_size, BITONIC_BLOCK) >= 2j.
+                        Some(cells) if j == 4 => {
+                            order_eights(cells, block, self.in_seg, k);
+                            break;
+                        }
+                        Some(cells) => {
+                            let mut run = 0;
+                            while run < cells.len() {
+                                let (lower, upper) = cells[run..run + 2 * j].split_at_mut(j);
+                                order_pairs(lower, upper, (block + run) & self.in_seg & k == 0);
+                                run += 2 * j;
+                            }
+                        }
+                        None => self.stage(k, j, block, end),
+                    }
+                    j /= 2;
+                }
+                k *= 2;
+            }
+            block = end;
+        }
+    }
+}
+
 impl Machine for NativeMachine {
     fn with_seed(mem_size: usize, seed: u64) -> Self {
         Self::build(mem_size, seed, StepPool::from_env())
@@ -805,6 +962,49 @@ impl Machine for NativeMachine {
         self.heap_top = heap_mark;
         self.steps_executed += 3;
         count
+    }
+
+    fn bitonic_segments(&mut self, base: usize, seg_size: usize, num_segs: usize) {
+        if seg_size <= 1 || num_segs == 0 {
+            return;
+        }
+        assert!(
+            seg_size.is_power_of_two(),
+            "segment size must be a power of two"
+        );
+        let total = seg_size * num_segs;
+        self.ensure_memory(base + total);
+        // Every stage may rewrite any cell of the range.
+        self.arena.mark_range(base, total);
+        let net = Network {
+            mem: self.arena.view(),
+            base,
+            in_seg: seg_size - 1,
+        };
+        // The network is data-oblivious, so reordering stages only inside
+        // blocks leaves exactly the memory the stage route leaves.  One
+        // pass runs every stage with k <= BITONIC_BLOCK block by block
+        // (chunked by whole segments when they fit in a block); each
+        // larger k takes one whole-range pass per stage j >= BITONIC_BLOCK,
+        // then one block-resident pass for the rest.
+        let low = seg_size.min(BITONIC_BLOCK);
+        self.pool
+            .dispatch(total, low, |lo, hi| net.blocks(2, low, lo, hi));
+        let mut k = 2 * BITONIC_BLOCK;
+        while k <= seg_size {
+            let wide = (k / BITONIC_BLOCK).trailing_zeros() as usize;
+            self.pool
+                .dispatch_fused(total, BITONIC_BLOCK, wide + 1, |pass, lo, hi| {
+                    if pass < wide {
+                        net.stage(k, k >> (pass + 1), lo, hi);
+                    } else {
+                        net.blocks(k, k, lo, hi);
+                    }
+                });
+            k *= 2;
+        }
+        let lg = seg_size.trailing_zeros() as u64;
+        self.steps_executed += lg * (lg + 1) / 2;
     }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {

@@ -43,6 +43,7 @@ const MIN_CHUNK: usize = 512;
 const CHUNKS_PER_THREAD: usize = 4;
 
 pub(crate) use rayon::pool::SendPtr;
+use rayon::pool::MAX_FUSED_PASSES;
 
 /// How a dispatched step's chunks are assigned to pool threads.
 ///
@@ -169,13 +170,14 @@ impl StepPool {
     }
 
     /// Runs a group of `passes` passes over `[0, len)` as **one** pool
-    /// dispatch: pass `p` calls `f(p, lo, hi)` for every chunk, and pass
-    /// `p + 1` starts only after every chunk of pass `p` finished, with its
-    /// writes visible (see `rayon::pool::dispatch`).  The inline cutoff and
-    /// the chunk boundaries are decided once per group and are a pure
-    /// function of `(len, align, threads)`, so every pass sees the
-    /// boundaries `passes` separate [`StepPool::dispatch`] calls would have
-    /// seen — grouping only removes the per-pass pool wakeup.
+    /// dispatch per [`MAX_FUSED_PASSES`] passes: pass `p` calls
+    /// `f(p, lo, hi)` for every chunk, and pass `p + 1` starts only after
+    /// every chunk of pass `p` finished, with its writes visible (see
+    /// `rayon::pool::dispatch`).  The inline cutoff and the chunk
+    /// boundaries are decided once per group and are a pure function of
+    /// `(len, align, threads)`, so every pass sees the boundaries `passes`
+    /// separate [`StepPool::dispatch`] calls would have seen — grouping
+    /// only removes the per-pass pool wakeup.
     pub fn dispatch_fused<F>(&self, len: usize, align: usize, passes: usize, f: F)
     where
         F: Fn(usize, usize, usize) + Sync,
@@ -194,7 +196,12 @@ impl StepPool {
             .max(MIN_CHUNK);
         let chunk = raw.div_ceil(align) * align;
         let stealing = self.schedule == Schedule::Stealing;
-        rayon::pool::dispatch(len, chunk, self.threads, stealing, passes, f);
+        for first in (0..passes).step_by(MAX_FUSED_PASSES) {
+            let group = (passes - first).min(MAX_FUSED_PASSES);
+            rayon::pool::dispatch(len, chunk, self.threads, stealing, group, |pass, lo, hi| {
+                f(first + pass, lo, hi)
+            });
+        }
     }
 }
 
@@ -305,11 +312,24 @@ mod tests {
                 r.sort_unstable();
                 r
             };
-            let seen = Mutex::new(vec![Vec::new(); 3]);
-            pool.dispatch_fused(100_000, 64, 3, |pass, lo, hi| {
-                seen.lock().unwrap()[pass].push((lo, hi));
+            // More passes than one pool dispatch takes: the group runs as
+            // successive dispatches, still one pass after another.
+            let passes = MAX_FUSED_PASSES + 2;
+            let seen = Mutex::new(Vec::new());
+            pool.dispatch_fused(100_000, 64, passes, |pass, lo, hi| {
+                seen.lock().unwrap().push((pass, lo, hi));
             });
-            for (pass, mut ranges) in seen.into_inner().unwrap().into_iter().enumerate() {
+            let seen = seen.into_inner().unwrap();
+            assert!(
+                seen.windows(2).all(|w| w[0].0 <= w[1].0),
+                "{schedule:?}: a pass began before the previous one ended"
+            );
+            for pass in 0..passes {
+                let mut ranges: Vec<_> = seen
+                    .iter()
+                    .filter(|c| c.0 == pass)
+                    .map(|c| (c.1, c.2))
+                    .collect();
                 ranges.sort_unstable();
                 assert_eq!(ranges, single_ranges, "{schedule:?} pass={pass}");
             }

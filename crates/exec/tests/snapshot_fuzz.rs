@@ -82,6 +82,12 @@ enum Op {
         len: usize,
         dst: usize,
     },
+    /// `bitonic_segments` over `segs` segments of `seg` cells.
+    Bitonic {
+        base: usize,
+        seg: usize,
+        segs: usize,
+    },
     Load {
         base: usize,
         values: Vec<u64>,
@@ -145,7 +151,7 @@ impl Model {
 fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..4 + rng.below(8) {
-        let op = match rng.below(12) {
+        let op = match rng.below(13) {
             0 | 1 => {
                 let (base, len) = model.range(rng, 8192);
                 let span = if len.is_power_of_two() {
@@ -228,6 +234,27 @@ fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
                 let (base, len) = model.range(rng, 6000);
                 Op::Clear { base, len }
             }
+            11 => {
+                // Half the time the region across the shard boundary, once
+                // the stack reaches past it, and independently half the
+                // time the widest segment that fits: the 40 000-cell region
+                // then reaches the native kernel's whole-range passes.
+                let across = (0..model.regions())
+                    .map(|i| model.nth(i))
+                    .find(|&(base, len)| base < SHARD_CELLS && base + len > SHARD_CELLS);
+                let (base, len) = match across {
+                    Some(region) if rng.below(2) == 0 => region,
+                    _ => model.region(rng),
+                };
+                let widest = len.ilog2() as usize;
+                let seg = 1 << (widest - rng.below(2) * rng.below(widest + 1));
+                let segs = 1 + rng.below(len / seg);
+                Op::Bitonic {
+                    base: base + rng.below(len - seg * segs + 1),
+                    seg,
+                    segs,
+                }
+            }
             _ => {
                 if !model.stack.is_empty() && rng.below(3) == 0 {
                     let keep = rng.below(model.stack.len());
@@ -295,6 +322,7 @@ fn run(m: &mut NativeMachine, ops: &[Op]) -> Vec<u64> {
             }
             Op::Scan { base, len } => out.push(m.scan_step(*base, *len)),
             Op::Compact { src, len, dst } => out.push(m.compact_step(*src, *len, *dst)),
+            Op::Bitonic { base, seg, segs } => m.bitonic_segments(*base, *seg, *segs),
             Op::Load { base, values } => m.load(*base, values),
             Op::Poke { addr, value } => m.poke(*addr, *value),
             Op::Clear { base, len } => m.clear_region(*base, *len),
@@ -330,12 +358,13 @@ fn image(m: &NativeMachine) -> Image {
 }
 
 /// A machine whose heap starts 2048 cells below the first shard boundary,
-/// with two addressable regions carved out of the initial memory and a
-/// model that tracks it.
+/// with three addressable regions carved out of the initial memory (one
+/// wide enough for a bitonic segment of 2^15 cells) and a model that
+/// tracks it.
 fn machine(seed: u64, pool: StepPool) -> (NativeMachine, Model) {
     let size = SHARD_CELLS - 2048;
     let mut m = NativeMachine::with_pool(size, seed, pool);
-    let fixed = vec![(1000, 9000), (size - 7000, 7000)];
+    let fixed = vec![(1000, 9000), (12_000, 40_000), (size - 7000, 7000)];
     for &(base, len) in &fixed {
         let values: Vec<u64> = (0..len as u64).map(|i| (i * 7 + seed) % 97).collect();
         m.load(base, &values);
@@ -359,15 +388,33 @@ fn pools() -> Vec<StepPool> {
     pools
 }
 
+/// The bitonic networks of `ops` that the native kernel runs with
+/// whole-range passes (segments over 2^14 cells), and those whose range
+/// crosses the shard boundary.
+fn bitonic_reach(ops: &[Op]) -> [usize; 2] {
+    let mut reach = [0, 0];
+    for op in ops {
+        if let Op::Bitonic { base, seg, segs } = *op {
+            if seg > 1 && segs > 0 {
+                reach[0] += (seg > 1 << 14) as usize;
+                reach[1] += (base < SHARD_CELLS && base + seg * segs > SHARD_CELLS) as usize;
+            }
+        }
+    }
+    reach
+}
+
 /// One fuzz case: a prelude on the unarmed machine, then rounds of
 /// checkpoint → program → rollback → replay on one persistent shadow.
-fn case(seed: u64, pool: StepPool) {
+/// Returns the [`bitonic_reach`] of its programs.
+fn case(seed: u64, pool: StepPool) -> [usize; 2] {
     let mut rng = Rng(seed);
     let (mut m, mut model) = machine(seed, pool);
     // History from before the first snapshot: the arming snapshot must be
     // a full copy that needs no marks.
     let prelude = gen_program(&mut rng, &mut model);
     run(&mut m, &prelude);
+    let mut reach = bitonic_reach(&prelude);
 
     let mut shadow = MachineSnapshot::default();
     for round in 0..3 {
@@ -380,6 +427,8 @@ fn case(seed: u64, pool: StepPool) {
         }
 
         let program = gen_program(&mut rng, &mut model);
+        let [wide, straddling] = bitonic_reach(&program);
+        reach = [reach[0] + wide, reach[1] + straddling];
         let first = run(&mut m, &program);
         let post = image(&m);
         m.restore(&shadow);
@@ -402,6 +451,7 @@ fn case(seed: u64, pool: StepPool) {
     assert_eq!(shadow.heap_top(), fresh.heap_top());
     assert_eq!(shadow.steps_executed(), fresh.steps_executed());
     assert!(!m.is_current(&shadow), "the fresh snapshot superseded it");
+    reach
 }
 
 /// Runs `f`, printing the case coordinates if it panics.
@@ -418,12 +468,19 @@ fn reporting(seed: u64, pool: &StepPool, f: impl FnOnce()) {
 
 #[test]
 fn random_programs_roll_back_and_resync_exactly() {
+    let mut reach = [0, 0];
     for (i, pool) in pools().into_iter().enumerate() {
         for s in 0..12u64 {
             let seed = 0x5EED_0000 + 1000 * i as u64 + s;
-            reporting(seed, &pool, || case(seed, pool.clone()));
+            reporting(seed, &pool, || {
+                let [wide, straddling] = case(seed, pool.clone());
+                reach = [reach[0] + wide, reach[1] + straddling];
+            });
         }
     }
+    // The sweep meets the bitonic kernel's whole-range passes and networks
+    // across the shard boundary.
+    assert!(reach[0] > 0 && reach[1] > 0, "bitonic reach {reach:?}");
 }
 
 #[test]

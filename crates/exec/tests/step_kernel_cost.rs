@@ -13,6 +13,14 @@
 //! kind of step, just over the inline cutoff, dispatched to a 2-thread pool
 //! against run inline.
 //!
+//! The third prices `Machine::bitonic_segments` on the basket's
+//! sample-sort finishing shape (17 segments of 2^14 cells, 2 threads)
+//! against the same network issued as one `par_for` per stage on the same
+//! machine.  The cache-blocked kernel reads 0.16–0.21 of the per-stage
+//! route as is and 0.18–0.23 pinned to one CPU on the 2-vCPU reference
+//! box (3 runs each); a kernel that sweeps the whole range per stage again
+//! reads about 1.
+//!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
 //!
@@ -140,5 +148,86 @@ fn a_dispatched_small_step_stays_within_its_bound_of_an_inline_one() {
         ratio <= MAX_DISPATCH_RATIO,
         "a {STEP_CELLS}-cell step on a 2-thread pool costs {ratio:.2}x the inline step \
          (limit {MAX_DISPATCH_RATIO}): does every dispatch go through the kernel again?"
+    );
+}
+
+/// The bitonic guard's shape: the basket's sample-sort finishing network,
+/// 17 buckets padded to 2^14 cells each.
+const NET_SEG: usize = 1 << 14;
+const NET_SEGS: usize = 17;
+/// Bound on the cache-blocked network's wall over the same network issued
+/// as one `par_for` per stage, both on a 2-thread pool (see the module
+/// docs for the readings).
+const MAX_NETWORK_RATIO: f64 = 0.5;
+
+/// The stage route of `Machine::bitonic_segments`, issued as ordinary
+/// steps: one `par_for` over the whole range per compare–exchange stage.
+fn network_by_stages(m: &mut NativeMachine, seg: usize, segs: usize) {
+    let in_seg = seg - 1;
+    let mut k = 2;
+    while k <= seg {
+        let mut j = k / 2;
+        while j >= 1 {
+            m.par_for(seg * segs, |g, ctx| {
+                let i = g & in_seg;
+                let l = i ^ j;
+                if l <= i {
+                    return;
+                }
+                let off = g - i;
+                let (a, b) = (ctx.read(off + i), ctx.read(off + l));
+                if (i & k == 0 && a > b) || (i & k != 0 && a < b) {
+                    ctx.write(off + i, b);
+                    ctx.write(off + l, a);
+                }
+            });
+            j /= 2;
+        }
+        k *= 2;
+    }
+}
+
+#[test]
+#[ignore = "timing guard: run with --release -- --ignored"]
+fn the_blocked_bitonic_network_stays_within_half_the_stage_route() {
+    if cfg!(debug_assertions) {
+        panic!("the ratio is only meaningful in an optimized build: pass --release");
+    }
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let total = NET_SEG * NET_SEGS;
+    let data: Vec<u64> = (0..total as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
+        .collect();
+    let mut m = NativeMachine::with_pool(total, 1, StepPool::with_threads(2));
+    // Interleaved, each run on a fresh copy of the unsorted input.
+    let (mut blocked, mut staged) = (f64::INFINITY, f64::INFINITY);
+    let mut outputs = [Vec::new(), Vec::new()];
+    for _ in 0..REPS {
+        for (route, best) in [&mut blocked, &mut staged].into_iter().enumerate() {
+            m.load(0, &data);
+            let start = Instant::now();
+            if route == 0 {
+                m.bitonic_segments(0, NET_SEG, NET_SEGS);
+            } else {
+                network_by_stages(&mut m, NET_SEG, NET_SEGS);
+            }
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            outputs[route] = m.dump(0, total);
+        }
+    }
+    assert!(
+        outputs[0] == outputs[1],
+        "the two routes left different memory"
+    );
+
+    let ratio = blocked / staged;
+    println!(
+        "bitonic network: {NET_SEGS} x {NET_SEG} blocked {blocked:.2} ms, \
+         per-stage par_for {staged:.2} ms, ratio {ratio:.2}"
+    );
+    assert!(
+        ratio <= MAX_NETWORK_RATIO,
+        "the cache-blocked network costs {ratio:.2}x the per-stage route \
+         (limit {MAX_NETWORK_RATIO}): does it sweep the whole range per stage again?"
     );
 }

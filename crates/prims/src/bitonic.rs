@@ -8,6 +8,12 @@
 //! processor performs two reads and at most two writes, for
 //! `lg n (lg n + 1) / 2` steps and `O(n lg² n)` work in total.
 //!
+//! The network itself is one machine call, [`Machine::bitonic_segments`].
+//! The model backends (`Pram`, `BspMachine`) run its default body and
+//! charge and route it one step per stage; `NativeMachine` overrides it
+//! with a cache-blocked kernel that runs the same stages with the same
+//! step advance and leaves the same memory.
+//!
 //! Cells may hold any `u64` below [`qrqw_sim::EMPTY`]; the routine pads to a
 //! power of two internally with `EMPTY`, which sorts to the end.
 
@@ -31,28 +37,7 @@ pub fn bitonic_sort<M: Machine>(m: &mut M, base: usize, n: usize) {
         ctx.write(work + i, v);
     });
 
-    let mut k = 2usize;
-    while k <= width {
-        let mut j = k / 2;
-        while j >= 1 {
-            m.par_for(width, |i, ctx| {
-                let l = i ^ j;
-                if l <= i {
-                    return;
-                }
-                let a = ctx.read(work + i);
-                let b = ctx.read(work + l);
-                let ascending = (i & k) == 0;
-                let out_of_order = if ascending { a > b } else { a < b };
-                if out_of_order {
-                    ctx.write(work + i, b);
-                    ctx.write(work + l, a);
-                }
-            });
-            j /= 2;
-        }
-        k *= 2;
-    }
+    m.bitonic_segments(work, width, 1);
 
     // Copy the sorted prefix back.
     m.par_for(n, |i, ctx| {
@@ -79,35 +64,7 @@ pub fn bitonic_sort_segments<M: Machine>(m: &mut M, base: usize, seg_size: usize
         seg_size.is_power_of_two(),
         "segment size must be a power of two"
     );
-    m.ensure_memory(base + seg_size * num_segs);
-    let total = seg_size * num_segs;
-    // `seg_size` is a power of two: a mask splits the global index, no
-    // run-time division per processor.
-    let in_seg = seg_size - 1;
-    let mut k = 2usize;
-    while k <= seg_size {
-        let mut j = k / 2;
-        while j >= 1 {
-            m.par_for(total, |g, ctx| {
-                let i = g & in_seg;
-                let l = i ^ j;
-                if l <= i {
-                    return;
-                }
-                let off = base + (g - i);
-                let a = ctx.read(off + i);
-                let b = ctx.read(off + l);
-                let ascending = (i & k) == 0;
-                let out_of_order = if ascending { a > b } else { a < b };
-                if out_of_order {
-                    ctx.write(off + i, b);
-                    ctx.write(off + l, a);
-                }
-            });
-            j /= 2;
-        }
-        k *= 2;
-    }
+    m.bitonic_segments(base, seg_size, num_segs);
 }
 
 #[cfg(test)]

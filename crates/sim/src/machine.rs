@@ -36,9 +36,11 @@
 //!    [`crate::rng::proc_rng`], identically on every backend.  Each
 //!    [`Machine::par_map`] / [`Machine::par_for`] / [`Machine::seq_step`]
 //!    call advances the step index by exactly 1, [`Machine::scan_step`] and
-//!    [`Machine::global_or_step`] by 1, and [`Machine::claim`] by 6
-//!    ([`ClaimMode::Exclusive`]) or 3 ([`ClaimMode::Occupy`]) — the length of
-//!    the simulated claiming protocol.  Backends that keep this contract give
+//!    [`Machine::global_or_step`] by 1, [`Machine::compact_step`] by 3,
+//!    [`Machine::bitonic_segments`] by `L(L+1)/2` for segments of `2^L`
+//!    cells, and [`Machine::claim`] by 6 ([`ClaimMode::Exclusive`]) or 3
+//!    ([`ClaimMode::Occupy`]) — the length of the simulated claiming
+//!    protocol.  Backends that keep this contract give
 //!    *identical* random choices to the same algorithm, which is what makes
 //!    the cross-backend parity tests exact.
 //! 3. **Step race freedom.**  Within one step, a location written by one
@@ -405,6 +407,67 @@ pub trait Machine {
         });
         self.release_to(flags);
         count
+    }
+
+    /// Runs Batcher's bitonic sorting network over `num_segs` adjacent
+    /// segments `[base + s*seg_size, base + (s+1)*seg_size)` at once,
+    /// leaving each sorted ascending.  `seg_size` must be a power of two.
+    ///
+    /// The default implementation is the canonical EREW-legal route — one
+    /// [`Machine::par_for`] per compare–exchange stage, each across all
+    /// segments — and is what the model backends charge.  With
+    /// `L = lg seg_size` it advances the step index by exactly
+    /// `L(L+1)/2` (0 when `seg_size <= 1` or `num_segs == 0`) and draws
+    /// no randomness; any override must do the same and leave memory
+    /// bit-identical to the stage route (the native backend runs the
+    /// stages cache-blocked, one pass per block).
+    ///
+    /// ```
+    /// use qrqw_sim::{Machine, Pram};
+    ///
+    /// let mut m = Pram::with_seed(8, 0);
+    /// m.load(0, &[4, 1, 3, 2, 9, 7, 8, 6]);
+    /// m.bitonic_segments(0, 4, 2);
+    /// assert_eq!(m.dump(0, 8), vec![1, 2, 3, 4, 6, 7, 8, 9]);
+    /// assert_eq!(m.steps_executed(), 3); // L = 2: L(L+1)/2 stages
+    /// ```
+    fn bitonic_segments(&mut self, base: usize, seg_size: usize, num_segs: usize) {
+        if seg_size <= 1 || num_segs == 0 {
+            return;
+        }
+        assert!(
+            seg_size.is_power_of_two(),
+            "segment size must be a power of two"
+        );
+        self.ensure_memory(base + seg_size * num_segs);
+        let total = seg_size * num_segs;
+        // `seg_size` is a power of two: a mask splits the global index, no
+        // run-time division per processor.
+        let in_seg = seg_size - 1;
+        let mut k = 2usize;
+        while k <= seg_size {
+            let mut j = k / 2;
+            while j >= 1 {
+                self.par_for(total, |g, ctx| {
+                    let i = g & in_seg;
+                    let l = i ^ j;
+                    if l <= i {
+                        return;
+                    }
+                    let off = base + (g - i);
+                    let a = ctx.read(off + i);
+                    let b = ctx.read(off + l);
+                    let ascending = (i & k) == 0;
+                    let out_of_order = if ascending { a > b } else { a < b };
+                    if out_of_order {
+                        ctx.write(off + i, b);
+                        ctx.write(off + l, a);
+                    }
+                });
+                j /= 2;
+            }
+            k *= 2;
+        }
     }
 
     /// Executes the cell-claiming protocol of Section 5.1:

@@ -8,8 +8,8 @@
 //! they first part.  A [`Machine::seq_step`] body
 //! is an `FnOnce`, so it runs once, recorded, on `A`, and its log is
 //! replayed inside `B`'s `seq_step`, reading and drawing on `B`.  `claim`,
-//! `scan_step`, `global_or_step` and `compact_step` forward to each
-//! machine's own implementation.  After every step-executing call Lockstep
+//! `scan_step`, `global_or_step`, `compact_step` and `bitonic_segments`
+//! forward to each machine's own implementation.  After every step-executing call Lockstep
 //! compares the step counters, the call's result, the claim counters (after
 //! unrecorded calls, the only ones that move them), `heap_top`, the op logs
 //! and the live memory prefix `dump(0, heap_top)`.  At the first mismatch
@@ -379,6 +379,9 @@ impl<A: Machine, B: Machine> Machine for Lockstep<A, B> {
     fn compact_step(&mut self, src: usize, len: usize, dst: usize) -> u64 {
         both!(self, compact_step(src, len, dst))
     }
+    fn bitonic_segments(&mut self, base: usize, seg_size: usize, num_segs: usize) {
+        both!(self, bitonic_segments(base, seg_size, num_segs))
+    }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
         let step = self.a.steps_executed();
@@ -544,6 +547,9 @@ impl<M: Machine> Machine for Drift<M> {
     }
     fn compact_step(&mut self, src: usize, len: usize, dst: usize) -> u64 {
         self.inner.compact_step(src, len, dst)
+    }
+    fn bitonic_segments(&mut self, base: usize, seg_size: usize, num_segs: usize) {
+        self.inner.bitonic_segments(base, seg_size, num_segs)
     }
     fn cost_report(&self) -> CostReport {
         self.inner.cost_report()

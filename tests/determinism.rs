@@ -314,6 +314,83 @@ fn scan_and_global_or_are_invariant_across_thread_counts() {
     });
 }
 
+/// Loads `data` at `base`, runs the bitonic network over it, and returns
+/// the range it left, the allocation top and the step advance.
+fn network<M: Machine>(
+    m: &mut M,
+    base: usize,
+    seg: usize,
+    segs: usize,
+    data: &[u64],
+) -> (Vec<u64>, usize, u64) {
+    m.load(base, data);
+    let before = m.steps_executed();
+    m.bitonic_segments(base, seg, segs);
+    (
+        m.dump(base, data.len()),
+        m.heap_top(),
+        m.steps_executed() - before,
+    )
+}
+
+#[test]
+fn bitonic_network_matches_the_stage_route_on_every_kernel_path() {
+    // The native kernel's paths: segments inside one 2^14-cell block,
+    // exactly one block over several chunks, one and several whole-range
+    // passes per k above it, a lone segment over two chunks; and the
+    // no-op shapes.
+    let shapes = [
+        (1, 4),
+        (2, 3),
+        (16, 17),
+        (1024, 7),
+        (1 << 14, 17),
+        (1 << 15, 1),
+        (1 << 15, 3),
+        (1 << 17, 2),
+        (64, 0),
+    ];
+    let base = 3;
+    for (seg, segs) in shapes {
+        // Duplicates (values below 97) and EMPTY cells.
+        let data: Vec<u64> = (0..(seg * segs) as u64)
+            .map(|i| {
+                if i % 7 == 3 {
+                    EMPTY
+                } else {
+                    i.wrapping_mul(0x9E37_79B9) % 97
+                }
+            })
+            .collect();
+        // A sorting network leaves every segment sorted, whatever the
+        // order of its stages.
+        let mut sorted = data.clone();
+        sorted.chunks_mut(seg).for_each(<[u64]>::sort_unstable);
+        let lg = if segs == 0 {
+            0
+        } else {
+            seg.trailing_zeros() as u64
+        };
+        let top = if lg == 0 {
+            16
+        } else {
+            (base + data.len()).max(16)
+        };
+        let want = (sorted, top, lg * (lg + 1) / 2);
+        // The stage route is one loop with no shape-dependent path, so the
+        // model backends run only the small shapes.  The native pairs run
+        // them all.
+        let mut machines = pairs_of(NATIVE);
+        if data.len() <= 1 << 13 {
+            machines.extend([Pair::Sim, Pair::Bsp(THREADS[1])]);
+        }
+        each_machine!(machines, 0, |pair, m| {
+            let got = network(&mut m, base, seg, segs, &data);
+            assert!(got == want, "{seg} x {segs} on {pair:?}");
+        });
+    }
+}
+
 /// The native machine of a drift check: a pooled machine that departs from
 /// the simulator once, at step `at`.
 fn drifting(at: u64, kind: DriftKind) -> Lockstep<Pram, Drift<NativeMachine>> {
