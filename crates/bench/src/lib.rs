@@ -19,12 +19,11 @@
 //!   step-drift guard and the BSP cross-check (committed
 //!   `BENCH_native.json` / `BENCH_workloads.json`).
 //! * `rss_guard` — peak-RSS probe of staged arena growth.
-//! * `service_report` — the `qrqw-serve` load sweep over batch caps ×
-//!   workloads (committed `BENCH_service.json`, see [`service`]).
-//! * `chaos_bench` — seeded fault-injection sweep of the `qrqw-serve`
-//!   layer (committed `BENCH_chaos.json`): goodput, shed rate, snapshot
-//!   overhead and recovery latency vs. fault rate, with digest-parity and
-//!   no-wedged-ticket validators (see [`chaos`]).
+//! * `service_report` — the `qrqw-serve` load sweep over resident keys ×
+//!   fault plans × batch caps × workloads: throughput, latency, goodput,
+//!   snapshot overhead and recovery latency, with one validator on every
+//!   run (committed `BENCH_service.json` and `BENCH_chaos.json`, see
+//!   [`service`]).
 
 #![deny(missing_docs)]
 
@@ -43,7 +42,6 @@ use qrqw_exec::{NativeMachine, Schedule, StepPool};
 use qrqw_prims::{linear_compaction, list_rank};
 use qrqw_sim::{CostModel, CostReport, Machine, Pram, TraceSummary, EMPTY};
 
-pub mod chaos;
 pub mod report;
 pub mod scenario;
 pub mod service;

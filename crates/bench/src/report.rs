@@ -356,7 +356,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
-/// The top-level document of a service-harness sweep (`BENCH_service.json`,
+/// The top-level document of a `service_report` sweep (`BENCH_service.json`,
 /// `BENCH_chaos.json`): the writer, its seed, the machine's thread count,
 /// the host's cores, whether every run passed, and the run entries.
 pub fn sweep_json(
@@ -377,7 +377,7 @@ pub fn sweep_json(
 }
 
 /// Writes a rendered [`Json`] document to `path` (the one writer shared by
-/// `perf_report`, `service_report` and `chaos_bench`).
+/// `perf_report` and `service_report`).
 pub fn write_json_file(path: &str, json: &Json) {
     let mut file =
         std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));

@@ -1,13 +1,12 @@
 //! Key distributions and samplers shared by every workload generator.
 //!
-//! The service harness (`service.rs`), the chaos harness (`chaos.rs`) and
-//! the scenario subsystem (`scenario.rs`) all draw keys from the same
-//! [`KeySampler`], so "zipf" means exactly one thing across the whole
-//! bench crate.  Skew is the point: QRQW contention charging is only
-//! interesting when the key stream concentrates — uniform input (the only
-//! regime the paper's Table II measures) is the *low*-contention case, and
-//! these distributions open the rest of the axis up to the crafted
-//! worst case.
+//! The service load harness (`service.rs`) and the scenario subsystem
+//! (`scenario.rs`) both draw keys from the same [`KeySampler`], so "zipf"
+//! means exactly one thing across the whole bench crate.  Skew is the
+//! point: QRQW contention charging is only interesting when the key stream
+//! concentrates — uniform input (the only regime the paper's Table II
+//! measures) is the *low*-contention case, and these distributions open the
+//! rest of the axis up to the crafted worst case.
 //!
 //! Distribution names parse **loudly**: an unknown name is an error
 //! carrying the valid vocabulary, never a silent default — the same

@@ -41,8 +41,9 @@
 //! enforces per-request deadlines, and an exit guard on the queue and
 //! every envelope guarantees no [`Ticket::wait`] ever wedges on a dead
 //! batcher
-//! ([`ServiceError::ServerGone`]).  `chaos_bench` in `crates/bench` drives
-//! all of this under a seeded fault plan and writes `BENCH_chaos.json`.
+//! ([`ServiceError::ServerGone`]).  `service_report` in `crates/bench`
+//! drives all of this under a seeded fault plan and writes
+//! `BENCH_chaos.json`.
 
 #![deny(missing_docs)]
 

@@ -188,7 +188,7 @@ pub struct ServiceStats {
     /// Pre-batch checkpoints taken (one per applied batch).
     pub snapshots: u64,
     /// Total wall time spent taking pre-batch checkpoints — the price of
-    /// the rollback guarantee, measured so `chaos_bench` can report it.
+    /// the rollback guarantee, measured so `service_report` can report it.
     pub snapshot_wall: Duration,
     /// Machine cells those checkpoints copied.  Proportional to what the
     /// batches wrote, not to the resident state: only the first checkpoint
