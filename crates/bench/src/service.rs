@@ -180,7 +180,9 @@ fn classify(response: &Response) -> (Class, bool) {
     use ServiceError as E;
     match response {
         Ok(_) => (Class::Served, true),
-        Err(E::KeyOutOfRange(_) | E::UnknownCounter(_) | E::Injected) => (Class::Failed, true),
+        Err(E::KeyOutOfRange(_) | E::UnknownCounter(_) | E::CounterOverflow(_) | E::Injected) => {
+            (Class::Failed, true)
+        }
         Err(E::RequestPanicked) => (Class::Failed, false),
         Err(E::Overloaded | E::DeadlineExceeded | E::ShuttingDown | E::ServerGone) => {
             (Class::Shed, false)

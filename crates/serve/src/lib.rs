@@ -28,7 +28,7 @@
 //! Replies are trace-deterministic (see [`state`]): what a request
 //! observes depends only on submission order, never on batch boundaries,
 //! so draining any trace through the server leaves the same observable
-//! state as applying it as one batch (`tests/parity.rs`).  The batch
+//! state as applying it as one batch (`tests/conformance.rs`).  The batch
 //! engine, [`ServiceCore`], is generic over any `Machine`; the server runs
 //! it inside [`ServiceState`] on the native machine, and `crates/bench`'s
 //! churn scenarios run it on every backend, one epoch per batch.

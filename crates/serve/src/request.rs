@@ -14,8 +14,8 @@
 //! Every request receives exactly one [`Response`].  The reply semantics
 //! are **trace-deterministic**: what a request observes depends only on
 //! the requests that preceded it in submission order, never on how the
-//! batcher happened to cut batches (see `crates/serve/tests/parity.rs`,
-//! which pins this).
+//! batcher happened to cut batches (see `crates/serve/tests/conformance.rs`,
+//! which checks this against a sequential oracle).
 
 /// Upper bound (exclusive) for hash-workload keys: the field size of the
 /// §6 hash functions.  Re-exported from `qrqw_core::hashing::HASH_PRIME`.
@@ -54,10 +54,19 @@ pub enum Request {
     /// Atomically add `delta` to counter `counter`.  Replies
     /// [`Reply::Counter`] with the value the counter held just before this
     /// request's addition (Fetch&Add semantics).
+    ///
+    /// A counter holds at most `u64::MAX - 1` (`u64::MAX` is the machine's
+    /// `EMPTY`, an untouched cell).  An add whose `delta` is `>= 2^32`, or
+    /// whose result would pass `u64::MAX - 1` at its trace position, is
+    /// refused with [`ServiceError::CounterOverflow`] and has no effect, in
+    /// every build and under every batch cut.  The 2^32 bound keeps a
+    /// batch's delta total below 2^63 inside the Fetch&Add step; the
+    /// ceiling is judged from one host read of the pre-batch cell of each
+    /// counter the batch adds to, which runs no machine step.
     CounterAdd {
         /// Counter index; must be below the service's counter count.
         counter: usize,
-        /// Amount to add.
+        /// Amount to add; must be below 2^32.
         delta: u64,
     },
     /// Read counter `counter` (a zero-delta Fetch&Add).  Replies
@@ -127,6 +136,10 @@ pub enum ServiceError {
     KeyOutOfRange(u64),
     /// Counter index is out of range for the service's configuration.
     UnknownCounter(usize),
+    /// A [`Request::CounterAdd`] on this counter was refused: its delta is
+    /// `>= 2^32`, or the sum would pass `u64::MAX - 1`.  The add did not
+    /// take effect.
+    CounterOverflow(usize),
     /// The request was a [`Fault::Error`] injection.
     Injected,
     /// This request made batch application panic.  The batcher restored
@@ -155,6 +168,12 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::KeyOutOfRange(k) => write!(f, "key {k} is >= 2^31 - 1"),
             ServiceError::UnknownCounter(c) => write!(f, "counter {c} does not exist"),
+            ServiceError::CounterOverflow(c) => {
+                write!(
+                    f,
+                    "add to counter {c} refused: delta >= 2^32 or sum > 2^64 - 2"
+                )
+            }
             ServiceError::Injected => write!(f, "injected fault"),
             ServiceError::RequestPanicked => {
                 write!(f, "request panicked mid-application and was rolled back")

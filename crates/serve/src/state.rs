@@ -26,10 +26,10 @@
 //! no host structure, and no [`ServiceCheckpoint`], grows with the keys.
 //!
 //! [`ServiceCore::apply_batch`] is the *only* way state advances, and it
-//! is shared verbatim by the live server and by the one-shot reference of
-//! the parity tests: running a request trace through the batcher under any
-//! batching policy must leave the same observable state as applying the
-//! whole trace as one batch.
+//! is shared verbatim by the live server, the scenario driver and the
+//! conformance test's direct legs: running a request trace through the
+//! batcher under any batching policy must leave the same observable state
+//! as applying the whole trace as one batch.
 //!
 //! # Batch semantics (the partition-invariance contract)
 //!
@@ -47,6 +47,12 @@
 //! * a counter add/read observes the sum of all earlier deltas on its
 //!   counter (the Fetch&Add serialization order within a batch is the
 //!   batch order, because the emulation's radix sort is stable);
+//! * a counter add is refused with [`ServiceError::CounterOverflow`], with
+//!   no effect, when its delta is `>= 2^32` or its sum would pass
+//!   `u64::MAX - 1` at its trace position.  The sum is judged on the host,
+//!   from one `peek` of the pre-batch cell of each counter the batch adds
+//!   to, plus the batch's earlier accepted adds, so the verdict is the same under every
+//!   cut and in every build;
 //! * a steal pops the globally oldest task that an earlier request
 //!   submitted and no earlier request stole.
 //!
@@ -61,9 +67,16 @@ use std::collections::{HashMap, VecDeque};
 
 use qrqw_core::{emulate_fetch_add_step, OpenTable, TableGeometry};
 use qrqw_exec::{BatchCost, MachineSnapshot, PersistentMachine, StepPool};
-use qrqw_sim::Machine;
+use qrqw_sim::{Machine, EMPTY};
 
 use crate::request::{Fault, Reply, Request, Response, ServiceError, MAX_KEY};
+
+/// A counter add's delta must be below this: a batch of fewer than 2^31
+/// requests then sums its deltas below 2^63.
+const DELTA_LIMIT: u64 = 1 << 32;
+
+/// The largest value a counter may hold: [`EMPTY`] marks an untouched cell.
+const COUNTER_MAX: u64 = EMPTY - 1;
 
 /// Sizing and seeding of a [`ServiceState`].  The task pool takes none: it
 /// is a host-side queue that grows with its pending tasks.
@@ -213,6 +226,12 @@ impl ServiceCore {
     /// machine step or host mutation (the server catches the unwind;
     /// direct callers see the panic).
     pub fn apply_batch<M: Machine>(&mut self, m: &mut M, batch: &[Request]) -> Vec<Response> {
+        // With every accepted delta below 2^32, the Fetch&Add step's prefix
+        // sums over the whole batch stay below 2^63.
+        assert!(
+            batch.len() < 1 << 31,
+            "a batch holds fewer than 2^31 requests"
+        );
         // ---- Pass 1 (host): the batch's distinct hash keys, in first-touch
         // order, and each hash request's index into them.  Injected faults
         // fire here, before any machine step or host mutation.
@@ -253,6 +272,7 @@ impl ServiceCore {
         // one's old value goes.
         let mut fadd_reqs: Vec<(usize, u64)> = Vec::new();
         let mut fadd_slots: Vec<usize> = Vec::new();
+        let mut values: HashMap<usize, u64> = HashMap::new();
         for req in batch {
             let resp = match *req {
                 Request::HashInsert { key }
@@ -279,16 +299,31 @@ impl ServiceCore {
                 {
                     Err(ServiceError::UnknownCounter(counter))
                 }
-                Request::CounterAdd { counter, .. } | Request::CounterRead { counter } => {
+                Request::CounterRead { counter } => {
                     // A read is a zero-delta Fetch&Add: it serializes with
                     // the batch's adds at its own batch position.
-                    let delta = match *req {
-                        Request::CounterAdd { delta, .. } => delta,
-                        _ => 0,
-                    };
-                    fadd_reqs.push((self.counter_base + counter, delta));
+                    fadd_reqs.push((self.counter_base + counter, 0));
                     fadd_slots.push(responses.len());
                     Ok(Reply::Counter(0))
+                }
+                Request::CounterAdd { counter, delta } => {
+                    // The counter's value at this trace position: its
+                    // pre-batch cell (one host read per distinct counter
+                    // added to) plus the batch's earlier accepted adds.
+                    let value = values.entry(counter).or_insert_with(|| {
+                        match m.peek(self.counter_base + counter) {
+                            EMPTY => 0,
+                            v => v,
+                        }
+                    });
+                    if delta >= DELTA_LIMIT || delta > COUNTER_MAX - *value {
+                        Err(ServiceError::CounterOverflow(counter))
+                    } else {
+                        *value += delta;
+                        fadd_reqs.push((self.counter_base + counter, delta));
+                        fadd_slots.push(responses.len());
+                        Ok(Reply::Counter(0))
+                    }
                 }
                 Request::TaskSubmit { payload } => {
                     Ok(Reply::TaskQueued(self.tasks.submit(payload)))
@@ -607,6 +642,56 @@ mod tests {
         // Counter 0 was never touched: still EMPTY in the raw region.
         assert_eq!(d.counters[0], EMPTY);
         assert_eq!(d.counters[7], 0, "a pure read materializes the cell");
+    }
+
+    #[test]
+    fn counter_adds_past_the_ceiling_or_the_delta_bound_are_refused() {
+        use qrqw_sim::Pram;
+        let config = ServiceConfig {
+            num_counters: 4,
+            hash_capacity: 16,
+            seed: 1,
+        };
+        let core = || {
+            let mut pram = Pram::with_seed(16, 1);
+            let core = ServiceCore::new(&mut pram, &config);
+            (pram, core)
+        };
+        let add = |counter, delta| Request::CounterAdd { counter, delta };
+        let refused = |counter| Err(ServiceError::CounterOverflow(counter));
+
+        let (mut pram, mut c) = core();
+        pram.poke(c.counter_base, COUNTER_MAX - 2);
+        let resp = c.apply_batch(&mut pram, &[add(0, 2), add(0, 1), add(0, 0)]);
+        assert_eq!(
+            resp,
+            [
+                Ok(Reply::Counter(COUNTER_MAX - 2)),
+                refused(0),
+                Ok(Reply::Counter(COUNTER_MAX))
+            ]
+        );
+        // The next batch judges from the cell: still full.
+        let resp = c.apply_batch(&mut pram, &[add(0, 1), Request::CounterRead { counter: 0 }]);
+        assert_eq!(resp, [refused(0), Ok(Reply::Counter(COUNTER_MAX))]);
+        // Deltas at or above 2^32 leave no trace, not even a materialized
+        // cell.
+        let before = c.digest(&pram);
+        let resp = c.apply_batch(&mut pram, &[add(1, u64::MAX), add(2, DELTA_LIMIT)]);
+        assert_eq!(resp, [refused(1), refused(2)]);
+        assert_eq!(c.digest(&pram), before);
+        assert_eq!(before.counters[1..3], [EMPTY, EMPTY]);
+
+        // Two adds of 2^63 reply the same as one batch and as two.
+        let big = [add(1, 1 << 63), add(2, 1 << 63)];
+        let (mut one, mut c1) = core();
+        let (mut two, mut c2) = core();
+        let whole = c1.apply_batch(&mut one, &big);
+        let mut split = c2.apply_batch(&mut two, &big[..1]);
+        split.extend(c2.apply_batch(&mut two, &big[1..]));
+        assert_eq!(whole, [refused(1), refused(2)]);
+        assert_eq!(split, whole);
+        assert_eq!(c1.digest(&one), c2.digest(&two));
     }
 
     #[test]

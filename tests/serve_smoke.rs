@@ -1,8 +1,9 @@
 //! Tier-1 smoke of the serving layer (`qrqw-serve`), so the root
 //! `cargo test -q` covers it: batch-vs-oneshot parity through a live
 //! server, one injected-panic recovery, and a checkpoint/restore digest
-//! round-trip on a state whose arena spans several shards.  The exhaustive
-//! suites live in `crates/serve/tests/`.
+//! round-trip on a state whose arena spans several shards.  The seeded
+//! conformance test against a sequential oracle is
+//! `crates/serve/tests/conformance.rs`.
 
 use qrqw_exec::{StepPool, SHARD_CELLS};
 use qrqw_serve::{
