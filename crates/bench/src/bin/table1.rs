@@ -191,5 +191,5 @@ fn main() {
     }
     print_rows("Load balancing (max initial load L)", &rows);
 
-    println!("\nRead EXPERIMENTS.md for the paper-vs-measured discussion of every row.");
+    println!("\nREADME.md § \"Reproducing the paper's tables\" says what each block reproduces.");
 }

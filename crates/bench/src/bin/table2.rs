@@ -11,7 +11,7 @@
 //!
 //! Usage: `cargo run -p qrqw-bench --release --bin table2 [repetitions]`
 
-use qrqw_bench::{Algorithm, Backend};
+use qrqw_bench::{Algorithm, Backend, Subject};
 use qrqw_core::{
     random_permutation_dart_scan, random_permutation_qrqw, random_permutation_sorting_erew,
 };
@@ -24,11 +24,12 @@ const TABLE2_ALGOS: [Algorithm; 3] = [
 ];
 
 fn time_native(algo: Algorithm, n: usize, reps: u64) {
-    let _ = algo.run(Backend::Native, n, 0, None); // warm-up
+    let subject = Subject::Algorithm(algo);
+    let _ = subject.run(Backend::Native, n, 0, None); // warm-up
     let mut total_ms = 0.0;
     let mut contended = 0u64;
     for r in 0..reps {
-        let run = algo.run(Backend::Native, n, r + 1, None);
+        let run = subject.run(Backend::Native, n, r + 1, None);
         assert!(run.valid, "{} produced an invalid output", algo.name());
         total_ms += run.elapsed.as_secs_f64() * 1000.0;
         contended += run.report.contended_claims;

@@ -14,9 +14,10 @@
 //!   cycle representations.
 //! * `ablation` — design-choice sweeps: dart-throwing subarray size,
 //!   fat-tree vs. concurrent binary search, linear-compaction output slack.
-//! * `perf_report` — any subset of the [`Algorithm`] registry (or the
-//!   churn [`scenario`]s) on any set of [`Backend`]s, with validators, the
-//!   step-drift guard and the BSP cross-check (committed
+//! * `perf_report` — one [`sweep`] of [`Subject`]s (registry
+//!   [`Algorithm`]s or churn [`scenario`]s) over any set of [`Backend`]s,
+//!   every cell judged against the simulator's run by
+//!   [`BackendRun::agrees_with`] and the BSP cross-check (committed
 //!   `BENCH_native.json` / `BENCH_workloads.json`).
 //! * `rss_guard` — peak-RSS probe of staged arena growth.
 //! * `service_report` — the `qrqw-serve` load sweep over resident keys ×
@@ -40,11 +41,13 @@ use qrqw_core::{
 };
 use qrqw_exec::{NativeMachine, Schedule, StepPool};
 use qrqw_prims::{linear_compaction, list_rank};
-use qrqw_sim::{CostModel, CostReport, Machine, Pram, TraceSummary, EMPTY};
+use qrqw_sim::{CostModel, CostReport, Machine, Pram, Trace, EMPTY};
+use scenario::{ChurnOutcome, Scenario};
 
 pub mod report;
 pub mod scenario;
 pub mod service;
+pub mod sweep;
 pub mod workload;
 
 /// Which [`Machine`] backend a harness run executes on.
@@ -99,56 +102,16 @@ impl Backend {
             .collect::<Option<Vec<_>>>()
             .filter(|v| !v.is_empty())
     }
-
-    /// Builds the machine this backend names — seeded with `seed`, its step
-    /// pool on `threads` threads (`None`: `QRQW_THREADS` / host parallelism)
-    /// — runs `job` on it, and returns the job's output next to the
-    /// machine's cost report.  Every harness machine is constructed here, so
-    /// a run's backend label and its machine cannot disagree.
-    pub(crate) fn run_job<J: MachineJob>(
-        self,
-        seed: u64,
-        threads: Option<usize>,
-        job: J,
-    ) -> (J::Output, CostReport) {
-        fn go<M: Machine, J: MachineJob>(mut m: M, job: J) -> (J::Output, CostReport) {
-            let out = job.run(&mut m);
-            (out, m.cost_report())
-        }
-        let pool = || threads.map_or_else(StepPool::from_env, StepPool::with_threads);
-        match self {
-            Backend::Sim => go(Pram::with_seed(16, seed), job),
-            Backend::Native | Backend::NativeSteal => {
-                let schedule = if self == Backend::Native {
-                    Schedule::Chunked
-                } else {
-                    Schedule::Stealing
-                };
-                let pool = pool().with_schedule(schedule);
-                go(NativeMachine::with_pool(16, seed, pool), job)
-            }
-            Backend::Bsp => go(BspMachine::with_threads(16, seed, pool().threads()), job),
-        }
-    }
-}
-
-/// Work for whichever machine a [`Backend`] names (see [`Backend::run_job`]).
-pub(crate) trait MachineJob {
-    /// What the job hands back.
-    type Output;
-
-    /// Runs the job on the freshly built machine.
-    fn run<M: Machine>(self, m: &mut M) -> Self::Output;
 }
 
 /// An algorithm ported to the [`Machine`] backend API, runnable (and timed)
-/// on any backend from this one entry point.
+/// on any backend through [`Subject::run`].
 ///
 /// ```
-/// use qrqw_bench::{Algorithm, Backend};
+/// use qrqw_bench::{Algorithm, Backend, Subject};
 ///
 /// // Parse a registry name, run it on a backend, check its validator.
-/// let algo = Algorithm::parse("permutation-qrqw").unwrap();
+/// let algo = Subject::Algorithm(Algorithm::parse("permutation-qrqw").unwrap());
 /// let sim = algo.run(Backend::Sim, 256, 1, None);
 /// assert!(sim.valid);
 ///
@@ -157,8 +120,7 @@ pub(crate) trait MachineJob {
 /// let steal = algo.run(Backend::NativeSteal, 256, 1, Some(2));
 /// assert_eq!(steal.backend, "native-steal");
 /// assert!(steal.valid);
-/// assert_eq!(sim.report.steps, steal.report.steps);
-/// assert_eq!(sim.report.contended_claims, steal.report.contended_claims);
+/// assert!(steal.agrees_with(&sim));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
@@ -459,58 +421,109 @@ impl Algorithm {
             }
         }
     }
+}
 
-    /// Creates a fresh machine of the requested backend — step pool on
-    /// `threads` threads, or `QRQW_THREADS` / host parallelism when `None` —
-    /// runs this algorithm on it, and reports timing, validity and the
-    /// machine's cost report.
-    pub fn run(self, backend: Backend, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
-        struct Job(Algorithm, usize);
-        impl MachineJob for Job {
-            type Output = (bool, Duration);
-            fn run<M: Machine>(self, m: &mut M) -> Self::Output {
-                self.0.run_on(m, self.1)
-            }
+/// What one harness run executes: a registry [`Algorithm`] or a churn
+/// [`Scenario`].  `perf_report` sweeps both kinds alike (see [`sweep`]).
+#[derive(Debug, Clone)]
+pub enum Subject {
+    /// A one-shot registry algorithm.
+    Algorithm(Algorithm),
+    /// A multi-epoch churn scenario.
+    Scenario(Scenario),
+}
+
+impl Subject {
+    /// [`Algorithm::name`] or [`Scenario::name`].
+    pub fn name(&self) -> &str {
+        match self {
+            Subject::Algorithm(algo) => algo.name(),
+            Subject::Scenario(scenario) => &scenario.name,
         }
-        let ((valid, elapsed), report) = backend.run_job(seed, threads, Job(self, n));
+    }
+
+    /// Builds the machine `backend` names — seeded with `seed`, its step
+    /// pool on `threads` threads (`None`: `QRQW_THREADS` / host
+    /// parallelism) — runs this subject at size `n` on it, and reports
+    /// timing, validity, the machine's cost report and, for a scenario, the
+    /// churn outcome.  Every harness machine is constructed here, so a
+    /// run's backend label and its machine cannot disagree.
+    pub fn run(&self, backend: Backend, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
+        let pool = || threads.map_or_else(StepPool::from_env, StepPool::with_threads);
+        match backend {
+            Backend::Sim => self.run_on(Pram::with_seed(16, seed), n),
+            Backend::Native | Backend::NativeSteal => {
+                let schedule = if backend == Backend::Native {
+                    Schedule::Chunked
+                } else {
+                    Schedule::Stealing
+                };
+                let pool = pool().with_schedule(schedule);
+                self.run_on(NativeMachine::with_pool(16, seed, pool), n)
+            }
+            Backend::Bsp => self.run_on(BspMachine::with_threads(16, seed, pool().threads()), n),
+        }
+    }
+
+    fn run_on<M: Machine>(&self, mut m: M, n: usize) -> BackendRun {
+        let seed = m.seed();
+        let (valid, elapsed, churn) = match self {
+            Subject::Algorithm(algo) => {
+                let (valid, elapsed) = algo.run_on(&mut m, n);
+                (valid, elapsed, None)
+            }
+            Subject::Scenario(scenario) => {
+                let started = Instant::now();
+                let outcome = scenario.run_churn(&mut m, n, seed);
+                (outcome.valid, started.elapsed(), Some(outcome))
+            }
+        };
         BackendRun {
-            algorithm: self.name(),
-            backend: backend.name(),
+            subject: self.name().to_string(),
+            backend: m.backend(),
             n,
             seed,
             valid,
             elapsed,
-            report,
+            report: m.cost_report(),
+            churn,
         }
     }
 }
 
-/// One algorithm execution on one backend: the unified record the Table II
-/// harness (and any future sweep) prints.
+/// One [`Subject`] execution on one backend: the record every harness
+/// sweep prints and `perf_report` judges.
 #[derive(Debug, Clone)]
 pub struct BackendRun {
-    /// [`Algorithm::name`] of the run.
-    pub algorithm: &'static str,
+    /// [`Subject::name`] of the run.
+    pub subject: String,
     /// [`Backend::name`] of the run.
     pub backend: &'static str,
-    /// Problem size.
+    /// Problem size (for a scenario: ops per epoch and keyspace).
     pub n: usize,
-    /// Machine seed.
+    /// Machine seed (for a scenario also the trace seed).
     pub seed: u64,
-    /// Whether the output validated (permutation check, coverage check, …).
+    /// Whether the output validated (permutation check, coverage check,
+    /// every churn reply against the host model, …).
     pub valid: bool,
-    /// Wall-clock time of the algorithm run itself.
+    /// Wall-clock time of the run itself.
     pub elapsed: Duration,
     /// The backend's own cost report.
     pub report: CostReport,
+    /// The churn driver's outcome, for a scenario run.
+    pub churn: Option<ChurnOutcome>,
 }
 
 impl BackendRun {
     /// Formats the run as one harness row.
     pub fn format(&self) -> String {
+        let hot = self
+            .churn
+            .as_ref()
+            .map_or(String::new(), |c| format!(" hot={:.3}", c.hot_fraction));
         format!(
-            "{:<26} {:<7} n={:<7} {:>9.3} ms  valid={} {}",
-            self.algorithm,
+            "{:<26} {:<12} n={:<7} {:>9.3} ms  valid={} {}{hot}",
+            self.subject,
             self.backend,
             self.n,
             self.elapsed.as_secs_f64() * 1e3,
@@ -518,21 +531,36 @@ impl BackendRun {
             self.report,
         )
     }
+
+    /// Whether this run re-executed `reference`'s charged trajectory: the
+    /// same step count and contended claims and, when both carry a churn
+    /// outcome, the same per-epoch contention and end-state digest.  Every
+    /// backend executes the simulator's exact QRQW trajectory for a seed,
+    /// so against the simulator's run anything else is drift.
+    pub fn agrees_with(&self, reference: &BackendRun) -> bool {
+        let churn_agrees = match (&self.churn, &reference.churn) {
+            (Some(a), Some(b)) => a.epoch_contention == b.epoch_contention && a.digest == b.digest,
+            _ => true,
+        };
+        self.report.steps == reference.report.steps
+            && self.report.contended_claims == reference.report.contended_claims
+            && churn_agrees
+    }
 }
 
 /// Problem sizes used by the Table I sweep.
 pub const TABLE1_SIZES: [usize; 4] = [1 << 10, 1 << 12, 1 << 14, 1 << 16];
 
-/// One measured row of a table: an algorithm name plus the trace summary of
-/// a single simulated run.
+/// One measured row of a table: an algorithm name plus the trace of a
+/// single simulated run.
 #[derive(Debug, Clone)]
 pub struct MeasuredRow {
     /// Algorithm / configuration label.
     pub label: String,
     /// Input size the run used.
     pub n: usize,
-    /// Trace summary of the run.
-    pub summary: TraceSummary,
+    /// Trace of the run.
+    pub trace: Trace,
 }
 
 impl MeasuredRow {
@@ -543,7 +571,7 @@ impl MeasuredRow {
         MeasuredRow {
             label: label.to_string(),
             n,
-            summary: pram.trace().summary(),
+            trace: pram.take_trace(),
         }
     }
 
@@ -553,26 +581,14 @@ impl MeasuredRow {
             "{:<34} n={:<7} t_qrqw={:<6} t_crqw={:<6} t_erew={:<6} t_crcw={:<6} work={:<9} max_cont={:<5} erew_viol={}",
             self.label,
             self.n,
-            self.summary.time_qrqw,
-            self.summary.time_crqw,
-            self.summary.time_erew,
-            self.summary.time_crcw,
-            self.summary.work,
-            self.summary.max_contention,
-            self.summary.erew_violations
+            self.trace.time(CostModel::Qrqw),
+            self.trace.time(CostModel::Crqw),
+            self.trace.time(CostModel::Erew),
+            self.trace.time(CostModel::Crcw),
+            self.trace.work(),
+            self.trace.max_contention(),
+            self.trace.violations(CostModel::Erew)
         )
-    }
-
-    /// The time of this run under `model`.
-    pub fn time(&self, model: CostModel) -> u64 {
-        match model {
-            CostModel::Erew | CostModel::Crew => self.summary.time_erew,
-            CostModel::Qrqw => self.summary.time_qrqw,
-            CostModel::Crqw => self.summary.time_crqw,
-            CostModel::Crcw => self.summary.time_crcw,
-            CostModel::SimdQrqw => self.summary.time_simd_qrqw,
-            CostModel::ScanSimdQrqw => self.summary.time_scan_simd_qrqw,
-        }
     }
 }
 
@@ -588,11 +604,13 @@ pub fn print_rows(title: &str, rows: &[MeasuredRow]) {
 mod tests {
     use super::*;
 
+    const PERMUTATION: Subject = Subject::Algorithm(Algorithm::PermutationQrqw);
+
     #[test]
     fn every_algorithm_runs_on_every_backend() {
         for algo in Algorithm::ALL {
             for backend in Backend::ALL {
-                let run = algo.run(backend, 128, 5, None);
+                let run = Subject::Algorithm(algo).run(backend, 128, 5, None);
                 assert!(run.valid, "{} failed on {}", algo.name(), backend.name());
                 assert!(run.format().contains(backend.name()));
             }
@@ -605,24 +623,54 @@ mod tests {
         // machine's own report and the registry name agree, and the charged
         // trajectory is the simulator's on every backend at every pool size.
         let counters = |r: &CostReport| (r.steps, r.claim_attempts, r.contended_claims);
-        let scenario = scenario::Scenario::parse("zipf-hot").unwrap();
-        let algo_sim = Algorithm::PermutationQrqw.run(Backend::Sim, 3000, 9, None);
+        let scenario = Subject::Scenario(Scenario::parse("zipf-hot").unwrap());
+        let algo_sim = PERMUTATION.run(Backend::Sim, 3000, 9, None);
         let scenario_sim = scenario.run(Backend::Sim, 64, 9, None);
         for backend in Backend::ALL {
             for threads in [None, Some(1), Some(2), Some(5)] {
-                let check = |valid: bool, label: &str, report: &CostReport, sim: &CostReport| {
+                let check = |run: &BackendRun, sim: &BackendRun| {
                     let at = format!("{} threads={threads:?}", backend.name());
-                    assert!(valid, "{at}");
-                    assert_eq!(label, backend.name(), "{at}");
-                    assert_eq!(report.backend, backend.name(), "{at}");
-                    assert_eq!(counters(report), counters(sim), "{at}");
+                    assert!(run.valid, "{at}");
+                    assert_eq!(run.backend, backend.name(), "{at}");
+                    assert_eq!(run.report.backend, backend.name(), "{at}");
+                    assert_eq!(counters(&run.report), counters(&sim.report), "{at}");
+                    assert!(run.agrees_with(sim), "{at}");
                 };
-                let run = Algorithm::PermutationQrqw.run(backend, 3000, 9, threads);
-                check(run.valid, run.backend, &run.report, &algo_sim.report);
-                let run = scenario.run(backend, 64, 9, threads);
-                check(run.valid, run.backend, &run.report, &scenario_sim.report);
+                check(&PERMUTATION.run(backend, 3000, 9, threads), &algo_sim);
+                check(&scenario.run(backend, 64, 9, threads), &scenario_sim);
             }
         }
+    }
+
+    #[test]
+    fn agreement_needs_every_compared_field_equal() {
+        let scenario = Subject::Scenario(Scenario::parse("zipf-hot").unwrap());
+        let reference = scenario.run(Backend::Sim, 64, 4, None);
+        assert!(reference.agrees_with(&reference.clone()));
+        fn churn(run: &mut BackendRun) -> &mut ChurnOutcome {
+            run.churn.as_mut().expect("a scenario run")
+        }
+        type Flip = fn(&mut BackendRun);
+        let flips: [(&str, Flip); 4] = [
+            ("steps", |run| run.report.steps += 1),
+            ("contended claims", |run| run.report.contended_claims += 1),
+            ("epoch contention", |run| {
+                churn(run).epoch_contention[0] += 1
+            }),
+            ("digest", |run| churn(run).digest.next_seq += 1),
+        ];
+        for (field, flip) in flips {
+            let mut run = reference.clone();
+            flip(&mut run);
+            assert!(!run.agrees_with(&reference), "{field} differs alone");
+            assert!(!reference.agrees_with(&run), "{field} differs alone");
+        }
+        // A run without a churn outcome is held to the counts alone.
+        let mut algo = PERMUTATION.run(Backend::Sim, 64, 4, None);
+        assert!(algo.agrees_with(&algo.clone()));
+        algo.report.steps = reference.report.steps;
+        algo.report.contended_claims = reference.report.contended_claims;
+        assert!(algo.agrees_with(&reference) && reference.agrees_with(&algo));
     }
 
     #[test]
@@ -650,7 +698,7 @@ mod tests {
 
     #[test]
     fn bsp_runs_carry_measured_and_predicted_costs() {
-        let run = Algorithm::PermutationQrqw.run(Backend::Bsp, 256, 3, None);
+        let run = PERMUTATION.run(Backend::Bsp, 256, 3, None);
         assert!(run.valid);
         let bsp = run.report.bsp.expect("bsp run must fill the BSP section");
         assert!(bsp.measured_cost > 0);
@@ -662,7 +710,7 @@ mod tests {
         );
         // The sim and bsp runs of one seed are the same trajectory, so the
         // claim counters must agree exactly.
-        let sim = Algorithm::PermutationQrqw.run(Backend::Sim, 256, 3, None);
+        let sim = PERMUTATION.run(Backend::Sim, 256, 3, None);
         assert_eq!(run.report.claim_attempts, sim.report.claim_attempts);
         assert_eq!(run.report.contended_claims, sim.report.contended_claims);
         assert_eq!(run.report.steps, sim.report.steps);
@@ -673,9 +721,9 @@ mod tests {
         let row = MeasuredRow::measure("noop-ish", 8, 1, |pram| {
             pram.step(|s| s.par_for(0..8, |p, ctx| ctx.write(p, 1)));
         });
-        assert_eq!(row.summary.steps, 1);
-        assert_eq!(row.summary.work, 8);
+        assert_eq!(row.trace.num_steps(), 1);
+        assert_eq!(row.trace.work(), 8);
         assert!(row.format().contains("n=8"));
-        assert_eq!(row.time(CostModel::Qrqw), 1);
+        assert_eq!(row.trace.time(CostModel::Qrqw), 1);
     }
 }

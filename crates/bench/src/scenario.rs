@@ -20,8 +20,8 @@
 //! counters.  One churn trace therefore produces **bit-identical**
 //! digests, step counts, and per-epoch contention totals on sim, native,
 //! native-steal, and BSP machines at any thread count — which is what
-//! `tests/scenarios.rs` pins and what arms `perf_report`'s sim-vs-native
-//! drift guard on every `--scenario` cell.
+//! `tests/scenarios.rs` pins and what `perf_report`'s drift guard
+//! ([`crate::BackendRun::agrees_with`]) checks on every `--scenario` cell.
 //!
 //! Alongside the digest, the driver measures the *skew* the distribution
 //! actually produced ([`ChurnOutcome::hot_fraction`]) so the committed
@@ -29,17 +29,14 @@
 //! the axis the paper's uniform-input Table II never opened.
 
 use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
 
 use qrqw_core::load_balance_qrqw;
 use qrqw_serve::{Reply, Request, ServiceConfig, ServiceCore, StateDigest};
-use qrqw_sim::{CostReport, Machine};
+use qrqw_sim::Machine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::report::Json;
 use crate::workload::{KeyDist, KeySampler};
-use crate::{Backend, MachineJob};
 
 /// One scenario: a named workload parameter block.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +45,8 @@ pub struct Scenario {
     pub name: String,
     /// Key distribution the trace draws from.
     pub dist: KeyDist,
-    /// Relative insert : delete : lookup weights of the hash traffic.
+    /// Relative insert : delete : lookup weights of the hash traffic (not
+    /// all zero; their sum fits in a `u32`).
     pub churn: [u32; 3],
     /// Epochs the driver runs (state carries across them).
     pub epochs: usize,
@@ -125,6 +123,16 @@ impl Scenario {
         if churn.iter().all(|&w| w == 0) {
             return Err(format!(
                 "churn ratio in {spec:?} must have a nonzero weight"
+            ));
+        }
+        if churn
+            .iter()
+            .try_fold(0u32, |sum, &w| sum.checked_add(w))
+            .is_none()
+        {
+            return Err(format!(
+                "churn weights in {spec:?} must sum to at most {}",
+                u32::MAX
             ));
         }
         let epochs: usize = parts[2]
@@ -250,39 +258,6 @@ impl Scenario {
             epoch_contention,
         }
     }
-
-    /// Creates a fresh machine of the requested backend (step pool on
-    /// `threads` threads, or `QRQW_THREADS` / host parallelism when `None`),
-    /// runs the churn driver on it, and packages the result — the scenario
-    /// analogue of `Algorithm::run`.
-    pub fn run(
-        &self,
-        backend: Backend,
-        n: usize,
-        seed: u64,
-        threads: Option<usize>,
-    ) -> ScenarioRun {
-        struct Job<'a>(&'a Scenario, usize, u64);
-        impl MachineJob for Job<'_> {
-            type Output = (ChurnOutcome, Duration);
-            fn run<M: Machine>(self, m: &mut M) -> Self::Output {
-                let started = Instant::now();
-                let outcome = self.0.run_churn(m, self.1, self.2);
-                (outcome, started.elapsed())
-            }
-        }
-        let ((outcome, elapsed), report) = backend.run_job(seed, threads, Job(self, n, seed));
-        ScenarioRun {
-            scenario: self.name.clone(),
-            backend: backend.name(),
-            n,
-            seed,
-            valid: outcome.valid,
-            elapsed,
-            report,
-            outcome,
-        }
-    }
 }
 
 /// Everything one churn run produced.
@@ -301,146 +276,6 @@ pub struct ChurnOutcome {
     /// Contended claims accrued in each epoch (bit-identical across
     /// backends; the drift guard compares the whole vector).
     pub epoch_contention: Vec<u64>,
-}
-
-/// One scenario execution on one backend.
-#[derive(Debug, Clone)]
-pub struct ScenarioRun {
-    /// [`Scenario::name`] of the run.
-    pub scenario: String,
-    /// [`Backend::name`] of the run.
-    pub backend: &'static str,
-    /// Scale parameter (ops per epoch and keyspace).
-    pub n: usize,
-    /// Machine + trace seed.
-    pub seed: u64,
-    /// Whether every in-run validation passed.
-    pub valid: bool,
-    /// Wall-clock time of the driver.
-    pub elapsed: Duration,
-    /// The backend's cost report after the run.
-    pub report: CostReport,
-    /// The driver's outcome (digest, skew, per-epoch contention).
-    pub outcome: ChurnOutcome,
-}
-
-impl ScenarioRun {
-    /// Formats the run as one harness row.
-    pub fn format(&self) -> String {
-        format!(
-            "{:<20} {:<12} n={:<6} {:>9.3} ms  hot={:.3} contended={} valid={}",
-            self.scenario,
-            self.backend,
-            self.n,
-            self.elapsed.as_secs_f64() * 1e3,
-            self.outcome.hot_fraction,
-            self.report.contended_claims,
-            self.valid,
-        )
-    }
-
-    /// This run as one per-backend cell of a `BENCH_workloads.json` row.
-    /// `drift_free` records the armed sim-vs-native guard's verdict for
-    /// this cell (trivially true for the sim reference itself).
-    pub fn cell_json(&self, drift_free: bool) -> Json {
-        Json::obj(vec![
-            ("wall_ms", Json::float(self.elapsed.as_secs_f64() * 1e3, 3)),
-            ("steps", Json::Int(self.report.steps)),
-            ("claim_attempts", Json::Int(self.report.claim_attempts)),
-            ("contended_claims", Json::Int(self.report.contended_claims)),
-            (
-                "contention_per_op",
-                Json::float(
-                    self.report.contended_claims as f64 / (self.outcome.ops as f64).max(1.0),
-                    4,
-                ),
-            ),
-            ("valid", Json::Bool(self.valid)),
-            ("drift_free", Json::Bool(drift_free)),
-        ])
-    }
-}
-
-/// Assembles one `BENCH_workloads.json` row from a scenario's sweep cells
-/// (`reference` is the sim run the drift guard compared everything
-/// against).  Shared by `perf_report --scenario` and the schema test.
-pub fn scenario_row_json(
-    scenario: &Scenario,
-    reference: &ScenarioRun,
-    cells: Vec<(&'static str, Json)>,
-    row_valid: bool,
-) -> Json {
-    Json::obj(vec![
-        ("scenario", Json::str(&scenario.name)),
-        ("dist", Json::Str(scenario.dist.label())),
-        ("churn", Json::Str(scenario.churn_label())),
-        ("epochs", Json::Int(scenario.epochs as u64)),
-        ("n", Json::Int(reference.n as u64)),
-        ("seed", Json::Int(reference.seed)),
-        ("ops", Json::Int(reference.outcome.ops)),
-        (
-            "hot_fraction",
-            Json::float(reference.outcome.hot_fraction, 4),
-        ),
-        (
-            "epoch_contention",
-            Json::Arr(
-                reference
-                    .outcome
-                    .epoch_contention
-                    .iter()
-                    .map(|&c| Json::Int(c))
-                    .collect(),
-            ),
-        ),
-        (
-            "backends",
-            Json::Obj(
-                cells
-                    .into_iter()
-                    .map(|(name, cell)| (name.to_string(), cell))
-                    .collect(),
-            ),
-        ),
-        ("valid", Json::Bool(row_valid)),
-    ])
-}
-
-/// Assembles the top-level `BENCH_workloads.json` document (shared by
-/// `perf_report --scenario` and the committed-artifact schema test).
-/// One parameter per top-level header field, by design — collapsing them
-/// into a struct would just move the field list one call site away.
-#[allow(clippy::too_many_arguments)]
-pub fn workloads_report_json(
-    generated_by: &str,
-    seed: u64,
-    threads: usize,
-    scenarios: &[Scenario],
-    backends: &[Backend],
-    sizes: &[usize],
-    all_valid: bool,
-    rows: Vec<Json>,
-) -> Json {
-    Json::obj(vec![
-        ("generated_by", Json::str(generated_by)),
-        ("seed", Json::Int(seed)),
-        ("threads", Json::Int(threads as u64)),
-        ("host_cores", Json::Int(rayon::current_num_threads() as u64)),
-        (
-            "scenarios",
-            Json::Arr(scenarios.iter().map(|s| Json::str(&s.name)).collect()),
-        ),
-        (
-            "backends",
-            Json::Arr(backends.iter().map(|b| Json::str(b.name())).collect()),
-        ),
-        (
-            "sizes",
-            Json::Arr(sizes.iter().map(|&n| Json::Int(n as u64)).collect()),
-        ),
-        ("all_valid", Json::Bool(all_valid)),
-        ("rows", Json::Arr(rows)),
-    ])
 }
 
 #[cfg(test)]
@@ -469,6 +304,7 @@ mod tests {
             "uniform/0:0:0/4",
             "uniform/1:1:1/0",
             "zipfian/1:1:1/4",
+            "uniform/4294967295:1:0/4",
         ] {
             let err = Scenario::parse(bad).expect_err(bad);
             assert!(!err.is_empty());

@@ -1,13 +1,14 @@
-//! `BENCH_workloads.json` schema round-trip: the committed artifact's
-//! shape is produced and checked through the same code path
-//! (`ScenarioRun::cell_json` + `scenario_row_json` +
-//! `workloads_report_json` + the shared renderer/parser), so a schema
-//! drift breaks this test before it breaks a downstream consumer —
-//! mirroring `service_schema.rs` for the scenario sweep.
+//! `perf_report` schema round-trips: a small [`Sweep`] of scenarios and
+//! one of algorithms go through the exact code the bin runs (the sweep,
+//! its cell and row writers, the shared renderer/parser), and the
+//! committed `BENCH_workloads.json` and `BENCH_native.json` are checked
+//! against the same schemas, so a schema drift breaks this test before it
+//! breaks a downstream consumer — mirroring `service_schema.rs`.
 
 use qrqw_bench::report::Json;
-use qrqw_bench::scenario::{scenario_row_json, workloads_report_json, Scenario};
-use qrqw_bench::Backend;
+use qrqw_bench::scenario::Scenario;
+use qrqw_bench::sweep::Sweep;
+use qrqw_bench::{Algorithm, Backend, Subject};
 
 /// A named type predicate over one JSON field.
 type FieldCheck = fn(&Json) -> bool;
@@ -77,46 +78,27 @@ fn check_rows(doc: &Json) {
     }
 }
 
+/// A sweep at one small size with every cell guarded.
+fn small_sweep(subjects: Vec<Subject>, backends: Vec<Backend>) -> Sweep {
+    Sweep {
+        subjects,
+        backends,
+        sizes: vec![64],
+        seed: 3,
+        threads: Some(2),
+        sim_cap: usize::MAX,
+        bsp_cap: usize::MAX,
+    }
+}
+
 #[test]
 fn workloads_report_round_trips_and_matches_the_schema() {
-    // A tiny in-process sweep through the exact assembly helpers the
-    // binary uses: sim reference + one drift-guarded native cell per
-    // scenario.
-    let scenarios = vec![
-        Scenario::parse("uniform-churn").unwrap(),
-        Scenario::parse("adversarial-collide").unwrap(),
-    ];
-    let backends = [Backend::Sim, Backend::Native];
-    let mut rows = Vec::new();
-    for scenario in &scenarios {
-        let reference = scenario.run(Backend::Sim, 64, 3, None);
-        assert!(reference.valid, "{} invalid on sim", scenario.name);
-        let native = scenario.run(Backend::Native, 64, 3, Some(2));
-        let drift_free = native.report.steps == reference.report.steps
-            && native.report.contended_claims == reference.report.contended_claims
-            && native.outcome.digest == reference.outcome.digest;
-        assert!(drift_free, "{} drifted", scenario.name);
-        let cells = vec![
-            (Backend::Sim.name(), reference.cell_json(true)),
-            (Backend::Native.name(), native.cell_json(drift_free)),
-        ];
-        rows.push(scenario_row_json(
-            scenario,
-            &reference,
-            cells,
-            reference.valid && native.valid && drift_free,
-        ));
-    }
-    let doc = workloads_report_json(
-        "perf_report --scenario",
-        3,
-        2,
-        &scenarios,
-        &backends,
-        &[64],
-        true,
-        rows,
-    );
+    // Sim reference + one drift-guarded native cell per scenario.
+    let scenarios = ["uniform-churn", "adversarial-collide"]
+        .map(|name| Subject::Scenario(Scenario::parse(name).unwrap()));
+    let sweep = small_sweep(scenarios.to_vec(), vec![Backend::Sim, Backend::Native]);
+    let (doc, all_valid) = sweep.run();
+    assert!(all_valid);
 
     // Render → parse → compare: the renderer and parser agree exactly.
     let back = Json::parse(&doc.render()).expect("generated report must parse");
@@ -136,6 +118,128 @@ fn workloads_report_round_trips_and_matches_the_schema() {
         assert!(back.get(key).is_some(), "missing top-level field {key:?}");
     }
     check_rows(&back);
+}
+
+/// The exact key set of a `BENCH_native.json` run entry.
+const RUN_KEYS: [&str; 8] = [
+    "algorithm",
+    "n",
+    "native",
+    "native_steal",
+    "sim",
+    "bsp",
+    "sim_over_native",
+    "chunked_over_stealing",
+];
+
+/// The exact top-level key set of a `BENCH_native.json` document.
+const NATIVE_DOC_KEYS: [&str; 8] = [
+    "generated_by",
+    "backends",
+    "seed",
+    "threads",
+    "host_cores",
+    "sizes",
+    "all_valid",
+    "runs",
+];
+
+/// Checks an algorithm-row document (`BENCH_native.json`): exact key sets
+/// of the document and of every run entry, every algorithm a registry
+/// name, every column `null` or a cell with the common fields plus the
+/// simulator's or the BSP machine's own, and nothing else.
+fn check_native_doc(doc: &Json) {
+    let keys = |v: &Json| -> Vec<String> {
+        match v {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        }
+    };
+    assert_eq!(keys(doc), NATIVE_DOC_KEYS);
+    assert_eq!(doc.get("all_valid").and_then(Json::as_bool), Some(true));
+    let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
+    assert!(!runs.is_empty());
+    for run in runs {
+        assert_eq!(keys(run), RUN_KEYS);
+        let name = run.get("algorithm").and_then(Json::as_str).unwrap();
+        assert!(
+            Algorithm::parse(name).is_some(),
+            "unknown algorithm {name:?}"
+        );
+        assert!(run.get("n").and_then(Json::as_u64).is_some());
+        for ratio in ["sim_over_native", "chunked_over_stealing"] {
+            let value = run.get(ratio).unwrap();
+            assert!(
+                value.as_f64().is_some() || *value == Json::Null,
+                "{ratio}: {value:?}"
+            );
+        }
+        let own: [(&str, &[&str]); 4] = [
+            ("native", &[]),
+            ("native_steal", &[]),
+            ("sim", &["work", "max_contention", "time_qrqw"]),
+            (
+                "bsp",
+                &[
+                    "supersteps",
+                    "messages",
+                    "max_queue",
+                    "max_h_relation",
+                    "measured_cost",
+                    "predicted_cost",
+                    "components",
+                ],
+            ),
+        ];
+        for (column, extra) in own {
+            let cell = run.get(column).unwrap();
+            if *cell == Json::Null {
+                continue;
+            }
+            let numeric = ["steps", "claim_attempts", "contended_claims"];
+            for field in numeric.iter().chain(extra) {
+                let value = cell.get(field);
+                assert!(
+                    value.and_then(Json::as_u64).is_some(),
+                    "{name} {column} field {field:?}: {value:?}"
+                );
+            }
+            assert!(cell.get("wall_ms").and_then(Json::as_f64).is_some());
+            assert_eq!(cell.get("valid").and_then(Json::as_bool), Some(true));
+            for field in keys(cell) {
+                let field = field.as_str();
+                let known = ["wall_ms", "valid", "drift_free"].contains(&field)
+                    || numeric.contains(&field)
+                    || extra.contains(&field);
+                assert!(known, "{name} {column} has an unknown field {field:?}");
+            }
+            let drift_free = cell.get("drift_free");
+            assert!(drift_free.is_none_or(|d| *d == Json::Bool(true)));
+        }
+    }
+}
+
+#[test]
+fn native_report_and_committed_artifact_match_the_algorithm_row_schema() {
+    // A generated algorithm sweep and the committed BENCH_native.json pass
+    // one schema, so the writer cannot silently change the artifact's
+    // shape.  The generated cells are all guarded: they carry drift_free.
+    let algos = [Algorithm::PermutationQrqw, Algorithm::FetchAdd].map(Subject::Algorithm);
+    let (doc, all_valid) = small_sweep(algos.to_vec(), Backend::ALL.to_vec()).run();
+    assert!(all_valid);
+    let back = Json::parse(&doc.render()).expect("generated report must parse");
+    assert_eq!(back, doc);
+    check_native_doc(&back);
+    let runs = back.get("runs").and_then(Json::as_arr).unwrap();
+    for column in ["native", "native_steal", "sim", "bsp"] {
+        let cell = runs[0].get(column).unwrap();
+        assert_eq!(cell.get("drift_free"), Some(&Json::Bool(true)), "{column}");
+    }
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
+    let text = std::fs::read_to_string(path)
+        .expect("BENCH_native.json must be committed at the repository root");
+    check_native_doc(&Json::parse(&text).expect("committed BENCH_native.json must parse"));
 }
 
 #[test]

@@ -35,4 +35,4 @@
 pub mod machine;
 pub mod router;
 
-pub use machine::{BspMachine, COMPONENTS_ENV, DEFAULT_COMPONENTS};
+pub use machine::{BspMachine, DEFAULT_COMPONENTS};

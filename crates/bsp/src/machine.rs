@@ -68,12 +68,6 @@ use qrqw_sim::{BspCost, ClaimMode, CostReport, Machine, MachineProc};
 
 use crate::router::Router;
 
-/// Environment variable overriding the number of BSP components (`p` in the
-/// Theorem 1.1 bound).  Must be an integer ≥ 2 when set; anything else
-/// makes machine construction panic — a mistyped override must never
-/// silently report a `predicted_cost` at the wrong `⌈lg p⌉`.
-pub const COMPONENTS_ENV: &str = "QRQW_BSP_COMPONENTS";
-
 /// Default component count: `2^10`, giving the Theorem 1.1 formula its
 /// `⌈lg p⌉ = 10` factor (the MasPar of the Section 5.2 experiment had
 /// `2^14` processors; `p/lg p ≈ 2^10` components is the machine Theorem 1.1
@@ -108,23 +102,18 @@ impl BspMachine {
 
     /// Creates a machine with an explicit compute-phase thread count,
     /// overriding `QRQW_THREADS` / host parallelism.
-    ///
-    /// # Panics
-    ///
-    /// If [`COMPONENTS_ENV`] is set to anything but an integer ≥ 2 (as does
-    /// [`Machine::with_seed`]).
     pub fn with_threads(mem_size: usize, seed: u64, threads: usize) -> Self {
         Self::build(
             mem_size,
             seed,
             StepPool::with_threads(threads),
-            components_from_env(),
+            DEFAULT_COMPONENTS,
         )
     }
 
     /// Creates a machine with an explicit component count (`p` of the
-    /// Theorem 1.1 bound; clamped to at least 2), overriding
-    /// [`COMPONENTS_ENV`].
+    /// Theorem 1.1 bound; clamped to at least 2) in place of
+    /// [`DEFAULT_COMPONENTS`].
     pub fn with_components(mem_size: usize, seed: u64, components: u64) -> Self {
         Self::build(mem_size, seed, StepPool::from_env(), components.max(2))
     }
@@ -200,29 +189,9 @@ fn queue(s: &StepStats) -> u64 {
     }
 }
 
-/// The component count a raw `QRQW_BSP_COMPONENTS` value selects:
-/// [`DEFAULT_COMPONENTS`] when unset, an error when set but not an integer
-/// ≥ 2.
-fn components_from_env_value(raw: Option<&str>) -> Result<u64, String> {
-    match raw {
-        None => Ok(DEFAULT_COMPONENTS),
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(c) if c >= 2 => Ok(c),
-            _ => Err(format!(
-                "invalid {COMPONENTS_ENV}={v:?}: expected an integer >= 2"
-            )),
-        },
-    }
-}
-
-fn components_from_env() -> u64 {
-    let raw = std::env::var(COMPONENTS_ENV).ok();
-    components_from_env_value(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
 impl Machine for BspMachine {
     fn with_seed(mem_size: usize, seed: u64) -> Self {
-        Self::build(mem_size, seed, StepPool::from_env(), components_from_env())
+        Self::build(mem_size, seed, StepPool::from_env(), DEFAULT_COMPONENTS)
     }
 
     fn backend(&self) -> &'static str {
@@ -553,16 +522,6 @@ mod tests {
         assert_eq!(m.components(), 2, "component count must clamp to ≥ 2");
         let m = BspMachine::with_components(8, 0, 4096);
         assert_eq!(m.components(), 4096);
-    }
-
-    #[test]
-    fn component_env_values_default_when_unset_and_reject_loudly_when_invalid() {
-        assert_eq!(components_from_env_value(None), Ok(DEFAULT_COMPONENTS));
-        assert_eq!(components_from_env_value(Some("64")), Ok(64));
-        for bad in ["1", "0", "abc"] {
-            let err = components_from_env_value(Some(bad)).unwrap_err();
-            assert!(err.contains(COMPONENTS_ENV), "{err}");
-        }
     }
 
     #[test]

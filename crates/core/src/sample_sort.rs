@@ -24,7 +24,7 @@
 
 use crate::fat_tree::FatTree;
 use crate::multiple_compaction::{build_layout, place_values};
-use qrqw_prims::{bitonic_sort, bitonic_sort_segments, compact_erew};
+use qrqw_prims::{bitonic_sort, compact_erew};
 use qrqw_sim::schedule::ceil_lg;
 use qrqw_sim::Machine;
 
@@ -144,7 +144,7 @@ fn sample_sort<M: Machine>(m: &mut M, keys: &[u64], kind: SearchKind) -> Vec<u64
     // --- Step 5: finish every bucket with one parallel bitonic pass over
     // the equal-size subarrays (EMPTY padding sorts to the end), then
     // compact out the padding.
-    bitonic_sort_segments(m, layout.b_base, seg, num_buckets);
+    m.bitonic_segments(layout.b_base, seg, num_buckets);
     let out_region = m.alloc(layout.b_len);
     let cnt = compact_erew(m, layout.b_base, layout.b_len, out_region);
     assert_eq!(cnt as usize, n);

@@ -47,26 +47,6 @@ pub fn bitonic_sort<M: Machine>(m: &mut M, base: usize, n: usize) {
     m.release_to(work);
 }
 
-/// Sorts `num_segs` independent, equally sized segments
-/// `[base + s*seg_size, base + (s+1)*seg_size)` simultaneously: every
-/// compare–exchange stage of the network runs across *all* segments in the
-/// same PRAM step, so the total number of steps is `O(lg² seg_size)`
-/// regardless of how many segments there are.
-///
-/// `seg_size` must be a power of two (callers pad with [`EMPTY`], which
-/// sorts to the end of each segment).  This is the "finish the groups in
-/// parallel" tool used by the sample-sort finishing phase (Section 7.2).
-pub fn bitonic_sort_segments<M: Machine>(m: &mut M, base: usize, seg_size: usize, num_segs: usize) {
-    if seg_size <= 1 || num_segs == 0 {
-        return;
-    }
-    assert!(
-        seg_size.is_power_of_two(),
-        "segment size must be a power of two"
-    );
-    m.bitonic_segments(base, seg_size, num_segs);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,7 +125,7 @@ mod tests {
         let data: Vec<u64> = (0..segs * size).map(|_| rng.gen_range(0..1000)).collect();
         let mut pram = Pram::new(segs * size);
         pram.memory_mut().load(0, &data);
-        bitonic_sort_segments(&mut pram, 0, size, segs);
+        pram.bitonic_segments(0, size, segs);
         for s in 0..segs {
             let mut expect: Vec<u64> = data[s * size..(s + 1) * size].to_vec();
             expect.sort_unstable();
@@ -164,7 +144,7 @@ mod tests {
                 let data: Vec<u64> = (0..segs * size).map(|_| rng.gen_range(0..500)).collect();
                 let mut pram = Pram::new(5 + segs * size);
                 pram.memory_mut().load(5, &data);
-                bitonic_sort_segments(&mut pram, 5, size, segs);
+                pram.bitonic_segments(5, size, segs);
                 for s in 0..segs {
                     let mut expect = data[s * size..(s + 1) * size].to_vec();
                     expect.sort_unstable();
@@ -181,7 +161,7 @@ mod tests {
         let data: Vec<u64> = (0..17 * 16).map(|i| (i * 7919 + 13) % 1009).collect();
         let mut pram = Pram::new(3 + data.len());
         pram.memory_mut().load(3, &data);
-        bitonic_sort_segments(&mut pram, 3, 16, 17);
+        pram.bitonic_segments(3, 16, 17);
         let trace = pram.trace();
         assert_eq!(
             (
@@ -199,7 +179,7 @@ mod tests {
             let mut pram = Pram::new(segs * 16);
             pram.memory_mut()
                 .load(0, &(0..(segs * 16) as u64).rev().collect::<Vec<_>>());
-            bitonic_sort_segments(&mut pram, 0, 16, segs);
+            pram.bitonic_segments(0, 16, segs);
             pram.trace().num_steps()
         };
         assert_eq!(run(2), run(64));
@@ -209,6 +189,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn segmented_sort_rejects_non_power_of_two() {
         let mut pram = Pram::new(30);
-        bitonic_sort_segments(&mut pram, 0, 10, 3);
+        pram.bitonic_segments(0, 10, 3);
     }
 }

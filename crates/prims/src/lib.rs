@@ -42,7 +42,7 @@ pub mod prefix;
 pub mod reduce;
 pub mod util;
 
-pub use bitonic::{bitonic_sort, bitonic_sort_segments};
+pub use bitonic::bitonic_sort;
 pub use broadcast::{broadcast_cell, duplicate_values, propagate_nonempty_forward};
 pub use claim::{ClaimMode, TeamDarts};
 pub use compaction::{compact_erew, linear_compaction, LinearCompactionOutcome};

@@ -90,5 +90,5 @@ pub use model::CostModel;
 pub use pram::Pram;
 pub use rng::proc_rng;
 pub use schedule::bsp_emulation_time;
-pub use stats::{StepStats, Trace, TraceSummary};
+pub use stats::{StepStats, Trace};
 pub use step::{ProcCtx, StepCtx, StepSink};

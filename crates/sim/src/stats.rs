@@ -131,52 +131,11 @@ impl Trace {
         self.time(model) * lg_p.max(1)
     }
 
-    /// Collapses the trace into a [`TraceSummary`] for reporting.
-    pub fn summary(&self) -> TraceSummary {
-        TraceSummary {
-            steps: self.num_steps() as u64,
-            work: self.work(),
-            max_contention: self.max_contention(),
-            time_erew: self.time(CostModel::Erew),
-            time_qrqw: self.time(CostModel::Qrqw),
-            time_crqw: self.time(CostModel::Crqw),
-            time_crcw: self.time(CostModel::Crcw),
-            time_simd_qrqw: self.time(CostModel::SimdQrqw),
-            time_scan_simd_qrqw: self.time(CostModel::ScanSimdQrqw),
-            erew_violations: self.violations(CostModel::Erew),
-        }
-    }
-
     /// Merges another trace's steps onto the end of this one (used when an
     /// algorithm is composed of independently-simulated phases).
     pub fn extend(&mut self, other: &Trace) {
         self.steps.extend_from_slice(&other.steps);
     }
-}
-
-/// A compact summary of a trace, convenient for table harnesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Number of parallel steps.
-    pub steps: u64,
-    /// Total operations.
-    pub work: u64,
-    /// Largest per-step contention.
-    pub max_contention: u64,
-    /// Time under the EREW metric (ignoring violations).
-    pub time_erew: u64,
-    /// Time under the QRQW metric.
-    pub time_qrqw: u64,
-    /// Time under the CRQW metric.
-    pub time_crqw: u64,
-    /// Time under the CRCW metric.
-    pub time_crcw: u64,
-    /// Time under the SIMD-QRQW metric.
-    pub time_simd_qrqw: u64,
-    /// Time under the scan-SIMD-QRQW metric.
-    pub time_scan_simd_qrqw: u64,
-    /// Number of steps that are illegal on an EREW PRAM.
-    pub erew_violations: u64,
 }
 
 #[cfg(test)]
@@ -230,16 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_all_models() {
+    fn one_step_is_charged_under_every_model() {
         let mut t = Trace::new();
         t.push(step(4, 4, 2, 3, 1));
-        let s = t.summary();
-        assert_eq!(s.steps, 1);
-        assert_eq!(s.work, 8);
-        assert_eq!(s.time_qrqw, 3);
-        assert_eq!(s.time_crqw, 2);
-        assert_eq!(s.time_crcw, 2);
-        assert_eq!(s.erew_violations, 1);
+        assert_eq!(t.num_steps(), 1);
+        assert_eq!(t.work(), 8);
+        assert_eq!(t.time(CostModel::Qrqw), 3);
+        assert_eq!(t.time(CostModel::Crqw), 2);
+        assert_eq!(t.time(CostModel::Crcw), 2);
+        assert_eq!(t.violations(CostModel::Erew), 1);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! companion guard in `tests/common/lockstep.rs` (`pairs`) additionally
 //! fails the build when a registered backend lacks Lockstep pairs.
 
-use qrqw_bench::{Algorithm, Backend};
+use qrqw_bench::{Algorithm, Backend, Subject};
 
 #[test]
 fn every_registry_variant_runs_and_validates_on_every_backend() {
     for n in [64usize, 257] {
         for algo in Algorithm::ALL {
             for backend in Backend::ALL {
-                let run = algo.run(backend, n, 11, None);
+                let run = Subject::Algorithm(algo).run(backend, n, 11, None);
                 assert!(
                     run.valid,
                     "{} produced an invalid output on {} at n={n}",
@@ -70,7 +70,7 @@ fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() 
     for algo in exclusive {
         let counters: Vec<_> = Backend::ALL
             .map(|backend| {
-                let run = algo.run(backend, 200, 7, None);
+                let run = Subject::Algorithm(algo).run(backend, 200, 7, None);
                 assert!(run.valid, "{} on {}", algo.name(), backend.name());
                 let r = run.report;
                 (r.steps, r.claim_attempts, r.contended_claims)
@@ -87,7 +87,7 @@ fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() 
 #[test]
 fn only_the_bsp_backend_fills_the_bsp_cost_section() {
     for backend in Backend::ALL {
-        let run = Algorithm::ListRank.run(backend, 64, 1, None);
+        let run = Subject::Algorithm(Algorithm::ListRank).run(backend, 64, 1, None);
         assert_eq!(
             run.report.bsp.is_some(),
             backend == Backend::Bsp,

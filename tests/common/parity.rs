@@ -17,7 +17,7 @@
 //! [`parity_suite!`] instantiates both as one `#[test]` per function for
 //! each named [`Backend`].
 
-use qrqw_bench::{Algorithm, Backend};
+use qrqw_bench::{Algorithm, Backend, Subject};
 use qrqw_suite::algos::{
     emulate_fetch_add_step, is_cyclic, is_permutation, random_cyclic_permutation_efficient,
     random_cyclic_permutation_fast, random_permutation_dart_scan, random_permutation_qrqw,
@@ -213,7 +213,7 @@ pub fn outputs_are_seed_stable(backend: Backend) {
 /// to pass.
 fn validates(backend: Backend, members: &[Algorithm], n: usize, seed: u64) {
     for algo in members {
-        let valid = algo.run(backend, n, seed, None).valid;
+        let valid = Subject::Algorithm(*algo).run(backend, n, seed, None).valid;
         assert!(valid, "{} invalid at n={n}, seed {seed}", algo.name());
     }
 }

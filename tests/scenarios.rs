@@ -9,7 +9,7 @@ mod common;
 
 use common::lockstep::{each_machine, each_pair, pairs_of};
 use qrqw_bench::scenario::{ChurnOutcome, Scenario};
-use qrqw_bench::Backend;
+use qrqw_bench::{Backend, Subject};
 use qrqw_suite::sim::{Machine, Pram};
 
 const N: usize = 128;
@@ -87,10 +87,11 @@ fn scenario_contention_orders_by_skew_on_the_simulator() {
     // attempts) while concentrating them on shared probe chains (more
     // collisions).  At n=256, seed 5 this reads uniform ≈ 1.4%,
     // zipf ≈ 4.6%, adversarial ≈ 42%.
+    let run = |name: &str| {
+        Subject::Scenario(Scenario::parse(name).unwrap()).run(Backend::Sim, 256, 5, None)
+    };
     let rate = |name: &str| {
-        let run = Scenario::parse(name)
-            .unwrap()
-            .run(Backend::Sim, 256, 5, None);
+        let run = run(name);
         assert!(run.valid);
         run.report.contended_claims as f64 / (run.report.claim_attempts as f64).max(1.0)
     };
@@ -110,10 +111,9 @@ fn scenario_contention_orders_by_skew_on_the_simulator() {
     // every epoch's churn down to (at most) one touched key — near-zero
     // claim traffic is the correct, pinned behavior, and the measured
     // hot fraction records the skew instead.
-    let run = Scenario::parse("all-same-key")
-        .unwrap()
-        .run(Backend::Sim, 256, 5, None);
+    let run = run("all-same-key");
+    let outcome = run.churn.expect("a scenario run carries its churn outcome");
     assert!(run.valid);
-    assert!((run.outcome.hot_fraction - 1.0).abs() < 1e-12);
-    assert!(run.report.claim_attempts <= run.outcome.epoch_contention.len() as u64);
+    assert!((outcome.hot_fraction - 1.0).abs() < 1e-12);
+    assert!(run.report.claim_attempts <= outcome.epoch_contention.len() as u64);
 }
