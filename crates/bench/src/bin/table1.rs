@@ -106,11 +106,16 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &sizes {
         let mut rng = SmallRng::seed_from_u64(13);
-        let mut set = std::collections::HashSet::new();
-        while set.len() < n {
-            set.insert(rng.gen_range(0..(1u64 << 31) - 1));
+        // Distinct keys in draw order: a set's iteration order changes from
+        // process to process, and the rows below depend on the order.
+        let mut seen = std::collections::HashSet::new();
+        let mut keys = Vec::with_capacity(n);
+        while keys.len() < n {
+            let key = rng.gen_range(0..(1u64 << 31) - 1);
+            if seen.insert(key) {
+                keys.push(key);
+            }
         }
-        let keys: Vec<u64> = set.into_iter().collect();
         let k1 = keys.clone();
         rows.push(MeasuredRow::measure(
             "hashing/qrqw build+lookup",

@@ -79,35 +79,95 @@ pub fn integer_sort_crqw<M: Machine>(m: &mut M, keys: &[u64], max_key: u64) -> V
     assert_eq!(cnt as usize, n);
 
     // --- Finishing phase: stable small-range sort on the high bits
-    // (Fact 4.3).  Pack (high bits, position) and sort stably.
+    // (Fact 4.3).
+    let sorted = sort_high_bits(m, packed, n, d_bits, max_key);
+    m.release_to(packed);
+    sorted
+}
+
+/// The bits a packed word's key carries (see [`pack`]).
+const KEY_BITS: u64 = 31;
+
+/// Stably sorts the `n` values at `[base, base+n)`, already in order of
+/// their low `d_bits` bits, by the rest (all below `max_key`), and returns
+/// them.
+fn sort_high_bits<M: Machine>(
+    m: &mut M,
+    base: usize,
+    n: usize,
+    d_bits: u64,
+    max_key: u64,
+) -> Vec<u64> {
     let high_range = (max_key >> d_bits) + 1;
+    if high_range > 1 << KEY_BITS {
+        // The high part outgrows a packed key: sort by all of it.
+        sort_wide(m, base, n, ceil_lg(high_range) as usize, |v| v >> d_bits);
+        return m.dump(base, n);
+    }
+    // Pack (high bits, low bits) and sort stably.
     m.par_for(n, |i, ctx| {
-        let v = ctx.read(packed + i);
+        let v = ctx.read(base + i);
         ctx.write(
-            packed + i,
+            base + i,
             pack(v >> d_bits, v & ((1u64 << d_bits.min(32)) - 1)),
         );
     });
-    stable_sort_small_range(m, packed, n, high_range as usize);
-    let sorted: Vec<u64> = m
-        .dump(packed, n)
+    stable_sort_small_range(m, base, n, high_range as usize);
+    m.dump(base, n)
         .into_iter()
         .map(|w| (qrqw_prims::unpack_key(w) << d_bits) | unpack_payload(w))
-        .collect();
-    m.release_to(packed);
-    sorted
+        .collect()
+}
+
+/// Stably sorts the `n` values at `[base, base+n)` by the low `key_bits`
+/// bits of `key(value)`, [`KEY_BITS`] at a time from the least
+/// significant: each digit is radix-sorted as packed `(digit, index)`
+/// words, and the values follow their indices.
+fn sort_wide<M: Machine>(
+    m: &mut M,
+    base: usize,
+    n: usize,
+    key_bits: usize,
+    key: impl Fn(u64) -> u64 + Sync,
+) {
+    let words = m.alloc(n);
+    let moved = m.alloc(n);
+    let digit_mask = (1u64 << KEY_BITS) - 1;
+    for shift in (0..key_bits).step_by(KEY_BITS as usize) {
+        let bits = (key_bits - shift).min(KEY_BITS as usize);
+        m.par_for(n, |i, ctx| {
+            let digit = (key(ctx.read(base + i)) >> shift) & digit_mask;
+            ctx.write(words + i, pack(digit, i as u64));
+        });
+        qrqw_prims::radix_sort_packed(m, words, n, bits);
+        // Each value is read by the one processor that holds its index.
+        m.par_for(n, |j, ctx| {
+            let i = unpack_payload(ctx.read(words + j)) as usize;
+            let v = ctx.read(base + i);
+            ctx.write(moved + j, v);
+        });
+        m.par_for(n, |j, ctx| {
+            let v = ctx.read(moved + j);
+            ctx.write(base + j, v);
+        });
+    }
+    m.release_to(words);
 }
 
 fn radix_fallback<M: Machine>(m: &mut M, keys: &[u64], max_key: u64) -> Vec<u64> {
     let n = keys.len();
     let base = m.alloc(n);
-    let words: Vec<u64> = keys
-        .iter()
-        .map(|&k| pack(k.min((1 << 31) - 1), 0))
-        .collect();
+    let bits = ceil_lg(max_key.max(2));
+    if bits > KEY_BITS {
+        m.load(base, keys);
+        sort_wide(m, base, n, bits as usize, |k| k);
+        let out = m.dump(base, n);
+        m.release_to(base);
+        return out;
+    }
+    let words: Vec<u64> = keys.iter().map(|&k| pack(k, 0)).collect();
     m.load(base, &words);
-    let bits = ceil_lg(max_key.max(2)) as usize;
-    qrqw_prims::radix_sort_packed(m, base, n, bits.min(31));
+    qrqw_prims::radix_sort_packed(m, base, n, bits as usize);
     let out: Vec<u64> = m
         .dump(base, n)
         .into_iter()
@@ -155,6 +215,28 @@ mod tests {
         assert_eq!(integer_sort_crqw(&mut pram, &[], 10), Vec::<u64>::new());
         assert_eq!(integer_sort_crqw(&mut pram, &[3], 10), vec![3]);
         assert_eq!(integer_sort_crqw(&mut pram, &[3, 1, 2], 10), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn the_fallback_sorts_keys_above_the_packed_key_width() {
+        let keys = [5 << 32, 3, 1 << 35, 7];
+        let mut pram = Pram::with_seed(4, 7);
+        let got = radix_fallback(&mut pram, &keys, 1 << 36);
+        assert_eq!(got, vec![3, 7, 5 << 32, 1 << 35]);
+        assert_eq!(pram.heap_top(), 4, "scratch released");
+    }
+
+    #[test]
+    fn the_finishing_phase_sorts_high_parts_above_the_packed_key_width() {
+        // In order of the low 4 bits; the high parts need 36 bits.
+        let vals = [(9 << 36) | 1, (3 << 4) | 1, (1 << 39) | 2, (9 << 36) | 3, 3];
+        let mut pram = Pram::with_seed(4, 8);
+        let base = pram.alloc(vals.len());
+        pram.memory_mut().load(base, &vals);
+        let got = sort_high_bits(&mut pram, base, vals.len(), 4, 1 << 40);
+        let mut expect = vals.to_vec();
+        expect.sort_by_key(|v| v >> 4); // stable: low bits stay in order
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -52,7 +52,15 @@
 //!   word-aligned so chunks own whole words), and aggregates contention
 //!   bookkeeping per chunk into two atomic adds via
 //!   [`ContentionCounter::add`];
-//! * `scan_step` keeps its per-block offset table in reusable scratch;
+//! * `scan_step` and `scan_tree` share one blocked scan — block sums, a
+//!   serial scan of the block offsets, a fill, as one pool dispatch — with
+//!   its per-block offset table in reusable scratch, so the Blelloch tree's
+//!   `2·lg w + 3` steps cost one read and one write sweep;
+//! * `counting_pass` (the Fact 4.3 pass) is one 4-pass dispatch: a bucket
+//!   histogram per block in the same offset table, a serial bucket-major
+//!   scan of those histograms into ranks, a stable scatter into a reusable
+//!   spill buffer, and a copy back — the count matrix and the output copy
+//!   of the default route never touch the arena;
 //! * `bitonic_segments` runs the whole network as block-resident passes:
 //!   every stage with `k <= BITONIC_BLOCK` in one pass, block by block,
 //!   and per larger `k` one whole-range pass per stage `j >= BITONIC_BLOCK`
@@ -83,6 +91,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use qrqw_sim::proc_rng;
+use qrqw_sim::schedule::ceil_lg;
 use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
 use crate::arena::{Arena, ArenaStats, ArenaView, PAGE_CELLS, SHARD_CELLS, SHARD_MASK};
@@ -99,9 +108,10 @@ static NEXT_MACHINE_ID: AtomicU64 = AtomicU64::new(1);
 /// (every tag in the repository is an index-derived value far below it).
 const POISON: u64 = u64::MAX - 1;
 
-/// Cells per block of the two-pass parallel prefix in
-/// [`Machine::scan_step`]; also the chunk alignment of its dispatches, so
-/// every block belongs to exactly one chunk.
+/// Cells per block of the blocked prefix of [`Machine::scan_step`] and
+/// [`Machine::scan_tree`] and of the histograms of
+/// [`Machine::counting_pass`]; also the chunk alignment of their
+/// dispatches, so every block belongs to exactly one chunk.
 const SCAN_BLOCK: usize = 8192;
 
 /// Cells per block of the cache-blocked bitonic network in
@@ -126,7 +136,11 @@ struct Scratch {
     /// Claim pass: bit `i` set iff attempt `i` won its compare-and-swap.
     cas_won: Vec<AtomicU64>,
     /// Scan pass: per-[`SCAN_BLOCK`] totals, then exclusive offsets.
+    /// Counting pass: one bucket histogram per block, then per-bucket
+    /// output ranks.
     offsets: Vec<AtomicU64>,
+    /// Counting pass: the stably scattered words before the copy back.
+    spill: Vec<AtomicU64>,
 }
 
 fn ensure_words(buf: &mut Vec<AtomicU64>, words: usize) {
@@ -381,6 +395,71 @@ impl NativeMachine {
         self.counter.store(snap.attempts, snap.failures);
     }
 
+    /// Prefix sums over `[base, base+len)` in place, [`EMPTY`] read as 0,
+    /// exclusive or inclusive; returns the total.  The caller grows the
+    /// arena and advances the step index.
+    fn blocked_scan(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let nblocks = len.div_ceil(SCAN_BLOCK);
+        ensure_words(&mut self.scratch.offsets, nblocks);
+        let arena = &self.arena;
+        // The fill pass rewrites the whole range.
+        arena.mark_range(base, len);
+        let offsets = &self.scratch.offsets[..nblocks];
+        let val = |i: usize| {
+            let v = arena.cell(base + i).load(Ordering::Relaxed);
+            if v == EMPTY {
+                0
+            } else {
+                v
+            }
+        };
+        // Blocked parallel prefix: per-block totals into reused scratch, an
+        // exclusive scan of those totals, then a parallel fill.  Chunks are
+        // SCAN_BLOCK-aligned, so each block has one writer.
+        let sum_blocks = |lo: usize, hi: usize| {
+            let mut i = lo;
+            while i < hi {
+                let end = (i + SCAN_BLOCK).min(hi);
+                offsets[i / SCAN_BLOCK].store((i..end).map(val).sum(), Ordering::Relaxed);
+                i = end;
+            }
+        };
+        let fill = |lo: usize, hi: usize| {
+            let mut i = lo;
+            while i < hi {
+                let end = (i + SCAN_BLOCK).min(hi);
+                let mut run = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed);
+                for j in i..end {
+                    let excl = run;
+                    run += val(j);
+                    let out = if inclusive { run } else { excl };
+                    arena.cell(base + j).store(out, Ordering::Relaxed);
+                }
+                i = end;
+            }
+        };
+        // One pool dispatch: block sums, then the serial exclusive scan of
+        // the block totals run by whichever participant owns the first
+        // chunk of the middle pass (the other chunks of that pass are
+        // no-ops — the barrier still separates it from the fill), then the
+        // fill.
+        let total = AtomicU64::new(0);
+        self.pool
+            .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
+                0 => sum_blocks(lo, hi),
+                1 => {
+                    if lo == 0 {
+                        total.store(exclusive_scan(offsets), Ordering::Relaxed);
+                    }
+                }
+                _ => fill(lo, hi),
+            });
+        total.into_inner()
+    }
+
     /// Raw scratch-buffer addresses, for the allocation-stability tests: a
     /// warm machine must keep these fixed across steps.
     #[doc(hidden)]
@@ -469,7 +548,7 @@ impl MachineProc for NativeProc<'_> {
 }
 
 /// Turns the per-block totals in `offsets` into exclusive offsets in place
-/// and returns the grand total — the serial middle pass of `scan_step` and
+/// and returns the grand total — the serial middle pass of the blocked scan and
 /// `compact_step`.
 fn exclusive_scan(offsets: &[AtomicU64]) -> u64 {
     let mut acc = 0u64;
@@ -822,65 +901,8 @@ impl Machine for NativeMachine {
 
     fn scan_step(&mut self, base: usize, len: usize) -> u64 {
         self.grow(base + len);
-        if len == 0 {
-            self.steps_executed += 1;
-            return 0;
-        }
-        let nblocks = len.div_ceil(SCAN_BLOCK);
-        ensure_words(&mut self.scratch.offsets, nblocks);
-        let arena = &self.arena;
-        // The fill pass rewrites the whole range.
-        arena.mark_range(base, len);
-        let offsets = &self.scratch.offsets[..nblocks];
-        let val = |i: usize| {
-            let v = arena.cell(base + i).load(Ordering::Relaxed);
-            if v == EMPTY {
-                0
-            } else {
-                v
-            }
-        };
-        // Blocked parallel prefix: per-block totals into reused scratch, an
-        // exclusive scan of those totals, then a parallel fill.  Chunks are
-        // SCAN_BLOCK-aligned, so each block has one writer.
-        let sum_blocks = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                offsets[i / SCAN_BLOCK].store((i..end).map(val).sum(), Ordering::Relaxed);
-                i = end;
-            }
-        };
-        let fill = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                let mut run = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed);
-                for j in i..end {
-                    run += val(j);
-                    arena.cell(base + j).store(run, Ordering::Relaxed);
-                }
-                i = end;
-            }
-        };
-        // One pool dispatch: block sums, then the serial exclusive scan of
-        // the block totals run by whichever participant owns the first
-        // chunk of the middle pass (the other chunks of that pass are
-        // no-ops — the barrier still separates it from the fill), then the
-        // fill.
-        let total = AtomicU64::new(0);
-        self.pool
-            .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
-                0 => sum_blocks(lo, hi),
-                1 => {
-                    if lo == 0 {
-                        total.store(exclusive_scan(offsets), Ordering::Relaxed);
-                    }
-                }
-                _ => fill(lo, hi),
-            });
         self.steps_executed += 1;
-        total.into_inner()
+        self.blocked_scan(base, len, true)
     }
 
     fn global_or_step(&mut self, base: usize, len: usize) -> bool {
@@ -1005,6 +1027,123 @@ impl Machine for NativeMachine {
         }
         let lg = seg_size.trailing_zeros() as u64;
         self.steps_executed += lg * (lg + 1) / 2;
+    }
+
+    fn scan_tree(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        self.grow(base + len);
+        let total = self.blocked_scan(base, len, inclusive);
+        // The tree route's step count: copy, lg w up-sweep levels, root
+        // clear, lg w down-sweep levels, write-back.
+        let lg = len.next_power_of_two().trailing_zeros() as u64;
+        self.steps_executed += 2 * lg + 3;
+        total
+    }
+
+    fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
+    where
+        F: Fn(u64) -> u64 + Sync,
+    {
+        if n <= 1 {
+            return;
+        }
+        assert!(num_buckets >= 1);
+        self.ensure_memory(base + n);
+        // The default route's count matrix and output copy lie above the
+        // allocation top and are released again; this route keeps both
+        // off the arena, in reused scratch: one bucket histogram per
+        // SCAN_BLOCK block (chunks are SCAN_BLOCK-aligned, so each block
+        // has one writer) and the spill buffer.
+        let nblocks = n.div_ceil(SCAN_BLOCK);
+        ensure_words(&mut self.scratch.offsets, nblocks * num_buckets);
+        ensure_words(&mut self.scratch.spill, n);
+        let arena = &self.arena;
+        // The copy back rewrites the whole range.
+        arena.mark_range(base, n);
+        let hist = &self.scratch.offsets[..nblocks * num_buckets];
+        let spill = &self.scratch.spill[..n];
+        let row = |i: usize| &hist[i / SCAN_BLOCK * num_buckets..][..num_buckets];
+        let count = |lo: usize, hi: usize| {
+            let mut i = lo;
+            while i < hi {
+                let end = (i + SCAN_BLOCK).min(hi);
+                let row = row(i);
+                row.iter().for_each(|c| c.store(0, Ordering::Relaxed));
+                for j in i..end {
+                    let b = bucket_of(arena.cell(base + j).load(Ordering::Relaxed)) as usize;
+                    assert!(b < num_buckets, "bucket {b} out of range {num_buckets}");
+                    let c = &row[b];
+                    c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                }
+                i = end;
+            }
+        };
+        // Bucket-major over the blocks: the first rank of every
+        // (bucket, block), which is what the default route's scan of the
+        // key-major count matrix gives every (bucket, group).
+        let ranks = || {
+            let mut acc = 0u64;
+            for b in 0..num_buckets {
+                for block in 0..nblocks {
+                    let c = &hist[block * num_buckets + b];
+                    let k = c.load(Ordering::Relaxed);
+                    c.store(acc, Ordering::Relaxed);
+                    acc += k;
+                }
+            }
+        };
+        // Each block hands its words out in index order, so equal buckets
+        // keep their order: the sort is stable.
+        let scatter = |lo: usize, hi: usize| {
+            let mut i = lo;
+            while i < hi {
+                let end = (i + SCAN_BLOCK).min(hi);
+                let row = row(i);
+                for j in i..end {
+                    let w = arena.cell(base + j).load(Ordering::Relaxed);
+                    let c = &row[bucket_of(w) as usize];
+                    let rank = c.load(Ordering::Relaxed);
+                    c.store(rank + 1, Ordering::Relaxed);
+                    spill[rank as usize].store(w, Ordering::Relaxed);
+                }
+                i = end;
+            }
+        };
+        let copy_back = |lo: usize, hi: usize| {
+            let words = &spill[lo..hi];
+            // SAFETY: `u64` and `AtomicU64` share layout, and no chunk
+            // writes the spill buffer in this pass (the inter-pass barrier
+            // orders every scatter store before it); the shard-segment copy
+            // targets this chunk's cells only, and `&mut self` rules out
+            // any other access to them.
+            unsafe {
+                let words = &*(std::ptr::from_ref(words) as *const [u64]);
+                arena.copy_in(base + lo, words);
+            }
+        };
+        // Relaxed suffices: a pass's stores reach the next pass's chunks
+        // through the inter-pass barrier of `dispatch_fused`, which makes
+        // every write of one pass visible before the next pass starts.
+        self.pool
+            .dispatch_fused(n, SCAN_BLOCK, 4, |pass, lo, hi| match pass {
+                0 => count(lo, hi),
+                1 => {
+                    if lo == 0 {
+                        ranks();
+                    }
+                }
+                2 => scatter(lo, hi),
+                _ => copy_back(lo, hi),
+            });
+        // The default route's step count: count, the scan tree over the
+        // next_pow2(num_buckets · groups)-cell matrix, scatter, copy back.
+        let g = num_buckets.max(ceil_lg(n as u64) as usize).max(1);
+        let lg = (num_buckets * n.div_ceil(g))
+            .next_power_of_two()
+            .trailing_zeros() as u64;
+        self.steps_executed += 2 * lg + 6;
     }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {

@@ -72,9 +72,18 @@ enum Op {
         attempts: Vec<(u64, usize)>,
         mode: ClaimMode,
     },
+    /// `scan_step` (`tree: None`) or `scan_tree(base, len, inclusive)`
+    /// (`tree: Some(inclusive)`).
     Scan {
         base: usize,
         len: usize,
+        tree: Option<bool>,
+    },
+    /// `counting_pass` by the value's bits above the lowest four.
+    Count {
+        base: usize,
+        len: usize,
+        num_buckets: usize,
     },
     /// `compact_step` into a destination below the allocation top.
     Compact {
@@ -151,7 +160,7 @@ impl Model {
 fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..4 + rng.below(8) {
-        let op = match rng.below(13) {
+        let op = match rng.below(14) {
             0 | 1 => {
                 let (base, len) = model.range(rng, 8192);
                 let span = if len.is_power_of_two() {
@@ -200,7 +209,11 @@ fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
             6 if model.scans_left > 0 => {
                 model.scans_left -= 1;
                 let (base, len) = model.range(rng, MAX_SCAN_LEN);
-                Op::Scan { base, len }
+                Op::Scan {
+                    base,
+                    len,
+                    tree: [None, Some(false), Some(true)][rng.below(3)],
+                }
             }
             7 => {
                 // Source and destination in two different regions (the
@@ -253,6 +266,14 @@ fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
                     base: base + rng.below(len - seg * segs + 1),
                     seg,
                     segs,
+                }
+            }
+            12 => {
+                let (base, len) = model.range(rng, 20_000);
+                Op::Count {
+                    base,
+                    len,
+                    num_buckets: [1, 2, 256, 4096][rng.below(4)],
                 }
             }
             _ => {
@@ -320,7 +341,18 @@ fn run(m: &mut NativeMachine, ops: &[Op]) -> Vec<u64> {
             Op::Claim { attempts, mode } => {
                 out.extend(m.claim(attempts, *mode).into_iter().map(u64::from));
             }
-            Op::Scan { base, len } => out.push(m.scan_step(*base, *len)),
+            Op::Scan { base, len, tree } => out.push(match *tree {
+                None => m.scan_step(*base, *len),
+                Some(inclusive) => m.scan_tree(*base, *len, inclusive),
+            }),
+            Op::Count {
+                base,
+                len,
+                num_buckets,
+            } => {
+                let mask = *num_buckets as u64 - 1;
+                m.counting_pass(*base, *len, *num_buckets, |w| (w >> 4) & mask);
+            }
             Op::Compact { src, len, dst } => out.push(m.compact_step(*src, *len, *dst)),
             Op::Bitonic { base, seg, segs } => m.bitonic_segments(*base, *seg, *segs),
             Op::Load { base, values } => m.load(*base, values),

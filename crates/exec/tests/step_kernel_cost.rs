@@ -21,6 +21,17 @@
 //! box (3 runs each); a kernel that sweeps the whole range per stage again
 //! reads about 1.
 //!
+//! The fourth prices `Machine::counting_pass` on one radix digit of the
+//! basket's integer sort and Fetch&Add (2^18 packed words, 256 buckets,
+//! 2 threads) against the trait's default route issued as ordinary steps
+//! on the same machine — the count step, the Blelloch tree's `2·lg w + 3`
+//! steps over the 256 × 1024 count matrix, the scatter and the copy back.
+//! The fused block kernel reads 0.17–0.22 of the step route as is and
+//! 0.25–0.27 pinned to one CPU on the 2-vCPU reference box (4 runs each:
+//! 1.7–2.2 ms against 9.8–11.9 ms as is, 3.0–3.4 ms against
+//! 11.7–12.6 ms pinned); a kernel that runs the count matrix through the
+//! tree step by step again reads about 1.
+//!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
 //!
@@ -35,7 +46,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use qrqw_exec::{NativeMachine, StepPool};
-use qrqw_sim::Machine;
+use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc};
 
 const CELLS: usize = 1 << 20;
 const REPS: usize = 15;
@@ -229,5 +240,137 @@ fn the_blocked_bitonic_network_stays_within_half_the_stage_route() {
         ratio <= MAX_NETWORK_RATIO,
         "the cache-blocked network costs {ratio:.2}x the per-stage route \
          (limit {MAX_NETWORK_RATIO}): does it sweep the whole range per stage again?"
+    );
+}
+
+/// The counting-pass guard's shape: one radix digit of the basket's
+/// integer sort and Fetch&Add, 2^18 packed `(key, index)` words over
+/// 256 buckets.
+const SORT_WORDS: usize = 1 << 18;
+const SORT_BUCKETS: usize = 256;
+/// Bound on the native counting pass's wall over the default route issued
+/// as ordinary steps, both on a 2-thread pool (see the module docs for the
+/// readings).
+const MAX_COUNTING_RATIO: f64 = 0.5;
+
+/// A `NativeMachine` that keeps the trait's default `scan_tree` and
+/// `counting_pass`: the canonical route as one `par_for` per step on the
+/// same pool.
+struct ByStages(NativeMachine);
+
+impl Machine for ByStages {
+    fn with_seed(mem_size: usize, seed: u64) -> Self {
+        ByStages(NativeMachine::with_seed(mem_size, seed))
+    }
+    fn backend(&self) -> &'static str {
+        self.0.backend()
+    }
+    fn seed(&self) -> u64 {
+        self.0.seed()
+    }
+    fn steps_executed(&self) -> u64 {
+        self.0.steps_executed()
+    }
+    fn ensure_memory(&mut self, size: usize) {
+        self.0.ensure_memory(size)
+    }
+    fn alloc(&mut self, len: usize) -> usize {
+        self.0.alloc(len)
+    }
+    fn release_to(&mut self, base: usize) {
+        self.0.release_to(base)
+    }
+    fn heap_top(&self) -> usize {
+        self.0.heap_top()
+    }
+    fn load(&mut self, base: usize, values: &[u64]) {
+        self.0.load(base, values)
+    }
+    fn dump(&self, base: usize, len: usize) -> Vec<u64> {
+        self.0.dump(base, len)
+    }
+    fn peek(&self, addr: usize) -> u64 {
+        self.0.peek(addr)
+    }
+    fn poke(&mut self, addr: usize, value: u64) {
+        self.0.poke(addr, value)
+    }
+    fn clear_region(&mut self, base: usize, len: usize) {
+        self.0.clear_region(base, len)
+    }
+    fn par_map<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
+    {
+        self.0.par_map(procs, f)
+    }
+    fn seq_step<T, F>(&mut self, f: F) -> T
+    where
+        F: FnOnce(&mut dyn MachineProc) -> T,
+    {
+        self.0.seq_step(f)
+    }
+    fn scan_step(&mut self, base: usize, len: usize) -> u64 {
+        self.0.scan_step(base, len)
+    }
+    fn global_or_step(&mut self, base: usize, len: usize) -> bool {
+        self.0.global_or_step(base, len)
+    }
+    fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
+        self.0.claim(attempts, mode)
+    }
+    fn cost_report(&self) -> CostReport {
+        self.0.cost_report()
+    }
+}
+
+#[test]
+#[ignore = "timing guard: run with --release -- --ignored"]
+fn the_fused_counting_pass_stays_within_its_bound_of_the_step_route() {
+    if cfg!(debug_assertions) {
+        panic!("the ratio is only meaningful in an optimized build: pass --release");
+    }
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    // Packed words: a 31-bit key above a 32-bit index; the digit is the
+    // key's second byte.
+    let data: Vec<u64> = (0..SORT_WORDS as u64)
+        .map(|i| ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) << 32) | i)
+        .collect();
+    let digit = |w: u64| ((w >> 32) >> 8) & 0xFF;
+    let mut m = ByStages(NativeMachine::with_pool(
+        SORT_WORDS,
+        1,
+        StepPool::with_threads(2),
+    ));
+    // Interleaved, each run on a fresh copy of the unsorted input.
+    let (mut fused, mut staged) = (f64::INFINITY, f64::INFINITY);
+    let mut after = [None, None];
+    for _ in 0..REPS {
+        for (route, best) in [&mut fused, &mut staged].into_iter().enumerate() {
+            m.load(0, &data);
+            let before = m.steps_executed();
+            let start = Instant::now();
+            if route == 0 {
+                m.0.counting_pass(0, SORT_WORDS, SORT_BUCKETS, digit);
+            } else {
+                m.counting_pass(0, SORT_WORDS, SORT_BUCKETS, digit);
+            }
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            let advance = m.steps_executed() - before;
+            after[route] = Some((m.dump(0, m.heap_top()), advance));
+        }
+    }
+    assert!(after[0] == after[1], "the two routes left different memory");
+
+    let ratio = fused / staged;
+    println!(
+        "counting pass: {SORT_WORDS} words x {SORT_BUCKETS} buckets fused {fused:.2} ms, \
+         step route {staged:.2} ms, ratio {ratio:.2}"
+    );
+    assert!(
+        ratio <= MAX_COUNTING_RATIO,
+        "the fused counting pass costs {ratio:.2}x the step route \
+         (limit {MAX_COUNTING_RATIO}): does it sweep the count matrix step by step again?"
     );
 }

@@ -4,101 +4,18 @@
 //! range `[1..lg^c n]` in `O(lg n)` time and linear work.*  The proof sorts
 //! by one `lg n`-sized digit per pass using per-group counting, a prefix-sums
 //! computation over the count matrix `N[key, group]`, and a ranked copy-out;
-//! [`stable_sort_by`] below is exactly that pass (with a configurable bucket
-//! count), and [`radix_sort_packed`] composes passes into a general
-//! least-significant-digit radix sort for packed `(key, payload)` words.
+//! that pass (with a configurable bucket count) is one machine call,
+//! [`Machine::counting_pass`], and [`radix_sort_packed`] composes passes
+//! into a general least-significant-digit radix sort for packed
+//! `(key, payload)` words.
 //!
 //! Cells hold packed words (see [`crate::util::pack`]): the key in the high
 //! 32 bits, an arbitrary payload (usually the original index) in the low 32
 //! bits.
 
-use qrqw_sim::{Machine, EMPTY};
+use qrqw_sim::Machine;
 
-use crate::prefix::prefix_sums_exclusive;
 use crate::util::unpack_key;
-
-/// One stable counting-sort pass over `[base, base+n)`, ordering the packed
-/// words by `bucket_of(word) ∈ [0, num_buckets)`.
-///
-/// `O(g + lg n)` time and `O(n)` work on an EREW PRAM, where
-/// `g = max(num_buckets, lg n)` is the group size each processor handles
-/// sequentially (the paper's choice `g = lg n`, generalised so callers may
-/// use more buckets per pass at a proportional time cost).  Deterministic on
-/// every [`Machine`] backend.
-pub fn stable_sort_by<M: Machine, F>(
-    m: &mut M,
-    base: usize,
-    n: usize,
-    num_buckets: usize,
-    bucket_of: F,
-) where
-    F: Fn(u64) -> u64 + Sync,
-{
-    if n <= 1 {
-        return;
-    }
-    assert!(num_buckets >= 1);
-    m.ensure_memory(base + n);
-    let lg_n = qrqw_sim::schedule::ceil_lg(n as u64) as usize;
-    let g = num_buckets.max(lg_n).max(1);
-    let p = n.div_ceil(g);
-
-    let counts = m.alloc(num_buckets * p); // N[key * p + group]
-    let out = m.alloc(n);
-
-    // Pass 1: every group processor counts its keys and publishes its column
-    // of the count matrix (zero counts are simply left EMPTY, which the
-    // prefix-sums routine treats as zero).
-    let bucket_of = &bucket_of;
-    m.par_for(p, |j, ctx| {
-        let lo = j * g;
-        let hi = ((j + 1) * g).min(n);
-        let mut local = vec![0u64; num_buckets];
-        for i in lo..hi {
-            let w = ctx.read(base + i);
-            let b = bucket_of(w) as usize;
-            assert!(b < num_buckets, "bucket {b} out of range {num_buckets}");
-            local[b] += 1;
-            ctx.compute(1);
-        }
-        for (b, &c) in local.iter().enumerate() {
-            if c > 0 {
-                ctx.write(counts + b * p + j, c);
-            }
-        }
-    });
-
-    // Pass 2: exclusive prefix sums over the count matrix in row-major
-    // (key-major) order give every (key, group) its starting output rank.
-    prefix_sums_exclusive(m, counts, num_buckets * p);
-
-    // Pass 3: every group processor re-reads its keys and copies them to
-    // their global ranks (distinct ranks, so the writes are exclusive).
-    m.par_for(p, |j, ctx| {
-        let lo = j * g;
-        let hi = ((j + 1) * g).min(n);
-        let mut next = vec![u64::MAX; num_buckets];
-        for i in lo..hi {
-            let w = ctx.read(base + i);
-            let b = bucket_of(w) as usize;
-            if next[b] == u64::MAX {
-                let start = ctx.read(counts + b * p + j);
-                next[b] = if start == EMPTY { 0 } else { start };
-            }
-            ctx.write(out + next[b] as usize, w);
-            next[b] += 1;
-            ctx.compute(1);
-        }
-    });
-
-    // Pass 4: copy the sorted sequence back to the caller's region.
-    m.par_for(n, |i, ctx| {
-        let w = ctx.read(out + i);
-        ctx.write(base + i, w);
-    });
-
-    m.release_to(counts);
-}
 
 /// Stably sorts the packed words of `[base, base+n)` by their (full) key
 /// field, assuming every key is below `num_keys`.
@@ -112,7 +29,7 @@ pub fn stable_sort_small_range<M: Machine>(m: &mut M, base: usize, n: usize, num
     }
     let digit_buckets = qrqw_sim::schedule::ceil_lg(n.max(4) as u64).clamp(256, 1 << 12) as usize;
     if num_keys <= digit_buckets {
-        stable_sort_by(m, base, n, num_keys, unpack_key);
+        m.counting_pass(base, n, num_keys, unpack_key);
         return;
     }
     let key_bits = 64 - (num_keys as u64 - 1).leading_zeros();
@@ -129,7 +46,7 @@ pub fn radix_sort_packed<M: Machine>(m: &mut M, base: usize, n: usize, key_bits:
     let passes = key_bits.div_ceil(digit_bits);
     for t in 0..passes {
         let shift = t * digit_bits;
-        stable_sort_by(m, base, n, 1 << digit_bits, move |w| {
+        m.counting_pass(base, n, 1 << digit_bits, move |w| {
             (unpack_key(w) >> shift) & 0xFF
         });
     }
@@ -225,7 +142,7 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (0..50).map(|i| (7, i)).collect();
         let mut pram = Pram::new(1);
         load_pairs(&mut pram, &pairs);
-        stable_sort_by(&mut pram, 0, 50, 8, unpack_key);
+        pram.counting_pass(0, 50, 8, unpack_key);
         assert_eq!(read_pairs(&pram, 50), pairs);
     }
 }

@@ -4,86 +4,25 @@
 //! the paper compares against: the `Θ(lg n)`-time load-balancing baseline
 //! (Table I), the compaction steps of the dart-throwing-with-scans
 //! permutation algorithm (Section 5.2), and countless bookkeeping steps in
-//! the QRQW algorithms themselves.  The routine below runs in `2⌈lg n⌉ + 3`
-//! EREW-legal steps and `O(n)` work.
+//! the QRQW algorithms themselves.  The routine is one machine call,
+//! [`Machine::scan_tree`]: `2⌈lg n⌉ + 3` EREW-legal steps and `O(n)` work
+//! on the model backends.
 //!
 //! Cells equal to [`qrqw_sim::EMPTY`] are treated as zero, which is what the
 //! flag-counting uses in this repository want.
 
-use qrqw_sim::{Machine, EMPTY};
-
-use crate::util::next_pow2;
+use qrqw_sim::Machine;
 
 /// Replaces `mem[base .. base+len)` by its *inclusive* prefix sums and
 /// returns the total.
 pub fn prefix_sums_inclusive<M: Machine>(m: &mut M, base: usize, len: usize) -> u64 {
-    scan(m, base, len, true)
+    m.scan_tree(base, len, true)
 }
 
 /// Replaces `mem[base .. base+len)` by its *exclusive* prefix sums and
 /// returns the total.
 pub fn prefix_sums_exclusive<M: Machine>(m: &mut M, base: usize, len: usize) -> u64 {
-    scan(m, base, len, false)
-}
-
-fn scan<M: Machine>(m: &mut M, base: usize, len: usize, inclusive: bool) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let width = next_pow2(len);
-    let w = m.alloc(width);
-
-    // Copy the input into the scratch tree (EMPTY -> 0; cells past `len`
-    // are already EMPTY and become 0).
-    m.par_for(width, |i, ctx| {
-        let v = if i < len { ctx.read(base + i) } else { EMPTY };
-        ctx.write(w + i, if v == EMPTY { 0 } else { v });
-    });
-
-    // Up-sweep.
-    let levels = width.trailing_zeros() as usize;
-    for d in 0..levels {
-        let stride = 1usize << (d + 1);
-        let half = 1usize << d;
-        m.par_for(width / stride, |i, ctx| {
-            let left = w + i * stride + half - 1;
-            let right = w + i * stride + stride - 1;
-            let a = ctx.read(left);
-            let b = ctx.read(right);
-            ctx.write(right, a + b);
-        });
-    }
-    let total = m.peek(w + width - 1);
-
-    // Down-sweep: clear the root, then push partial sums down.
-    m.par_for(1, |_i, ctx| ctx.write(w + width - 1, 0));
-    for d in (0..levels).rev() {
-        let stride = 1usize << (d + 1);
-        let half = 1usize << d;
-        m.par_for(width / stride, |i, ctx| {
-            let left = w + i * stride + half - 1;
-            let right = w + i * stride + stride - 1;
-            let a = ctx.read(left);
-            let b = ctx.read(right);
-            ctx.write(left, b);
-            ctx.write(right, a + b);
-        });
-    }
-
-    // Write the result back into the caller's region.
-    m.par_for(len, |i, ctx| {
-        let excl = ctx.read(w + i);
-        if inclusive {
-            let orig = ctx.read(base + i);
-            let orig = if orig == EMPTY { 0 } else { orig };
-            ctx.write(base + i, excl + orig);
-        } else {
-            ctx.write(base + i, excl);
-        }
-    });
-
-    m.release_to(w);
-    total
+    m.scan_tree(base, len, false)
 }
 
 #[cfg(test)]

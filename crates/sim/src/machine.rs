@@ -38,7 +38,10 @@
 //!    call advances the step index by exactly 1, [`Machine::scan_step`] and
 //!    [`Machine::global_or_step`] by 1, [`Machine::compact_step`] by 3,
 //!    [`Machine::bitonic_segments`] by `L(L+1)/2` for segments of `2^L`
-//!    cells, and [`Machine::claim`] by 6 ([`ClaimMode::Exclusive`]) or 3
+//!    cells, [`Machine::scan_tree`] by `2·lg w + 3` for `w` the length
+//!    rounded up to a power of two, [`Machine::counting_pass`] by
+//!    `2·lg w + 6` for `w` its count matrix rounded up likewise, and
+//!    [`Machine::claim`] by 6 ([`ClaimMode::Exclusive`]) or 3
 //!    ([`ClaimMode::Occupy`]) — the length of the simulated claiming
 //!    protocol.  Backends that keep this contract give
 //!    *identical* random choices to the same algorithm, which is what makes
@@ -468,6 +471,189 @@ pub trait Machine {
             }
             k *= 2;
         }
+    }
+
+    /// Replaces `[base, base+len)` by its exclusive prefix sums — inclusive
+    /// when `inclusive` — and returns the total; [`crate::EMPTY`] cells
+    /// count as zero.
+    ///
+    /// The default implementation is the canonical EREW-legal route, the
+    /// work-optimal Blelloch tree over `w = len.next_power_of_two()` cells
+    /// of scratch: a copy in, `lg w` up-sweep levels, a root clear, `lg w`
+    /// down-sweep levels and a write-back, one [`Machine::par_for`] each.
+    /// It is what the model backends charge.  It advances the step index
+    /// by exactly `2·lg w + 3` (0 when `len == 0`) and draws no
+    /// randomness; any override must do the same, return the same total
+    /// and leave the same `heap_top` and live memory (the native backend
+    /// runs one blocked scan: block sums, a serial scan of the block
+    /// offsets, a fill).
+    ///
+    /// ```
+    /// use qrqw_sim::{Machine, Pram, EMPTY};
+    ///
+    /// let mut m = Pram::with_seed(8, 0);
+    /// m.load(0, &[3, 1, EMPTY, 4, 1]);
+    /// assert_eq!(m.scan_tree(0, 5, false), 9);
+    /// assert_eq!(m.dump(0, 5), vec![0, 3, 4, 4, 8]); // exclusive ranks
+    /// assert_eq!(m.steps_executed(), 9);             // w = 8: 2·3 + 3
+    /// ```
+    fn scan_tree(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let width = len.next_power_of_two();
+        let w = self.alloc(width);
+
+        // Copy the input into the scratch tree (EMPTY -> 0; cells past `len`
+        // are already EMPTY and become 0).
+        self.par_for(width, |i, ctx| {
+            let v = if i < len { ctx.read(base + i) } else { EMPTY };
+            ctx.write(w + i, if v == EMPTY { 0 } else { v });
+        });
+
+        // Up-sweep.
+        let levels = width.trailing_zeros() as usize;
+        for d in 0..levels {
+            let stride = 1usize << (d + 1);
+            let half = 1usize << d;
+            self.par_for(width / stride, |i, ctx| {
+                let left = w + i * stride + half - 1;
+                let right = w + i * stride + stride - 1;
+                let a = ctx.read(left);
+                let b = ctx.read(right);
+                ctx.write(right, a + b);
+            });
+        }
+        let total = self.peek(w + width - 1);
+
+        // Down-sweep: clear the root, then push partial sums down.
+        self.par_for(1, |_i, ctx| ctx.write(w + width - 1, 0));
+        for d in (0..levels).rev() {
+            let stride = 1usize << (d + 1);
+            let half = 1usize << d;
+            self.par_for(width / stride, |i, ctx| {
+                let left = w + i * stride + half - 1;
+                let right = w + i * stride + stride - 1;
+                let a = ctx.read(left);
+                let b = ctx.read(right);
+                ctx.write(left, b);
+                ctx.write(right, a + b);
+            });
+        }
+
+        // Write the result back into the caller's region.
+        self.par_for(len, |i, ctx| {
+            let excl = ctx.read(w + i);
+            if inclusive {
+                let orig = ctx.read(base + i);
+                let orig = if orig == EMPTY { 0 } else { orig };
+                ctx.write(base + i, excl + orig);
+            } else {
+                ctx.write(base + i, excl);
+            }
+        });
+
+        self.release_to(w);
+        total
+    }
+
+    /// One stable counting-sort pass over `[base, base+n)` — the Fact 4.3
+    /// routine of the paper — ordering the words by
+    /// `bucket_of(word) ∈ [0, num_buckets)`.
+    ///
+    /// The default implementation is the canonical EREW-legal route and
+    /// is what the model backends charge.  Every group processor counts
+    /// its `g = max(num_buckets, ⌈lg n⌉, 1)` words sequentially and
+    /// publishes its column of the key-major count matrix;
+    /// [`Machine::scan_tree`] turns the matrix into output ranks; every
+    /// group processor copies its words to their ranks in a scratch
+    /// region; a last step copies them back.  That is `O(g + lg n)` time
+    /// and `O(n)` work.  With `w = next_pow2(num_buckets · ⌈n/g⌉)` it
+    /// advances the step index by exactly `2·lg w + 6` (0 when `n <= 1`)
+    /// and draws no randomness.  Any override must do the same, panic on
+    /// a bucket out of range, and leave the same `heap_top` and live
+    /// memory (the native backend runs per-block histograms, a serial
+    /// bucket-major scan of the block offsets, a stable scatter and a copy
+    /// back as one pool dispatch).
+    ///
+    /// ```
+    /// use qrqw_sim::{Machine, Pram};
+    ///
+    /// let mut m = Pram::with_seed(8, 0);
+    /// m.load(0, &[21, 10, 20, 11, 12]);
+    /// m.counting_pass(0, 5, 3, |w| w / 10); // by the tens digit
+    /// assert_eq!(m.dump(0, 5), vec![10, 11, 12, 21, 20]); // stable
+    /// // g = 3 gives two groups, so w = next_pow2(3 · 2) = 8: 2·3 + 6.
+    /// assert_eq!(m.steps_executed(), 12);
+    /// ```
+    fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
+    where
+        F: Fn(u64) -> u64 + Sync,
+    {
+        if n <= 1 {
+            return;
+        }
+        assert!(num_buckets >= 1);
+        self.ensure_memory(base + n);
+        let lg_n = crate::schedule::ceil_lg(n as u64) as usize;
+        let g = num_buckets.max(lg_n).max(1);
+        let p = n.div_ceil(g);
+
+        let counts = self.alloc(num_buckets * p); // N[key * p + group]
+        let out = self.alloc(n);
+
+        // Pass 1: every group processor counts its keys and publishes its column
+        // of the count matrix (zero counts are simply left EMPTY, which the
+        // prefix-sums routine treats as zero).
+        let bucket_of = &bucket_of;
+        self.par_for(p, |j, ctx| {
+            let lo = j * g;
+            let hi = ((j + 1) * g).min(n);
+            let mut local = vec![0u64; num_buckets];
+            for i in lo..hi {
+                let w = ctx.read(base + i);
+                let b = bucket_of(w) as usize;
+                assert!(b < num_buckets, "bucket {b} out of range {num_buckets}");
+                local[b] += 1;
+                ctx.compute(1);
+            }
+            for (b, &c) in local.iter().enumerate() {
+                if c > 0 {
+                    ctx.write(counts + b * p + j, c);
+                }
+            }
+        });
+
+        // Pass 2: exclusive prefix sums over the count matrix in row-major
+        // (key-major) order give every (key, group) its starting output rank.
+        self.scan_tree(counts, num_buckets * p, false);
+
+        // Pass 3: every group processor re-reads its keys and copies them to
+        // their global ranks (distinct ranks, so the writes are exclusive).
+        self.par_for(p, |j, ctx| {
+            let lo = j * g;
+            let hi = ((j + 1) * g).min(n);
+            let mut next = vec![u64::MAX; num_buckets];
+            for i in lo..hi {
+                let w = ctx.read(base + i);
+                let b = bucket_of(w) as usize;
+                if next[b] == u64::MAX {
+                    let start = ctx.read(counts + b * p + j);
+                    next[b] = if start == EMPTY { 0 } else { start };
+                }
+                ctx.write(out + next[b] as usize, w);
+                next[b] += 1;
+                ctx.compute(1);
+            }
+        });
+
+        // Pass 4: copy the sorted sequence back to the caller's region.
+        self.par_for(n, |i, ctx| {
+            let w = ctx.read(out + i);
+            ctx.write(base + i, w);
+        });
+
+        self.release_to(counts);
     }
 
     /// Executes the cell-claiming protocol of Section 5.1:

@@ -8,8 +8,9 @@
 //! they first part.  A [`Machine::seq_step`] body
 //! is an `FnOnce`, so it runs once, recorded, on `A`, and its log is
 //! replayed inside `B`'s `seq_step`, reading and drawing on `B`.  `claim`,
-//! `scan_step`, `global_or_step`, `compact_step` and `bitonic_segments`
-//! forward to each machine's own implementation.  After every step-executing call Lockstep
+//! `scan_step`, `global_or_step`, `compact_step`, `bitonic_segments`,
+//! `scan_tree` and `counting_pass` forward to each machine's own
+//! implementation.  After every step-executing call Lockstep
 //! compares the step counters, the call's result, the claim counters (after
 //! unrecorded calls, the only ones that move them), `heap_top`, the op logs
 //! and the live memory prefix `dump(0, heap_top)`.  At the first mismatch
@@ -382,6 +383,20 @@ impl<A: Machine, B: Machine> Machine for Lockstep<A, B> {
     fn bitonic_segments(&mut self, base: usize, seg_size: usize, num_segs: usize) {
         both!(self, bitonic_segments(base, seg_size, num_segs))
     }
+    fn scan_tree(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
+        both!(self, scan_tree(base, len, inclusive))
+    }
+    fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
+    where
+        F: Fn(u64) -> u64 + Sync,
+    {
+        // A closure has no Debug form, so the call is named by its shape.
+        let step = self.a.steps_executed();
+        self.a.counting_pass(base, n, num_buckets, &bucket_of);
+        self.b.counting_pass(base, n, num_buckets, &bucket_of);
+        let call = format!("counting_pass{:?}", (base, n, num_buckets));
+        self.check::<()>(step, &call, (&[], &[]), None);
+    }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
         let step = self.a.steps_executed();
@@ -550,6 +565,15 @@ impl<M: Machine> Machine for Drift<M> {
     }
     fn bitonic_segments(&mut self, base: usize, seg_size: usize, num_segs: usize) {
         self.inner.bitonic_segments(base, seg_size, num_segs)
+    }
+    fn scan_tree(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
+        self.inner.scan_tree(base, len, inclusive)
+    }
+    fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
+    where
+        F: Fn(u64) -> u64 + Sync,
+    {
+        self.inner.counting_pass(base, n, num_buckets, bucket_of)
     }
     fn cost_report(&self) -> CostReport {
         self.inner.cost_report()

@@ -16,7 +16,7 @@ use common::lockstep::{NATIVE, THREADS};
 use qrqw_bench::{Algorithm, Backend};
 use qrqw_suite::algos::random_permutation_qrqw;
 use qrqw_suite::bsp::BspMachine;
-use qrqw_suite::exec::{NativeMachine, Schedule};
+use qrqw_suite::exec::{NativeMachine, Schedule, SHARD_CELLS};
 use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, Pram, EMPTY};
 
 /// The small problem size every registry member runs at on every pair.
@@ -389,6 +389,121 @@ fn bitonic_network_matches_the_stage_route_on_every_kernel_path() {
             assert!(got == want, "{seg} x {segs} on {pair:?}");
         });
     }
+}
+
+/// Cells per block of `NativeMachine`'s blocked scan and counting pass
+/// (`SCAN_BLOCK` in `crates/exec/src/machine.rs`).
+const SCAN_BLOCK: usize = 8192;
+
+/// Loads `data` at `base` as the top allocation, runs `call`, and returns
+/// the range it left, its result, the allocation top and the step advance.
+fn after_call<M: Machine, T>(
+    m: &mut M,
+    base: usize,
+    data: &[u64],
+    call: impl FnOnce(&mut M) -> T,
+) -> (Vec<u64>, T, usize, u64) {
+    m.ensure_memory(base + data.len());
+    m.load(base, data);
+    let before = m.steps_executed();
+    let out = call(m);
+    let advance = m.steps_executed() - before;
+    (m.dump(base, data.len()), out, m.heap_top(), advance)
+}
+
+#[test]
+fn scan_tree_and_counting_pass_match_the_default_route_on_every_kernel_path() {
+    // The native kernels' paths: inline (up to 2048 cells), one block,
+    // one block and one cell, several chunks; the no-op shapes.  The
+    // largest shape crosses the arena's 2^18-cell shard seam.
+    let lens = [
+        0,
+        1,
+        2,
+        255,
+        SCAN_BLOCK - 1,
+        SCAN_BLOCK,
+        SCAN_BLOCK + 1,
+        (1 << 17) + 3,
+    ];
+    let base = SHARD_CELLS - (1 << 16) - 5;
+    let lg = |x: usize| x.next_power_of_two().trailing_zeros() as u64;
+    // Every native pair, and the BSP pair as a second run of the default
+    // route (the simulator's is what the expectations below spell out).
+    let mut machines = pairs_of(NATIVE);
+    machines.push(Pair::Bsp(THREADS[1]));
+    for len in lens {
+        let top = (base + len).max(16);
+        // Duplicates, EMPTY cells, and words in every bucket.
+        let mixed: Vec<u64> = (0..len as u64)
+            .map(|i| {
+                if i % 7 == 3 {
+                    EMPTY
+                } else {
+                    i.wrapping_mul(0x9E37_79B9) % 1_000_003
+                }
+            })
+            .collect();
+        for inclusive in [false, true] {
+            let mut acc = 0u64;
+            let sums: Vec<u64> = mixed
+                .iter()
+                .map(|&v| {
+                    let excl = acc;
+                    acc += if v == EMPTY { 0 } else { v };
+                    if inclusive {
+                        acc
+                    } else {
+                        excl
+                    }
+                })
+                .collect();
+            let steps = if len == 0 { 0 } else { 2 * lg(len) + 3 };
+            let want = (sums, acc, top, steps);
+            each_machine!(machines.clone(), 0, |pair, m| {
+                let got = after_call(&mut m, base, &mixed, |m| m.scan_tree(base, len, inclusive));
+                assert!(
+                    got == want,
+                    "scan_tree {len} inclusive={inclusive} on {pair:?}"
+                );
+            });
+        }
+        for num_buckets in [1usize, 2, 256, 4096] {
+            let mask = num_buckets as u64 - 1;
+            let bucket = move |w: u64| (w >> 8) & mask;
+            // All words in the last bucket: one rank run per block.
+            let one_bucket: Vec<u64> = (0..len as u64).map(|i| (mask << 8) | (i & 0xFF)).collect();
+            for data in [&mixed, &one_bucket] {
+                let mut sorted = data.clone();
+                sorted.sort_by_key(|&w| bucket(w)); // std's sort is stable
+                let g = num_buckets.max(lg(len) as usize).max(1);
+                let steps = if len <= 1 {
+                    0
+                } else {
+                    2 * lg(num_buckets * len.div_ceil(g)) + 6
+                };
+                let want = (sorted, (), top, steps);
+                each_machine!(machines.clone(), 0, |pair, m| {
+                    let got = after_call(&mut m, base, data, |m| {
+                        m.counting_pass(base, len, num_buckets, bucket)
+                    });
+                    assert!(
+                        got == want,
+                        "counting_pass {len} x {num_buckets} on {pair:?}"
+                    );
+                });
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "bucket 4 out of range 4")]
+fn the_native_counting_pass_rejects_a_bucket_out_of_range() {
+    let mut m = NativeMachine::with_threads(16, 0, 2);
+    let data: Vec<u64> = (0..5000).collect();
+    m.load(0, &data);
+    m.counting_pass(0, data.len(), 4, |w| w % 5);
 }
 
 /// The native machine of a drift check: a pooled machine that departs from
