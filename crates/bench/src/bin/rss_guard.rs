@@ -9,16 +9,16 @@
 //!
 //! 1. read `VmRSS` / `VmHWM` from `/proc/self/status` before any arena
 //!    exists;
-//! 2. grow a [`NativeMachine`] to `--cells` in `--stages` doublings (every
-//!    fresh cell is written — the EMPTY fill — so pages are committed);
+//! 2. grow a [`NativeMachine`] to `CELLS` in `STAGES` doublings
+//!    (every fresh cell is written — the EMPTY fill — so pages are
+//!    committed);
 //! 3. re-read, and compare the growth's peak delta against its steady
-//!    delta.  A ratio above `--max-ratio` (default 1.10) fails the run.
+//!    delta.  A ratio above `MAX_RATIO` fails the run.
 //!
-//! Usage (CI runs the default 2^24 cells = 128 MiB):
+//! It takes no arguments (any argument exits 2):
 //!
 //! ```text
-//! cargo run --release -p qrqw-bench --bin rss_guard -- \
-//!     [--cells 16777216] [--stages 8] [--max-ratio 1.10] [--threads N]
+//! cargo run --release -p qrqw-bench --bin rss_guard
 //! ```
 //!
 //! On systems without `/proc/self/status` (or without the fields) the
@@ -27,49 +27,12 @@
 use qrqw_exec::NativeMachine;
 use qrqw_sim::Machine;
 
-struct Config {
-    cells: usize,
-    stages: u32,
-    max_ratio: f64,
-    threads: Option<usize>,
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: rss_guard [--cells N] [--stages K] [--max-ratio R] [--threads T]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        cells: 1 << 24,
-        stages: 8,
-        max_ratio: 1.10,
-        threads: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--cells" => cfg.cells = value().parse().unwrap_or_else(|_| usage("bad --cells")),
-            "--stages" => cfg.stages = value().parse().unwrap_or_else(|_| usage("bad --stages")),
-            "--max-ratio" => {
-                cfg.max_ratio = value().parse().unwrap_or_else(|_| usage("bad --max-ratio"))
-            }
-            "--threads" => {
-                cfg.threads = Some(value().parse().unwrap_or_else(|_| usage("bad --threads")))
-            }
-            other => usage(&format!("unknown flag {other:?}")),
-        }
-    }
-    if cfg.cells == 0 || cfg.stages == 0 {
-        usage("--cells and --stages must be positive");
-    }
-    cfg
-}
+/// The grown arena: 2^24 cells, 128 MiB.
+const CELLS: usize = 1 << 24;
+/// Doublings from `CELLS >> STAGES` up to `CELLS`.
+const STAGES: u32 = 8;
+/// Bound on the growth's peak resident delta over its steady one.
+const MAX_RATIO: f64 = 1.10;
 
 /// Reads one `kB` field (e.g. `VmHWM`) from `/proc/self/status`.
 fn status_kb(text: &str, field: &str) -> Option<u64> {
@@ -87,7 +50,10 @@ fn snapshot() -> Option<(u64, u64)> {
 }
 
 fn main() {
-    let cfg = parse_args();
+    if std::env::args().len() > 1 {
+        eprintln!("usage: rss_guard (it takes no arguments)");
+        std::process::exit(2);
+    }
     let Some((rss0, hwm0)) = snapshot() else {
         println!("rss_guard: /proc/self/status unavailable; skipping");
         return;
@@ -106,17 +72,14 @@ fn main() {
     // Staged doubling growth: the worst case for a realloc-based arena
     // (every stage copies everything so far), a no-op pattern for the
     // sharded one.
-    let first = (cfg.cells >> cfg.stages).max(1);
-    let mut m = match cfg.threads {
-        Some(t) => NativeMachine::with_threads(first, 0, t),
-        None => NativeMachine::with_seed(first, 0),
-    };
+    let first = CELLS >> STAGES;
+    let mut m = NativeMachine::with_seed(first, 0);
     let mut size = first;
-    while size < cfg.cells {
-        size = (size * 2).min(cfg.cells);
+    while size < CELLS {
+        size *= 2;
         m.ensure_memory(size);
     }
-    assert_eq!(m.arena_stats().cells, cfg.cells);
+    assert_eq!(m.arena_stats().cells, CELLS);
 
     let Some((rss1, hwm1)) = snapshot() else {
         println!("rss_guard: /proc/self/status vanished mid-run; skipping");
@@ -125,26 +88,19 @@ fn main() {
     let steady = rss1.saturating_sub(rss0);
     let peak = hwm1.saturating_sub(rss0).max(steady);
     if steady == 0 {
-        eprintln!(
-            "rss_guard: growth of {} cells left RSS unchanged; cannot measure",
-            cfg.cells
-        );
+        eprintln!("rss_guard: growth of {CELLS} cells left RSS unchanged; cannot measure");
         std::process::exit(2);
     }
     let ratio = peak as f64 / steady as f64;
     println!(
-        "rss_guard: {} cells in {} stages ({} shards): steady +{steady} kB, peak +{peak} kB, \
-         peak/steady {ratio:.3} (limit {:.3})",
-        cfg.cells,
-        cfg.stages,
+        "rss_guard: {CELLS} cells in {STAGES} stages ({} shards): steady +{steady} kB, \
+         peak +{peak} kB, peak/steady {ratio:.3} (limit {MAX_RATIO:.3})",
         m.arena_stats().shards,
-        cfg.max_ratio,
     );
-    if ratio > cfg.max_ratio {
+    if ratio > MAX_RATIO {
         eprintln!(
             "rss_guard: FAIL — growth transiently used {ratio:.3}x its steady footprint \
-             (limit {:.3}); the arena is copying live cells again",
-            cfg.max_ratio
+             (limit {MAX_RATIO:.3}); the arena is copying live cells again"
         );
         std::process::exit(1);
     }

@@ -265,11 +265,16 @@ mod tests {
 
     #[test]
     fn small_dispatch_runs_inline_as_one_chunk() {
+        // A short dispatch on any pool, and any dispatch on a 1-thread
+        // pool, whose schedule is therefore never read.
+        let long = 4 * INLINE_CUTOFF + 1;
         for schedule in Schedule::ALL {
-            let pool = StepPool::with_threads(8).with_schedule(schedule);
-            let ranges = Mutex::new(Vec::new());
-            pool.dispatch(100, 1, |lo, hi| ranges.lock().unwrap().push((lo, hi)));
-            assert_eq!(*ranges.lock().unwrap(), vec![(0, 100)]);
+            for (threads, len) in [(8, 100), (1, long)] {
+                let pool = StepPool::with_threads(threads).with_schedule(schedule);
+                let ranges = Mutex::new(Vec::new());
+                pool.dispatch(len, 1, |lo, hi| ranges.lock().unwrap().push((lo, hi)));
+                assert_eq!(*ranges.lock().unwrap(), vec![(0, len)]);
+            }
         }
     }
 

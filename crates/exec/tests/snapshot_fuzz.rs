@@ -410,9 +410,11 @@ fn machine(seed: u64, pool: StepPool) -> (NativeMachine, Model) {
     (m, model)
 }
 
+/// Every pool shape: one thread (which runs every dispatch inline and
+/// never reads its schedule), and 2 and 5 under both schedules.
 fn pools() -> Vec<StepPool> {
-    let mut pools = Vec::new();
-    for threads in [1, 2, 5] {
+    let mut pools = vec![StepPool::with_threads(1)];
+    for threads in [2, 5] {
         for schedule in Schedule::ALL {
             pools.push(StepPool::with_threads(threads).with_schedule(schedule));
         }

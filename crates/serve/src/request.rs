@@ -103,6 +103,10 @@ pub enum Fault {
     /// batch gets its real answer, and no effect of the panicked attempt
     /// survives.  (Direct `apply_batch` callers see the panic itself.)
     Panic,
+    /// Like [`Fault::Panic`], but batch application panics after the
+    /// batch's machine steps and host mutations have run, so only the
+    /// batcher's rollback to the pre-batch checkpoint undoes them.
+    LatePanic,
     /// The batcher thread dies abnormally — outside its panic containment,
     /// with no rollback.  This simulates a crashed server rather than a
     /// poisoned request: every outstanding request, including this one,

@@ -33,7 +33,9 @@
 //! O(cells the previous batch wrote), not O(resident state).  The batch
 //! then runs under
 //! [`std::panic::catch_unwind`].  If it panics
-//! ([`crate::request::Fault::Panic`], or any future bug in decode), the
+//! ([`crate::request::Fault::Panic`] in decode,
+//! [`crate::request::Fault::LatePanic`] after the machine steps, or any
+//! future bug), the
 //! batcher **rolls the state back** to the checkpoint and re-applies the
 //! batch by **bisection replay**: halves are re-applied in submission
 //! order (trace determinism makes sub-batch replies identical to the

@@ -223,8 +223,9 @@ impl ServiceCore {
     /// response per request.
     ///
     /// Panics if the batch contains a [`Fault::Panic`] request, before any
-    /// machine step or host mutation (the server catches the unwind;
-    /// direct callers see the panic).
+    /// machine step or host mutation, or a [`Fault::LatePanic`] request,
+    /// after all of them (the server catches the unwind; direct callers
+    /// see the panic).
     pub fn apply_batch<M: Machine>(&mut self, m: &mut M, batch: &[Request]) -> Vec<Response> {
         // With every accepted delta below 2^32, the Fetch&Add step's prefix
         // sums over the whole batch stay below 2^63.
@@ -233,8 +234,8 @@ impl ServiceCore {
             "a batch holds fewer than 2^31 requests"
         );
         // ---- Pass 1 (host): the batch's distinct hash keys, in first-touch
-        // order, and each hash request's index into them.  Injected faults
-        // fire here, before any machine step or host mutation.
+        // order, and each hash request's index into them.  Injected decode
+        // faults fire here, before any machine step or host mutation.
         let mut keys: Vec<u64> = Vec::new();
         let mut index: HashMap<u64, usize> = HashMap::new();
         let mut key_of: Vec<usize> = Vec::new();
@@ -273,6 +274,7 @@ impl ServiceCore {
         let mut fadd_reqs: Vec<(usize, u64)> = Vec::new();
         let mut fadd_slots: Vec<usize> = Vec::new();
         let mut values: HashMap<usize, u64> = HashMap::new();
+        let mut late_panic = false;
         for req in batch {
             let resp = match *req {
                 Request::HashInsert { key }
@@ -330,6 +332,12 @@ impl ServiceCore {
                 }
                 Request::TaskSteal => Ok(Reply::TaskStolen(self.tasks.steal())),
                 Request::Fault(Fault::Error) => Err(ServiceError::Injected),
+                Request::Fault(Fault::LatePanic) => {
+                    // Never returned: the batch panics after its machine
+                    // steps.
+                    late_panic = true;
+                    Err(ServiceError::RequestPanicked)
+                }
                 Request::Fault(_) => unreachable!("pass 1 panics on the other faults"),
             };
             responses.push(resp);
@@ -355,6 +363,9 @@ impl ServiceCore {
             for (slot, old) in fadd_slots.into_iter().zip(olds) {
                 responses[slot] = Ok(Reply::Counter(old));
             }
+        }
+        if late_panic {
+            panic!("qrqw-serve: injected panic after a batch's machine steps");
         }
         responses
     }
@@ -889,9 +900,10 @@ mod tests {
 
     #[test]
     fn a_decode_panic_leaves_the_state_untouched_and_the_checkpoint_restorable() {
-        // Faults fire in the first decode pass: before the probe step and
-        // before the walk that mutates the task pool.  The batcher still
-        // restores (a future bug could panic later), so that must work too.
+        // Decode faults fire in the first decode pass: before the probe
+        // step and before the walk that mutates the task pool.  The batcher
+        // still restores (a late panic or a future bug panics later), so
+        // that must work too.
         let mut s = state();
         let _ = s.apply_batch(&[Request::HashInsert { key: 5 }]);
         let before = s.digest();

@@ -11,7 +11,9 @@
 //!
 //! 1. a live [`Server`] with a random batch cap, thread count, queue bound
 //!    or dropped tickets, zero and generous deadlines, and a shutdown
-//!    before or after the replies are collected, whose stats must add up;
+//!    before or after the replies are collected, whose stats must add up.
+//!    Its injected panics fire in decode or after the batch's machine
+//!    steps; the latter take effect unless the batcher rolls back;
 //! 2. a [`ServiceState`] fed the panic-free subset under random cuts, with
 //!    checkpoint/restore rewinds that re-apply under fresh cuts;
 //! 3. a bare [`ServiceCore`] on the simulator, under cuts of its own.
@@ -19,8 +21,8 @@
 //! Two fixed traces run first with the live server at batch caps
 //! {1, 7, 64, all}, then 300 generated ones.  A failing case prints its
 //! seed.  The test also fails if the generator stops reaching a reply or
-//! error variant, a table growth, a tombstone purge or a restore that
-//! un-steals a task.
+//! error variant, a table growth, a tombstone purge, a restore that
+//! un-steals a task or a late panic on the live server.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -36,6 +38,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const PANIC: R = R::Fault(Fault::Panic);
+const LATE: R = R::Fault(Fault::LatePanic);
+
+/// Whether `req` is an injected panic, before or after the machine steps.
+fn is_panic(req: R) -> bool {
+    req == PANIC || req == LATE
+}
 
 /// Long enough for any CI machine: a ticket still open after this is
 /// wedged, and a deadline this far off never expires.
@@ -44,7 +52,7 @@ const WEDGE: Duration = Duration::from_secs(30);
 /// What the run must reach: reply and error variants, and state events.
 const PATHS: &str = "Ok:Inserted Ok:Removed Ok:Found Ok:Counter Ok:TaskQueued Ok:TaskStolen \
     Err:KeyOutOfRange Err:UnknownCounter Err:CounterOverflow Err:Injected Err:RequestPanicked \
-    Err:Overloaded Err:DeadlineExceeded Err:ShuttingDown growth purge unsteal";
+    Err:Overloaded Err:DeadlineExceeded Err:ShuttingDown growth purge unsteal late-panic";
 
 /// The sequential meaning of every request.
 #[derive(Default)]
@@ -101,7 +109,7 @@ impl Oracle {
             }
             R::TaskSteal => Reply::TaskStolen(self.tasks.pop_front()),
             R::Fault(Fault::Error) => return Err(E::Injected),
-            R::Fault(Fault::Panic) => return Err(E::RequestPanicked),
+            R::Fault(Fault::Panic | Fault::LatePanic) => return Err(E::RequestPanicked),
             R::Fault(Fault::Crash) => unreachable!("the generator draws no crash"),
         })
     }
@@ -122,13 +130,13 @@ fn add(counter: usize, delta: u64) -> R {
 
 /// A mixed trace over keys `0..keys` and counters `0..8`: hash churn,
 /// counter traffic, task submit/steal, an out-of-range key and counter,
-/// injected errors.  `wild` adds deletes, injected panics, and deltas at
-/// and above 2^32; without it this is the service's first batch-parity
-/// trace, draw for draw.
+/// injected errors.  `wild` adds deletes, injected panics before and after
+/// the machine steps, and deltas at and above 2^32; without it this is the
+/// service's first batch-parity trace, draw for draw.
 fn trace(rng: &mut SmallRng, len: usize, keys: u64, wild: bool) -> Vec<R> {
     let key = |rng: &mut SmallRng| rng.gen_range(0..keys);
     let ctr = |rng: &mut SmallRng| rng.gen_range(0..8u64) as usize;
-    let ops = if wild { 16 } else { 13 };
+    let ops = if wild { 17 } else { 13 };
     (0..len)
         .map(|_| match rng.gen_range(0..ops) {
             0..=2 => R::HashInsert { key: key(rng) },
@@ -146,6 +154,7 @@ fn trace(rng: &mut SmallRng, len: usize, keys: u64, wild: bool) -> Vec<R> {
                 [invalid[0], invalid[1], R::Fault(Fault::Error)][rng.gen_range(0..3usize)]
             }
             14 => PANIC,
+            15 => LATE,
             _ => {
                 let huge = [1 << 32, u64::MAX, (1 << 32) - 1, rng.gen::<u64>() | 1 << 32];
                 add(ctr(rng), huge[rng.gen_range(0..4usize)])
@@ -209,7 +218,7 @@ impl Run {
         let (reqs, want): (Vec<R>, Vec<Response>) = trace
             .iter()
             .map(|&req| (req, oracle.apply(req)))
-            .filter(|&(req, _)| req != PANIC)
+            .filter(|&(req, _)| !is_panic(req))
             .unzip();
         let digest = oracle.digest();
 
@@ -330,7 +339,8 @@ impl Run {
                         assert_eq!(*got, want, "live reply {i} ({how:?} {req:?})");
                     }
                     applied += 1;
-                    panics += u64::from(req == PANIC);
+                    panics += u64::from(is_panic(req));
+                    self.event("late-panic", req == LATE && got.is_some());
                 }
             }
             got.iter().for_each(|got| self.reply(got));

@@ -423,11 +423,17 @@ pub const NATIVE: [Backend; 2] = [Backend::Native, Backend::NativeSteal];
 
 /// The Lockstep pairs that cover `backend`.  The match is exhaustive, so a
 /// backend registered in `Backend::ALL` without pairs fails the build.
+/// The stealing pairs start at 2 threads: a 1-thread pool runs every
+/// dispatch inline and never reads its schedule, so it would repeat the
+/// chunked 1-thread pair.
 pub fn pairs(backend: Backend) -> Vec<Pair> {
     match backend {
         Backend::Sim => vec![Pair::Sim],
         Backend::Native => THREADS.map(|t| Pair::Native(t, Schedule::Chunked)).into(),
-        Backend::NativeSteal => THREADS.map(|t| Pair::Native(t, Schedule::Stealing)).into(),
+        Backend::NativeSteal => THREADS[1..]
+            .iter()
+            .map(|&t| Pair::Native(t, Schedule::Stealing))
+            .collect(),
         Backend::Bsp => THREADS.map(Pair::Bsp).into(),
     }
 }
@@ -486,6 +492,66 @@ macro_rules! each_pair {
 }
 pub(crate) use each_pair;
 
+/// The [`Machine`] methods a wrapper passes unchanged to the machine in its
+/// field `$inner`: all but construction, `par_map`, `claim` and the calls
+/// with a default body, which each wrapper decides on.
+macro_rules! forward_machine {
+    ($inner:tt) => {
+        fn backend(&self) -> &'static str {
+            self.$inner.backend()
+        }
+        fn seed(&self) -> u64 {
+            self.$inner.seed()
+        }
+        fn steps_executed(&self) -> u64 {
+            self.$inner.steps_executed()
+        }
+        fn ensure_memory(&mut self, size: usize) {
+            self.$inner.ensure_memory(size)
+        }
+        fn alloc(&mut self, len: usize) -> usize {
+            self.$inner.alloc(len)
+        }
+        fn release_to(&mut self, base: usize) {
+            self.$inner.release_to(base)
+        }
+        fn heap_top(&self) -> usize {
+            self.$inner.heap_top()
+        }
+        fn load(&mut self, base: usize, values: &[u64]) {
+            self.$inner.load(base, values)
+        }
+        fn dump(&self, base: usize, len: usize) -> Vec<u64> {
+            self.$inner.dump(base, len)
+        }
+        fn peek(&self, addr: usize) -> u64 {
+            self.$inner.peek(addr)
+        }
+        fn poke(&mut self, addr: usize, value: u64) {
+            self.$inner.poke(addr, value)
+        }
+        fn clear_region(&mut self, base: usize, len: usize) {
+            self.$inner.clear_region(base, len)
+        }
+        fn seq_step<T, F>(&mut self, f: F) -> T
+        where
+            F: FnOnce(&mut dyn qrqw_suite::sim::MachineProc) -> T,
+        {
+            self.$inner.seq_step(f)
+        }
+        fn scan_step(&mut self, base: usize, len: usize) -> u64 {
+            self.$inner.scan_step(base, len)
+        }
+        fn global_or_step(&mut self, base: usize, len: usize) -> bool {
+            self.$inner.global_or_step(base, len)
+        }
+        fn cost_report(&self) -> qrqw_suite::sim::CostReport {
+            self.$inner.cost_report()
+        }
+    };
+}
+pub(crate) use forward_machine;
+
 /// How a [`Drift`] machine departs from its inner machine.
 #[derive(Debug, Clone, Copy)]
 pub enum DriftKind {
@@ -515,51 +581,7 @@ impl<M: Machine> Machine for Drift<M> {
         }
     }
 
-    fn backend(&self) -> &'static str {
-        self.inner.backend()
-    }
-    fn seed(&self) -> u64 {
-        self.inner.seed()
-    }
-    fn steps_executed(&self) -> u64 {
-        self.inner.steps_executed()
-    }
-    fn ensure_memory(&mut self, size: usize) {
-        self.inner.ensure_memory(size)
-    }
-    fn alloc(&mut self, len: usize) -> usize {
-        self.inner.alloc(len)
-    }
-    fn release_to(&mut self, base: usize) {
-        self.inner.release_to(base)
-    }
-    fn heap_top(&self) -> usize {
-        self.inner.heap_top()
-    }
-    fn load(&mut self, base: usize, values: &[u64]) {
-        self.inner.load(base, values)
-    }
-    fn dump(&self, base: usize, len: usize) -> Vec<u64> {
-        self.inner.dump(base, len)
-    }
-    fn peek(&self, addr: usize) -> u64 {
-        self.inner.peek(addr)
-    }
-    fn poke(&mut self, addr: usize, value: u64) {
-        self.inner.poke(addr, value)
-    }
-    fn clear_region(&mut self, base: usize, len: usize) {
-        self.inner.clear_region(base, len)
-    }
-    fn seq_step<T, F: FnOnce(&mut dyn MachineProc) -> T>(&mut self, f: F) -> T {
-        self.inner.seq_step(f)
-    }
-    fn scan_step(&mut self, base: usize, len: usize) -> u64 {
-        self.inner.scan_step(base, len)
-    }
-    fn global_or_step(&mut self, base: usize, len: usize) -> bool {
-        self.inner.global_or_step(base, len)
-    }
+    forward_machine!(inner);
     fn compact_step(&mut self, src: usize, len: usize, dst: usize) -> u64 {
         self.inner.compact_step(src, len, dst)
     }
@@ -574,9 +596,6 @@ impl<M: Machine> Machine for Drift<M> {
         F: Fn(u64) -> u64 + Sync,
     {
         self.inner.counting_pass(base, n, num_buckets, bucket_of)
-    }
-    fn cost_report(&self) -> CostReport {
-        self.inner.cost_report()
     }
 
     fn par_map<T, F>(&mut self, procs: usize, f: F) -> Vec<T>

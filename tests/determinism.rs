@@ -1,14 +1,19 @@
 //! The determinism contract checked step by step: every registry member
 //! runs through `Lockstep<Pram, _>` (`tests/common/lockstep.rs`) on the
-//! native machine at 1, 2 and 5 threads under both chunk schedules and on
-//! the BSP machine at the same thread counts ([`SMALL`]), and through one
+//! native machine at 1, 2 and 5 threads chunked and 2 and 5 stealing (at
+//! one thread a dispatch runs inline and never reads the schedule), and on
+//! the BSP machine at 1, 2 and 5 threads ([`SMALL`]), and through one
 //! pooled pair per family at a size the step pool splits into chunks
 //! ([`LARGE`]).  The sweep is split by member group and pair family so
 //! libtest runs it in parallel.  The raw-trait instances and the
-//! injected-drift checks of Lockstep itself live here too.
+//! injected-drift checks of Lockstep itself live here too, as do the
+//! tests of the machine-call table (`tests/common/kernels.rs`): every
+//! call with a native kernel, on every shape that reaches one of its
+//! paths, against a host oracle of what the call leaves.
 
 mod common;
 
+use common::kernels::{self, Kernel};
 use common::lockstep::{
     each_machine, each_pair, pairs, pairs_of, Drift, DriftKind, Lockstep, Pair,
 };
@@ -16,7 +21,7 @@ use common::lockstep::{NATIVE, THREADS};
 use qrqw_bench::{Algorithm, Backend};
 use qrqw_suite::algos::random_permutation_qrqw;
 use qrqw_suite::bsp::BspMachine;
-use qrqw_suite::exec::{NativeMachine, Schedule, SHARD_CELLS};
+use qrqw_suite::exec::{NativeMachine, Schedule};
 use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, Pram, EMPTY};
 
 /// The small problem size every registry member runs at on every pair.
@@ -268,233 +273,24 @@ fn fused_and_unfused_dispatch_agree_with_the_simulator_on_claim_heavy_work() {
     });
 }
 
-#[test]
-fn fused_and_unfused_dispatch_agree_on_scan_and_compact() {
-    // scan_step and compact_step run as one 3-pass pool dispatch, except a
-    // compact whose destination needs arena growth, which falls back to two
-    // dispatches with the growth in between.
-    let n = 60_000usize;
-    let vals: Vec<u64> = (0..n as u64).map(|i| (i * 31) % 13).collect();
-    let sparse: Vec<u64> = (0..n as u64)
-        .map(|i| if i % 3 == 0 { i + 1 } else { EMPTY })
-        .collect();
-    each_pair!(pairs_of(NATIVE), 0, |m| {
-        let base = m.alloc(n);
-        let dst = m.alloc(n);
-        m.load(base, &vals);
-        assert_eq!(m.scan_step(base, n), vals.iter().sum::<u64>());
-        m.load(base, &sparse);
-        let kept = m.compact_step(base, n, dst);
-        assert_eq!(kept as usize, n.div_ceil(3));
-        let compacted = m.dump(dst, kept as usize);
-        assert!(compacted.iter().zip(0..).all(|(&v, i)| v == 3 * i + 1));
-        // A raw destination at the very end of memory: the survivors only
-        // fit after growth.
-        let raw = m.heap_top();
-        assert_eq!(m.compact_step(base, n, raw), kept);
-        assert_eq!(m.dump(raw, kept as usize), compacted);
-    });
-}
-
-#[test]
-fn scan_and_global_or_are_invariant_across_thread_counts() {
-    let n = 50_000usize;
-    let vals: Vec<u64> = (0..n as u64).map(|i| i % 11).collect();
-    each_pair!(pairs_of(NATIVE), 0, |m| {
-        m.ensure_memory(n);
-        assert!(!m.global_or_step(0, n));
-        m.load(0, &vals);
-        assert_eq!(m.scan_step(0, n), vals.iter().sum::<u64>());
-        m.clear_region(0, n);
-        m.poke(n - 1, 3);
-        assert!(m.global_or_step(0, n));
-        m.poke(n - 1, 0);
-        m.poke(0, 5);
-        assert!(m.global_or_step(0, n));
-    });
-}
-
-/// Loads `data` at `base`, runs the bitonic network over it, and returns
-/// the range it left, the allocation top and the step advance.
-fn network<M: Machine>(
-    m: &mut M,
-    base: usize,
-    seg: usize,
-    segs: usize,
-    data: &[u64],
-) -> (Vec<u64>, usize, u64) {
-    m.load(base, data);
-    let before = m.steps_executed();
-    m.bitonic_segments(base, seg, segs);
-    (
-        m.dump(base, data.len()),
-        m.heap_top(),
-        m.steps_executed() - before,
-    )
-}
-
-#[test]
-fn bitonic_network_matches_the_stage_route_on_every_kernel_path() {
-    // The native kernel's paths: segments inside one 2^14-cell block,
-    // exactly one block over several chunks, one and several whole-range
-    // passes per k above it, a lone segment over two chunks; and the
-    // no-op shapes.
-    let shapes = [
-        (1, 4),
-        (2, 3),
-        (16, 17),
-        (1024, 7),
-        (1 << 14, 17),
-        (1 << 15, 1),
-        (1 << 15, 3),
-        (1 << 17, 2),
-        (64, 0),
-    ];
-    let base = 3;
-    for (seg, segs) in shapes {
-        // Duplicates (values below 97) and EMPTY cells.
-        let data: Vec<u64> = (0..(seg * segs) as u64)
-            .map(|i| {
-                if i % 7 == 3 {
-                    EMPTY
-                } else {
-                    i.wrapping_mul(0x9E37_79B9) % 97
-                }
-            })
-            .collect();
-        // A sorting network leaves every segment sorted, whatever the
-        // order of its stages.
-        let mut sorted = data.clone();
-        sorted.chunks_mut(seg).for_each(<[u64]>::sort_unstable);
-        let lg = if segs == 0 {
-            0
-        } else {
-            seg.trailing_zeros() as u64
-        };
-        let top = if lg == 0 {
-            16
-        } else {
-            (base + data.len()).max(16)
-        };
-        let want = (sorted, top, lg * (lg + 1) / 2);
-        // The stage route is one loop with no shape-dependent path, so the
-        // model backends run only the small shapes.  The native pairs run
-        // them all.
-        let mut machines = pairs_of(NATIVE);
-        if data.len() <= 1 << 13 {
-            machines.extend([Pair::Sim, Pair::Bsp(THREADS[1])]);
+/// One test per machine call of the table (`tests/common/kernels.rs`), so
+/// libtest runs them in parallel.
+macro_rules! kernel_tests {
+    ($($test:ident: $call:pat,)*) => {$(
+        #[test]
+        fn $test() {
+            kernels::check(|k| matches!(k, $call));
         }
-        each_machine!(machines, 0, |pair, m| {
-            let got = network(&mut m, base, seg, segs, &data);
-            assert!(got == want, "{seg} x {segs} on {pair:?}");
-        });
-    }
+    )*};
 }
 
-/// Cells per block of `NativeMachine`'s blocked scan and counting pass
-/// (`SCAN_BLOCK` in `crates/exec/src/machine.rs`).
-const SCAN_BLOCK: usize = 8192;
-
-/// Loads `data` at `base` as the top allocation, runs `call`, and returns
-/// the range it left, its result, the allocation top and the step advance.
-fn after_call<M: Machine, T>(
-    m: &mut M,
-    base: usize,
-    data: &[u64],
-    call: impl FnOnce(&mut M) -> T,
-) -> (Vec<u64>, T, usize, u64) {
-    m.ensure_memory(base + data.len());
-    m.load(base, data);
-    let before = m.steps_executed();
-    let out = call(m);
-    let advance = m.steps_executed() - before;
-    (m.dump(base, data.len()), out, m.heap_top(), advance)
-}
-
-#[test]
-fn scan_tree_and_counting_pass_match_the_default_route_on_every_kernel_path() {
-    // The native kernels' paths: inline (up to 2048 cells), one block,
-    // one block and one cell, several chunks; the no-op shapes.  The
-    // largest shape crosses the arena's 2^18-cell shard seam.
-    let lens = [
-        0,
-        1,
-        2,
-        255,
-        SCAN_BLOCK - 1,
-        SCAN_BLOCK,
-        SCAN_BLOCK + 1,
-        (1 << 17) + 3,
-    ];
-    let base = SHARD_CELLS - (1 << 16) - 5;
-    let lg = |x: usize| x.next_power_of_two().trailing_zeros() as u64;
-    // Every native pair, and the BSP pair as a second run of the default
-    // route (the simulator's is what the expectations below spell out).
-    let mut machines = pairs_of(NATIVE);
-    machines.push(Pair::Bsp(THREADS[1]));
-    for len in lens {
-        let top = (base + len).max(16);
-        // Duplicates, EMPTY cells, and words in every bucket.
-        let mixed: Vec<u64> = (0..len as u64)
-            .map(|i| {
-                if i % 7 == 3 {
-                    EMPTY
-                } else {
-                    i.wrapping_mul(0x9E37_79B9) % 1_000_003
-                }
-            })
-            .collect();
-        for inclusive in [false, true] {
-            let mut acc = 0u64;
-            let sums: Vec<u64> = mixed
-                .iter()
-                .map(|&v| {
-                    let excl = acc;
-                    acc += if v == EMPTY { 0 } else { v };
-                    if inclusive {
-                        acc
-                    } else {
-                        excl
-                    }
-                })
-                .collect();
-            let steps = if len == 0 { 0 } else { 2 * lg(len) + 3 };
-            let want = (sums, acc, top, steps);
-            each_machine!(machines.clone(), 0, |pair, m| {
-                let got = after_call(&mut m, base, &mixed, |m| m.scan_tree(base, len, inclusive));
-                assert!(
-                    got == want,
-                    "scan_tree {len} inclusive={inclusive} on {pair:?}"
-                );
-            });
-        }
-        for num_buckets in [1usize, 2, 256, 4096] {
-            let mask = num_buckets as u64 - 1;
-            let bucket = move |w: u64| (w >> 8) & mask;
-            // All words in the last bucket: one rank run per block.
-            let one_bucket: Vec<u64> = (0..len as u64).map(|i| (mask << 8) | (i & 0xFF)).collect();
-            for data in [&mixed, &one_bucket] {
-                let mut sorted = data.clone();
-                sorted.sort_by_key(|&w| bucket(w)); // std's sort is stable
-                let g = num_buckets.max(lg(len) as usize).max(1);
-                let steps = if len <= 1 {
-                    0
-                } else {
-                    2 * lg(num_buckets * len.div_ceil(g)) + 6
-                };
-                let want = (sorted, (), top, steps);
-                each_machine!(machines.clone(), 0, |pair, m| {
-                    let got = after_call(&mut m, base, data, |m| {
-                        m.counting_pass(base, len, num_buckets, bucket)
-                    });
-                    assert!(
-                        got == want,
-                        "counting_pass {len} x {num_buckets} on {pair:?}"
-                    );
-                });
-            }
-        }
-    }
+kernel_tests! {
+    scan_step_matches_the_oracle_on_every_machine: Kernel::ScanStep,
+    global_or_step_matches_the_oracle_on_every_machine: Kernel::GlobalOr,
+    compact_step_matches_the_oracle_on_every_machine: Kernel::Compact(_),
+    bitonic_segments_matches_the_oracle_on_every_machine: Kernel::Bitonic(..),
+    scan_tree_matches_the_oracle_on_every_machine: Kernel::ScanTree(_),
+    counting_pass_matches_the_oracle_on_every_machine: Kernel::CountingPass(_),
 }
 
 #[test]
