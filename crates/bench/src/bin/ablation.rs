@@ -9,7 +9,7 @@
 
 use qrqw_core::{random_cyclic_permutation_efficient, random_cyclic_permutation_fast, FatTree};
 use qrqw_prims::linear_compaction;
-use qrqw_sim::{CostModel, Pram};
+use qrqw_sim::{CostModel, Machine, Pram};
 
 fn main() {
     println!("Ablation 1 — fat-tree search vs concurrent binary search (n keys, 63 splitters)");
@@ -47,7 +47,7 @@ fn main() {
     for factor in [4usize, 8, 16] {
         let mut pram = Pram::with_seed(n, 9);
         for i in 0..k {
-            pram.memory_mut().poke(i * (n / k), i as u64 + 1);
+            pram.poke(i * (n / k), i as u64 + 1);
         }
         let dst = pram.alloc(factor * k);
         let out = linear_compaction(&mut pram, 0, n, dst, factor * k);

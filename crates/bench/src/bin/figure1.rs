@@ -6,7 +6,7 @@ use qrqw_core::{
     cycle_representation, is_cyclic, random_cyclic_permutation_efficient,
     random_cyclic_permutation_fast,
 };
-use qrqw_sim::Pram;
+use qrqw_sim::{Machine, Pram};
 
 fn show(label: &str, perm: &[u64]) {
     let cycles = cycle_representation(perm);

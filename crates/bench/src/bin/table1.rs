@@ -14,6 +14,7 @@ use qrqw_core::{
     random_permutation_qrqw, random_permutation_sorting_erew, sort_uniform_keys, QrqwHashTable,
 };
 use qrqw_prims::bitonic_sort;
+use qrqw_sim::Machine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,7 +96,7 @@ fn main() {
             3,
             move |p| {
                 let base = p.alloc(n);
-                p.memory_mut().load(base, &keys);
+                p.load(base, &keys);
                 bitonic_sort(p, base, n);
             },
         ));
@@ -133,29 +134,27 @@ fn main() {
             4,
             move |p| {
                 let base = p.alloc(n);
-                p.memory_mut().load(base, &keys);
+                p.load(base, &keys);
                 bitonic_sort(p, base, n);
                 // membership by binary search (concurrent reads; the practical
                 // zero-preprocessing comparator)
                 let keys_ref = &keys;
-                let hits = p.step(|s| {
-                    s.par_map(0..n, |i, ctx| {
-                        let x = keys_ref[i];
-                        let (mut lo, mut hi) = (0usize, n);
-                        while lo < hi {
-                            let mid = (lo + hi) / 2;
-                            let v = ctx.read(base + mid);
-                            if v == x {
-                                return true;
-                            }
-                            if v < x {
-                                lo = mid + 1;
-                            } else {
-                                hi = mid;
-                            }
+                let hits = p.par_map(n, |i, ctx| {
+                    let x = keys_ref[i];
+                    let (mut lo, mut hi) = (0usize, n);
+                    while lo < hi {
+                        let mid = (lo + hi) / 2;
+                        let v = ctx.read(base + mid);
+                        if v == x {
+                            return true;
                         }
-                        false
-                    })
+                        if v < x {
+                            lo = mid + 1;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    false
                 });
                 assert!(hits.iter().all(|&h| h));
             },

@@ -15,7 +15,7 @@ use qrqw_bench::{Algorithm, Backend, Subject};
 use qrqw_core::{
     random_permutation_dart_scan, random_permutation_qrqw, random_permutation_sorting_erew,
 };
-use qrqw_sim::{CostModel, Pram};
+use qrqw_sim::{CostModel, Machine, Pram};
 
 const TABLE2_ALGOS: [Algorithm; 3] = [
     Algorithm::PermutationSortingErew,

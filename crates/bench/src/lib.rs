@@ -719,7 +719,7 @@ mod tests {
     #[test]
     fn measure_captures_a_trace() {
         let row = MeasuredRow::measure("noop-ish", 8, 1, |pram| {
-            pram.step(|s| s.par_for(0..8, |p, ctx| ctx.write(p, 1)));
+            pram.par_for(8, |p, ctx| ctx.write(p, 1));
         });
         assert_eq!(row.trace.num_steps(), 1);
         assert_eq!(row.trace.work(), 8);

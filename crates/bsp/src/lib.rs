@@ -14,11 +14,12 @@
 //! which virtual processors buffer their read/write/claim requests as
 //! messages and a routing phase ([`router`]) delivers them in batches keyed
 //! by destination cell.  The router is a sink on the simulator's own step
-//! walk ([`qrqw_sim::Pram::step_into`]); the machine has no memory, allocator
-//! or step loop of its own.  [`qrqw_sim::Machine::cost_report`] returns the
-//! router's superstep/message/h-relation counts and the queue totals next
-//! to the Theorem 1.1 predicted bound ([`qrqw_sim::BspCost`]), which is what
-//! the `perf_report` harness prints as measured-vs-predicted.
+//! walk ([`qrqw_sim::Pram::par_map_into`]); the machine has no memory,
+//! allocator or step loop of its own.  [`qrqw_sim::Machine::cost_report`]
+//! returns the `Pram`'s report with the router's superstep/message/
+//! h-relation counts and the queue totals next to the Theorem 1.1 predicted
+//! bound ([`qrqw_sim::BspCost`]) in place of its model-side fields, which
+//! is what the `perf_report` harness prints as measured-vs-predicted.
 //!
 //! What is and is not measured: the router's processor-order delivery *is*
 //! the simulator's write arbitration, and its longest per-cell queue *is*

@@ -12,7 +12,7 @@
 //! The machine is a [`Pram`] plus that router.  Memory, allocator, launches,
 //! [`Machine::seq_step`], the scan and global-OR primitives and the trace
 //! are the simulator's; a parallel step's accounting walk finishes into the
-//! router ([`Pram::step_into`]) instead of straight into memory.  What this
+//! router ([`Pram::par_map_into`]) instead of straight into memory.  What this
 //! type adds is the BSP bookkeeping — supersteps, messages and the heaviest
 //! h-relation — read off each step the `Pram` just ran.
 //!
@@ -119,7 +119,7 @@ impl BspMachine {
     }
 
     /// `pool` only sizes the machine: its thread count, clamped as every
-    /// pool's is, goes to each [`Pram::step_into`].
+    /// pool's is, goes to each [`Pram::par_map_into`].
     fn build(mem_size: usize, seed: u64, pool: StepPool, components: u64) -> Self {
         BspMachine {
             pram: Pram::with_seed(mem_size, seed),
@@ -145,15 +145,6 @@ impl BspMachine {
     /// `trace().contention_profile()`, read off this machine's trace.
     pub fn queue_profile(&self) -> Vec<u64> {
         self.pram.trace().step_stats().iter().map(queue).collect()
-    }
-
-    /// The measured emulation cost read as the QRQW charge it realizes — the
-    /// `t` whose Theorem 1.1 bound is `t · ⌈lg components⌉`.  It is this
-    /// machine's own trace time under [`CostModel::Qrqw`]; that it equals the
-    /// simulator's for the same run says the two re-execute one trajectory
-    /// (pinned by `tests/theorem11.rs` and the `perf_report` validator).
-    pub fn charged_qrqw_time(&self) -> u64 {
-        self.pram.trace().time(CostModel::Qrqw)
     }
 
     /// Books a step the router did not carry — a sequential step, a scan or
@@ -247,9 +238,7 @@ impl Machine for BspMachine {
         T: Send,
         F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
     {
-        let (out, routed) = self.router.step(&mut self.pram, self.threads, |s| {
-            s.par_map(0..procs, |p, ctx| f(p, ctx))
-        });
+        let (out, routed) = self.router.step(&mut self.pram, self.threads, procs, f);
         self.stats.supersteps += routed.supersteps();
         self.stats.messages += routed.messages();
         self.stats.max_h_relation = self.stats.max_h_relation.max(routed.max_h);
@@ -288,15 +277,17 @@ impl Machine for BspMachine {
         success
     }
 
+    /// The `Pram`'s report with the BSP section in place of the model-side
+    /// fields.  `measured_cost` is the `Pram`'s trace time under
+    /// [`CostModel::Qrqw`] — the `t` whose Theorem 1.1 bound is
+    /// `t · ⌈lg components⌉`; that it equals the simulator's for the same
+    /// run says the two re-execute one trajectory (pinned by
+    /// `tests/theorem11.rs` and the `perf_report` validator).
     fn cost_report(&self) -> CostReport {
-        let (claim_attempts, contended_claims) = self.pram.claim_stats();
-        let measured_cost = self.charged_qrqw_time();
+        let sim = self.pram.cost_report();
+        let measured_cost = sim.time_qrqw.expect("a Pram reports its QRQW time");
         CostReport {
             backend: "bsp",
-            steps: self.pram.steps_executed(),
-            wall: self.pram.wall_elapsed(),
-            claim_attempts,
-            contended_claims,
             work: None,
             max_contention: None,
             time_qrqw: None,
@@ -316,6 +307,7 @@ impl Machine for BspMachine {
                 measured_cost,
                 predicted_cost: bsp_emulation_time(measured_cost, self.components),
             }),
+            ..sim
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Processors do not touch shared cells directly on a BSP machine — they
 //! emit read/write *requests* during the local-computation phase, and a
 //! routing phase delivers them.  This module is that phase, and it is a
-//! [`StepSink`] on the simulator's own step ([`Pram::step_into`]): the
+//! [`StepSink`] on the simulator's own step ([`Pram::par_map_into`]): the
 //! simulator's stamp walk meets each address range's requests in ascending
 //! processor id on its own pool worker, combines duplicate same-processor
 //! requests (the standard first move of a PRAM-on-BSP emulation — each
@@ -29,7 +29,7 @@
 //! BSP backend keep bit-identical parity with the simulator at any thread
 //! count.
 
-use qrqw_sim::{Pram, StepCtx, StepSink};
+use qrqw_sim::{MachineProc, Pram, StepSink};
 
 /// The traffic one routed step put on the network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -144,20 +144,26 @@ impl Router {
         }
     }
 
-    /// Runs one step of `pram` ([`Pram::step_into`], launches and walk on up
-    /// to `threads` threads) with this fabric as its sink: the step's
-    /// result, next to the traffic routing it took.
-    pub fn step<R>(
+    /// Runs one step of processors `0..procs` on `pram`
+    /// ([`Pram::par_map_into`], processors and walk on up to `threads`
+    /// threads) with this fabric as its sink: the processors' results, next
+    /// to the traffic routing them took.
+    pub fn step<T, F>(
         &mut self,
         pram: &mut Pram,
         threads: usize,
-        f: impl FnOnce(&mut StepCtx<'_>) -> R,
-    ) -> (R, RoutedStep) {
+        procs: usize,
+        f: F,
+    ) -> (Vec<T>, RoutedStep)
+    where
+        T: Send,
+        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
+    {
         let mut delivery = Delivery {
             components: self.components,
             routed: RoutedStep::default(),
         };
-        let out = pram.step_into(threads, &mut delivery, &mut self.tallies, f);
+        let out = pram.par_map_into(threads, &mut delivery, &mut self.tallies, procs, f);
         (out, delivery.routed)
     }
 }
@@ -165,10 +171,9 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrqw_sim::StepStats;
+    use qrqw_sim::{Machine, StepStats};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::ops::Range;
 
     /// One processor's requests, in program order.
     #[derive(Debug, Clone, Default)]
@@ -178,44 +183,31 @@ mod tests {
     }
 
     /// Routes `program` (processor `p` issues `program[p]`) over
-    /// `components` components as one step of `pram` on `threads` threads,
-    /// launched in chunks of `chunk` processors in the order `order` leaves
-    /// them.  A launch below the parallel cutoff runs inline and files one
-    /// chunk log, so the walk receives the logs in exactly that order.  The
-    /// measured traffic and the step's statistics.
+    /// `components` components as one step of `pram` on `threads` threads:
+    /// the measured traffic and the step's statistics.  (The order in which
+    /// a step's chunk logs reach the walk is `qrqw_sim`'s own test.)
     fn route(
         pram: &mut Pram,
         components: usize,
         program: &[Requests],
-        chunk: usize,
-        order: impl FnOnce(&mut Vec<Range<usize>>),
         threads: usize,
     ) -> (RoutedStep, StepStats) {
-        let mut launches: Vec<Range<usize>> = (0..program.len())
-            .step_by(chunk)
-            .map(|lo| lo..(lo + chunk).min(program.len()))
-            .collect();
-        order(&mut launches);
-        let ((), routed) = Router::new(components).step(pram, threads, |s| {
-            for launch in launches {
-                s.par_for(launch, |p, ctx| {
-                    for &a in &program[p].reads {
-                        ctx.read(a);
-                    }
-                    for &(a, v) in &program[p].writes {
-                        ctx.write(a, v);
-                    }
-                })
+        let (_, routed) = Router::new(components).step(pram, threads, program.len(), |p, ctx| {
+            for &a in &program[p].reads {
+                ctx.read(a);
+            }
+            for &(a, v) in &program[p].writes {
+                ctx.write(a, v);
             }
         });
         let stats = *pram.trace().step_stats().last().expect("one step ran");
         (routed, stats)
     }
 
-    /// Routes `program` into 16 fresh cells, one chunk per two processors.
+    /// Routes `program` into 16 fresh cells on one thread.
     fn routed(program: &[Requests], components: usize) -> (RoutedStep, StepStats, Pram) {
         let mut pram = Pram::new(16);
-        let (step, stats) = route(&mut pram, components, program, 2, |_| {}, 1);
+        let (step, stats) = route(&mut pram, components, program, 1);
         (step, stats, pram)
     }
 
@@ -246,8 +238,7 @@ mod tests {
             ],
             8,
         );
-        let cells = pram.memory();
-        assert_eq!((cells.peek(4), cells.peek(9)), (20, 95));
+        assert_eq!((pram.peek(4), pram.peek(9)), (20, 95));
         assert_eq!(stats.max_write_contention, 3);
         assert_eq!(step.write_msgs, 4);
     }
@@ -388,11 +379,10 @@ mod tests {
         /// A one-cell memory: however many ranges the step is cut into,
         /// one holds all of it.
         const ONE_RANGE: u64 = 241;
-        let machine_walkers = qrqw_exec::StepPool::from_env().threads();
-        let mut grown = Pram::new(0);
-        grown.memory_mut().load(0, &(0..40).collect::<Vec<_>>());
-        let mut one_cell = Pram::new(0);
-        one_cell.memory_mut().load(0, &[7]);
+        let mut grown = Pram::new(40);
+        grown.load(0, &(0..40).collect::<Vec<_>>());
+        let mut one_cell = Pram::new(1);
+        one_cell.load(0, &[7]);
         for seed in 0..242u64 {
             let pram = if seed == ONE_RANGE {
                 &mut one_cell
@@ -402,10 +392,10 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             if seed % 9 == 4 {
                 // Memory grown between steps.
-                let grown = pram.memory().len() + rng.gen_range(1..3000usize);
-                pram.memory_mut().ensure(grown);
+                let grown = pram.heap_top() + rng.gen_range(1..3000usize);
+                pram.ensure_memory(grown);
             }
-            let cells = pram.memory().len();
+            let cells = pram.heap_top();
             let procs = if seed >= HOT {
                 13_000
             } else {
@@ -469,40 +459,26 @@ mod tests {
                     .collect(),
                 components,
             );
-            let before = pram.memory().dump(0, cells);
+            let before = pram.dump(0, cells);
             let mut want_cells = before.clone();
             for &(a, v) in &want.winners {
                 want_cells[a] = v;
             }
 
-            // Chunks come back from the pool in any order: launch them
-            // reversed and rotated.
-            let chunk = rng.gen_range(1..600usize);
-            let rotate = rng.gen_range(0..64usize);
-            let scramble = |launches: &mut Vec<Range<usize>>| {
-                launches.reverse();
-                let by = rotate % launches.len();
-                launches.rotate_left(by);
-            };
-            // As the machine would, then with the split forced: four
-            // walkers deal even the 40-cell memory to eight ranges.  Last,
-            // the whole program as one launch, which above the cutoff four
-            // pool threads run in chunks of their own.
-            for (walkers, chunk) in [(machine_walkers, chunk), (4, chunk), (4, procs)] {
-                pram.memory_mut().load(0, &before);
-                let tag = format!("seed {seed}, {walkers} walkers, chunks of {chunk}");
-                let (step, stats) = route(pram, components, &program, chunk, scramble, walkers);
+            // One walker walks one range inline; two and five deal even
+            // the 40-cell memory to four and eight ranges, and above the
+            // cutoffs run the processors and the walk on the pool.
+            for threads in [1, 2, 5] {
+                pram.load(0, &before);
+                let tag = format!("seed {seed}, {threads} threads");
+                let (step, stats) = route(pram, components, &program, threads);
                 // `read_msgs`, `write_msgs` and `max_h` are the merged tallies.
                 assert_eq!(
                     (step, stats.max_read_contention, stats.max_write_contention),
                     (want.step, want.read_queue, want.write_queue),
                     "{tag}: measured traffic"
                 );
-                assert_eq!(
-                    pram.memory().dump(0, cells),
-                    want_cells,
-                    "{tag}: memory image"
-                );
+                assert_eq!(pram.dump(0, cells), want_cells, "{tag}: memory image");
             }
         }
     }

@@ -25,11 +25,12 @@ fn permutation_is_bit_identical_and_measured_cost_stays_under_the_bound() {
         );
         assert_eq!(sim.steps_executed(), Machine::steps_executed(&bsp));
 
-        // The BSP backend's formula accumulator must agree with the
-        // simulator's exact QRQW trace time, and the realized queues must
-        // never exceed what the trace charged per step.
+        // The BSP backend's measured cost must agree with the simulator's
+        // exact QRQW trace time, and the realized queues must never exceed
+        // what the trace charged per step.
+        let cost = bsp.cost_report().bsp.unwrap();
         assert_eq!(
-            bsp.charged_qrqw_time(),
+            cost.measured_cost,
             sim.trace().time(CostModel::Qrqw),
             "formula sides diverged (n={n} seed={seed})"
         );
@@ -39,7 +40,6 @@ fn permutation_is_bit_identical_and_measured_cost_stays_under_the_bound() {
         for (i, (&q, &k)) in measured.iter().zip(&charged).enumerate() {
             assert!(q <= k, "step {i}: realized queue {q} > charged {k}");
         }
-        let cost = bsp.cost_report().bsp.unwrap();
         assert!(cost.measured_cost <= cost.predicted_cost);
     }
 }

@@ -111,14 +111,14 @@ mod tests {
     #[test]
     fn single_address_serialises_all_requests() {
         let mut pram = Pram::new(16);
-        pram.memory_mut().poke(3, 100);
+        pram.poke(3, 100);
         let reqs: Vec<(usize, u64)> = (0..8).map(|i| (3usize, i + 1)).collect();
         let olds = emulate_fetch_add_step(&mut pram, &reqs);
         // the returned old values must be 100 plus a prefix of the increments
         // in *some* serialisation order; collectively they must be distinct
         // and consistent with the final cell value
         let total: u64 = reqs.iter().map(|&(_, v)| v).sum();
-        assert_eq!(pram.memory().peek(3), 100 + total);
+        assert_eq!(pram.peek(3), 100 + total);
         let mut sorted_olds = olds.clone();
         sorted_olds.sort_unstable();
         sorted_olds.dedup();
@@ -136,7 +136,7 @@ mod tests {
             "uninitialised cells read as zero"
         );
         for i in 0..20 {
-            assert_eq!(pram.memory().peek(i), 5);
+            assert_eq!(pram.peek(i), 5);
         }
     }
 
@@ -151,7 +151,7 @@ mod tests {
             *totals.entry(a).or_default() += v;
         }
         for (&a, &t) in &totals {
-            assert_eq!(pram.memory().peek(a), t);
+            assert_eq!(pram.peek(a), t);
         }
         // per-address old values are exactly the prefix sums of that
         // address's increments in the serialisation order chosen
@@ -180,7 +180,7 @@ mod tests {
         let mut ranks = olds.clone();
         ranks.sort_unstable();
         assert_eq!(ranks, (0..32).collect::<Vec<u64>>());
-        assert_eq!(pram.memory().peek(0), 32);
+        assert_eq!(pram.peek(0), 32);
     }
 
     #[test]

@@ -232,7 +232,7 @@ mod tests {
         let vals = [(9 << 36) | 1, (3 << 4) | 1, (1 << 39) | 2, (9 << 36) | 3, 3];
         let mut pram = Pram::with_seed(4, 8);
         let base = pram.alloc(vals.len());
-        pram.memory_mut().load(base, &vals);
+        pram.load(base, &vals);
         let got = sort_high_bits(&mut pram, base, vals.len(), 4, 1 << 40);
         let mut expect = vals.to_vec();
         expect.sort_by_key(|v| v >> 4); // stable: low bits stay in order

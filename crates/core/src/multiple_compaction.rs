@@ -432,7 +432,7 @@ mod tests {
         check_valid(&result, &labels);
         // cells hold the item index that was placed there
         for (item, &pos) in result.positions.iter().enumerate() {
-            assert_eq!(pram.memory().peek(pos), item as u64);
+            assert_eq!(pram.peek(pos), item as u64);
         }
     }
 

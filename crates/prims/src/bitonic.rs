@@ -59,18 +59,18 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let xs: Vec<u64> = (0..777).map(|_| rng.gen_range(0..10_000)).collect();
         let mut pram = Pram::new(1024);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         bitonic_sort(&mut pram, 0, xs.len());
         let mut expect = xs.clone();
         expect.sort_unstable();
-        assert_eq!(pram.memory().dump(0, xs.len()), expect);
+        assert_eq!(pram.dump(0, xs.len()), expect);
     }
 
     #[test]
     fn is_erew_legal() {
         let xs: Vec<u64> = (0..64).rev().collect();
         let mut pram = Pram::new(64);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         bitonic_sort(&mut pram, 0, 64);
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
         assert_eq!(pram.trace().max_contention(), 1);
@@ -81,7 +81,7 @@ mod tests {
         let n = 1024usize;
         let xs: Vec<u64> = (0..n as u64).rev().collect();
         let mut pram = Pram::new(n);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         bitonic_sort(&mut pram, 0, n);
         let t = pram.trace().time(CostModel::Qrqw);
         let lg = 10u64;
@@ -95,18 +95,15 @@ mod tests {
     fn handles_duplicates_and_already_sorted() {
         let xs = vec![3u64, 3, 3, 1, 1, 2, 2, 2, 2];
         let mut pram = Pram::new(16);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         bitonic_sort(&mut pram, 0, xs.len());
-        assert_eq!(
-            pram.memory().dump(0, xs.len()),
-            vec![1, 1, 2, 2, 2, 2, 3, 3, 3]
-        );
+        assert_eq!(pram.dump(0, xs.len()), vec![1, 1, 2, 2, 2, 2, 3, 3, 3]);
 
         let sorted: Vec<u64> = (0..33).collect();
         let mut pram = Pram::new(64);
-        pram.memory_mut().load(0, &sorted);
+        pram.load(0, &sorted);
         bitonic_sort(&mut pram, 0, 33);
-        assert_eq!(pram.memory().dump(0, 33), sorted);
+        assert_eq!(pram.dump(0, 33), sorted);
     }
 
     #[test]
@@ -124,12 +121,12 @@ mod tests {
         let size = 32usize;
         let data: Vec<u64> = (0..segs * size).map(|_| rng.gen_range(0..1000)).collect();
         let mut pram = Pram::new(segs * size);
-        pram.memory_mut().load(0, &data);
+        pram.load(0, &data);
         pram.bitonic_segments(0, size, segs);
         for s in 0..segs {
             let mut expect: Vec<u64> = data[s * size..(s + 1) * size].to_vec();
             expect.sort_unstable();
-            assert_eq!(pram.memory().dump(s * size, size), expect);
+            assert_eq!(pram.dump(s * size, size), expect);
         }
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
@@ -143,13 +140,13 @@ mod tests {
             for size in [2usize, 16, 64] {
                 let data: Vec<u64> = (0..segs * size).map(|_| rng.gen_range(0..500)).collect();
                 let mut pram = Pram::new(5 + segs * size);
-                pram.memory_mut().load(5, &data);
+                pram.load(5, &data);
                 pram.bitonic_segments(5, size, segs);
                 for s in 0..segs {
                     let mut expect = data[s * size..(s + 1) * size].to_vec();
                     expect.sort_unstable();
                     assert_eq!(
-                        pram.memory().dump(5 + s * size, size),
+                        pram.dump(5 + s * size, size),
                         expect,
                         "segment {s} of {segs} x {size}"
                     );
@@ -160,7 +157,7 @@ mod tests {
         // division form: the charges of one fixed input, read off it.
         let data: Vec<u64> = (0..17 * 16).map(|i| (i * 7919 + 13) % 1009).collect();
         let mut pram = Pram::new(3 + data.len());
-        pram.memory_mut().load(3, &data);
+        pram.load(3, &data);
         pram.bitonic_segments(3, 16, 17);
         let trace = pram.trace();
         assert_eq!(
@@ -177,8 +174,7 @@ mod tests {
     fn segmented_sort_step_count_is_independent_of_segment_count() {
         let run = |segs: usize| {
             let mut pram = Pram::new(segs * 16);
-            pram.memory_mut()
-                .load(0, &(0..(segs * 16) as u64).rev().collect::<Vec<_>>());
+            pram.load(0, &(0..(segs * 16) as u64).rev().collect::<Vec<_>>());
             pram.bitonic_segments(0, 16, segs);
             pram.trace().num_steps()
         };

@@ -129,16 +129,16 @@ mod tests {
     #[test]
     fn broadcast_fills_region_with_value() {
         let mut pram = Pram::new(64);
-        pram.memory_mut().poke(0, 99);
+        pram.poke(0, 99);
         broadcast_cell(&mut pram, 0, 10, 37);
-        assert!(pram.memory().dump(10, 37).iter().all(|&v| v == 99));
+        assert!(pram.dump(10, 37).iter().all(|&v| v == 99));
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
 
     #[test]
     fn broadcast_time_is_logarithmic() {
         let mut pram = Pram::new(2048);
-        pram.memory_mut().poke(0, 1);
+        pram.poke(0, 1);
         broadcast_cell(&mut pram, 0, 1, 1024);
         let t = pram.trace().time(CostModel::Qrqw);
         assert!(t <= 2 * 11, "broadcast of 1024 cells took {t} steps");
@@ -155,12 +155,12 @@ mod tests {
     #[test]
     fn duplicate_values_makes_block_copies() {
         let mut pram = Pram::new(4);
-        pram.memory_mut().load(0, &[7, 8, 9]);
+        pram.load(0, &[7, 8, 9]);
         let dest = pram.alloc(3 * 5);
         duplicate_values(&mut pram, 0, 3, dest, 5);
         for i in 0..3 {
             for j in 0..5 {
-                assert_eq!(pram.memory().peek(dest + i * 5 + j), 7 + i as u64);
+                assert_eq!(pram.peek(dest + i * 5 + j), 7 + i as u64);
             }
         }
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
@@ -169,11 +169,11 @@ mod tests {
     #[test]
     fn duplicate_values_handles_non_power_of_two_copies() {
         let mut pram = Pram::new(2);
-        pram.memory_mut().load(0, &[3, 4]);
+        pram.load(0, &[3, 4]);
         let dest = pram.alloc(2 * 7);
         duplicate_values(&mut pram, 0, 2, dest, 7);
-        assert!(pram.memory().dump(dest, 7).iter().all(|&v| v == 3));
-        assert!(pram.memory().dump(dest + 7, 7).iter().all(|&v| v == 4));
+        assert!(pram.dump(dest, 7).iter().all(|&v| v == 3));
+        assert!(pram.dump(dest + 7, 7).iter().all(|&v| v == 4));
     }
 
     #[test]
@@ -183,18 +183,14 @@ mod tests {
         for copies in [1usize, 2, 7, 8, 2260] {
             let src: Vec<u64> = (0..5).map(|i| 100 + 3 * i).collect();
             let mut pram = Pram::new(src.len());
-            pram.memory_mut().load(0, &src);
+            pram.load(0, &src);
             let dest = pram.alloc(src.len() * copies);
             duplicate_values(&mut pram, 0, src.len(), dest, copies);
             let expect: Vec<u64> = src
                 .iter()
                 .flat_map(|&v| std::iter::repeat_n(v, copies))
                 .collect();
-            assert_eq!(
-                pram.memory().dump(dest, expect.len()),
-                expect,
-                "{copies} copies"
-            );
+            assert_eq!(pram.dump(dest, expect.len()), expect, "{copies} copies");
             assert_eq!(pram.trace().violations(CostModel::Erew), 0);
         }
     }
@@ -202,22 +198,22 @@ mod tests {
     #[test]
     fn duplicate_single_copy_is_plain_copy() {
         let mut pram = Pram::new(4);
-        pram.memory_mut().load(0, &[1, 2, 3, 4]);
+        pram.load(0, &[1, 2, 3, 4]);
         let dest = pram.alloc(4);
         duplicate_values(&mut pram, 0, 4, dest, 1);
-        assert_eq!(pram.memory().dump(dest, 4), vec![1, 2, 3, 4]);
+        assert_eq!(pram.dump(dest, 4), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn propagate_fills_runs_with_previous_value() {
         use qrqw_sim::EMPTY;
         let mut pram = Pram::new(12);
-        pram.memory_mut().poke(2, 7);
-        pram.memory_mut().poke(6, 9);
-        pram.memory_mut().poke(10, 3);
+        pram.poke(2, 7);
+        pram.poke(6, 9);
+        pram.poke(10, 3);
         propagate_nonempty_forward(&mut pram, 0, 12);
         assert_eq!(
-            pram.memory().dump(0, 12),
+            pram.dump(0, 12),
             vec![EMPTY, EMPTY, 7, 7, 7, 7, 9, 9, 9, 9, 3, 3]
         );
         // contention never exceeds two (own cell + successor probe)
@@ -229,8 +225,8 @@ mod tests {
         let mut pram = Pram::new(8);
         propagate_nonempty_forward(&mut pram, 0, 1);
         assert_eq!(pram.trace().num_steps(), 0);
-        pram.memory_mut().load(0, &[1, 2, 3, 4]);
+        pram.load(0, &[1, 2, 3, 4]);
         propagate_nonempty_forward(&mut pram, 0, 4);
-        assert_eq!(pram.memory().dump(0, 4), vec![1, 2, 3, 4]);
+        assert_eq!(pram.dump(0, 4), vec![1, 2, 3, 4]);
     }
 }

@@ -212,9 +212,9 @@ mod tests {
             let attempts = vec![(100u64, 3usize), (101, 7), (102, 11)];
             let ok = pram.claim(&attempts, mode);
             assert_eq!(ok, vec![true, true, true]);
-            assert_eq!(pram.memory().peek(3), 100);
-            assert_eq!(pram.memory().peek(7), 101);
-            assert_eq!(pram.memory().peek(11), 102);
+            assert_eq!(pram.peek(3), 100);
+            assert_eq!(pram.peek(7), 101);
+            assert_eq!(pram.peek(11), 102);
         }
     }
 
@@ -222,10 +222,10 @@ mod tests {
     fn occupied_cells_reject_claims() {
         for mode in [ClaimMode::Exclusive, ClaimMode::Occupy] {
             let mut pram = Pram::new(8);
-            pram.memory_mut().poke(2, 55);
+            pram.poke(2, 55);
             let ok = pram.claim(&[(77, 2)], mode);
             assert_eq!(ok, vec![false]);
-            assert_eq!(pram.memory().peek(2), 55, "occupied cell must be untouched");
+            assert_eq!(pram.peek(2), 55, "occupied cell must be untouched");
         }
     }
 
@@ -235,12 +235,8 @@ mod tests {
         let attempts = vec![(1u64, 4usize), (2, 4), (3, 4), (4, 6)];
         let ok = pram.claim(&attempts, ClaimMode::Exclusive);
         assert_eq!(ok, vec![false, false, false, true]);
-        assert_eq!(
-            pram.memory().peek(4),
-            EMPTY,
-            "contested cell must be restored"
-        );
-        assert_eq!(pram.memory().peek(6), 4);
+        assert_eq!(pram.peek(4), EMPTY, "contested cell must be restored");
+        assert_eq!(pram.peek(6), 4);
     }
 
     #[test]
@@ -250,7 +246,7 @@ mod tests {
         let ok = pram.claim(&attempts, ClaimMode::Occupy);
         assert_eq!(ok.iter().filter(|&&b| b).count(), 1);
         let winner = ok.iter().position(|&b| b).unwrap();
-        assert_eq!(pram.memory().peek(4), attempts[winner].0);
+        assert_eq!(pram.peek(4), attempts[winner].0);
     }
 
     #[test]
@@ -277,7 +273,7 @@ mod tests {
         assert_eq!(pram.claim(&[(1, 2)], ClaimMode::Occupy), vec![true]);
         // a later round cannot steal the cell
         assert_eq!(pram.claim(&[(9, 2)], ClaimMode::Occupy), vec![false]);
-        assert_eq!(pram.memory().peek(2), 1);
+        assert_eq!(pram.peek(2), 1);
     }
 
     /// The value the engine tests have `item` stamp its cell with.

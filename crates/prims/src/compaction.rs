@@ -133,12 +133,12 @@ mod tests {
     #[test]
     fn compact_erew_moves_values_in_order() {
         let mut pram = Pram::new(32);
-        pram.memory_mut().poke(3, 30);
-        pram.memory_mut().poke(7, 70);
-        pram.memory_mut().poke(12, 120);
+        pram.poke(3, 30);
+        pram.poke(7, 70);
+        pram.poke(12, 120);
         let count = compact_erew(&mut pram, 0, 16, 16);
         assert_eq!(count, 3);
-        assert_eq!(pram.memory().dump(16, 3), vec![30, 70, 120]);
+        assert_eq!(pram.dump(16, 3), vec![30, 70, 120]);
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
 
@@ -153,10 +153,10 @@ mod tests {
     fn compact_erew_full_input_is_identity() {
         let xs: Vec<u64> = (0..20).map(|i| i * 2).collect();
         let mut pram = Pram::new(64);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         let count = compact_erew(&mut pram, 0, 20, 32);
         assert_eq!(count, 20);
-        assert_eq!(pram.memory().dump(32, 20), xs);
+        assert_eq!(pram.dump(32, 20), xs);
     }
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
         let mut pram = Pram::with_seed(n, 11);
         // every 4th cell occupied -> k = 64 items
         for i in (0..n).step_by(4) {
-            pram.memory_mut().poke(i, 1000 + i as u64);
+            pram.poke(i, 1000 + i as u64);
         }
         let dst = pram.alloc(4 * 64);
         let out = linear_compaction(&mut pram, 0, n, dst, 4 * 64);
@@ -175,7 +175,7 @@ mod tests {
         let spots: HashSet<usize> = out.placements.iter().map(|&(_, d)| d).collect();
         assert_eq!(spots.len(), 64, "destinations must be distinct");
         for &(src, off) in &out.placements {
-            assert_eq!(pram.memory().peek(dst + off), src as u64);
+            assert_eq!(pram.peek(dst + off), src as u64);
         }
     }
 
@@ -187,7 +187,7 @@ mod tests {
         assert!(!out.fallback_used);
 
         let mut pram = Pram::new(16);
-        pram.memory_mut().poke(5, 7);
+        pram.poke(5, 7);
         let dst = pram.alloc(8);
         let out = linear_compaction(&mut pram, 0, 16, dst, 8);
         assert_eq!(out.placements.len(), 1);
@@ -199,7 +199,7 @@ mod tests {
         let n = 1 << 12;
         let mut pram = Pram::with_seed(n, 3);
         for i in 0..n / 2 {
-            pram.memory_mut().poke(i * 2, i as u64 + 1);
+            pram.poke(i * 2, i as u64 + 1);
         }
         let k = n / 2;
         let dst = pram.alloc(4 * k);
@@ -222,7 +222,7 @@ mod tests {
     fn linear_compaction_rejects_undersized_output() {
         let mut pram = Pram::new(16);
         for i in 0..8 {
-            pram.memory_mut().poke(i, 1);
+            pram.poke(i, 1);
         }
         let _ = linear_compaction(&mut pram, 0, 16, 16, 8);
     }

@@ -63,12 +63,11 @@ mod tests {
     fn load_pairs(pram: &mut Pram, pairs: &[(u64, u64)]) {
         let words: Vec<u64> = pairs.iter().map(|&(k, p)| pack(k, p)).collect();
         pram.ensure_memory(words.len());
-        pram.memory_mut().load(0, &words);
+        pram.load(0, &words);
     }
 
     fn read_pairs(pram: &Pram, n: usize) -> Vec<(u64, u64)> {
-        pram.memory()
-            .dump(0, n)
+        pram.dump(0, n)
             .into_iter()
             .map(|w| (unpack_key(w), unpack_payload(w)))
             .collect()

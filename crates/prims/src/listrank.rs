@@ -91,11 +91,11 @@ mod tests {
         let order = [3usize, 0, 4, 1, 2];
         let succ = chain(&order, 5);
         let mut pram = Pram::new(16);
-        pram.memory_mut().load(0, &succ);
+        pram.load(0, &succ);
         list_rank(&mut pram, 0, 5, 8);
         // node at position j in the traversal has rank (len-1-j)
         for (j, &node) in order.iter().enumerate() {
-            assert_eq!(pram.memory().peek(8 + node), (order.len() - 1 - j) as u64);
+            assert_eq!(pram.peek(8 + node), (order.len() - 1 - j) as u64);
         }
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
@@ -108,9 +108,9 @@ mod tests {
         succ[1] = 2;
         succ[5] = 4;
         let mut pram = Pram::new(32);
-        pram.memory_mut().load(0, &succ);
+        pram.load(0, &succ);
         list_rank(&mut pram, 0, 6, 16);
-        let ranks = pram.memory().dump(16, 6);
+        let ranks = pram.dump(16, 6);
         assert_eq!(ranks, vec![2, 1, 0, 0, 0, 1]);
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
@@ -119,9 +119,9 @@ mod tests {
     fn preserves_original_successors() {
         let succ = chain(&[0, 1, 2, 3], 4);
         let mut pram = Pram::new(16);
-        pram.memory_mut().load(0, &succ);
+        pram.load(0, &succ);
         list_rank(&mut pram, 0, 4, 8);
-        assert_eq!(pram.memory().dump(0, 4), succ);
+        assert_eq!(pram.dump(0, 4), succ);
     }
 
     #[test]
@@ -130,9 +130,9 @@ mod tests {
         let order: Vec<usize> = (0..n).collect();
         let succ = chain(&order, n);
         let mut pram = Pram::new(2 * n);
-        pram.memory_mut().load(0, &succ);
+        pram.load(0, &succ);
         list_rank(&mut pram, 0, n, n);
-        assert_eq!(pram.memory().peek(n), (n - 1) as u64);
+        assert_eq!(pram.peek(n), (n - 1) as u64);
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
         let t = pram.trace().time(CostModel::Qrqw);
         assert!(t <= 10 * 12, "list ranking of 512 nodes took {t}");

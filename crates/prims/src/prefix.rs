@@ -44,9 +44,9 @@ mod tests {
     fn inclusive_matches_reference() {
         let xs: Vec<u64> = (0..37).map(|i| (i * 7 + 3) % 11).collect();
         let mut pram = Pram::new(64);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         let total = prefix_sums_inclusive(&mut pram, 0, xs.len());
-        assert_eq!(pram.memory().dump(0, xs.len()), reference_inclusive(&xs));
+        assert_eq!(pram.dump(0, xs.len()), reference_inclusive(&xs));
         assert_eq!(total, xs.iter().sum::<u64>());
     }
 
@@ -54,24 +54,24 @@ mod tests {
     fn exclusive_matches_reference() {
         let xs: Vec<u64> = vec![5, 0, 2, 9, 1, 1, 3];
         let mut pram = Pram::new(16);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         let total = prefix_sums_exclusive(&mut pram, 0, xs.len());
         let mut expect = vec![0u64];
         for &x in &xs[..xs.len() - 1] {
             expect.push(expect.last().unwrap() + x);
         }
-        assert_eq!(pram.memory().dump(0, xs.len()), expect);
+        assert_eq!(pram.dump(0, xs.len()), expect);
         assert_eq!(total, 21);
     }
 
     #[test]
     fn empty_cells_count_as_zero() {
         let mut pram = Pram::new(8);
-        pram.memory_mut().poke(2, 4);
-        pram.memory_mut().poke(5, 6);
+        pram.poke(2, 4);
+        pram.poke(5, 6);
         let total = prefix_sums_inclusive(&mut pram, 0, 8);
         assert_eq!(total, 10);
-        assert_eq!(pram.memory().dump(0, 8), vec![0, 0, 4, 4, 4, 10, 10, 10]);
+        assert_eq!(pram.dump(0, 8), vec![0, 0, 4, 4, 4, 10, 10, 10]);
     }
 
     #[test]
@@ -79,7 +79,7 @@ mod tests {
         let n = 1024usize;
         let xs: Vec<u64> = vec![1; n];
         let mut pram = Pram::new(n);
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         prefix_sums_inclusive(&mut pram, 0, n);
         let trace = pram.trace();
         assert_eq!(trace.violations(CostModel::Erew), 0, "scan must be EREW");
@@ -98,12 +98,12 @@ mod tests {
     #[test]
     fn singleton_and_zero_length() {
         let mut pram = Pram::new(4);
-        pram.memory_mut().poke(0, 9);
+        pram.poke(0, 9);
         assert_eq!(prefix_sums_inclusive(&mut pram, 0, 1), 9);
-        assert_eq!(pram.memory().peek(0), 9);
+        assert_eq!(pram.peek(0), 9);
         assert_eq!(prefix_sums_inclusive(&mut pram, 0, 0), 0);
         assert_eq!(prefix_sums_exclusive(&mut pram, 0, 1), 9);
-        assert_eq!(pram.memory().peek(0), 0);
+        assert_eq!(pram.peek(0), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod tests {
     fn or_detects_presence() {
         let mut pram = Pram::new(33);
         assert!(!global_or(&mut pram, 0, 33));
-        pram.memory_mut().poke(20, 5);
+        pram.poke(20, 5);
         assert!(global_or(&mut pram, 0, 33));
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
@@ -53,14 +53,14 @@ mod tests {
     #[test]
     fn or_ignores_zero_cells() {
         let mut pram = Pram::new(8);
-        pram.memory_mut().load(0, &[0; 8]);
+        pram.load(0, &[0; 8]);
         assert!(!global_or(&mut pram, 0, 8));
     }
 
     #[test]
     fn or_is_logarithmic_time() {
         let mut pram = Pram::new(4096);
-        pram.memory_mut().load(0, &vec![1u64; 4096]);
+        pram.load(0, &vec![1u64; 4096]);
         assert!(global_or(&mut pram, 0, 4096));
         let t = pram.trace().time(CostModel::Qrqw);
         assert!(t <= 3 * 13, "or of 4096 cells took {t} time");

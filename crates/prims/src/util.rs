@@ -30,11 +30,6 @@ pub fn unpack_payload(word: u64) -> u64 {
     word & ((1 << PAYLOAD_BITS) - 1)
 }
 
-/// `⌈a / b⌉` for positive `b`.
-pub fn div_ceil(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
-}
-
 /// The smallest power of two `≥ x` (and `≥ 1`).
 pub fn next_pow2(x: usize) -> usize {
     x.max(1).next_power_of_two()
@@ -64,8 +59,6 @@ mod tests {
 
     #[test]
     fn small_helpers() {
-        assert_eq!(div_ceil(10, 3), 4);
-        assert_eq!(div_ceil(9, 3), 3);
         assert_eq!(next_pow2(0), 1);
         assert_eq!(next_pow2(5), 8);
         assert_eq!(next_pow2(8), 8);

@@ -33,7 +33,7 @@ use qrqw_serve::{
     BatchPolicy, Fault, Reply, Request as R, Response, Server, ServiceCheckpoint, ServiceConfig,
     ServiceCore, ServiceError as E, ServiceState, StateDigest, Ticket, MAX_KEY,
 };
-use qrqw_sim::{Pram, EMPTY};
+use qrqw_sim::{Machine, Pram, EMPTY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -29,26 +29,23 @@
 //! ## Quick example
 //!
 //! ```
-//! use qrqw_sim::{Pram, CostModel};
+//! use qrqw_sim::{CostModel, Machine, Pram};
 //!
 //! // n processors each increment their own cell: an EREW-legal step.
 //! let n = 1024;
 //! let mut pram = Pram::new(n);
-//! pram.memory_mut().load(0, &vec![0u64; n]);
-//! pram.step(|s| {
-//!     s.par_for(0..n, |p, ctx| {
-//!         let v = ctx.read(p);
-//!         ctx.write(p, v + 1);
-//!     });
+//! pram.load(0, &vec![0u64; n]);
+//! pram.par_for(n, |p, ctx| {
+//!     let v = ctx.read(p);
+//!     ctx.write(p, v + 1);
 //! });
+//! assert_eq!(pram.peek(n - 1), 1);
 //! assert_eq!(pram.trace().violations(CostModel::Erew), 0);
 //! assert_eq!(pram.trace().time(CostModel::Qrqw), 1);
 //!
 //! // all n processors read location 0: contention n under the queue rule.
-//! pram.step(|s| {
-//!     s.par_for(0..n, |_p, ctx| {
-//!         let _ = ctx.read(0);
-//!     });
+//! pram.par_for(n, |_p, ctx| {
+//!     let _ = ctx.read(0);
 //! });
 //! assert_eq!(pram.trace().step_stats()[1].max_read_contention, n as u64);
 //! assert_eq!(pram.trace().time(CostModel::Qrqw), 1 + n as u64);
@@ -61,14 +58,15 @@
 //! * [`machine`] — the [`Machine`] backend trait: the work–time presentation
 //!   as an API, implemented by [`Pram`] here and by the native
 //!   pooled-threads/atomics machine in `qrqw-exec`, so each algorithm is written once
-//!   and runs on either substrate.
+//!   and runs on either substrate.  It is the only way to drive a [`Pram`].
 //! * [`memory`] — the flat shared memory and the `EMPTY` sentinel.
-//! * [`step`] — [`StepCtx`] / [`ProcCtx`]: the per-step, per-processor API,
-//!   and the step accounting both model backends share ([`StepSink`] is
-//!   what the BSP router plugs into it).
+//! * [`step`] — the per-processor context of a simulated step and the step
+//!   accounting both model backends share ([`StepSink`] is what the BSP
+//!   router plugs into it, through [`Pram::par_map_into`]).
 //! * [`stats`] — [`StepStats`] and [`Trace`].
 //! * [`model`] — the [`CostModel`] enumeration and per-step cost functions.
-//! * [`pram`] — the [`Pram`] driver tying everything together.
+//! * [`pram`] — the [`Pram`] driver tying everything together, and its
+//!   [`Machine`] implementation.
 //! * [`rng`] — deterministic per-(seed, step, processor) random streams.
 //! * [`schedule`] — the BSP emulation charge of Theorem 1.1 and the integer
 //!   logarithms (`lg`, `√lg`, `lg lg`, `lg*`) of the paper's bounds.
@@ -85,10 +83,10 @@ pub mod stats;
 pub mod step;
 
 pub use machine::{claim_by_steps, BspCost, ClaimMode, CostReport, Machine, MachineProc};
-pub use memory::{SharedMemory, EMPTY};
+pub use memory::EMPTY;
 pub use model::CostModel;
 pub use pram::Pram;
 pub use rng::proc_rng;
 pub use schedule::bsp_emulation_time;
 pub use stats::{StepStats, Trace};
-pub use step::{ProcCtx, StepCtx, StepSink};
+pub use step::StepSink;

@@ -75,8 +75,6 @@
 use std::time::Duration;
 
 use crate::memory::EMPTY;
-use crate::pram::Pram;
-use crate::step::ProcCtx;
 
 /// Collision-resolution flavour for [`Machine::claim`] (Section 5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,33 +116,6 @@ pub trait MachineProc {
     /// A uniform random index in `0..bound` from the deterministic
     /// per-`(seed, step, proc)` stream shared by all backends.
     fn random_index(&mut self, bound: usize) -> usize;
-}
-
-impl MachineProc for ProcCtx<'_> {
-    #[inline]
-    fn proc_id(&self) -> u64 {
-        ProcCtx::proc_id(self)
-    }
-
-    #[inline]
-    fn read(&mut self, addr: usize) -> u64 {
-        ProcCtx::read(self, addr)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: usize, value: u64) {
-        ProcCtx::write(self, addr, value)
-    }
-
-    #[inline]
-    fn compute(&mut self, ops: u64) {
-        ProcCtx::compute(self, ops)
-    }
-
-    #[inline]
-    fn random_index(&mut self, bound: usize) -> usize {
-        ProcCtx::random_index(self, bound)
-    }
 }
 
 /// BSP-side measurements of a run, filled only by a batch-message BSP
@@ -386,7 +357,17 @@ pub trait Machine {
             return 0;
         }
         self.ensure_memory(src + len);
-        let flags = self.alloc(len);
+        let top = self.heap_top();
+        // The flags sit at the allocation top, unless the destination
+        // starts there: then past it, so that no processor's gather write
+        // lands on a flag another one reads in the same step.  Every flag
+        // is written before it is read, so the cells need no clearing.
+        let flags = if dst >= top {
+            self.ensure_memory(dst + 2 * len);
+            dst + len
+        } else {
+            self.alloc(len)
+        };
         self.par_for(len, |i, ctx| {
             let v = ctx.read(src + i);
             ctx.write(flags + i, (v != EMPTY) as u64);
@@ -408,7 +389,7 @@ pub trait Machine {
                 ctx.write(dst + pos, v);
             }
         });
-        self.release_to(flags);
+        self.release_to(top);
         count
     }
 
@@ -691,7 +672,7 @@ pub trait Machine {
 /// or three (Occupy) ordinary [`Machine::par_map`] / [`Machine::par_for`]
 /// steps — the [`Machine::claim`] of every backend whose concurrent writes
 /// are arbitrated lowest-processor-id-first (the simulator, and the BSP
-/// backend built on it through [`crate::Pram::step_into`]).  Returns the
+/// backend built on it through [`crate::Pram::par_map_into`]).  Returns the
 /// success vector plus `(live attempts, contended attempts)` for the
 /// caller's own counters.
 pub fn claim_by_steps<M: Machine>(
@@ -760,108 +741,10 @@ pub fn claim_by_steps<M: Machine>(
     (success, live_total, contended)
 }
 
-impl Machine for Pram {
-    fn with_seed(mem_size: usize, seed: u64) -> Self {
-        Pram::with_seed(mem_size, seed)
-    }
-
-    fn backend(&self) -> &'static str {
-        "sim"
-    }
-
-    fn seed(&self) -> u64 {
-        Pram::seed(self)
-    }
-
-    fn steps_executed(&self) -> u64 {
-        Pram::steps_executed(self)
-    }
-
-    fn ensure_memory(&mut self, size: usize) {
-        Pram::ensure_memory(self, size)
-    }
-
-    fn alloc(&mut self, len: usize) -> usize {
-        Pram::alloc(self, len)
-    }
-
-    fn release_to(&mut self, base: usize) {
-        Pram::release_to(self, base)
-    }
-
-    fn heap_top(&self) -> usize {
-        Pram::heap_top(self)
-    }
-
-    fn load(&mut self, base: usize, values: &[u64]) {
-        self.memory_mut().load(base, values)
-    }
-
-    fn dump(&self, base: usize, len: usize) -> Vec<u64> {
-        self.memory().dump(base, len)
-    }
-
-    fn peek(&self, addr: usize) -> u64 {
-        self.memory().peek(addr)
-    }
-
-    fn poke(&mut self, addr: usize, value: u64) {
-        self.memory_mut().poke(addr, value)
-    }
-
-    fn clear_region(&mut self, base: usize, len: usize) {
-        self.memory_mut().clear_region(base, len)
-    }
-
-    fn par_map<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
-    {
-        self.step(|s| s.par_map(0..procs, |p, ctx| f(p, ctx)))
-    }
-
-    fn seq_step<T, F>(&mut self, f: F) -> T
-    where
-        F: FnOnce(&mut dyn MachineProc) -> T,
-    {
-        Pram::seq_step(self, f)
-    }
-
-    fn scan_step(&mut self, base: usize, len: usize) -> u64 {
-        Pram::scan_step(self, base, len)
-    }
-
-    fn global_or_step(&mut self, base: usize, len: usize) -> bool {
-        Pram::global_or_step(self, base, len)
-    }
-
-    fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
-        let (success, live, contended) = claim_by_steps(self, attempts, mode);
-        self.note_claims(live, contended);
-        success
-    }
-
-    fn cost_report(&self) -> CostReport {
-        let (claim_attempts, contended_claims) = self.claim_stats();
-        CostReport {
-            backend: "sim",
-            steps: Pram::steps_executed(self),
-            wall: self.wall_elapsed(),
-            claim_attempts,
-            contended_claims,
-            work: Some(self.trace().work()),
-            max_contention: Some(self.trace().max_contention()),
-            time_qrqw: Some(self.trace().time(crate::CostModel::Qrqw)),
-            bsp: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CostModel;
+    use crate::{CostModel, Pram};
 
     /// A tiny algorithm written only against the trait, exercised on the
     /// simulator backend.

@@ -1,6 +1,9 @@
 //! The shared memory of the simulated PRAM.
 //!
-//! Memory is a flat array of `u64` cells.  The PRAM algorithms in this
+//! Memory is a flat array of `u64` cells, private to [`crate::Pram`]: the
+//! host loads and reads it through [`crate::Machine::load`],
+//! [`crate::Machine::dump`], [`crate::Machine::peek`] and
+//! [`crate::Machine::poke`], and processors reach it only inside a step.  The PRAM algorithms in this
 //! repository follow the standard convention that a cell holds `O(lg n)`
 //! bits, so a `u64` cell is always wide enough for the problem sizes we
 //! simulate; where an algorithm needs to store a small tuple (e.g. an index
@@ -16,10 +19,10 @@ pub const EMPTY: u64 = u64::MAX;
 /// A flat, word-addressed shared memory.
 ///
 /// The memory itself carries no synchronisation: reads and writes are issued
-/// through [`crate::step::ProcCtx`] during a [`crate::pram::Pram::step`], and
-/// the contention they induce is accounted for by the step machinery.
+/// by a step's processors, and the contention they induce is accounted for
+/// by the step machinery ([`crate::step`]).
 #[derive(Debug, Clone)]
-pub struct SharedMemory {
+pub(crate) struct SharedMemory {
     cells: Vec<u64>,
 }
 
@@ -34,11 +37,6 @@ impl SharedMemory {
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Whether the memory has zero cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Grows the memory to at least `size` cells (new cells are [`EMPTY`]).
@@ -106,7 +104,6 @@ mod tests {
     fn new_memory_is_empty_sentinel() {
         let m = SharedMemory::new(16);
         assert_eq!(m.len(), 16);
-        assert!(!m.is_empty());
         assert!((0..16).all(|i| m.peek(i) == EMPTY));
     }
 

@@ -3,17 +3,19 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::machine::MachineProc;
+use crate::machine::{claim_by_steps, ClaimMode, CostReport, Machine, MachineProc};
 use crate::memory::{SharedMemory, EMPTY};
 use crate::rng::proc_rng;
 use crate::stats::{StepStats, Trace};
-use crate::step::{StepCtx, StepScratch, StepSink};
+use crate::step::{launch, StepScratch, StepSink};
+use crate::CostModel;
 
 /// A simulated PRAM: shared memory, a master random seed, and the trace of
 /// every step executed so far.
 ///
-/// The same simulated execution can afterwards be costed under any
-/// [`crate::CostModel`] via [`Pram::trace`].
+/// It is driven through [`Machine`], like every backend.  The same simulated
+/// execution can afterwards be costed under any [`crate::CostModel`] via
+/// [`Pram::trace`].
 #[derive(Debug)]
 pub struct Pram {
     mem: SharedMemory,
@@ -31,11 +33,86 @@ impl Pram {
     /// Creates a PRAM with `mem_size` cells of shared memory (all
     /// [`crate::EMPTY`]) and seed 0.
     pub fn new(mem_size: usize) -> Self {
-        Pram::with_seed(mem_size, 0)
+        Machine::with_seed(mem_size, 0)
     }
 
-    /// Creates a PRAM with the given master random seed.
-    pub fn with_seed(mem_size: usize, seed: u64) -> Self {
+    /// Adds one [`crate::claim_by_steps`] run's `(live attempts, collision
+    /// failures)` to the claim counters of [`Machine::cost_report`]:
+    /// [`Machine::claim`] does this, and so does a backend that runs the
+    /// protocol through its own steps on this PRAM.
+    pub fn note_claims(&mut self, live: u64, contended: u64) {
+        self.claim_attempts += live;
+        self.claim_failures += contended;
+    }
+
+    /// The trace accumulated so far.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// Splits off the trace accumulated so far, resetting this PRAM's trace
+    /// to empty (memory and step counter are preserved).  Useful for
+    /// measuring individual phases of a larger algorithm.
+    pub fn take_trace(&mut self) -> Trace {
+        std::mem::take(&mut self.trace)
+    }
+
+    /// [`Machine::par_map`] with its processors and its accounting walk
+    /// fanned out over up to `threads` threads, and the walk reporting every
+    /// distinct `(cell, processor)` pair to `sink` on its way; `partials`
+    /// holds the sink's per-chunk partials, recycled across steps.  Thread
+    /// count and sink are unobservable in the step's results and
+    /// statistics.  This is how the BSP backend (crate `qrqw-bsp`) routes a
+    /// step: its router is the sink.
+    ///
+    /// All reads observe the memory as it was when the step began; all
+    /// writes take effect when the step ends (the lowest processor id wins
+    /// a concurrently written cell, and its last write to it lands).  The
+    /// step's statistics are appended to the trace.
+    ///
+    /// # Panics
+    ///
+    /// If the memory has grown past `2^32` cells (the step accounting's
+    /// address width).
+    pub fn par_map_into<S: StepSink, T, F>(
+        &mut self,
+        threads: usize,
+        sink: &mut S,
+        partials: &mut Vec<S::Partial>,
+        procs: usize,
+        f: F,
+    ) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
+    {
+        let step_idx = self.steps_executed;
+        self.scratch.begin_step(self.mem.len(), threads);
+        let snapshot = self.mem.as_slice();
+        let out = launch(
+            &self.scratch,
+            snapshot,
+            self.seed,
+            step_idx,
+            0..procs,
+            threads,
+            f,
+        );
+        let stats = self.scratch.finish(self.mem.as_mut_slice(), sink, partials);
+        self.push(stats);
+        out
+    }
+
+    /// Appends a step's statistics to the trace and advances the step
+    /// index.
+    fn push(&mut self, stats: StepStats) {
+        self.trace.push(stats);
+        self.steps_executed += 1;
+    }
+}
+
+impl Machine for Pram {
+    fn with_seed(mem_size: usize, seed: u64) -> Self {
         Pram {
             mem: SharedMemory::new(mem_size),
             trace: Trace::new(),
@@ -49,36 +126,27 @@ impl Pram {
         }
     }
 
-    /// Host wall-clock time elapsed since this PRAM was created (reported by
-    /// [`crate::machine::Machine::cost_report`] alongside the model-side
-    /// quantities).
-    pub fn wall_elapsed(&self) -> std::time::Duration {
-        self.created.elapsed()
+    fn backend(&self) -> &'static str {
+        "sim"
     }
 
-    /// `(live attempts, collision failures)` recorded by
-    /// [`crate::machine::Machine::claim`] so far.
-    pub fn claim_stats(&self) -> (u64, u64) {
-        (self.claim_attempts, self.claim_failures)
+    fn seed(&self) -> u64 {
+        self.seed
     }
 
-    /// Adds one [`crate::claim_by_steps`] run's `(live attempts, collision
-    /// failures)` to [`Pram::claim_stats`]: [`crate::Machine::claim`] does
-    /// this, and so does a backend that runs the protocol through its own
-    /// steps on this PRAM.
-    pub fn note_claims(&mut self, live: u64, contended: u64) {
-        self.claim_attempts += live;
-        self.claim_failures += contended;
+    fn steps_executed(&self) -> u64 {
+        self.steps_executed
     }
 
-    /// Allocates `len` fresh [`crate::EMPTY`]-initialised cells past every
-    /// previously allocated region and returns their base address.
-    ///
+    fn ensure_memory(&mut self, size: usize) {
+        self.mem.ensure(size);
+        self.heap_top = self.heap_top.max(size);
+    }
+
     /// Allocation is a host-side bookkeeping convenience (PRAM algorithms
     /// are free to address any cell); it lets primitives obtain scratch
-    /// space without clobbering their caller's arrays.  Paired with
-    /// [`Pram::release_to`], it behaves as a stack allocator.
-    pub fn alloc(&mut self, len: usize) -> usize {
+    /// space without clobbering their caller's arrays.
+    fn alloc(&mut self, len: usize) -> usize {
         let base = self.heap_top;
         self.heap_top += len;
         // Cells `ensure` creates are EMPTY already; only the reused prefix
@@ -89,123 +157,64 @@ impl Pram {
         base
     }
 
-    /// Releases every allocation made at or after `base` (obtained from a
-    /// previous [`Pram::alloc`]).  The cells remain addressable; only the
-    /// allocator's high-water mark is rolled back so the space can be
-    /// reused by later scratch allocations.
-    pub fn release_to(&mut self, base: usize) {
+    /// The cells remain addressable; only the allocator's high-water mark
+    /// is rolled back so the space can be reused by later scratch
+    /// allocations.
+    fn release_to(&mut self, base: usize) {
         assert!(base <= self.heap_top, "release_to past the allocation top");
         self.heap_top = base;
     }
 
-    /// The current allocation high-water mark.
-    pub fn heap_top(&self) -> usize {
+    fn heap_top(&self) -> usize {
         self.heap_top
     }
 
-    /// The master random seed of this run.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    fn load(&mut self, base: usize, values: &[u64]) {
+        self.mem.load(base, values)
     }
 
-    /// Immutable access to the shared memory (host-side, un-accounted).
-    pub fn memory(&self) -> &SharedMemory {
-        &self.mem
+    fn dump(&self, base: usize, len: usize) -> Vec<u64> {
+        self.mem.dump(base, len)
     }
 
-    /// Mutable access to the shared memory (host-side, un-accounted); used
-    /// to load inputs and allocate auxiliary regions.
-    pub fn memory_mut(&mut self) -> &mut SharedMemory {
-        &mut self.mem
+    fn peek(&self, addr: usize) -> u64 {
+        self.mem.peek(addr)
     }
 
-    /// Grows shared memory to at least `size` cells and moves the allocator
-    /// high-water mark past them, so later [`Pram::alloc`] calls never hand
-    /// out addresses below `size`.
-    pub fn ensure_memory(&mut self, size: usize) {
-        self.mem.ensure(size);
-        self.heap_top = self.heap_top.max(size);
+    fn poke(&mut self, addr: usize, value: u64) {
+        self.mem.poke(addr, value)
     }
 
-    /// The trace accumulated so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    fn clear_region(&mut self, base: usize, len: usize) {
+        self.mem.clear_region(base, len)
     }
 
-    /// Number of synchronous steps executed so far.
-    pub fn steps_executed(&self) -> u64 {
-        self.steps_executed
-    }
-
-    /// Executes one synchronous PRAM step.
-    ///
-    /// Inside the closure, launch virtual processors with
-    /// [`StepCtx::par_map`] / [`StepCtx::par_for`].  All reads observe the
-    /// memory as it was when the step began; all writes take effect when the
-    /// step ends (the lowest processor id wins a concurrently written cell,
-    /// and its last write to it lands).  The step's statistics are appended
-    /// to the trace.
-    ///
-    /// # Panics
-    ///
-    /// If two launches inside `f` overlap in processor ids, or if the memory
-    /// has grown past `2^32` cells (the step accounting's address width).
-    pub fn step<R>(&mut self, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
+    /// [`Pram::par_map_into`] on the host's threads, counting nothing but
+    /// the step's statistics.
+    fn par_map<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
+    {
         // `()` counts nothing, so its partials are zero-sized and this
         // vector never allocates.
-        self.step_into(rayon::current_num_threads(), &mut (), &mut Vec::new(), f)
+        let threads = rayon::current_num_threads();
+        self.par_map_into(threads, &mut (), &mut Vec::new(), procs, f)
     }
 
-    /// [`Pram::step`] with its launches and its accounting walk fanned out
-    /// over up to `threads` threads, and the walk reporting every distinct
-    /// `(cell, processor)` pair to `sink` on its way; `partials` holds the
-    /// sink's per-chunk partials, recycled across steps.  Thread count and
-    /// sink are unobservable in the step's results and statistics.  This is
-    /// how the BSP backend (crate `qrqw-bsp`) routes a step: its router is
-    /// the sink.
-    ///
-    /// # Panics
-    ///
-    /// As [`Pram::step`].
-    pub fn step_into<S: StepSink, R>(
-        &mut self,
-        threads: usize,
-        sink: &mut S,
-        partials: &mut Vec<S::Partial>,
-        f: impl FnOnce(&mut StepCtx<'_>) -> R,
-    ) -> R {
-        let step_idx = self.steps_executed;
-        self.scratch.begin_step(self.mem.len(), threads);
-        let mut ctx = StepCtx::new(
-            self.mem.as_slice(),
-            self.seed,
-            step_idx,
-            threads,
-            &self.scratch,
-        );
-        let result = f(&mut ctx);
-        let stats = self.scratch.finish(self.mem.as_mut_slice(), sink, partials);
-        self.trace.push(stats);
-        self.steps_executed += 1;
-        result
-    }
-
-    /// Executes one *sequential* step (see [`crate::Machine::seq_step`]): a
-    /// single processor (id 0) runs `f` with write-through memory semantics,
-    /// so its reads observe its own earlier writes within the step — the
-    /// behaviour a native thread gets for free and the snapshot-read
-    /// [`Pram::step`] deliberately forbids.
-    ///
-    /// The step is charged as the serial computation it is: one active
-    /// processor whose time equals its total operation count, contention 1.
-    /// Advances the step index by 1; random draws come from the
-    /// `(seed, step, 0)` stream, matching every other backend.
-    pub fn seq_step<T>(&mut self, f: impl FnOnce(&mut dyn MachineProc) -> T) -> T {
-        let step_idx = self.steps_executed;
+    /// Runs `f` with write-through memory semantics — the behaviour a
+    /// native thread gets for free and the snapshot reads of
+    /// [`Machine::par_map`] deliberately forbid — and charges the step as
+    /// the serial computation it is: one active processor whose time equals
+    /// its total operation count, contention 1.
+    fn seq_step<T, F>(&mut self, f: F) -> T
+    where
+        F: FnOnce(&mut dyn MachineProc) -> T,
+    {
         let mut ctx = SeqProc {
             mem: &mut self.mem,
             seed: self.seed,
-            step_idx,
+            step_idx: self.steps_executed,
             rng: None,
             reads: 0,
             writes: 0,
@@ -214,7 +223,7 @@ impl Pram {
         let result = f(&mut ctx);
         let (reads, writes, computes) = (ctx.reads, ctx.writes, ctx.computes);
         let ops = reads + writes + computes;
-        self.trace.push(StepStats {
+        self.push(StepStats {
             active_procs: (ops > 0) as u64,
             total_reads: reads,
             total_writes: writes,
@@ -225,18 +234,13 @@ impl Pram {
             is_scan: false,
             scan_width: 0,
         });
-        self.steps_executed += 1;
         result
     }
 
-    /// Executes a built-in inclusive prefix-sums (scan) step over the memory
-    /// region `[base, base+len)`, returning the total sum.
-    ///
     /// On the scan-SIMD-QRQW model this costs unit time; under every other
-    /// model it is charged as the `⌈lg len⌉`-depth binary-tree computation it
-    /// abbreviates (see [`crate::CostModel::step_time`]).  Cells equal to
-    /// [`crate::EMPTY`] are treated as zero.
-    pub fn scan_step(&mut self, base: usize, len: usize) -> u64 {
+    /// model it is charged as the `⌈lg len⌉`-depth binary-tree computation
+    /// it abbreviates (see [`crate::CostModel::step_time`]).
+    fn scan_step(&mut self, base: usize, len: usize) -> u64 {
         self.mem.ensure(base + len);
         let mut acc = 0u64;
         for cell in &mut self.mem.as_mut_slice()[base..base + len] {
@@ -245,7 +249,7 @@ impl Pram {
             }
             *cell = acc;
         }
-        self.trace.push(StepStats {
+        self.push(StepStats {
             active_procs: len as u64,
             total_reads: len as u64,
             total_writes: len as u64,
@@ -256,14 +260,11 @@ impl Pram {
             is_scan: true,
             scan_width: len as u64,
         });
-        self.steps_executed += 1;
         acc
     }
 
-    /// Executes a built-in global-OR step over `[base, base+len)` (the
-    /// MasPar `globalor` routine): returns true iff any cell in the region
-    /// is non-zero and non-[`crate::EMPTY`].  Charged like a scan.
-    pub fn global_or_step(&mut self, base: usize, len: usize) -> bool {
+    /// Charged like a scan.
+    fn global_or_step(&mut self, base: usize, len: usize) -> bool {
         self.mem.ensure(base + len);
         let first = self.mem.as_slice()[base..base + len]
             .iter()
@@ -273,7 +274,7 @@ impl Pram {
         // the machine primitive is a reduction tree over the whole region
         // regardless of where the first non-zero value sits.
         let examined = first.map_or(len, |i| i + 1) as u64;
-        self.trace.push(StepStats {
+        self.push(StepStats {
             active_procs: examined,
             total_reads: examined,
             total_writes: 0,
@@ -284,19 +285,31 @@ impl Pram {
             is_scan: true,
             scan_width: len as u64,
         });
-        self.steps_executed += 1;
         first.is_some()
     }
 
-    /// Splits off the trace accumulated so far, resetting this PRAM's trace
-    /// to empty (memory and step counter are preserved).  Useful for
-    /// measuring individual phases of a larger algorithm.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
+    fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
+        let (success, live, contended) = claim_by_steps(self, attempts, mode);
+        self.note_claims(live, contended);
+        success
+    }
+
+    fn cost_report(&self) -> CostReport {
+        CostReport {
+            backend: "sim",
+            steps: self.steps_executed,
+            wall: self.created.elapsed(),
+            claim_attempts: self.claim_attempts,
+            contended_claims: self.claim_failures,
+            work: Some(self.trace.work()),
+            max_contention: Some(self.trace.max_contention()),
+            time_qrqw: Some(self.trace.time(CostModel::Qrqw)),
+            bsp: None,
+        }
     }
 }
 
-/// The write-through per-processor context of [`Pram::seq_step`].
+/// The write-through per-processor context of [`Machine::seq_step`].
 struct SeqProc<'a> {
     mem: &'a mut SharedMemory,
     seed: u64,
@@ -349,17 +362,12 @@ impl MachineProc for SeqProc<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostModel;
 
     #[test]
     fn writes_apply_at_end_of_step_with_lowest_id_winner() {
         let mut pram = Pram::new(4);
-        pram.step(|s| {
-            s.par_for(0..4, |p, ctx| {
-                ctx.write(0, 100 + p as u64);
-            });
-        });
-        assert_eq!(pram.memory().peek(0), 100);
+        pram.par_for(4, |p, ctx| ctx.write(0, 100 + p as u64));
+        assert_eq!(pram.peek(0), 100);
         assert_eq!(pram.trace().step_stats()[0].max_write_contention, 4);
     }
 
@@ -368,26 +376,24 @@ mod tests {
         let n = 256;
         let mut pram = Pram::new(n);
         for _ in 0..3 {
-            pram.step(|s| {
-                s.par_for(0..n, |p, ctx| {
-                    let v = ctx.read(p);
-                    ctx.write(p, if v == EMPTY { 1 } else { v + 1 });
-                });
+            pram.par_for(n, |p, ctx| {
+                let v = ctx.read(p);
+                ctx.write(p, if v == EMPTY { 1 } else { v + 1 });
             });
         }
         assert_eq!(pram.steps_executed(), 3);
         assert_eq!(pram.trace().time(CostModel::Qrqw), 3);
         assert_eq!(pram.trace().work(), 3 * 2 * n as u64);
-        assert_eq!(pram.memory().peek(17), 3);
+        assert_eq!(pram.peek(17), 3);
     }
 
     #[test]
     fn scan_step_computes_inclusive_prefix_sums() {
         let mut pram = Pram::new(8);
-        pram.memory_mut().load(0, &[1, 2, 3, 4]);
+        pram.load(0, &[1, 2, 3, 4]);
         let total = pram.scan_step(0, 4);
         assert_eq!(total, 10);
-        assert_eq!(pram.memory().dump(0, 4), vec![1, 3, 6, 10]);
+        assert_eq!(pram.dump(0, 4), vec![1, 3, 6, 10]);
         assert_eq!(pram.trace().time(CostModel::ScanSimdQrqw), 1);
         assert_eq!(pram.trace().time(CostModel::Qrqw), 2); // ceil(lg 4)
     }
@@ -395,24 +401,24 @@ mod tests {
     #[test]
     fn scan_step_treats_empty_as_zero() {
         let mut pram = Pram::new(4);
-        pram.memory_mut().poke(1, 5);
+        pram.poke(1, 5);
         let total = pram.scan_step(0, 4);
         assert_eq!(total, 5);
-        assert_eq!(pram.memory().dump(0, 4), vec![0, 5, 5, 5]);
+        assert_eq!(pram.dump(0, 4), vec![0, 5, 5, 5]);
     }
 
     #[test]
     fn global_or_step_detects_any_nonzero() {
         let mut pram = Pram::new(8);
         assert!(!pram.global_or_step(0, 8));
-        pram.memory_mut().poke(5, 1);
+        pram.poke(5, 1);
         assert!(pram.global_or_step(0, 8));
     }
 
     #[test]
     fn global_or_step_charges_only_examined_cells_as_work() {
         let mut pram = Pram::new(8);
-        pram.memory_mut().poke(0, 1);
+        pram.poke(0, 1);
         assert!(pram.global_or_step(0, 8));
         let s = pram.trace().step_stats()[0];
         // short-circuits on the first cell: one read of work...
@@ -431,11 +437,11 @@ mod tests {
     #[test]
     fn take_trace_resets_but_preserves_memory() {
         let mut pram = Pram::new(4);
-        pram.step(|s| s.par_for(0..4, |p, ctx| ctx.write(p, p as u64)));
+        pram.par_for(4, |p, ctx| ctx.write(p, p as u64));
         let t = pram.take_trace();
         assert_eq!(t.num_steps(), 1);
         assert_eq!(pram.trace().num_steps(), 0);
-        assert_eq!(pram.memory().peek(3), 3);
+        assert_eq!(pram.peek(3), 3);
         assert_eq!(pram.steps_executed(), 1);
     }
 
@@ -451,7 +457,7 @@ mod tests {
         let c = pram.alloc(3);
         assert_eq!(c, 12);
         // freshly allocated cells are EMPTY even when reused
-        assert!(pram.memory().dump(c, 3).iter().all(|&v| v == EMPTY));
+        assert!(pram.dump(c, 3).iter().all(|&v| v == EMPTY));
         pram.release_to(a);
         assert_eq!(pram.heap_top(), 8);
         // ensure_memory pushes the high-water mark
@@ -469,7 +475,7 @@ mod tests {
             ctx.read(3)
         });
         assert_eq!(observed, 42, "sequential reads must see same-step writes");
-        assert_eq!(pram.memory().peek(3), 42);
+        assert_eq!(pram.peek(3), 42);
         assert_eq!(pram.steps_executed(), 1);
     }
 
@@ -500,7 +506,7 @@ mod tests {
         let mut a = Pram::with_seed(8, 9);
         let seq_draw = a.seq_step(|ctx| ctx.random_index(1_000_000));
         let mut b = Pram::with_seed(8, 9);
-        let par_draw = b.step(|s| s.par_map(0..1, |_p, ctx| ctx.random_index(1_000_000)))[0];
+        let par_draw = b.par_map(1, |_p, ctx| ctx.random_index(1_000_000))[0];
         assert_eq!(seq_draw, par_draw);
     }
 
@@ -508,13 +514,11 @@ mod tests {
     fn deterministic_across_runs_with_same_seed() {
         let run = |seed| {
             let mut pram = Pram::with_seed(64, seed);
-            pram.step(|s| {
-                s.par_for(0..64, |p, ctx| {
-                    let target = ctx.random_index(64);
-                    ctx.write(target, p as u64);
-                });
+            pram.par_for(64, |p, ctx| {
+                let target = ctx.random_index(64);
+                ctx.write(target, p as u64);
             });
-            pram.memory().dump(0, 64)
+            pram.dump(0, 64)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

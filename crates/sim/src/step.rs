@@ -1,9 +1,9 @@
-//! The per-step, per-processor execution API and the step accounting.
+//! The per-processor side of a simulated step and the step accounting.
 //!
-//! A PRAM step is expressed as a closure over a [`StepCtx`].  Inside the
-//! closure the algorithm launches any number of *virtual processors* via
-//! [`StepCtx::par_map`] / [`StepCtx::par_for`]; each virtual processor
-//! receives a [`ProcCtx`] through which it reads the shared memory (as it
+//! A parallel step of [`crate::Pram`] ([`crate::Machine::par_map`], or
+//! [`crate::Pram::par_map_into`] with a sink) launches its virtual
+//! processors here; each runs with a per-processor context, the simulator's
+//! [`crate::MachineProc`], through which it reads the shared memory (as it
 //! was at the *beginning* of the step), buffers writes (applied at the *end*
 //! of the step), performs accounted local compute operations, and draws
 //! deterministic random numbers.
@@ -49,17 +49,20 @@
 //! the ranges by max), the new-pair events are the messages a BSP router
 //! would carry (counted per chunk of the walk, merged by the [`StepSink`]),
 //! and each walker writes its range's owner writes into the memory: the
-//! arbitration.  [`crate::Pram::step_into`] runs this walk for both model
-//! backends — `qrqw_bsp::BspMachine` is a `Pram` whose sink is its router
+//! arbitration.  [`crate::Pram::par_map_into`] runs this walk for both
+//! model backends — `qrqw_bsp::BspMachine` is a `Pram` whose sink is its router
 //! — and it never orders accesses by address.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rayon::pool::SendPtr;
 
+use crate::machine::MachineProc;
 use crate::rng::proc_rng;
 use crate::stats::StepStats;
 
@@ -283,13 +286,14 @@ impl ChunkLog {
     }
 }
 
-/// Handle given to each virtual processor for the duration of one step.
+/// The context of each virtual processor of a parallel step: its
+/// [`MachineProc`].
 ///
 /// One context serves a whole chunk, re-pointed per processor
 /// (`ProcCtx::begin` … `ProcCtx::end`), and its methods are
 /// `#[inline]`: step closures are monomorphised in downstream crates, which
 /// build without LTO.
-pub struct ProcCtx<'a> {
+pub(crate) struct ProcCtx<'a> {
     snapshot: &'a [u64],
     log: &'a mut ChunkLog,
     cut: Cut,
@@ -338,17 +342,17 @@ impl<'a> ProcCtx<'a> {
         self.log
             .end_processor(self.reads, self.writes, self.computes);
     }
+}
 
-    /// The virtual-processor id this context belongs to.
+impl MachineProc for ProcCtx<'_> {
     #[inline]
-    pub fn proc_id(&self) -> u64 {
+    fn proc_id(&self) -> u64 {
         self.proc
     }
 
-    /// Reads shared-memory location `addr` (value as of the start of the
-    /// step) and charges one read operation.
+    /// The value as of the start of the step; charges one read operation.
     #[inline]
-    pub fn read(&mut self, addr: usize) -> u64 {
+    fn read(&mut self, addr: usize) -> u64 {
         assert!(
             addr < self.snapshot.len(),
             "read of address {addr} outside shared memory of size {}",
@@ -363,14 +367,14 @@ impl<'a> ProcCtx<'a> {
         self.snapshot[addr]
     }
 
-    /// Buffers a write of `value` to shared-memory location `addr` and
-    /// charges one write operation.  If several processors write the same
-    /// location in a step, the one with the smallest processor id wins
-    /// (a deterministic instance of the paper's "arbitrary write succeeds"
-    /// rule); among that processor's own writes to the location, the last
-    /// in program order lands.
+    /// Buffers the write to the end of the step and charges one write
+    /// operation.  If several processors write the same location in a
+    /// step, the one with the smallest processor id wins (a deterministic
+    /// instance of the paper's "arbitrary write succeeds" rule); among that
+    /// processor's own writes to the location, the last in program order
+    /// lands.
     #[inline]
-    pub fn write(&mut self, addr: usize, value: u64) {
+    fn write(&mut self, addr: usize, value: u64) {
         assert!(
             addr < self.snapshot.len(),
             "write of address {addr} outside shared memory of size {}",
@@ -385,33 +389,25 @@ impl<'a> ProcCtx<'a> {
         self.log.writes.push(self.cut.range_of(addr), record);
     }
 
-    /// Charges `ops` local RAM operations on the processor's private state.
     #[inline]
-    pub fn compute(&mut self, ops: u64) {
+    fn compute(&mut self, ops: u64) {
         self.computes += ops;
     }
 
-    /// The processor's deterministic random stream for this step.
+    /// Charges one compute operation for the random-number generation.
     #[inline]
-    pub fn rng(&mut self) -> &mut SmallRng {
-        if self.rng.is_none() {
-            self.rng = Some(proc_rng(self.seed, self.step_idx, self.proc));
-        }
-        self.rng.as_mut().unwrap()
-    }
-
-    /// Convenience: a uniform random index in `0..bound` (charges one
-    /// compute operation for the random-number generation).
-    #[inline]
-    pub fn random_index(&mut self, bound: usize) -> usize {
+    fn random_index(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "random_index bound must be positive");
         self.computes += 1;
-        self.rng().gen_range(0..bound)
+        let (seed, step_idx, proc) = (self.seed, self.step_idx, self.proc);
+        self.rng
+            .get_or_insert_with(|| proc_rng(seed, step_idx, proc))
+            .gen_range(0..bound)
     }
 }
 
-/// A step launching at least this many virtual processors fans them out
-/// over the worker pool; smaller steps run on the calling thread.  Host
+/// A launch of at least this many virtual processors fans them out over
+/// the worker pool; smaller launches run on the calling thread.  Host
 /// speed only: per-processor random streams are keyed by
 /// `(seed, step, proc)` and write arbitration is deterministic, so both
 /// ways are bit-identical.
@@ -430,96 +426,55 @@ const WALK_CUTOFF: u64 = 4 * PARALLEL_CUTOFF as u64;
 /// dynamic load balance, but never degenerate slivers.
 const MIN_CHUNK: usize = PARALLEL_CUTOFF / 8;
 
-/// Handle for one synchronous PRAM step.
-pub struct StepCtx<'a> {
-    snapshot: &'a [u64],
+/// Launches virtual processors `range` into the step `scratch` has open,
+/// reading `snapshot` in step `step_idx` of a run seeded with `seed`, and
+/// collects their results in processor order.  A launch of at least
+/// [`PARALLEL_CUTOFF`] processors fans out over up to `threads` threads;
+/// every chunk files its own log.  A step is one launch of `0..procs`;
+/// the in-crate tests issue several, in any order.
+pub(crate) fn launch<T, F>(
+    scratch: &StepScratch,
+    snapshot: &[u64],
     seed: u64,
     step_idx: u64,
-    /// Threads a launch of at least [`PARALLEL_CUTOFF`] processors fans
-    /// out over.
+    range: Range<usize>,
     threads: usize,
-    scratch: &'a StepScratch,
-}
-
-impl<'a> StepCtx<'a> {
-    pub(crate) fn new(
-        snapshot: &'a [u64],
-        seed: u64,
-        step_idx: u64,
-        threads: usize,
-        scratch: &'a StepScratch,
-    ) -> Self {
-        StepCtx {
-            snapshot,
-            seed,
-            step_idx,
-            threads,
-            scratch,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
+{
+    let len = range.len();
+    let threads = if len >= PARALLEL_CUTOFF { threads } else { 1 };
+    let mut out: Vec<T> = Vec::with_capacity(len);
+    let slots = SendPtr(out.as_mut_ptr());
+    let slots = &slots;
+    let chunk_len = len.div_ceil(threads * 4).max(MIN_CHUNK);
+    rayon::pool::dispatch(len, chunk_len, threads, false, 1, |_, lo, hi| {
+        let mut log = scratch.take_log(range.start + lo);
+        let mut ctx = ProcCtx::new(snapshot, seed, step_idx, &mut log);
+        for i in lo..hi {
+            let p = range.start + i;
+            ctx.begin(p as u64);
+            let value = f(p, &mut ctx);
+            // SAFETY: disjoint chunks write disjoint slots of the
+            // reserved buffer, each exactly once.
+            unsafe { slots.0.add(i).write(value) };
+            ctx.end();
         }
-    }
-
-    /// Launches virtual processors `range.start .. range.end` and collects
-    /// their results.
-    pub fn par_map<T, F>(&mut self, range: std::ops::Range<usize>, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut ProcCtx<'_>) -> T + Sync,
-    {
-        let threads = if range.len() >= PARALLEL_CUTOFF {
-            self.threads
-        } else {
-            1
-        };
-        self.par_map_on(range, threads, f)
-    }
-
-    /// [`StepCtx::par_map`] with the thread count chosen by the caller
-    /// (1 runs the launch inline as a single chunk).
-    fn par_map_on<T, F>(&mut self, range: std::ops::Range<usize>, threads: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut ProcCtx<'_>) -> T + Sync,
-    {
-        let len = range.len();
-        let (snapshot, seed, step_idx, scratch) =
-            (self.snapshot, self.seed, self.step_idx, self.scratch);
-        let mut out: Vec<T> = Vec::with_capacity(len);
-        let slots = SendPtr(out.as_mut_ptr());
-        let slots = &slots;
-        let chunk_len = len.div_ceil(threads * 4).max(MIN_CHUNK);
-        rayon::pool::dispatch(len, chunk_len, threads, false, 1, |_, lo, hi| {
-            let mut log = scratch.take_log(range.start + lo);
-            let mut ctx = ProcCtx::new(snapshot, seed, step_idx, &mut log);
-            for i in lo..hi {
-                let p = range.start + i;
-                ctx.begin(p as u64);
-                let value = f(p, &mut ctx);
-                // SAFETY: disjoint chunks write disjoint slots of the
-                // reserved buffer, each exactly once.
-                unsafe { slots.0.add(i).write(value) };
-                ctx.end();
-            }
-            scratch.put_log(log);
-        });
-        // SAFETY: every chunk completed (`dispatch` is a barrier), so all
-        // `len` slots are initialized.  On a chunk panic `dispatch` re-throws
-        // before here and the written values are leaked, not dropped.
-        unsafe { out.set_len(len) };
-        out
-    }
-
-    /// Launches virtual processors `range.start .. range.end` for their side
-    /// effects only.
-    pub fn par_for<F>(&mut self, range: std::ops::Range<usize>, f: F)
-    where
-        F: Fn(usize, &mut ProcCtx<'_>) + Sync,
-    {
-        let _ = self.par_map(range, |p, ctx| f(p, ctx));
-    }
+        scratch.put_log(log);
+    });
+    // SAFETY: every chunk completed (`dispatch` is a barrier), so all
+    // `len` slots are initialized.  On a chunk panic `dispatch` re-throws
+    // before here and the written values are leaked, not dropped.
+    unsafe { out.set_len(len) };
+    out
 }
 
 /// What a step's accounting walk reports besides its statistics: every
-/// distinct `(cell, processor)` pair it meets (see [`crate::Pram::step_into`]).
+/// distinct `(cell, processor)` pair it meets (see
+/// [`crate::Pram::par_map_into`]).
 ///
 /// The walk runs in chunks — one when it runs inline, one per address
 /// range when it fans out over the pool — and each chunk counts into its
@@ -851,7 +806,7 @@ mod tests {
     use crate::memory::SharedMemory;
     use rand::SeedableRng;
 
-    /// A memory and its scratch, stepped the way [`crate::Pram::step_into`]
+    /// A memory and its scratch, stepped the way [`crate::Pram::par_map_into`]
     /// does on `walkers` threads (the host parallelism unless a test forces
     /// another count).
     struct Harness {
@@ -872,36 +827,90 @@ mod tests {
             }
         }
 
-        fn step<R>(
+        /// One step of several launches — `(processors, threads)`, issued
+        /// in the order given, each running `body` — whose walk reports
+        /// to `sink`: every launch's results, and the step's statistics.
+        fn step_with<T: Send, S: StepSink>(
             &mut self,
-            seed: u64,
-            step_idx: u64,
-            f: impl FnOnce(&mut StepCtx<'_>) -> R,
-        ) -> (R, StepStats) {
+            (seed, step_idx): (u64, u64),
+            launches: &[(Range<usize>, usize)],
+            sink: &mut S,
+            body: impl Fn(usize, &mut dyn MachineProc) -> T + Sync,
+        ) -> (Vec<Vec<T>>, StepStats) {
             self.scratch.begin_step(self.mem.len(), self.walkers);
-            let mut ctx = StepCtx::new(
-                self.mem.as_slice(),
-                seed,
-                step_idx,
-                self.walkers,
-                &self.scratch,
-            );
-            let result = f(&mut ctx);
+            let snapshot = self.mem.as_slice();
+            let outs = launches
+                .iter()
+                .map(|(range, threads)| {
+                    let range = range.clone();
+                    launch(
+                        &self.scratch,
+                        snapshot,
+                        seed,
+                        step_idx,
+                        range,
+                        *threads,
+                        &body,
+                    )
+                })
+                .collect();
             let stats = self
                 .scratch
-                .finish(self.mem.as_mut_slice(), &mut (), &mut Vec::new());
-            (result, stats)
+                .finish(self.mem.as_mut_slice(), sink, &mut Vec::new());
+            (outs, stats)
+        }
+
+        /// One step of one launch of processors `0..procs`, seed 0, step 0.
+        fn step<T: Send>(
+            &mut self,
+            procs: usize,
+            body: impl Fn(usize, &mut dyn MachineProc) -> T + Sync,
+        ) -> (Vec<T>, StepStats) {
+            let launches = [(0..procs, self.walkers)];
+            let (mut outs, stats) = self.step_with((0, 0), &launches, &mut (), body);
+            (outs.pop().expect("one launch"), stats)
+        }
+    }
+
+    /// A sink that keeps every `(cell, processor)` pair the walk reports:
+    /// one entry per pair, the cells read and the cells written, sorted.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Pairs {
+        reads: Vec<usize>,
+        writes: Vec<usize>,
+    }
+
+    impl StepSink for Pairs {
+        type Partial = Pairs;
+
+        fn new_partial(&self) -> Pairs {
+            Pairs::default()
+        }
+
+        fn read_pair(partial: &mut Pairs, addr: usize) {
+            partial.reads.push(addr);
+        }
+
+        fn write_pair(partial: &mut Pairs, addr: usize) {
+            partial.writes.push(addr);
+        }
+
+        fn merge(&mut self, partials: &mut [Pairs]) {
+            for partial in partials {
+                self.reads.append(&mut partial.reads);
+                self.writes.append(&mut partial.writes);
+            }
+            self.reads.sort_unstable();
+            self.writes.sort_unstable();
         }
     }
 
     #[test]
     fn reads_see_start_of_step_snapshot() {
         let mut h = Harness::counting(8);
-        let (vals, _) = h.step(0, 0, |s| {
-            s.par_map(0..8, |p, ctx| {
-                ctx.write(p, 100);
-                ctx.read(p)
-            })
+        let (vals, _) = h.step(8, |p, ctx| {
+            ctx.write(p, 100);
+            ctx.read(p)
         });
         assert_eq!(vals, (0..8).collect::<Vec<u64>>());
         assert_eq!(h.mem.dump(0, 8), vec![100; 8]);
@@ -910,15 +919,13 @@ mod tests {
     #[test]
     fn contention_counts_distinct_processors_per_location() {
         let mut h = Harness::counting(8);
-        let ((), stats) = h.step(0, 0, |s| {
-            s.par_for(0..6, |p, ctx| {
-                // everyone reads location 3; three processors write location 5
-                let _ = ctx.read(3);
-                let _ = ctx.read(3); // re-read by same proc: not extra contention
-                if p < 3 {
-                    ctx.write(5, p as u64);
-                }
-            })
+        let (_, stats) = h.step(6, |p, ctx| {
+            // everyone reads location 3; three processors write location 5
+            let _ = ctx.read(3);
+            let _ = ctx.read(3); // re-read by same proc: not extra contention
+            if p < 3 {
+                ctx.write(5, p as u64);
+            }
         });
         assert_eq!(stats.max_read_contention, 6);
         assert_eq!(stats.max_write_contention, 3);
@@ -932,17 +939,15 @@ mod tests {
     #[test]
     fn max_ops_per_proc_tracks_substep_maximum() {
         let mut h = Harness::counting(16);
-        let ((), stats) = h.step(0, 0, |s| {
-            s.par_for(0..2, |p, ctx| {
-                if p == 0 {
-                    for i in 0..5 {
-                        let _ = ctx.read(i);
-                    }
-                } else {
-                    ctx.compute(3);
-                    ctx.write(0, 1);
+        let (_, stats) = h.step(2, |p, ctx| {
+            if p == 0 {
+                for i in 0..5 {
+                    let _ = ctx.read(i);
                 }
-            })
+            } else {
+                ctx.compute(3);
+                ctx.write(0, 1);
+            }
         });
         assert_eq!(stats.max_ops_per_proc, 5);
     }
@@ -951,13 +956,11 @@ mod tests {
     fn parallel_and_sequential_execution_agree() {
         let run = |threads| {
             let mut h = Harness::counting(10_000);
-            let (out, stats) = h.step(42, 0, |s| {
-                s.par_map_on(0..10_000, threads, |p, ctx| {
-                    let v = ctx.read(p);
-                    let r = ctx.random_index(50);
-                    ctx.write((p + 1) % 10_000, v + r as u64);
-                    v + r as u64
-                })
+            let (out, stats) = h.step_with((42, 0), &[(0..10_000, threads)], &mut (), |p, ctx| {
+                let v = ctx.read(p);
+                let r = ctx.random_index(50);
+                ctx.write((p + 1) % 10_000, v + r as u64);
+                v + r as u64
             });
             (out, stats, h.mem.dump(0, 10_000))
         };
@@ -967,12 +970,10 @@ mod tests {
     #[test]
     fn idle_processors_are_not_counted_active() {
         let mut h = Harness::counting(4);
-        let ((), stats) = h.step(0, 0, |s| {
-            s.par_for(0..4, |p, ctx| {
-                if p == 2 {
-                    ctx.write(0, 9);
-                }
-            })
+        let (_, stats) = h.step(4, |p, ctx| {
+            if p == 2 {
+                ctx.write(0, 9);
+            }
         });
         assert_eq!(stats.active_procs, 1);
     }
@@ -981,39 +982,26 @@ mod tests {
     #[should_panic(expected = "outside shared memory")]
     fn out_of_bounds_read_panics() {
         let mut h = Harness::counting(4);
-        h.step(0, 0, |s| {
-            s.par_for(0..1, |_p, ctx| {
-                let _ = ctx.read(100);
-            })
-        });
+        h.step(1, |_p, ctx| ctx.read(100));
     }
 
     #[test]
     #[should_panic(expected = "processor id launched twice in one step")]
     fn a_processor_launched_twice_in_one_step_panics() {
         let mut h = Harness::counting(16);
-        h.step(0, 0, |s| {
-            s.par_for(0..8, |p, ctx| ctx.write(p, 1));
-            s.par_for(7..12, |p, ctx| ctx.write(p, 2));
-        });
+        let launches = [(0..8, 1), (7..12, 1)];
+        h.step_with((0, 0), &launches, &mut (), |p, ctx| ctx.write(p, 1));
     }
 
     #[test]
     fn disjoint_launches_in_descending_order_are_one_ascending_walk() {
         let mut h = Harness::counting(16);
-        let ((), stats) = h.step(0, 0, |s| {
-            s.par_for(69_990..70_010, |p, ctx| {
-                if p == 70_000 {
-                    let _ = ctx.read(9);
-                    ctx.write(4, 70_000);
-                }
-            });
-            s.par_for(0..8, |p, ctx| {
-                if p == 3 {
-                    let _ = ctx.read(9);
-                    ctx.write(4, 3);
-                }
-            });
+        let launches = [(69_990..70_010, 1), (0..8, 1)];
+        let (_, stats) = h.step_with((0, 0), &launches, &mut (), |p, ctx| {
+            if p == 70_000 || p == 3 {
+                let _ = ctx.read(9);
+                ctx.write(4, p as u64);
+            }
         });
         assert_eq!(stats.active_procs, 2);
         assert_eq!(stats.max_read_contention, 2);
@@ -1034,8 +1022,9 @@ mod tests {
     /// out with its processor id, both sides sorted by address, distinct
     /// processors counted as run lengths — with one rule made explicit: of
     /// the lowest processor's writes to a cell, the last in program order
-    /// lands (the unstable sort used to pick any).
-    fn sorted_reference(program: &[(u64, Vec<Op>)]) -> (StepStats, Vec<(usize, u64)>) {
+    /// lands (the unstable sort used to pick any).  Also the step's
+    /// `(cell, processor)` pairs, as [`Pairs`] holds them.
+    fn sorted_reference(program: &[(u64, Vec<Op>)]) -> (StepStats, Vec<(usize, u64)>, Pairs) {
         let mut stats = StepStats {
             active_procs: 0,
             total_reads: 0,
@@ -1092,7 +1081,15 @@ mod tests {
                 _ => winners.push((a, p, v)),
             }
         }
-        (stats, winners.into_iter().map(|(a, _, v)| (a, v)).collect())
+        let pairs = Pairs {
+            reads: read_pairs.iter().map(|&(a, _)| a).collect(),
+            writes: wp.iter().map(|&(a, _)| a).collect(),
+        };
+        (
+            stats,
+            winners.into_iter().map(|(a, _, v)| (a, v)).collect(),
+            pairs,
+        )
     }
 
     fn longest_run<I: Iterator<Item = usize>>(addrs: I) -> u64 {
@@ -1205,7 +1202,7 @@ mod tests {
                     (p as u64, ops)
                 })
                 .collect();
-            let body = |p: usize, ctx: &mut ProcCtx<'_>| {
+            let body = |p: usize, ctx: &mut dyn MachineProc| {
                 let mut sum = 0u64;
                 for &op in &program[p - first].1 {
                     match op {
@@ -1218,7 +1215,7 @@ mod tests {
             };
 
             let before = h.mem.dump(0, cells);
-            let (want_stats, winners) = sorted_reference(&program);
+            let (want_stats, winners, want_pairs) = sorted_reference(&program);
             let mut want_mem = before.clone();
             for (a, v) in winners {
                 want_mem[a] = v;
@@ -1228,40 +1225,47 @@ mod tests {
             // seeds: launches of a random size, each filing its logs in
             // turn, issued reversed and rotated.
             let end = first + procs;
-            let launches: Vec<std::ops::Range<usize>> = if seed % 2 == 0 {
+            let scrambled: Vec<(Range<usize>, usize)> = if seed % 2 == 0 {
                 let split = first + procs / 2;
-                vec![split..end, first..split]
+                vec![(split..end, 4), (first..split, 4)]
             } else {
                 let chunk = rng.gen_range(1..600usize);
                 let mut launches: Vec<_> = (first..end)
                     .step_by(chunk)
-                    .map(|lo| lo..(lo + chunk).min(end))
+                    .map(|lo| (lo..(lo + chunk).min(end), 4))
                     .collect();
                 launches.reverse();
                 let by = rng.gen_range(0..64usize) % launches.len();
                 launches.rotate_left(by);
                 launches
             };
-            let threads = if procs >= PARALLEL_CUTOFF { 4 } else { 1 };
+            let in_order = vec![(first..end, 4)];
             // As the machine would, then with the split forced: four
             // walkers deal even the 64-cell memory to eight ranges, and
-            // above the walk cutoff up to four threads walk them.
-            for walkers in [rayon::current_num_threads(), 4] {
-                let tag = format!("seed {seed}, {walkers} walkers");
+            // above the walk cutoff up to four threads walk them.  Last,
+            // the whole program as one launch, which above the cutoff four
+            // pool threads run in chunks of their own.
+            for (walkers, launches) in [
+                (rayon::current_num_threads(), &scrambled),
+                (4, &scrambled),
+                (4, &in_order),
+            ] {
+                let tag = format!(
+                    "seed {seed}, {walkers} walkers, {} launches",
+                    launches.len()
+                );
                 h.mem.load(0, &before);
                 h.walkers = walkers;
-                let (mut outs, stats) = h.step(seed, seed, |s| {
-                    launches
-                        .iter()
-                        .map(|launch| (launch.start, s.par_map_on(launch.clone(), threads, body)))
-                        .collect::<Vec<_>>()
-                });
+                let mut pairs = Pairs::default();
+                let (outs, stats) = h.step_with((seed, seed), launches, &mut pairs, body);
                 if walkers == 4 {
                     assert_eq!(h.scratch.ranges(), MAX_RANGES, "{tag}: ranges");
                 }
 
                 assert_eq!(stats, want_stats, "{tag}: step statistics");
                 assert_eq!(h.mem.dump(0, cells), want_mem, "{tag}: memory image");
+                assert!(pairs == want_pairs, "{tag}: (cell, processor) pairs");
+                let mut outs: Vec<_> = launches.iter().map(|(l, _)| l.start).zip(outs).collect();
                 outs.sort_unstable_by_key(|&(start, _)| start);
                 let sums: Vec<u64> = outs.into_iter().flat_map(|(_, out)| out).collect();
                 assert_eq!(sums.len(), procs, "{tag}: results");
@@ -1297,21 +1301,20 @@ mod tests {
             let program: Vec<(u64, Vec<Op>)> = (0..300)
                 .map(|p| (p, random_ops(&mut rng, 64, flavour, 5)))
                 .collect();
-            let (want_stats, winners) = sorted_reference(&program);
+            let (want_stats, winners, _) = sorted_reference(&program);
             let mut want_mem = h.mem.dump(0, 64);
             for (a, v) in winners {
                 want_mem[a] = v;
             }
-            let ((), stats) = h.step(0, i as u64, |s| {
-                s.par_for(0..300, |p, ctx| {
-                    for &op in &program[p].1 {
-                        match op {
-                            Op::Read(a) => _ = ctx.read(a),
-                            Op::Write(a, v) => ctx.write(a, v),
-                            Op::Compute(c) => ctx.compute(c),
-                        }
+            let launches = [(0..300, h.walkers)];
+            let (_, stats) = h.step_with((0, i as u64), &launches, &mut (), |p, ctx| {
+                for &op in &program[p].1 {
+                    match op {
+                        Op::Read(a) => _ = ctx.read(a),
+                        Op::Write(a, v) => ctx.write(a, v),
+                        Op::Compute(c) => ctx.compute(c),
                     }
-                })
+                }
             });
             assert_eq!(stats, want_stats, "step {i}, epoch {epoch}: statistics");
             assert_eq!(

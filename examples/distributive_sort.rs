@@ -5,7 +5,7 @@
 
 use qrqw_suite::algos::{sample_sort_qrqw, sort_uniform_keys};
 use qrqw_suite::prims::bitonic_sort;
-use qrqw_suite::sim::{CostModel, Pram};
+use qrqw_suite::sim::{CostModel, Machine, Pram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,7 +27,7 @@ fn main() {
     // The EREW system sort (bitonic) for comparison.
     let mut c = Pram::with_seed(16, 3);
     let base = c.alloc(n);
-    c.memory_mut().load(base, &keys);
+    c.load(base, &keys);
     bitonic_sort(&mut c, base, n);
 
     println!("Sorting {n} uniform keys — simulated cost under the QRQW metric:");

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example hash_table`.
 
 use qrqw_suite::algos::QrqwHashTable;
-use qrqw_suite::sim::{CostModel, Pram};
+use qrqw_suite::sim::{CostModel, Machine, Pram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example load_balancing`.
 
 use qrqw_suite::algos::{load_balance_erew, load_balance_qrqw};
-use qrqw_suite::sim::{CostModel, Pram};
+use qrqw_suite::sim::{CostModel, Machine, Pram};
 
 fn main() {
     let n = 4096usize;

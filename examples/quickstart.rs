@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use qrqw_suite::algos::{random_permutation_qrqw, random_permutation_sorting_erew};
-use qrqw_suite::sim::{CostModel, Pram};
+use qrqw_suite::sim::{CostModel, Machine, Pram};
 
 fn main() {
     // --- 1. The model: contention is what you pay for. ---------------------
@@ -12,16 +12,10 @@ fn main() {
     let mut pram = Pram::new(n);
 
     // An EREW-friendly step: every processor touches its own cell.
-    pram.step(|s| {
-        s.par_for(0..n, |p, ctx| {
-            ctx.write(p, p as u64);
-        });
-    });
+    pram.par_for(n, |p, ctx| ctx.write(p, p as u64));
     // A hot-spot step: every processor reads location 0.
-    pram.step(|s| {
-        s.par_for(0..n, |_p, ctx| {
-            let _ = ctx.read(0);
-        });
+    pram.par_for(n, |_p, ctx| {
+        let _ = ctx.read(0);
     });
 
     println!("Two steps, four cost models:");

@@ -10,11 +10,12 @@
 //! what Lockstep compares after one unrecorded call, so a case needs no
 //! simulator beside the machine under test.  [`check`] runs cases on every
 //! machine each lists.  [`ByStages`] keeps the trait's default routes,
-//! which `tests/step_kernel_cost.rs` prices each kernel against.
+//! which `tests/step_kernel_cost.rs` prices each kernel against and
+//! [`check`] runs every compaction on.
 
 use std::time::{Duration, Instant};
 
-use qrqw_suite::exec::{NativeMachine, SHARD_CELLS};
+use qrqw_suite::exec::{NativeMachine, StepPool, SHARD_CELLS};
 use qrqw_suite::sim::{ClaimMode, Machine, MachineProc, EMPTY};
 
 use super::lockstep::{each_machine, forward_machine, pairs_of, Pair, NATIVE, THREADS};
@@ -293,18 +294,31 @@ fn cases() -> Vec<Case> {
 }
 
 /// Runs every case whose call `pick` selects on every machine the case
-/// lists, each on a fresh machine, against the case's oracle.
+/// lists, each on a fresh machine, against the case's oracle; a
+/// compaction also on [`ByStages`] over a 2-thread pool.  `ByStages` runs
+/// the trait's default route as truly concurrent steps, so a route whose
+/// processors race shows there, where the model backends' snapshot reads
+/// hide it.  (The other calls' routes on it would double the table's
+/// time.)
 pub fn check(pick: fn(Kernel) -> bool) {
     let cases: Vec<Case> = cases().into_iter().filter(|c| pick(c.kernel)).collect();
     assert!(!cases.is_empty(), "no case picked");
     for (i, case) in cases.iter().enumerate() {
         let want = case.oracle();
-        each_machine!(case.machines(), 0, |pair, m| {
-            if let Some(diff) = want.diff(&case.run(&mut m).0) {
+        let compare = |on: &str, got: After| {
+            if let Some(diff) = want.diff(&got) {
                 let (kernel, len, base) = (case.kernel, case.input.len(), case.base);
-                panic!("{kernel:?} case {i} ({len} cells at {base}) on {pair:?}: {diff}");
+                panic!("{kernel:?} case {i} ({len} cells at {base}) on {on}: {diff}");
             }
+        };
+        each_machine!(case.machines(), 0, |pair, m| {
+            compare(&format!("{pair:?}"), case.run(&mut m).0)
         });
+        if let Kernel::Compact(_) = case.kernel {
+            let pool = StepPool::with_threads(2);
+            let mut staged = ByStages(NativeMachine::with_pool(16, 0, pool));
+            compare("ByStages(Native(2))", case.run(&mut staged).0);
+        }
     }
 }
 

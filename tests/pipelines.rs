@@ -8,7 +8,7 @@ use qrqw_suite::algos::{
     random_permutation_sorting_erew, sample_sort_crqw, sample_sort_qrqw, sort_uniform_keys,
     QrqwHashTable,
 };
-use qrqw_suite::sim::{CostModel, Pram};
+use qrqw_suite::sim::{CostModel, Machine, Pram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,7 +103,7 @@ fn integer_sort_feeds_fetch_add_emulation() {
         totals[a] += v;
     }
     for (a, &total) in totals.iter().enumerate() {
-        assert_eq!(pram.memory().peek(a), total);
+        assert_eq!(pram.peek(a), total);
     }
 }
 

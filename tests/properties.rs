@@ -33,7 +33,7 @@ fn prefix_sums_match_sequential_scan() {
         let len = rng.gen_range(1..300usize);
         let xs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000u64)).collect();
         let mut pram = Pram::new(xs.len());
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         let total = prefix_sums_inclusive(&mut pram, 0, xs.len());
         let mut acc = 0u64;
         let expect: Vec<u64> = xs
@@ -43,7 +43,7 @@ fn prefix_sums_match_sequential_scan() {
                 acc
             })
             .collect();
-        assert_eq!(pram.memory().dump(0, xs.len()), expect);
+        assert_eq!(pram.dump(0, xs.len()), expect);
         assert_eq!(total, xs.iter().sum::<u64>());
         assert_eq!(pram.trace().violations(CostModel::Erew), 0);
     }
@@ -56,11 +56,11 @@ fn bitonic_sorts_any_input() {
         let len = rng.gen_range(0..400usize);
         let xs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1_000_000u64)).collect();
         let mut pram = Pram::new(xs.len().max(1));
-        pram.memory_mut().load(0, &xs);
+        pram.load(0, &xs);
         bitonic_sort(&mut pram, 0, xs.len());
         let mut expect = xs.clone();
         expect.sort_unstable();
-        assert_eq!(pram.memory().dump(0, xs.len()), expect);
+        assert_eq!(pram.dump(0, xs.len()), expect);
     }
 }
 
@@ -76,10 +76,9 @@ fn radix_sort_is_a_stable_sort() {
             .enumerate()
             .map(|(i, &k)| pack(k, i as u64))
             .collect();
-        pram.memory_mut().load(0, &packed);
+        pram.load(0, &packed);
         radix_sort_packed(&mut pram, 0, packed.len(), 16);
         let out: Vec<(u64, u64)> = pram
-            .memory()
             .dump(0, packed.len())
             .into_iter()
             .map(|w| (unpack_key(w), unpack_payload(w)))
@@ -101,19 +100,15 @@ fn compaction_preserves_the_multiset() {
         let mut expect = Vec::new();
         for (i, &keep) in mask.iter().enumerate() {
             if keep {
-                pram.memory_mut().poke(i, i as u64 + 10);
+                pram.poke(i, i as u64 + 10);
                 expect.push(i as u64 + 10);
             }
         }
         let count = compact_erew(&mut pram, 0, n, n);
         assert_eq!(count as usize, expect.len());
-        assert_eq!(pram.memory().dump(n, expect.len()), expect);
+        assert_eq!(pram.dump(n, expect.len()), expect);
         // empty cells never leak into the compacted output
-        assert!(pram
-            .memory()
-            .dump(n, count as usize)
-            .iter()
-            .all(|&v| v != EMPTY));
+        assert!(pram.dump(n, count as usize).iter().all(|&v| v != EMPTY));
     }
 }
 

@@ -32,6 +32,11 @@
 //!   9.8–11.9 ms as is, 3.0–3.4 ms against 11.7–12.6 ms pinned); a kernel
 //!   that runs the count matrix through the tree step by step again reads
 //!   about 1.
+//! - `scan_tree` on 2^18 cells against the Blelloch tree's `2·lg w + 3`
+//!   steps.  The blocked scan reads 0.27–0.29 of the step route as is and
+//!   pinned to one CPU on the 2-vCPU reference box (4 runs each: 0.63–0.80
+//!   ms against 2.4–2.9 ms as is, 0.87–0.93 ms against 3.0–3.4 ms
+//!   pinned); with the kernel gone, the tree's steps read 1.00–1.07.
 //!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
@@ -195,9 +200,25 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
         base: 0,
         top: words,
     };
+    // An exclusive scan of 2^18 cells, a tenth of them EMPTY.
+    let cells = 1 << 18;
+    let tree = Case {
+        kernel: Kernel::ScanTree(false),
+        input: (0..cells as u64)
+            .map(|i| {
+                if i % 10 == 3 {
+                    qrqw_suite::sim::EMPTY
+                } else {
+                    i % 1000
+                }
+            })
+            .collect(),
+        base: 0,
+        top: cells,
+    };
     // The rows: a case, and the bound on its kernel's wall over its
     // default route's (see the module docs for the readings).
-    for (case, bound) in [(network, 0.5), (digit, 0.5)] {
+    for (case, bound) in [(network, 0.5), (digit, 0.5), (tree, 0.55)] {
         let pool = StepPool::with_threads(2);
         let mut m = ByStages(NativeMachine::with_pool(case.top, 1, pool));
         // Interleaved, each run on a fresh load of the input.
