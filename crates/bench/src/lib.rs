@@ -30,7 +30,6 @@
 
 use std::time::{Duration, Instant};
 
-use qrqw_bsp::BspMachine;
 use qrqw_core::hashing::HASH_PRIME;
 use qrqw_core::{
     emulate_fetch_add_step, integer_sort_crqw, is_cyclic, is_permutation, load_balance_erew,
@@ -62,8 +61,8 @@ pub enum Backend {
     /// to [`Backend::Native`] in every observable; only wall-clock under
     /// skew differs.
     NativeSteal,
-    /// The batch-message BSP machine ([`BspMachine`]) measuring the
-    /// Theorem 1.1 emulation.
+    /// The batch-message BSP machine of Theorem 1.1 ([`Pram::with_bsp`]):
+    /// the simulator with its messages counted.
     Bsp,
 }
 
@@ -461,7 +460,7 @@ impl Subject {
                 let pool = pool().with_schedule(schedule);
                 self.run_on(NativeMachine::with_pool(16, seed, pool), n)
             }
-            Backend::Bsp => self.run_on(BspMachine::with_threads(16, seed, pool().threads()), n),
+            Backend::Bsp => self.run_on(Pram::with_bsp(16, seed, pool().threads()), n),
         }
     }
 

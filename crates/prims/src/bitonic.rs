@@ -9,10 +9,10 @@
 //! `lg n (lg n + 1) / 2` steps and `O(n lg² n)` work in total.
 //!
 //! The network itself is one machine call, [`Machine::bitonic_segments`].
-//! The model backends (`Pram`, `BspMachine`) run its default body and
-//! charge and route it one step per stage; `NativeMachine` overrides it
-//! with a cache-blocked kernel that runs the same stages with the same
-//! step advance and leaves the same memory.
+//! The model backends (`Pram`, plain or built with `Pram::with_bsp`) run
+//! its default body and charge and route it one step per stage;
+//! `NativeMachine` overrides it with a cache-blocked kernel that runs the
+//! same stages with the same step advance and leaves the same memory.
 //!
 //! Cells may hold any `u64` below [`qrqw_sim::EMPTY`]; the routine pads to a
 //! power of two internally with `EMPTY`, which sorts to the end.

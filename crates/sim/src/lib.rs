@@ -60,19 +60,22 @@
 //!   pooled-threads/atomics machine in `qrqw-exec`, so each algorithm is written once
 //!   and runs on either substrate.  It is the only way to drive a [`Pram`].
 //! * [`memory`] — the flat shared memory and the `EMPTY` sentinel.
-//! * [`step`] — the per-processor context of a simulated step and the step
-//!   accounting both model backends share ([`StepSink`] is what the BSP
-//!   router plugs into it, through [`Pram::par_map_into`]).
+//! * [`step`] — the per-processor context of a simulated step and its
+//!   accounting walk.
 //! * [`stats`] — [`StepStats`] and [`Trace`].
 //! * [`model`] — the [`CostModel`] enumeration and per-step cost functions.
 //! * [`pram`] — the [`Pram`] driver tying everything together, and its
-//!   [`Machine`] implementation.
+//!   [`Machine`] implementation.  [`Pram::with_bsp`] builds one that also
+//!   runs as the batch-message BSP machine of Theorem 1.1, counting the
+//!   supersteps, messages and h-relations of each step's walk next to the
+//!   predicted bound ([`BspCost`]).
 //! * [`rng`] — deterministic per-(seed, step, processor) random streams.
 //! * [`schedule`] — the BSP emulation charge of Theorem 1.1 and the integer
 //!   logarithms (`lg`, `√lg`, `lg lg`, `lg*`) of the paper's bounds.
 
 #![deny(missing_docs)]
 
+mod bsp;
 pub mod machine;
 pub mod memory;
 pub mod model;
@@ -89,4 +92,3 @@ pub use pram::Pram;
 pub use rng::proc_rng;
 pub use schedule::bsp_emulation_time;
 pub use stats::{StepStats, Trace};
-pub use step::StepSink;

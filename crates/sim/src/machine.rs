@@ -7,15 +7,14 @@
 //! on any substrate:
 //!
 //! * [`crate::Pram`] — the simulator: exact per-step traces, every cost
-//!   model, deterministic write arbitration.
+//!   model, deterministic write arbitration.  Built with
+//!   [`crate::Pram::with_bsp`] it is also the batch-message BSP machine of
+//!   Theorem 1.1: supersteps, messages and the heaviest h-relation counted
+//!   next to the predicted bound ([`BspCost`]).  Its realized queues are
+//!   the simulator's contention by construction.
 //! * `NativeMachine` (crate `qrqw-exec`) — real threads and atomics:
 //!   wall-clock time and contended-CAS counts, under either chunk
 //!   schedule of its step pool.
-//! * `BspMachine` (crate `qrqw-bsp`) — a [`crate::Pram`] whose parallel
-//!   steps are routed as batch messages: supersteps, messages and the
-//!   heaviest h-relation counted next to the Theorem 1.1 predicted bound
-//!   ([`BspCost`]).  Its realized queues are the simulator's contention by
-//!   construction.
 //!
 //! A [`Machine`] exposes synchronous data-parallel steps ([`Machine::par_map`]
 //! / [`Machine::par_for`]), per-processor shared-memory access through
@@ -118,15 +117,15 @@ pub trait MachineProc {
     fn random_index(&mut self, bound: usize) -> usize;
 }
 
-/// BSP-side measurements of a run, filled only by a batch-message BSP
-/// backend (crate `qrqw-bsp`).
+/// BSP-side measurements of a run, filled only by a [`crate::Pram`] built
+/// with [`crate::Pram::with_bsp`].
 ///
 /// Theorem 1.1 of the paper bounds the cost of emulating a QRQW PRAM
 /// algorithm of time `t` on a standard BSP machine by `O(t · lg p)` — the
-/// repository's formula charge is [`crate::bsp_emulation_time`].  A BSP
-/// backend routes every step's read/write requests as messages, in batches
+/// repository's formula charge is [`crate::bsp_emulation_time`].  The BSP
+/// machine routes every step's read/write requests as messages, in batches
 /// keyed by destination cell.  Supersteps, messages and the h-relation are
-/// counted by its router.  The queue-derived fields are not an independent
+/// counted on the step's walk.  The queue-derived fields are not an independent
 /// measurement: with same-processor combining the longest per-cell queue
 /// *is* the Definition 2.1 contention, so `max_queue` and `measured_cost`
 /// are the backend's own trace read as queues, and `measured_cost` equals
@@ -157,14 +156,6 @@ pub struct BspCost {
     /// The Theorem 1.1 formula bound for the same run:
     /// `charged QRQW time · ⌈lg components⌉`.
     pub predicted_cost: u64,
-}
-
-impl BspCost {
-    /// `predicted / measured` — how far the realized emulation stays below
-    /// the worst-case formula charge (`None` when nothing was measured).
-    pub fn headroom(&self) -> Option<f64> {
-        (self.measured_cost > 0).then(|| self.predicted_cost as f64 / self.measured_cost as f64)
-    }
 }
 
 /// What an execution cost on whichever backend ran it.
@@ -671,8 +662,8 @@ pub trait Machine {
 /// The Section 5.1 cell-claiming protocol written out as six (Exclusive)
 /// or three (Occupy) ordinary [`Machine::par_map`] / [`Machine::par_for`]
 /// steps — the [`Machine::claim`] of every backend whose concurrent writes
-/// are arbitrated lowest-processor-id-first (the simulator, and the BSP
-/// backend built on it through [`crate::Pram::par_map_into`]).  Returns the
+/// are arbitrated lowest-processor-id-first (the simulator, with or
+/// without its BSP bookkeeping).  Returns the
 /// success vector plus `(live attempts, contended attempts)` for the
 /// caller's own counters.
 pub fn claim_by_steps<M: Machine>(

@@ -3,11 +3,12 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::bsp::Bsp;
 use crate::machine::{claim_by_steps, ClaimMode, CostReport, Machine, MachineProc};
 use crate::memory::{SharedMemory, EMPTY};
 use crate::rng::proc_rng;
 use crate::stats::{StepStats, Trace};
-use crate::step::{launch, StepScratch, StepSink};
+use crate::step::{launch, StepScratch};
 use crate::CostModel;
 
 /// A simulated PRAM: shared memory, a master random seed, and the trace of
@@ -27,6 +28,8 @@ pub struct Pram {
     claim_attempts: u64,
     claim_failures: u64,
     scratch: StepScratch,
+    /// The BSP bookkeeping of a [`Pram::with_bsp`] machine.
+    bsp: Option<Box<Bsp>>,
 }
 
 impl Pram {
@@ -36,13 +39,19 @@ impl Pram {
         Machine::with_seed(mem_size, 0)
     }
 
-    /// Adds one [`crate::claim_by_steps`] run's `(live attempts, collision
-    /// failures)` to the claim counters of [`Machine::cost_report`]:
-    /// [`Machine::claim`] does this, and so does a backend that runs the
-    /// protocol through its own steps on this PRAM.
-    pub fn note_claims(&mut self, live: u64, contended: u64) {
-        self.claim_attempts += live;
-        self.claim_failures += contended;
+    /// Creates a PRAM with `mem_size` cells (all [`crate::EMPTY`]) that
+    /// also runs as the batch-message BSP machine of Theorem 1.1: every
+    /// step's walk counts its messages per component (1024 components,
+    /// cells dealt cyclically), its launches and walk fan out over `threads`
+    /// threads instead of the host's, and [`Machine::cost_report`] carries
+    /// the BSP section ([`crate::BspCost`]) in place of the model-side
+    /// fields, under the backend name `"bsp"`.  Results, trace and step
+    /// counts are a plain `Pram`'s, at any thread count.
+    pub fn with_bsp(mem_size: usize, seed: u64, threads: usize) -> Self {
+        Pram {
+            bsp: Some(Box::new(Bsp::new(threads))),
+            ..Pram::with_seed(mem_size, seed)
+        }
     }
 
     /// The trace accumulated so far.
@@ -57,55 +66,12 @@ impl Pram {
         std::mem::take(&mut self.trace)
     }
 
-    /// [`Machine::par_map`] with its processors and its accounting walk
-    /// fanned out over up to `threads` threads, and the walk reporting every
-    /// distinct `(cell, processor)` pair to `sink` on its way; `partials`
-    /// holds the sink's per-chunk partials, recycled across steps.  Thread
-    /// count and sink are unobservable in the step's results and
-    /// statistics.  This is how the BSP backend (crate `qrqw-bsp`) routes a
-    /// step: its router is the sink.
-    ///
-    /// All reads observe the memory as it was when the step began; all
-    /// writes take effect when the step ends (the lowest processor id wins
-    /// a concurrently written cell, and its last write to it lands).  The
-    /// step's statistics are appended to the trace.
-    ///
-    /// # Panics
-    ///
-    /// If the memory has grown past `2^32` cells (the step accounting's
-    /// address width).
-    pub fn par_map_into<S: StepSink, T, F>(
-        &mut self,
-        threads: usize,
-        sink: &mut S,
-        partials: &mut Vec<S::Partial>,
-        procs: usize,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
-    {
-        let step_idx = self.steps_executed;
-        self.scratch.begin_step(self.mem.len(), threads);
-        let snapshot = self.mem.as_slice();
-        let out = launch(
-            &self.scratch,
-            snapshot,
-            self.seed,
-            step_idx,
-            0..procs,
-            threads,
-            f,
-        );
-        let stats = self.scratch.finish(self.mem.as_mut_slice(), sink, partials);
-        self.push(stats);
-        out
-    }
-
-    /// Appends a step's statistics to the trace and advances the step
-    /// index.
+    /// Appends a step's statistics to the trace, books them on the BSP side
+    /// if there is one, and advances the step index.
     fn push(&mut self, stats: StepStats) {
+        if let Some(bsp) = &mut self.bsp {
+            bsp.book(&stats);
+        }
         self.trace.push(stats);
         self.steps_executed += 1;
     }
@@ -123,11 +89,16 @@ impl Machine for Pram {
             claim_attempts: 0,
             claim_failures: 0,
             scratch: StepScratch::default(),
+            bsp: None,
         }
     }
 
     fn backend(&self) -> &'static str {
-        "sim"
+        if self.bsp.is_some() {
+            "bsp"
+        } else {
+            "sim"
+        }
     }
 
     fn seed(&self) -> u64 {
@@ -189,17 +160,51 @@ impl Machine for Pram {
         self.mem.clear_region(base, len)
     }
 
-    /// [`Pram::par_map_into`] on the host's threads, counting nothing but
-    /// the step's statistics.
+    /// All reads observe the memory as it was when the step began; all
+    /// writes take effect when the step ends (the lowest processor id wins
+    /// a concurrently written cell, and its last write to it lands).  The
+    /// step's statistics are appended to the trace.  Processors and the
+    /// accounting walk fan out over the host's threads, or a
+    /// [`Pram::with_bsp`] machine's own count, whose walk also reports
+    /// every distinct `(cell, processor)` pair to the BSP sink.  Neither is
+    /// observable in the step's results and statistics.
+    ///
+    /// # Panics
+    ///
+    /// If the memory has grown past `2^32` cells (the step accounting's
+    /// address width).
     fn par_map<T, F>(&mut self, procs: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut dyn MachineProc) -> T + Sync,
     {
-        // `()` counts nothing, so its partials are zero-sized and this
-        // vector never allocates.
-        let threads = rayon::current_num_threads();
-        self.par_map_into(threads, &mut (), &mut Vec::new(), procs, f)
+        let threads = self
+            .bsp
+            .as_ref()
+            .map_or_else(rayon::current_num_threads, |bsp| bsp.threads);
+        let step_idx = self.steps_executed;
+        self.scratch.begin_step(self.mem.len(), threads);
+        let snapshot = self.mem.as_slice();
+        let out = launch(
+            &self.scratch,
+            snapshot,
+            self.seed,
+            step_idx,
+            0..procs,
+            threads,
+            f,
+        );
+        let cells = self.mem.as_mut_slice();
+        let stats = match self.bsp.as_deref_mut() {
+            // `()` counts nothing, so its partials are zero-sized and this
+            // vector never allocates.
+            None => self.scratch.finish(cells, &mut (), &mut Vec::new()),
+            Some(bsp) => self
+                .scratch
+                .finish(cells, &mut bsp.delivery, &mut bsp.tallies),
+        };
+        self.push(stats);
+        out
     }
 
     /// Runs `f` with write-through memory semantics — the behaviour a
@@ -290,21 +295,37 @@ impl Machine for Pram {
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
         let (success, live, contended) = claim_by_steps(self, attempts, mode);
-        self.note_claims(live, contended);
+        self.claim_attempts += live;
+        self.claim_failures += contended;
         success
     }
 
+    /// A [`Pram::with_bsp`] machine reports its BSP section in place of
+    /// the model-side fields.
     fn cost_report(&self) -> CostReport {
-        CostReport {
-            backend: "sim",
+        let time_qrqw = self.trace.time(CostModel::Qrqw);
+        let report = CostReport {
+            backend: self.backend(),
             steps: self.steps_executed,
             wall: self.created.elapsed(),
             claim_attempts: self.claim_attempts,
             contended_claims: self.claim_failures,
-            work: Some(self.trace.work()),
-            max_contention: Some(self.trace.max_contention()),
-            time_qrqw: Some(self.trace.time(CostModel::Qrqw)),
+            work: None,
+            max_contention: None,
+            time_qrqw: None,
             bsp: None,
+        };
+        match &self.bsp {
+            None => CostReport {
+                work: Some(self.trace.work()),
+                max_contention: Some(self.trace.max_contention()),
+                time_qrqw: Some(time_qrqw),
+                ..report
+            },
+            Some(bsp) => CostReport {
+                bsp: Some(bsp.cost(&self.trace, time_qrqw)),
+                ..report
+            },
         }
     }
 }

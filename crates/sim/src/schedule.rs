@@ -2,8 +2,8 @@
 //!
 //! What is left of the *analytic* side of the paper's scheduling results is
 //! what the tree calls: the BSP emulation charge of Theorem 1.1
-//! ([`bsp_emulation_time`], the "predicted" column next to `qrqw-bsp`'s
-//! measured cost) and the `lg`, `√lg`, `lg lg` and `lg*` terms the
+//! ([`bsp_emulation_time`], the "predicted" column next to the BSP
+//! machine's measured cost) and the `lg`, `√lg`, `lg lg` and `lg*` terms the
 //! algorithms size their teams, arenas and round caps with.  Brent's
 //! principle (Theorem 2.3) is [`crate::Trace::brent_time`]; the *operational*
 //! load-balancing algorithm behind Theorems 2.4 / 3.6 lives in

@@ -115,6 +115,24 @@ impl Trace {
         self.steps.iter().map(StepStats::max_contention).collect()
     }
 
+    /// The per-step sequence of realized queues of the BSP emulation
+    /// (Theorem 1.1): with same-processor combining, a step's longest
+    /// per-cell message queue is its contention — except that a step no
+    /// processor was active in queues nothing, where
+    /// [`Trace::contention_profile`] reads Definition 2.1's 1.
+    pub fn queue_profile(&self) -> Vec<u64> {
+        self.steps
+            .iter()
+            .map(|s| {
+                if s.active_procs == 0 {
+                    0
+                } else {
+                    s.max_read_contention.max(s.max_write_contention)
+                }
+            })
+            .collect()
+    }
+
     /// Brent-scheduled running time on `p` processors under `model`
     /// (Theorem 2.3): `work/p + time`, assuming processor allocation is
     /// free.

@@ -1,7 +1,7 @@
 //! The per-processor side of a simulated step and the step accounting.
 //!
-//! A parallel step of [`crate::Pram`] ([`crate::Machine::par_map`], or
-//! [`crate::Pram::par_map_into`] with a sink) launches its virtual
+//! A parallel step of [`crate::Pram`] ([`crate::Machine::par_map`])
+//! launches its virtual
 //! processors here; each runs with a per-processor context, the simulator's
 //! [`crate::MachineProc`], through which it reads the shared memory (as it
 //! was at the *beginning* of the step), buffers writes (applied at the *end*
@@ -47,11 +47,10 @@
 //!
 //! The largest count is the contention `κ` of Definition 2.1 (folded over
 //! the ranges by max), the new-pair events are the messages a BSP router
-//! would carry (counted per chunk of the walk, merged by the [`StepSink`]),
-//! and each walker writes its range's owner writes into the memory: the
-//! arbitration.  [`crate::Pram::par_map_into`] runs this walk for both
-//! model backends — `qrqw_bsp::BspMachine` is a `Pram` whose sink is its router
-//! — and it never orders accesses by address.
+//! would carry (counted per chunk of the walk, merged by the `StepSink`:
+//! a [`crate::Pram::with_bsp`] machine's sink counts them), and each walker
+//! writes its range's owner writes into the memory: the arbitration.  The
+//! walk never orders accesses by address.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -473,13 +472,13 @@ where
 }
 
 /// What a step's accounting walk reports besides its statistics: every
-/// distinct `(cell, processor)` pair it meets (see
-/// [`crate::Pram::par_map_into`]).
+/// distinct `(cell, processor)` pair it meets (the BSP sink of
+/// [`crate::Pram::with_bsp`] counts them as messages).
 ///
 /// The walk runs in chunks — one when it runs inline, one per address
 /// range when it fans out over the pool — and each chunk counts into its
 /// own [`StepSink::Partial`]; [`StepSink::merge`] folds them.
-pub trait StepSink {
+pub(crate) trait StepSink {
     /// What one chunk of the walk counts.  Concurrent chunks update
     /// neighbouring partials of one vector, so a partial written per
     /// message should fill its own cache lines (`#[repr(align(128))]`).
@@ -806,7 +805,7 @@ mod tests {
     use crate::memory::SharedMemory;
     use rand::SeedableRng;
 
-    /// A memory and its scratch, stepped the way [`crate::Pram::par_map_into`]
+    /// A memory and its scratch, stepped the way [`crate::Pram`]'s `par_map`
     /// does on `walkers` threads (the host parallelism unless a test forces
     /// another count).
     struct Harness {

@@ -449,7 +449,7 @@ pub fn pairs_of<const N: usize>(backends: [Backend; N]) -> Vec<Pair> {
 macro_rules! each_machine {
     ($pairs:expr, $seed:expr, |$pair:ident, $m:ident| $body:expr) => {
         for $pair in $pairs {
-            use qrqw_suite::{bsp::BspMachine, exec::NativeMachine, exec::StepPool, sim::Pram};
+            use qrqw_suite::{exec::NativeMachine, exec::StepPool, sim::Pram};
             use $crate::common::lockstep::Pair;
             let seed: u64 = $seed;
             match $pair {
@@ -466,7 +466,7 @@ macro_rules! each_machine {
                 }
                 Pair::Bsp(threads) => {
                     #[allow(unused_mut)]
-                    let mut $m = BspMachine::with_threads(16, seed, threads);
+                    let mut $m = Pram::with_bsp(16, seed, threads);
                     $body;
                 }
             }

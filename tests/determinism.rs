@@ -20,18 +20,17 @@ use common::lockstep::{
 use common::lockstep::{NATIVE, THREADS};
 use qrqw_bench::{Algorithm, Backend};
 use qrqw_suite::algos::random_permutation_qrqw;
-use qrqw_suite::bsp::BspMachine;
 use qrqw_suite::exec::{NativeMachine, Schedule};
 use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, Pram, EMPTY};
 
 /// The small problem size every registry member runs at on every pair.
 /// The step pool runs a dispatch of at most 2048 items inline as one chunk,
 /// so at this size every thread count and schedule takes the one-thread
-/// path; only the BSP router and the per-step comparison differ.
+/// path; only the BSP sink and the per-step comparison differ.
 const SMALL: usize = 256;
 
 /// The large problem size: its full-width steps split into 512-item
-/// chunks, so chunking, stealing and the BSP router's buffer order are all
+/// chunks, so chunking, stealing and the BSP walk's chunk order are all
 /// in play.
 const LARGE: usize = 3000;
 
@@ -223,13 +222,16 @@ fn bsp_outputs_are_bit_identical_at_every_thread_count() {
 fn bsp_contention_totals_and_measured_profile_are_thread_count_invariant() {
     sweep(claiming(true), Backend::Bsp);
     let measured = |threads| {
-        let bsp = BspMachine::with_threads(16, 11, threads);
+        let bsp = Pram::with_bsp(16, 11, threads);
         let mut m = Lockstep::new(Pram::with_seed(16, 11), bsp, format!("bsp {threads}"));
         let _ = random_permutation_qrqw(&mut m, 8192);
         let cost = m.b().cost_report().bsp.unwrap();
         assert_eq!(cost.measured_cost, m.a().trace().time(CostModel::Qrqw));
-        assert_eq!(m.b().queue_profile().len() as u64, m.steps_executed());
-        (m.b().queue_profile(), cost)
+        assert_eq!(
+            m.b().trace().queue_profile().len() as u64,
+            m.steps_executed()
+        );
+        (m.b().trace().queue_profile(), cost)
     };
     let want = measured(THREADS[0]);
     assert!(THREADS[1..].iter().all(|&t| measured(t) == want));
@@ -243,7 +245,7 @@ fn bsp_sorts_are_bit_identical_at_every_thread_count() {
 #[test]
 fn bsp_routing_order_never_affects_results() {
     // A raw step with heavy deliberate collisions: 6000 processors write
-    // into 97 cells and read from 13.  Each thread count hands the router
+    // into 97 cells and read from 13.  Each thread count hands the BSP walk
     // its message buffers in a different chunking; the image must match the
     // simulator's lowest-processor-id arbitration, and the realized queues
     // and message totals are pinned.
@@ -253,14 +255,14 @@ fn bsp_routing_order_never_affects_results() {
         ctx.write(100 + p % 97, p as u64 + v);
     };
     for threads in THREADS {
-        let bsp = BspMachine::with_threads(16, 0, threads);
+        let bsp = Pram::with_bsp(16, 0, threads);
         let mut m = Lockstep::new(Pram::with_seed(16, 0), bsp, format!("bsp {threads}"));
         m.ensure_memory(256);
         m.par_for(6000, body);
         // 6000 write messages + 6000 reads (request + reply)
         assert_eq!(m.b().cost_report().bsp.unwrap().messages, 6000 + 2 * 6000);
         // ⌈6000/13⌉ readers on cell 0 beats ⌈6000/97⌉ writers
-        assert_eq!(m.b().queue_profile(), vec![6000u64.div_ceil(13)]);
+        assert_eq!(m.b().trace().queue_profile(), vec![6000u64.div_ceil(13)]);
     }
 }
 

@@ -37,6 +37,13 @@
 //!   pinned to one CPU on the 2-vCPU reference box (4 runs each: 0.63–0.80
 //!   ms against 2.4–2.9 ms as is, 0.87–0.93 ms against 3.0–3.4 ms
 //!   pinned); with the kernel gone, the tree's steps read 1.00–1.07.
+//! - `compact_step` on 2^18 cells, about half of them `EMPTY`, to a
+//!   destination below the allocation top, against the default route's
+//!   flag step, scan step and gather step.  The kernel reads 0.29–0.34
+//!   of the step route as is and 0.30–0.35 pinned to one CPU on the 2-vCPU
+//!   reference box (4 and 3 runs: 0.43–0.50 ms against 1.30–1.70 ms as
+//!   is, 0.67–0.97 ms against 1.89–3.29 ms pinned); with the kernel gone,
+//!   the default route in its place reads 0.94–0.96.
 //!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
@@ -216,9 +223,25 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
         base: 0,
         top: cells,
     };
+    // A compaction of 2^18 cells, about half of them EMPTY, to a
+    // destination below the allocation top.
+    let sparse = Case {
+        kernel: Kernel::Compact(cells),
+        input: (0..cells as u64)
+            .map(|i| {
+                if i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 0 {
+                    qrqw_suite::sim::EMPTY
+                } else {
+                    i
+                }
+            })
+            .collect(),
+        base: 0,
+        top: 2 * cells,
+    };
     // The rows: a case, and the bound on its kernel's wall over its
     // default route's (see the module docs for the readings).
-    for (case, bound) in [(network, 0.5), (digit, 0.5), (tree, 0.55)] {
+    for (case, bound) in [(network, 0.5), (digit, 0.5), (tree, 0.55), (sparse, 0.65)] {
         let pool = StepPool::with_threads(2);
         let mut m = ByStages(NativeMachine::with_pool(case.top, 1, pool));
         // Interleaved, each run on a fresh load of the input.

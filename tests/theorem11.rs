@@ -1,104 +1,123 @@
-//! Theorem 1.1 conformance: the BSP backend's emulation against what the
+//! Theorem 1.1 conformance: the BSP machine's emulation against what the
 //! cost model *charged* for the same execution.
 //!
 //! Theorem 1.1 is the paper's portability claim — a QRQW PRAM step whose
 //! maximum contention is `k` costs a BSP-style emulation only an additive
 //! `k` (the realized per-cell message queues drain one message per cycle),
 //! so a whole algorithm of QRQW time `t` emulates in `O(t · lg p)` on
-//! `p/lg p` components.  The simulator charges that by formula; the
-//! `BspMachine` routes the message batches.  These tests run every registry
-//! variant on both machines with the same seed (the router's
-//! processor-order arbitration makes the two runs the same trajectory) and
-//! assert, step for step:
+//! `p/lg p` components.  The simulator charges that by formula; a `Pram`
+//! built with `Pram::with_bsp` also counts the message batches its steps
+//! route.  These tests run every registry variant on a plain and a
+//! BSP-costed simulator with the same seed (the walk's processor-order
+//! arbitration makes the two runs the same trajectory) and assert, step for
+//! step:
 //!
-//! * the realized max queue never exceeds the contention the simulator's
+//! * the realized max queue never exceeds the contention the plain run's
 //!   trace charged for that step (measured ≤ charged), and
-//! * the accumulated measured cost lands exactly on the simulator's QRQW
+//! * the accumulated measured cost lands exactly on the plain run's QRQW
 //!   time and therefore under the `t · ⌈lg p⌉` predicted bound.
 //!
-//! What these checks can and cannot catch: `BspMachine` is a `Pram` whose
-//! step walk reports to the router, so its queues *are* its own trace's
-//! contention and `measured_cost` *is* that trace's QRQW time, by
-//! construction.  Comparing with an independent `Pram` run checks that the
-//! two re-execute one trajectory, and the bound check is `t ≤ t · ⌈lg p⌉`.
-//! A measurement that could break the bound needs cells hashed to
-//! components and each superstep charged `w + g·h + L`.  The router's own
-//! counts — supersteps, messages, the heaviest h-relation — are pinned
-//! exactly below.
+//! What these checks can and cannot catch: the BSP machine's queues *are*
+//! its own trace's contention and `measured_cost` *is* that trace's QRQW
+//! time, by construction.  Comparing with an independent plain run checks
+//! that the two re-execute one trajectory, and the bound check is
+//! `t ≤ t · ⌈lg p⌉`.  A measurement that could break the bound needs cells
+//! hashed to components and each superstep charged `w + g·h + L`.  The BSP
+//! counts of the walk — supersteps, messages, the heaviest h-relation — are
+//! pinned exactly below, at 1, 2 and 5 threads.
 
 mod common;
 
 use common::lockstep::Lockstep;
 use qrqw_bench::Algorithm;
-use qrqw_suite::bsp::BspMachine;
+use qrqw_suite::algos::{is_permutation, random_permutation_qrqw};
+use qrqw_suite::exec::StepPool;
 use qrqw_suite::sim::{bsp_emulation_time, CostModel, Machine, Pram};
+
+/// A BSP-costed simulator on the environment's thread count.
+fn bsp_machine(seed: u64) -> Pram {
+    Pram::with_bsp(16, seed, StepPool::from_env().threads())
+}
 
 /// Runs one registry variant on both machines and returns
 /// `(sim, bsp)` after the run, so each assertion site can interrogate the
 /// trace and the measured profile.
-fn run_pair(algo: Algorithm, n: usize, seed: u64) -> (Pram, BspMachine) {
+fn run_pair(algo: Algorithm, n: usize, seed: u64) -> (Pram, Pram) {
     let mut sim = Pram::with_seed(16, seed);
     let (sim_valid, _) = algo.run_on(&mut sim, n);
-    let mut bsp = BspMachine::with_seed(16, seed);
+    let mut bsp = bsp_machine(seed);
     let (bsp_valid, _) = algo.run_on(&mut bsp, n);
     assert!(sim_valid, "{} invalid on sim at n={n}", algo.name());
     assert!(bsp_valid, "{} invalid on bsp at n={n}", algo.name());
     (sim, bsp)
 }
 
+/// Asserts that `bsp`'s realized queues stay under what `sim`'s trace
+/// charged, step for step, and that its measured cost is `sim`'s QRQW time,
+/// under the Theorem 1.1 bound.
+fn assert_measured_within_charged(sim: &Pram, bsp: &Pram, label: &str) {
+    let charged = sim.trace().contention_profile();
+    let measured = bsp.trace().queue_profile();
+    assert_eq!(
+        measured.len(),
+        charged.len(),
+        "{label}: step counts diverged"
+    );
+    for (i, (&q, &k)) in measured.iter().zip(&charged).enumerate() {
+        assert!(
+            q <= k,
+            "{label}: step {i} realized queue {q} > charged contention {k}"
+        );
+    }
+    let t_qrqw = sim.trace().time(CostModel::Qrqw);
+    let cost = bsp.cost_report().bsp.expect("bsp cost section");
+    assert_eq!(
+        cost.measured_cost, t_qrqw,
+        "{label}: measured emulation cost diverged from the charged QRQW time"
+    );
+    assert_eq!(
+        cost.predicted_cost,
+        bsp_emulation_time(t_qrqw, cost.components),
+        "{label}: predicted bound must be the Theorem 1.1 formula"
+    );
+    assert!(
+        cost.measured_cost <= cost.predicted_cost,
+        "{label}: measured {} exceeded the predicted bound {}",
+        cost.measured_cost,
+        cost.predicted_cost
+    );
+}
+
 #[test]
 fn measured_per_step_contention_never_exceeds_the_charged_contention() {
+    // The conformance is tight, not just one-sided: the walk's combining
+    // makes the realized queue coincide with the Definition 2.1 contention,
+    // so the measured emulation cost must land *exactly* on the simulator's
+    // QRQW time — and hence a factor ⌈lg p⌉ under the Theorem 1.1 bound.
     for n in [64usize, 257] {
         for algo in Algorithm::ALL {
             let (sim, bsp) = run_pair(algo, n, 11);
-            let charged = sim.trace().contention_profile();
-            let measured = bsp.queue_profile();
-            assert_eq!(
-                measured.len(),
-                charged.len(),
-                "{}: step counts diverged at n={n}",
-                algo.name()
-            );
-            for (i, (&q, &k)) in measured.iter().zip(&charged).enumerate() {
-                assert!(
-                    q <= k,
-                    "{}: step {i} realized queue {q} > charged contention {k} (n={n})",
-                    algo.name()
-                );
-            }
+            assert_measured_within_charged(&sim, &bsp, &format!("{} n={n}", algo.name()));
         }
     }
 }
 
 #[test]
 fn measured_total_cost_equals_the_charged_qrqw_time_and_respects_the_bound() {
-    // The conformance is tight, not just one-sided: the router's combining
-    // makes the realized queue coincide with the Definition 2.1 contention,
-    // so the measured emulation cost must land *exactly* on the simulator's
-    // QRQW time — and hence a factor ⌈lg p⌉ under the Theorem 1.1 bound.
-    for algo in Algorithm::ALL {
-        let (sim, bsp) = run_pair(algo, 257, 11);
-        let t_qrqw = sim.trace().time(CostModel::Qrqw);
-        let cost = bsp.cost_report().bsp.expect("bsp cost section");
+    // The permutation at sizes off the registry grid, its output compared
+    // bit for bit besides the costs.
+    for (n, seed) in [(500usize, 7u64), (2048, 3)] {
+        let mut sim = Pram::with_seed(16, seed);
+        let mut bsp = bsp_machine(seed);
+        let a = random_permutation_qrqw(&mut sim, n);
+        let b = random_permutation_qrqw(&mut bsp, n);
+        assert!(is_permutation(&a.order));
         assert_eq!(
-            cost.measured_cost,
-            t_qrqw,
-            "{}: measured emulation cost diverged from the charged QRQW time",
-            algo.name()
+            a.order, b.order,
+            "bsp diverged from sim (n={n} seed={seed})"
         );
-        assert_eq!(
-            cost.predicted_cost,
-            bsp_emulation_time(t_qrqw, cost.components),
-            "{}: predicted bound must be the Theorem 1.1 formula",
-            algo.name()
-        );
-        assert!(
-            cost.measured_cost <= cost.predicted_cost,
-            "{}: measured {} exceeded the predicted bound {}",
-            algo.name(),
-            cost.measured_cost,
-            cost.predicted_cost
-        );
+        assert_eq!(sim.steps_executed(), bsp.steps_executed());
+        assert_measured_within_charged(&sim, &bsp, &format!("n={n} seed={seed}"));
     }
 }
 
@@ -109,7 +128,7 @@ fn claim_and_step_counters_stay_in_lockstep_with_the_simulator() {
     // claim, occupy-based variants included (the router's lowest-id
     // arbitration is the simulator's).
     for algo in Algorithm::ALL {
-        let bsp = BspMachine::with_seed(16, 7);
+        let bsp = bsp_machine(7);
         let mut m = Lockstep::new(Pram::with_seed(16, 7), bsp, algo.name());
         assert!(algo.run_on(&mut m, 128).0, "{}", algo.name());
     }
@@ -121,10 +140,10 @@ fn the_additive_claim_shows_up_in_the_profile_of_a_contended_step() {
     // processors write one cell is measured as one queue of length k — not
     // k supersteps, not a k-fold message blow-up.
     let k = 500usize;
-    let mut bsp = BspMachine::with_seed(16, 0);
+    let mut bsp = bsp_machine(0);
     bsp.ensure_memory(8);
     bsp.par_for(k, |p, ctx| ctx.write(0, p as u64));
-    assert_eq!(bsp.queue_profile(), &[k as u64]);
+    assert_eq!(bsp.trace().queue_profile(), &[k as u64]);
     let cost = bsp.cost_report().bsp.unwrap();
     assert_eq!(cost.measured_cost, k as u64, "one step costs max(m, k) = k");
     assert_eq!(
@@ -150,8 +169,9 @@ fn bsp_costs_are_pinned_at_every_thread_count() {
     // Every count the BSP backend reports, for five registry members at
     // n = 257 and seed 11: supersteps, messages, max queue, max h, measured
     // cost, predicted cost, queue-profile digest, steps, claim attempts,
-    // contended claims.  Read off the machine as it stood before its memory
-    // and step loop were folded into `Pram`; the fold must not move one.
+    // contended claims.  Read off the BSP machine as it stood before its
+    // memory, step loop and router were folded into `Pram`; no fold may move
+    // one, at any thread count.
     #[rustfmt::skip]
     const PINS: [(&str, [u64; 10]); 5] = [
         ("permutation-qrqw",  [56, 9518, 4, 8, 66, 660, 11817106295901674309, 31, 414, 157]),
@@ -160,10 +180,10 @@ fn bsp_costs_are_pinned_at_every_thread_count() {
         ("load-balance-qrqw", [23, 2127, 1, 2, 14, 140, 5885718554116463749, 13, 5, 0]),
         ("list-rank",         [30, 12605, 1, 2, 38, 380, 17915376804715743845, 20, 0, 0]),
     ];
-    for threads in [1, 2] {
+    for threads in [1, 2, 5] {
         for (name, want) in PINS {
             let algo = Algorithm::parse(name).expect(name);
-            let mut bsp = BspMachine::with_threads(16, 11, threads);
+            let mut bsp = Pram::with_bsp(16, 11, threads);
             let (valid, _) = algo.run_on(&mut bsp, 257);
             assert!(valid, "{name} invalid on {threads} threads");
             let report = bsp.cost_report();
@@ -175,7 +195,7 @@ fn bsp_costs_are_pinned_at_every_thread_count() {
                 cost.max_h_relation,
                 cost.measured_cost,
                 cost.predicted_cost,
-                fnv1a(&bsp.queue_profile()),
+                fnv1a(&bsp.trace().queue_profile()),
                 report.steps,
                 report.claim_attempts,
                 report.contended_claims,
@@ -198,35 +218,10 @@ fn skewed_churn_scenarios_stay_measured_below_charged() {
         let mut sim = Pram::with_seed(16, 31);
         let want = scenario.run_churn(&mut sim, 96, 31);
         assert!(want.valid, "{spec} invalid on sim");
-        let mut bsp = BspMachine::with_seed(16, 31);
+        let mut bsp = bsp_machine(31);
         let got = scenario.run_churn(&mut bsp, 96, 31);
         assert!(got.valid, "{spec} invalid on bsp");
         assert_eq!(got.digest, want.digest, "{spec}: digest diverged");
-
-        let charged = sim.trace().contention_profile();
-        let measured = bsp.queue_profile();
-        assert_eq!(
-            measured.len(),
-            charged.len(),
-            "{spec}: step counts diverged"
-        );
-        for (i, (&q, &k)) in measured.iter().zip(&charged).enumerate() {
-            assert!(
-                q <= k,
-                "{spec}: step {i} realized queue {q} > charged contention {k}"
-            );
-        }
-        let t_qrqw = sim.trace().time(CostModel::Qrqw);
-        let cost = bsp.cost_report().bsp.expect("bsp cost section");
-        assert_eq!(
-            cost.measured_cost, t_qrqw,
-            "{spec}: measured emulation cost diverged from the charged QRQW time"
-        );
-        assert!(
-            cost.measured_cost <= cost.predicted_cost,
-            "{spec}: measured {} exceeded the predicted bound {}",
-            cost.measured_cost,
-            cost.predicted_cost
-        );
+        assert_measured_within_charged(&sim, &bsp, spec);
     }
 }
