@@ -5,18 +5,18 @@
 //! machine-readable JSON report, so the repository's perf history is a
 //! committed artifact (`BENCH_native.json`, `BENCH_workloads.json`) instead
 //! of folklore.  Both kinds are one sweep ([`qrqw_bench::sweep`]): per
-//! `(subject, n)` the simulator's run is the reference, and every cell is
-//! held to it by the step-drift guard and, on BSP, the Theorem 1.1
-//! cross-check.
+//! `(subject, n)` the simulator's run is the reference, every cell is held
+//! to it by the step-drift guard, and the simulator's BSP section (its run
+//! priced as the Theorem 1.1 emulation) by the Theorem 1.1 check.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run -p qrqw-bench --release --bin perf_report            # full sweep
 //! cargo run -p qrqw-bench --release --bin perf_report -- \
-//!     [--backend sim,native,native-steal,bsp|all] [--sizes 65536,1048576] \
+//!     [--backend sim,native,native-steal|all] [--sizes 65536,1048576] \
 //!     [--algos all|name,name | --scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
-//!     [--seed 1] [--threads N] [--sim-cap N] [--bsp-cap N] [--out PATH]
+//!     [--seed 1] [--threads N] [--sim-cap N] [--out PATH]
 //! ```
 //!
 //! * `--backend` selects the reported backends (default: all); `native`
@@ -31,20 +31,19 @@
 //!   inline `<dist>/<i>:<d>:<l>/<epochs>` specs, and changes the defaults
 //!   to `--sizes 4096` and `--out BENCH_workloads.json` (otherwise
 //!   `--sizes 65536,1048576`, `--out BENCH_native.json`);
-//! * `--threads` forces the native/BSP thread count (otherwise
-//!   `QRQW_THREADS` / host parallelism decides);
-//! * `--sim-cap` / `--bsp-cap` skip simulator / BSP runs above that size:
-//!   both machines pay O(work) host time per step and hold a step log, so
-//!   the huge-n native columns of `BENCH_native.json` are affordable only
-//!   with them (the BSP cap defaults to 2¹⁷).  A capped column is `null`
-//!   in the JSON; above `--sim-cap` an algorithm row has no reference and
-//!   is unguarded, and a scenario, whose row is the reference's outcome,
+//! * `--threads` forces the native pool size and the simulator's walk
+//!   width (otherwise `QRQW_THREADS` / host parallelism decides);
+//! * `--sim-cap` skips simulator runs above that size: the simulator pays
+//!   O(work) host time per step and holds a step log, so huge-n native-only
+//!   rows are affordable only with it.  A capped column is `null` in the
+//!   JSON; above `--sim-cap` an algorithm row has no reference and is
+//!   unguarded, and a scenario, whose row is the reference's outcome,
 //!   refuses the size;
 //! * the simulator reference runs for every `(subject, n)` within
 //!   `--sim-cap` whether or not `sim` is reported, so every other cell at
 //!   that size is guarded;
 //! * the exit code is non-zero if **any** cell fails its validator, the
-//!   drift guard or the Theorem 1.1 cross-check, so CI can use a small run
+//!   drift guard or the Theorem 1.1 check, so CI can use a small run
 //!   as a cross-backend smoke check.
 //!
 //! The JSON shapes are documented in [`qrqw_bench::sweep`].
@@ -57,9 +56,9 @@ use qrqw_bench::{Algorithm, Backend, Subject};
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: perf_report [--backend sim,native,native-steal,bsp|all] [--sizes N,N] \
+        "usage: perf_report [--backend sim,native,native-steal|all] [--sizes N,N] \
          [--algos all|name,name | --scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
-         [--seed S] [--threads T] [--sim-cap N] [--bsp-cap N] [--out PATH]"
+         [--seed S] [--threads T] [--sim-cap N] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -72,7 +71,6 @@ fn parse_args() -> (Sweep, String) {
         seed: 1,
         threads: None,
         sim_cap: usize::MAX,
-        bsp_cap: 1 << 17,
     };
     let mut sizes = None;
     let mut out = None;
@@ -127,9 +125,6 @@ fn parse_args() -> (Sweep, String) {
             }
             "--sim-cap" => {
                 sweep.sim_cap = value().parse().unwrap_or_else(|_| usage("bad --sim-cap"))
-            }
-            "--bsp-cap" => {
-                sweep.bsp_cap = value().parse().unwrap_or_else(|_| usage("bad --bsp-cap"))
             }
             "--out" => out = Some(value()),
             other => usage(&format!("unknown flag {other:?}")),

@@ -17,8 +17,9 @@
 //! * `perf_report` — one [`sweep`] of [`Subject`]s (registry
 //!   [`Algorithm`]s or churn [`scenario`]s) over any set of [`Backend`]s,
 //!   every cell judged against the simulator's run by
-//!   [`BackendRun::agrees_with`] and the BSP cross-check (committed
-//!   `BENCH_native.json` / `BENCH_workloads.json`).
+//!   [`BackendRun::agrees_with`], and the simulator's BSP section by the
+//!   Theorem 1.1 check (committed `BENCH_native.json` /
+//!   `BENCH_workloads.json`).
 //! * `rss_guard` — peak-RSS probe of staged arena growth.
 //! * `service_report` — the `qrqw-serve` load sweep over resident keys ×
 //!   fault plans × batch caps × workloads: throughput, latency, goodput,
@@ -52,7 +53,8 @@ pub mod workload;
 /// Which [`Machine`] backend a harness run executes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The exact-cost QRQW PRAM simulator ([`Pram`]).
+    /// The exact-cost QRQW PRAM simulator, built with [`Pram::with_bsp`]
+    /// so its report also prices the run as the Theorem 1.1 BSP emulation.
     Sim,
     /// The native pooled-threads/atomics machine ([`NativeMachine`]) on a
     /// [`Schedule::Chunked`] step pool.
@@ -61,27 +63,18 @@ pub enum Backend {
     /// to [`Backend::Native`] in every observable; only wall-clock under
     /// skew differs.
     NativeSteal,
-    /// The batch-message BSP machine of Theorem 1.1 ([`Pram::with_bsp`]):
-    /// the simulator with its messages counted.
-    Bsp,
 }
 
 impl Backend {
     /// Every backend, simulator first.
-    pub const ALL: [Backend; 4] = [
-        Backend::Sim,
-        Backend::Native,
-        Backend::NativeSteal,
-        Backend::Bsp,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Sim, Backend::Native, Backend::NativeSteal];
 
-    /// Short name (`"sim"` / `"native"` / `"native-steal"` / `"bsp"`).
+    /// Short name (`"sim"` / `"native"` / `"native-steal"`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Sim => "sim",
             Backend::Native => "native",
             Backend::NativeSteal => "native-steal",
-            Backend::Bsp => "bsp",
         }
     }
 
@@ -442,15 +435,16 @@ impl Subject {
     }
 
     /// Builds the machine `backend` names — seeded with `seed`, its step
-    /// pool on `threads` threads (`None`: `QRQW_THREADS` / host
-    /// parallelism) — runs this subject at size `n` on it, and reports
+    /// pool (or the simulator's walk) on `threads` threads (`None`:
+    /// `QRQW_THREADS` / host parallelism) — runs this subject at size `n`
+    /// on it, and reports
     /// timing, validity, the machine's cost report and, for a scenario, the
     /// churn outcome.  Every harness machine is constructed here, so a
     /// run's backend label and its machine cannot disagree.
     pub fn run(&self, backend: Backend, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
         let pool = || threads.map_or_else(StepPool::from_env, StepPool::with_threads);
         match backend {
-            Backend::Sim => self.run_on(Pram::with_seed(16, seed), n),
+            Backend::Sim => self.run_on(Pram::with_bsp(16, seed, pool().threads()), n),
             Backend::Native | Backend::NativeSteal => {
                 let schedule = if backend == Backend::Native {
                     Schedule::Chunked
@@ -460,7 +454,6 @@ impl Subject {
                 let pool = pool().with_schedule(schedule);
                 self.run_on(NativeMachine::with_pool(16, seed, pool), n)
             }
-            Backend::Bsp => self.run_on(Pram::with_bsp(16, seed, pool().threads()), n),
         }
     }
 
@@ -688,8 +681,8 @@ mod tests {
     fn backend_sets_parse_names_and_all() {
         assert_eq!(Backend::parse_set("all"), Some(Backend::ALL.to_vec()));
         assert_eq!(
-            Backend::parse_set("bsp,sim"),
-            Some(vec![Backend::Bsp, Backend::Sim])
+            Backend::parse_set("native,sim"),
+            Some(vec![Backend::Native, Backend::Sim])
         );
         assert_eq!(Backend::parse_set("nope"), None);
         assert_eq!(Backend::parse_set(""), None);
@@ -697,22 +690,22 @@ mod tests {
 
     #[test]
     fn bsp_runs_carry_measured_and_predicted_costs() {
-        let run = PERMUTATION.run(Backend::Bsp, 256, 3, None);
+        let run = PERMUTATION.run(Backend::Sim, 256, 3, None);
         assert!(run.valid);
-        let bsp = run.report.bsp.expect("bsp run must fill the BSP section");
+        let bsp = run.report.bsp.expect("a sim run must fill the BSP section");
         assert!(bsp.measured_cost > 0);
+        assert_eq!(Some(bsp.measured_cost), run.report.time_qrqw);
         assert!(
             bsp.measured_cost <= bsp.predicted_cost,
             "measured {} exceeded the Theorem 1.1 bound {}",
             bsp.measured_cost,
             bsp.predicted_cost
         );
-        // The sim and bsp runs of one seed are the same trajectory, so the
-        // claim counters must agree exactly.
-        let sim = PERMUTATION.run(Backend::Sim, 256, 3, None);
-        assert_eq!(run.report.claim_attempts, sim.report.claim_attempts);
-        assert_eq!(run.report.contended_claims, sim.report.contended_claims);
-        assert_eq!(run.report.steps, sim.report.steps);
+        // The BSP section is bookkeeping on the walk: a native run of the
+        // same seed is the same trajectory, so the counters agree exactly.
+        let native = PERMUTATION.run(Backend::Native, 256, 3, Some(2));
+        let counters = |r: &CostReport| (r.steps, r.claim_attempts, r.contended_claims);
+        assert_eq!(counters(&run.report), counters(&native.report));
     }
 
     #[test]

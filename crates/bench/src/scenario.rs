@@ -18,8 +18,8 @@
 //! in host trace order (occupy-claim winners are the lowest claimant
 //! index on every backend), and rebuild triggers depend only on host-side
 //! counters.  One churn trace therefore produces **bit-identical**
-//! digests, step counts, and per-epoch contention totals on sim, native,
-//! native-steal, and BSP machines at any thread count — which is what
+//! digests, step counts, and per-epoch contention totals on sim, native
+//! and native-steal machines at any thread count — which is what
 //! `tests/scenarios.rs` pins and what `perf_report`'s drift guard
 //! ([`crate::BackendRun::agrees_with`]) checks on every `--scenario` cell.
 //!

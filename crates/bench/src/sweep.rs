@@ -9,35 +9,36 @@
 //!   the simulator's exact charged trajectory, so any difference in steps,
 //!   contended claims or (for a scenario) per-epoch contention and end-state
 //!   digest means its hot path stopped executing the QRQW charge;
-//! * the **Theorem 1.1 cross-check** on a BSP cell: its `measured_cost`
-//!   must not exceed the reference's independently traced `time_qrqw` (the
-//!   machine's own `predicted_cost` is `measured_cost · ⌈lg p⌉` by
-//!   construction and is reported, not gated on).
+//! * the **Theorem 1.1 check** on the simulator's own BSP section (the
+//!   simulator is a [`qrqw_sim::Pram::with_bsp`], so its report prices the
+//!   run as the BSP emulation too): `measured_cost` must equal the cell's
+//!   traced `time_qrqw` and stay within `predicted_cost`, so a BSP section
+//!   that drifts from the trace fails the cell.
 //!
-//! A cell is valid when its own validator, the guard and the cross-check
-//! all pass; above `sim_cap` an algorithm row has no reference and its cells
+//! A cell is valid when its own validator, the guard and the check all
+//! pass; above `sim_cap` an algorithm row has no reference and its cells
 //! carry their validator only.  A scenario row needs the reference: its
 //! header (ops, skew, per-epoch contention) is the reference's outcome.
 //!
 //! Every cell writes one object: `wall_ms`, `steps`, `claim_attempts`,
 //! `contended_claims`, `valid`, plus `contention_per_op` for a churn run,
-//! `drift_free` when the row had a reference, `work` / `max_contention` /
-//! `time_qrqw` from the simulator and the seven measured BSP fields from
-//! the BSP machine.  Only the row and document headers differ by subject
-//! kind, so that `BENCH_native.json` (algorithms) and `BENCH_workloads.json`
+//! `drift_free` when the row had a reference, and on the simulator's cell
+//! `work` / `max_contention` / `time_qrqw` and the seven measured BSP
+//! fields.  Only the row and document headers differ by subject kind, so
+//! that `BENCH_native.json` (algorithms) and `BENCH_workloads.json`
 //! (scenarios) keep their shapes:
 //!
 //! ```text
 //! {"algorithm": "permutation-qrqw", "n": 65536,
-//!  "native": {cell}, "native_steal": {cell}, "sim": {cell}, "bsp": {cell},
+//!  "native": {cell}, "native_steal": {cell}, "sim": {cell},
 //!  "sim_over_native": 26.86, "chunked_over_stealing": 0.939}
 //! {"scenario": "zipf-hot", "dist": …, "churn": …, "epochs": …, "n": …,
 //!  "seed": …, "ops": …, "hot_fraction": …, "epoch_contention": […],
 //!  "backends": {"sim": {cell}, "native": {cell}, …}, "valid": true}
 //! ```
 //!
-//! A backend that was not asked for, or was skipped by a cap, is `null` in
-//! an algorithm row and absent from a scenario row's `backends`.
+//! A backend that was not asked for, or a simulator skipped by the cap, is
+//! `null` in an algorithm row and absent from a scenario row's `backends`.
 
 use qrqw_exec::StepPool;
 
@@ -56,12 +57,11 @@ pub struct Sweep {
     pub sizes: Vec<usize>,
     /// Machine (and trace) seed of every run.
     pub seed: u64,
-    /// Native/BSP pool size (`None`: `QRQW_THREADS` / host parallelism).
+    /// Native pool size and simulator walk width (`None`: `QRQW_THREADS`
+    /// / host parallelism).
     pub threads: Option<usize>,
     /// Largest `n` the simulator runs at; above it a row has no reference.
     pub sim_cap: usize,
-    /// Largest `n` the BSP machine runs at.
-    pub bsp_cap: usize,
 }
 
 /// One backend's run in a row, with the report's verdict on it.
@@ -69,7 +69,7 @@ struct Cell {
     run: BackendRun,
     /// The drift guard's verdict, when the row had a reference.
     drift_free: Option<bool>,
-    /// Validator, drift guard and Theorem 1.1 cross-check together.
+    /// Validator, drift guard and Theorem 1.1 check together.
     valid: bool,
 }
 
@@ -91,13 +91,15 @@ impl Cell {
                 r.report.contended_claims,
             );
         }
-        let charged = reference.and_then(|r| r.report.time_qrqw);
-        let within_bound = match (run.report.bsp, charged) {
-            (Some(b), Some(charged)) if b.measured_cost > charged => {
+        let within_bound = match run.report.bsp {
+            Some(b)
+                if Some(b.measured_cost) != run.report.time_qrqw
+                    || b.measured_cost > b.predicted_cost =>
+            {
                 eprintln!(
-                    "perf_report: {} n={}: bsp measured cost {} exceeds the \
-                     simulator's charged QRQW time {charged}",
-                    run.subject, run.n, b.measured_cost,
+                    "perf_report: {} n={}: bsp measured cost {} is not the traced \
+                     QRQW time {:?} or exceeds the predicted cost {}",
+                    run.subject, run.n, b.measured_cost, run.report.time_qrqw, b.predicted_cost,
                 );
                 false
             }
@@ -186,14 +188,13 @@ impl Sweep {
         };
         println!(
             "perf_report: {} subjects, backends {:?}, sizes {:?}, seed {}, threads {threads} \
-             (host cores {}), sim cap {}, bsp cap {}",
+             (host cores {}), sim cap {}",
             self.subjects.len(),
             self.backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
             self.sizes,
             self.seed,
             rayon::current_num_threads(),
             cap(self.sim_cap),
-            cap(self.bsp_cap),
         );
 
         let mut rows = Vec::new();
@@ -211,17 +212,6 @@ impl Sweep {
                             Some(r) => r.clone(),
                             None => continue,
                         },
-                        Backend::Bsp if n > self.bsp_cap => {
-                            // Never let an asked-for backend be skipped
-                            // silently: a green report must not read as
-                            // coverage it lacks.
-                            eprintln!(
-                                "perf_report: note: skipping bsp at n={n} (> --bsp-cap {}); \
-                                 raise --bsp-cap to include it",
-                                self.bsp_cap
-                            );
-                            continue;
-                        }
                         _ => run(backend),
                     };
                     cells.push(Cell::judge(run, reference.as_ref()));
@@ -292,7 +282,6 @@ fn algorithm_row(name: &str, n: usize, cells: &[Cell]) -> Json {
         ("native", column(Backend::Native)),
         ("native_steal", column(Backend::NativeSteal)),
         ("sim", column(Backend::Sim)),
-        ("bsp", column(Backend::Bsp)),
         ("sim_over_native", ratio(Backend::Sim, Backend::Native, 2)),
         (
             "chunked_over_stealing",

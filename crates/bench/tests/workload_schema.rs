@@ -87,7 +87,6 @@ fn small_sweep(subjects: Vec<Subject>, backends: Vec<Backend>) -> Sweep {
         seed: 3,
         threads: Some(2),
         sim_cap: usize::MAX,
-        bsp_cap: usize::MAX,
     }
 }
 
@@ -121,13 +120,12 @@ fn workloads_report_round_trips_and_matches_the_schema() {
 }
 
 /// The exact key set of a `BENCH_native.json` run entry.
-const RUN_KEYS: [&str; 8] = [
+const RUN_KEYS: [&str; 7] = [
     "algorithm",
     "n",
     "native",
     "native_steal",
     "sim",
-    "bsp",
     "sim_over_native",
     "chunked_over_stealing",
 ];
@@ -146,8 +144,8 @@ const NATIVE_DOC_KEYS: [&str; 8] = [
 
 /// Checks an algorithm-row document (`BENCH_native.json`): exact key sets
 /// of the document and of every run entry, every algorithm a registry
-/// name, every column `null` or a cell with the common fields plus the
-/// simulator's or the BSP machine's own, and nothing else.
+/// name, every column `null` or a cell with the common fields plus, on the
+/// simulator's, its model fields and its BSP section, and nothing else.
 fn check_native_doc(doc: &Json) {
     let keys = |v: &Json| -> Vec<String> {
         match v {
@@ -174,13 +172,15 @@ fn check_native_doc(doc: &Json) {
                 "{ratio}: {value:?}"
             );
         }
-        let own: [(&str, &[&str]); 4] = [
+        let own: [(&str, &[&str]); 3] = [
             ("native", &[]),
             ("native_steal", &[]),
-            ("sim", &["work", "max_contention", "time_qrqw"]),
             (
-                "bsp",
+                "sim",
                 &[
+                    "work",
+                    "max_contention",
+                    "time_qrqw",
                     "supersteps",
                     "messages",
                     "max_queue",
@@ -231,7 +231,7 @@ fn native_report_and_committed_artifact_match_the_algorithm_row_schema() {
     assert_eq!(back, doc);
     check_native_doc(&back);
     let runs = back.get("runs").and_then(Json::as_arr).unwrap();
-    for column in ["native", "native_steal", "sim", "bsp"] {
+    for column in ["native", "native_steal", "sim"] {
         let cell = runs[0].get(column).unwrap();
         assert_eq!(cell.get("drift_free"), Some(&Json::Bool(true)), "{column}");
     }

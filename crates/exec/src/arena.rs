@@ -327,7 +327,8 @@ impl Arena {
     }
 
     /// Raw address of the cell at `addr` — for the no-move and alignment
-    /// assertions of the test suite.
+    /// assertions of the unit tests.
+    #[cfg(test)]
     pub(crate) fn cell_addr(&self, addr: usize) -> usize {
         self.cell(addr) as *const AtomicU64 as usize
     }

@@ -462,8 +462,8 @@ impl NativeMachine {
 
     /// Raw scratch-buffer addresses, for the allocation-stability tests: a
     /// warm machine must keep these fixed across steps.
-    #[doc(hidden)]
-    pub fn scratch_fingerprint(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn scratch_fingerprint(&self) -> (usize, usize, usize) {
         (
             self.scratch.live.as_ptr() as usize,
             self.scratch.cas_won.as_ptr() as usize,
@@ -471,10 +471,10 @@ impl NativeMachine {
         )
     }
 
-    /// Raw address of the cell backing `addr`, for the no-move and
-    /// alignment assertions of the test suite.
-    #[doc(hidden)]
-    pub fn cell_addr(&self, addr: usize) -> usize {
+    /// Raw address of the cell backing `addr`, for the no-move assertions
+    /// of the unit tests.
+    #[cfg(test)]
+    fn cell_addr(&self, addr: usize) -> usize {
         self.arena.cell_addr(addr)
     }
 }

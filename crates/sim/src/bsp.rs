@@ -220,7 +220,7 @@ mod tests {
     use super::*;
     use crate::memory::SharedMemory;
     use crate::step::{launch, StepScratch};
-    use crate::{Machine, Pram};
+    use crate::{ClaimMode, Machine, Pram, EMPTY};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -594,12 +594,6 @@ mod tests {
             ctx.write(8 + p, v);
         });
         let report = m.cost_report();
-        assert_eq!(report.backend, "bsp");
-        assert_eq!(
-            (report.work, report.max_contention, report.time_qrqw),
-            (None, None, None),
-            "the BSP section replaces the model-side fields"
-        );
         let bsp = report
             .bsp
             .expect("a BSP machine must fill its cost section");
@@ -617,6 +611,30 @@ mod tests {
         assert_eq!(bsp.max_h_relation, 16);
         assert_eq!(bsp.supersteps, 3);
         assert!(report.to_string().contains("measured=8 predicted=80"));
+    }
+
+    #[test]
+    fn the_bsp_section_rides_next_to_the_model_fields() {
+        // The same program on a plain and a BSP-costed machine: the
+        // model-side fields and every other count are the plain run's, and
+        // only the BSP-costed report carries the BSP section.
+        let run = |mut m: Pram| {
+            m.par_for(600, |p, ctx| {
+                let v = ctx.read(p % 7);
+                ctx.write(100 + p % 300, if v == EMPTY { p as u64 } else { v });
+            });
+            m.seq_step(|ctx| ctx.write(3, 9));
+            m.scan_step(100, 300);
+            m.claim(&[(1, 50), (2, 50), (3, 51)], ClaimMode::Occupy);
+            let mut report = m.cost_report();
+            report.wall = Default::default();
+            report
+        };
+        let plain = run(Pram::with_seed(512, 4));
+        let mut costed = run(Pram::with_bsp(512, 4, 2));
+        assert!(plain.work.is_some() && plain.bsp.is_none());
+        assert!(costed.bsp.take().is_some());
+        assert_eq!(costed, plain);
     }
 
     #[test]

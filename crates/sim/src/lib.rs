@@ -66,9 +66,10 @@
 //! * [`model`] — the [`CostModel`] enumeration and per-step cost functions.
 //! * [`pram`] — the [`Pram`] driver tying everything together, and its
 //!   [`Machine`] implementation.  [`Pram::with_bsp`] builds one that also
-//!   runs as the batch-message BSP machine of Theorem 1.1, counting the
-//!   supersteps, messages and h-relations of each step's walk next to the
-//!   predicted bound ([`BspCost`]).
+//!   prices its run as the batch-message BSP emulation of Theorem 1.1,
+//!   counting the supersteps, messages and h-relations of each step's walk
+//!   next to the predicted bound ([`BspCost`]) in a second section of its
+//!   cost report.
 //! * [`rng`] — deterministic per-(seed, step, processor) random streams.
 //! * [`schedule`] — the BSP emulation charge of Theorem 1.1 and the integer
 //!   logarithms (`lg`, `√lg`, `lg lg`, `lg*`) of the paper's bounds.

@@ -8,10 +8,11 @@
 //!
 //! * [`crate::Pram`] — the simulator: exact per-step traces, every cost
 //!   model, deterministic write arbitration.  Built with
-//!   [`crate::Pram::with_bsp`] it is also the batch-message BSP machine of
-//!   Theorem 1.1: supersteps, messages and the heaviest h-relation counted
-//!   next to the predicted bound ([`BspCost`]).  Its realized queues are
-//!   the simulator's contention by construction.
+//!   [`crate::Pram::with_bsp`] it also prices its run as the batch-message
+//!   BSP emulation of Theorem 1.1: supersteps, messages and the heaviest
+//!   h-relation counted next to the predicted bound ([`BspCost`]), a second
+//!   section of the same report.  Its realized queues are the simulator's
+//!   contention by construction.
 //! * `NativeMachine` (crate `qrqw-exec`) — real threads and atomics:
 //!   wall-clock time and contended-CAS counts, under either chunk
 //!   schedule of its step pool.
@@ -128,10 +129,10 @@ pub trait MachineProc {
 /// counted on the step's walk.  The queue-derived fields are not an independent
 /// measurement: with same-processor combining the longest per-cell queue
 /// *is* the Definition 2.1 contention, so `max_queue` and `measured_cost`
-/// are the backend's own trace read as queues, and `measured_cost` equals
+/// are the simulator's own trace read as queues, and `measured_cost` equals
 /// that trace's QRQW time by construction.  Making it a measurement that
 /// could exceed `predicted_cost` needs cells hashed to components and each
-/// superstep charged `w + g·h + L`, which no backend does yet.
+/// superstep charged `w + g·h + L`, which the simulator does not do yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BspCost {
     /// Number of BSP components (`p` in the Theorem 1.1 bound).
@@ -143,14 +144,14 @@ pub struct BspCost {
     /// Messages routed (read requests count twice: request + reply).
     pub messages: u64,
     /// Longest per-cell message queue in any step: the largest contention
-    /// of the backend's trace (0 for a run of empty steps).
+    /// of the simulator's trace (0 for a run of empty steps).
     pub max_queue: u64,
     /// Largest number of messages routed through one component in any
     /// superstep — the `h` of the costliest realized h-relation.
     pub max_h_relation: u64,
     /// Emulation cost as the sum over steps of `max(local ops, longest
     /// queue)` in h-relation units (barrier latency is visible in
-    /// `supersteps`, not folded in here) — the backend's trace time under
+    /// `supersteps`, not folded in here) — the simulator's trace time under
     /// [`crate::CostModel::Qrqw`], by construction.
     pub measured_cost: u64,
     /// The Theorem 1.1 formula bound for the same run:
@@ -163,13 +164,12 @@ pub struct BspCost {
 /// The simulator fills the model-side fields from its exact trace and leaves
 /// wall-clock as host time; a native backend has no trace, so the model-side
 /// fields are `None` and the measured fields are wall-clock time and
-/// contended claims (its CAS-failure analogue of queue contention).  The
-/// BSP backend additionally fills [`CostReport::bsp`] with its realized
-/// superstep/message/queue measurements.
+/// contended claims (its CAS-failure analogue of queue contention).  A
+/// simulator built with [`crate::Pram::with_bsp`] also fills
+/// [`CostReport::bsp`]: the same run priced as the Theorem 1.1 emulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostReport {
-    /// Short backend name (`"sim"`, `"native"`, `"native-steal"`,
-    /// `"bsp"`).
+    /// Short backend name (`"sim"`, `"native"`, `"native-steal"`).
     pub backend: &'static str,
     /// Synchronous steps executed (identical across backends for the same
     /// algorithm, seed and input — see the backend contract).
@@ -188,7 +188,8 @@ pub struct CostReport {
     pub max_contention: Option<u64>,
     /// Running time under the QRQW metric (simulator only).
     pub time_qrqw: Option<u64>,
-    /// Measured BSP emulation quantities (BSP backend only).
+    /// Measured BSP emulation quantities (a [`crate::Pram::with_bsp`]
+    /// simulator only).
     pub bsp: Option<BspCost>,
 }
 
@@ -232,8 +233,7 @@ pub trait Machine {
     where
         Self: Sized;
 
-    /// Short backend name (`"sim"`, `"native"`, `"native-steal"`,
-    /// `"bsp"`).
+    /// Short backend name (`"sim"`, `"native"`, `"native-steal"`).
     fn backend(&self) -> &'static str;
 
     /// The master random seed of this run.

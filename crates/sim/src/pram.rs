@@ -40,13 +40,13 @@ impl Pram {
     }
 
     /// Creates a PRAM with `mem_size` cells (all [`crate::EMPTY`]) that
-    /// also runs as the batch-message BSP machine of Theorem 1.1: every
-    /// step's walk counts its messages per component (1024 components,
-    /// cells dealt cyclically), its launches and walk fan out over `threads`
-    /// threads instead of the host's, and [`Machine::cost_report`] carries
-    /// the BSP section ([`crate::BspCost`]) in place of the model-side
-    /// fields, under the backend name `"bsp"`.  Results, trace and step
-    /// counts are a plain `Pram`'s, at any thread count.
+    /// also prices its run as the batch-message BSP emulation of Theorem
+    /// 1.1: every step's walk counts its messages per component (1024
+    /// components, cells dealt cyclically), its launches and walk fan out
+    /// over `threads` threads instead of the host's, and
+    /// [`Machine::cost_report`] carries the BSP section ([`crate::BspCost`])
+    /// next to the model-side fields.  Results, trace and step counts are a
+    /// plain `Pram`'s, at any thread count.
     pub fn with_bsp(mem_size: usize, seed: u64, threads: usize) -> Self {
         Pram {
             bsp: Some(Box::new(Bsp::new(threads))),
@@ -94,11 +94,7 @@ impl Machine for Pram {
     }
 
     fn backend(&self) -> &'static str {
-        if self.bsp.is_some() {
-            "bsp"
-        } else {
-            "sim"
-        }
+        "sim"
     }
 
     fn seed(&self) -> u64 {
@@ -300,32 +296,20 @@ impl Machine for Pram {
         success
     }
 
-    /// A [`Pram::with_bsp`] machine reports its BSP section in place of
-    /// the model-side fields.
+    /// The model-side fields come from the trace; a [`Pram::with_bsp`]
+    /// machine adds its BSP section.
     fn cost_report(&self) -> CostReport {
         let time_qrqw = self.trace.time(CostModel::Qrqw);
-        let report = CostReport {
+        CostReport {
             backend: self.backend(),
             steps: self.steps_executed,
             wall: self.created.elapsed(),
             claim_attempts: self.claim_attempts,
             contended_claims: self.claim_failures,
-            work: None,
-            max_contention: None,
-            time_qrqw: None,
-            bsp: None,
-        };
-        match &self.bsp {
-            None => CostReport {
-                work: Some(self.trace.work()),
-                max_contention: Some(self.trace.max_contention()),
-                time_qrqw: Some(time_qrqw),
-                ..report
-            },
-            Some(bsp) => CostReport {
-                bsp: Some(bsp.cost(&self.trace, time_qrqw)),
-                ..report
-            },
+            work: Some(self.trace.work()),
+            max_contention: Some(self.trace.max_contention()),
+            time_qrqw: Some(time_qrqw),
+            bsp: self.bsp.as_ref().map(|b| b.cost(&self.trace, time_qrqw)),
         }
     }
 }

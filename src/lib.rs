@@ -5,8 +5,8 @@
 //! package:
 //!
 //! * [`sim`] — the QRQW PRAM simulator, the cost models, and the
-//!   [`sim::Machine`] backend trait; [`sim::Pram::with_bsp`] builds the
-//!   batch-message BSP machine that measures the Theorem 1.1 emulation
+//!   [`sim::Machine`] backend trait; a [`sim::Pram::with_bsp`] simulator
+//!   also counts its run as the batch-message BSP emulation of Theorem 1.1
 //!   instead of formula-charging it,
 //! * [`prims`] — parallel primitives (prefix sums, broadcasting, claiming,
 //!   compaction, list ranking, integer/bitonic sorts), generic over the

@@ -48,7 +48,7 @@ fn registry_names_are_stable_and_parse_round_trips() {
     );
     assert!(
         Backend::ALL.len() >= 3,
-        "sim, native and bsp must stay registered"
+        "sim and both native schedules must stay registered"
     );
 }
 
@@ -85,14 +85,18 @@ fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() 
 }
 
 #[test]
-fn only_the_bsp_backend_fills_the_bsp_cost_section() {
+fn every_sim_run_carries_the_model_and_bsp_sections_and_no_native_run_does() {
     for backend in Backend::ALL {
-        let run = Subject::Algorithm(Algorithm::ListRank).run(backend, 64, 1, None);
-        assert_eq!(
-            run.report.bsp.is_some(),
-            backend == Backend::Bsp,
-            "{} report has the wrong BSP-section shape",
-            backend.name()
-        );
+        let r = Subject::Algorithm(Algorithm::ListRank)
+            .run(backend, 64, 1, None)
+            .report;
+        let sections = [
+            r.work.is_some(),
+            r.max_contention.is_some(),
+            r.time_qrqw.is_some(),
+            r.bsp.is_some(),
+        ];
+        let sim = backend == Backend::Sim;
+        assert_eq!(sections, [sim; 4], "{} report sections", backend.name());
     }
 }

@@ -1,6 +1,7 @@
 //! The parity suite (`tests/common/parity.rs`) instantiated once per
-//! registered backend; the simulator's Lockstep pair is `Pram` against
-//! itself.  Adding a backend to `qrqw_bench::Backend::ALL` fails the build
+//! registered backend; the simulator's Lockstep pairs are a plain `Pram`
+//! against a BSP-costed one walking at 1, 2 and 5 threads.  Adding a
+//! backend to `qrqw_bench::Backend::ALL` fails the build
 //! until `lockstep::pairs` gives it pairs, and fails the drift guard below
 //! until it has a `parity_suite!` entry here.
 
@@ -16,7 +17,6 @@ parity_suite!(
     sim: Backend::Sim,
     native: Backend::Native,
     native_steal: Backend::NativeSteal,
-    bsp: Backend::Bsp,
 );
 
 #[test]

@@ -108,16 +108,15 @@ impl Case {
         survivors.max(self.base + self.input.len())
     }
 
-    /// The machines the case runs on: every native pair, and the model
-    /// backends where the stage route is cheap enough.
+    /// The machines the case runs on: every native pair, and the
+    /// simulator (walking on 2 threads) where the stage route is cheap
+    /// enough.
     fn machines(&self) -> Vec<Pair> {
         let model = match self.kernel {
-            Kernel::ScanStep | Kernel::GlobalOr | Kernel::Compact(_) => vec![Pair::Sim],
             // The stage route is one loop with no shape-dependent path, so
-            // the model backends run only the small networks.
+            // the simulator runs only the small networks.
             Kernel::Bitonic(..) if self.input.len() > 1 << 13 => vec![],
-            Kernel::Bitonic(..) => vec![Pair::Sim, Pair::Bsp(THREADS[1])],
-            Kernel::ScanTree(_) | Kernel::CountingPass(_) => vec![Pair::Bsp(THREADS[1])],
+            _ => vec![Pair::Sim(THREADS[1])],
         };
         [pairs_of(NATIVE), model].concat()
     }

@@ -406,16 +406,16 @@ impl<A: Machine, B: Machine> Machine for Lockstep<A, B> {
     }
 }
 
-/// The machine a Lockstep pair runs against the simulator.
+/// The machine a Lockstep pair runs against a plain simulator: the
+/// BSP-costed simulator walking on `t` threads, or the native machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pair {
-    Sim,
+    Sim(usize),
     Native(usize, Schedule),
-    Bsp(usize),
 }
 
-/// Pool sizes every pooled pair runs at: sequential, the smallest chunked
-/// count, and an odd oversubscribed one.
+/// Pool sizes (and simulator walk widths) every pair runs at: sequential,
+/// the smallest chunked count, and an odd oversubscribed one.
 pub const THREADS: [usize; 3] = [1, 2, 5];
 
 /// The native machine under both chunk schedules.
@@ -428,13 +428,12 @@ pub const NATIVE: [Backend; 2] = [Backend::Native, Backend::NativeSteal];
 /// chunked 1-thread pair.
 pub fn pairs(backend: Backend) -> Vec<Pair> {
     match backend {
-        Backend::Sim => vec![Pair::Sim],
+        Backend::Sim => THREADS.map(Pair::Sim).into(),
         Backend::Native => THREADS.map(|t| Pair::Native(t, Schedule::Chunked)).into(),
         Backend::NativeSteal => THREADS[1..]
             .iter()
             .map(|&t| Pair::Native(t, Schedule::Stealing))
             .collect(),
-        Backend::Bsp => THREADS.map(Pair::Bsp).into(),
     }
 }
 
@@ -453,20 +452,15 @@ macro_rules! each_machine {
             use $crate::common::lockstep::Pair;
             let seed: u64 = $seed;
             match $pair {
-                Pair::Sim => {
+                Pair::Sim(threads) => {
                     #[allow(unused_mut)]
-                    let mut $m = Pram::with_seed(16, seed);
+                    let mut $m = Pram::with_bsp(16, seed, threads);
                     $body;
                 }
                 Pair::Native(threads, schedule) => {
                     let pool = StepPool::with_threads(threads).with_schedule(schedule);
                     #[allow(unused_mut)]
                     let mut $m = NativeMachine::with_pool(16, seed, pool);
-                    $body;
-                }
-                Pair::Bsp(threads) => {
-                    #[allow(unused_mut)]
-                    let mut $m = Pram::with_bsp(16, seed, threads);
                     $body;
                 }
             }

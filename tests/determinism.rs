@@ -2,9 +2,9 @@
 //! runs through `Lockstep<Pram, _>` (`tests/common/lockstep.rs`) on the
 //! native machine at 1, 2 and 5 threads chunked and 2 and 5 stealing (at
 //! one thread a dispatch runs inline and never reads the schedule), and on
-//! the BSP machine at 1, 2 and 5 threads ([`SMALL`]), and through one
-//! pooled pair per family at a size the step pool splits into chunks
-//! ([`LARGE`]).  The sweep is split by member group and pair family so
+//! the BSP-costed simulator walking at 1, 2 and 5 threads ([`SMALL`]), and
+//! through one pooled pair per family at a size the step pool splits into
+//! chunks ([`LARGE`]).  The sweep is split by member group and pair family so
 //! libtest runs it in parallel.  The raw-trait instances and the
 //! injected-drift checks of Lockstep itself live here too, as do the
 //! tests of the machine-call table (`tests/common/kernels.rs`): every
@@ -26,7 +26,8 @@ use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, Pram, EMPTY};
 /// The small problem size every registry member runs at on every pair.
 /// The step pool runs a dispatch of at most 2048 items inline as one chunk,
 /// so at this size every thread count and schedule takes the one-thread
-/// path; only the BSP sink and the per-step comparison differ.
+/// path; only the BSP sink, the walk width and the per-step comparison
+/// differ.
 const SMALL: usize = 256;
 
 /// The large problem size: its full-width steps split into 512-item
@@ -40,10 +41,9 @@ const LARGE: usize = 3000;
 /// covers it.
 fn pooled(backend: Backend) -> Vec<Pair> {
     match backend {
-        Backend::Sim => vec![],
+        Backend::Sim => vec![Pair::Sim(THREADS[2])],
         Backend::Native => vec![Pair::Native(THREADS[1], Schedule::Chunked)],
         Backend::NativeSteal => vec![Pair::Native(THREADS[2], Schedule::Stealing)],
-        Backend::Bsp => vec![Pair::Bsp(THREADS[2])],
     }
 }
 
@@ -80,7 +80,7 @@ fn lone_run<M: Machine>(m: &mut M, algo: Algorithm, n: usize) -> (bool, [u64; 3]
 /// Runs `members` through the pairs of `backend`, at [`SMALL`] on every
 /// pair and at [`LARGE`] on the pooled one: outputs validate, the rule-3
 /// step count matches its pin, the contention totals match the
-/// simulator's, and a model-backed machine (BSP) never needs a resync.  A
+/// simulator's, and a simulator pair never needs a resync.  A
 /// resync makes the machine under test partly the simulator, so a member
 /// with rule-3 steps also runs alone and must leave the simulator's state.
 fn sweep(members: impl IntoIterator<Item = Algorithm>, backend: Backend) {
@@ -100,8 +100,8 @@ fn sweep(members: impl IntoIterator<Item = Algorithm>, backend: Backend) {
                     want,
                     "{label}: contention totals"
                 );
-                if backend == Backend::Bsp {
-                    assert_eq!(m.resynced_steps(), 0, "{label}: bsp resynced");
+                if backend == Backend::Sim {
+                    assert_eq!(m.resynced_steps(), 0, "{label}: sim resynced");
                 }
             });
             if rule3_steps(algo, n) > 0 {
@@ -208,10 +208,11 @@ fn stealing_sorts_are_bit_identical_at_every_thread_count() {
     sweep(SORTS, Backend::NativeSteal);
 }
 
-/// The members that place nothing through claims.
+/// The members that place nothing through claims, on the BSP-costed
+/// simulator at every walk width.
 #[test]
 fn bsp_outputs_are_bit_identical_at_every_thread_count() {
-    sweep(claiming(false), Backend::Bsp);
+    sweep(claiming(false), Backend::Sim);
 }
 
 /// The claiming members, and the realized queues of a claim-heavy run: a
@@ -220,7 +221,7 @@ fn bsp_outputs_are_bit_identical_at_every_thread_count() {
 /// and the measured cost is the simulator's exact QRQW time.
 #[test]
 fn bsp_contention_totals_and_measured_profile_are_thread_count_invariant() {
-    sweep(claiming(true), Backend::Bsp);
+    sweep(claiming(true), Backend::Sim);
     let measured = |threads| {
         let bsp = Pram::with_bsp(16, 11, threads);
         let mut m = Lockstep::new(Pram::with_seed(16, 11), bsp, format!("bsp {threads}"));
@@ -239,7 +240,7 @@ fn bsp_contention_totals_and_measured_profile_are_thread_count_invariant() {
 
 #[test]
 fn bsp_sorts_are_bit_identical_at_every_thread_count() {
-    sweep(SORTS, Backend::Bsp);
+    sweep(SORTS, Backend::Sim);
 }
 
 #[test]

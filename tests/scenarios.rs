@@ -1,5 +1,5 @@
 //! Every registered churn scenario through `Lockstep<Pram, _>` on every
-//! native and BSP pair: one churn trace (skewed keys, mixed epochs, live
+//! native and simulator pair: one churn trace (skewed keys, mixed epochs, live
 //! table state, each epoch one service batch) must re-execute step for step
 //! on every backend at every thread count.  The scenarios reach
 //! `propagate_nonempty_forward`, so each has a pinned count of rule-3 steps,
@@ -14,7 +14,7 @@ use qrqw_suite::sim::{Machine, Pram};
 
 const N: usize = 128;
 const SEED: u64 = 21;
-const PAIRS: [Backend; 3] = [Backend::Native, Backend::NativeSteal, Backend::Bsp];
+const PAIRS: [Backend; 3] = [Backend::Native, Backend::NativeSteal, Backend::Sim];
 
 /// A lone run of `scenario`: its outcome (end-state digest, per-epoch
 /// contention, measured skew) and its step and claim totals.
@@ -25,7 +25,8 @@ fn lone<M: Machine>(m: &mut M, scenario: &Scenario) -> (ChurnOutcome, [u64; 3]) 
 }
 
 /// Runs `scenario` through every pair: the run validates against the host
-/// model, its rule-3 step count is `rule3_steps`, and BSP never resyncs.
+/// model, its rule-3 step count is `rule3_steps`, and a simulator pair
+/// never resyncs.
 /// A resync makes the machine under test partly the simulator, so every
 /// pair's machine also runs the scenario alone and must match a lone
 /// simulator run.  Returns the simulator's claim attempts.
@@ -41,8 +42,8 @@ fn lockstep(scenario: &Scenario, rule3_steps: u64) -> u64 {
         let valid = scenario.run_churn(&mut m, N, SEED).valid;
         assert!(valid, "{label}: invalid");
         assert_eq!(m.rule3_steps(), rule3_steps, "{label}: rule-3 steps");
-        if m.backend() == "bsp" {
-            assert_eq!(m.resynced_steps(), 0, "{label}: bsp resynced");
+        if m.backend() == "sim" {
+            assert_eq!(m.resynced_steps(), 0, "{label}: sim resynced");
         }
         claims = m.cost_report().claim_attempts;
     });

@@ -26,9 +26,6 @@
 //! counts of the walk — supersteps, messages, the heaviest h-relation — are
 //! pinned exactly below, at 1, 2 and 5 threads.
 
-mod common;
-
-use common::lockstep::Lockstep;
 use qrqw_bench::Algorithm;
 use qrqw_suite::algos::{is_permutation, random_permutation_qrqw};
 use qrqw_suite::exec::StepPool;
@@ -122,19 +119,6 @@ fn measured_total_cost_equals_the_charged_qrqw_time_and_respects_the_bound() {
 }
 
 #[test]
-fn claim_and_step_counters_stay_in_lockstep_with_the_simulator() {
-    // The emulation must not skip or add protocol steps: Lockstep compares
-    // the step indices after every step and the claim counters after every
-    // claim, occupy-based variants included (the router's lowest-id
-    // arbitration is the simulator's).
-    for algo in Algorithm::ALL {
-        let bsp = bsp_machine(7);
-        let mut m = Lockstep::new(Pram::with_seed(16, 7), bsp, algo.name());
-        assert!(algo.run_on(&mut m, 128).0, "{}", algo.name());
-    }
-}
-
-#[test]
 fn the_additive_claim_shows_up_in_the_profile_of_a_contended_step() {
     // Direct illustration of "additive in k": a single step in which k
     // processors write one cell is measured as one queue of length k — not
@@ -166,7 +150,7 @@ fn fnv1a(words: &[u64]) -> u64 {
 
 #[test]
 fn bsp_costs_are_pinned_at_every_thread_count() {
-    // Every count the BSP backend reports, for five registry members at
+    // Every count the BSP section reports, for five registry members at
     // n = 257 and seed 11: supersteps, messages, max queue, max h, measured
     // cost, predicted cost, queue-profile digest, steps, claim attempts,
     // contended claims.  Read off the BSP machine as it stood before its
