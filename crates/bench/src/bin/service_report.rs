@@ -28,7 +28,7 @@
 //!     --resident-keys 4096,65536,1048576 --out BENCH_chaos.json
 //! cargo run -p qrqw-bench --release --bin service_report -- \
 //!     [--clients N] [--requests N] [--batch-sizes 1,64,1024,8192] \
-//!     [--workloads hash,counter,task,churn,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
+//!     [--workloads hash,counter,task,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
 //!     [--panic-rates 0] [--resident-keys 0] [--threads T] [--seed S] [--quick] [--out PATH]
 //! ```
 //!
@@ -61,7 +61,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: service_report [--clients N] [--requests N] [--batch-sizes N,N] \
-         [--workloads hash,counter,task,churn,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
+         [--workloads hash,counter,task,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
          [--panic-rates N,N] [--resident-keys N,N] [--threads T] [--seed S] [--quick] [--out PATH]"
     );
     std::process::exit(2);

@@ -599,17 +599,6 @@ mod tests {
     const PERMUTATION: Subject = Subject::Algorithm(Algorithm::PermutationQrqw);
 
     #[test]
-    fn every_algorithm_runs_on_every_backend() {
-        for algo in Algorithm::ALL {
-            for backend in Backend::ALL {
-                let run = Subject::Algorithm(algo).run(backend, 128, 5, None);
-                assert!(run.valid, "{} failed on {}", algo.name(), backend.name());
-                assert!(run.format().contains(backend.name()));
-            }
-        }
-    }
-
-    #[test]
     fn every_backend_and_pool_size_runs_the_machine_its_label_names() {
         // The one constructor knows what it built: the run's label, the
         // machine's own report and the registry name agree, and the charged

@@ -65,18 +65,13 @@ pub enum ServiceWorkload {
     Counter,
     /// Task-pool traffic: 55% submit, 45% steal.
     Task,
-    /// Hash churn: 40% insert, 20% delete, 40% lookup over the same
-    /// keyspace — sustained presence turnover, exercising tombstones and
-    /// growth-time purges.  Not part of [`ServiceWorkload::ALL`], so the
-    /// committed `BENCH_service.json` sweep's shape is unchanged.
-    Churn,
     /// Uniform mix of hash/counter/task.
     Mix,
 }
 
 impl ServiceWorkload {
-    /// The default sweep set of `service_report` (churn and the mix are
-    /// opt-in through its `--workloads`).
+    /// The default sweep set of `service_report` (the mix is opt-in
+    /// through its `--workloads`).
     pub const ALL: [ServiceWorkload; 3] = [
         ServiceWorkload::Hash,
         ServiceWorkload::Counter,
@@ -89,7 +84,6 @@ impl ServiceWorkload {
             ServiceWorkload::Hash => "hash",
             ServiceWorkload::Counter => "counter",
             ServiceWorkload::Task => "task",
-            ServiceWorkload::Churn => "churn",
             ServiceWorkload::Mix => "mix",
         }
     }
@@ -100,7 +94,6 @@ impl ServiceWorkload {
             "hash" => Some(ServiceWorkload::Hash),
             "counter" => Some(ServiceWorkload::Counter),
             "task" => Some(ServiceWorkload::Task),
-            "churn" => Some(ServiceWorkload::Churn),
             "mix" => Some(ServiceWorkload::Mix),
             _ => None,
         }
@@ -354,14 +347,6 @@ fn generate(
                 0..=3 => Request::HashInsert { key },
                 4..=7 => Request::HashLookup { key },
                 _ => Request::HashContains { key },
-            }
-        }
-        ServiceWorkload::Churn => {
-            let key = sampler.sample(rng);
-            match rng.gen_range(0..10u64) {
-                0..=3 => Request::HashInsert { key },
-                4..=5 => Request::HashDelete { key },
-                _ => Request::HashLookup { key },
             }
         }
         ServiceWorkload::Counter => {

@@ -187,11 +187,6 @@ impl KeySampler {
     pub fn pool(&self) -> &[u64] {
         &self.pool
     }
-
-    /// Size of the keyspace the sampler draws ranks from.
-    pub fn keyspace(&self) -> u64 {
-        self.n
-    }
 }
 
 #[cfg(test)]

@@ -20,12 +20,6 @@ impl ContentionCounter {
         Self::default()
     }
 
-    /// Records one claim attempt and whether it failed.
-    #[inline]
-    pub fn record(&self, failed: bool) {
-        self.add(1, failed as u64);
-    }
-
     /// Records a batch of `attempts` claim attempts, `failures` of which
     /// failed — two atomic adds total, so a claim pass can aggregate its
     /// bookkeeping per chunk instead of paying per-attempt increments.
@@ -69,9 +63,8 @@ mod tests {
     fn counts_attempts_and_failures() {
         let c = ContentionCounter::new();
         assert_eq!((c.attempts(), c.failures()), (0, 0));
-        c.record(false);
-        c.record(true);
-        c.record(true);
+        c.add(1, 0);
+        c.add(2, 2);
         assert_eq!(c.attempts(), 3);
         assert_eq!(c.failures(), 2);
     }
@@ -80,7 +73,7 @@ mod tests {
     fn is_safe_to_share_across_threads() {
         let c = ContentionCounter::new();
         crate::StepPool::with_threads(4).dispatch(10_000, 1, |lo, hi| {
-            (lo..hi).for_each(|i| c.record(i % 4 == 0));
+            (lo..hi).for_each(|i| c.add(1, (i % 4 == 0) as u64));
         });
         assert_eq!(c.attempts(), 10_000);
         assert_eq!(c.failures(), 2_500);

@@ -1409,39 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_step_matches_sequential_prefix() {
-        let mut m = NativeMachine::new(0);
-        let n = 20_000usize;
-        let vals: Vec<u64> = (0..n as u64).map(|i| i % 7).collect();
-        Machine::ensure_memory(&mut m, n);
-        Machine::load(&mut m, 0, &vals);
-        let total = m.scan_step(0, n);
-        assert_eq!(total, vals.iter().sum::<u64>());
-        let got = Machine::dump(&m, 0, n);
-        let mut acc = 0u64;
-        for i in 0..n {
-            acc += vals[i];
-            assert_eq!(got[i], acc, "mismatch at {i}");
-        }
-    }
-
-    #[test]
-    fn scan_step_treats_empty_as_zero() {
-        let mut m = NativeMachine::new(4);
-        Machine::poke(&mut m, 1, 5);
-        assert_eq!(m.scan_step(0, 4), 5);
-        assert_eq!(Machine::dump(&m, 0, 4), vec![0, 5, 5, 5]);
-    }
-
-    #[test]
-    fn global_or_detects_any_nonzero() {
-        let mut m = NativeMachine::new(5000);
-        assert!(!m.global_or_step(0, 5000));
-        Machine::poke(&mut m, 4321, 9);
-        assert!(m.global_or_step(0, 5000));
-    }
-
-    #[test]
     fn exclusive_claim_is_deterministic_and_restores_contested_cells() {
         let mut m = NativeMachine::new(8);
         let ok = m.claim(&[(1, 4), (2, 4), (3, 4), (4, 6)], ClaimMode::Exclusive);
@@ -1505,81 +1472,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_step_random_stream_matches_the_simulator() {
-        let mut native = NativeMachine::with_seed(4, 31);
-        let a = native.seq_step(|ctx| ctx.random_index(1 << 20));
-        let b = native.seq_step(|ctx| ctx.random_index(1 << 20));
-        let mut sim = qrqw_sim::Pram::with_seed(4, 31);
-        let c = Machine::seq_step(&mut sim, |ctx| ctx.random_index(1 << 20));
-        let d = Machine::seq_step(&mut sim, |ctx| ctx.random_index(1 << 20));
-        assert_eq!((a, b), (c, d));
-    }
-
-    #[test]
-    fn random_streams_match_the_simulator() {
-        // The same (seed, step, proc) coordinates must give the same draws
-        // on both backends — the cornerstone of cross-backend parity.
-        let mut native = NativeMachine::with_seed(4, 77);
-        let native_draws = native.par_map(64, |_p, ctx| ctx.random_index(1000));
-        let mut sim = qrqw_sim::Pram::with_seed(4, 77);
-        let sim_draws = Machine::par_map(&mut sim, 64, |_p, ctx| ctx.random_index(1000));
-        assert_eq!(native_draws, sim_draws);
-    }
-
-    #[test]
-    fn random_streams_match_the_simulator_at_every_thread_count() {
-        let mut sim = qrqw_sim::Pram::with_seed(4, 77);
-        let sim_draws = Machine::par_map(&mut sim, 5000, |_p, ctx| ctx.random_index(1 << 30));
-        for threads in [1, 2, 3, 8] {
-            let mut native = NativeMachine::with_threads(4, 77, threads);
-            let draws = native.par_map(5000, |_p, ctx| ctx.random_index(1 << 30));
-            assert_eq!(draws, sim_draws, "thread count {threads} diverged");
-        }
-    }
-
-    fn stealing(mem_size: usize, seed: u64, threads: usize) -> NativeMachine {
-        let pool = StepPool::with_threads(threads).with_schedule(Schedule::Stealing);
-        NativeMachine::with_pool(mem_size, seed, pool)
-    }
-
-    #[test]
-    fn stealing_steps_claims_and_memory_behave_like_the_chunked_machine() {
-        let attempts: Vec<(u64, usize)> = (0..5000u64)
-            .map(|i| (i + 1, (i as usize * 7) % 2048))
-            .collect();
-        let mut chunked = NativeMachine::with_threads(2048, 0, 4);
-        let mut stealing = stealing(2048, 0, 4);
-        assert_eq!(stealing.backend(), "native-steal");
-        let a = chunked.claim(&attempts, ClaimMode::Exclusive);
-        let b = stealing.claim(&attempts, ClaimMode::Exclusive);
-        assert_eq!(a, b);
-        assert_eq!(
-            chunked.contention().failures(),
-            stealing.contention().failures()
-        );
-        assert_eq!(
-            Machine::steps_executed(&chunked),
-            Machine::steps_executed(&stealing)
-        );
-        for addr in 0..2048 {
-            assert_eq!(
-                Machine::peek(&chunked, addr),
-                Machine::peek(&stealing, addr)
-            );
-        }
-        assert!((0..2048).any(|a| Machine::peek(&stealing, a) == EMPTY));
-    }
-
-    #[test]
-    fn stealing_random_streams_match_the_chunked_machine() {
-        let mut chunked = NativeMachine::with_threads(4, 77, 3);
-        let mut stealing = stealing(4, 77, 3);
-        let a = chunked.par_map(5000, |_p, ctx| ctx.random_index(1 << 30));
-        let b = stealing.par_map(5000, |_p, ctx| ctx.random_index(1 << 30));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn bulk_memory_ops_work_above_the_inline_cutoff() {
         let n = 100_000usize;
         let mut m = NativeMachine::with_threads(0, 0, 4);
@@ -1590,36 +1482,6 @@ mod tests {
         Machine::clear_region(&mut m, 10, n - 10);
         assert_eq!(Machine::peek(&m, 9), vals[9]);
         assert!((10..n).all(|a| Machine::peek(&m, a) == EMPTY));
-    }
-
-    #[test]
-    fn large_exclusive_claims_match_across_thread_counts() {
-        // 40k attempts over 16k cells: plenty of collisions, chunked over
-        // word-aligned dispatch.  Exclusive outcomes must not depend on the
-        // thread count, and contention totals must agree.
-        let k = 40_000usize;
-        let cells = 16_384usize;
-        let attempts: Vec<(u64, usize)> = (0..k)
-            .map(|i| (i as u64 + 1, (i * 2654435761) % cells))
-            .collect();
-        let run = |threads: usize| {
-            let mut m = NativeMachine::with_threads(cells, 0, threads);
-            let ok = m.claim(&attempts, ClaimMode::Exclusive);
-            (ok, m.contention().attempts(), m.contention().failures())
-        };
-        let baseline = run(1);
-        for threads in [2, 5] {
-            assert_eq!(run(threads), baseline, "thread count {threads} diverged");
-        }
-        // Cross-check against a sequential model: success iff unique
-        // claimant of the cell.
-        let mut count_per_cell = vec![0u32; cells];
-        for &(_, a) in &attempts {
-            count_per_cell[a] += 1;
-        }
-        for (i, &(_, a)) in attempts.iter().enumerate() {
-            assert_eq!(baseline.0[i], count_per_cell[a] == 1, "attempt {i}");
-        }
     }
 
     #[test]
@@ -1656,27 +1518,6 @@ mod tests {
             m.arena_stats().shards >= 11,
             "growth must have added shards"
         );
-    }
-
-    #[test]
-    fn compact_step_matches_the_simulator_even_for_raw_destinations() {
-        // A destination above the allocator mark: the default route's
-        // scratch release rolls `heap_top` back, and the native override
-        // must evolve `heap_top` identically or later allocations diverge
-        // across backends.
-        fn drive<M: Machine>(m: &mut M) -> (u64, Vec<u64>, usize, usize) {
-            m.ensure_memory(8);
-            m.poke(1, 5);
-            m.poke(3, 9);
-            let count = m.compact_step(0, 8, 20);
-            let compacted = m.dump(20, count as usize);
-            let next_alloc = m.alloc(4);
-            (count, compacted, m.heap_top(), next_alloc)
-        }
-        let mut native = NativeMachine::with_seed(8, 0);
-        let mut sim = qrqw_sim::Pram::with_seed(8, 0);
-        assert_eq!(drive(&mut native), drive(&mut sim));
-        assert_eq!(native.steps_executed, sim.steps_executed());
     }
 
     #[test]
@@ -1756,31 +1597,5 @@ mod tests {
         Machine::clear_region(&mut m, tail, 4096);
         let won = m.claim(&attempts, ClaimMode::Exclusive);
         assert!(won.iter().all(|&b| !b), "every cell is contested by a pair");
-    }
-
-    #[test]
-    fn occupy_claims_match_the_exclusive_contention_totals_model() {
-        // Occupy mode hands contested cells to one winner, so the number of
-        // failures is (live attempts − cells won) — deterministic even
-        // though the winner is not.  Check totals across thread counts.
-        let k = 30_000usize;
-        let cells = 8192usize;
-        let attempts: Vec<(u64, usize)> = (0..k)
-            .map(|i| (i as u64 + 1, (i * 40503) % cells))
-            .collect();
-        let run = |threads: usize| {
-            let mut m = NativeMachine::with_threads(cells, 0, threads);
-            let ok = m.claim(&attempts, ClaimMode::Occupy);
-            let winners = ok.iter().filter(|&&b| b).count();
-            (
-                winners,
-                m.contention().attempts(),
-                m.contention().failures(),
-            )
-        };
-        let baseline = run(1);
-        for threads in [2, 5] {
-            assert_eq!(run(threads), baseline, "thread count {threads} diverged");
-        }
     }
 }

@@ -1,40 +1,12 @@
-//! Binary broadcasting and value duplication.
+//! Value duplication and segmented broadcast.
 //!
-//! Broadcasting a value to `k` processors requires `Ω(lg k)` time on the
-//! QRQW PRAM (Theorem 3.1 quotes the lower bound from the companion paper),
-//! and the matching upper bound is the plain binary-doubling broadcast
-//! implemented here.  The same doubling pattern implements the paper's
-//! *duplication* technique (Section 1.2): "if a program variable is to be
-//! read by `k` processors, replace the variable with `k` copies and let
-//! each processor read a random copy" — used by the hashing algorithm
-//! (Lemma 6.4) and the binary-search fat-tree (Section 7.2).
+//! Binary doubling implements the paper's *duplication* technique (Section
+//! 1.2): "if a program variable is to be read by `k` processors, replace
+//! the variable with `k` copies and let each processor read a random copy"
+//! — used by the hashing algorithm (Lemma 6.4) and the binary-search
+//! fat-tree (Section 7.2).
 
 use qrqw_sim::Machine;
-
-/// Copies the value at `src_addr` into the `count` cells
-/// `dest_base .. dest_base + count` in `O(lg count)` EREW-legal steps and
-/// `O(count)` work.
-pub fn broadcast_cell<M: Machine>(m: &mut M, src_addr: usize, dest_base: usize, count: usize) {
-    if count == 0 {
-        return;
-    }
-    m.ensure_memory(dest_base + count);
-    // Seed the first destination cell.
-    m.par_for(1, |_p, ctx| {
-        let v = ctx.read(src_addr);
-        ctx.write(dest_base, v);
-    });
-    // Double the copied prefix until it covers the region.
-    let mut have = 1usize;
-    while have < count {
-        let add = have.min(count - have);
-        m.par_for(add, |p, ctx| {
-            let v = ctx.read(dest_base + p);
-            ctx.write(dest_base + have + p, v);
-        });
-        have += add;
-    }
-}
 
 /// Duplicates each of the `k` values `mem[src_base + i]` into `copies`
 /// consecutive cells starting at `dest_base + i * copies`, in
@@ -45,6 +17,11 @@ pub fn broadcast_cell<M: Machine>(m: &mut M, src_addr: usize, dest_base: usize, 
 /// for a random `r`, so `κ` concurrent readers of the same logical value
 /// spread over `copies` cells and the expected contention drops to
 /// `κ / copies`.
+///
+/// With `k = 1` it is the binary broadcast of one value to `copies` cells.
+/// Broadcasting to `copies` processors requires `Ω(lg copies)` time on the
+/// QRQW PRAM (Theorem 3.1 quotes the lower bound from the companion
+/// paper), so the doubling here is optimal.
 pub fn duplicate_values<M: Machine>(
     m: &mut M,
     src_base: usize,
@@ -125,32 +102,6 @@ pub fn propagate_nonempty_forward<M: Machine>(m: &mut M, base: usize, len: usize
 mod tests {
     use super::*;
     use qrqw_sim::{CostModel, Pram};
-
-    #[test]
-    fn broadcast_fills_region_with_value() {
-        let mut pram = Pram::new(64);
-        pram.poke(0, 99);
-        broadcast_cell(&mut pram, 0, 10, 37);
-        assert!(pram.dump(10, 37).iter().all(|&v| v == 99));
-        assert_eq!(pram.trace().violations(CostModel::Erew), 0);
-    }
-
-    #[test]
-    fn broadcast_time_is_logarithmic() {
-        let mut pram = Pram::new(2048);
-        pram.poke(0, 1);
-        broadcast_cell(&mut pram, 0, 1, 1024);
-        let t = pram.trace().time(CostModel::Qrqw);
-        assert!(t <= 2 * 11, "broadcast of 1024 cells took {t} steps");
-        assert!(pram.trace().work() <= 3 * 1024);
-    }
-
-    #[test]
-    fn broadcast_of_zero_cells_is_noop() {
-        let mut pram = Pram::new(4);
-        broadcast_cell(&mut pram, 0, 0, 0);
-        assert_eq!(pram.trace().num_steps(), 0);
-    }
 
     #[test]
     fn duplicate_values_makes_block_copies() {

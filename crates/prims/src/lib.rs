@@ -9,9 +9,9 @@
 //!
 //! * [`prefix`] — work-optimal EREW prefix sums (Blelloch up/down sweep),
 //!   the `Θ(lg n)`-time tool behind the EREW baselines of Table I.
-//! * [`broadcast`] — binary broadcasting of a cell to `k` cells in
-//!   `O(lg k)` EREW steps, and bulk value duplication (the paper's
-//!   "replace a program variable with k copies" technique, Section 1.2).
+//! * [`broadcast`] — bulk value duplication in `O(lg k)` EREW steps for
+//!   `k` copies (the paper's "replace a program variable with k copies"
+//!   technique, Section 1.2), and the segmented forward broadcast.
 //! * [`reduce`] — binary-tree global OR.
 //! * [`listrank`] — pointer-jumping list ranking (used by the load-balancing
 //!   input-format conversion of Section 3).
@@ -43,7 +43,7 @@ pub mod reduce;
 pub mod util;
 
 pub use bitonic::bitonic_sort;
-pub use broadcast::{broadcast_cell, duplicate_values, propagate_nonempty_forward};
+pub use broadcast::{duplicate_values, propagate_nonempty_forward};
 pub use claim::{ClaimMode, TeamDarts};
 pub use compaction::{compact_erew, linear_compaction, LinearCompactionOutcome};
 pub use intsort::{radix_sort_packed, stable_sort_small_range};

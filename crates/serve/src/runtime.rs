@@ -445,8 +445,8 @@ pub(crate) fn run_batcher(
     (state, stats)
 }
 
-/// Applies one batch — checkpoint, apply under panic containment, roll
-/// back and bisect on panic — and completes every slot.
+/// Applies one batch — checkpoint, then [`apply`] under panic containment
+/// — and completes every slot.
 fn apply_and_complete(
     state: &mut ServiceState,
     stats: &mut ServiceStats,
@@ -486,72 +486,57 @@ fn apply_and_complete(
     stats.snapshot_cells += state.checkpoint_into(ckpt) as u64;
     stats.snapshots += 1;
     stats.snapshot_wall += snap_start.elapsed();
-    match catch_unwind(AssertUnwindSafe(|| state.apply_batch(&requests))) {
-        Ok((responses, cost)) => {
-            stats.record_batch(live.len(), cost);
-            debug_assert_eq!(responses.len(), live.len());
-            for (env, resp) in live.into_iter().zip(responses) {
-                env.complete(resp);
-            }
-        }
-        Err(_) => {
-            let recovery_start = Instant::now();
-            stats.panicked_batches += 1;
-            state.restore(ckpt);
-            let mut responses = Vec::with_capacity(requests.len());
-            let mut cost = BatchCost::default();
-            isolate(state, stats, ckpt, &requests, &mut responses, &mut cost);
-            debug_assert_eq!(responses.len(), live.len());
-            stats.record_batch(live.len(), cost);
-            stats.recovery_wall += recovery_start.elapsed();
-            for (env, resp) in live.into_iter().zip(responses) {
-                env.complete(resp);
-            }
-        }
+    let (responses, cost, recovery_start) = apply(state, stats, ckpt, &requests);
+    stats.record_batch(live.len(), cost);
+    if let Some(start) = recovery_start {
+        stats.panicked_batches += 1;
+        stats.recovery_wall += start.elapsed();
+    }
+    debug_assert_eq!(responses.len(), live.len());
+    for (env, resp) in live.into_iter().zip(responses) {
+        env.complete(resp);
     }
 }
 
-/// Bisection replay.  Precondition: applying `requests` as one batch
-/// panicked, and the state has been rolled back to just before that
-/// attempt.  Splits the batch in submission order — trace determinism
-/// makes sub-batch replies identical to the original batch's
-/// would-have-been replies — recursing on any half that panics, until each
-/// poisoned request stands alone and is answered
-/// [`ServiceError::RequestPanicked`].  Every innocent request's response
-/// and effect are exactly those of the trace with the poison removed.
+/// Applies `requests` as one batch to `state`, whose checkpoint `ckpt` is
+/// in sync with it: one response per request in order, what the applied
+/// requests cost, and, if the batch panicked, when its recovery began.
 ///
-/// `ckpt` is the batcher's one checkpoint buffer: in sync with the state on
-/// entry (it was just restored), so every re-sync below copies only what
-/// the previous half wrote.  A recursion supersedes the caller's checkpoint,
-/// which is fine — the caller never restores it again, it moves on to the
-/// next half and syncs anew.
-fn isolate(
+/// On a panic the state is rolled back.  A lone request is then answered
+/// [`ServiceError::RequestPanicked`]; a longer batch is split in
+/// submission order and each half applied the same way, after the
+/// checkpoint is re-synced to the state that half starts from (copying
+/// only what the previous half wrote).  A half's own recovery moves `ckpt`
+/// on, which is safe because nothing here restores it again.  Trace
+/// determinism makes a half's replies those the whole batch would have
+/// given, so every innocent request's response and effect are exactly
+/// those of the trace with the poison removed.
+fn apply(
     state: &mut ServiceState,
     stats: &mut ServiceStats,
     ckpt: &mut ServiceCheckpoint,
     requests: &[Request],
-    responses: &mut Vec<Response>,
-    cost: &mut BatchCost,
-) {
-    if requests.len() == 1 {
+) -> (Vec<Response>, BatchCost, Option<Instant>) {
+    if let Ok((responses, cost)) = catch_unwind(AssertUnwindSafe(|| state.apply_batch(requests))) {
+        return (responses, cost, None);
+    }
+    let recovery_start = Instant::now();
+    state.restore(ckpt);
+    let mut responses = Vec::with_capacity(requests.len());
+    let mut cost = BatchCost::default();
+    if let [_] = requests {
         stats.isolated_panics += 1;
         responses.push(Err(ServiceError::RequestPanicked));
-        return;
-    }
-    let mid = requests.len() / 2;
-    for half in [&requests[..mid], &requests[mid..]] {
-        state.checkpoint_into(ckpt);
-        match catch_unwind(AssertUnwindSafe(|| state.apply_batch(half))) {
-            Ok((resp, c)) => {
-                *cost += c;
-                responses.extend(resp);
-            }
-            Err(_) => {
-                state.restore(ckpt);
-                isolate(state, stats, ckpt, half, responses, cost);
-            }
+    } else {
+        let mid = requests.len() / 2;
+        for half in [&requests[..mid], &requests[mid..]] {
+            state.checkpoint_into(ckpt);
+            let (half_responses, half_cost, _) = apply(state, stats, ckpt, half);
+            responses.extend(half_responses);
+            cost += half_cost;
         }
     }
+    (responses, cost, Some(recovery_start))
 }
 
 #[cfg(test)]

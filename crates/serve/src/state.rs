@@ -401,11 +401,6 @@ impl ServiceState {
         ServiceState { pm, core }
     }
 
-    /// Number of keys in the hash set.
-    pub fn hash_len(&self) -> usize {
-        self.core.hash.len()
-    }
-
     /// Tombstoned cells currently in the hash table (deleted keys whose
     /// cells have not yet been purged by a rebuild).
     pub fn hash_tombstones(&self) -> usize {
@@ -556,7 +551,7 @@ mod tests {
         let more: Vec<Request> = (100..160).map(|k| Request::HashInsert { key: k }).collect();
         let _ = s.apply_batch(&more);
         assert_eq!(s.hash_tombstones(), 0, "growth must purge tombstones");
-        assert_eq!(s.hash_len(), 80);
+        assert_eq!(s.digest().hash_keys.len(), 80);
         let probes: Vec<Request> = (0..30)
             .chain(100..160)
             .map(|k| Request::HashLookup { key: k })
@@ -618,7 +613,7 @@ mod tests {
         let inserts: Vec<Request> = (0..200).map(|k| Request::HashInsert { key: k }).collect();
         let (resp, _) = s.apply_batch(&inserts);
         assert!(resp.iter().all(|r| *r == Ok(Reply::Inserted(true))));
-        assert_eq!(s.hash_len(), 200);
+        assert_eq!(s.digest().hash_keys.len(), 200);
         let digest = s.digest();
         assert_eq!(digest.hash_keys, (0..200).collect::<Vec<u64>>());
         // Lookups after growth still find everything.

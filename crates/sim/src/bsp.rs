@@ -69,7 +69,7 @@ pub(crate) struct Bsp {
 }
 
 /// The traffic one walked step put on the network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Routed {
     /// Read requests, after same-processor combining.
     read_msgs: u64,
@@ -218,347 +218,50 @@ impl Bsp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::SharedMemory;
-    use crate::step::{launch, StepScratch};
     use crate::{ClaimMode, Machine, Pram, EMPTY};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    /// One processor's requests, in program order.
-    #[derive(Debug, Clone, Default)]
-    struct Requests {
-        reads: Vec<usize>,
-        writes: Vec<(usize, u64)>,
-    }
-
-    /// A memory, the walk's scratch and a BSP sink with its tallies,
-    /// stepped the way a [`Pram::with_bsp`] machine steps, but with each
-    /// step's traffic handed back instead of booked.
-    struct Fabric {
-        mem: SharedMemory,
-        scratch: StepScratch,
-        delivery: Delivery,
-        tallies: Vec<Tally>,
-    }
-
-    impl Fabric {
-        fn new(cells: usize) -> Self {
-            Fabric {
-                mem: SharedMemory::new(cells),
-                scratch: StepScratch::default(),
-                delivery: Delivery::default(),
-                tallies: Vec::new(),
-            }
-        }
-
-        /// Routes `program` (processor `p` issues `program[p]`) as one step
-        /// on `threads` threads: the measured traffic and the step's
-        /// statistics.  (The order in which a step's chunk logs reach the
-        /// walk is `crate::step`'s own test.)
-        fn route(&mut self, program: &[Requests], threads: usize) -> (Routed, StepStats) {
-            self.scratch.begin_step(self.mem.len(), threads);
-            let procs = 0..program.len();
-            launch(
-                &self.scratch,
-                self.mem.as_slice(),
-                0,
-                0,
-                procs,
-                threads,
-                |p, ctx| {
-                    for &a in &program[p].reads {
-                        ctx.read(a);
-                    }
-                    for &(a, v) in &program[p].writes {
-                        ctx.write(a, v);
-                    }
-                },
-            );
-            let cells = self.mem.as_mut_slice();
-            let stats = self
-                .scratch
-                .finish(cells, &mut self.delivery, &mut self.tallies);
-            let routed = self.delivery.routed.take().expect("the walk merged");
-            (routed, stats)
-        }
-    }
-
-    /// Routes `program` into 16 fresh cells on one thread.
-    fn routed(program: &[Requests]) -> (Routed, StepStats, Fabric) {
-        let mut fabric = Fabric::new(16);
-        let (step, stats) = fabric.route(program, 1);
-        (step, stats, fabric)
-    }
-
-    fn reads(addrs: &[usize]) -> Requests {
-        Requests {
-            reads: addrs.to_vec(),
-            ..Requests::default()
-        }
-    }
-
-    fn writes(recs: &[(usize, u64)]) -> Requests {
-        Requests {
-            writes: recs.to_vec(),
-            ..Requests::default()
-        }
-    }
 
     #[test]
-    fn lowest_processor_id_wins_each_cell() {
-        let (step, stats, fabric) = routed(&[
-            writes(&[(4, 20)]),
-            writes(&[(4, 21)]),
-            writes(&[(4, 22)]),
-            writes(&[]),
-            writes(&[]),
-            writes(&[(9, 95)]),
-        ]);
-        assert_eq!((fabric.mem.peek(4), fabric.mem.peek(9)), (20, 95));
-        assert_eq!(stats.max_write_contention, 3);
-        assert_eq!(step.write_msgs, 4);
-    }
-
-    #[test]
-    fn same_processor_duplicate_reads_are_combined() {
-        // Processor 0 reads cell 3 three times: one routed request.
-        let (step, stats, _) = routed(&[reads(&[3, 3, 3]), reads(&[3])]);
-        assert_eq!(step.read_msgs, 2);
-        assert_eq!(stats.max_read_contention, 2);
-        assert_eq!(step.messages(), 4, "a read costs request + reply");
-        assert_eq!(step.supersteps(), 2, "a request and a reply superstep");
-    }
-
-    #[test]
-    fn queue_lengths_count_distinct_processors_per_cell() {
-        let program = [
-            Requests {
-                reads: vec![0],
-                writes: vec![(5, 10)],
-            },
-            Requests {
-                reads: vec![0],
-                writes: vec![(5, 11)],
-            },
-            reads(&[0]),
-            reads(&[1]),
+    fn delivery_merges_each_steps_tallies_afresh() {
+        // Cells 0, COMPONENTS and 2·COMPONENTS share component 0; cell 5
+        // has its own.  Each step deals its distinct `(cell, processor)`
+        // pairs over the same three partials, which a merge must leave
+        // zeroed for the next step.  Reads take a request and a reply
+        // superstep, writes one delivery superstep, an empty step one
+        // barrier.
+        let steps: [(&[usize], &[usize], u64, u64); 3] = [
+            // (reads, writes, messages, supersteps)
+            (&[0, COMPONENTS, 5, 5], &[2 * COMPONENTS, 5], 10, 3),
+            (&[5], &[], 2, 2),
+            (&[], &[], 0, 1),
         ];
-        let (step, stats, _) = routed(&program);
-        assert_eq!(stats.max_read_contention, 3);
-        assert_eq!(stats.max_write_contention, 2);
-        assert_eq!(step.supersteps(), 3);
-    }
-
-    #[test]
-    fn h_relation_counts_traffic_per_component() {
-        // Cells 0 and COMPONENTS share component 0: 2 reads (×2) + 1 write.
-        let mut fabric = Fabric::new(COMPONENTS + 1);
-        let program = [
-            reads(&[0]),
-            reads(&[COMPONENTS]),
-            writes(&[(COMPONENTS, 1)]),
-        ];
-        let (step, _) = fabric.route(&program, 1);
-        assert_eq!(step.max_h, 5);
-    }
-
-    #[test]
-    fn empty_step_routes_nothing() {
-        let (step, stats, _) = routed(&[]);
-        assert_eq!(step, Routed::default());
-        assert_eq!(stats.active_procs, 0);
-        assert_eq!(step.supersteps(), 1, "a barrier all the same");
-    }
-
-    // ---- the walk against the sort it replaces ---------------------------
-
-    /// What routing returned before the walk, winners and queues included.
-    #[derive(Debug, PartialEq, Eq)]
-    struct SortedRoute {
-        winners: Vec<(usize, u64)>,
-        step: Routed,
-        read_queue: u64,
-        write_queue: u64,
-    }
-
-    /// The router that preceded the walk — merge every request with its
-    /// processor id, sort by destination, combine, measure run lengths —
-    /// with one rule made explicit: of the lowest processor's writes to a
-    /// cell, the last in program order is delivered (the sort used to
-    /// deliver the smallest value).
-    fn route_by_sorting(
-        mut reads: Vec<(usize, u64)>,
-        mut writes: Vec<(usize, u64, u64)>,
-    ) -> SortedRoute {
-        // Local combining: one request per (cell, processor).
-        reads.sort_unstable();
-        reads.dedup();
-        let read_queue = longest_run(reads.iter().map(|&(a, _)| a));
-
-        // Stable, so one processor's writes to a cell stay in program
-        // order; combining keeps the last of them.
-        writes.sort_by_key(|&(a, p, _)| (a, p));
-        writes.reverse();
-        writes.dedup_by_key(|&mut (a, p, _)| (a, p));
-        writes.reverse();
-        let write_queue = longest_run(writes.iter().map(|&(a, _, _)| a));
-
-        // Delivery: batches are grouped by destination cell and arrive in
-        // processor order, so the first message of each batch takes the cell.
-        let mut winners: Vec<(usize, u64)> = Vec::new();
-        let mut last_addr = usize::MAX;
-        for &(a, _, v) in &writes {
-            if a != last_addr {
-                winners.push((a, v));
-                last_addr = a;
+        let mut delivery = Delivery::default();
+        let mut tallies: Vec<Tally> = (0..3).map(|_| delivery.new_partial()).collect();
+        for (reads, writes, messages, supersteps) in steps {
+            for (i, &addr) in reads.iter().enumerate() {
+                Delivery::read_pair(&mut tallies[i % 3], addr);
             }
-        }
-
-        // The realized h-relation over the component-distributed cells.
-        let mut per_component = vec![0u64; COMPONENTS];
-        for &(a, _) in &reads {
-            per_component[a % COMPONENTS] += 2;
-        }
-        for &(a, _, _) in &writes {
-            per_component[a % COMPONENTS] += 1;
-        }
-        SortedRoute {
-            winners,
-            step: Routed {
+            for (i, &addr) in writes.iter().enumerate() {
+                Delivery::write_pair(&mut tallies[(i + 1) % 3], addr);
+            }
+            delivery.merge(&mut tallies);
+            let mut per_component = vec![0u64; COMPONENTS];
+            reads
+                .iter()
+                .for_each(|&a| per_component[a % COMPONENTS] += 2);
+            writes
+                .iter()
+                .for_each(|&a| per_component[a % COMPONENTS] += 1);
+            let want = Routed {
                 read_msgs: reads.len() as u64,
                 write_msgs: writes.len() as u64,
-                max_h: per_component.iter().copied().max().unwrap_or(0),
-            },
-            read_queue,
-            write_queue,
-        }
-    }
-
-    /// Longest run of equal addresses in an address-sorted sequence (0 when
-    /// empty) — the length of the fullest delivery queue.
-    fn longest_run<I: Iterator<Item = usize>>(addrs: I) -> u64 {
-        let mut best = 0u64;
-        let mut cur = 0u64;
-        let mut last = usize::MAX;
-        for a in addrs {
-            if a == last {
-                cur += 1;
-            } else {
-                cur = 1;
-                last = a;
-            }
-            best = best.max(cur);
-        }
-        best
-    }
-
-    #[test]
-    fn the_walk_agrees_with_the_sort_it_replaces() {
-        /// Every processor reads and writes one hot cell: ROADMAP's skew
-        /// adversary, all traffic in one range.
-        const HOT: u64 = 240;
-        /// A one-cell memory: however many ranges the step is cut into,
-        /// one holds all of it.
-        const ONE_RANGE: u64 = 241;
-        let mut grown = Fabric::new(40);
-        grown.mem.load(0, &(0..40).collect::<Vec<_>>());
-        let mut one_cell = Fabric::new(1);
-        one_cell.mem.load(0, &[7]);
-        for seed in 0..242u64 {
-            let fabric = if seed == ONE_RANGE {
-                &mut one_cell
-            } else {
-                &mut grown
+                max_h: per_component.into_iter().max().unwrap(),
             };
-            let mut rng = SmallRng::seed_from_u64(seed);
-            if seed % 9 == 4 {
-                // Memory grown between steps.
-                let cells = fabric.mem.len() + rng.gen_range(1..3000usize);
-                fabric.mem.ensure(cells);
-            }
-            let cells = fabric.mem.len();
-            let procs = if seed >= HOT {
-                13_000
-            } else {
-                [1usize, 6, 250, 4095, 13_000][seed as usize % 5]
-            };
-            // 0 mixed, 1 writes only, 2 reads only
-            let flavour = (seed / 5) % 3;
-            let hot = rng.gen_range(0..cells);
-            let near = cells.min(24);
-            let addr = |rng: &mut SmallRng| {
-                if rng.gen::<bool>() {
-                    rng.gen_range(0..near)
-                } else {
-                    rng.gen_range(0..cells)
-                }
-            };
-            let program: Vec<Requests> = (0..procs)
-                .map(|_| {
-                    let mut requests = Requests::default();
-                    if seed == HOT {
-                        requests.reads.push(hot);
-                        requests.writes.push((hot, rng.gen()));
-                    } else if rng.gen_range(0..5u32) > 0 {
-                        // A fifth of the processors stay idle.
-                        if flavour != 1 {
-                            requests.reads.push(hot);
-                            for _ in 0..rng.gen_range(0..3u32) {
-                                let a = addr(&mut rng);
-                                requests.reads.push(a);
-                                if rng.gen_range(0..4u32) == 0 {
-                                    requests.reads.push(a);
-                                }
-                            }
-                        }
-                        if flavour != 2 {
-                            for _ in 0..rng.gen_range(0..3u32) {
-                                let a = addr(&mut rng);
-                                requests.writes.push((a, rng.gen()));
-                                if rng.gen_range(0..4u32) == 0 {
-                                    requests.writes.push((a, rng.gen()));
-                                }
-                            }
-                        }
-                    }
-                    requests
-                })
-                .collect();
-
-            let want = route_by_sorting(
-                (0..procs)
-                    .flat_map(|p| program[p].reads.iter().map(move |&a| (a, p as u64)))
-                    .collect(),
-                (0..procs)
-                    .flat_map(|p| {
-                        program[p]
-                            .writes
-                            .iter()
-                            .map(move |&(a, v)| (a, p as u64, v))
-                    })
-                    .collect(),
+            let routed = delivery.routed.take().expect("merge leaves the traffic");
+            assert_eq!(routed, want, "reads {reads:?}, writes {writes:?}");
+            assert_eq!(
+                (routed.messages(), routed.supersteps()),
+                (messages, supersteps)
             );
-            let before = fabric.mem.dump(0, cells);
-            let mut want_cells = before.clone();
-            for &(a, v) in &want.winners {
-                want_cells[a] = v;
-            }
-
-            // One walker walks one range inline; two and five deal even
-            // the 40-cell memory to four and eight ranges, and above the
-            // cutoffs run the processors and the walk on the pool.
-            for threads in [1, 2, 5] {
-                fabric.mem.load(0, &before);
-                let tag = format!("seed {seed}, {threads} threads");
-                let (step, stats) = fabric.route(&program, threads);
-                // `read_msgs`, `write_msgs` and `max_h` are the merged tallies.
-                assert_eq!(
-                    (step, stats.max_read_contention, stats.max_write_contention),
-                    (want.step, want.read_queue, want.write_queue),
-                    "{tag}: measured traffic"
-                );
-                assert_eq!(fabric.mem.dump(0, cells), want_cells, "{tag}: memory image");
-            }
         }
     }
 

@@ -148,12 +148,6 @@ impl Trace {
         let lg_p = 64 - (p - 1).leading_zeros() as u64;
         self.time(model) * lg_p.max(1)
     }
-
-    /// Merges another trace's steps onto the end of this one (used when an
-    /// algorithm is composed of independently-simulated phases).
-    pub fn extend(&mut self, other: &Trace) {
-        self.steps.extend_from_slice(&other.steps);
-    }
 }
 
 #[cfg(test)]
@@ -216,17 +210,6 @@ mod tests {
         assert_eq!(t.time(CostModel::Crqw), 2);
         assert_eq!(t.time(CostModel::Crcw), 2);
         assert_eq!(t.violations(CostModel::Erew), 1);
-    }
-
-    #[test]
-    fn extend_concatenates_traces() {
-        let mut a = Trace::new();
-        a.push(step(1, 1, 1, 1, 1));
-        let mut b = Trace::new();
-        b.push(step(2, 2, 1, 2, 2));
-        a.extend(&b);
-        assert_eq!(a.num_steps(), 2);
-        assert_eq!(a.work(), 2 + 4);
     }
 
     #[test]

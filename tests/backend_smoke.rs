@@ -53,38 +53,6 @@ fn registry_names_are_stable_and_parse_round_trips() {
 }
 
 #[test]
-fn exclusive_claim_algorithms_report_identical_cost_counters_on_every_backend() {
-    // Lockstep proves the machines agree step by step.  This checks the
-    // harness entry point `Algorithm::run`, which builds each backend's
-    // machine itself: its step and claim counters are what `perf_report`'s
-    // drift guard compares.
-    use Algorithm::*;
-    let exclusive = [
-        PermutationQrqw,
-        PermutationDartScan,
-        CyclicFast,
-        CyclicEfficient,
-        ListRank,
-        FetchAdd,
-    ];
-    for algo in exclusive {
-        let counters: Vec<_> = Backend::ALL
-            .map(|backend| {
-                let run = Subject::Algorithm(algo).run(backend, 200, 7, None);
-                assert!(run.valid, "{} on {}", algo.name(), backend.name());
-                let r = run.report;
-                (r.steps, r.claim_attempts, r.contended_claims)
-            })
-            .into();
-        assert!(
-            counters.windows(2).all(|w| w[0] == w[1]),
-            "{}: {counters:?}",
-            algo.name()
-        );
-    }
-}
-
-#[test]
 fn every_sim_run_carries_the_model_and_bsp_sections_and_no_native_run_does() {
     for backend in Backend::ALL {
         let r = Subject::Algorithm(Algorithm::ListRank)

@@ -7,10 +7,9 @@
 
 mod common;
 
-use common::lockstep::{each_pair, pairs, pairs_of};
+use common::lockstep::pairs;
 use common::parity::parity_suite;
 use qrqw_bench::Backend;
-use qrqw_suite::algos::random_permutation_qrqw;
 use qrqw_suite::sim::Machine;
 
 parity_suite!(
@@ -25,14 +24,4 @@ fn parity_suite_covers_every_registered_backend() {
     for backend in Backend::ALL {
         assert!(!pairs(backend).is_empty(), "{backend:?} has no pairs");
     }
-}
-
-#[test]
-fn contention_totals_agree_across_all_backends() {
-    // Exclusive-claim contention is deterministic, and occupy totals are
-    // too (each contested cell has exactly one winner), so every pair's
-    // counters coincide with the simulator's at every claim.
-    each_pair!(pairs_of(Backend::ALL), 11, |m| {
-        let _ = random_permutation_qrqw(&mut m, 2048);
-    });
 }

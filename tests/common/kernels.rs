@@ -245,8 +245,7 @@ fn cases() -> Vec<Case> {
     }
     // Scan and global OR over the start of memory; EMPTY and 0 are unset.
     let n = 50_000;
-    let mod11 = (0..n as u64).map(|i| i % 11).collect();
-    add(Kernel::ScanStep, mod11, 0, n);
+    add(Kernel::ScanStep, mixed(n, 11), 0, n);
     add(Kernel::GlobalOr, vec![0; n], 0, n);
     for set in [vec![], vec![(n - 1, 3)], vec![(0, 5), (n - 1, 0)]] {
         let mut input = vec![EMPTY; n];

@@ -267,15 +267,6 @@ fn bsp_routing_order_never_affects_results() {
     }
 }
 
-#[test]
-fn fused_and_unfused_dispatch_agree_with_the_simulator_on_claim_heavy_work() {
-    // The claim protocol's passes run inline one after another at one
-    // thread and as one pooled group above it, under either schedule.
-    each_pair!(pairs_of(NATIVE), 11, |m| {
-        let _ = random_permutation_qrqw(&mut m, 8192);
-    });
-}
-
 /// One test per machine call of the table (`tests/common/kernels.rs`), so
 /// libtest runs them in parallel.
 macro_rules! kernel_tests {

@@ -69,23 +69,6 @@ fn table_two_ordering_holds_in_the_simulator() {
 }
 
 #[test]
-fn native_and_simulated_permutations_are_identical() {
-    use qrqw_suite::exec::NativeMachine;
-    use qrqw_suite::sim::Machine;
-    for n in [64usize, 1000] {
-        let mut native = NativeMachine::with_seed(16, 9);
-        let nat = random_permutation_qrqw(&mut native, n);
-        assert!(is_permutation(&nat.order));
-        let mut pram = Pram::with_seed(16, 9);
-        let sim = random_permutation_qrqw(&mut pram, n);
-        assert!(is_permutation(&sim.order));
-        // One algorithm source + shared (seed, step, proc) random streams +
-        // deterministic exclusive claims ⇒ bit-identical output.
-        assert_eq!(nat.order, sim.order);
-    }
-}
-
-#[test]
 fn integer_sort_feeds_fetch_add_emulation() {
     // The paper's pipeline: integer sorting underlies the Fetch&Add PRAM
     // emulation (Theorem 7.6).  Run both against the same PRAM.
