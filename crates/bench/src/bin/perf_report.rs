@@ -16,11 +16,11 @@
 //! cargo run -p qrqw-bench --release --bin perf_report -- \
 //!     [--backend sim,native,native-steal|all] [--sizes 65536,1048576] \
 //!     [--algos all|name,name | --scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
-//!     [--seed 1] [--threads N] [--sim-cap N] [--out PATH]
+//!     [--seed 1] [--out PATH]
 //! ```
 //!
-//! * `--backend` selects the reported backends (default: all); `native`
-//!   and `native-steal` are the native machine under the chunked and the
+//! * `--backend` selects the backends (default: all); `native` and
+//!   `native-steal` are the native machine under the chunked and the
 //!   work-stealing schedule, and whenever both ran an algorithm row carries
 //!   their wall-clock ratio;
 //! * `--algos` (default: the whole registry) and `--scenario` choose the
@@ -31,17 +31,13 @@
 //!   inline `<dist>/<i>:<d>:<l>/<epochs>` specs, and changes the defaults
 //!   to `--sizes 4096` and `--out BENCH_workloads.json` (otherwise
 //!   `--sizes 65536,1048576`, `--out BENCH_native.json`);
-//! * `--threads` forces the native pool size and the simulator's walk
-//!   width (otherwise `QRQW_THREADS` / host parallelism decides);
-//! * `--sim-cap` skips simulator runs above that size: the simulator pays
-//!   O(work) host time per step and holds a step log, so huge-n native-only
-//!   rows are affordable only with it.  A capped column is `null` in the
-//!   JSON; above `--sim-cap` an algorithm row has no reference and is
-//!   unguarded, and a scenario, whose row is the reference's outcome,
-//!   refuses the size;
-//! * the simulator reference runs for every `(subject, n)` within
-//!   `--sim-cap` whether or not `sim` is reported, so every other cell at
-//!   that size is guarded;
+//! * the simulator's run is the row's reference exactly when `sim` is
+//!   among `--backend`; without it an algorithm row's cells carry their
+//!   validators only (the simulator pays O(work) host time per step, so a
+//!   huge-n run is `--backend native,native-steal`), and `--scenario`,
+//!   whose row is the reference's outcome, refuses the set;
+//! * `QRQW_THREADS` sets the native pool size and the simulator's walk
+//!   width (otherwise host parallelism decides);
 //! * the exit code is non-zero if **any** cell fails its validator, the
 //!   drift guard or the Theorem 1.1 check, so CI can use a small run
 //!   as a cross-backend smoke check.
@@ -58,7 +54,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: perf_report [--backend sim,native,native-steal|all] [--sizes N,N] \
          [--algos all|name,name | --scenario all|name,name|<dist>/<i>:<d>:<l>/<epochs>] \
-         [--seed S] [--threads T] [--sim-cap N] [--out PATH]"
+         [--seed S] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -69,8 +65,6 @@ fn parse_args() -> (Sweep, String) {
         backends: Backend::ALL.to_vec(),
         sizes: Vec::new(),
         seed: 1,
-        threads: None,
-        sim_cap: usize::MAX,
     };
     let mut sizes = None;
     let mut out = None;
@@ -120,12 +114,6 @@ fn parse_args() -> (Sweep, String) {
                 }
             }
             "--seed" => sweep.seed = value().parse().unwrap_or_else(|_| usage("bad --seed")),
-            "--threads" => {
-                sweep.threads = Some(value().parse().unwrap_or_else(|_| usage("bad --threads")))
-            }
-            "--sim-cap" => {
-                sweep.sim_cap = value().parse().unwrap_or_else(|_| usage("bad --sim-cap"))
-            }
             "--out" => out = Some(value()),
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -143,12 +131,8 @@ fn parse_args() -> (Sweep, String) {
     if sweep.sizes.is_empty() || sweep.subjects.is_empty() {
         usage("need at least one size and one subject");
     }
-    let over_sim_cap = sweep.sizes.iter().find(|&&n| n > sweep.sim_cap);
-    if let (true, Some(n)) = (scenarios, over_sim_cap) {
-        usage(&format!(
-            "--scenario needs the sim reference at every size, but n={n} > --sim-cap {}",
-            sweep.sim_cap
-        ));
+    if scenarios && !sweep.backends.contains(&Backend::Sim) {
+        usage("--scenario needs the sim reference; add sim to --backend");
     }
     (sweep, out)
 }

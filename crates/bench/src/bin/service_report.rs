@@ -16,8 +16,8 @@
 //! per 10,000 requests.  Clients pipeline `ceil(batch_max / clients)`
 //! requests each so the large caps can actually fill (a strict closed loop
 //! with 4 clients can never form a batch of more than 4), and each client
-//! submits at least twice its window so every configuration closes
-//! multiple full batches.
+//! submits 4000 requests (300 under `--quick`) but at least twice its
+//! window, so every configuration closes multiple full batches.
 //!
 //! Usage:
 //!
@@ -27,15 +27,16 @@
 //!     --clients 1 --batch-sizes 64 --key-dist zipf:1 --panic-rates 0,25,100,400 \
 //!     --resident-keys 4096,65536,1048576 --out BENCH_chaos.json
 //! cargo run -p qrqw-bench --release --bin service_report -- \
-//!     [--clients N] [--requests N] [--batch-sizes 1,64,1024,8192] \
+//!     [--clients N] [--batch-sizes 1,64,1024,8192] \
 //!     [--workloads hash,counter,task,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
-//!     [--panic-rates 0] [--resident-keys 0] [--threads T] [--seed S] [--quick] [--out PATH]
+//!     [--panic-rates 0] [--resident-keys 0] [--seed S] [--quick] [--out PATH]
 //! ```
 //!
 //! The first command is the batch-cap sweep, the second the fault sweep.
 //! `--quick` shrinks the per-run load for CI smoke use and writes a file
 //! only when `--out` names one; the committed artifacts are generated
-//! without it.
+//! without it.  The server's pool is `StepPool::from_env`'s: `QRQW_THREADS`
+//! sets its size.
 
 use qrqw_bench::report::{sweep_json, write_json_file};
 use qrqw_bench::service::{
@@ -43,15 +44,18 @@ use qrqw_bench::service::{
 };
 use qrqw_serve::{BatchPolicy, ServiceConfig};
 
+/// Requests each client submits (or twice its window, if more).
+const REQUESTS: usize = 4000;
+/// [`REQUESTS`] under `--quick`.
+const QUICK_REQUESTS: usize = 300;
+
 struct Cli {
     clients: usize,
-    requests: usize,
     batch_sizes: Vec<usize>,
     workloads: Vec<ServiceWorkload>,
     key_dist: KeyDist,
     panic_rates: Vec<u32>,
     resident_keys: Vec<usize>,
-    threads: Option<usize>,
     seed: u64,
     quick: bool,
     out: Option<String>,
@@ -60,9 +64,9 @@ struct Cli {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: service_report [--clients N] [--requests N] [--batch-sizes N,N] \
+        "usage: service_report [--clients N] [--batch-sizes N,N] \
          [--workloads hash,counter,task,mix] [--key-dist uniform|zipf:<s>|power-law|all-same|adversarial] \
-         [--panic-rates N,N] [--resident-keys N,N] [--threads T] [--seed S] [--quick] [--out PATH]"
+         [--panic-rates N,N] [--resident-keys N,N] [--seed S] [--quick] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -81,13 +85,11 @@ fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Vec<T> {
 fn parse_args() -> Cli {
     let mut cli = Cli {
         clients: 4,
-        requests: 4000,
         batch_sizes: vec![1, 64, 1024, 8192],
         workloads: ServiceWorkload::ALL.to_vec(),
         key_dist: KeyDist::Uniform,
         panic_rates: vec![0],
         resident_keys: vec![0],
-        threads: None,
         seed: 1,
         quick: false,
         out: None,
@@ -100,9 +102,6 @@ fn parse_args() -> Cli {
         };
         match flag.as_str() {
             "--clients" => cli.clients = value().parse().unwrap_or_else(|_| usage("bad --clients")),
-            "--requests" => {
-                cli.requests = value().parse().unwrap_or_else(|_| usage("bad --requests"))
-            }
             "--batch-sizes" => cli.batch_sizes = parse_list(&value(), "batch size"),
             "--workloads" => {
                 cli.workloads = value()
@@ -119,9 +118,6 @@ fn parse_args() -> Cli {
             }
             "--panic-rates" => cli.panic_rates = parse_list(&value(), "panic rate"),
             "--resident-keys" => cli.resident_keys = parse_list(&value(), "resident key count"),
-            "--threads" => {
-                cli.threads = Some(value().parse().unwrap_or_else(|_| usage("bad --threads")))
-            }
             "--seed" => cli.seed = value().parse().unwrap_or_else(|_| usage("bad --seed")),
             "--quick" => cli.quick = true,
             "--out" => cli.out = Some(value()),
@@ -151,9 +147,7 @@ fn main() {
             default_hook(info);
         }
     }));
-    let threads = cli
-        .threads
-        .unwrap_or_else(|| qrqw_exec::StepPool::from_env().threads());
+    let threads = qrqw_exec::StepPool::from_env().threads();
     println!(
         "service_report: {} clients, batch sizes {:?}, workloads {:?}, key-dist {}, \
          panic rates {:?}/10k, resident keys {:?}, seed {}, threads {}{}",
@@ -167,11 +161,7 @@ fn main() {
         threads,
         if cli.quick { " [quick]" } else { "" },
     );
-    let base = if cli.quick {
-        cli.requests.min(300)
-    } else {
-        cli.requests
-    };
+    let base = if cli.quick { QUICK_REQUESTS } else { REQUESTS };
     let mut runs = Vec::new();
     for &resident_keys in &cli.resident_keys {
         for &panic_per_10k in &cli.panic_rates {
@@ -194,7 +184,7 @@ fn main() {
                         seed: cli.seed,
                         ..ServiceConfig::default()
                     };
-                    let summary = run_service_load(config, policy, cli.threads, &spec);
+                    let summary = run_service_load(config, policy, &spec);
                     summary.print_row();
                     for finding in &summary.validation_errors {
                         eprintln!("service_report: validator: {finding}");

@@ -25,11 +25,9 @@
 //!   is, a [`Fault::Error`] request is answered [`ServiceError::Injected`],
 //!   no other request fails, and `stats.isolated_panics` equals the panics
 //!   injected;
-//! * the machine hash table holds exactly the resident keys plus the keys
-//!   whose acknowledged `Inserted(true)` replies outnumber their
-//!   acknowledged `Removed(true)` replies — by trace-determinism those acks
-//!   strictly alternate per key, so the counts differ by 0 (absent) or 1
-//!   (present);
+//! * no workload deletes, so by trace-determinism each key is acknowledged
+//!   `Inserted(true)` at most once, and the machine hash table holds
+//!   exactly the resident keys plus the keys so acknowledged;
 //! * the counter region sums to the total of acknowledged deltas;
 //! * `next_seq` equals the number of acknowledged submits, and the
 //!   pending-task count equals submits minus successful steals.
@@ -41,7 +39,7 @@
 //! bit-identical [`StateDigest`] — a faulty request is indistinguishable
 //! from one never submitted.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -254,7 +252,6 @@ pub struct LoadSpec {
 #[derive(Debug, Default)]
 struct ClientOutcome {
     inserted: Vec<u64>,
-    removed: Vec<u64>,
     delta_sum: u64,
     submits: u64,
     steals: u64,
@@ -275,7 +272,6 @@ struct ClientOutcome {
 impl ClientOutcome {
     fn absorb(&mut self, other: ClientOutcome) {
         self.inserted.extend(other.inserted);
-        self.removed.extend(other.removed);
         self.delta_sum += other.delta_sum;
         self.submits += other.submits;
         self.steals += other.steals;
@@ -316,7 +312,6 @@ impl ClientOutcome {
         }
         match (request, response) {
             (Request::HashInsert { key }, Ok(Reply::Inserted(true))) => self.inserted.push(key),
-            (Request::HashDelete { key }, Ok(Reply::Removed(true))) => self.removed.push(key),
             (Request::CounterAdd { delta, .. }, Ok(Reply::Counter(_))) => {
                 self.delta_sum += delta;
             }
@@ -543,35 +538,20 @@ fn validate(
             agg.injected_panics
         ));
     }
-    // Per-key presence accounting.  Trace-determinism makes acknowledged
-    // `Inserted(true)` / `Removed(true)` replies for one key strictly
-    // alternate (starting with an insert), so for every key the acked
-    // insert count either equals the acked remove count (key absent) or
-    // exceeds it by exactly one (key present) — under *any* client
-    // interleaving.  With no deletes in the trace this degenerates to a
-    // uniqueness check: at most one `Inserted(true)` per key.
-    let mut flips: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for &k in &agg.inserted {
-        flips.entry(k).or_default().0 += 1;
+    // Per-key presence accounting.  No workload deletes, so under *any*
+    // client interleaving trace-determinism acknowledges at most one
+    // `Inserted(true)` per key, and exactly those keys are present.
+    let mut expect_present = agg.inserted.clone();
+    expect_present.sort_unstable();
+    if let Some(k) = expect_present.windows(2).find(|w| w[0] == w[1]) {
+        errors.push(format!("key {}: acked Inserted(true) twice", k[0]));
     }
-    for &k in &agg.removed {
-        flips.entry(k).or_default().1 += 1;
-    }
-    let mut expect_present: Vec<u64> = Vec::new();
-    for (&k, &(ins, rem)) in &flips {
-        if rem > ins || ins > rem + 1 {
-            errors.push(format!(
-                "key {k}: {ins} acked inserts vs {rem} acked removes cannot alternate"
-            ));
-        } else if ins == rem + 1 {
-            expect_present.push(k);
-        }
-    }
+    expect_present.dedup();
     expect_present.extend(RESIDENT_KEY_BASE..RESIDENT_KEY_BASE + resident_keys as u64);
     if digest.hash_keys != expect_present {
         errors.push(format!(
             "hash table holds {} keys but the {resident_keys} resident keys and the acked \
-             insert/remove flips leave {}",
+             inserts make {}",
             digest.hash_keys.len(),
             expect_present.len()
         ));
@@ -605,12 +585,7 @@ fn validate(
 /// summary.  The hash table starts at least four times the resident key
 /// count, so no run straddles a capacity doubling — growth is the one
 /// event that legitimately rewrites O(state) cells.
-pub fn run_service_load(
-    config: ServiceConfig,
-    policy: BatchPolicy,
-    threads: Option<usize>,
-    spec: &LoadSpec,
-) -> RunSummary {
+pub fn run_service_load(config: ServiceConfig, policy: BatchPolicy, spec: &LoadSpec) -> RunSummary {
     let config = ServiceConfig {
         hash_capacity: config.hash_capacity.max(4 * spec.resident_keys),
         ..config
@@ -623,8 +598,7 @@ pub fn run_service_load(
         })
         .collect();
     let preloaded = || {
-        let pool = threads.map_or_else(StepPool::from_env, StepPool::with_threads);
-        let mut state = ServiceState::with_pool(config, pool);
+        let mut state = ServiceState::with_pool(config, StepPool::from_env());
         if !preload.is_empty() {
             let _ = state.apply_batch(&preload);
         }
@@ -795,7 +769,6 @@ mod tests {
         let summary = run_service_load(
             config(5),
             BatchPolicy::with_max_batch(16),
-            Some(2),
             &spec(1, 200, 16, ServiceWorkload::Mix),
         );
         assert!(summary.valid(), "{:?}", summary.validation_errors);
@@ -809,7 +782,6 @@ mod tests {
         let summary = run_service_load(
             config(9),
             BatchPolicy::with_max_batch(32),
-            Some(2),
             &LoadSpec {
                 faults: HOSTILE,
                 resident_keys: 300,
@@ -832,7 +804,6 @@ mod tests {
         let summary = run_service_load(
             config(3),
             BatchPolicy::with_max_batch(24),
-            Some(2),
             &LoadSpec {
                 faults: HOSTILE,
                 resident_keys: 500,

@@ -2,8 +2,8 @@
 //! each judged against the simulator's run of the same subject and size.
 //!
 //! A row is one `(subject, n)`.  Its **reference** is the simulator's run,
-//! made whenever `n ≤ sim_cap` whether or not `sim` is a reported backend,
-//! and every cell of the row is judged against it:
+//! made exactly when `sim` is among the sweep's backends, and every cell of
+//! the row is judged against it:
 //!
 //! * the **drift guard**, [`BackendRun::agrees_with`]: a backend executes
 //!   the simulator's exact charged trajectory, so any difference in steps,
@@ -16,7 +16,7 @@
 //!   that drifts from the trace fails the cell.
 //!
 //! A cell is valid when its own validator, the guard and the check all
-//! pass; above `sim_cap` an algorithm row has no reference and its cells
+//! pass; without `sim` an algorithm row has no reference and its cells
 //! carry their validator only.  A scenario row needs the reference: its
 //! header (ops, skew, per-epoch contention) is the reference's outcome.
 //!
@@ -37,8 +37,10 @@
 //!  "backends": {"sim": {cell}, "native": {cell}, …}, "valid": true}
 //! ```
 //!
-//! A backend that was not asked for, or a simulator skipped by the cap, is
-//! `null` in an algorithm row and absent from a scenario row's `backends`.
+//! A backend that was not asked for is `null` in an algorithm row and
+//! absent from a scenario row's `backends`.  Every machine runs on
+//! `StepPool::from_env`'s pool: `QRQW_THREADS` sets the native pool size
+//! and the simulator's walk width alike.
 
 use qrqw_exec::StepPool;
 
@@ -57,11 +59,6 @@ pub struct Sweep {
     pub sizes: Vec<usize>,
     /// Machine (and trace) seed of every run.
     pub seed: u64,
-    /// Native pool size and simulator walk width (`None`: `QRQW_THREADS`
-    /// / host parallelism).
-    pub threads: Option<usize>,
-    /// Largest `n` the simulator runs at; above it a row has no reference.
-    pub sim_cap: usize,
 }
 
 /// One backend's run in a row, with the report's verdict on it.
@@ -161,8 +158,9 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// If a scenario row has `n > sim_cap` (it has no reference), or the
-    /// subjects mix algorithms and scenarios (one document holds one kind).
+    /// If the subjects are scenarios and `sim` is not a backend (a scenario
+    /// row has no reference then), or the subjects mix algorithms and
+    /// scenarios (one document holds one kind).
     pub fn run(&self) -> (Json, bool) {
         let scenarios: Vec<&Scenario> = self
             .subjects
@@ -176,55 +174,44 @@ impl Sweep {
             scenarios.is_empty() || scenarios.len() == self.subjects.len(),
             "a sweep runs algorithms or scenarios, not both"
         );
-        let threads = self
-            .threads
-            .unwrap_or_else(|| StepPool::from_env().threads());
-        let cap = |c: usize| {
-            if c == usize::MAX {
-                "none".to_string()
-            } else {
-                c.to_string()
-            }
-        };
+        let threads = StepPool::from_env().threads();
         println!(
             "perf_report: {} subjects, backends {:?}, sizes {:?}, seed {}, threads {threads} \
-             (host cores {}), sim cap {}",
+             (host cores {})",
             self.subjects.len(),
             self.backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
             self.sizes,
             self.seed,
             rayon::current_num_threads(),
-            cap(self.sim_cap),
         );
 
         let mut rows = Vec::new();
         let mut all_valid = true;
         for &n in &self.sizes {
             for subject in &self.subjects {
-                let run = |backend| subject.run(backend, n, self.seed, self.threads);
+                let run = |backend| subject.run(backend, n, self.seed, None);
                 // Simulator first, so every other machine allocates against
                 // a warmed process heap.
-                let reference = (n <= self.sim_cap).then(|| run(Backend::Sim));
+                let reference = self
+                    .backends
+                    .contains(&Backend::Sim)
+                    .then(|| run(Backend::Sim));
                 let mut cells = Vec::new();
                 for &backend in Backend::ALL.iter().filter(|b| self.backends.contains(b)) {
-                    let run = match backend {
-                        Backend::Sim => match &reference {
-                            Some(r) => r.clone(),
-                            None => continue,
-                        },
+                    let run = match (backend, &reference) {
+                        (Backend::Sim, Some(r)) => r.clone(),
                         _ => run(backend),
                     };
                     cells.push(Cell::judge(run, reference.as_ref()));
                 }
-                let valid =
-                    reference.as_ref().is_none_or(|r| r.valid) && cells.iter().all(|c| c.valid);
+                let valid = cells.iter().all(|c| c.valid);
                 all_valid &= valid;
                 rows.push(match subject {
                     Subject::Algorithm(_) => algorithm_row(subject.name(), n, &cells),
                     Subject::Scenario(scenario) => {
                         let reference = reference
                             .as_ref()
-                            .expect("a scenario row needs the sim reference (n <= sim_cap)");
+                            .expect("a scenario row needs the sim reference (sim in backends)");
                         scenario_row(scenario, reference, &cells, valid)
                     }
                 });

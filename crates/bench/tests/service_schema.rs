@@ -109,7 +109,6 @@ fn micro_sweep() -> Json {
                 hash_capacity: 64,
             },
             BatchPolicy::with_max_batch(batch_max),
-            Some(2),
             &LoadSpec {
                 clients,
                 requests_per_client: 80 / clients,

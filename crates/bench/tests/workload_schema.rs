@@ -85,8 +85,6 @@ fn small_sweep(subjects: Vec<Subject>, backends: Vec<Backend>) -> Sweep {
         backends,
         sizes: vec![64],
         seed: 3,
-        threads: Some(2),
-        sim_cap: usize::MAX,
     }
 }
 

@@ -487,170 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_insert_lookup_contains_round_trip() {
-        let mut s = state();
-        let (resp, cost) = s.apply_batch(&[
-            Request::HashLookup { key: 10 },
-            Request::HashInsert { key: 10 },
-            Request::HashInsert { key: 10 },
-            Request::HashLookup { key: 10 },
-            Request::HashContains { key: 11 },
-        ]);
-        assert_eq!(resp[0], Ok(Reply::Found(false)), "lookup before insert");
-        assert_eq!(resp[1], Ok(Reply::Inserted(true)));
-        assert_eq!(resp[2], Ok(Reply::Inserted(false)), "duplicate in batch");
-        assert_eq!(resp[3], Ok(Reply::Found(true)), "lookup after insert");
-        assert_eq!(resp[4], Ok(Reply::Found(false)));
-        assert!(cost.claim_attempts >= 1, "insert must issue a claim");
-        // A later batch sees the key via the machine table.
-        let (resp, _) = s.apply_batch(&[Request::HashContains { key: 10 }]);
-        assert_eq!(resp[0], Ok(Reply::Found(true)));
-        assert_eq!(s.digest().hash_keys, vec![10]);
-    }
-
-    #[test]
-    fn hash_delete_is_trace_deterministic_within_a_batch() {
-        let mut s = state();
-        let (resp, _) = s.apply_batch(&[
-            Request::HashDelete { key: 10 },
-            Request::HashInsert { key: 10 },
-            Request::HashDelete { key: 10 },
-            Request::HashLookup { key: 10 },
-            Request::HashDelete { key: 10 },
-            Request::HashInsert { key: 10 },
-            Request::HashLookup { key: 10 },
-        ]);
-        assert_eq!(resp[0], Ok(Reply::Removed(false)), "delete before insert");
-        assert_eq!(resp[1], Ok(Reply::Inserted(true)));
-        assert_eq!(resp[2], Ok(Reply::Removed(true)));
-        assert_eq!(resp[3], Ok(Reply::Found(false)), "lookup after delete");
-        assert_eq!(resp[4], Ok(Reply::Removed(false)), "double delete");
-        assert_eq!(resp[5], Ok(Reply::Inserted(true)), "reinsert after delete");
-        assert_eq!(resp[6], Ok(Reply::Found(true)));
-        assert_eq!(s.digest().hash_keys, vec![10]);
-        // A later batch observes the delete of a key from an earlier batch.
-        let (resp, _) = s.apply_batch(&[
-            Request::HashDelete { key: 10 },
-            Request::HashContains { key: 10 },
-        ]);
-        assert_eq!(resp[0], Ok(Reply::Removed(true)));
-        assert_eq!(resp[1], Ok(Reply::Found(false)));
-        assert!(s.digest().hash_keys.is_empty());
-    }
-
-    #[test]
-    fn growth_purges_tombstones_and_reinserts_stay_findable() {
-        let mut s = state(); // cap 64
-        let inserts: Vec<Request> = (0..30).map(|k| Request::HashInsert { key: k }).collect();
-        let _ = s.apply_batch(&inserts);
-        let deletes: Vec<Request> = (0..10).map(|k| Request::HashDelete { key: k }).collect();
-        let _ = s.apply_batch(&deletes);
-        assert!(s.hash_tombstones() > 0, "deletes must leave tombstones");
-        // Push past half full: the growth rebuild must purge every
-        // tombstone while keeping all live keys findable.
-        let more: Vec<Request> = (100..160).map(|k| Request::HashInsert { key: k }).collect();
-        let _ = s.apply_batch(&more);
-        assert_eq!(s.hash_tombstones(), 0, "growth must purge tombstones");
-        assert_eq!(s.digest().hash_keys.len(), 80);
-        let probes: Vec<Request> = (0..30)
-            .chain(100..160)
-            .map(|k| Request::HashLookup { key: k })
-            .collect();
-        let (resp, _) = s.apply_batch(&probes);
-        for (i, r) in resp.iter().enumerate() {
-            let expect = i >= 10; // keys 0..10 were deleted
-            assert_eq!(*r, Ok(Reply::Found(expect)), "probe {i}");
-        }
-    }
-
-    #[test]
-    fn delete_heavy_churn_digest_is_batch_partition_invariant() {
-        // The pinned delete-reinsert regression: a churn trace applied as
-        // one batch and in small chunks must be digest-identical, even
-        // though the chunked run issues real tombstone writes that the
-        // one-shot run nets away entirely.
-        let trace: Vec<Request> = (0..120)
-            .flat_map(|k| {
-                [
-                    Request::HashInsert { key: k % 40 },
-                    Request::HashDelete { key: (k + 7) % 40 },
-                    Request::HashLookup { key: k % 13 },
-                ]
-            })
-            .collect();
-        let mut oneshot = state();
-        let (oneshot_resp, _) = oneshot.apply_batch(&trace);
-        let mut chunked = state();
-        let mut chunked_resp = Vec::new();
-        for chunk in trace.chunks(11) {
-            chunked_resp.extend(chunked.apply_batch(chunk).0);
-        }
-        assert_eq!(oneshot_resp, chunked_resp);
-        assert_eq!(oneshot.digest(), chunked.digest());
-    }
-
-    #[test]
-    fn checkpoint_restore_rewinds_deletes_and_tombstones() {
-        let mut s = state();
-        let inserts: Vec<Request> = (0..20).map(|k| Request::HashInsert { key: k }).collect();
-        let _ = s.apply_batch(&inserts);
-        let before = s.digest();
-        let mut ck = ServiceCheckpoint::default();
-        s.checkpoint_into(&mut ck);
-        let deletes: Vec<Request> = (0..15).map(|k| Request::HashDelete { key: k }).collect();
-        let _ = s.apply_batch(&deletes);
-        assert_ne!(s.digest(), before);
-        s.restore(&ck);
-        assert_eq!(s.digest(), before);
-        assert_eq!(s.hash_tombstones(), 0, "tombstone count rewinds");
-        let (resp, _) = s.apply_batch(&[Request::HashLookup { key: 0 }]);
-        assert_eq!(resp[0], Ok(Reply::Found(true)));
-    }
-
-    #[test]
-    fn hash_table_grows_past_initial_capacity() {
-        let mut s = state(); // cap 64 → grows beyond 32 keys
-        let inserts: Vec<Request> = (0..200).map(|k| Request::HashInsert { key: k }).collect();
-        let (resp, _) = s.apply_batch(&inserts);
-        assert!(resp.iter().all(|r| *r == Ok(Reply::Inserted(true))));
-        assert_eq!(s.digest().hash_keys.len(), 200);
-        let digest = s.digest();
-        assert_eq!(digest.hash_keys, (0..200).collect::<Vec<u64>>());
-        // Lookups after growth still find everything.
-        let lookups: Vec<Request> = (0..200).map(|k| Request::HashLookup { key: k }).collect();
-        let (resp, _) = s.apply_batch(&lookups);
-        assert!(resp.iter().all(|r| *r == Ok(Reply::Found(true))));
-    }
-
-    #[test]
-    fn counters_serialize_in_batch_order() {
-        let mut s = state();
-        let (resp, _) = s.apply_batch(&[
-            Request::CounterAdd {
-                counter: 3,
-                delta: 5,
-            },
-            Request::CounterRead { counter: 3 },
-            Request::CounterAdd {
-                counter: 3,
-                delta: 2,
-            },
-            Request::CounterRead { counter: 3 },
-            Request::CounterRead { counter: 7 },
-        ]);
-        assert_eq!(resp[0], Ok(Reply::Counter(0)));
-        assert_eq!(resp[1], Ok(Reply::Counter(5)));
-        assert_eq!(resp[2], Ok(Reply::Counter(5)));
-        assert_eq!(resp[3], Ok(Reply::Counter(7)));
-        assert_eq!(resp[4], Ok(Reply::Counter(0)));
-        let d = s.digest();
-        assert_eq!(d.counters[3], 7);
-        // Counter 0 was never touched: still EMPTY in the raw region.
-        assert_eq!(d.counters[0], EMPTY);
-        assert_eq!(d.counters[7], 0, "a pure read materializes the cell");
-    }
-
-    #[test]
     fn counter_adds_past_the_ceiling_or_the_delta_bound_are_refused() {
         use qrqw_sim::Pram;
         let config = ServiceConfig {
@@ -698,32 +534,6 @@ mod tests {
         assert_eq!(whole, [refused(1), refused(2)]);
         assert_eq!(split, whole);
         assert_eq!(c1.digest(&one), c2.digest(&two));
-    }
-
-    #[test]
-    fn tasks_are_fifo_across_batches() {
-        let mut s = state();
-        let (resp, _) = s.apply_batch(&[
-            Request::TaskSteal,
-            Request::TaskSubmit { payload: 70 },
-            Request::TaskSubmit { payload: 71 },
-        ]);
-        assert_eq!(resp[0], Ok(Reply::TaskStolen(None)), "steal before submit");
-        assert_eq!(resp[1], Ok(Reply::TaskQueued(0)));
-        assert_eq!(resp[2], Ok(Reply::TaskQueued(1)));
-        let (resp, _) = s.apply_batch(&[
-            Request::TaskSubmit { payload: 72 },
-            Request::TaskSteal,
-            Request::TaskSteal,
-        ]);
-        assert_eq!(
-            resp[1],
-            Ok(Reply::TaskStolen(Some((0, 70)))),
-            "oldest first"
-        );
-        assert_eq!(resp[2], Ok(Reply::TaskStolen(Some((1, 71)))));
-        assert_eq!(s.digest().pending_tasks, vec![(2, 72)]);
-        assert_eq!(s.pending_tasks(), 1);
     }
 
     #[test]
@@ -835,62 +645,6 @@ mod tests {
         assert_eq!(resp[2], Err(ServiceError::Injected));
         assert_eq!(resp[3], Ok(Reply::Inserted(true)));
         assert_eq!(s.digest().hash_keys, vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "injected panic")]
-    fn fault_panic_unwinds_before_machine_state_changes() {
-        let mut s = state();
-        let _ = s.apply_batch(&[Request::HashInsert { key: 5 }, Request::Fault(Fault::Panic)]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let mut s = state();
-        let (resp, cost) = s.apply_batch(&[]);
-        assert!(resp.is_empty());
-        assert_eq!(cost.steps, 0);
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_the_digest_across_hash_growth() {
-        let mut s = state(); // hash cap 64: 200 inserts force doubling
-        let _ = s.apply_batch(&[
-            Request::HashInsert { key: 3 },
-            Request::CounterAdd {
-                counter: 1,
-                delta: 4,
-            },
-            Request::TaskSubmit { payload: 9 },
-        ]);
-        let before = s.digest();
-        let mut ck = ServiceCheckpoint::default();
-        s.checkpoint_into(&mut ck);
-        // Mutate everything the checkpoint must cover, including a table
-        // reserve (base/cap move, old region abandoned) and task churn.
-        let mut churn: Vec<Request> = (100..300).map(|k| Request::HashInsert { key: k }).collect();
-        churn.push(Request::CounterAdd {
-            counter: 1,
-            delta: 11,
-        });
-        churn.push(Request::TaskSteal);
-        churn.push(Request::TaskSubmit { payload: 10 });
-        let _ = s.apply_batch(&churn);
-        assert_ne!(s.digest(), before);
-        s.restore(&ck);
-        assert_eq!(s.digest(), before, "restore must be digest-identical");
-        // The restored state still serves correctly: replay a subset and
-        // get the same replies a never-diverged state would give.
-        let (resp, _) = s.apply_batch(&[
-            Request::HashLookup { key: 3 },
-            Request::HashLookup { key: 100 },
-            Request::CounterRead { counter: 1 },
-            Request::TaskSteal,
-        ]);
-        assert_eq!(resp[0], Ok(Reply::Found(true)));
-        assert_eq!(resp[1], Ok(Reply::Found(false)), "rolled-back key is gone");
-        assert_eq!(resp[2], Ok(Reply::Counter(4)));
-        assert_eq!(resp[3], Ok(Reply::TaskStolen(Some((0, 9)))));
     }
 
     #[test]
@@ -1037,17 +791,5 @@ mod tests {
             warm > 0 && warm <= 8 * qrqw_exec::PAGE_CELLS,
             "a few pages, got {warm} cells"
         );
-    }
-
-    #[test]
-    fn checkpoint_into_reuses_buffers() {
-        let mut s = state();
-        let _ = s.apply_batch(&[Request::HashInsert { key: 1 }]);
-        let mut ck = ServiceCheckpoint::default();
-        s.checkpoint_into(&mut ck);
-        let _ = s.apply_batch(&[Request::HashInsert { key: 2 }]);
-        s.checkpoint_into(&mut ck);
-        s.restore(&ck);
-        assert_eq!(s.digest().hash_keys, vec![1, 2]);
     }
 }

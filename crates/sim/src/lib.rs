@@ -23,8 +23,9 @@
 //! any number of virtual processors.  Every step is measured exactly, and a
 //! [`Trace`] accumulates per-step statistics from which the running time
 //! under any of the supported cost models ([`CostModel`]) can be derived,
-//! along with the total work, the Brent-scheduled `p`-processor time
-//! (Theorem 2.3) and the BSP emulation cost (Theorem 1.1).
+//! along with the total work and the Brent-scheduled `p`-processor time
+//! (Theorem 2.3); [`bsp_emulation_time`] prices a running time as the BSP
+//! emulation (Theorem 1.1).
 //!
 //! ## Quick example
 //!

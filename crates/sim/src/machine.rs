@@ -790,12 +790,4 @@ mod tests {
         assert_eq!(r.time_qrqw, Some(m.trace().time(CostModel::Qrqw)));
         assert!(r.to_string().contains("[sim]"));
     }
-
-    #[test]
-    fn scan_and_global_or_through_trait() {
-        let mut m = Pram::with_seed(8, 0);
-        Machine::load(&mut m, 0, &[1, 2, 3]);
-        assert_eq!(Machine::scan_step(&mut m, 0, 3), 6);
-        assert!(Machine::global_or_step(&mut m, 0, 3));
-    }
 }

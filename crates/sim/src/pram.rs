@@ -393,34 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_step_computes_inclusive_prefix_sums() {
-        let mut pram = Pram::new(8);
-        pram.load(0, &[1, 2, 3, 4]);
-        let total = pram.scan_step(0, 4);
-        assert_eq!(total, 10);
-        assert_eq!(pram.dump(0, 4), vec![1, 3, 6, 10]);
-        assert_eq!(pram.trace().time(CostModel::ScanSimdQrqw), 1);
-        assert_eq!(pram.trace().time(CostModel::Qrqw), 2); // ceil(lg 4)
-    }
-
-    #[test]
-    fn scan_step_treats_empty_as_zero() {
-        let mut pram = Pram::new(4);
-        pram.poke(1, 5);
-        let total = pram.scan_step(0, 4);
-        assert_eq!(total, 5);
-        assert_eq!(pram.dump(0, 4), vec![0, 5, 5, 5]);
-    }
-
-    #[test]
-    fn global_or_step_detects_any_nonzero() {
-        let mut pram = Pram::new(8);
-        assert!(!pram.global_or_step(0, 8));
-        pram.poke(5, 1);
-        assert!(pram.global_or_step(0, 8));
-    }
-
-    #[test]
     fn global_or_step_charges_only_examined_cells_as_work() {
         let mut pram = Pram::new(8);
         pram.poke(0, 1);

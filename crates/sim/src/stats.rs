@@ -51,8 +51,9 @@ impl StepStats {
 /// step, in order.
 ///
 /// All derived quantities — running time under any [`CostModel`], total
-/// work, Brent-scheduled time, BSP emulation time — are computed from the
-/// trace after the fact, so a single simulated execution can be evaluated
+/// work, Brent-scheduled time — are computed from the trace after the
+/// fact (the BSP emulation charge is [`crate::bsp_emulation_time`] of a
+/// [`Trace::time`]), so a single simulated execution can be evaluated
 /// under every model simultaneously.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -140,14 +141,6 @@ impl Trace {
         assert!(p > 0, "Brent scheduling needs at least one processor");
         self.work().div_ceil(p) + self.time(model)
     }
-
-    /// Time to emulate this algorithm on a `(p/lg p)`-component standard BSP
-    /// machine (Theorem 1.1): `O(t · lg p)`; we report `t · ceil(lg p)`.
-    pub fn bsp_time(&self, p: u64, model: CostModel) -> u64 {
-        assert!(p > 1, "BSP emulation needs at least two components");
-        let lg_p = 64 - (p - 1).leading_zeros() as u64;
-        self.time(model) * lg_p.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -187,17 +180,10 @@ mod tests {
         for _ in 0..4 {
             t.push(step(100, 100, 1, 2, 2));
         }
-        // work = 800, qrqw time = 8
+        // work = 800, qrqw time = 8; work/p rounds up
         assert_eq!(t.brent_time(100, CostModel::Qrqw), 8 + 8);
         assert_eq!(t.brent_time(1, CostModel::Qrqw), 800 + 8);
-    }
-
-    #[test]
-    fn bsp_time_is_time_times_log_p() {
-        let mut t = Trace::new();
-        t.push(step(8, 8, 1, 1, 1));
-        assert_eq!(t.time(CostModel::Qrqw), 1);
-        assert_eq!(t.bsp_time(1024, CostModel::Qrqw), 10);
+        assert_eq!(t.brent_time(3, CostModel::Qrqw), 267 + 8);
     }
 
     #[test]

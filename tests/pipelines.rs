@@ -5,8 +5,7 @@
 use qrqw_suite::algos::{
     emulate_fetch_add_step, integer_sort_crqw, is_cyclic, is_permutation, multiple_compaction,
     random_cyclic_permutation_efficient, random_permutation_dart_scan, random_permutation_qrqw,
-    random_permutation_sorting_erew, sample_sort_crqw, sample_sort_qrqw, sort_uniform_keys,
-    QrqwHashTable,
+    random_permutation_sorting_erew, QrqwHashTable,
 };
 use qrqw_suite::sim::{CostModel, Machine, Pram};
 use rand::rngs::SmallRng;
@@ -91,28 +90,6 @@ fn integer_sort_feeds_fetch_add_emulation() {
 }
 
 #[test]
-fn sorting_pipelines_agree_with_each_other() {
-    let mut rng = SmallRng::seed_from_u64(5);
-    let keys: Vec<u64> = (0..3000).map(|_| rng.gen_range(0..(1u64 << 31))).collect();
-    let mut expect = keys.clone();
-    expect.sort_unstable();
-
-    let mut a = Pram::with_seed(16, 1);
-    assert_eq!(sort_uniform_keys(&mut a, &keys), expect);
-    let mut b = Pram::with_seed(16, 2);
-    assert_eq!(sample_sort_qrqw(&mut b, &keys), expect);
-    let mut c = Pram::with_seed(16, 3);
-    assert_eq!(sample_sort_crqw(&mut c, &keys), expect);
-
-    // Integer sorting expects a polylog-bounded key range; give it one.
-    let small_keys: Vec<u64> = keys.iter().map(|&k| k % 20_000).collect();
-    let mut small_expect = small_keys.clone();
-    small_expect.sort_unstable();
-    let mut d = Pram::with_seed(16, 4);
-    assert_eq!(integer_sort_crqw(&mut d, &small_keys, 20_000), small_expect);
-}
-
-#[test]
 fn hashing_over_multiple_compaction_output() {
     // Build a hash table over keys that were first routed through multiple
     // compaction, mirroring how the sorting algorithms compose the pieces.
@@ -147,20 +124,4 @@ fn cyclic_permutation_composed_with_fetch_add_ranks() {
     let mut sorted = ranks.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, (0..n as u64).collect::<Vec<_>>());
-}
-
-#[test]
-fn brent_and_bsp_costs_are_consistent_across_an_algorithm_run() {
-    let n = 2048usize;
-    let mut pram = Pram::with_seed(16, 13);
-    let _ = random_permutation_qrqw(&mut pram, n);
-    let t = pram.trace().time(CostModel::Qrqw);
-    let w = pram.trace().work();
-    // Theorem 2.3: p-processor time is work/p + time.
-    assert_eq!(
-        pram.trace().brent_time(64, CostModel::Qrqw),
-        w.div_ceil(64) + t
-    );
-    // Theorem 1.1: BSP emulation is t·lg p.
-    assert_eq!(pram.trace().bsp_time(1024, CostModel::Qrqw), t * 10);
 }
