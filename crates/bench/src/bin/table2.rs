@@ -25,11 +25,11 @@ const TABLE2_ALGOS: [Algorithm; 3] = [
 
 fn time_native(algo: Algorithm, n: usize, reps: u64) {
     let subject = Subject::Algorithm(algo);
-    let _ = subject.run(Backend::Native, n, 0, None); // warm-up
+    let _ = subject.run(Backend::Native, n, 0); // warm-up
     let mut total_ms = 0.0;
     let mut contended = 0u64;
     for r in 0..reps {
-        let run = subject.run(Backend::Native, n, r + 1, None);
+        let run = subject.run(Backend::Native, n, r + 1);
         assert!(run.valid, "{} produced an invalid output", algo.name());
         total_ms += run.elapsed.as_secs_f64() * 1000.0;
         contended += run.report.contended_claims;

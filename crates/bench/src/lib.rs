@@ -104,12 +104,12 @@ impl Backend {
 ///
 /// // Parse a registry name, run it on a backend, check its validator.
 /// let algo = Subject::Algorithm(Algorithm::parse("permutation-qrqw").unwrap());
-/// let sim = algo.run(Backend::Sim, 256, 1, None);
+/// let sim = algo.run(Backend::Sim, 256, 1);
 /// assert!(sim.valid);
 ///
 /// // The same seed on the native work-stealing backend is the same
 /// // trajectory: lockstep step counters, identical contention totals.
-/// let steal = algo.run(Backend::NativeSteal, 256, 1, Some(2));
+/// let steal = algo.run(Backend::NativeSteal, 256, 1);
 /// assert_eq!(steal.backend, "native-steal");
 /// assert!(steal.valid);
 /// assert!(steal.agrees_with(&sim));
@@ -435,23 +435,23 @@ impl Subject {
     }
 
     /// Builds the machine `backend` names — seeded with `seed`, its step
-    /// pool (or the simulator's walk) on `threads` threads (`None`:
-    /// `QRQW_THREADS` / host parallelism) — runs this subject at size `n`
-    /// on it, and reports
-    /// timing, validity, the machine's cost report and, for a scenario, the
-    /// churn outcome.  Every harness machine is constructed here, so a
-    /// run's backend label and its machine cannot disagree.
-    pub fn run(&self, backend: Backend, n: usize, seed: u64, threads: Option<usize>) -> BackendRun {
-        let pool = || threads.map_or_else(StepPool::from_env, StepPool::with_threads);
+    /// pool (or the simulator's walk) on [`StepPool::from_env`]'s threads
+    /// (`QRQW_THREADS`, else host parallelism) — runs this subject at size
+    /// `n` on it, and reports timing, validity, the machine's cost report
+    /// and, for a scenario, the churn outcome.  Every harness machine is
+    /// constructed here, so a run's backend label and its machine cannot
+    /// disagree.
+    pub fn run(&self, backend: Backend, n: usize, seed: u64) -> BackendRun {
+        let pool = StepPool::from_env();
         match backend {
-            Backend::Sim => self.run_on(Pram::with_bsp(16, seed, pool().threads()), n),
+            Backend::Sim => self.run_on(Pram::with_bsp(16, seed, pool.threads()), n),
             Backend::Native | Backend::NativeSteal => {
                 let schedule = if backend == Backend::Native {
                     Schedule::Chunked
                 } else {
                     Schedule::Stealing
                 };
-                let pool = pool().with_schedule(schedule);
+                let pool = pool.with_schedule(schedule);
                 self.run_on(NativeMachine::with_pool(16, seed, pool), n)
             }
         }
@@ -602,31 +602,30 @@ mod tests {
     fn every_backend_and_pool_size_runs_the_machine_its_label_names() {
         // The one constructor knows what it built: the run's label, the
         // machine's own report and the registry name agree, and the charged
-        // trajectory is the simulator's on every backend at every pool size.
+        // trajectory is the simulator's on every backend.  The pool size is
+        // the environment's; the Lockstep sweeps cover 1, 2 and 5 threads.
         let counters = |r: &CostReport| (r.steps, r.claim_attempts, r.contended_claims);
         let scenario = Subject::Scenario(Scenario::parse("zipf-hot").unwrap());
-        let algo_sim = PERMUTATION.run(Backend::Sim, 3000, 9, None);
-        let scenario_sim = scenario.run(Backend::Sim, 64, 9, None);
+        let algo_sim = PERMUTATION.run(Backend::Sim, 3000, 9);
+        let scenario_sim = scenario.run(Backend::Sim, 64, 9);
         for backend in Backend::ALL {
-            for threads in [None, Some(1), Some(2), Some(5)] {
-                let check = |run: &BackendRun, sim: &BackendRun| {
-                    let at = format!("{} threads={threads:?}", backend.name());
-                    assert!(run.valid, "{at}");
-                    assert_eq!(run.backend, backend.name(), "{at}");
-                    assert_eq!(run.report.backend, backend.name(), "{at}");
-                    assert_eq!(counters(&run.report), counters(&sim.report), "{at}");
-                    assert!(run.agrees_with(sim), "{at}");
-                };
-                check(&PERMUTATION.run(backend, 3000, 9, threads), &algo_sim);
-                check(&scenario.run(backend, 64, 9, threads), &scenario_sim);
-            }
+            let check = |run: &BackendRun, sim: &BackendRun| {
+                let at = backend.name();
+                assert!(run.valid, "{at}");
+                assert_eq!(run.backend, backend.name(), "{at}");
+                assert_eq!(run.report.backend, backend.name(), "{at}");
+                assert_eq!(counters(&run.report), counters(&sim.report), "{at}");
+                assert!(run.agrees_with(sim), "{at}");
+            };
+            check(&PERMUTATION.run(backend, 3000, 9), &algo_sim);
+            check(&scenario.run(backend, 64, 9), &scenario_sim);
         }
     }
 
     #[test]
     fn agreement_needs_every_compared_field_equal() {
         let scenario = Subject::Scenario(Scenario::parse("zipf-hot").unwrap());
-        let reference = scenario.run(Backend::Sim, 64, 4, None);
+        let reference = scenario.run(Backend::Sim, 64, 4);
         assert!(reference.agrees_with(&reference.clone()));
         fn churn(run: &mut BackendRun) -> &mut ChurnOutcome {
             run.churn.as_mut().expect("a scenario run")
@@ -647,7 +646,7 @@ mod tests {
             assert!(!reference.agrees_with(&run), "{field} differs alone");
         }
         // A run without a churn outcome is held to the counts alone.
-        let mut algo = PERMUTATION.run(Backend::Sim, 64, 4, None);
+        let mut algo = PERMUTATION.run(Backend::Sim, 64, 4);
         assert!(algo.agrees_with(&algo.clone()));
         algo.report.steps = reference.report.steps;
         algo.report.contended_claims = reference.report.contended_claims;
@@ -679,7 +678,7 @@ mod tests {
 
     #[test]
     fn bsp_runs_carry_measured_and_predicted_costs() {
-        let run = PERMUTATION.run(Backend::Sim, 256, 3, None);
+        let run = PERMUTATION.run(Backend::Sim, 256, 3);
         assert!(run.valid);
         let bsp = run.report.bsp.expect("a sim run must fill the BSP section");
         assert!(bsp.measured_cost > 0);
@@ -692,7 +691,7 @@ mod tests {
         );
         // The BSP section is bookkeeping on the walk: a native run of the
         // same seed is the same trajectory, so the counters agree exactly.
-        let native = PERMUTATION.run(Backend::Native, 256, 3, Some(2));
+        let native = PERMUTATION.run(Backend::Native, 256, 3);
         let counters = |r: &CostReport| (r.steps, r.claim_attempts, r.contended_claims);
         assert_eq!(counters(&run.report), counters(&native.report));
     }

@@ -189,7 +189,7 @@ impl Sweep {
         let mut all_valid = true;
         for &n in &self.sizes {
             for subject in &self.subjects {
-                let run = |backend| subject.run(backend, n, self.seed, None);
+                let run = |backend| subject.run(backend, n, self.seed);
                 // Simulator first, so every other machine allocates against
                 // a warmed process heap.
                 let reference = self

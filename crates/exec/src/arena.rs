@@ -235,52 +235,12 @@ impl Arena {
         }
     }
 
-    /// The cell at `addr`.  Panics when `addr` is outside the logical
-    /// size — the same bounds discipline the monolithic `Vec` had.
-    #[inline(always)]
-    pub(crate) fn cell(&self, addr: usize) -> &AtomicU64 {
-        assert!(
-            addr < self.len,
-            "address {addr} outside shared memory of size {}",
-            self.len
-        );
-        // Safety: addr < len ≤ capacity, so the shard exists and was
-        // EMPTY-filled before being published by `set_len`.
-        unsafe { cell_unchecked(&self.shards, addr) }
-    }
-
-    /// Hints the cache that the cell at `addr` is about to be accessed.
-    #[inline(always)]
-    pub(crate) fn prefetch(&self, addr: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if addr < self.len {
-            // Safety: prefetch is a pure hint; the address is in bounds.
-            unsafe {
-                let shard = self.shards.get_unchecked(addr >> SHARD_SHIFT);
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    shard.cells.as_ptr().add(addr & SHARD_MASK).cast::<i8>(),
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
-    }
-
     /// Starts dirty tracking: from here on every write path marks the page
     /// it stores into.  Never disarmed — a machine that snapshots once is a
     /// long-lived one.
     pub(crate) fn arm(&mut self) {
         self.armed = true;
         self.dirty.resize_with(self.shards.len(), DirtyMap::clean);
-    }
-
-    /// Records that the cell at `addr` (inside the logical size) was
-    /// written.  One predictable branch while unarmed.
-    #[inline(always)]
-    pub(crate) fn mark(&self, addr: usize) {
-        if self.armed {
-            self.mark_page(addr >> PAGE_SHIFT);
-        }
     }
 
     /// Records that `start..start + len` (inside the logical size) was
@@ -330,7 +290,7 @@ impl Arena {
     /// assertions of the unit tests.
     #[cfg(test)]
     pub(crate) fn cell_addr(&self, addr: usize) -> usize {
-        self.cell(addr) as *const AtomicU64 as usize
+        self.view().cell(addr) as *const AtomicU64 as usize
     }
 
     /// Runs `f(shard_ptr, seg_len)` over the shard segments covering
@@ -410,27 +370,18 @@ impl Arena {
     }
 }
 
-/// The cell→shard map: shift for the shard, mask for the offset in it.
-///
-/// # Safety
-/// `addr` must lie inside the shards of `shards` that were EMPTY-filled —
-/// below the logical size of the arena they belong to.
-#[inline(always)]
-unsafe fn cell_unchecked(shards: &[Shard], addr: usize) -> &AtomicU64 {
-    let shard = shards.get_unchecked(addr >> SHARD_SHIFT);
-    &*shard.cells.as_ptr().add(addr & SHARD_MASK)
-}
-
 /// What the per-cell path needs of an [`Arena`], **by value**: the logical
 /// length, the shard table and whether writes mark the dirty map.
 ///
 /// Cells are reached through raw pointers, so behind every store the
 /// compiler must assume the `Arena` struct itself may have changed and
 /// reload `len`, the table pointer and `armed` through `&Arena`.  A step
-/// cannot change them (growth and arming need `&mut`), so a chunk copies
-/// them out once and its per-processor loop keeps them in registers.
-/// (The closure-free claim, scan and compact kernels still read through
-/// `&Arena`; only the per-processor `MachineProc` path uses the view.)
+/// cannot change them (growth and arming need `&mut`), so a step copies
+/// them out once and its per-cell loops keep them in registers.  The view
+/// is the only way to a single cell: every kernel of
+/// [`crate::NativeMachine`] takes one after any growth, and only the bulk
+/// host-side operations (`mark_range`, `copy_in` / `copy_out`,
+/// `fill_empty`, `take_dirty`) go through the [`Arena`] itself.
 #[derive(Clone, Copy)]
 pub(crate) struct ArenaView<'a> {
     /// Only the cold dirty-page path goes back through the arena.
@@ -451,14 +402,34 @@ impl<'a> ArenaView<'a> {
     /// The cell at `addr`.  Panics when `addr` is outside the logical size.
     #[inline(always)]
     pub(crate) fn cell(&self, addr: usize) -> &'a AtomicU64 {
-        assert!(
-            addr < self.len,
-            "address {addr} outside shared memory of size {}",
-            self.len
-        );
+        if addr >= self.len {
+            outside(addr, self.len);
+        }
         // Safety: addr < len ≤ capacity (the view was taken from an arena
-        // whose `set_len` published `len` cells), as in `Arena::cell`.
-        unsafe { cell_unchecked(self.shards, addr) }
+        // whose `set_len` published `len` cells), so the shard exists and
+        // was EMPTY-filled before it was published.  The cell→shard map is
+        // a shift for the shard and a mask for the offset in it.
+        unsafe {
+            let shard = self.shards.get_unchecked(addr >> SHARD_SHIFT);
+            &*shard.cells.as_ptr().add(addr & SHARD_MASK)
+        }
+    }
+
+    /// Hints the cache that the cell at `addr` is about to be accessed.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, addr: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if addr < self.len {
+            // Safety: prefetch is a pure hint; the address is in bounds.
+            unsafe {
+                let shard = self.shards.get_unchecked(addr >> SHARD_SHIFT);
+                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+                    shard.cells.as_ptr().add(addr & SHARD_MASK).cast::<i8>(),
+                );
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = addr;
     }
 
     /// The cells `addr..addr + len` as plain words, or `None` when they
@@ -494,6 +465,16 @@ impl<'a> ArenaView<'a> {
             self.arena.mark_page(addr >> PAGE_SHIFT);
         }
     }
+}
+
+/// The bounds failure of [`ArenaView::cell`], out of line and by value: a
+/// panic message that borrowed the view's `len` would make a caller that
+/// takes a view for one cell (`peek`, `poke`) build the whole view in
+/// memory first.
+#[cold]
+#[inline(never)]
+fn outside(addr: usize, len: usize) -> ! {
+    panic!("address {addr} outside shared memory of size {len}")
 }
 
 impl std::fmt::Debug for Arena {
@@ -546,7 +527,11 @@ mod tests {
         assert_eq!(a.stats().shards, 3);
         assert_eq!(a.len(), 2 * SHARD_CELLS + 3);
         for addr in [0, SHARD_CELLS - 1, SHARD_CELLS, 2 * SHARD_CELLS + 2] {
-            assert_eq!(a.cell(addr).load(Ordering::Relaxed), EMPTY, "cell {addr}");
+            assert_eq!(
+                a.view().cell(addr).load(Ordering::Relaxed),
+                EMPTY,
+                "cell {addr}"
+            );
         }
         for shard in 0..3 {
             assert_eq!(
@@ -563,7 +548,7 @@ mod tests {
     #[test]
     fn growth_appends_shards_without_moving_existing_cells() {
         let mut a = filled(10);
-        a.cell(3).store(42, Ordering::Relaxed);
+        a.view().cell(3).store(42, Ordering::Relaxed);
         let before: Vec<usize> = [0, 3, 9].iter().map(|&x| a.cell_addr(x)).collect();
         // Grow by many shards: the pointer table reallocates, cells don't.
         let fresh = a.reserve_shards(7 * SHARD_CELLS + 5);
@@ -572,8 +557,11 @@ mod tests {
         a.set_len(7 * SHARD_CELLS + 5);
         let after: Vec<usize> = [0, 3, 9].iter().map(|&x| a.cell_addr(x)).collect();
         assert_eq!(before, after, "growth must never move existing cells");
-        assert_eq!(a.cell(3).load(Ordering::Relaxed), 42);
-        assert_eq!(a.cell(7 * SHARD_CELLS + 4).load(Ordering::Relaxed), EMPTY);
+        assert_eq!(a.view().cell(3).load(Ordering::Relaxed), 42);
+        assert_eq!(
+            a.view().cell(7 * SHARD_CELLS + 4).load(Ordering::Relaxed),
+            EMPTY
+        );
     }
 
     #[test]
@@ -583,14 +571,17 @@ mod tests {
         assert!(fresh.is_empty(), "the first shard already covers this");
         a.set_len(SHARD_CELLS);
         assert_eq!(a.stats().shards, 1);
-        assert_eq!(a.cell(SHARD_CELLS - 1).load(Ordering::Relaxed), EMPTY);
+        assert_eq!(
+            a.view().cell(SHARD_CELLS - 1).load(Ordering::Relaxed),
+            EMPTY
+        );
     }
 
     #[test]
     #[should_panic(expected = "outside shared memory")]
     fn out_of_bounds_cell_access_panics() {
         let a = filled(10);
-        let _ = a.cell(10);
+        let _ = a.view().cell(10);
     }
 
     #[test]
@@ -603,8 +594,8 @@ mod tests {
         let mut out = vec![0u64; 200];
         unsafe { a.copy_out(base, out.as_mut_ptr(), 200) };
         assert_eq!(out, src);
-        assert_eq!(a.cell(SHARD_CELLS).load(Ordering::Relaxed), 100);
-        assert_eq!(a.cell(base - 1).load(Ordering::Relaxed), EMPTY);
+        assert_eq!(a.view().cell(SHARD_CELLS).load(Ordering::Relaxed), 100);
+        assert_eq!(a.view().cell(base - 1).load(Ordering::Relaxed), EMPTY);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! [`MachineSnapshot`] is a persistent *shadow* of the machine: the arena
 //! tracks which pages were written since the shadow was last synced, so
 //! the per-batch checkpoint and the rollback both cost O(cells the batch
-//! wrote), not O(resident cells), and allocate nothing.
+//! wrote), not O(resident cells), and allocate nothing.  Only the latest
+//! snapshot can be restored (the epoch rule): the dirty map reaches back
+//! no further, and `restore` panics on any other.
 
 use std::time::{Duration, Instant};
 
@@ -67,10 +69,10 @@ impl std::ops::AddAssign for BatchCost {
 ///
 /// A snapshot is stamped with the identity of the machine it was taken
 /// from and that machine's sync epoch.  Every `snapshot_into` bumps the
-/// epoch, so at most one stamp — the latest — matches the machine, and only
-/// a buffer carrying it takes the dirty-pages-only path of `snapshot_into`
-/// and `restore`; any other buffer is still valid input to both and takes
-/// the full copy.
+/// epoch, so at most one stamp — the latest — matches the machine.  Only a
+/// buffer carrying it takes the dirty-pages-only path of `snapshot_into`
+/// (any other buffer takes the full copy there), and only such a buffer
+/// can be restored: `restore` panics on any other (the epoch rule).
 #[derive(Debug, Clone, Default)]
 pub struct MachineSnapshot {
     pub(crate) cells: Vec<u64>,
@@ -196,8 +198,8 @@ impl PersistentMachine {
     ///
     /// # Panics
     ///
-    /// If `snap` was not taken from this machine (see
-    /// [`NativeMachine::restore`]).
+    /// If `snap` is not this machine's latest snapshot — the epoch rule
+    /// (see [`NativeMachine::restore`]).
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.machine.restore(snap);
         self.steps_mark = snap.steps_executed;

@@ -20,8 +20,9 @@
 //! dispatches every step as contiguous chunks to persistent, parked worker
 //! threads (spawned once per process), and the machine keeps reusable
 //! scratch for its claim bitsets and scan offsets — see the module docs of
-//! [`machine`].  Thread count comes from [`NativeMachine::with_threads`] or
-//! the `QRQW_THREADS` environment variable.
+//! [`machine`].  Thread count comes from the [`StepPool`] handed to
+//! [`NativeMachine::with_pool`], or from the `QRQW_THREADS` environment
+//! variable for [`qrqw_sim::Machine::with_seed`].
 //!
 //! Shared memory itself is a sharded arena ([`arena`]): independently
 //! allocated, cache-line-aligned segments of [`arena::SHARD_CELLS`] cells

@@ -46,7 +46,10 @@
 //!   shard table and armed flag *by value* (`ArenaView`), so the
 //!   per-processor loop does not reload them behind every store.
 //!   `tests/step_kernel_cost.rs` pins the resulting cost against a raw
-//!   loop over a `Vec<AtomicU64>`;
+//!   loop over a `Vec<AtomicU64>`.  The machine's own kernels (claim,
+//!   scan, compaction, counting, global OR, `peek` / `poke`) reach cells
+//!   through the same view, taken once per call after any growth, and
+//!   walk a chunk block by block through one helper, `for_blocks`;
 //! * `claim` keeps its `live` / `cas_won` pass state in reusable
 //!   bitset-backed scratch buffers (one bit per attempt, chunk boundaries
 //!   word-aligned so chunks own whole words), and aggregates contention
@@ -73,11 +76,11 @@
 //!
 //! The only per-call allocations left are the result vectors the `Machine`
 //! API returns by value (`par_map`'s outputs, `claim`'s success flags),
-//! written in place exactly once.  Thread count comes from
-//! [`NativeMachine::with_threads`] or the `QRQW_THREADS` environment
-//! variable; chunk boundaries never affect what is computed for an index,
-//! so outputs of deterministic algorithms are bit-identical at any thread
-//! count.
+//! written in place exactly once.  Thread count comes from the
+//! [`StepPool`] handed to [`NativeMachine::with_pool`], or from the
+//! `QRQW_THREADS` environment variable for [`Machine::with_seed`]; chunk
+//! boundaries never affect what is computed for an index, so outputs of
+//! deterministic algorithms are bit-identical at any thread count.
 //!
 //! What the simulator measures as queue contention, this backend *observes*:
 //! the [`ContentionCounter`] records every live claim that lost its cell to
@@ -161,40 +164,37 @@ pub struct NativeMachine {
     scratch: Scratch,
     /// Process-unique identity, stamped into snapshots.
     id: u64,
-    /// Bumped by every [`NativeMachine::snapshot_into`] (and by a
-    /// full-copy restore): the snapshot stamped with the current value is
-    /// the one the arena's dirty map is relative to.
+    /// Bumped by every [`NativeMachine::snapshot_into`]: the snapshot
+    /// stamped with the current value is the one the arena's dirty map is
+    /// relative to.
     sync_epoch: u64,
 }
 
 impl NativeMachine {
-    /// Creates a machine with `mem_size` cells (all [`EMPTY`]) and seed 0.
-    pub fn new(mem_size: usize) -> Self {
-        Machine::with_seed(mem_size, 0)
-    }
-
-    /// Creates a machine with an explicit thread count, overriding both the
-    /// host parallelism default and the `QRQW_THREADS` environment variable
-    /// (see [`crate::pool::THREADS_ENV`]), on the default chunked schedule.
-    pub fn with_threads(mem_size: usize, seed: u64, threads: usize) -> Self {
-        Self::build(mem_size, seed, StepPool::with_threads(threads))
-    }
-
-    /// Creates a machine with a fully explicit dispatch policy — thread
-    /// count *and* schedule (e.g.
-    /// `StepPool::with_threads(4).with_schedule(Schedule::Stealing)`).
+    /// Creates a machine with `mem_size` cells (all [`EMPTY`]) and the
+    /// given seed that dispatches on `pool` — thread count *and* schedule
+    /// (e.g. `StepPool::with_threads(4).with_schedule(Schedule::Stealing)`);
+    /// [`Machine::with_seed`] is this on [`StepPool::from_env`].
     pub fn with_pool(mem_size: usize, seed: u64, pool: StepPool) -> Self {
-        Self::build(mem_size, seed, pool)
+        let mut machine = NativeMachine {
+            arena: Arena::default(),
+            seed,
+            steps_executed: 0,
+            heap_top: mem_size,
+            counter: ContentionCounter::new(),
+            created: Instant::now(),
+            pool,
+            scratch: Scratch::default(),
+            id: NEXT_MACHINE_ID.fetch_add(1, Ordering::Relaxed),
+            sync_epoch: 0,
+        };
+        machine.grow(mem_size);
+        machine
     }
 
     /// Number of threads (including the caller) this machine's steps use.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The chunk→thread assignment discipline this machine's steps use.
-    pub fn schedule(&self) -> Schedule {
-        self.pool.schedule()
     }
 
     /// The backend name this machine reports: the schedule is part of the
@@ -211,23 +211,6 @@ impl NativeMachine {
     /// The contention instrumentation of this machine.
     pub fn contention(&self) -> &ContentionCounter {
         &self.counter
-    }
-
-    fn build(mem_size: usize, seed: u64, pool: StepPool) -> Self {
-        let mut machine = NativeMachine {
-            arena: Arena::default(),
-            seed,
-            steps_executed: 0,
-            heap_top: mem_size,
-            counter: ContentionCounter::new(),
-            created: Instant::now(),
-            pool,
-            scratch: Scratch::default(),
-            id: NEXT_MACHINE_ID.fetch_add(1, Ordering::Relaxed),
-            sync_epoch: 0,
-        };
-        machine.grow(mem_size);
-        machine
     }
 
     fn grow(&mut self, size: usize) {
@@ -331,65 +314,46 @@ impl NativeMachine {
     /// (including its random draws) is indistinguishable from execution
     /// that started at the snapshot point.
     ///
-    /// When `snap` is the latest snapshot ([`NativeMachine::is_current`])
-    /// only the pages written since are touched: their cells below the
-    /// snapshot's top are copied back and their cells above it read
-    /// [`EMPTY`] again.  Cells above the top need no pre-image — nothing
-    /// reads them before `alloc` hands them out, and `alloc` clears every
-    /// reused cell.  The snapshot stays the latest one, so it can be
-    /// restored again.  Any other snapshot takes the full path: the whole
-    /// prefix is copied in, the whole tail EMPTY-filled, and no buffer is
-    /// in sync afterwards (the next `snapshot_into` is a full copy).
-    ///
-    /// The arena itself never shrinks (shards stay allocated); only the
-    /// logical contents roll back.
+    /// Only the pages written since the snapshot are touched: their cells
+    /// below the snapshot's top are copied back and their cells above it
+    /// read [`EMPTY`] again.  Cells above the top need no pre-image —
+    /// nothing reads them before `alloc` hands them out, and `alloc` clears
+    /// every reused cell.  The snapshot stays the latest one, so it can be
+    /// restored again.  The arena itself never shrinks (shards stay
+    /// allocated); only the logical contents roll back.
     ///
     /// # Panics
     ///
-    /// If `snap` spans more cells than this machine's arena holds — i.e. it
-    /// was not taken from this machine.
+    /// If `snap` is not this machine's latest snapshot
+    /// ([`NativeMachine::is_current`]) — the epoch rule: the dirty map
+    /// reaches back only to the last [`NativeMachine::snapshot_into`], so
+    /// an older, fresh or foreign buffer cannot be rolled back to.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         assert!(
-            snap.heap_top <= self.arena.len(),
-            "snapshot spans {} cells but the arena holds {}: not a snapshot of this machine",
-            snap.heap_top,
-            self.arena.len()
+            self.is_current(snap),
+            "NativeMachine::restore: superseded snapshot — the epoch rule: only the latest \
+             snapshot_into of this machine can be restored"
         );
         debug_assert_eq!(snap.cells.len(), snap.heap_top);
         let arena = &self.arena;
         let cells = &snap.cells[..];
         let top = snap.heap_top;
         let end = arena.len();
-        if self.is_current(snap) {
-            arena.take_dirty(|page| {
-                let stop = (page + PAGE_CELLS).min(end);
-                let saved = stop.min(top);
-                let fill_from = page.max(top);
-                // SAFETY: shard-segment bulk writes inside the logical
-                // size; `&mut self` rules out concurrent cell access.
-                unsafe {
-                    if page < saved {
-                        arena.copy_in(page, &cells[page..saved]);
-                    }
-                    if fill_from < stop {
-                        arena.fill_empty(fill_from, stop - fill_from);
-                    }
+        arena.take_dirty(|page| {
+            let stop = (page + PAGE_CELLS).min(end);
+            let saved = stop.min(top);
+            let fill_from = page.max(top);
+            // SAFETY: shard-segment bulk writes inside the logical size;
+            // `&mut self` rules out concurrent cell access.
+            unsafe {
+                if page < saved {
+                    arena.copy_in(page, &cells[page..saved]);
                 }
-            });
-        } else {
-            self.pool.dispatch(top, 1, |lo, hi| {
-                // SAFETY: shard-segment bulk copy; `&mut self` rules out
-                // concurrent cell access, chunks are disjoint.
-                unsafe { arena.copy_in(lo, &cells[lo..hi]) };
-            });
-            self.pool.dispatch(end - top, 1, |lo, hi| {
-                // SAFETY: all-ones byte fill == EMPTY fill; same aliasing
-                // argument as above.
-                unsafe { arena.fill_empty(top + lo, hi - lo) };
-            });
-            // The dirty map no longer describes the distance to any buffer.
-            self.sync_epoch += 1;
-        }
+                if fill_from < stop {
+                    arena.fill_empty(fill_from, stop - fill_from);
+                }
+            }
+        });
         self.heap_top = top;
         self.steps_executed = snap.steps_executed;
         self.counter.store(snap.attempts, snap.failures);
@@ -404,12 +368,12 @@ impl NativeMachine {
         }
         let nblocks = len.div_ceil(SCAN_BLOCK);
         ensure_words(&mut self.scratch.offsets, nblocks);
-        let arena = &self.arena;
         // The fill pass rewrites the whole range.
-        arena.mark_range(base, len);
+        self.arena.mark_range(base, len);
+        let mem = self.arena.view();
         let offsets = &self.scratch.offsets[..nblocks];
         let val = |i: usize| {
-            let v = arena.cell(base + i).load(Ordering::Relaxed);
+            let v = mem.cell(base + i).load(Ordering::Relaxed);
             if v == EMPTY {
                 0
             } else {
@@ -420,26 +384,20 @@ impl NativeMachine {
         // exclusive scan of those totals, then a parallel fill.  Chunks are
         // SCAN_BLOCK-aligned, so each block has one writer.
         let sum_blocks = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                offsets[i / SCAN_BLOCK].store((i..end).map(val).sum(), Ordering::Relaxed);
-                i = end;
-            }
+            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+                offsets[block].store((i..end).map(val).sum(), Ordering::Relaxed);
+            });
         };
         let fill = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                let mut run = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed);
+            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+                let mut run = offsets[block].load(Ordering::Relaxed);
                 for j in i..end {
                     let excl = run;
                     run += val(j);
                     let out = if inclusive { run } else { excl };
-                    arena.cell(base + j).store(out, Ordering::Relaxed);
+                    mem.cell(base + j).store(out, Ordering::Relaxed);
                 }
-                i = end;
-            }
+            });
         };
         // One pool dispatch: block sums, then the serial exclusive scan of
         // the block totals run by whichever participant owns the first
@@ -560,46 +518,64 @@ fn exclusive_scan(offsets: &[AtomicU64]) -> u64 {
     acc
 }
 
-/// `compact_step`, count pass: the number of non-[`EMPTY`] cells of every
-/// [`SCAN_BLOCK`] of `src + [lo, hi)` into that block's `offsets` slot.
-fn count_survivors(arena: &Arena, offsets: &[AtomicU64], src: usize, lo: usize, hi: usize) {
+/// The one block walk of the machine's kernels: calls `f(i / W, i, end)`
+/// for every `W`-cell block `[i, end)` of the chunk `[lo, hi)`, from `lo`
+/// on.  The dispatches that index per-block scratch by `i / W` are
+/// `W`-aligned, so every such block belongs to one chunk.
+#[inline(always)]
+fn for_blocks<const W: usize>(lo: usize, hi: usize, mut f: impl FnMut(usize, usize, usize)) {
     let mut i = lo;
     while i < hi {
-        let end = (i + SCAN_BLOCK).min(hi);
-        let survivors = (i..end)
-            .filter(|&j| arena.cell(src + j).load(Ordering::Relaxed) != EMPTY)
-            .count() as u64;
-        offsets[i / SCAN_BLOCK].store(survivors, Ordering::Relaxed);
+        let end = (i + W).min(hi);
+        f(i / W, i, end);
         i = end;
     }
+}
+
+/// The claim passes' lookahead: prefetches the target cell of the attempt
+/// [`PREFETCH_DIST`] past `j` when that attempt is still in the chunk
+/// (`..hi`).
+#[inline(always)]
+fn prefetch_ahead(mem: ArenaView<'_>, attempts: &[(u64, usize)], j: usize, hi: usize) {
+    if j + PREFETCH_DIST < hi {
+        mem.prefetch(attempts[j + PREFETCH_DIST].1);
+    }
+}
+
+/// `compact_step`, count pass: the number of non-[`EMPTY`] cells of every
+/// [`SCAN_BLOCK`] of `src + [lo, hi)` into that block's `offsets` slot.
+fn count_survivors(mem: ArenaView<'_>, offsets: &[AtomicU64], src: usize, lo: usize, hi: usize) {
+    for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+        let survivors = (i..end)
+            .filter(|&j| mem.cell(src + j).load(Ordering::Relaxed) != EMPTY)
+            .count() as u64;
+        offsets[block].store(survivors, Ordering::Relaxed);
+    });
 }
 
 /// `compact_step`, gather pass: every non-[`EMPTY`] cell of `src + [lo, hi)`
 /// goes to `dst +` its global rank (its block's exclusive offset plus its
 /// rank inside the block).
 fn gather_survivors(
-    arena: &Arena,
+    mem: ArenaView<'_>,
     offsets: &[AtomicU64],
     src: usize,
     dst: usize,
     lo: usize,
     hi: usize,
 ) {
-    let mut i = lo;
-    while i < hi {
-        let end = (i + SCAN_BLOCK).min(hi);
-        let mut rank = offsets[i / SCAN_BLOCK].load(Ordering::Relaxed) as usize;
+    for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+        let mut rank = offsets[block].load(Ordering::Relaxed) as usize;
         for j in i..end {
-            let v = arena.cell(src + j).load(Ordering::Relaxed);
+            let v = mem.cell(src + j).load(Ordering::Relaxed);
             if v != EMPTY {
                 // Global ranks are disjoint across blocks, so every
                 // destination cell has exactly one writer.
-                arena.cell(dst + rank).store(v, Ordering::Relaxed);
+                mem.cell(dst + rank).store(v, Ordering::Relaxed);
                 rank += 1;
             }
         }
-        i = end;
-    }
+    });
 }
 
 /// The pair `(x, y)` in order: smaller first when `ascending`, larger
@@ -709,9 +685,7 @@ impl Network<'_> {
     /// the segment size when `k_to` is, so every such pair lies inside one
     /// block and the block stays in cache across its stages.
     fn blocks(self, k_from: usize, k_to: usize, lo: usize, hi: usize) {
-        let mut block = lo;
-        while block < hi {
-            let end = (block + BITONIC_BLOCK).min(hi);
+        for_blocks::<BITONIC_BLOCK>(lo, hi, |_, block, end| {
             // SAFETY: the chunk owns its blocks for the pass.  A block
             // across a shard boundary (`None`) takes the pair-run route.
             let mut cells = unsafe { self.mem.words_mut(self.base + block, end - block) };
@@ -741,14 +715,13 @@ impl Network<'_> {
                 }
                 k *= 2;
             }
-            block = end;
-        }
+        });
     }
 }
 
 impl Machine for NativeMachine {
     fn with_seed(mem_size: usize, seed: u64) -> Self {
-        Self::build(mem_size, seed, StepPool::from_env())
+        Self::with_pool(mem_size, seed, StepPool::from_env())
     }
 
     fn backend(&self) -> &'static str {
@@ -828,12 +801,13 @@ impl Machine for NativeMachine {
     }
 
     fn peek(&self, addr: usize) -> u64 {
-        self.arena.cell(addr).load(Ordering::Relaxed)
+        self.arena.view().cell(addr).load(Ordering::Relaxed)
     }
 
     fn poke(&mut self, addr: usize, value: u64) {
-        self.arena.cell(addr).store(value, Ordering::Relaxed);
-        self.arena.mark(addr);
+        let mem = self.arena.view();
+        mem.cell(addr).store(value, Ordering::Relaxed);
+        mem.mark(addr);
     }
 
     fn clear_region(&mut self, base: usize, len: usize) {
@@ -907,7 +881,7 @@ impl Machine for NativeMachine {
 
     fn global_or_step(&mut self, base: usize, len: usize) -> bool {
         self.grow(base + len);
-        let arena = &self.arena;
+        let mem = self.arena.view();
         let found = AtomicBool::new(false);
         // Chunked early exit: a hit raises the flag, which later chunks
         // observe on entry and running chunks poll every few hundred cells.
@@ -919,7 +893,7 @@ impl Machine for NativeMachine {
                 if i & OR_POLL_MASK == 0 && found.load(Ordering::Relaxed) {
                     return;
                 }
-                let v = arena.cell(base + i).load(Ordering::Relaxed);
+                let v = mem.cell(base + i).load(Ordering::Relaxed);
                 if v != 0 && v != EMPTY {
                     found.store(true, Ordering::Relaxed);
                     return;
@@ -947,8 +921,8 @@ impl Machine for NativeMachine {
         // route, keeping later RNG coordinates in cross-backend lockstep.
         let nblocks = len.div_ceil(SCAN_BLOCK);
         ensure_words(&mut self.scratch.offsets, nblocks);
-        let (arena, offsets) = (&self.arena, &self.scratch.offsets[..nblocks]);
-        let count = if dst + len <= arena.len() {
+        let (mem, offsets) = (self.arena.view(), &self.scratch.offsets[..nblocks]);
+        let count = if dst + len <= mem.len() {
             // The destination already fits (`count <= len`, so `dst + count`
             // cannot outgrow the arena mid-group): count, scan and gather
             // run as ONE pool dispatch, the scan by whichever participant
@@ -956,13 +930,13 @@ impl Machine for NativeMachine {
             let count = AtomicU64::new(0);
             self.pool
                 .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
-                    0 => count_survivors(arena, offsets, src, lo, hi),
+                    0 => count_survivors(mem, offsets, src, lo, hi),
                     1 => {
                         if lo == 0 {
                             count.store(exclusive_scan(offsets), Ordering::Relaxed);
                         }
                     }
-                    _ => gather_survivors(arena, offsets, src, dst, lo, hi),
+                    _ => gather_survivors(mem, offsets, src, dst, lo, hi),
                 });
             count.into_inner()
         } else {
@@ -970,13 +944,13 @@ impl Machine for NativeMachine {
             // happen inside a step: two dispatches with the host scanning
             // and growing in between.
             self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
-                count_survivors(arena, offsets, src, lo, hi)
+                count_survivors(mem, offsets, src, lo, hi)
             });
             let count = exclusive_scan(offsets);
             self.ensure_memory(dst + count as usize);
-            let (arena, offsets) = (&self.arena, &self.scratch.offsets[..nblocks]);
+            let (mem, offsets) = (self.arena.view(), &self.scratch.offsets[..nblocks]);
             self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
-                gather_survivors(arena, offsets, src, dst, lo, hi)
+                gather_survivors(mem, offsets, src, dst, lo, hi)
             });
             count
         };
@@ -1062,23 +1036,21 @@ impl Machine for NativeMachine {
         let arena = &self.arena;
         // The copy back rewrites the whole range.
         arena.mark_range(base, n);
+        let mem = arena.view();
         let hist = &self.scratch.offsets[..nblocks * num_buckets];
         let spill = &self.scratch.spill[..n];
-        let row = |i: usize| &hist[i / SCAN_BLOCK * num_buckets..][..num_buckets];
+        let row = |block: usize| &hist[block * num_buckets..][..num_buckets];
         let count = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                let row = row(i);
+            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+                let row = row(block);
                 row.iter().for_each(|c| c.store(0, Ordering::Relaxed));
                 for j in i..end {
-                    let b = bucket_of(arena.cell(base + j).load(Ordering::Relaxed)) as usize;
+                    let b = bucket_of(mem.cell(base + j).load(Ordering::Relaxed)) as usize;
                     assert!(b < num_buckets, "bucket {b} out of range {num_buckets}");
                     let c = &row[b];
                     c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
                 }
-                i = end;
-            }
+            });
         };
         // Bucket-major over the blocks: the first rank of every
         // (bucket, block), which is what the default route's scan of the
@@ -1097,19 +1069,16 @@ impl Machine for NativeMachine {
         // Each block hands its words out in index order, so equal buckets
         // keep their order: the sort is stable.
         let scatter = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + SCAN_BLOCK).min(hi);
-                let row = row(i);
+            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+                let row = row(block);
                 for j in i..end {
-                    let w = arena.cell(base + j).load(Ordering::Relaxed);
+                    let w = mem.cell(base + j).load(Ordering::Relaxed);
                     let c = &row[bucket_of(w) as usize];
                     let rank = c.load(Ordering::Relaxed);
                     c.store(rank + 1, Ordering::Relaxed);
                     spill[rank as usize].store(w, Ordering::Relaxed);
                 }
-                i = end;
-            }
+            });
         };
         let copy_back = |lo: usize, hi: usize| {
             let words = &spill[lo..hi];
@@ -1163,7 +1132,7 @@ impl Machine for NativeMachine {
         let words = k.div_ceil(64);
         ensure_words(&mut self.scratch.live, words);
         ensure_words(&mut self.scratch.cas_won, words);
-        let arena = &self.arena;
+        let mem = self.arena.view();
         let live = &self.scratch.live[..];
         let cas_won = &self.scratch.cas_won[..];
         let counter = &self.counter;
@@ -1182,21 +1151,16 @@ impl Machine for NativeMachine {
         // the same complete-before-next-pass guarantee as the separate
         // dispatches did, at one worker wakeup for the whole protocol.
         let probe = |lo: usize, hi: usize| {
-            let mut i = lo;
-            while i < hi {
-                let end = (i + 64).min(hi);
+            for_blocks::<64>(lo, hi, |word, i, end| {
                 let mut bits = 0u64;
                 for j in i..end {
-                    if j + PREFETCH_DIST < hi {
-                        arena.prefetch(attempts[j + PREFETCH_DIST].1);
-                    }
-                    if arena.cell(attempts[j].1).load(Ordering::Acquire) == EMPTY {
+                    prefetch_ahead(mem, attempts, j, hi);
+                    if mem.cell(attempts[j].1).load(Ordering::Acquire) == EMPTY {
                         bits |= 1u64 << (j - i);
                     }
                 }
-                live[i / 64].store(bits, Ordering::Relaxed);
-                i = end;
-            }
+                live[word].store(bits, Ordering::Relaxed);
+            });
         };
 
         match mode {
@@ -1211,23 +1175,17 @@ impl Machine for NativeMachine {
                 // schedule-dependent drift the perf_report step guard
                 // caught on the stealing dispatcher.
                 let bid = |lo: usize, hi: usize| {
-                    let mut i = lo;
-                    while i < hi {
-                        let end = (i + 64).min(hi);
-                        let lw = live[i / 64].load(Ordering::Relaxed);
+                    for_blocks::<64>(lo, hi, |word, i, end| {
+                        let lw = live[word].load(Ordering::Relaxed);
                         for j in i..end {
-                            if j + PREFETCH_DIST < hi {
-                                arena.prefetch(attempts[j + PREFETCH_DIST].1);
-                            }
+                            prefetch_ahead(mem, attempts, j, hi);
                             if lw & (1u64 << (j - i)) != 0 {
-                                arena
-                                    .cell(attempts[j].1)
+                                mem.cell(attempts[j].1)
                                     .fetch_min(j as u64, Ordering::AcqRel);
-                                arena.mark(attempts[j].1);
+                                mem.mark(attempts[j].1);
                             }
                         }
-                        i = end;
-                    }
+                    });
                 };
                 // Third pass: read-only winner resolution, fused with
                 // success output and per-chunk contention bookkeeping.
@@ -1237,18 +1195,14 @@ impl Machine for NativeMachine {
                 let resolve = |lo: usize, hi: usize| {
                     let mut attempted = 0u64;
                     let mut failed = 0u64;
-                    let mut i = lo;
-                    while i < hi {
-                        let end = (i + 64).min(hi);
-                        let lw = live[i / 64].load(Ordering::Relaxed);
+                    for_blocks::<64>(lo, hi, |word, i, end| {
+                        let lw = live[word].load(Ordering::Relaxed);
                         let mut bits = 0u64;
                         for j in i..end {
-                            if j + PREFETCH_DIST < hi {
-                                arena.prefetch(attempts[j + PREFETCH_DIST].1);
-                            }
+                            prefetch_ahead(mem, attempts, j, hi);
                             let mut won = false;
                             if lw & (1u64 << (j - i)) != 0 {
-                                won = arena.cell(attempts[j].1).load(Ordering::Acquire) == j as u64;
+                                won = mem.cell(attempts[j].1).load(Ordering::Acquire) == j as u64;
                                 attempted += 1;
                                 failed += !won as u64;
                             }
@@ -1257,27 +1211,23 @@ impl Machine for NativeMachine {
                             }
                             unsafe { slots.0.add(j).write(won) };
                         }
-                        cas_won[i / 64].store(bits, Ordering::Relaxed);
-                        i = end;
-                    }
+                        cas_won[word].store(bits, Ordering::Relaxed);
+                    });
                     counter.add(attempted, failed);
                 };
                 // Fourth pass: each winner — the unique writer of its cell
                 // — replaces its bid with its tag, restoring the "cell
                 // keeps the winning tag" contract.
                 let settle = |lo: usize, hi: usize| {
-                    let mut i = lo;
-                    while i < hi {
-                        let end = (i + 64).min(hi);
-                        let ww = cas_won[i / 64].load(Ordering::Relaxed);
+                    for_blocks::<64>(lo, hi, |word, i, end| {
+                        let ww = cas_won[word].load(Ordering::Relaxed);
                         for (off, &(tag, addr)) in attempts[i..end].iter().enumerate() {
                             if ww & (1u64 << off) != 0 {
-                                arena.cell(addr).store(tag, Ordering::Release);
-                                arena.mark(addr);
+                                mem.cell(addr).store(tag, Ordering::Release);
+                                mem.mark(addr);
                             }
                         }
-                        i = end;
-                    }
+                    });
                 };
                 pool.dispatch_fused(k, 64, 4, |pass, lo, hi| match pass {
                     0 => probe(lo, hi),
@@ -1299,35 +1249,28 @@ impl Machine for NativeMachine {
                 // is unchanged because the verify pass still runs after a
                 // full barrier, when every loser has poisoned.
                 let cas_poison = |lo: usize, hi: usize| {
-                    let mut i = lo;
-                    while i < hi {
-                        let end = (i + 64).min(hi);
-                        let lw = live[i / 64].load(Ordering::Relaxed);
+                    for_blocks::<64>(lo, hi, |word, i, end| {
+                        let lw = live[word].load(Ordering::Relaxed);
                         let mut bits = 0u64;
                         for j in i..end {
-                            if j + PREFETCH_DIST < hi {
-                                arena.prefetch(attempts[j + PREFETCH_DIST].1);
-                            }
+                            prefetch_ahead(mem, attempts, j, hi);
                             if lw & (1u64 << (j - i)) == 0 {
                                 continue;
                             }
-                            match arena.cell(attempts[j].1).compare_exchange(
+                            match mem.cell(attempts[j].1).compare_exchange(
                                 EMPTY,
                                 attempts[j].0,
                                 Ordering::AcqRel,
                                 Ordering::Acquire,
                             ) {
                                 Ok(_) => bits |= 1u64 << (j - i),
-                                Err(_) => {
-                                    arena.cell(attempts[j].1).store(POISON, Ordering::Release)
-                                }
+                                Err(_) => mem.cell(attempts[j].1).store(POISON, Ordering::Release),
                             }
                             // Won or poisoned: the cell was written.
-                            arena.mark(attempts[j].1);
+                            mem.mark(attempts[j].1);
                         }
-                        cas_won[i / 64].store(bits, Ordering::Relaxed);
-                        i = end;
-                    }
+                        cas_won[word].store(bits, Ordering::Relaxed);
+                    });
                 };
                 // Third pass: verify-and-restore, fused with success output
                 // and per-chunk contention bookkeeping — a CAS winner whose
@@ -1336,32 +1279,25 @@ impl Machine for NativeMachine {
                 let verify = |lo: usize, hi: usize| {
                     let mut attempted = 0u64;
                     let mut succeeded = 0u64;
-                    let mut i = lo;
-                    while i < hi {
-                        let end = (i + 64).min(hi);
-                        let word = i / 64;
+                    for_blocks::<64>(lo, hi, |word, i, end| {
                         attempted += live[word].load(Ordering::Relaxed).count_ones() as u64;
                         let ww = cas_won[word].load(Ordering::Relaxed);
                         for j in i..end {
-                            if j + PREFETCH_DIST < hi {
-                                arena.prefetch(attempts[j + PREFETCH_DIST].1);
-                            }
+                            prefetch_ahead(mem, attempts, j, hi);
                             let mut ok = false;
                             if ww & (1u64 << (j - i)) != 0 {
-                                if arena.cell(attempts[j].1).load(Ordering::Acquire)
-                                    == attempts[j].0
+                                if mem.cell(attempts[j].1).load(Ordering::Acquire) == attempts[j].0
                                 {
                                     ok = true;
                                 } else {
-                                    arena.cell(attempts[j].1).store(EMPTY, Ordering::Release);
-                                    arena.mark(attempts[j].1);
+                                    mem.cell(attempts[j].1).store(EMPTY, Ordering::Release);
+                                    mem.mark(attempts[j].1);
                                 }
                             }
                             succeeded += ok as u64;
                             unsafe { slots.0.add(j).write(ok) };
                         }
-                        i = end;
-                    }
+                    });
                     counter.add(attempted, attempted - succeeded);
                 };
                 pool.dispatch_fused(k, 64, 3, |pass, lo, hi| match pass {
@@ -1398,7 +1334,7 @@ mod tests {
 
     #[test]
     fn par_map_runs_all_processors_in_order() {
-        let mut m = NativeMachine::new(16);
+        let mut m = NativeMachine::with_seed(16, 0);
         let out = m.par_map(5000, |p, ctx| {
             ctx.write(p % 16, p as u64);
             p * 2
@@ -1410,7 +1346,7 @@ mod tests {
 
     #[test]
     fn exclusive_claim_is_deterministic_and_restores_contested_cells() {
-        let mut m = NativeMachine::new(8);
+        let mut m = NativeMachine::with_seed(8, 0);
         let ok = m.claim(&[(1, 4), (2, 4), (3, 4), (4, 6)], ClaimMode::Exclusive);
         assert_eq!(ok, vec![false, false, false, true]);
         assert_eq!(
@@ -1425,7 +1361,7 @@ mod tests {
 
     #[test]
     fn occupy_claim_lets_exactly_one_winner_through() {
-        let mut m = NativeMachine::new(8);
+        let mut m = NativeMachine::with_seed(8, 0);
         let attempts = vec![(10u64, 4usize), (11, 4), (12, 4)];
         let ok = m.claim(&attempts, ClaimMode::Occupy);
         assert_eq!(ok.iter().filter(|&&b| b).count(), 1);
@@ -1437,7 +1373,7 @@ mod tests {
     #[test]
     fn occupied_cells_reject_claims_in_both_modes() {
         for mode in [ClaimMode::Exclusive, ClaimMode::Occupy] {
-            let mut m = NativeMachine::new(8);
+            let mut m = NativeMachine::with_seed(8, 0);
             Machine::poke(&mut m, 2, 55);
             assert_eq!(m.claim(&[(77, 2)], mode), vec![false]);
             assert_eq!(Machine::peek(&m, 2), 55);
@@ -1446,7 +1382,7 @@ mod tests {
 
     #[test]
     fn alloc_and_release_behave_like_a_stack() {
-        let mut m = NativeMachine::new(8);
+        let mut m = NativeMachine::with_seed(8, 0);
         let a = Machine::alloc(&mut m, 4);
         assert_eq!(a, 8);
         let b = Machine::alloc(&mut m, 2);
@@ -1459,7 +1395,7 @@ mod tests {
 
     #[test]
     fn seq_step_reads_own_writes_and_advances_one_step() {
-        let mut m = NativeMachine::new(8);
+        let mut m = NativeMachine::with_seed(8, 0);
         let observed = m.seq_step(|ctx| {
             ctx.write(3, 41);
             let fresh = ctx.read(3);
@@ -1474,7 +1410,7 @@ mod tests {
     #[test]
     fn bulk_memory_ops_work_above_the_inline_cutoff() {
         let n = 100_000usize;
-        let mut m = NativeMachine::with_threads(0, 0, 4);
+        let mut m = NativeMachine::with_pool(0, 0, StepPool::with_threads(4));
         let vals: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37)).collect();
         Machine::ensure_memory(&mut m, n);
         Machine::load(&mut m, 0, &vals);
@@ -1490,7 +1426,7 @@ mod tests {
         // same shape must not reallocate the pass scratch.
         let k = 10_000usize;
         let attempts: Vec<(u64, usize)> = (0..k).map(|i| (i as u64 + 1, i % 4096)).collect();
-        let mut m = NativeMachine::with_threads(4096, 0, 2);
+        let mut m = NativeMachine::with_pool(4096, 0, StepPool::with_threads(2));
         let _ = m.claim(&attempts, ClaimMode::Exclusive);
         let _ = m.scan_step(0, 4096);
         let warm = m.scratch_fingerprint();
@@ -1560,7 +1496,7 @@ mod tests {
         // beyond the logical length must panic, not silently allocate.
         // One thread so the step closure runs inline and the panic
         // propagates to the caller.
-        let mut m = NativeMachine::with_threads(64, 0, 1);
+        let mut m = NativeMachine::with_pool(64, 0, StepPool::with_threads(1));
         m.par_for(1, |_, ctx| ctx.write(64, 1));
     }
 
@@ -1570,7 +1506,7 @@ mod tests {
         // Cell 64 is allocated (a shard holds SHARD_CELLS cells) but lies
         // past the logical size: the by-value view a chunk checks against
         // must carry the logical length, not the capacity.
-        let mut m = NativeMachine::with_threads(64, 0, 1);
+        let mut m = NativeMachine::with_pool(64, 0, StepPool::with_threads(1));
         m.par_for(1, |_, ctx| {
             ctx.read(64);
         });

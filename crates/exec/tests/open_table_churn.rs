@@ -4,7 +4,7 @@
 //! machine alike, with identical allocator trajectories.
 
 use qrqw_core::OpenTable;
-use qrqw_exec::NativeMachine;
+use qrqw_exec::{NativeMachine, StepPool};
 use qrqw_sim::{Machine, Pram};
 
 /// Insert-then-delete rounds that each purge at capacity 64; returns
@@ -26,7 +26,11 @@ fn purge_tops<M: Machine>(m: &mut M) -> Vec<usize> {
 #[test]
 fn sustained_churn_keeps_heap_top_flat_on_pram_and_native() {
     let sim = purge_tops(&mut Pram::with_seed(16, 7));
-    let native = purge_tops(&mut NativeMachine::with_threads(16, 7, 2));
+    let native = purge_tops(&mut NativeMachine::with_pool(
+        16,
+        7,
+        StepPool::with_threads(2),
+    ));
     assert_eq!(sim, native, "allocator trajectories diverged");
     // The first purge allocates the second region; from then on the two
     // regions ping-pong.

@@ -518,32 +518,18 @@ fn random_programs_roll_back_and_resync_exactly() {
 }
 
 #[test]
-fn restoring_a_superseded_snapshot_takes_the_full_path_and_is_exact() {
-    for pool in pools() {
-        let seed = 77;
-        reporting(seed, &pool, || {
-            let mut rng = Rng(seed);
-            let (mut m, mut model) = machine(seed, pool.clone());
-            let mut old = MachineSnapshot::default();
-            m.snapshot_into(&mut old);
-            let pre = image(&m);
-            run(&mut m, &gen_program(&mut rng, &mut model));
-            // A second buffer supersedes the first...
-            let mut new = MachineSnapshot::default();
-            m.snapshot_into(&mut new);
-            run(&mut m, &gen_program(&mut rng, &mut model));
-            assert!(!m.is_current(&old) && m.is_current(&new));
-            // ...which still restores exactly, by the full copy.
-            m.restore(&old);
-            assert_eq!(image(&m), pre);
-            // Nothing is in sync after a full-copy restore: the next sync
-            // of either buffer is a full copy again, and correct.
-            assert!(!m.is_current(&old) && !m.is_current(&new));
-            m.snapshot_into(&mut new);
-            assert_eq!(new.copied_cells(), m.heap_top());
-            assert_eq!(new.cells(), &pre.cells[..]);
-        });
-    }
+#[should_panic(expected = "epoch rule")]
+fn restoring_a_superseded_snapshot_panics_naming_the_epoch_rule() {
+    let mut rng = Rng(77);
+    let (mut m, mut model) = machine(77, StepPool::with_threads(2));
+    let mut old = MachineSnapshot::default();
+    m.snapshot_into(&mut old);
+    run(&mut m, &gen_program(&mut rng, &mut model));
+    // A second buffer supersedes the first: the dirty map reaches back only
+    // to it.
+    m.snapshot_into(&mut MachineSnapshot::default());
+    assert!(!m.is_current(&old));
+    m.restore(&old);
 }
 
 #[test]

@@ -45,6 +45,9 @@ fn is_panic(req: R) -> bool {
     req == PANIC || req == LATE
 }
 
+/// The counters every generated trace's service has.
+const COUNTERS: usize = 8;
+
 /// Long enough for any CI machine: a ticket still open after this is
 /// wedged, and a deadline this far off never expires.
 const WEDGE: Duration = Duration::from_secs(30);
@@ -128,14 +131,14 @@ fn add(counter: usize, delta: u64) -> R {
     R::CounterAdd { counter, delta }
 }
 
-/// A mixed trace over keys `0..keys` and counters `0..8`: hash churn,
-/// counter traffic, task submit/steal, an out-of-range key and counter,
-/// injected errors.  `wild` adds deletes, injected panics before and after
-/// the machine steps, and deltas at and above 2^32; without it this is the
-/// service's first batch-parity trace, draw for draw.
+/// A mixed trace over keys `0..keys` and counters `0..COUNTERS`: hash
+/// churn, counter traffic, task submit/steal, out-of-range keys and
+/// counters (the first one out of range, and one far out), injected
+/// errors.  `wild` adds deletes, injected panics before and after the
+/// machine steps, and deltas at and above 2^32.
 fn trace(rng: &mut SmallRng, len: usize, keys: u64, wild: bool) -> Vec<R> {
     let key = |rng: &mut SmallRng| rng.gen_range(0..keys);
-    let ctr = |rng: &mut SmallRng| rng.gen_range(0..8u64) as usize;
+    let ctr = |rng: &mut SmallRng| rng.gen_range(0..COUNTERS);
     let ops = if wild { 17 } else { 13 };
     (0..len)
         .map(|_| match rng.gen_range(0..ops) {
@@ -150,8 +153,14 @@ fn trace(rng: &mut SmallRng, len: usize, keys: u64, wild: bool) -> Vec<R> {
             },
             10 => R::TaskSteal,
             11 => {
-                let invalid = [R::HashInsert { key: MAX_KEY + 17 }, add(99, 1)];
-                [invalid[0], invalid[1], R::Fault(Fault::Error)][rng.gen_range(0..3usize)]
+                let invalid = [
+                    R::HashInsert { key: MAX_KEY },
+                    R::HashInsert { key: MAX_KEY + 17 },
+                    add(COUNTERS, 1),
+                    add(99, 1),
+                    R::Fault(Fault::Error),
+                ];
+                invalid[rng.gen_range(0..invalid.len())]
             }
             14 => PANIC,
             15 => LATE,
@@ -371,7 +380,7 @@ fn every_reply_and_digest_matches_the_sequential_oracle() {
     // The smallest table: it grows past 32 keys.
     let config = |seed| ServiceConfig {
         seed,
-        num_counters: 8,
+        num_counters: COUNTERS,
         hash_capacity: 64,
     };
     // A long mixed trace over 300 keys, and cyclic delete-reinsert churn

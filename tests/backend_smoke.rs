@@ -16,7 +16,7 @@ fn every_registry_variant_runs_and_validates_on_every_backend() {
     for n in [64usize, 257] {
         for algo in Algorithm::ALL {
             for backend in Backend::ALL {
-                let run = Subject::Algorithm(algo).run(backend, n, 11, None);
+                let run = Subject::Algorithm(algo).run(backend, n, 11);
                 assert!(
                     run.valid,
                     "{} produced an invalid output on {} at n={n}",
@@ -56,7 +56,7 @@ fn registry_names_are_stable_and_parse_round_trips() {
 fn every_sim_run_carries_the_model_and_bsp_sections_and_no_native_run_does() {
     for backend in Backend::ALL {
         let r = Subject::Algorithm(Algorithm::ListRank)
-            .run(backend, 64, 1, None)
+            .run(backend, 64, 1)
             .report;
         let sections = [
             r.work.is_some(),

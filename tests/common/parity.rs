@@ -213,7 +213,7 @@ pub fn outputs_are_seed_stable(backend: Backend) {
 /// to pass.
 fn validates(backend: Backend, members: &[Algorithm], n: usize, seed: u64) {
     for algo in members {
-        let valid = Subject::Algorithm(*algo).run(backend, n, seed, None).valid;
+        let valid = Subject::Algorithm(*algo).run(backend, n, seed).valid;
         assert!(valid, "{} invalid at n={n}, seed {seed}", algo.name());
     }
 }

@@ -20,7 +20,7 @@ use common::lockstep::{
 use common::lockstep::{NATIVE, THREADS};
 use qrqw_bench::{Algorithm, Backend};
 use qrqw_suite::algos::random_permutation_qrqw;
-use qrqw_suite::exec::{NativeMachine, Schedule};
+use qrqw_suite::exec::{NativeMachine, Schedule, StepPool};
 use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, Pram, EMPTY};
 
 /// The small problem size every registry member runs at on every pair.
@@ -290,7 +290,7 @@ kernel_tests! {
 #[test]
 #[should_panic(expected = "bucket 4 out of range 4")]
 fn the_native_counting_pass_rejects_a_bucket_out_of_range() {
-    let mut m = NativeMachine::with_threads(16, 0, 2);
+    let mut m = NativeMachine::with_pool(16, 0, StepPool::with_threads(2));
     let data: Vec<u64> = (0..5000).collect();
     m.load(0, &data);
     m.counting_pass(0, data.len(), 4, |w| w % 5);
@@ -299,7 +299,7 @@ fn the_native_counting_pass_rejects_a_bucket_out_of_range() {
 /// The native machine of a drift check: a pooled machine that departs from
 /// the simulator once, at step `at`.
 fn drifting(at: u64, kind: DriftKind) -> Lockstep<Pram, Drift<NativeMachine>> {
-    let inner = NativeMachine::with_threads(16, 1, 2);
+    let inner = NativeMachine::with_pool(16, 1, StepPool::with_threads(2));
     Lockstep::new(Pram::with_seed(16, 1), Drift { inner, at, kind }, "drift")
 }
 
@@ -352,10 +352,10 @@ fn helper_qrqw_threads_env_probe() {
             );
         }
     }
-    // The explicit-thread-count builder never consults QRQW_THREADS, so it
-    // works even when the variable holds garbage.
+    // An explicit pool never consults QRQW_THREADS, so it works even when
+    // the variable holds garbage.
     assert_eq!(
-        NativeMachine::with_threads(16, 0, 7).threads(),
+        NativeMachine::with_pool(16, 0, StepPool::with_threads(7)).threads(),
         7,
         "the builder must override the environment"
     );

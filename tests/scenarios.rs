@@ -88,9 +88,8 @@ fn scenario_contention_orders_by_skew_on_the_simulator() {
     // attempts) while concentrating them on shared probe chains (more
     // collisions).  At n=256, seed 5 this reads uniform ≈ 1.4%,
     // zipf ≈ 4.6%, adversarial ≈ 42%.
-    let run = |name: &str| {
-        Subject::Scenario(Scenario::parse(name).unwrap()).run(Backend::Sim, 256, 5, None)
-    };
+    let run =
+        |name: &str| Subject::Scenario(Scenario::parse(name).unwrap()).run(Backend::Sim, 256, 5);
     let rate = |name: &str| {
         let run = run(name);
         assert!(run.valid);
