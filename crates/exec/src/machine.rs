@@ -1345,42 +1345,6 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_claim_is_deterministic_and_restores_contested_cells() {
-        let mut m = NativeMachine::with_seed(8, 0);
-        let ok = m.claim(&[(1, 4), (2, 4), (3, 4), (4, 6)], ClaimMode::Exclusive);
-        assert_eq!(ok, vec![false, false, false, true]);
-        assert_eq!(
-            Machine::peek(&m, 4),
-            EMPTY,
-            "contested cell must be restored"
-        );
-        assert_eq!(Machine::peek(&m, 6), 4);
-        assert_eq!(m.steps_executed, 6);
-        assert_eq!(m.contention().failures(), 3);
-    }
-
-    #[test]
-    fn occupy_claim_lets_exactly_one_winner_through() {
-        let mut m = NativeMachine::with_seed(8, 0);
-        let attempts = vec![(10u64, 4usize), (11, 4), (12, 4)];
-        let ok = m.claim(&attempts, ClaimMode::Occupy);
-        assert_eq!(ok.iter().filter(|&&b| b).count(), 1);
-        let winner = ok.iter().position(|&b| b).unwrap();
-        assert_eq!(Machine::peek(&m, 4), attempts[winner].0);
-        assert_eq!(m.steps_executed, 3);
-    }
-
-    #[test]
-    fn occupied_cells_reject_claims_in_both_modes() {
-        for mode in [ClaimMode::Exclusive, ClaimMode::Occupy] {
-            let mut m = NativeMachine::with_seed(8, 0);
-            Machine::poke(&mut m, 2, 55);
-            assert_eq!(m.claim(&[(77, 2)], mode), vec![false]);
-            assert_eq!(Machine::peek(&m, 2), 55);
-        }
-    }
-
-    #[test]
     fn alloc_and_release_behave_like_a_stack() {
         let mut m = NativeMachine::with_seed(8, 0);
         let a = Machine::alloc(&mut m, 4);

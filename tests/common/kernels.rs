@@ -1,26 +1,30 @@
 //! One table of machine-call cases, each checked against a host oracle.
 //!
 //! Every `Machine` call that `NativeMachine` overrides with a kernel of its
-//! own is a [`Kernel`]; a [`Case`] adds the input, where it is loaded and
-//! the allocation top the call starts from.  [`Case::run`] issues it on any
-//! machine and returns what the call left ([`After`]), and
-//! [`Case::oracle`] computes the same record on the host from the call's
-//! contract (`crates/sim/src/machine.rs`).  The whole live prefix, the
-//! result, `heap_top`, the step advance and the claim counters are at least
-//! what Lockstep compares after one unrecorded call, so a case needs no
-//! simulator beside the machine under test.  [`check`] runs cases on every
-//! machine each lists.  [`ByStages`] keeps the trait's default routes,
-//! which `tests/step_kernel_cost.rs` prices each kernel against and
-//! [`check`] runs every compaction on.
+//! own is a [`Kernel`], the §5.1 cell-claiming protocol (`Machine::claim`)
+//! among them; a [`Case`] adds the input, where it is loaded, the
+//! allocation top the call starts from and, for a claim, its attempts.
+//! [`Case::run`] issues it on any machine and returns what the call left
+//! ([`After`]), and [`Case::oracle`] computes the same record on the host
+//! from the call's contract (`crates/sim/src/machine.rs`).  The whole live
+//! prefix, the result, a claim's success vector, `heap_top`, the step
+//! advance and the claim counters' advance are at least what Lockstep
+//! compares after one unrecorded call, so a case needs no simulator beside
+//! the machine under test.  [`check`] runs cases on every machine each
+//! lists.  [`ByStages`] keeps the trait's default routes and the six-step
+//! claim, which `tests/step_kernel_cost.rs` prices each kernel against and
+//! [`check`] runs every compaction and exclusive claim on.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use qrqw_suite::exec::{NativeMachine, StepPool, SHARD_CELLS};
-use qrqw_suite::sim::{ClaimMode, Machine, MachineProc, EMPTY};
+use qrqw_suite::sim::{claim_by_steps, ClaimMode, CostReport, Machine, MachineProc, EMPTY};
 
 use super::lockstep::{each_machine, forward_machine, pairs_of, Pair, NATIVE, THREADS};
 
-/// A machine call with a native kernel, and its shape.
+/// A machine call with a native kernel, and its shape; the §5.1 claim
+/// protocol is one in each mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     ScanStep,
@@ -34,6 +38,8 @@ pub enum Kernel {
     ScanTree(bool),
     /// `counting_pass` by [`bucket_of`] over a power-of-two bucket count.
     CountingPass(usize),
+    /// `claim` of the case's attempts, onto the loaded input.
+    Claim(ClaimMode),
 }
 
 /// One call on one input.
@@ -45,17 +51,21 @@ pub struct Case {
     /// Cells ensured before the load: the allocation top the call starts
     /// from, at least a fresh machine's 16.
     pub top: usize,
+    /// A claim's `(tag, target)` attempts; empty for the other calls.
+    pub attempts: Vec<(u64, usize)>,
 }
 
 /// What a call left: `dump(0, end)` over the live prefix and the call's
 /// output past it (a raw compaction's survivors lie above the top it
 /// restores), the result (a sum or survivor count, 1 or 0 for a global OR,
-/// 0 for none), `heap_top`, the step advance, and the claim attempts and
+/// 0 for none), a claim's success vector (empty for the other calls),
+/// `heap_top`, the step advance, and the advance of the claim attempts and
 /// contended claims.
 #[derive(PartialEq, Eq)]
 pub struct After {
     memory: Vec<u64>,
     result: u64,
+    success: Vec<bool>,
     heap_top: usize,
     advance: u64,
     claims: [u64; 2],
@@ -70,11 +80,14 @@ impl After {
         let (want, have) = (&self.memory, &got.memory);
         let cell = (0..want.len().max(have.len())).find(|&i| want.get(i) != have.get(i));
         let cell = cell.map(|i| (i, have.get(i), want.get(i)));
+        let (want, have) = (&self.success, &got.success);
+        let attempt = (0..want.len().max(have.len())).find(|&j| want.get(j) != have.get(j));
+        let attempt = attempt.map(|j| (j, have.get(j), want.get(j)));
         let fields = |a: &After| (a.result, a.heap_top, a.advance, a.claims);
         let (have, want) = (fields(got), fields(self));
         Some(format!(
             "(result, heap_top, advance, claims) {have:?}, want {want:?}; \
-             first (cell, value, want) {cell:?}"
+             first (cell, value, want) {cell:?}; first (attempt, won, want) {attempt:?}"
         ))
     }
 }
@@ -84,6 +97,11 @@ impl After {
 fn bucket_of(buckets: usize) -> impl Fn(u64) -> u64 + Sync + Copy {
     let mask = buckets as u64 - 1;
     move |w| (w >> 8) & mask
+}
+
+/// A report's claim attempts and contended claims.
+fn counters(report: CostReport) -> [u64; 2] {
+    [report.claim_attempts, report.contended_claims]
 }
 
 /// Replaces `cells` by their prefix sums, `EMPTY` counting as zero, and
@@ -127,7 +145,8 @@ impl Case {
         let (base, len) = (self.base, self.input.len());
         m.ensure_memory(self.top);
         m.load(base, &self.input);
-        let before = m.steps_executed();
+        let before = (m.steps_executed(), counters(m.cost_report()));
+        let mut success = Vec::new();
         let start = Instant::now();
         let result = match self.kernel {
             Kernel::ScanStep => m.scan_step(base, len),
@@ -142,15 +161,20 @@ impl Case {
                 m.counting_pass(base, len, buckets, bucket_of(buckets));
                 0
             }
+            Kernel::Claim(mode) => {
+                success = m.claim(&self.attempts, mode);
+                0
+            }
         };
         let wall = start.elapsed();
-        let (report, heap_top) = (m.cost_report(), m.heap_top());
+        let (now, heap_top) = (counters(m.cost_report()), m.heap_top());
         let after = After {
             memory: m.dump(0, heap_top.max(self.end(result))),
             result,
+            success,
             heap_top,
-            advance: m.steps_executed() - before,
-            claims: [report.claim_attempts, report.contended_claims],
+            advance: m.steps_executed() - before.0,
+            claims: [now[0] - before.1[0], now[1] - before.1[1]],
         };
         (after, wall)
     }
@@ -162,30 +186,33 @@ impl Case {
         memory[base..base + len].copy_from_slice(&self.input);
         let range = &mut memory[base..base + len];
         let lg = |x: usize| x.next_power_of_two().trailing_zeros() as u64;
-        // The result, the step advance, and whether the call ensures the
-        // memory it covers (which moves the allocation top past it).
-        let (result, advance, ensures) = match self.kernel {
-            Kernel::ScanStep => (prefix_sums(range, true), 1, false),
+        let (mut success, mut claims) = (Vec::new(), [0, 0]);
+        // The result, the step advance, and the cells the call ensures
+        // (which moves the allocation top past them), 0 for none.
+        let covered = base + len;
+        let (result, advance, ensured) = match self.kernel {
+            Kernel::ScanStep => (prefix_sums(range, true), 1, 0),
             Kernel::GlobalOr => {
                 let set = range.iter().any(|&v| v != 0 && v != EMPTY);
-                (set as u64, 1, false)
+                (set as u64, 1, 0)
             }
             Kernel::Compact(dst) => {
                 let kept: Vec<u64> = range.iter().copied().filter(|&v| v != EMPTY).collect();
                 memory.resize(memory.len().max(dst + kept.len()), EMPTY);
                 memory[dst..dst + kept.len()].copy_from_slice(&kept);
-                (kept.len() as u64, if len == 0 { 0 } else { 3 }, len > 0)
+                let (advance, ensured) = if len == 0 { (0, 0) } else { (3, covered) };
+                (kept.len() as u64, advance, ensured)
             }
             Kernel::Bitonic(seg, segs) => {
                 // A sorting network leaves every segment sorted, whatever
                 // the order of its stages.
                 range.chunks_mut(seg).for_each(<[u64]>::sort_unstable);
                 let l = if segs == 0 { 0 } else { lg(seg) };
-                (0, l * (l + 1) / 2, l > 0)
+                (0, l * (l + 1) / 2, if l > 0 { covered } else { 0 })
             }
             Kernel::ScanTree(inclusive) => {
                 let steps = if len == 0 { 0 } else { 2 * lg(len) + 3 };
-                (prefix_sums(range, inclusive), steps, false)
+                (prefix_sums(range, inclusive), steps, 0)
             }
             Kernel::CountingPass(buckets) => {
                 // Stable: each bucket keeps its words in input order.
@@ -196,17 +223,54 @@ impl Case {
                 range.copy_from_slice(&sorted.concat());
                 let g = buckets.max(lg(len) as usize).max(1);
                 let steps = 2 * lg(buckets * len.div_ceil(g)) + 6;
-                (0, if len <= 1 { 0 } else { steps }, len > 1)
+                (
+                    0,
+                    if len <= 1 { 0 } else { steps },
+                    if len > 1 { covered } else { 0 },
+                )
+            }
+            Kernel::Claim(mode) => {
+                let attempts = &self.attempts;
+                let ensured = attempts.iter().map(|&(_, a)| a + 1).max().unwrap_or(0);
+                memory.resize(memory.len().max(ensured), EMPTY);
+                // An attempt is live when its target is EMPTY at the start.
+                // Exclusive gives a cell to its only live claimant (a
+                // contested cell stays EMPTY); Occupy gives it to the
+                // lowest live claimant index, and the cell keeps that
+                // claimant's tag.
+                let mut live: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+                for (j, &(_, cell)) in attempts.iter().enumerate() {
+                    if memory[cell] == EMPTY {
+                        live.entry(cell).or_default().push(j);
+                    }
+                }
+                success = vec![false; attempts.len()];
+                for (cell, claimants) in &live {
+                    if mode == ClaimMode::Occupy || claimants.len() == 1 {
+                        success[claimants[0]] = true;
+                        memory[*cell] = attempts[claimants[0]].0;
+                    }
+                }
+                let live = live.values().map(Vec::len).sum::<usize>() as u64;
+                let won = success.iter().filter(|&&won| won).count() as u64;
+                claims = [live, live - won];
+                let advance = match mode {
+                    _ if attempts.is_empty() => 0,
+                    ClaimMode::Exclusive => 6,
+                    ClaimMode::Occupy => 3,
+                };
+                (0, advance, ensured)
             }
         };
-        let heap_top = if ensures { top.max(base + len) } else { top };
+        let heap_top = top.max(ensured);
         memory.truncate(heap_top.max(self.end(result)));
         After {
             memory,
             result,
+            success,
             heap_top,
             advance,
-            claims: [0, 0],
+            claims,
         }
     }
 }
@@ -230,6 +294,7 @@ fn cases() -> Vec<Case> {
             input,
             base,
             top,
+            attempts: Vec::new(),
         })
     };
 
@@ -288,16 +353,88 @@ fn cases() -> Vec<Case> {
             add(Kernel::CountingPass(buckets), one_bucket, base, top);
         }
     }
+
+    // Claims in both modes onto a loaded region whose every fifth cell is
+    // occupied.  Attempt j has tag 2j + 1 and aims at a hash of j over
+    // `span` cells from `base`.  Each listed set of attempts then moves to
+    // a fresh cell of its own past the span and the top, so it is exactly
+    // that cell's collision set, and a listed tag replaces the default: an
+    // even tag names a rival's index, and the largest tag is EMPTY - 2.
+    let hash = |j: usize| (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+    for (k, base, loaded, span, sets, tags) in [
+        // No attempts.
+        (0, 0, 8, 8, vec![], vec![]),
+        // Inline (at most 2048 attempts): an Occupy winner tagged with the
+        // index of a later rival on its cell, EMPTY - 2 landing first on a
+        // contested cell, a pair across a bitset word, the last attempt
+        // alone in the last partial word.
+        (
+            1000,
+            16,
+            600,
+            600,
+            vec![vec![10, 20], vec![1, 2, 700], vec![63, 64], vec![999]],
+            vec![(10, 20), (1, EMPTY - 2)],
+        ),
+        // Pooled: pairs across chunks (512 attempts at 2 and 5 threads),
+        // across a chunk boundary and across a word with the last attempt,
+        // the tag hazard across chunks, EMPTY - 2 alone.
+        (
+            3001,
+            16,
+            2000,
+            2000,
+            vec![
+                vec![100, 2900],
+                vec![511, 512],
+                vec![63, 64, 3000],
+                vec![10, 1000],
+                vec![5],
+            ],
+            vec![(10, 1000), (5, EMPTY - 2)],
+        ),
+        // 6000 claimants over 97 cells.
+        (6000, 16, 97, 97, vec![], vec![]),
+        // Targets past the starting top, across the 2^18-cell shard seam.
+        (
+            4099,
+            SHARD_CELLS - 2000,
+            1000,
+            4000,
+            vec![vec![0, 4098]],
+            vec![],
+        ),
+    ] {
+        let mut attempts: Vec<(u64, usize)> = (0..k)
+            .map(|j| (2 * j as u64 + 1, base + (hash(j) % span as u64) as usize))
+            .collect();
+        for (fresh, set) in sets.iter().enumerate() {
+            set.iter()
+                .for_each(|&j| attempts[j].1 = base + span + fresh);
+        }
+        tags.iter().for_each(|&(j, tag)| attempts[j].0 = tag);
+        let region = (0..loaded as u64).map(|i| if i % 5 == 2 { i + 1 } else { EMPTY });
+        for mode in [ClaimMode::Exclusive, ClaimMode::Occupy] {
+            cases.push(Case {
+                kernel: Kernel::Claim(mode),
+                input: region.clone().collect(),
+                base,
+                top: (base + loaded).max(16),
+                attempts: attempts.clone(),
+            });
+        }
+    }
     cases
 }
 
 /// Runs every case whose call `pick` selects on every machine the case
 /// lists, each on a fresh machine, against the case's oracle; a
-/// compaction also on [`ByStages`] over a 2-thread pool.  `ByStages` runs
-/// the trait's default route as truly concurrent steps, so a route whose
-/// processors race shows there, where the model backends' snapshot reads
-/// hide it.  (The other calls' routes on it would double the table's
-/// time.)
+/// compaction and an exclusive claim also on [`ByStages`] over a 2-thread
+/// pool.  `ByStages` runs the trait's default route as truly concurrent
+/// steps, so a route whose processors race shows there, where the model
+/// backends' snapshot reads hide it.  (The other calls' routes on it
+/// would double the table's time, and an occupy claim's winner on the
+/// step route there is whichever writer lands last.)
 pub fn check(pick: fn(Kernel) -> bool) {
     let cases: Vec<Case> = cases().into_iter().filter(|c| pick(c.kernel)).collect();
     assert!(!cases.is_empty(), "no case picked");
@@ -312,7 +449,7 @@ pub fn check(pick: fn(Kernel) -> bool) {
         each_machine!(case.machines(), 0, |pair, m| {
             compare(&format!("{pair:?}"), case.run(&mut m).0)
         });
-        if let Kernel::Compact(_) = case.kernel {
+        if let Kernel::Compact(_) | Kernel::Claim(ClaimMode::Exclusive) = case.kernel {
             let pool = StepPool::with_threads(2);
             let mut staged = ByStages(NativeMachine::with_pool(16, 0, pool));
             compare("ByStages(Native(2))", case.run(&mut staged).0);
@@ -321,8 +458,9 @@ pub fn check(pick: fn(Kernel) -> bool) {
 }
 
 /// A `NativeMachine` that keeps the trait's default `compact_step`,
-/// `bitonic_segments`, `scan_tree` and `counting_pass`: each call's
-/// canonical route, one `par_for` per step on the same pool.
+/// `bitonic_segments`, `scan_tree` and `counting_pass`, and claims through
+/// [`claim_by_steps`]: each call's canonical route, one `par_for` or
+/// `par_map` per step on the same pool.
 pub struct ByStages(pub NativeMachine);
 
 impl Machine for ByStages {
@@ -338,6 +476,8 @@ impl Machine for ByStages {
         self.0.par_map(procs, f)
     }
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {
-        self.0.claim(attempts, mode)
+        let (success, live, contended) = claim_by_steps(self, attempts, mode);
+        self.0.contention().add(live, contended);
+        success
     }
 }

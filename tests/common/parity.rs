@@ -3,16 +3,19 @@
 //! Two patterns validate a `Machine` backend:
 //!
 //! 1. **Lockstep with the simulator** for trait-level edge shapes — tiny
-//!    and odd sizes, the forced Las-Vegas fallback, raw exclusive claims,
-//!    sequential steps, scan and global-OR.  Each runs through every
-//!    `Lockstep<Pram, _>` pair of the backend (`tests/common/lockstep.rs`),
-//!    which compares the two machines after every step.  The registry-wide
-//!    sweep is in `tests/determinism.rs`.
+//!    and odd sizes, the forced Las-Vegas fallback, sequential steps, scan
+//!    and global-OR.  Each runs through every `Lockstep<Pram, _>` pair of
+//!    the backend (`tests/common/lockstep.rs`), which compares the two
+//!    machines after every step.  The registry-wide sweep is in
+//!    `tests/determinism.rs`, and raw claims are rows of its machine-call
+//!    table (`tests/common/kernels.rs`).
 //! 2. **Semantic validity** on the backend alone, for the algorithms that
 //!    race through occupy claims: linear compaction, load balancing,
-//!    multiple compaction, hashing and the sorts must pass the registry's
-//!    validators (`Algorithm::run`).  A Lockstep resync makes the machine
-//!    under test partly the simulator, so these never run through one.
+//!    multiple compaction and hashing must pass the registry's validators
+//!    (`Algorithm::run`).  A Lockstep resync makes the machine under test
+//!    partly the simulator, so these never run through one.  (The sorts'
+//!    outputs are checked by the `determinism.rs` sort sweeps and
+//!    `tests/backend_smoke.rs`.)
 //!
 //! [`parity_suite!`] instantiates both as one `#[test]` per function for
 //! each named [`Backend`].
@@ -25,7 +28,7 @@ use qrqw_suite::algos::{
 };
 use qrqw_suite::prims::listrank::NIL;
 use qrqw_suite::prims::{list_rank, pack, radix_sort_packed, unpack_key};
-use qrqw_suite::sim::{ClaimMode, Machine, Pram, EMPTY};
+use qrqw_suite::sim::{Machine, Pram};
 
 use super::lockstep::{each_machine, each_pair, pairs};
 
@@ -127,18 +130,6 @@ pub fn claim_counters_are_in_lockstep_with_the_reference(backend: Backend) {
         let _ = random_permutation_dart_scan(&mut m, 2048);
         let s = m.cost_report().contended_claims - q;
         assert!(q < s, "fresh subarrays must collide less ({q} vs {s})");
-    });
-}
-
-/// Raw exclusive-claim attempts: same outcomes, same memory image.
-pub fn exclusive_claims_agree_cell_by_cell(backend: Backend) {
-    let attempts: Vec<(u64, usize)> = (0..200u64)
-        .map(|i| (i + 1, (i as usize * 7) % 64))
-        .collect();
-    each_pair!(pairs(backend), 0, |m| {
-        let _ = m.claim(&attempts, ClaimMode::Exclusive);
-        // contested cells really are restored
-        assert!(m.dump(0, 64).contains(&EMPTY));
     });
 }
 
@@ -245,20 +236,6 @@ pub fn hashing_answers_membership_exactly(backend: Backend) {
     }
 }
 
-/// The §7 sorts' placement phases race through occupy claims, but a
-/// multiset has exactly one sorted order, so the outputs must equal the
-/// std-sort reference bit for bit.
-pub fn sorts_produce_the_one_sorted_output(backend: Backend) {
-    use Algorithm::*;
-    let sorts = [
-        SampleSortQrqw,
-        SampleSortCrqw,
-        DistributiveSort,
-        IntegerSort,
-    ];
-    validates(backend, &sorts, 1200, 2);
-}
-
 /// Instantiates the whole parity battery once per `name: backend` entry:
 /// one `#[test]` per pattern function, in a module named `name`.  It also
 /// records the entries' backends in `SUITE_BACKENDS`, which the drift guard
@@ -290,7 +267,6 @@ macro_rules! parity_suite {
                 deterministic_prims_match_the_reference,
                 forced_las_vegas_fallback_matches_the_reference,
                 claim_counters_are_in_lockstep_with_the_reference,
-                exclusive_claims_agree_cell_by_cell,
                 seq_step_sees_same_step_writes,
                 scan_and_global_or_match_the_reference,
                 repeated_writes_by_one_processor_land_in_program_order,
@@ -298,8 +274,7 @@ macro_rules! parity_suite {
                 linear_compaction_is_valid,
                 load_balancing_is_valid,
                 multiple_compaction_is_valid,
-                hashing_answers_membership_exactly,
-                sorts_produce_the_one_sorted_output);
+                hashing_answers_membership_exactly);
         }
     };
     (@tests $arg:expr; $($test:ident),*) => {

@@ -8,16 +8,14 @@
 //! libtest runs it in parallel.  The raw-trait instances and the
 //! injected-drift checks of Lockstep itself live here too, as do the
 //! tests of the machine-call table (`tests/common/kernels.rs`): every
-//! call with a native kernel, on every shape that reaches one of its
-//! paths, against a host oracle of what the call leaves.
+//! call with a native kernel, the claim protocol in each mode among them,
+//! on every shape that reaches one of its paths, against a host oracle of
+//! what the call leaves.
 
 mod common;
 
 use common::kernels::{self, Kernel};
-use common::lockstep::{
-    each_machine, each_pair, pairs, pairs_of, Drift, DriftKind, Lockstep, Pair,
-};
-use common::lockstep::{NATIVE, THREADS};
+use common::lockstep::{each_machine, each_pair, pairs, Drift, DriftKind, Lockstep, Pair, THREADS};
 use qrqw_bench::{Algorithm, Backend};
 use qrqw_suite::algos::random_permutation_qrqw;
 use qrqw_suite::exec::{NativeMachine, Schedule, StepPool};
@@ -176,18 +174,6 @@ fn contention_totals_are_invariant_across_thread_counts() {
 fn occupy_claims_pick_the_lowest_claimant_on_every_schedule_and_thread_count() {
     use Algorithm::*;
     sweep([MultipleCompaction, Hashing], Backend::Native);
-    // 6000 claimants over 97 cells: heavy contention, well past the inline
-    // cutoff.  Every claimant is live, so a cell's winner is its first.
-    let attempts: Vec<(u64, usize)> = (0..6000usize)
-        .map(|j| (j as u64 + 7, (j * 31) % 97))
-        .collect();
-    each_pair!(pairs_of(NATIVE), 3, |m| {
-        let won = m.claim(&attempts, ClaimMode::Occupy);
-        let mut seen = std::collections::HashSet::new();
-        for (j, &(_, addr)) in attempts.iter().enumerate() {
-            assert_eq!(won[j], seen.insert(addr), "winner at claimant {j}");
-        }
-    });
 }
 
 /// The members that place nothing through claims.
@@ -285,6 +271,8 @@ kernel_tests! {
     bitonic_segments_matches_the_oracle_on_every_machine: Kernel::Bitonic(..),
     scan_tree_matches_the_oracle_on_every_machine: Kernel::ScanTree(_),
     counting_pass_matches_the_oracle_on_every_machine: Kernel::CountingPass(_),
+    exclusive_claim_matches_the_oracle_on_every_machine: Kernel::Claim(ClaimMode::Exclusive),
+    occupy_claim_matches_the_oracle_on_every_machine: Kernel::Claim(ClaimMode::Occupy),
 }
 
 #[test]

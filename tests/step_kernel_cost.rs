@@ -44,6 +44,16 @@
 //!   reference box (4 and 3 runs: 0.43–0.50 ms against 1.30–1.70 ms as
 //!   is, 0.67–0.97 ms against 1.89–3.29 ms pinned); with the kernel gone,
 //!   the default route in its place reads 0.94–0.96.
+//! - `claim` in Exclusive mode, 2^18 attempts tagged `j + 1` aimed by a
+//!   seeded hash of the index over 2^18 empty cells, against the six-step
+//!   route of `qrqw_sim::claim_by_steps`.  The kernel's three fused passes
+//!   read 0.48–0.57 of the step route as is (8 runs: 2.8–3.9 ms against
+//!   5.7–7.3 ms) and 0.59–0.77 pinned to one CPU (23 of 24 runs; one read
+//!   0.91) on the 2-vCPU reference box; with the kernel gone, the step
+//!   route in its place reads 0.98–1.00, as is and pinned (3 runs each).
+//!   Occupy has no row: its step route's winner is whichever writer lands
+//!   last on a truly concurrent machine, so the two routes leave
+//!   different records.
 //!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
@@ -62,7 +72,7 @@ mod common;
 
 use common::kernels::{ByStages, Case, Kernel};
 use qrqw_suite::exec::{NativeMachine, StepPool};
-use qrqw_suite::sim::Machine;
+use qrqw_suite::sim::{ClaimMode, Machine, EMPTY};
 
 const CELLS: usize = 1 << 20;
 const REPS: usize = 15;
@@ -195,6 +205,7 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
             .collect(),
         base: 0,
         top: seg * segs,
+        attempts: Vec::new(),
     };
     // One radix digit: packed words, a 32-bit index above a 31-bit key,
     // bucketed by the key's second byte.
@@ -206,22 +217,18 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
             .collect(),
         base: 0,
         top: words,
+        attempts: Vec::new(),
     };
     // An exclusive scan of 2^18 cells, a tenth of them EMPTY.
     let cells = 1 << 18;
     let tree = Case {
         kernel: Kernel::ScanTree(false),
         input: (0..cells as u64)
-            .map(|i| {
-                if i % 10 == 3 {
-                    qrqw_suite::sim::EMPTY
-                } else {
-                    i % 1000
-                }
-            })
+            .map(|i| if i % 10 == 3 { EMPTY } else { i % 1000 })
             .collect(),
         base: 0,
         top: cells,
+        attempts: Vec::new(),
     };
     // A compaction of 2^18 cells, about half of them EMPTY, to a
     // destination below the allocation top.
@@ -230,7 +237,7 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
         input: (0..cells as u64)
             .map(|i| {
                 if i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 0 {
-                    qrqw_suite::sim::EMPTY
+                    EMPTY
                 } else {
                     i
                 }
@@ -238,10 +245,32 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
             .collect(),
         base: 0,
         top: 2 * cells,
+        attempts: Vec::new(),
+    };
+    // Exclusive claims of 2^18 attempts tagged `j + 1`, aimed by a seeded
+    // hash of the index over 2^18 empty cells.
+    let darts = Case {
+        kernel: Kernel::Claim(ClaimMode::Exclusive),
+        input: vec![EMPTY; cells],
+        base: 0,
+        top: cells,
+        attempts: (0..cells)
+            .map(|j| {
+                let hash = (j as u64 ^ 0x5EED).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 46;
+                (j as u64 + 1, hash as usize)
+            })
+            .collect(),
     };
     // The rows: a case, and the bound on its kernel's wall over its
     // default route's (see the module docs for the readings).
-    for (case, bound) in [(network, 0.5), (digit, 0.5), (tree, 0.55), (sparse, 0.65)] {
+    let rows = [
+        (network, 0.5),
+        (digit, 0.5),
+        (tree, 0.55),
+        (sparse, 0.65),
+        (darts, 0.95),
+    ];
+    for (case, bound) in rows {
         let pool = StepPool::with_threads(2);
         let mut m = ByStages(NativeMachine::with_pool(case.top, 1, pool));
         // Interleaved, each run on a fresh load of the input.
