@@ -21,8 +21,8 @@
 //!
 //! * `--backend` selects the backends (default: all); `native` and
 //!   `native-steal` are the native machine under the chunked and the
-//!   work-stealing schedule, and whenever both ran an algorithm row carries
-//!   their wall-clock ratio;
+//!   work-stealing schedule; a cell is keyed by that name, and whenever
+//!   both ran a row carries their wall-clock ratio;
 //! * `--algos` (default: the whole registry) and `--scenario` choose the
 //!   subjects; they exclude each other.  A scenario runs the multi-epoch
 //!   churn driver (`qrqw_bench::scenario`: hash table with deletes,
@@ -35,14 +35,16 @@
 //!   among `--backend`; without it an algorithm row's cells carry their
 //!   validators only (the simulator pays O(work) host time per step, so a
 //!   huge-n run is `--backend native,native-steal`), and `--scenario`,
-//!   whose row is the reference's outcome, refuses the set;
+//!   whose row records the reference's outcome, refuses the set;
 //! * `QRQW_THREADS` sets the native pool size and the simulator's walk
 //!   width (otherwise host parallelism decides);
 //! * the exit code is non-zero if **any** cell fails its validator, the
 //!   drift guard or the Theorem 1.1 check, so CI can use a small run
 //!   as a cross-backend smoke check.
 //!
-//! The JSON shapes are documented in [`qrqw_bench::sweep`].
+//! Algorithms and scenarios write one document shape, `service_report`'s
+//! header ([`qrqw_bench::report::sweep_json`]) over one row per
+//! `(subject, n)`; the row is documented in [`qrqw_bench::sweep`].
 
 use qrqw_bench::report::write_json_file;
 use qrqw_bench::scenario::Scenario;

@@ -200,7 +200,14 @@ fn main() {
         .or_else(|| (!cli.quick).then(|| "BENCH_service.json".to_string()));
     if let Some(out) = out {
         let runs = runs.iter().map(RunSummary::to_json).collect();
-        let doc = sweep_json("service_report", cli.seed, threads, all_valid, runs);
+        let doc = sweep_json(
+            "service_report",
+            cli.seed,
+            threads,
+            Vec::new(),
+            all_valid,
+            runs,
+        );
         write_json_file(&out, &doc);
         println!("wrote {out}");
     }

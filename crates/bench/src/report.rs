@@ -4,9 +4,11 @@
 //! (`BENCH_native.json`, `BENCH_service.json`, …) were historically
 //! assembled with `format!`, which made their schemas impossible to test.
 //! This module gives the harnesses one [`Json`] tree type, one renderer
-//! ([`Json::render`]) and one file writer ([`write_json_file`]) — plus a
-//! small parser ([`Json::parse`]) so tests can round-trip a generated
-//! report and assert on its schema instead of its formatting.
+//! ([`Json::render`]), one document header ([`sweep_json`]: every
+//! committed report is its header fields plus a `runs` array) and one file
+//! writer ([`write_json_file`]) — plus a small parser ([`Json::parse`]) so
+//! a test can compare a committed report with one the current writer
+//! generates, key by key and kind by kind, instead of by its formatting.
 //!
 //! Rendering is deterministic: object keys keep insertion order, an object
 //! or array whose compact form fits in one line stays on one line, and
@@ -356,24 +358,31 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
-/// The top-level document of a `service_report` sweep (`BENCH_service.json`,
+/// The one top-level document of every committed report
+/// (`BENCH_native.json`, `BENCH_workloads.json`, `BENCH_service.json`,
 /// `BENCH_chaos.json`): the writer, its seed, the machine's thread count,
-/// the host's cores, whether every run passed, and the run entries.
+/// the host's cores, the sweep's own `header` entries (none for a
+/// `service_report` sweep), whether every run passed, and the run entries.
 pub fn sweep_json(
     generated_by: &str,
     seed: u64,
     threads: usize,
+    header: Vec<(&str, Json)>,
     all_valid: bool,
     runs: Vec<Json>,
 ) -> Json {
-    Json::obj(vec![
+    let mut fields = vec![
         ("generated_by", Json::str(generated_by)),
         ("seed", Json::Int(seed)),
         ("threads", Json::Int(threads as u64)),
         ("host_cores", Json::Int(rayon::current_num_threads() as u64)),
+    ];
+    fields.extend(header);
+    fields.extend([
         ("all_valid", Json::Bool(all_valid)),
         ("runs", Json::Arr(runs)),
-    ])
+    ]);
+    Json::obj(fields)
 }
 
 /// Writes a rendered [`Json`] document to `path` (the one writer shared by

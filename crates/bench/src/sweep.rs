@@ -16,42 +16,43 @@
 //!   that drifts from the trace fails the cell.
 //!
 //! A cell is valid when its own validator, the guard and the check all
-//! pass; without `sim` an algorithm row has no reference and its cells
-//! carry their validator only.  A scenario row needs the reference: its
-//! header (ops, skew, per-epoch contention) is the reference's outcome.
+//! pass; without `sim` a row has no reference and its cells carry their
+//! validator only.  A scenario row needs the reference all the same: its
+//! outcome (ops, skew, per-epoch contention) is the reference's.
 //!
 //! Every cell writes one object: `wall_ms`, `steps`, `claim_attempts`,
 //! `contended_claims`, `valid`, plus `contention_per_op` for a churn run,
 //! `drift_free` when the row had a reference, and on the simulator's cell
 //! `work` / `max_contention` / `time_qrqw` and the seven measured BSP
-//! fields.  Only the row and document headers differ by subject kind, so
-//! that `BENCH_native.json` (algorithms) and `BENCH_workloads.json`
-//! (scenarios) keep their shapes:
+//! fields.  Algorithms and scenarios write one row shape, which differs
+//! only by a scenario's own parameters and outcome, so that
+//! `BENCH_native.json` (algorithms) and `BENCH_workloads.json` (scenarios)
+//! are one document shape under [`sweep_json`]'s header:
 //!
 //! ```text
-//! {"algorithm": "permutation-qrqw", "n": 65536,
-//!  "native": {cell}, "native_steal": {cell}, "sim": {cell},
-//!  "sim_over_native": 26.86, "chunked_over_stealing": 0.939}
-//! {"scenario": "zipf-hot", "dist": …, "churn": …, "epochs": …, "n": …,
-//!  "seed": …, "ops": …, "hot_fraction": …, "epoch_contention": […],
-//!  "backends": {"sim": {cell}, "native": {cell}, …}, "valid": true}
+//! {"subject": "permutation-qrqw", "n": 65536, "seed": 1,
+//!  "backends": {"sim": {cell}, "native": {cell}, "native-steal": {cell}},
+//!  "sim_over_native": 4.68, "chunked_over_stealing": 1.097, "valid": true}
+//! {"subject": "zipf-hot", "n": 4096, "seed": 1, "dist": …, "churn": …,
+//!  "epochs": …, "ops": …, "hot_fraction": …, "epoch_contention": […],
+//!  "backends": {…}, "sim_over_native": …, "chunked_over_stealing": …,
+//!  "valid": true}
 //! ```
 //!
-//! A backend that was not asked for is `null` in an algorithm row and
-//! absent from a scenario row's `backends`.  Every machine runs on
+//! A cell is keyed by [`Backend::name`]; a backend that was not asked for
+//! is absent, and so is a ratio it would feed.  Every machine runs on
 //! `StepPool::from_env`'s pool: `QRQW_THREADS` sets the native pool size
 //! and the simulator's walk width alike.
 
 use qrqw_exec::StepPool;
 
-use crate::report::Json;
-use crate::scenario::Scenario;
+use crate::report::{sweep_json, Json};
 use crate::{Backend, BackendRun, Subject};
 
 /// One `perf_report` invocation's sweep.
 #[derive(Debug)]
 pub struct Sweep {
-    /// What each row runs: all algorithms or all scenarios.
+    /// What each row runs: registry algorithms, churn scenarios or both.
     pub subjects: Vec<Subject>,
     /// The reported backends.
     pub backends: Vec<Backend>,
@@ -158,34 +159,21 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// If the subjects are scenarios and `sim` is not a backend (a scenario
-    /// row has no reference then), or the subjects mix algorithms and
-    /// scenarios (one document holds one kind).
+    /// If a subject is a scenario and `sim` is not a backend (a scenario
+    /// row has no outcome then).
     pub fn run(&self) -> (Json, bool) {
-        let scenarios: Vec<&Scenario> = self
-            .subjects
-            .iter()
-            .filter_map(|s| match s {
-                Subject::Scenario(scenario) => Some(scenario),
-                Subject::Algorithm(_) => None,
-            })
-            .collect();
-        assert!(
-            scenarios.is_empty() || scenarios.len() == self.subjects.len(),
-            "a sweep runs algorithms or scenarios, not both"
-        );
         let threads = StepPool::from_env().threads();
+        let backends: Vec<&str> = self.backends.iter().map(|b| b.name()).collect();
         println!(
-            "perf_report: {} subjects, backends {:?}, sizes {:?}, seed {}, threads {threads} \
-             (host cores {})",
+            "perf_report: {} subjects, backends {backends:?}, sizes {:?}, seed {}, \
+             threads {threads} (host cores {})",
             self.subjects.len(),
-            self.backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
             self.sizes,
             self.seed,
             rayon::current_num_threads(),
         );
 
-        let mut rows = Vec::new();
+        let mut runs = Vec::new();
         let mut all_valid = true;
         for &n in &self.sizes {
             for subject in &self.subjects {
@@ -206,98 +194,72 @@ impl Sweep {
                 }
                 let valid = cells.iter().all(|c| c.valid);
                 all_valid &= valid;
-                rows.push(match subject {
-                    Subject::Algorithm(_) => algorithm_row(subject.name(), n, &cells),
-                    Subject::Scenario(scenario) => {
-                        let reference = reference
-                            .as_ref()
-                            .expect("a scenario row needs the sim reference (sim in backends)");
-                        scenario_row(scenario, reference, &cells, valid)
-                    }
-                });
+                runs.push(self.row(subject, n, &cells, valid));
             }
         }
 
-        let header = |generated_by| {
-            vec![
-                ("generated_by", Json::str(generated_by)),
-                (
-                    "backends",
-                    Json::Arr(self.backends.iter().map(|b| Json::str(b.name())).collect()),
-                ),
-                ("seed", Json::Int(self.seed)),
-                ("threads", Json::Int(threads as u64)),
-                ("host_cores", Json::Int(rayon::current_num_threads() as u64)),
-                (
-                    "sizes",
-                    Json::Arr(self.sizes.iter().map(|&n| Json::Int(n as u64)).collect()),
-                ),
-                ("all_valid", Json::Bool(all_valid)),
-            ]
-        };
-        let doc = if scenarios.is_empty() {
-            let mut fields = header("perf_report");
-            fields.push(("runs", Json::Arr(rows)));
-            Json::obj(fields)
-        } else {
-            let mut fields = header("perf_report --scenario");
-            let names = scenarios.iter().map(|s| Json::str(&s.name)).collect();
-            fields.insert(1, ("scenarios", Json::Arr(names)));
-            fields.push(("rows", Json::Arr(rows)));
-            Json::obj(fields)
-        };
+        let header = vec![
+            (
+                "backends",
+                Json::Arr(backends.into_iter().map(Json::str).collect()),
+            ),
+            (
+                "sizes",
+                Json::Arr(self.sizes.iter().map(|&n| Json::Int(n as u64)).collect()),
+            ),
+            (
+                "subjects",
+                Json::Arr(self.subjects.iter().map(|s| Json::str(s.name())).collect()),
+            ),
+        ];
+        let doc = sweep_json("perf_report", self.seed, threads, header, all_valid, runs);
         (doc, all_valid)
     }
-}
 
-/// A `BENCH_native.json` run entry: one column per backend (`null` when it
-/// did not run) and the two wall-clock ratios.  `chunked_over_stealing`
-/// above 1 means the work-stealing schedule was faster.
-fn algorithm_row(name: &str, n: usize, cells: &[Cell]) -> Json {
-    let cell = |b: Backend| cells.iter().find(|c| c.run.backend == b.name());
-    let column = |b: Backend| cell(b).map_or(Json::Null, Cell::json);
-    let ratio = |num: Backend, den: Backend, digits: usize| {
-        let wall = |b| cell(b).map(|c| c.run.elapsed.as_secs_f64());
-        match (wall(num), wall(den)) {
-            (Some(a), Some(b)) => Json::float(a / b.max(f64::EPSILON), digits),
-            _ => Json::Null,
+    /// One run entry: the subject, its size and seed, a scenario's own
+    /// parameters and the reference's (the sim cell's) outcome, one cell
+    /// per backend that ran, each wall-clock ratio whose two backends both
+    /// ran, and the row's verdict.  `chunked_over_stealing` above 1 means
+    /// the work-stealing schedule was faster.
+    fn row(&self, subject: &Subject, n: usize, cells: &[Cell], valid: bool) -> Json {
+        let cell = |b: Backend| cells.iter().find(|c| c.run.backend == b.name());
+        let mut fields = vec![
+            ("subject", Json::str(subject.name())),
+            ("n", Json::Int(n as u64)),
+            ("seed", Json::Int(self.seed)),
+        ];
+        if let Subject::Scenario(scenario) = subject {
+            let outcome = cell(Backend::Sim)
+                .and_then(|c| c.run.churn.as_ref())
+                .expect("a scenario row needs the sim reference (sim in backends)");
+            let epochs = outcome.epoch_contention.iter().map(|&c| Json::Int(c));
+            fields.extend([
+                ("dist", Json::Str(scenario.dist.label())),
+                ("churn", Json::Str(scenario.churn_label())),
+                ("epochs", Json::Int(scenario.epochs as u64)),
+                ("ops", Json::Int(outcome.ops)),
+                ("hot_fraction", Json::float(outcome.hot_fraction, 4)),
+                ("epoch_contention", Json::Arr(epochs.collect())),
+            ]);
         }
-    };
-    Json::obj(vec![
-        ("algorithm", Json::str(name)),
-        ("n", Json::Int(n as u64)),
-        ("native", column(Backend::Native)),
-        ("native_steal", column(Backend::NativeSteal)),
-        ("sim", column(Backend::Sim)),
-        ("sim_over_native", ratio(Backend::Sim, Backend::Native, 2)),
-        (
-            "chunked_over_stealing",
-            ratio(Backend::Native, Backend::NativeSteal, 3),
-        ),
-    ])
-}
-
-/// A `BENCH_workloads.json` row: the scenario's parameters, the reference
-/// run's outcome (ops, measured skew, per-epoch contention) and one cell
-/// per backend that ran.
-fn scenario_row(scenario: &Scenario, reference: &BackendRun, cells: &[Cell], valid: bool) -> Json {
-    let outcome = reference
-        .churn
-        .as_ref()
-        .expect("a scenario run carries its churn outcome");
-    let epochs = outcome.epoch_contention.iter().map(|&c| Json::Int(c));
-    let backends = cells.iter().map(|c| (c.run.backend.to_string(), c.json()));
-    Json::obj(vec![
-        ("scenario", Json::str(&scenario.name)),
-        ("dist", Json::Str(scenario.dist.label())),
-        ("churn", Json::Str(scenario.churn_label())),
-        ("epochs", Json::Int(scenario.epochs as u64)),
-        ("n", Json::Int(reference.n as u64)),
-        ("seed", Json::Int(reference.seed)),
-        ("ops", Json::Int(outcome.ops)),
-        ("hot_fraction", Json::float(outcome.hot_fraction, 4)),
-        ("epoch_contention", Json::Arr(epochs.collect())),
-        ("backends", Json::Obj(backends.collect())),
-        ("valid", Json::Bool(valid)),
-    ])
+        let backends = cells.iter().map(|c| (c.run.backend.to_string(), c.json()));
+        fields.push(("backends", Json::Obj(backends.collect())));
+        let wall = |b| cell(b).map(|c| c.run.elapsed.as_secs_f64());
+        let ratios = [
+            ("sim_over_native", Backend::Sim, Backend::Native, 2),
+            (
+                "chunked_over_stealing",
+                Backend::Native,
+                Backend::NativeSteal,
+                3,
+            ),
+        ];
+        for (key, num, den, digits) in ratios {
+            if let (Some(a), Some(b)) = (wall(num), wall(den)) {
+                fields.push((key, Json::float(a / b.max(f64::EPSILON), digits)));
+            }
+        }
+        fields.push(("valid", Json::Bool(valid)));
+        Json::obj(fields)
+    }
 }
