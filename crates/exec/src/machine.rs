@@ -47,7 +47,8 @@
 //!   per-processor loop does not reload them behind every store.
 //!   `tests/step_kernel_cost.rs` pins the resulting cost against a raw
 //!   loop over a `Vec<AtomicU64>`.  The machine's own kernels (claim,
-//!   scan, compaction, counting, global OR, `peek` / `poke`) reach cells
+//!   scan, compaction, counting, list ranking, global OR, `peek` / `poke`)
+//!   reach cells
 //!   through the same view, taken once per call after any growth, and
 //!   walk a chunk block by block through one helper, `for_blocks`;
 //! * `claim` keeps its `live` / `cas_won` pass state in reusable
@@ -64,6 +65,17 @@
 //!   scan of those histograms into ranks, a stable scatter into a reusable
 //!   spill buffer, and a copy back — the count matrix and the output copy
 //!   of the default route never touch the arena;
+//! * `list_rank` ranks a sparse ruling set (Helman and JáJá) in one 4-pass
+//!   dispatch with `O(n)` work, where the default route's pointer jumping
+//!   does `O(n lg n)` in `2·max(1, ⌈lg n⌉) + 2` steps: every successor
+//!   marks the node it names; every node at a multiple of `RULER_STRIDE`
+//!   and every unmarked node (a head) walks its sublist to the next stride
+//!   node, `WALKS_IN_FLIGHT` walks interleaved per chunk, each prefetching
+//!   its next node; one serial pass ranks the stride rulers' chains; a
+//!   fill writes every rank.  Its marks, per-node places and per-ruler
+//!   links live in reused scratch, two words per node, and the kernel
+//!   panics on successors that do not form NIL-terminated lists with at
+//!   most one predecessor per node;
 //! * `bitonic_segments` runs the whole network as block-resident passes:
 //!   every stage with `k <= BITONIC_BLOCK` in one pass, block by block,
 //!   and per larger `k` one whole-range pass per stage `j >= BITONIC_BLOCK`
@@ -93,6 +105,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use qrqw_sim::machine::assert_lists_apart;
 use qrqw_sim::proc_rng;
 use qrqw_sim::schedule::ceil_lg;
 use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc, EMPTY};
@@ -130,6 +143,27 @@ const OR_POLL_MASK: usize = 0x1FF;
 /// target cells — the passes are memory-latency-bound, not compute-bound.
 const PREFETCH_DIST: usize = 16;
 
+/// The ruler stride of [`Machine::list_rank`]'s sparse ruling set: every
+/// node whose index is a multiple of it rules a sublist, as does every
+/// list head.
+const RULER_STRIDE: usize = 128;
+
+/// Sublist walks a chunk of [`Machine::list_rank`] keeps in flight, each
+/// prefetching its next node, so that their cache misses overlap.
+const WALKS_IN_FLIGHT: usize = 32;
+
+/// `list_rank`'s predecessor mark: the top bit over a per-call stamp, so
+/// a mark never equals a [`link`] word or a mark of another call.
+const LIST_MARK: u64 = 1 << 63;
+
+/// `list_rank`'s tag on a stride ruler whose node count to the end of
+/// its list is known.
+const RANKED: u64 = 1 << 63;
+
+/// Nodes `list_rank` accepts: node indices, offsets and counts fit the
+/// 30-bit fields of [`link`] and [`place`].
+const MAX_LIST_NODES: usize = 1 << 30;
+
 /// Reusable step-pass scratch: grown on demand, never shrunk, so steady
 /// workloads stop allocating after their first step of each shape.
 #[derive(Default)]
@@ -140,10 +174,17 @@ struct Scratch {
     cas_won: Vec<AtomicU64>,
     /// Scan pass: per-[`SCAN_BLOCK`] totals, then exclusive offsets.
     /// Counting pass: one bucket histogram per block, then per-bucket
-    /// output ranks.
+    /// output ranks.  List ranking: one [`link`] per stride ruler, then
+    /// its node count to the end of its list, tagged [`RANKED`].
     offsets: Vec<AtomicU64>,
     /// Counting pass: the stably scattered words before the copy back.
+    /// List ranking: every node's [`place`], its ruler and offset.
     spill: Vec<AtomicU64>,
+    /// List ranking: every node's predecessor mark, and a head's
+    /// [`link`].
+    marks: Vec<AtomicU64>,
+    /// List ranking: the stamp of the last call's marks.
+    list_calls: u64,
 }
 
 fn ensure_words(buf: &mut Vec<AtomicU64>, words: usize) {
@@ -540,6 +581,50 @@ fn prefetch_ahead(mem: ArenaView<'_>, attempts: &[(u64, usize)], j: usize, hi: u
     if j + PREFETCH_DIST < hi {
         mem.prefetch(attempts[j + PREFETCH_DIST].1);
     }
+}
+
+/// Hints the cache that the scratch word `word` is about to be written.
+#[inline(always)]
+fn prefetch_word(word: &AtomicU64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch is a pure hint, on a live reference.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+            word.as_ptr().cast::<i8>(),
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = word;
+}
+
+/// A `list_rank` sublist: the successor of its last node (the next
+/// stride ruler, or [`EMPTY`]) over its node count.
+#[inline(always)]
+fn link(next: u64, len: u64) -> u64 {
+    let next = if next == EMPTY { 0 } else { next + 1 };
+    next << 32 | len
+}
+
+/// The next stride ruler and the node count of a [`link`].
+#[inline(always)]
+fn unlink(word: u64) -> (Option<usize>, u64) {
+    let next = (word >> 32) as usize;
+    (next.checked_sub(1), word & u64::from(u32::MAX))
+}
+
+/// A `list_rank` node's ruler over its offset from that ruler.
+#[inline(always)]
+fn place(ruler: usize, offset: u64) -> u64 {
+    (ruler as u64) << 32 | offset
+}
+
+/// `list_rank`'s panic on successors that break the call's contract.
+#[cold]
+fn broken_lists(what: std::fmt::Arguments<'_>) -> ! {
+    panic!(
+        "list_rank: {what}: the successors must form NIL-terminated lists with at most one \
+         predecessor per node"
+    )
 }
 
 /// `compact_step`, count pass: the number of non-[`EMPTY`] cells of every
@@ -1113,6 +1198,209 @@ impl Machine for NativeMachine {
             .next_power_of_two()
             .trailing_zeros() as u64;
         self.steps_executed += 2 * lg + 6;
+    }
+
+    fn list_rank(&mut self, base_succ: usize, n: usize, base_rank: usize) {
+        assert_lists_apart(base_succ, n, base_rank);
+        if n == 0 {
+            return;
+        }
+        assert!(
+            n < MAX_LIST_NODES,
+            "list_rank: {n} nodes; the native kernel ranks fewer than {MAX_LIST_NODES}"
+        );
+        self.ensure_memory(base_succ + n);
+        self.ensure_memory(base_rank + n);
+        // The default route's pointer scratch lies above the allocation top
+        // and is released again; this route keeps two words per node and
+        // one per stride ruler off the arena, in reused scratch.
+        let strides = n.div_ceil(RULER_STRIDE);
+        ensure_words(&mut self.scratch.marks, n);
+        ensure_words(&mut self.scratch.spill, n);
+        ensure_words(&mut self.scratch.offsets, strides);
+        // A fresh stamp per call: marks left by earlier calls never read
+        // as this call's, so the marks need no clearing.
+        self.scratch.list_calls += 1;
+        let stamp = LIST_MARK | self.scratch.list_calls;
+        // The fill rewrites the whole rank region.
+        self.arena.mark_range(base_rank, n);
+        let mem = self.arena.view();
+        let marks = &self.scratch.marks[..n];
+        let places = &self.scratch.spill[..n];
+        let rulers = &self.scratch.offsets[..strides];
+        let n64 = n as u64;
+        let succ = |i: usize| mem.cell(base_succ + i).load(Ordering::Relaxed);
+        // Successors that are not NIL, nodes no successor names, nodes the
+        // walks placed: what the serial pass checks the contract by.
+        let (linked, heads, placed) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+
+        // Pass 0: every successor marks the node it names.
+        let mark = |lo: usize, hi: usize| {
+            let mut count = 0;
+            for i in lo..hi {
+                if i + PREFETCH_DIST < hi {
+                    let ahead = succ(i + PREFETCH_DIST);
+                    if ahead < n64 {
+                        prefetch_word(&marks[ahead as usize]);
+                    }
+                }
+                let s = succ(i);
+                if s == EMPTY {
+                    continue;
+                }
+                if s >= n64 {
+                    broken_lists(format_args!("node {i}'s successor {s} is not below {n}"));
+                }
+                marks[s as usize].store(stamp, Ordering::Relaxed);
+                count += 1;
+            }
+            linked.fetch_add(count, Ordering::Relaxed);
+        };
+        // Pass 1: every ruler of the chunk — a node at a multiple of
+        // RULER_STRIDE, or a head, which no successor marked — walks its
+        // sublist up to the next stride node or the end of its list,
+        // placing each node it passes: its ruler and offset.  The walks run
+        // interleaved, WALKS_IN_FLIGHT at a time, each prefetching the node
+        // it places next.  A stride ruler leaves its sublist's link in its
+        // `rulers` slot, a head in its own mark, which no other chunk reads.
+        let walk = |lo: usize, hi: usize| {
+            let (mut next, mut unmarked, mut count) = (lo, 0u64, 0u64);
+            // A walk: its ruler, the node it places next and that node's
+            // offset.
+            let mut walks = [(0usize, 0usize, 0u64); WALKS_IN_FLIGHT];
+            let mut live = 0;
+            loop {
+                while live < WALKS_IN_FLIGHT && next < hi {
+                    let i = next;
+                    next += 1;
+                    let head = marks[i].load(Ordering::Relaxed) != stamp;
+                    unmarked += head as u64;
+                    if head || i.is_multiple_of(RULER_STRIDE) {
+                        walks[live] = (i, i, 0);
+                        live += 1;
+                    }
+                }
+                if live == 0 {
+                    break;
+                }
+                let mut w = 0;
+                while w < live {
+                    let (ruler, node, offset) = walks[w];
+                    places[node].store(place(ruler, offset), Ordering::Relaxed);
+                    count += 1;
+                    let s = succ(node);
+                    if s == EMPTY || (s as usize).is_multiple_of(RULER_STRIDE) {
+                        let end = link(s, offset + 1);
+                        if ruler.is_multiple_of(RULER_STRIDE) {
+                            rulers[ruler / RULER_STRIDE].store(end, Ordering::Relaxed);
+                        } else {
+                            marks[ruler].store(end, Ordering::Relaxed);
+                        }
+                        live -= 1;
+                        walks[w] = walks[live];
+                    } else {
+                        let s = s as usize;
+                        mem.prefetch(base_succ + s);
+                        prefetch_word(&places[s]);
+                        walks[w] = (ruler, s, offset + 1);
+                        w += 1;
+                    }
+                }
+                // Only a cycle entered through a shared successor keeps a
+                // walk going this long.
+                if count > n64 {
+                    broken_lists(format_args!("the walks passed more than {n} nodes"));
+                }
+            }
+            heads.fetch_add(unmarked, Ordering::Relaxed);
+            placed.fetch_add(count, Ordering::Relaxed);
+        };
+        // Pass 2, serial: the contract holds iff the successors name
+        // distinct nodes (then the walks are disjoint), the walks placed
+        // every node (then no cycle lacks a stride ruler), and no stride
+        // ruler's chain of sublists returns to it.  Each chain then gets
+        // its node counts to the end of the list, summed on one walk along
+        // it and handed out on a second.
+        let rank_rulers = || {
+            let linked = linked.load(Ordering::Relaxed);
+            let named = n64 - heads.load(Ordering::Relaxed);
+            if named != linked {
+                broken_lists(format_args!(
+                    "{linked} successors name {named} distinct nodes"
+                ));
+            }
+            let placed = placed.load(Ordering::Relaxed);
+            if placed != n64 {
+                broken_lists(format_args!("the walks placed {placed} of {n} nodes"));
+            }
+            for first in 0..strides {
+                let (mut total, mut at) = (0, first);
+                loop {
+                    let word = rulers[at].load(Ordering::Relaxed);
+                    if word & RANKED != 0 {
+                        total += word & !RANKED;
+                        break;
+                    }
+                    let (next, len) = unlink(word);
+                    total += len;
+                    match next.map(|node| node / RULER_STRIDE) {
+                        None => break,
+                        Some(next) if next == first => broken_lists(format_args!(
+                            "node {} lies on a cycle",
+                            first * RULER_STRIDE
+                        )),
+                        Some(next) => at = next,
+                    }
+                }
+                let mut at = first;
+                loop {
+                    let word = rulers[at].load(Ordering::Relaxed);
+                    if word & RANKED != 0 {
+                        break;
+                    }
+                    rulers[at].store(RANKED | total, Ordering::Relaxed);
+                    let (next, len) = unlink(word);
+                    total -= len;
+                    match next {
+                        None => break,
+                        Some(next) => at = next / RULER_STRIDE,
+                    }
+                }
+            }
+        };
+        // Pass 3: a node's rank is its ruler's node count to the end, less
+        // one and its offset; a head's count is its sublist's plus the
+        // count of the stride ruler after it.
+        let fill = |lo: usize, hi: usize| {
+            let count_of =
+                |node: usize| rulers[node / RULER_STRIDE].load(Ordering::Relaxed) & !RANKED;
+            for (i, place) in (lo..hi).zip(&places[lo..hi]) {
+                let word = place.load(Ordering::Relaxed);
+                let (ruler, offset) = ((word >> 32) as usize, word & u64::from(u32::MAX));
+                let count = if ruler.is_multiple_of(RULER_STRIDE) {
+                    count_of(ruler)
+                } else {
+                    let (next, len) = unlink(marks[ruler].load(Ordering::Relaxed));
+                    len + next.map_or(0, count_of)
+                };
+                mem.cell(base_rank + i)
+                    .store(count - 1 - offset, Ordering::Relaxed);
+            }
+        };
+        self.pool
+            .dispatch_fused(n, 1, 4, |pass, lo, hi| match pass {
+                0 => mark(lo, hi),
+                1 => walk(lo, hi),
+                2 => {
+                    if lo == 0 {
+                        rank_rulers();
+                    }
+                }
+                _ => fill(lo, hi),
+            });
+        // The default route's step count: the read, max(1, ⌈lg n⌉) rounds
+        // of publish and jump, the last publish.
+        self.steps_executed += 2 * ceil_lg(n64).max(1) + 2;
     }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {

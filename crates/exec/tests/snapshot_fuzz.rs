@@ -97,6 +97,13 @@ enum Op {
         seg: usize,
         segs: usize,
     },
+    /// A load of NIL-terminated lists at `succ`, then `list_rank` of
+    /// them into a rank region in another region.
+    ListRank {
+        succ: usize,
+        lists: Vec<u64>,
+        rank: usize,
+    },
     Load {
         base: usize,
         values: Vec<u64>,
@@ -160,7 +167,7 @@ impl Model {
 fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..4 + rng.below(8) {
-        let op = match rng.below(14) {
+        let op = match rng.below(15) {
             0 | 1 => {
                 let (base, len) = model.range(rng, 8192);
                 let span = if len.is_power_of_two() {
@@ -276,6 +283,30 @@ fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
                     num_buckets: [1, 2, 256, 4096][rng.below(4)],
                 }
             }
+            13 => {
+                // Successors and ranks in two different regions, as for a
+                // compaction: random lists of about four nodes over a
+                // random order of the nodes.
+                let i = rng.below(model.regions());
+                let j = (i + 1 + rng.below(model.regions() - 1)) % model.regions();
+                let ((sbase, slen), (rbase, rlen)) = (model.nth(i), model.nth(j));
+                let n = 1 + rng.below(slen.min(rlen).min(6000));
+                let mut order: Vec<usize> = (0..n).collect();
+                for k in (1..n).rev() {
+                    order.swap(k, rng.below(k + 1));
+                }
+                let mut lists = vec![EMPTY; n];
+                for pair in order.windows(2) {
+                    if rng.below(4) != 0 {
+                        lists[pair[0]] = pair[1] as u64;
+                    }
+                }
+                Op::ListRank {
+                    succ: sbase + rng.below(slen - n + 1),
+                    lists,
+                    rank: rbase + rng.below(rlen - n + 1),
+                }
+            }
             _ => {
                 if !model.stack.is_empty() && rng.below(3) == 0 {
                     let keep = rng.below(model.stack.len());
@@ -355,6 +386,10 @@ fn run(m: &mut NativeMachine, ops: &[Op]) -> Vec<u64> {
             }
             Op::Compact { src, len, dst } => out.push(m.compact_step(*src, *len, *dst)),
             Op::Bitonic { base, seg, segs } => m.bitonic_segments(*base, *seg, *segs),
+            Op::ListRank { succ, lists, rank } => {
+                m.load(*succ, lists);
+                m.list_rank(*succ, lists.len(), *rank);
+            }
             Op::Load { base, values } => m.load(*base, values),
             Op::Poke { addr, value } => m.poke(*addr, *value),
             Op::Clear { base, len } => m.clear_region(*base, *len),

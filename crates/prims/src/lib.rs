@@ -13,8 +13,8 @@
 //!   `k` copies (the paper's "replace a program variable with k copies"
 //!   technique, Section 1.2), and the segmented forward broadcast.
 //! * [`reduce`] — binary-tree global OR.
-//! * [`listrank`] — pointer-jumping list ranking (used by the load-balancing
-//!   input-format conversion of Section 3).
+//! * [`listrank`] — list ranking (Section 3), the machine call
+//!   `Machine::list_rank`: pointer jumping on the simulator.
 //! * [`claim`] — the "write, read, write, read" cell-claiming protocol of
 //!   Section 5.1, in both *exclusive* (all colliders fail) and *occupy*
 //!   (arbitration winner succeeds) flavours, and [`TeamDarts`], the one team

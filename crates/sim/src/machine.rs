@@ -40,7 +40,8 @@
 //!    [`Machine::bitonic_segments`] by `L(L+1)/2` for segments of `2^L`
 //!    cells, [`Machine::scan_tree`] by `2·lg w + 3` for `w` the length
 //!    rounded up to a power of two, [`Machine::counting_pass`] by
-//!    `2·lg w + 6` for `w` its count matrix rounded up likewise, and
+//!    `2·lg w + 6` for `w` its count matrix rounded up likewise,
+//!    [`Machine::list_rank`] by `2·max(1, ⌈lg n⌉) + 2` for `n` nodes, and
 //!    [`Machine::claim`] by 6 ([`ClaimMode::Exclusive`]) or 3
 //!    ([`ClaimMode::Occupy`]) — the length of the simulated claiming
 //!    protocol.  Backends that keep this contract give
@@ -628,6 +629,85 @@ pub trait Machine {
         self.release_to(counts);
     }
 
+    /// Ranks the linked lists over `n` nodes whose successors are the cells
+    /// `[base_succ, base_succ+n)`: node `i`'s number of links to the end
+    /// of its list lands in cell `base_rank + i`.
+    ///
+    /// The successors must form **NIL-terminated lists**: every successor
+    /// is [`crate::EMPTY`] (the end of a list) or another node below `n`,
+    /// and every node has at most one predecessor, so the lists are
+    /// disjoint and free of cycles.  The `succ` and `rank` regions must
+    /// not overlap; every route asserts that.
+    ///
+    /// The default implementation is the canonical EREW-legal route,
+    /// pointer jumping, and is what the model backends charge: one step
+    /// reads every successor, then `max(1, ⌈lg n⌉)` rounds of a publish
+    /// step and a jump step through an `n`-cell scratch region, then a
+    /// last publish: `O(n lg n)` work.  It advances the step index by
+    /// exactly `2·max(1, ⌈lg n⌉) + 2` (0 when `n == 0`), draws no
+    /// randomness and moves no claim counter; any override must do the
+    /// same and leave the same `heap_top` and live memory (the native
+    /// backend ranks a sparse ruling set in one pool dispatch, `O(n)`
+    /// work, and panics on successors that break the contract).
+    ///
+    /// ```
+    /// use qrqw_sim::{Machine, Pram, EMPTY};
+    ///
+    /// let mut m = Pram::with_seed(8, 0);
+    /// // Two lists: 2 → 0 → 3 and 1 alone.
+    /// m.load(0, &[3, EMPTY, 0, EMPTY]);
+    /// m.list_rank(0, 4, 4);
+    /// assert_eq!(m.dump(4, 4), vec![1, 0, 2, 0]);
+    /// assert_eq!(m.steps_executed(), 6); // 2·⌈lg 4⌉ + 2
+    /// ```
+    fn list_rank(&mut self, base_succ: usize, n: usize, base_rank: usize) {
+        assert_lists_apart(base_succ, n, base_rank);
+        if n == 0 {
+            return;
+        }
+        self.ensure_memory(base_succ + n);
+        self.ensure_memory(base_rank + n);
+        // Shared "publication" arrays for the current pointer of every node;
+        // the ranks are published in the caller's output array.
+        let s_pub = self.alloc(n);
+
+        // Private per-node state (the node's current rank and pointer), carried
+        // between steps by the host exactly as a PRAM processor would carry it
+        // in its private memory.
+        let mut state: Vec<(u64, u64)> = self.par_map(n, |i, ctx| {
+            let succ = ctx.read(base_succ + i);
+            let rank = if succ == EMPTY { 0 } else { 1 };
+            (rank, succ)
+        });
+
+        let rounds = (usize::BITS - (n - 1).leading_zeros()).max(1);
+        for _ in 0..rounds {
+            // Publish: every node writes its own cells (exclusive).
+            self.par_for(n, |i, ctx| {
+                let (rank, succ) = state[i];
+                ctx.write(base_rank + i, rank);
+                ctx.write(s_pub + i, succ);
+            });
+            // Jump: every node reads its unique successor's cells (exclusive).
+            let next = self.par_map(n, |i, ctx| {
+                let (rank, succ) = state[i];
+                if succ == EMPTY {
+                    return (rank, succ);
+                }
+                let succ_rank = ctx.read(base_rank + succ as usize);
+                let succ_succ = ctx.read(s_pub + succ as usize);
+                (rank + succ_rank, succ_succ)
+            });
+            state = next;
+        }
+
+        // Final publish of the converged ranks.
+        self.par_for(n, |i, ctx| {
+            ctx.write(base_rank + i, state[i].0);
+        });
+        self.release_to(s_pub);
+    }
+
     /// Executes the cell-claiming protocol of Section 5.1:
     /// `attempts[i] = (tag, target)` asks to claim cell `target` with the
     /// unique value `tag`, which lies below `EMPTY - 1` on every machine
@@ -659,6 +739,17 @@ pub trait Machine {
 
     /// Whatever this backend can measure about the run so far.
     fn cost_report(&self) -> CostReport;
+}
+
+/// Panics unless the `succ` and `rank` regions of an `n`-node
+/// [`Machine::list_rank`] are disjoint.
+pub fn assert_lists_apart(base_succ: usize, n: usize, base_rank: usize) {
+    assert!(
+        base_succ + n <= base_rank || base_rank + n <= base_succ,
+        "list_rank: the succ region {base_succ}..{} overlaps the rank region {base_rank}..{}",
+        base_succ + n,
+        base_rank + n
+    );
 }
 
 /// The Section 5.1 cell-claiming protocol written out as six (Exclusive)

@@ -13,7 +13,7 @@
 //! the machine under test.  [`check`] runs cases on every machine each
 //! lists.  [`ByStages`] keeps the trait's default routes and the six-step
 //! claim, which `tests/step_kernel_cost.rs` prices each kernel against and
-//! [`check`] runs every compaction and exclusive claim on.
+//! [`check`] runs every compaction, exclusive claim and list ranking on.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -40,6 +40,9 @@ pub enum Kernel {
     CountingPass(usize),
     /// `claim` of the case's attempts, onto the loaded input.
     Claim(ClaimMode),
+    /// `list_rank` of the loaded successors into a rank region at an
+    /// address.
+    ListRank(usize),
 }
 
 /// One call on one input.
@@ -121,6 +124,7 @@ impl Case {
     fn end(&self, result: u64) -> usize {
         let survivors = match self.kernel {
             Kernel::Compact(dst) => dst + result as usize,
+            Kernel::ListRank(rank) => rank + self.input.len(),
             _ => 0,
         };
         survivors.max(self.base + self.input.len())
@@ -131,9 +135,10 @@ impl Case {
     /// enough.
     fn machines(&self) -> Vec<Pair> {
         let model = match self.kernel {
-            // The stage route is one loop with no shape-dependent path, so
-            // the simulator runs only the small networks.
-            Kernel::Bitonic(..) if self.input.len() > 1 << 13 => vec![],
+            // The stage and pointer-jumping routes are loops with no
+            // shape-dependent path, so the simulator runs only the small
+            // networks and lists.
+            Kernel::Bitonic(..) | Kernel::ListRank(_) if self.input.len() > 1 << 13 => vec![],
             _ => vec![Pair::Sim(THREADS[1])],
         };
         [pairs_of(NATIVE), model].concat()
@@ -163,6 +168,10 @@ impl Case {
             }
             Kernel::Claim(mode) => {
                 success = m.claim(&self.attempts, mode);
+                0
+            }
+            Kernel::ListRank(rank) => {
+                m.list_rank(base, len, rank);
                 0
             }
         };
@@ -261,6 +270,15 @@ impl Case {
                 };
                 (0, advance, ensured)
             }
+            Kernel::ListRank(rank) => {
+                let ranks = list_ranks(&self.input);
+                memory.resize(memory.len().max(rank + len), EMPTY);
+                memory[rank..rank + len].copy_from_slice(&ranks);
+                match len {
+                    0 => (0, 0, 0),
+                    _ => (0, 2 * lg(len).max(1) + 2, covered.max(rank + len)),
+                }
+            }
         };
         let heap_top = top.max(ensured);
         memory.truncate(heap_top.max(self.end(result)));
@@ -273,6 +291,49 @@ impl Case {
             claims,
         }
     }
+}
+
+/// Every node's number of links to the end of its list, walked on the
+/// host from the heads of the NIL-terminated lists `succ`.
+fn list_ranks(succ: &[u64]) -> Vec<u64> {
+    let mut named = vec![false; succ.len()];
+    succ.iter()
+        .filter(|&&s| s != EMPTY)
+        .for_each(|&s| named[s as usize] = true);
+    let mut ranks = vec![0; succ.len()];
+    for head in (0..succ.len()).filter(|&i| !named[i]) {
+        let mut list = vec![head];
+        while let Some(&next) = succ.get(list[list.len() - 1]).filter(|&&s| s != EMPTY) {
+            list.push(next as usize);
+        }
+        for (at, &node) in list.iter().enumerate() {
+            ranks[node] = (list.len() - 1 - at) as u64;
+        }
+    }
+    ranks
+}
+
+/// The successors of lists visiting the nodes `0..order.len()` in the
+/// order `order`, a list ending after position `p` where `ends(p)`.
+pub fn lists(order: &[usize], ends: impl Fn(usize) -> bool) -> Vec<u64> {
+    let mut succ = vec![EMPTY; order.len()];
+    for (p, pair) in order.windows(2).enumerate() {
+        if !ends(p) {
+            succ[pair[0]] = pair[1] as u64;
+        }
+    }
+    succ
+}
+
+/// The nodes `0..n` in a seeded random order.
+pub fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| {
+        (i as u64 ^ seed)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    });
+    order
 }
 
 /// `len` words below `modulus`, duplicates among them, with every seventh
@@ -354,6 +415,40 @@ fn cases() -> Vec<Case> {
         }
     }
 
+    // Lists, ruled by their heads and every node at a multiple of the
+    // kernel's 128-node ruler stride (`RULER_STRIDE` in
+    // `crates/exec/src/machine.rs`), the ranks loaded past the successors:
+    // one random chain of 2^18 nodes across the 2^18-cell shard seam;
+    // random lists of about five nodes, single nodes among them, pooled
+    // and inline; all NIL; one node and a pair; a chain through every
+    // node off the stride (each stride node alone), ruled by its head
+    // alone; a reversed chain; and no nodes.
+    let n = 1 << 18;
+    let chain = lists(&shuffled(n, 1), |_| false);
+    let ends = |p: usize| (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 < 2;
+    let mut unstrided = vec![EMPTY; 3000];
+    let off_stride = shuffled(3000, 4).into_iter().filter(|i| i % 128 != 0);
+    let off_stride: Vec<usize> = off_stride.collect();
+    for pair in off_stride.windows(2) {
+        unstrided[pair[0]] = pair[1] as u64;
+    }
+    for input in [
+        chain,
+        lists(&shuffled(5000, 2), ends),
+        lists(&shuffled(1000, 3), ends),
+        vec![EMPTY; 3000],
+        vec![EMPTY],
+        vec![EMPTY, 0],
+        unstrided,
+        (0..5000u64)
+            .map(|i| i.checked_sub(1).unwrap_or(EMPTY))
+            .collect(),
+        vec![],
+    ] {
+        let base = SHARD_CELLS - 5000;
+        add(Kernel::ListRank(base + input.len()), input, base, 16);
+    }
+
     // Claims in both modes onto a loaded region whose every fifth cell is
     // occupied.  Attempt j has tag 2j + 1 and aims at a hash of j over
     // `span` cells from `base`.  Each listed set of attempts then moves to
@@ -429,10 +524,10 @@ fn cases() -> Vec<Case> {
 
 /// Runs every case whose call `pick` selects on every machine the case
 /// lists, each on a fresh machine, against the case's oracle; a
-/// compaction and an exclusive claim also on [`ByStages`] over a 2-thread
-/// pool.  `ByStages` runs the trait's default route as truly concurrent
-/// steps, so a route whose processors race shows there, where the model
-/// backends' snapshot reads hide it.  (The other calls' routes on it
+/// compaction, an exclusive claim and a list ranking also on [`ByStages`]
+/// over a 2-thread pool.  `ByStages` runs the trait's default route as
+/// truly concurrent steps, so a route whose processors race shows there,
+/// where the model backends' snapshot reads hide it.  (The other calls' routes on it
 /// would double the table's time, and an occupy claim's winner on the
 /// step route there is whichever writer lands last.)
 pub fn check(pick: fn(Kernel) -> bool) {
@@ -449,7 +544,9 @@ pub fn check(pick: fn(Kernel) -> bool) {
         each_machine!(case.machines(), 0, |pair, m| {
             compare(&format!("{pair:?}"), case.run(&mut m).0)
         });
-        if let Kernel::Compact(_) | Kernel::Claim(ClaimMode::Exclusive) = case.kernel {
+        if let Kernel::Compact(_) | Kernel::Claim(ClaimMode::Exclusive) | Kernel::ListRank(_) =
+            case.kernel
+        {
             let pool = StepPool::with_threads(2);
             let mut staged = ByStages(NativeMachine::with_pool(16, 0, pool));
             compare("ByStages(Native(2))", case.run(&mut staged).0);
@@ -458,9 +555,9 @@ pub fn check(pick: fn(Kernel) -> bool) {
 }
 
 /// A `NativeMachine` that keeps the trait's default `compact_step`,
-/// `bitonic_segments`, `scan_tree` and `counting_pass`, and claims through
-/// [`claim_by_steps`]: each call's canonical route, one `par_for` or
-/// `par_map` per step on the same pool.
+/// `bitonic_segments`, `scan_tree`, `counting_pass` and `list_rank`, and
+/// claims through [`claim_by_steps`]: each call's canonical route, one
+/// `par_for` or `par_map` per step on the same pool.
 pub struct ByStages(pub NativeMachine);
 
 impl Machine for ByStages {

@@ -9,8 +9,8 @@
 //! is an `FnOnce`, so it runs once, recorded, on `A`, and its log is
 //! replayed inside `B`'s `seq_step`, reading and drawing on `B`.  `claim`,
 //! `scan_step`, `global_or_step`, `compact_step`, `bitonic_segments`,
-//! `scan_tree` and `counting_pass` forward to each machine's own
-//! implementation.  After every step-executing call Lockstep
+//! `scan_tree`, `counting_pass` and `list_rank` forward to each machine's
+//! own implementation.  After every step-executing call Lockstep
 //! compares the step counters, the call's result, the claim counters (after
 //! unrecorded calls, the only ones that move them), `heap_top`, the op logs
 //! and the live memory prefix `dump(0, heap_top)`.  At the first mismatch
@@ -386,6 +386,9 @@ impl<A: Machine, B: Machine> Machine for Lockstep<A, B> {
     fn scan_tree(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
         both!(self, scan_tree(base, len, inclusive))
     }
+    fn list_rank(&mut self, base_succ: usize, n: usize, base_rank: usize) {
+        both!(self, list_rank(base_succ, n, base_rank))
+    }
     fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
     where
         F: Fn(u64) -> u64 + Sync,
@@ -584,6 +587,9 @@ impl<M: Machine> Machine for Drift<M> {
     }
     fn scan_tree(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
         self.inner.scan_tree(base, len, inclusive)
+    }
+    fn list_rank(&mut self, base_succ: usize, n: usize, base_rank: usize) {
+        self.inner.list_rank(base_succ, n, base_rank)
     }
     fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
     where

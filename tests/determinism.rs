@@ -273,6 +273,7 @@ kernel_tests! {
     counting_pass_matches_the_oracle_on_every_machine: Kernel::CountingPass(_),
     exclusive_claim_matches_the_oracle_on_every_machine: Kernel::Claim(ClaimMode::Exclusive),
     occupy_claim_matches_the_oracle_on_every_machine: Kernel::Claim(ClaimMode::Occupy),
+    list_rank_matches_the_oracle_on_every_machine: Kernel::ListRank(_),
 }
 
 #[test]
@@ -282,6 +283,14 @@ fn the_native_counting_pass_rejects_a_bucket_out_of_range() {
     let data: Vec<u64> = (0..5000).collect();
     m.load(0, &data);
     m.counting_pass(0, data.len(), 4, |w| w % 5);
+}
+
+#[test]
+#[should_panic(expected = "NIL-terminated lists with at most one predecessor per node")]
+fn the_native_list_rank_rejects_a_cycle() {
+    let mut m = NativeMachine::with_pool(16, 0, StepPool::with_threads(2));
+    m.load(0, &[1, 2, 0]);
+    m.list_rank(0, 3, 8);
 }
 
 /// The native machine of a drift check: a pooled machine that departs from
@@ -302,7 +311,9 @@ fn lockstep_names_the_step_where_an_occupy_claim_drifts() {
 #[test]
 #[should_panic(expected = "step 10 (par_map): cell 5:")]
 fn lockstep_names_the_step_and_cell_where_memory_drifts() {
-    let _ = Algorithm::ListRank.run_on(&mut drifting(10, DriftKind::Cell(5)), 256);
+    // At n = 8, step 10 of the claimless sorting permutation is an
+    // ordinary step past its six-stage bitonic network.
+    let _ = Algorithm::PermutationSortingErew.run_on(&mut drifting(10, DriftKind::Cell(5)), 8);
 }
 
 /// Probe used by [`qrqw_threads_env_var_controls_the_default_thread_count`]:

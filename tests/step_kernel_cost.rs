@@ -54,6 +54,14 @@
 //!   Occupy has no row: its step route's winner is whichever writer lands
 //!   last on a truly concurrent machine, so the two routes leave
 //!   different records.
+//! - `list_rank` of one chain through 2^18 nodes in a seeded random order
+//!   against pointer jumping's `2·⌈lg n⌉ + 2` = 38 steps.  The ruling-set
+//!   kernel reads 0.16–0.20 of the step route as is and 0.14–0.15 pinned
+//!   to one CPU on the 2-vCPU reference box (6 and 5 runs: 2.1–2.6 ms
+//!   against 12.8–13.8 ms as is, 3.5–3.8 ms against 25.0–25.9 ms
+//!   pinned); with the kernel gone, pointer jumping in its place reads
+//!   1.05–1.07 (2 runs each), and interleaved pointer jumping, the
+//!   kernel sketched before the ruling set, read 0.43–0.53 in a model.
 //!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
@@ -70,7 +78,7 @@ use std::time::Instant;
 
 mod common;
 
-use common::kernels::{ByStages, Case, Kernel};
+use common::kernels::{lists, shuffled, ByStages, Case, Kernel};
 use qrqw_suite::exec::{NativeMachine, StepPool};
 use qrqw_suite::sim::{ClaimMode, Machine, EMPTY};
 
@@ -261,6 +269,15 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
             })
             .collect(),
     };
+    // One chain of 2^18 nodes in a seeded random order, ranked into the
+    // cells past it.
+    let chain = Case {
+        kernel: Kernel::ListRank(cells),
+        input: lists(&shuffled(cells, 1), |_| false),
+        base: 0,
+        top: 2 * cells,
+        attempts: Vec::new(),
+    };
     // The rows: a case, and the bound on its kernel's wall over its
     // default route's (see the module docs for the readings).
     let rows = [
@@ -269,6 +286,7 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
         (tree, 0.55),
         (sparse, 0.65),
         (darts, 0.95),
+        (chain, 0.3),
     ];
     for (case, bound) in rows {
         let pool = StepPool::with_threads(2);
