@@ -419,19 +419,18 @@ fn cases() -> Vec<Case> {
     // kernel's 128-node ruler stride (`RULER_STRIDE` in
     // `crates/exec/src/machine.rs`), the ranks loaded past the successors:
     // one random chain of 2^18 nodes across the 2^18-cell shard seam;
-    // random lists of about five nodes, single nodes among them, pooled
+    // random lists of about four nodes, single nodes among them, pooled
     // and inline; all NIL; one node and a pair; a chain through every
     // node off the stride (each stride node alone), ruled by its head
     // alone; a reversed chain; and no nodes.
     let n = 1 << 18;
     let chain = lists(&shuffled(n, 1), |_| false);
     let ends = |p: usize| (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 < 2;
-    let mut unstrided = vec![EMPTY; 3000];
-    let off_stride = shuffled(3000, 4).into_iter().filter(|i| i % 128 != 0);
-    let off_stride: Vec<usize> = off_stride.collect();
-    for pair in off_stride.windows(2) {
-        unstrided[pair[0]] = pair[1] as u64;
-    }
+    let (mut order, stride): (Vec<usize>, Vec<usize>) =
+        shuffled(3000, 4).into_iter().partition(|i| i % 128 != 0);
+    let chained = order.len();
+    order.extend(stride);
+    let unstrided = lists(&order, |p| p + 1 >= chained);
     for input in [
         chain,
         lists(&shuffled(5000, 2), ends),
@@ -527,9 +526,9 @@ fn cases() -> Vec<Case> {
 /// compaction, an exclusive claim and a list ranking also on [`ByStages`]
 /// over a 2-thread pool.  `ByStages` runs the trait's default route as
 /// truly concurrent steps, so a route whose processors race shows there,
-/// where the model backends' snapshot reads hide it.  (The other calls' routes on it
-/// would double the table's time, and an occupy claim's winner on the
-/// step route there is whichever writer lands last.)
+/// where the model backends' snapshot reads hide it.  (The other calls'
+/// routes on it would double the table's time, and an occupy claim's
+/// winner on the step route there is whichever writer lands last.)
 pub fn check(pick: fn(Kernel) -> bool) {
     let cases: Vec<Case> = cases().into_iter().filter(|c| pick(c.kernel)).collect();
     assert!(!cases.is_empty(), "no case picked");
