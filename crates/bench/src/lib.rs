@@ -147,7 +147,9 @@ pub enum Algorithm {
     DistributiveSort,
     /// §7.3 one emulated Fetch&Add step over a hot address set (Lemma 7.5).
     FetchAdd,
-    /// §3 pointer-jumping list ranking over one n-node chain.
+    /// §3 list ranking over one n-node chain: [`Machine::list_rank`],
+    /// pointer jumping on the model backends and a ruling set on the
+    /// native machine.
     ListRank,
 }
 
@@ -225,21 +227,15 @@ impl Algorithm {
     pub fn run_on<M: Machine>(self, m: &mut M, n: usize) -> (bool, Duration) {
         match self {
             Algorithm::PermutationQrqw => {
-                let start = Instant::now();
-                let out = random_permutation_qrqw(m, n);
-                let elapsed = start.elapsed();
+                let (out, elapsed) = timed(|| random_permutation_qrqw(m, n));
                 (is_permutation(&out.order), elapsed)
             }
             Algorithm::PermutationDartScan => {
-                let start = Instant::now();
-                let out = random_permutation_dart_scan(m, n);
-                let elapsed = start.elapsed();
+                let (out, elapsed) = timed(|| random_permutation_dart_scan(m, n));
                 (is_permutation(&out.order), elapsed)
             }
             Algorithm::PermutationSortingErew => {
-                let start = Instant::now();
-                let out = random_permutation_sorting_erew(m, n);
-                let elapsed = start.elapsed();
+                let (out, elapsed) = timed(|| random_permutation_sorting_erew(m, n));
                 (is_permutation(&out.order), elapsed)
             }
             Algorithm::LinearCompaction => {
@@ -249,9 +245,7 @@ impl Algorithm {
                     m.poke(src + 2 * i, i as u64 + 1);
                 }
                 let dst = m.alloc((4 * k).max(4));
-                let start = Instant::now();
-                let out = linear_compaction(m, src, n, dst, (4 * k).max(4));
-                let elapsed = start.elapsed();
+                let (out, elapsed) = timed(|| linear_compaction(m, src, n, dst, (4 * k).max(4)));
                 let mut dests: Vec<usize> = out.placements.iter().map(|&(_, d)| d).collect();
                 dests.sort_unstable();
                 dests.dedup();
@@ -260,18 +254,14 @@ impl Algorithm {
             Algorithm::LoadBalanceQrqw => {
                 let loads = Algorithm::skewed_loads(n);
                 let total: u64 = loads.iter().sum();
-                let start = Instant::now();
-                let res = load_balance_qrqw(m, &loads);
-                let elapsed = start.elapsed();
+                let (res, elapsed) = timed(|| load_balance_qrqw(m, &loads));
                 let valid = res.covers_exactly(&loads)
                     && (n == 0 || res.max_final_load <= 64 * (1 + total / n as u64));
                 (valid, elapsed)
             }
             Algorithm::LoadBalanceErew => {
                 let loads = Algorithm::skewed_loads(n);
-                let start = Instant::now();
-                let res = load_balance_erew(m, &loads);
-                let elapsed = start.elapsed();
+                let (res, elapsed) = timed(|| load_balance_erew(m, &loads));
                 (res.covers_exactly(&loads), elapsed)
             }
             Algorithm::MultipleCompaction => {
@@ -290,9 +280,7 @@ impl Algorithm {
                 for &l in &labels {
                     counts[l as usize] += 1;
                 }
-                let start = Instant::now();
-                let res = multiple_compaction(m, &labels, &counts);
-                let elapsed = start.elapsed();
+                let (res, elapsed) = timed(|| multiple_compaction(m, &labels, &counts));
                 let mut dests: Vec<usize> = res.positions.clone();
                 dests.sort_unstable();
                 dests.dedup();
@@ -306,28 +294,23 @@ impl Algorithm {
             Algorithm::Hashing => {
                 let keys = Algorithm::scattered_keys(n, 0);
                 let probes = Algorithm::scattered_keys(n, n);
-                let start = Instant::now();
-                let table = QrqwHashTable::build(m, &keys);
-                let hits = table.lookup_batch(m, &keys);
-                let misses = table.lookup_batch(m, &probes);
-                let elapsed = start.elapsed();
+                let ((hits, misses), elapsed) = timed(|| {
+                    let table = QrqwHashTable::build(m, &keys);
+                    (table.lookup_batch(m, &keys), table.lookup_batch(m, &probes))
+                });
                 let valid =
                     hits.len() == n && hits.iter().all(|&h| h) && misses.iter().all(|&h| !h);
                 (valid, elapsed)
             }
             Algorithm::CyclicFast => {
-                let start = Instant::now();
-                let out = random_cyclic_permutation_fast(m, n);
-                let elapsed = start.elapsed();
+                let (out, elapsed) = timed(|| random_cyclic_permutation_fast(m, n));
                 (
                     is_permutation(&out.successor) && is_cyclic(&out.successor),
                     elapsed,
                 )
             }
             Algorithm::CyclicEfficient => {
-                let start = Instant::now();
-                let out = random_cyclic_permutation_efficient(m, n);
-                let elapsed = start.elapsed();
+                let (out, elapsed) = timed(|| random_cyclic_permutation_efficient(m, n));
                 (
                     is_permutation(&out.successor) && is_cyclic(&out.successor),
                     elapsed,
@@ -335,18 +318,14 @@ impl Algorithm {
             }
             Algorithm::SampleSortQrqw => {
                 let keys = Algorithm::scattered_keys(n, 0);
-                let start = Instant::now();
-                let got = sample_sort_qrqw(m, &keys);
-                let elapsed = start.elapsed();
+                let (got, elapsed) = timed(|| sample_sort_qrqw(m, &keys));
                 let mut expect = keys;
                 expect.sort_unstable();
                 (got == expect, elapsed)
             }
             Algorithm::SampleSortCrqw => {
                 let keys = Algorithm::scattered_keys(n, 0);
-                let start = Instant::now();
-                let got = sample_sort_crqw(m, &keys);
-                let elapsed = start.elapsed();
+                let (got, elapsed) = timed(|| sample_sort_crqw(m, &keys));
                 let mut expect = keys;
                 expect.sort_unstable();
                 (got == expect, elapsed)
@@ -357,18 +336,14 @@ impl Algorithm {
                     .into_iter()
                     .map(|k| k % max_key)
                     .collect();
-                let start = Instant::now();
-                let got = integer_sort_crqw(m, &keys, max_key);
-                let elapsed = start.elapsed();
+                let (got, elapsed) = timed(|| integer_sort_crqw(m, &keys, max_key));
                 let mut expect = keys;
                 expect.sort_unstable();
                 (got == expect, elapsed)
             }
             Algorithm::DistributiveSort => {
                 let keys = Algorithm::scattered_keys(n, 0);
-                let start = Instant::now();
-                let got = sort_uniform_keys(m, &keys);
-                let elapsed = start.elapsed();
+                let (got, elapsed) = timed(|| sort_uniform_keys(m, &keys));
                 let mut expect = keys;
                 expect.sort_unstable();
                 (got == expect, elapsed)
@@ -378,9 +353,7 @@ impl Algorithm {
                 // values seen at each address must be exactly 0..count.
                 let num_addrs = (n / 8).max(1);
                 let requests: Vec<(usize, u64)> = (0..n).map(|i| (i % num_addrs, 1)).collect();
-                let start = Instant::now();
-                let olds = emulate_fetch_add_step(m, &requests);
-                let elapsed = start.elapsed();
+                let (olds, elapsed) = timed(|| emulate_fetch_add_step(m, &requests));
                 let mut per_addr: Vec<Vec<u64>> = vec![Vec::new(); num_addrs];
                 for (i, &(a, _)) in requests.iter().enumerate() {
                     per_addr[a].push(olds[i]);
@@ -401,9 +374,7 @@ impl Algorithm {
                     .map(|i| if i + 1 < n { i as u64 + 1 } else { EMPTY })
                     .collect();
                 m.load(succ_base, &succ);
-                let start = Instant::now();
-                list_rank(m, succ_base, n, rank_base);
-                let elapsed = start.elapsed();
+                let ((), elapsed) = timed(|| list_rank(m, succ_base, n, rank_base));
                 let ranks = m.dump(rank_base, n);
                 let valid = ranks
                     .iter()
@@ -413,6 +384,13 @@ impl Algorithm {
             }
         }
     }
+}
+
+/// Runs `f` and returns its result and its wall-clock time.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
 /// What one harness run executes: a registry [`Algorithm`] or a churn
@@ -465,9 +443,8 @@ impl Subject {
                 (valid, elapsed, None)
             }
             Subject::Scenario(scenario) => {
-                let started = Instant::now();
-                let outcome = scenario.run_churn(&mut m, n, seed);
-                (outcome.valid, started.elapsed(), Some(outcome))
+                let (outcome, elapsed) = timed(|| scenario.run_churn(&mut m, n, seed));
+                (outcome.valid, elapsed, Some(outcome))
             }
         };
         BackendRun {

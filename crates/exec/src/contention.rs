@@ -45,9 +45,8 @@ impl ContentionCounter {
     }
 
     /// Overwrites both totals.  Used by snapshot restore to roll the
-    /// instrumentation back in lockstep with the machine state; per-batch
-    /// delta attribution (see [`crate::PersistentMachine`]) only stays
-    /// coherent if the counters rewind together with `steps_executed`.
+    /// instrumentation back in lockstep with the machine state, together
+    /// with `steps_executed`.
     pub fn store(&self, attempts: u64, failures: u64) {
         debug_assert!(failures <= attempts);
         self.attempts.store(attempts, Ordering::Relaxed);

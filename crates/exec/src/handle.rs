@@ -7,9 +7,8 @@
 //! *per-batch* cost attribution — how many steps, claim attempts and
 //! contended claims *this* batch added, and how long it took — because the
 //! batch is the service's unit of work (the h-relation of the QRQW story).
-//! [`PersistentMachine`] wraps the machine together with the counter marks
-//! needed to turn the cumulative counters into per-batch deltas, so callers
-//! get a [`BatchCost`] per [`PersistentMachine::batch`] scope without
+//! [`PersistentMachine::batch`] reads the cumulative counters before and
+//! after its closure, so callers get a [`BatchCost`] per scope without
 //! re-deriving deltas by hand (and without a second contention counter).
 //!
 //! A batch server also needs *restartability*: a batch that panics
@@ -17,7 +16,7 @@
 //! [`PersistentMachine::snapshot_into`] captures the machine's observable
 //! state — the live cell prefix `[0, heap_top)` of the sharded arena plus
 //! the heap/step/contention counters — and [`PersistentMachine::restore`]
-//! rolls back to it, counters, marks, and (because random draws are a pure
+//! rolls back to it, counters and (because random draws are a pure
 //! function of `(seed, step_idx, proc)`) RNG streams included.  A reused
 //! [`MachineSnapshot`] is a persistent *shadow* of the machine: the arena
 //! tracks which pages were written since the shadow was last synced, so
@@ -127,21 +126,14 @@ impl MachineSnapshot {
 #[derive(Debug)]
 pub struct PersistentMachine {
     machine: NativeMachine,
-    steps_mark: u64,
-    attempts_mark: u64,
-    failures_mark: u64,
 }
 
 impl PersistentMachine {
     /// Creates a machine with `mem_size` cells and the given seed that
     /// dispatches on `pool`.
     pub fn with_pool(mem_size: usize, seed: u64, pool: StepPool) -> Self {
-        let machine = NativeMachine::with_pool(mem_size, seed, pool);
         PersistentMachine {
-            steps_mark: machine.steps_executed(),
-            attempts_mark: machine.contention().attempts(),
-            failures_mark: machine.contention().failures(),
-            machine,
+            machine: NativeMachine::with_pool(mem_size, seed, pool),
         }
     }
 
@@ -166,21 +158,21 @@ impl PersistentMachine {
     /// Runs `f` against the machine and reports what it cost: the deltas of
     /// the step and contention counters across the call, plus wall time.
     pub fn batch<T>(&mut self, f: impl FnOnce(&mut NativeMachine) -> T) -> (T, BatchCost) {
+        let counters = |m: &NativeMachine| {
+            let claims = m.contention();
+            [m.steps_executed(), claims.attempts(), claims.failures()]
+        };
+        let before = counters(&self.machine);
         let start = Instant::now();
         let out = f(&mut self.machine);
         let wall = start.elapsed();
-        let steps = self.machine.steps_executed();
-        let attempts = self.machine.contention().attempts();
-        let failures = self.machine.contention().failures();
+        let after = counters(&self.machine);
         let cost = BatchCost {
-            steps: steps - self.steps_mark,
-            claim_attempts: attempts - self.attempts_mark,
-            contended_claims: failures - self.failures_mark,
+            steps: after[0] - before[0],
+            claim_attempts: after[1] - before[1],
+            contended_claims: after[2] - before[2],
             wall,
         };
-        self.steps_mark = steps;
-        self.attempts_mark = attempts;
-        self.failures_mark = failures;
         (out, cost)
     }
 
@@ -192,9 +184,9 @@ impl PersistentMachine {
         self.machine.snapshot_into(snap);
     }
 
-    /// Rolls the machine back to `snap` and rewinds the batch marks to the
-    /// snapshot's counters, so the next [`PersistentMachine::batch`]
-    /// reports only post-restore work (a rolled-back batch costs nothing).
+    /// Rolls the machine back to `snap`, its counters included, so the
+    /// next [`PersistentMachine::batch`] reports only post-restore work (a
+    /// rolled-back batch costs nothing).
     ///
     /// # Panics
     ///
@@ -202,9 +194,6 @@ impl PersistentMachine {
     /// (see [`NativeMachine::restore`]).
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.machine.restore(snap);
-        self.steps_mark = snap.steps_executed;
-        self.attempts_mark = snap.attempts;
-        self.failures_mark = snap.failures;
     }
 }
 
@@ -243,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_memory_counters_and_marks() {
+    fn snapshot_restore_round_trips_memory_and_counters() {
         let mut pm = PersistentMachine::with_pool(64, 0, StepPool::with_threads(2));
         let ((), _) = pm.batch(|m| {
             m.poke(5, 99);
@@ -273,7 +262,7 @@ mod tests {
             m.peek(base + 7)
         });
         assert_eq!(v, qrqw_sim::EMPTY, "post-snapshot writes must be gone");
-        // The marks rewound with the restore: the rolled-back batch's
+        // The counters rewound with the restore: the rolled-back batch's
         // claims must not leak into the next delta.
         assert_eq!(cost.claim_attempts, 0);
         let (_, cost) = pm.batch(|m| {

@@ -1621,45 +1621,6 @@ mod tests {
     use crate::arena::SHARD_CELLS;
 
     #[test]
-    fn par_map_runs_all_processors_in_order() {
-        let mut m = NativeMachine::with_seed(16, 0);
-        let out = m.par_map(5000, |p, ctx| {
-            ctx.write(p % 16, p as u64);
-            p * 2
-        });
-        assert_eq!(out.len(), 5000);
-        assert_eq!(out[1234], 2468);
-        assert_eq!(m.steps_executed, 1);
-    }
-
-    #[test]
-    fn alloc_and_release_behave_like_a_stack() {
-        let mut m = NativeMachine::with_seed(8, 0);
-        let a = Machine::alloc(&mut m, 4);
-        assert_eq!(a, 8);
-        let b = Machine::alloc(&mut m, 2);
-        assert_eq!(b, 12);
-        Machine::release_to(&mut m, b);
-        let c = Machine::alloc(&mut m, 3);
-        assert_eq!(c, 12);
-        assert!(Machine::dump(&m, c, 3).iter().all(|&v| v == EMPTY));
-    }
-
-    #[test]
-    fn seq_step_reads_own_writes_and_advances_one_step() {
-        let mut m = NativeMachine::with_seed(8, 0);
-        let observed = m.seq_step(|ctx| {
-            ctx.write(3, 41);
-            let fresh = ctx.read(3);
-            ctx.write(3, fresh + 1);
-            ctx.read(3)
-        });
-        assert_eq!(observed, 42);
-        assert_eq!(Machine::peek(&m, 3), 42);
-        assert_eq!(m.steps_executed, 1);
-    }
-
-    #[test]
     fn bulk_memory_ops_work_above_the_inline_cutoff() {
         let n = 100_000usize;
         let mut m = NativeMachine::with_pool(0, 0, StepPool::with_threads(4));

@@ -127,37 +127,8 @@ pub fn linear_compaction<M: Machine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrqw_sim::{CostModel, Pram};
+    use qrqw_sim::Pram;
     use std::collections::HashSet;
-
-    #[test]
-    fn compact_erew_moves_values_in_order() {
-        let mut pram = Pram::new(32);
-        pram.poke(3, 30);
-        pram.poke(7, 70);
-        pram.poke(12, 120);
-        let count = compact_erew(&mut pram, 0, 16, 16);
-        assert_eq!(count, 3);
-        assert_eq!(pram.dump(16, 3), vec![30, 70, 120]);
-        assert_eq!(pram.trace().violations(CostModel::Erew), 0);
-    }
-
-    #[test]
-    fn compact_erew_empty_input() {
-        let mut pram = Pram::new(8);
-        assert_eq!(compact_erew(&mut pram, 0, 4, 4), 0);
-        assert_eq!(compact_erew(&mut pram, 0, 0, 4), 0);
-    }
-
-    #[test]
-    fn compact_erew_full_input_is_identity() {
-        let xs: Vec<u64> = (0..20).map(|i| i * 2).collect();
-        let mut pram = Pram::new(64);
-        pram.load(0, &xs);
-        let count = compact_erew(&mut pram, 0, 20, 32);
-        assert_eq!(count, 20);
-        assert_eq!(pram.dump(32, 20), xs);
-    }
 
     #[test]
     fn linear_compaction_places_every_item_injectively() {

@@ -11,7 +11,8 @@
 //! advance and the claim counters' advance are at least what Lockstep
 //! compares after one unrecorded call, so a case needs no simulator beside
 //! the machine under test.  [`check`] runs cases on every machine each
-//! lists.  [`ByStages`] keeps the trait's default routes and the six-step
+//! lists, and on the simulator also requires every call but a claim to
+//! take EREW steps only.  [`ByStages`] keeps the trait's default routes and the six-step
 //! claim, which `tests/step_kernel_cost.rs` prices each kernel against and
 //! [`check`] runs every compaction, exclusive claim and list ranking on.
 
@@ -369,6 +370,11 @@ fn cases() -> Vec<Case> {
         let sparse = (0..n as u64).map(|i| if i % 3 == 0 { i + 1 } else { EMPTY });
         add(Kernel::Compact(dst), sparse.collect(), 16, top);
     }
+    // Compactions of no cells, of only EMPTY cells and of no EMPTY cell.
+    let full = (0..20).map(|i| 2 * i).collect();
+    for input in [vec![], vec![EMPTY; 20], full] {
+        add(Kernel::Compact(36), input, 16, 56);
+    }
     // Scan and global OR over the start of memory; EMPTY and 0 are unset.
     let n = 50_000;
     add(Kernel::ScanStep, mixed(n, 11), 0, n);
@@ -522,7 +528,9 @@ fn cases() -> Vec<Case> {
 }
 
 /// Runs every case whose call `pick` selects on every machine the case
-/// lists, each on a fresh machine, against the case's oracle; a
+/// lists, each on a fresh machine, against the case's oracle, and on the
+/// simulator every call but a claim to a maximum contention of 1 (the
+/// EREW check of the default routes, which the simulator runs); a
 /// compaction, an exclusive claim and a list ranking also on [`ByStages`]
 /// over a 2-thread pool.  `ByStages` runs the trait's default route as
 /// truly concurrent steps, so a route whose processors race shows there,
@@ -541,7 +549,19 @@ pub fn check(pick: fn(Kernel) -> bool) {
             }
         };
         each_machine!(case.machines(), 0, |pair, m| {
-            compare(&format!("{pair:?}"), case.run(&mut m).0)
+            compare(&format!("{pair:?}"), case.run(&mut m).0);
+            // The default routes are EREW: on the simulator, no step of
+            // one queues two accesses on a cell.  (A claim is contended by
+            // design.)
+            let contention = m.cost_report().max_contention;
+            if contention.is_some() && !matches!(case.kernel, Kernel::Claim(_)) {
+                let (kernel, len, base) = (case.kernel, case.input.len(), case.base);
+                assert_eq!(
+                    contention,
+                    Some(1),
+                    "{kernel:?} case {i} ({len} cells at {base}) on {pair:?}: max contention"
+                );
+            }
         });
         if let Kernel::Compact(_) | Kernel::Claim(ClaimMode::Exclusive) | Kernel::ListRank(_) =
             case.kernel

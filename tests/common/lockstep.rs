@@ -18,6 +18,12 @@
 //! the first differing cell.  The host sees `A`'s results, so both machines
 //! receive the same calls.
 //!
+//! The values `B`'s `par_map` returns are not compared: `B`'s processors
+//! run to check their ops, and only `A`'s values reach the host.  A `B`
+//! that returned its values out of processor order would pass every
+//! Lockstep run whose ops and memory agree, so the contract's clause tests
+//! in `tests/determinism.rs` assert what each machine returns directly.
+//!
 //! One mismatch is tolerated: a step whose log *on `A`* breaks contract
 //! rule 3 — a processor reads or writes a cell that another processor
 //! writes in the same step.  Lockstep counts every such step
@@ -440,8 +446,14 @@ pub fn pairs(backend: Backend) -> Vec<Pair> {
     }
 }
 
-/// The Lockstep pairs of every backend in `backends`.
+/// The Lockstep pairs of every backend in `backends`; panics naming a
+/// backend that has none.
 pub fn pairs_of<const N: usize>(backends: [Backend; N]) -> Vec<Pair> {
+    let pairs = |backend| {
+        let pairs = pairs(backend);
+        assert!(!pairs.is_empty(), "{backend:?} has no pairs");
+        pairs
+    };
     backends.into_iter().flat_map(pairs).collect()
 }
 

@@ -43,11 +43,19 @@ fn table_two_ordering_holds_in_the_simulator() {
         (
             p.trace().time(CostModel::SimdQrqw),
             p.trace().time(CostModel::ScanSimdQrqw),
+            p.cost_report().contended_claims,
         )
     };
-    let (sort_simd, sort_scan) = times_of(&|p, n| random_permutation_sorting_erew(p, n));
-    let (scan_simd, scan_scan) = times_of(&|p, n| random_permutation_dart_scan(p, n));
-    let (qrqw_simd, _) = times_of(&|p, n| random_permutation_qrqw(p, n));
+    let (sort_simd, sort_scan, _) = times_of(&|p, n| random_permutation_sorting_erew(p, n));
+    let (scan_simd, scan_scan, scan_contended) =
+        times_of(&|p, n| random_permutation_dart_scan(p, n));
+    let (qrqw_simd, _, qrqw_contended) = times_of(&|p, n| random_permutation_qrqw(p, n));
+    // The §5 effect behind it: darts thrown into fresh geometric subarrays
+    // collide less than darts re-thrown into one arena.
+    assert!(
+        qrqw_contended < scan_contended,
+        "fresh subarrays must collide less ({qrqw_contended} vs {scan_contended})"
+    );
     // The qrqw dart thrower wins under the plain SIMD-QRQW metric (the
     // paper's best predictor of the MasPar measurements)...
     assert!(

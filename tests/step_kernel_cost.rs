@@ -48,9 +48,14 @@
 //!   seeded hash of the index over 2^18 empty cells, against the six-step
 //!   route of `qrqw_sim::claim_by_steps`.  The kernel's three fused passes
 //!   read 0.48–0.57 of the step route as is (8 runs: 2.8–3.9 ms against
-//!   5.7–7.3 ms) and 0.59–0.77 pinned to one CPU (23 of 24 runs; one read
-//!   0.91) on the 2-vCPU reference box; with the kernel gone, the step
-//!   route in its place reads 0.98–1.00, as is and pinned (3 runs each).
+//!   5.7–7.3 ms) and 0.50–0.64 pinned to one CPU (24 runs: 4.4–6.2 ms
+//!   against 7.0–9.8 ms; an earlier 24 read 0.59–0.77 and once 0.91) on
+//!   the 2-vCPU reference box; with the kernel gone, the step route in its
+//!   place reads 0.98–1.00 as is (3 runs) and 0.98–1.04 pinned in 23 of 24
+//!   runs, once 0.76.  At 2^20 attempts the kernel reads 0.46–0.55 pinned
+//!   (24 runs: 26–30 ms against 48–60 ms), but the step route in its
+//!   place reads 0.94–1.10, 2 of 24 runs below the bound, so the row
+//!   stays at 2^18.
 //!   Occupy has no row: its step route's winner is whichever writer lands
 //!   last on a truly concurrent machine, so the two routes leave
 //!   different records.
