@@ -22,7 +22,7 @@
 //! run to check their ops, and only `A`'s values reach the host.  A `B`
 //! that returned its values out of processor order would pass every
 //! Lockstep run whose ops and memory agree, so the contract's clause tests
-//! in `tests/determinism.rs` assert what each machine returns directly.
+//! in `tests/backends.rs` assert what each machine returns directly.
 //!
 //! One mismatch is tolerated: a step whose log *on `A`* breaks contract
 //! rule 3 — a processor reads or writes a cell that another processor

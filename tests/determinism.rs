@@ -1,37 +1,25 @@
-//! The determinism contract (ARCHITECTURE.md), one test per clause and
-//! one per machine call.
-//!
-//! The clause tests run on every pair of every backend
-//! (`pairs_of(Backend::ALL)`): each asserts what every machine returns
-//! directly, and goes through `Lockstep<Pram, _>`
-//! (`tests/common/lockstep.rs`) only where a step-by-step comparison adds
-//! something, since Lockstep compares `B`'s ops and memory but not the
-//! values its `par_map` returns.  Every registry member runs through
-//! Lockstep on the native machine at 1, 2 and 5 threads chunked and 2 and
-//! 5 stealing (at one thread a dispatch runs inline and never reads the
-//! schedule), and on the BSP-costed simulator walking at 1, 2 and 5
-//! threads ([`SMALL`]), and through one pooled pair per family at a size
-//! the step pool splits into chunks ([`LARGE`]).  The sweep is split by
-//! member group and pair family so libtest runs it in parallel.  The
-//! raw-trait instances and the injected-drift checks of Lockstep itself
-//! live here too, as do the tests of the machine-call table
-//! (`tests/common/kernels.rs`): every call with a native kernel, the claim
-//! protocol in each mode among them, on every shape that reaches one of
-//! its paths, against a host oracle of what the call leaves.
+//! The determinism contract checked step by step: every registry member
+//! runs through `Lockstep<Pram, _>` (`tests/common/lockstep.rs`) on the
+//! native machine at 1, 2 and 5 threads chunked and 2 and 5 stealing (at
+//! one thread a dispatch runs inline and never reads the schedule), and on
+//! the BSP-costed simulator walking at 1, 2 and 5 threads ([`SMALL`]), and
+//! through one pooled pair per family at a size the step pool splits into
+//! chunks ([`LARGE`]).  The sweep is split by member group and pair family so
+//! libtest runs it in parallel.  The raw-trait instances and the
+//! injected-drift checks of Lockstep itself live here too, as do the
+//! tests of the machine-call table (`tests/common/kernels.rs`): every
+//! call with a native kernel, the claim protocol in each mode among them,
+//! on every shape that reaches one of its paths, against a host oracle of
+//! what the call leaves.
 
 mod common;
 
 use common::kernels::{self, Kernel};
-use common::lockstep::{
-    each_machine, each_pair, pairs, pairs_of, Drift, DriftKind, Lockstep, Pair, THREADS,
-};
+use common::lockstep::{each_machine, each_pair, pairs, Drift, DriftKind, Lockstep, Pair, THREADS};
 use qrqw_bench::{Algorithm, Backend};
-use qrqw_suite::algos::{
-    is_cyclic, is_permutation, random_cyclic_permutation_efficient, random_cyclic_permutation_fast,
-    random_permutation_dart_scan, random_permutation_qrqw, random_permutation_sorting_erew,
-};
+use qrqw_suite::algos::random_permutation_qrqw;
 use qrqw_suite::exec::{NativeMachine, Schedule, StepPool};
-use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, MachineProc, Pram, EMPTY};
+use qrqw_suite::sim::{ClaimMode, CostModel, CostReport, Machine, Pram, EMPTY};
 
 /// The small problem size every registry member runs at on every pair.
 /// The step pool runs a dispatch of at most 2048 items inline as one chunk,
@@ -128,150 +116,6 @@ fn sweep(members: impl IntoIterator<Item = Algorithm>, backend: Backend) {
             }
         }
     }
-}
-
-/// Clause 5: a sequential step's reads see its own same-step writes, and
-/// it advances the step index by one and draws processor 0's stream, as a
-/// one-processor parallel step at the same index does on the simulator.
-#[test]
-fn seq_step_reads_its_own_writes_and_draws_like_processor_zero() {
-    let draws = |ctx: &mut dyn MachineProc| [ctx.random_index(1 << 20), ctx.random_index(1 << 20)];
-    let mut reference = Pram::with_seed(16, 44);
-    reference.par_for(1, |_, _| {});
-    let want = reference.par_map(1, |_, ctx| draws(ctx))[0];
-    each_machine!(pairs_of(Backend::ALL), 44, |pair, m| {
-        let base = m.alloc(4);
-        let observed = m.seq_step(|ctx| {
-            ctx.write(base, 41);
-            let fresh = ctx.read(base);
-            ctx.write(base, fresh + 1);
-            ctx.read(base)
-        });
-        let after = (observed, m.peek(base), m.steps_executed());
-        assert_eq!(after, (42, 42, 1), "{pair:?}: (read, cell, steps)");
-        let drawn = m.seq_step(draws);
-        assert_eq!((drawn, m.steps_executed()), (want, 2), "{pair:?}: draws");
-    });
-}
-
-/// `par_map` returns one value per processor, in processor order, and
-/// advances the step index by one.  5000 processors is past the pool's
-/// 2048-item inline cutoff, so the pooled pairs return through chunks.
-#[test]
-fn par_map_returns_in_processor_order_and_advances_one_step() {
-    let procs = 5000;
-    each_machine!(pairs_of(Backend::ALL), 0, |pair, m| {
-        let base = m.alloc(procs);
-        let out = m.par_map(procs, |p, ctx| {
-            ctx.write(base + p, p as u64);
-            2 * p
-        });
-        let misplaced = (0..procs).find(|&p| out.get(p) != Some(&(2 * p)));
-        assert_eq!((out.len(), misplaced), (procs, None), "{pair:?}: output");
-        assert_eq!(m.steps_executed(), 1, "{pair:?}: steps");
-        let cells = m.dump(base, procs);
-        assert!((0..procs).all(|p| cells[p] == p as u64), "{pair:?}: cells");
-    });
-}
-
-/// Clause 6, second half: among one processor's writes to its own cell,
-/// the last in program order lands, and re-writing a cell is not
-/// contention.  (The first half, lowest-id arbitration of a write race, is
-/// a promise only the model makes: a race breaks rule 3.)
-#[test]
-fn a_processors_own_rewrites_land_in_program_order() {
-    let procs = 3000;
-    each_machine!(pairs_of(Backend::ALL), 0, |pair, m| {
-        let base = m.alloc(procs);
-        m.par_for(procs, |p, ctx| {
-            ctx.write(base + p, 7);
-            ctx.write(base + p, 3);
-            ctx.write(base + p, 5);
-        });
-        assert!(m.dump(base, procs).iter().all(|&v| v == 5), "{pair:?}");
-        if let Some(contention) = m.cost_report().max_contention {
-            assert_eq!(contention, 1, "{pair:?}: own re-writes are not contention");
-        }
-    });
-}
-
-/// Allocation is a stack whose cells come back `EMPTY`, and
-/// `ensure_memory` moves its top; every pair of a backend builds that
-/// backend's machine.
-#[test]
-fn alloc_and_release_behave_like_a_stack() {
-    for backend in Backend::ALL {
-        each_machine!(pairs(backend), 0, |pair, m| {
-            assert_eq!(m.backend(), backend.name(), "{pair:?}");
-            let a = m.alloc(4);
-            let b = m.alloc(2);
-            assert_eq!((a, b, m.heap_top()), (16, 20, 22), "{pair:?}");
-            m.load(b, &[1, 2]);
-            m.release_to(b);
-            let c = m.alloc(3);
-            assert_eq!(c, 20, "{pair:?}");
-            assert_eq!(m.dump(c, 3), vec![EMPTY; 3], "{pair:?}: reused cells");
-            m.release_to(a);
-            assert_eq!(m.heap_top(), 16, "{pair:?}");
-            m.ensure_memory(32);
-            assert_eq!(m.alloc(1), 32, "{pair:?}");
-        });
-    }
-}
-
-/// Same seed, same output, run after run, and another seed differs: a
-/// random permutation at the inline size and at a pooled one.
-#[test]
-fn outputs_are_seed_stable() {
-    for pair in pairs_of(Backend::ALL) {
-        for n in [SMALL, LARGE] {
-            let run = |seed: u64| {
-                let mut order = Vec::new();
-                each_machine!([pair], seed, |_pair, m| {
-                    order = random_permutation_qrqw(&mut m, n).order;
-                });
-                order
-            };
-            let first = run(5);
-            assert_eq!(run(5), first, "{pair:?} n={n}");
-            assert_ne!(run(6), first, "{pair:?} n={n}: seeds 5 and 6");
-        }
-    }
-}
-
-/// The edge shapes, step by step against the simulator: the three §5
-/// random permutations at tiny and odd sizes, both cyclic-permutation
-/// generators at small ones, and the QRQW dart thrower's sequential
-/// Las-Vegas clean-up, which seed 2974 (the only one below 3000) forces
-/// at n = 4.
-#[test]
-fn edge_shapes_match_the_simulator_step_by_step() {
-    for n in [1usize, 2, 77] {
-        for seed in [0u64, 7, 41] {
-            each_pair!(pairs_of(Backend::ALL), seed, |m| {
-                let orders = [
-                    random_permutation_qrqw(&mut m, n).order,
-                    random_permutation_dart_scan(&mut m, n).order,
-                    random_permutation_sorting_erew(&mut m, n).order,
-                ];
-                assert!(orders.iter().all(|order| is_permutation(order)));
-            });
-        }
-    }
-    for n in [2usize, 5, 120] {
-        for seed in [0u64, 9, 23] {
-            each_pair!(pairs_of(Backend::ALL), seed, |m| {
-                let fast = random_cyclic_permutation_fast(&mut m, n).successor;
-                let efficient = random_cyclic_permutation_efficient(&mut m, n).successor;
-                assert!(is_cyclic(&fast) && is_cyclic(&efficient));
-            });
-        }
-    }
-    each_pair!(pairs_of(Backend::ALL), 2974, |m| {
-        let out = random_permutation_qrqw(&mut m, 4);
-        assert!(out.fallback_used, "seed 2974 no longer forces the fallback");
-        assert!(is_permutation(&out.order));
-    });
 }
 
 /// The §7 sorts, the longest members: each pair family sweeps them in a
@@ -392,7 +236,7 @@ fn bsp_routing_order_never_affects_results() {
     // its message buffers in a different chunking; the image must match the
     // simulator's lowest-processor-id arbitration, and the realized queues
     // and message totals are pinned.
-    let body = |p: usize, ctx: &mut dyn MachineProc| {
+    let body = |p: usize, ctx: &mut dyn qrqw_suite::sim::MachineProc| {
         let v = ctx.read(p % 13);
         let v = if v == EMPTY { 0 } else { v };
         ctx.write(100 + p % 97, p as u64 + v);

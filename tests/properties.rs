@@ -12,9 +12,10 @@ use qrqw_suite::algos::{
     sort_uniform_keys, QrqwHashTable,
 };
 use qrqw_suite::prims::{
-    bitonic_sort, pack, radix_sort_packed, stable_sort_small_range, unpack_key, unpack_payload,
+    bitonic_sort, compact_erew, pack, prefix_sums_inclusive, radix_sort_packed,
+    stable_sort_small_range, unpack_key, unpack_payload,
 };
-use qrqw_suite::sim::{Machine, Pram};
+use qrqw_suite::sim::{CostModel, Machine, Pram, EMPTY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -23,6 +24,29 @@ const CASES: u64 = 24;
 
 fn rng_for(case: u64, salt: u64) -> SmallRng {
     SmallRng::seed_from_u64(case.wrapping_mul(0x9E37_79B9) ^ salt)
+}
+
+#[test]
+fn prefix_sums_match_sequential_scan() {
+    for case in 0..CASES {
+        let mut rng = rng_for(case, 1);
+        let len = rng.gen_range(1..300usize);
+        let xs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000u64)).collect();
+        let mut pram = Pram::new(xs.len());
+        pram.load(0, &xs);
+        let total = prefix_sums_inclusive(&mut pram, 0, xs.len());
+        let mut acc = 0u64;
+        let expect: Vec<u64> = xs
+            .iter()
+            .map(|&x| {
+                acc += x;
+                acc
+            })
+            .collect();
+        assert_eq!(pram.dump(0, xs.len()), expect);
+        assert_eq!(total, xs.iter().sum::<u64>());
+        assert_eq!(pram.trace().violations(CostModel::Erew), 0);
+    }
 }
 
 #[test]
@@ -63,6 +87,28 @@ fn radix_sort_is_a_stable_sort() {
         assert!(out
             .windows(2)
             .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)));
+    }
+}
+
+#[test]
+fn compaction_preserves_the_multiset() {
+    for case in 0..CASES {
+        let mut rng = rng_for(case, 4);
+        let n = rng.gen_range(1..300usize);
+        let mask: Vec<bool> = (0..n).map(|_| rng.gen_range(0..2u32) == 1).collect();
+        let mut pram = Pram::new(2 * n);
+        let mut expect = Vec::new();
+        for (i, &keep) in mask.iter().enumerate() {
+            if keep {
+                pram.poke(i, i as u64 + 10);
+                expect.push(i as u64 + 10);
+            }
+        }
+        let count = compact_erew(&mut pram, 0, n, n);
+        assert_eq!(count as usize, expect.len());
+        assert_eq!(pram.dump(n, expect.len()), expect);
+        // empty cells never leak into the compacted output
+        assert!(pram.dump(n, count as usize).iter().all(|&v| v != EMPTY));
     }
 }
 
