@@ -42,6 +42,8 @@ use qrqw_core::{
 use qrqw_exec::{NativeMachine, Schedule, StepPool};
 use qrqw_prims::{linear_compaction, list_rank};
 use qrqw_sim::{CostModel, CostReport, Machine, Pram, Trace, EMPTY};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use scenario::{ChurnOutcome, Scenario};
 
 pub mod report;
@@ -147,9 +149,9 @@ pub enum Algorithm {
     DistributiveSort,
     /// §7.3 one emulated Fetch&Add step over a hot address set (Lemma 7.5).
     FetchAdd,
-    /// §3 list ranking over one n-node chain: [`Machine::list_rank`],
-    /// pointer jumping on the model backends and a ruling set on the
-    /// native machine.
+    /// §3 list ranking over one n-node chain in a seeded random order:
+    /// [`Machine::list_rank`], pointer jumping on the model backends and a
+    /// ruling set on the native machine.
     ListRank,
 }
 
@@ -256,6 +258,7 @@ impl Algorithm {
                 let total: u64 = loads.iter().sum();
                 let (res, elapsed) = timed(|| load_balance_qrqw(m, &loads));
                 let valid = res.covers_exactly(&loads)
+                    && res.shared_teams == 0
                     && (n == 0 || res.max_final_load <= 64 * (1 + total / n as u64));
                 (valid, elapsed)
             }
@@ -294,12 +297,20 @@ impl Algorithm {
             Algorithm::Hashing => {
                 let keys = Algorithm::scattered_keys(n, 0);
                 let probes = Algorithm::scattered_keys(n, n);
-                let ((hits, misses), elapsed) = timed(|| {
+                let ((table, hits, misses), elapsed) = timed(|| {
                     let table = QrqwHashTable::build(m, &keys);
-                    (table.lookup_batch(m, &keys), table.lookup_batch(m, &probes))
+                    let hits = table.lookup_batch(m, &keys);
+                    let misses = table.lookup_batch(m, &probes);
+                    (table, hits, misses)
                 });
-                let valid =
-                    hits.len() == n && hits.iter().all(|&h| h) && misses.iter().all(|&h| !h);
+                // Every bucket's block is its own: no two blocks overlap.
+                let mut blocks = table.blocks(m);
+                blocks.sort_unstable();
+                let apart = blocks.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0);
+                let valid = apart
+                    && hits.len() == n
+                    && hits.iter().all(|&h| h)
+                    && misses.iter().all(|&h| !h);
                 (valid, elapsed)
             }
             Algorithm::CyclicFast => {
@@ -367,19 +378,26 @@ impl Algorithm {
                 (valid, elapsed)
             }
             Algorithm::ListRank => {
-                // One chain 0 → 1 → … → n−1; rank of node i must be n−1−i.
+                // One chain visiting the nodes in an order drawn from the
+                // machine's seed; the node at position p has rank n−1−p.
+                let mut rng = SmallRng::seed_from_u64(m.seed() ^ 0x1157);
+                let mut order: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    order.swap(i, rng.gen_range(0..i + 1));
+                }
+                let mut succ = vec![EMPTY; n];
+                for pair in order.windows(2) {
+                    succ[pair[0]] = pair[1] as u64;
+                }
                 let succ_base = m.alloc(n.max(1));
                 let rank_base = m.alloc(n.max(1));
-                let succ: Vec<u64> = (0..n)
-                    .map(|i| if i + 1 < n { i as u64 + 1 } else { EMPTY })
-                    .collect();
                 m.load(succ_base, &succ);
                 let ((), elapsed) = timed(|| list_rank(m, succ_base, n, rank_base));
                 let ranks = m.dump(rank_base, n);
-                let valid = ranks
+                let valid = order
                     .iter()
                     .enumerate()
-                    .all(|(i, &r)| r == (n - 1 - i) as u64);
+                    .all(|(p, &node)| ranks[node] == (n - 1 - p) as u64);
                 (valid, elapsed)
             }
         }

@@ -342,6 +342,19 @@ impl QrqwHashTable {
         })
     }
 
+    /// Host-side (no accounting), for validation: every served bucket's
+    /// block, as its first cell and its size.  Each block holds one
+    /// bucket's keys — an occupy-mode claim hands a block to one bucket,
+    /// and a clean-up block is private — so the blocks are disjoint.
+    pub fn blocks<M: Machine>(&self, m: &M) -> Vec<(usize, usize)> {
+        (0..self.n)
+            .filter_map(|b| {
+                let base = m.peek(dir_base_of(self.directory, b));
+                (base != EMPTY).then_some((base as usize, self.block_size[b] as usize))
+            })
+            .collect()
+    }
+
     /// Host-side membership check (no accounting), for validation in tests.
     pub fn contains<M: Machine>(&self, m: &M, x: u64) -> bool {
         let b = self.bucket_of(m, x);

@@ -51,6 +51,11 @@ pub struct LoadBalanceResult {
     pub stages: u64,
     /// Whether the final greedy clean-up had to move any block.
     pub fallback_used: bool,
+    /// Overloaded processors that a dispersal stage placed on the team of
+    /// another one of the same stage: 0 when every stage's linear
+    /// compaction was injective, as Lemma 3.3 requires (0 for the EREW
+    /// baseline).
+    pub shared_teams: u64,
 }
 
 impl LoadBalanceResult {
@@ -194,6 +199,7 @@ pub fn load_balance_qrqw<M: Machine>(machine: &mut M, loads: &[u64]) -> LoadBala
             max_final_load: 0,
             stages: 0,
             fallback_used: false,
+            shared_teams: 0,
         };
     }
     let m: u64 = loads.iter().sum();
@@ -225,6 +231,7 @@ pub fn load_balance_qrqw<M: Machine>(machine: &mut M, loads: &[u64]) -> LoadBala
 
     let l0 = max_load(&cur);
     let mut stages = 0u64;
+    let mut shared_teams = 0u64;
     let max_stages = 2 * lg_lg(l0.max(4)) + 10;
     let settle = 24u64; // constant load at which the dispersal stops
 
@@ -274,6 +281,9 @@ pub fn load_balance_qrqw<M: Machine>(machine: &mut M, loads: &[u64]) -> LoadBala
                 (aux_cell, held.detach(proc_id))
             })
             .collect();
+        let mut cells: Vec<usize> = donors.iter().map(|&(cell, _)| cell).collect();
+        cells.sort_unstable();
+        shared_teams += cells.windows(2).filter(|pair| pair[0] == pair[1]).count() as u64;
 
         // Accounted adoption step: every member of a non-empty team reads
         // its broadcast copy and performs O(1) bookkeeping.
@@ -341,6 +351,7 @@ pub fn load_balance_qrqw<M: Machine>(machine: &mut M, loads: &[u64]) -> LoadBala
         max_final_load,
         stages,
         fallback_used,
+        shared_teams,
     }
 }
 
@@ -355,6 +366,7 @@ pub fn load_balance_erew<M: Machine>(machine: &mut M, loads: &[u64]) -> LoadBala
             max_final_load: 0,
             stages: 0,
             fallback_used: false,
+            shared_teams: 0,
         };
     }
     let m: u64 = loads.iter().sum();
@@ -416,6 +428,7 @@ pub fn load_balance_erew<M: Machine>(machine: &mut M, loads: &[u64]) -> LoadBala
         max_final_load,
         stages: 0,
         fallback_used: false,
+        shared_teams: 0,
     }
 }
 

@@ -47,10 +47,10 @@
 //!   per-processor loop does not reload them behind every store.
 //!   `tests/step_kernel_cost.rs` pins the resulting cost against a raw
 //!   loop over a `Vec<AtomicU64>`.  The machine's own kernels (claim,
-//!   scan, compaction, counting, list ranking, global OR, `peek` / `poke`)
-//!   reach cells
-//!   through the same view, taken once per call after any growth, and
-//!   walk a chunk block by block through one helper, `for_blocks`;
+//!   scan, compaction, counting, list ranking, forward fill, duplication,
+//!   global OR, `peek` / `poke`) reach cells through the same view, taken
+//!   once per call after any growth, and walk a chunk block by block
+//!   through one helper, `for_blocks`;
 //! * `claim` keeps its `live` / `cas_won` pass state in reusable
 //!   bitset-backed scratch buffers (one bit per attempt, chunk boundaries
 //!   word-aligned so chunks own whole words), and aggregates contention
@@ -76,6 +76,15 @@
 //!   links live in reused scratch, two words per node, and the kernel
 //!   panics on successors that do not form NIL-terminated lists with at
 //!   most one predecessor per node;
+//! * `fill_forward` (the segmented broadcast) is one 3-pass dispatch over
+//!   `SCAN_BLOCK`-aligned chunks, where the default route's Hillis–Steele
+//!   doubling takes `⌈lg len⌉` steps and `O(len lg len)` work: every
+//!   block's last non-[`EMPTY`] value into the reused offset table, a
+//!   serial carry over the blocks, a fill of each block's [`EMPTY`] cells
+//!   over plain word slices (`for_words`);
+//! * `duplicate` is one dispatch over its `k · copies` output cells, where
+//!   the default route takes `1 + ⌈lg copies⌉` doubling steps: a chunk
+//!   fills each run of copies it holds with one slice fill per shard;
 //! * `bitonic_segments` runs the whole network as block-resident passes:
 //!   every stage with `k <= BITONIC_BLOCK` in one pass, block by block,
 //!   and per larger `k` one whole-range pass per stage `j >= BITONIC_BLOCK`
@@ -105,7 +114,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use qrqw_sim::machine::assert_lists_apart;
+use qrqw_sim::machine::{assert_copies_apart, assert_lists_apart};
 use qrqw_sim::proc_rng;
 use qrqw_sim::schedule::ceil_lg;
 use qrqw_sim::{ClaimMode, CostReport, Machine, MachineProc, EMPTY};
@@ -125,9 +134,10 @@ static NEXT_MACHINE_ID: AtomicU64 = AtomicU64::new(1);
 const POISON: u64 = u64::MAX - 1;
 
 /// Cells per block of the blocked prefix of [`Machine::scan_step`] and
-/// [`Machine::scan_tree`] and of the histograms of
-/// [`Machine::counting_pass`]; also the chunk alignment of their
-/// dispatches, so every block belongs to exactly one chunk.
+/// [`Machine::scan_tree`], of the histograms of [`Machine::counting_pass`]
+/// and of the carries of [`Machine::fill_forward`]; also the chunk
+/// alignment of their dispatches, so every block belongs to exactly one
+/// chunk.
 const SCAN_BLOCK: usize = 8192;
 
 /// Cells per block of the cache-blocked bitonic network in
@@ -175,7 +185,8 @@ struct Scratch {
     /// Scan pass: per-[`SCAN_BLOCK`] totals, then exclusive offsets.
     /// Counting pass: one bucket histogram per block, then per-bucket
     /// output ranks.  List ranking: one [`link`] per stride ruler, then
-    /// its node count to the end of its list, tagged [`RANKED`].
+    /// its node count to the end of its list, tagged [`RANKED`].  Forward
+    /// fill: every block's last non-[`EMPTY`] value, then its carry.
     offsets: Vec<AtomicU64>,
     /// Counting pass: the stably scattered words before the copy back.
     /// List ranking: every node's [`place`], its ruler and offset.
@@ -570,6 +581,22 @@ fn for_blocks<const W: usize>(lo: usize, hi: usize, mut f: impl FnMut(usize, usi
         let end = (i + W).min(hi);
         f(i / W, i, end);
         i = end;
+    }
+}
+
+/// Calls `f` on the cells `[addr, addr + len)` as plain words, one slice
+/// per shard they span.
+///
+/// # Safety
+/// As for [`ArenaView::words_mut`]: within a step, the cells must be this
+/// chunk's alone.
+#[inline(always)]
+unsafe fn for_words(mem: ArenaView<'_>, addr: usize, len: usize, mut f: impl FnMut(&mut [u64])) {
+    let (mut at, end) = (addr, addr + len);
+    while at < end {
+        let n = (end - at).min(SHARD_CELLS - (at & SHARD_MASK));
+        f(mem.words_mut(at, n).expect("n stops at the shard's end"));
+        at += n;
     }
 }
 
@@ -1401,6 +1428,99 @@ impl Machine for NativeMachine {
         // The default route's step count: the read, max(1, ⌈lg n⌉) rounds
         // of publish and jump, the last publish.
         self.steps_executed += 2 * ceil_lg(n64).max(1) + 2;
+    }
+
+    fn fill_forward(&mut self, base: usize, len: usize) {
+        if len <= 1 {
+            return;
+        }
+        self.ensure_memory(base + len);
+        let nblocks = len.div_ceil(SCAN_BLOCK);
+        ensure_words(&mut self.scratch.offsets, nblocks);
+        // The fill may write any cell of the range.
+        self.arena.mark_range(base, len);
+        let mem = self.arena.view();
+        let carries = &self.scratch.offsets[..nblocks];
+        // Pass 0: every block's last non-EMPTY value, EMPTY for none.
+        // Chunks are SCAN_BLOCK-aligned, so each block has one writer.
+        let last = |lo: usize, hi: usize| {
+            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+                let v = (i..end)
+                    .rev()
+                    .map(|j| mem.cell(base + j).load(Ordering::Relaxed))
+                    .find(|&v| v != EMPTY);
+                carries[block].store(v.unwrap_or(EMPTY), Ordering::Relaxed);
+            });
+        };
+        // Pass 1, serial: each block's carry, the last non-EMPTY value of
+        // the blocks before it.
+        let carry = || {
+            let mut run = EMPTY;
+            for block in carries {
+                let last = block.swap(run, Ordering::Relaxed);
+                if last != EMPTY {
+                    run = last;
+                }
+            }
+        };
+        // Pass 2: every EMPTY cell takes the last value before it.
+        let fill = |lo: usize, hi: usize| {
+            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
+                let mut run = carries[block].load(Ordering::Relaxed);
+                // SAFETY: the chunk owns its blocks for the pass.
+                unsafe {
+                    for_words(mem, base + i, end - i, |cells| {
+                        for cell in cells {
+                            if *cell == EMPTY {
+                                *cell = run;
+                            } else {
+                                run = *cell;
+                            }
+                        }
+                    });
+                }
+            });
+        };
+        self.pool
+            .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
+                0 => last(lo, hi),
+                1 => {
+                    if lo == 0 {
+                        carry();
+                    }
+                }
+                _ => fill(lo, hi),
+            });
+        // The default route's step count: one doubling round per bit.
+        self.steps_executed += ceil_lg(len as u64);
+    }
+
+    fn duplicate(&mut self, src: usize, k: usize, dest: usize, copies: usize) {
+        assert_copies_apart(src, k, dest, copies);
+        if k == 0 || copies == 0 {
+            return;
+        }
+        let total = k * copies;
+        self.ensure_memory(dest + total);
+        self.arena.mark_range(dest, total);
+        let mem = self.arena.view();
+        // One pass over the output cells: a chunk fills each run of copies
+        // it holds with its value.
+        self.pool.dispatch(total, 1, |lo, hi| {
+            let mut at = lo;
+            while at < hi {
+                let i = at / copies;
+                let end = ((i + 1) * copies).min(hi);
+                let v = mem.cell(src + i).load(Ordering::Relaxed);
+                // SAFETY: the chunk owns its output cells, and the source
+                // region lies apart from them.
+                unsafe { for_words(mem, dest + at, end - at, |cells| cells.fill(v)) };
+                at = end;
+            }
+        });
+        // The default route's step count: the seed step, then one doubling
+        // round per bit of `copies`.
+        self.steps_executed += 1 + ceil_lg(copies as u64);
     }
 
     fn claim(&mut self, attempts: &[(u64, usize)], mode: ClaimMode) -> Vec<bool> {

@@ -104,6 +104,19 @@ enum Op {
         lists: Vec<u64>,
         rank: usize,
     },
+    /// `fill_forward` over a range.
+    Fill {
+        base: usize,
+        len: usize,
+    },
+    /// `duplicate` of `k` cells at `src` into `copies` copies each at
+    /// `dest`, in another region.
+    Duplicate {
+        src: usize,
+        k: usize,
+        dest: usize,
+        copies: usize,
+    },
     Load {
         base: usize,
         values: Vec<u64>,
@@ -167,7 +180,7 @@ impl Model {
 fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..4 + rng.below(8) {
-        let op = match rng.below(15) {
+        let op = match rng.below(17) {
             0 | 1 => {
                 let (base, len) = model.range(rng, 8192);
                 let span = if len.is_power_of_two() {
@@ -307,6 +320,25 @@ fn gen_program(rng: &mut Rng, model: &mut Model) -> Vec<Op> {
                     rank: rbase + rng.below(rlen - n + 1),
                 }
             }
+            14 => {
+                let (base, len) = model.range(rng, 20_000);
+                Op::Fill { base, len }
+            }
+            15 => {
+                // Source and copies in two different regions, as for a
+                // compaction.
+                let i = rng.below(model.regions());
+                let j = (i + 1 + rng.below(model.regions() - 1)) % model.regions();
+                let ((sbase, slen), (dbase, dlen)) = (model.nth(i), model.nth(j));
+                let copies = 1 + rng.below(dlen.min(3000));
+                let k = 1 + rng.below(slen.min(dlen / copies));
+                Op::Duplicate {
+                    src: sbase + rng.below(slen - k + 1),
+                    k,
+                    dest: dbase + rng.below(dlen - k * copies + 1),
+                    copies,
+                }
+            }
             _ => {
                 if !model.stack.is_empty() && rng.below(3) == 0 {
                     let keep = rng.below(model.stack.len());
@@ -390,6 +422,13 @@ fn run(m: &mut NativeMachine, ops: &[Op]) -> Vec<u64> {
                 m.load(*succ, lists);
                 m.list_rank(*succ, lists.len(), *rank);
             }
+            Op::Fill { base, len } => m.fill_forward(*base, *len),
+            Op::Duplicate {
+                src,
+                k,
+                dest,
+                copies,
+            } => m.duplicate(*src, *k, *dest, *copies),
             Op::Load { base, values } => m.load(*base, values),
             Op::Poke { addr, value } => m.poke(*addr, *value),
             Op::Clear { base, len } => m.clear_region(*base, *len),

@@ -9,9 +9,11 @@
 //!
 //! * [`prefix`] — work-optimal EREW prefix sums (Blelloch up/down sweep),
 //!   the `Θ(lg n)`-time tool behind the EREW baselines of Table I.
-//! * [`broadcast`] — bulk value duplication in `O(lg k)` EREW steps for
-//!   `k` copies (the paper's "replace a program variable with k copies"
-//!   technique, Section 1.2), and the segmented forward broadcast.
+//! * [`broadcast`] — bulk value duplication (the paper's "replace a
+//!   program variable with k copies" technique, Section 1.2) and the
+//!   segmented forward broadcast, the machine calls `Machine::duplicate`
+//!   and `Machine::fill_forward`: `O(lg k)` doubling steps for `k` copies
+//!   and `⌈lg n⌉` Hillis–Steele rounds on the simulator.
 //! * [`reduce`] — binary-tree global OR.
 //! * [`listrank`] — list ranking (Section 3), the machine call
 //!   `Machine::list_rank`: pointer jumping on the simulator.

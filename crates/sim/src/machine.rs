@@ -41,10 +41,12 @@
 //!    cells, [`Machine::scan_tree`] by `2·lg w + 3` for `w` the length
 //!    rounded up to a power of two, [`Machine::counting_pass`] by
 //!    `2·lg w + 6` for `w` its count matrix rounded up likewise,
-//!    [`Machine::list_rank`] by `2·max(1, ⌈lg n⌉) + 2` for `n` nodes, and
-//!    [`Machine::claim`] by 6 ([`ClaimMode::Exclusive`]) or 3
-//!    ([`ClaimMode::Occupy`]) — the length of the simulated claiming
-//!    protocol.  Backends that keep this contract give
+//!    [`Machine::list_rank`] by `2·max(1, ⌈lg n⌉) + 2` for `n` nodes,
+//!    [`Machine::fill_forward`] by `⌈lg len⌉`, [`Machine::duplicate`] by
+//!    `1 + ⌈lg copies⌉`, and [`Machine::claim`] by 6
+//!    ([`ClaimMode::Exclusive`]) or 3 ([`ClaimMode::Occupy`]) — the length
+//!    of the simulated claiming protocol.  Backends that keep this
+//!    contract give
 //!    *identical* random choices to the same algorithm, which is what makes
 //!    the cross-backend parity tests exact.
 //! 3. **Step race freedom.**  Within one step, a location written by one
@@ -54,8 +56,11 @@
 //!    backend runs steps as real concurrent loops, so racing writes are
 //!    scheduler-ordered.  Cross-processor races are expressed through
 //!    [`Machine::claim`], whose outcome is well-defined on both backends.
-//!    (Concurrent *reads* of a location no processor writes in the step are
-//!    always fine — that is the Q in QRQW.)  The arbitration the model
+//!    One default route breaks this rule by design: the doubling rounds of
+//!    [`Machine::fill_forward`], whose monotone fill ends the same either
+//!    way (its docs say how).  (Concurrent *reads* of a location no
+//!    processor writes in the step are always fine — that is the Q in
+//!    QRQW.)  The arbitration the model
 //!    backends apply is: **the lowest processor id wins a cell; among that
 //!    processor's writes to it, the last in program order lands.**  The
 //!    second half holds on every backend — a processor may overwrite its
@@ -708,6 +713,122 @@ pub trait Machine {
         self.release_to(s_pub);
     }
 
+    /// Propagates non-empty values forward, the segmented broadcast: after
+    /// the call every cell of `[base, base+len)` holds the nearest
+    /// non-[`crate::EMPTY`] value at or before it (cells before the first
+    /// non-empty value stay empty).
+    ///
+    /// The default implementation is the Hillis–Steele doubling route and
+    /// is what the model backends charge: rounds with jump `1, 2, 4, …`
+    /// below `len`, in each of which every still-`EMPTY` cell copies the
+    /// cell `jump` before it, `O(len lg len)` work.  It advances the step
+    /// index by exactly `⌈lg len⌉` (0 when `len <= 1`, which ensures no
+    /// memory), draws no randomness and moves no claim counter; any
+    /// override must do the same and leave the same `heap_top` and live
+    /// memory (the native backend runs one blocked pass: each block's last
+    /// value, a serial carry over the blocks, a fill).
+    ///
+    /// It is the one default route outside [`Machine::claim`] that is not
+    /// EREW, and the one that breaks step race freedom (rule 3 of the
+    /// [module contract](self)): a cell is read by its own processor and by
+    /// the processor `jump` after it, a maximum contention of 2, and a
+    /// processor reads the cell `jump` before it in the same step in which
+    /// that cell's own processor may fill it.  `Pram` reads the
+    /// start-of-step `EMPTY` there where a concurrent machine may read the
+    /// fresh value; the fill is monotone, so the final contents agree.
+    ///
+    /// ```
+    /// use qrqw_sim::{Machine, Pram, EMPTY};
+    ///
+    /// let mut m = Pram::with_seed(8, 0);
+    /// m.load(0, &[EMPTY, 7, EMPTY, EMPTY, 9, EMPTY]);
+    /// m.fill_forward(0, 6);
+    /// assert_eq!(m.dump(0, 6), vec![EMPTY, 7, 7, 7, 9, 9]);
+    /// assert_eq!(m.steps_executed(), 3); // ⌈lg 6⌉
+    /// ```
+    fn fill_forward(&mut self, base: usize, len: usize) {
+        if len <= 1 {
+            return;
+        }
+        self.ensure_memory(base + len);
+        let mut jump = 1usize;
+        while jump < len {
+            self.par_for(len - jump, |p, ctx| {
+                let i = p + jump;
+                let own = ctx.read(base + i);
+                if own != EMPTY {
+                    return;
+                }
+                let prev = ctx.read(base + i - jump);
+                if prev != EMPTY {
+                    ctx.write(base + i, prev);
+                }
+            });
+            jump *= 2;
+        }
+    }
+
+    /// Duplicates each of the `k` values in `[src, src+k)` into `copies`
+    /// consecutive cells from `dest + i·copies` — the paper's duplication
+    /// technique (Section 1.2, Lemma 6.4): `κ` readers of value `i` that
+    /// each read a random one of its copies meet an expected contention
+    /// of `κ / copies`.  The `src` and `dest` regions must not overlap;
+    /// every route asserts that.
+    ///
+    /// The default implementation is the canonical EREW-legal route and
+    /// is what the model backends charge: one step seeds copy 0 of every
+    /// value, then every block doubles its copies per step, `O(k · copies)`
+    /// work (optimal in time: broadcasting to `copies` cells takes
+    /// `Ω(lg copies)` steps on the QRQW PRAM, Theorem 3.1).  It ensures
+    /// memory up to `dest + k·copies`, advances the step index by exactly
+    /// `1 + ⌈lg copies⌉` (0, ensuring nothing, when `k == 0` or
+    /// `copies == 0`), draws no randomness and moves no claim counter; any
+    /// override must do the same and leave the same `heap_top` and live
+    /// memory (the native backend fills the `k·copies` cells in one pool
+    /// dispatch).
+    ///
+    /// ```
+    /// use qrqw_sim::{Machine, Pram};
+    ///
+    /// let mut m = Pram::with_seed(16, 0);
+    /// m.load(0, &[7, 8]);
+    /// m.duplicate(0, 2, 4, 3);
+    /// assert_eq!(m.dump(4, 6), vec![7, 7, 7, 8, 8, 8]);
+    /// assert_eq!(m.steps_executed(), 3); // 1 + ⌈lg 3⌉
+    /// ```
+    fn duplicate(&mut self, src: usize, k: usize, dest: usize, copies: usize) {
+        assert_copies_apart(src, k, dest, copies);
+        if k == 0 || copies == 0 {
+            return;
+        }
+        self.ensure_memory(dest + k * copies);
+        // Seed copy 0 of every value.
+        self.par_for(k, |i, ctx| {
+            let v = ctx.read(src + i);
+            ctx.write(dest + i * copies, v);
+        });
+        // Doubling within every block simultaneously.
+        let mut have = 1usize;
+        while have < copies {
+            let add = have.min(copies - have);
+            // `add == have`, a power of two, in every round but the last:
+            // split the processor index with a shift and a mask there
+            // instead of a run-time division per processor.
+            let pow2 = add.is_power_of_two();
+            let shift = add.trailing_zeros();
+            self.par_for(k * add, |p, ctx| {
+                let (i, j) = if pow2 {
+                    (p >> shift, p & (add - 1))
+                } else {
+                    (p / add, p % add)
+                };
+                let v = ctx.read(dest + i * copies + j);
+                ctx.write(dest + i * copies + have + j, v);
+            });
+            have += add;
+        }
+    }
+
     /// Executes the cell-claiming protocol of Section 5.1:
     /// `attempts[i] = (tag, target)` asks to claim cell `target` with the
     /// unique value `tag`, which lies below `EMPTY - 1` on every machine
@@ -749,6 +870,17 @@ pub fn assert_lists_apart(base_succ: usize, n: usize, base_rank: usize) {
         "list_rank: the succ region {base_succ}..{} overlaps the rank region {base_rank}..{}",
         base_succ + n,
         base_rank + n
+    );
+}
+
+/// Panics unless the `k` source cells of a [`Machine::duplicate`] at `src`
+/// and its `k · copies` destination cells at `dest` are disjoint.
+pub fn assert_copies_apart(src: usize, k: usize, dest: usize, copies: usize) {
+    let end = dest + k * copies;
+    assert!(
+        k * copies == 0 || src + k <= dest || end <= src,
+        "duplicate: the source region {src}..{} overlaps the destination region {dest}..{end}",
+        src + k
     );
 }
 

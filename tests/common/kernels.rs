@@ -12,11 +12,13 @@
 //! compares after one unrecorded call, so a case needs no simulator beside
 //! the machine under test.  [`check`] runs cases on every machine each
 //! lists, and on the simulator also requires every call but a claim to
-//! take EREW steps only.  [`ByStages`] keeps the trait's default routes and the six-step
-//! claim, which `tests/step_kernel_cost.rs` prices each kernel against and
-//! [`check`] runs every compaction, exclusive claim and list ranking on.
+//! take EREW steps only, the forward fill aside (its documented read
+//! contention of 2).  [`ByStages`] keeps the trait's default routes and the
+//! six-step claim, which `tests/step_kernel_cost.rs` prices each kernel
+//! against and [`check`] runs every compaction, exclusive claim, list
+//! ranking, forward fill and duplication on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use qrqw_suite::exec::{NativeMachine, StepPool, SHARD_CELLS};
@@ -44,6 +46,11 @@ pub enum Kernel {
     /// `list_rank` of the loaded successors into a rank region at an
     /// address.
     ListRank(usize),
+    /// `fill_forward` over the loaded input.
+    FillForward,
+    /// `duplicate` of the loaded input into a number of copies each at an
+    /// address.
+    Duplicate(usize, usize),
 }
 
 /// One call on one input.
@@ -126,9 +133,22 @@ impl Case {
         let survivors = match self.kernel {
             Kernel::Compact(dst) => dst + result as usize,
             Kernel::ListRank(rank) => rank + self.input.len(),
+            Kernel::Duplicate(dest, copies) => dest + self.input.len() * copies,
             _ => 0,
         };
         survivors.max(self.base + self.input.len())
+    }
+
+    /// The maximum contention the simulator charges the call's default
+    /// route: 1, the EREW charge, but 2 for a forward fill with an `EMPTY`
+    /// cell from the third on.  Its first round then has a cell read by
+    /// its own processor and by the next one, whose own cell is `EMPTY`;
+    /// no round reads a cell three times.  (A claim's is not modelled.)
+    fn model_contention(&self) -> u64 {
+        match self.kernel {
+            Kernel::FillForward if self.input.iter().skip(2).any(|&v| v == EMPTY) => 2,
+            _ => 1,
+        }
     }
 
     /// The machines the case runs on: every native pair, and the
@@ -173,6 +193,14 @@ impl Case {
             }
             Kernel::ListRank(rank) => {
                 m.list_rank(base, len, rank);
+                0
+            }
+            Kernel::FillForward => {
+                m.fill_forward(base, len);
+                0
+            }
+            Kernel::Duplicate(dest, copies) => {
+                m.duplicate(base, len, dest, copies);
                 0
             }
         };
@@ -278,6 +306,30 @@ impl Case {
                 match len {
                     0 => (0, 0, 0),
                     _ => (0, 2 * lg(len).max(1) + 2, covered.max(rank + len)),
+                }
+            }
+            Kernel::FillForward => {
+                let mut run = EMPTY;
+                for cell in range.iter_mut() {
+                    if *cell == EMPTY {
+                        *cell = run;
+                    } else {
+                        run = *cell;
+                    }
+                }
+                match len {
+                    0 | 1 => (0, 0, 0),
+                    _ => (0, lg(len), covered),
+                }
+            }
+            Kernel::Duplicate(dest, copies) => {
+                let end = dest + len * copies;
+                let copied: Vec<u64> = self.input.iter().flat_map(|&v| vec![v; copies]).collect();
+                memory.resize(memory.len().max(end), EMPTY);
+                memory[dest..end].copy_from_slice(&copied);
+                match len * copies {
+                    0 => (0, 0, 0),
+                    _ => (0, 1 + lg(copies), end),
                 }
             }
         };
@@ -454,6 +506,64 @@ fn cases() -> Vec<Case> {
         add(Kernel::ListRank(base + input.len()), input, base, 16);
     }
 
+    // Forward fills: no cells, one and two; inline (up to 8192 cells, one
+    // `SCAN_BLOCK`) with EMPTY runs of random lengths and with none; all
+    // EMPTY and a leading EMPTY run before sparse values, pooled; one
+    // value in cell 0 of four blocks and three cells, so the carry crosses
+    // chunks and whole EMPTY blocks; sparse values across the 2^18-cell
+    // shard seam.
+    let sparse = |len: usize, every: u64| {
+        (0..len as u64).map(move |i| if i % every == 0 { i + 1 } else { EMPTY })
+    };
+    let runs = (0..5000u64).map(|i| {
+        if i.wrapping_mul(0x9E37_79B9) % 7 == 0 {
+            i
+        } else {
+            EMPTY
+        }
+    });
+    let lead = (0..20_000).map(|i| if i < 9000 || i % 500 != 0 { EMPTY } else { i });
+    let lone = (0..4 * block + 3).map(|i| if i == 0 { 7 } else { EMPTY });
+    for (input, base) in [
+        (vec![], 16),
+        (vec![EMPTY], 16),
+        (vec![5, EMPTY], 16),
+        (runs.collect(), 0),
+        ((0..3000).collect(), 16),
+        (vec![EMPTY; 20_000], 16),
+        (lead.collect(), 16),
+        (lone.collect(), 16),
+        (sparse(20_000, 97).collect(), SHARD_CELLS - 10_000),
+    ] {
+        let top = base + input.len();
+        add(Kernel::FillForward, input, base, top);
+    }
+
+    // Duplications of k values at 16 into copies each: none, one, two,
+    // seven and hashing's 2260 at n = 2^16 (116 values), below the
+    // allocation top and raw above it, inline and pooled (past the
+    // step pool's 2048-item cutoff); the largest across the shard seam.
+    let values = |k: u64| (0..k).map(|i| if i % 5 == 4 { EMPTY } else { 100 + 3 * i });
+    for (k, copies, dest) in [
+        (0, 5, 64),
+        (5, 0, 64),
+        (5, 1, 64),
+        (3000, 1, 4000),
+        (1000, 2, 2000),
+        (1500, 2, 2000),
+        (500, 7, 1000),
+        (116, 2260, SHARD_CELLS - 1000),
+    ] {
+        for top in BTreeSet::from([dest + k as usize * copies, dest]) {
+            add(
+                Kernel::Duplicate(dest, copies),
+                values(k).collect(),
+                16,
+                top,
+            );
+        }
+    }
+
     // Claims in both modes onto a loaded region whose every fifth cell is
     // occupied.  Attempt j has tag 2j + 1 and aims at a hash of j over
     // `span` cells from `base`.  Each listed set of attempts then moves to
@@ -530,13 +640,15 @@ fn cases() -> Vec<Case> {
 /// Runs every case whose call `pick` selects on every machine the case
 /// lists, each on a fresh machine, against the case's oracle, and on the
 /// simulator every call but a claim to a maximum contention of 1 (the
-/// EREW check of the default routes, which the simulator runs); a
-/// compaction, an exclusive claim and a list ranking also on [`ByStages`]
-/// over a 2-thread pool.  `ByStages` runs the trait's default route as
-/// truly concurrent steps, so a route whose processors race shows there,
-/// where the model backends' snapshot reads hide it.  (The other calls'
-/// routes on it would double the table's time, and an occupy claim's
-/// winner on the step route there is whichever writer lands last.)
+/// EREW check of the default routes, which the simulator runs; 2 for a
+/// forward fill with an `EMPTY` cell past the second); a compaction, an
+/// exclusive claim, a list ranking, a forward fill and a duplication also
+/// on [`ByStages`] over a 2-thread pool.  `ByStages` runs the trait's
+/// default route as truly concurrent steps, so a route whose processors
+/// race shows there, where the model backends' snapshot reads hide it.
+/// (The other calls' routes on it would double the table's time, and an
+/// occupy claim's winner on the step route there is whichever writer
+/// lands last.)
 pub fn check(pick: fn(Kernel) -> bool) {
     let cases: Vec<Case> = cases().into_iter().filter(|c| pick(c.kernel)).collect();
     assert!(!cases.is_empty(), "no case picked");
@@ -550,21 +662,24 @@ pub fn check(pick: fn(Kernel) -> bool) {
         };
         each_machine!(case.machines(), 0, |pair, m| {
             compare(&format!("{pair:?}"), case.run(&mut m).0);
-            // The default routes are EREW: on the simulator, no step of
-            // one queues two accesses on a cell.  (A claim is contended by
-            // design.)
+            // The default routes are EREW but for the forward fill's: on
+            // the simulator, no step of one queues two accesses on a cell.
+            // (A claim is contended by design.)
             let contention = m.cost_report().max_contention;
             if contention.is_some() && !matches!(case.kernel, Kernel::Claim(_)) {
                 let (kernel, len, base) = (case.kernel, case.input.len(), case.base);
                 assert_eq!(
                     contention,
-                    Some(1),
+                    Some(case.model_contention()),
                     "{kernel:?} case {i} ({len} cells at {base}) on {pair:?}: max contention"
                 );
             }
         });
-        if let Kernel::Compact(_) | Kernel::Claim(ClaimMode::Exclusive) | Kernel::ListRank(_) =
-            case.kernel
+        if let Kernel::Compact(_)
+        | Kernel::Claim(ClaimMode::Exclusive)
+        | Kernel::ListRank(_)
+        | Kernel::FillForward
+        | Kernel::Duplicate(..) = case.kernel
         {
             let pool = StepPool::with_threads(2);
             let mut staged = ByStages(NativeMachine::with_pool(16, 0, pool));
@@ -574,9 +689,10 @@ pub fn check(pick: fn(Kernel) -> bool) {
 }
 
 /// A `NativeMachine` that keeps the trait's default `compact_step`,
-/// `bitonic_segments`, `scan_tree`, `counting_pass` and `list_rank`, and
-/// claims through [`claim_by_steps`]: each call's canonical route, one
-/// `par_for` or `par_map` per step on the same pool.
+/// `bitonic_segments`, `scan_tree`, `counting_pass`, `list_rank`,
+/// `fill_forward` and `duplicate`, and claims through
+/// [`claim_by_steps`]: each call's canonical route, one `par_for` or
+/// `par_map` per step on the same pool.
 pub struct ByStages(pub NativeMachine);
 
 impl Machine for ByStages {

@@ -9,8 +9,8 @@
 //! is an `FnOnce`, so it runs once, recorded, on `A`, and its log is
 //! replayed inside `B`'s `seq_step`, reading and drawing on `B`.  `claim`,
 //! `scan_step`, `global_or_step`, `compact_step`, `bitonic_segments`,
-//! `scan_tree`, `counting_pass` and `list_rank` forward to each machine's
-//! own implementation.  After every step-executing call Lockstep
+//! `scan_tree`, `counting_pass`, `list_rank`, `fill_forward` and
+//! `duplicate` forward to each machine's own implementation.  After every step-executing call Lockstep
 //! compares the step counters, the call's result, the claim counters (after
 //! unrecorded calls, the only ones that move them), `heap_top`, the op logs
 //! and the live memory prefix `dump(0, heap_top)`.  At the first mismatch
@@ -395,6 +395,12 @@ impl<A: Machine, B: Machine> Machine for Lockstep<A, B> {
     fn list_rank(&mut self, base_succ: usize, n: usize, base_rank: usize) {
         both!(self, list_rank(base_succ, n, base_rank))
     }
+    fn fill_forward(&mut self, base: usize, len: usize) {
+        both!(self, fill_forward(base, len))
+    }
+    fn duplicate(&mut self, src: usize, k: usize, dest: usize, copies: usize) {
+        both!(self, duplicate(src, k, dest, copies))
+    }
     fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
     where
         F: Fn(u64) -> u64 + Sync,
@@ -602,6 +608,12 @@ impl<M: Machine> Machine for Drift<M> {
     }
     fn list_rank(&mut self, base_succ: usize, n: usize, base_rank: usize) {
         self.inner.list_rank(base_succ, n, base_rank)
+    }
+    fn fill_forward(&mut self, base: usize, len: usize) {
+        self.inner.fill_forward(base, len)
+    }
+    fn duplicate(&mut self, src: usize, k: usize, dest: usize, copies: usize) {
+        self.inner.duplicate(src, k, dest, copies)
     }
     fn counting_pass<F>(&mut self, base: usize, n: usize, num_buckets: usize, bucket_of: F)
     where

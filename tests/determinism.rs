@@ -8,9 +8,11 @@
 //! libtest runs it in parallel.  The raw-trait instances and the
 //! injected-drift checks of Lockstep itself live here too, as do the
 //! tests of the machine-call table (`tests/common/kernels.rs`): every
-//! call with a native kernel, the claim protocol in each mode among them,
-//! on every shape that reaches one of its paths, against a host oracle of
-//! what the call leaves.
+//! call with a native kernel (`scan_step`, `global_or_step`,
+//! `compact_step`, `bitonic_segments`, `scan_tree`, `counting_pass`,
+//! `list_rank`, `fill_forward`, `duplicate`, and the claim protocol in
+//! each mode), on every shape that reaches one of its paths, against a
+//! host oracle of what the call leaves.
 
 mod common;
 
@@ -48,17 +50,14 @@ fn pooled(backend: Backend) -> Vec<Pair> {
 /// Steps whose log on the simulator breaks contract rule 3 (a processor
 /// reads or writes a cell another processor writes in the same step), per
 /// member at size `n`.  Lockstep tolerates exactly these steps and resyncs
-/// a native machine that parted in them.  Two known sources:
-/// `propagate_nonempty_forward`'s same-step read of a cell another
-/// processor fills (load-balance-erew, multiple-compaction, fetch-add), and
-/// the racing in-block writes of `QrqwHashTable::build` (hashing).
+/// a native machine that parted in them.  One known source: the racing
+/// in-block writes of `QrqwHashTable::build` (hashing).  The forward fill's
+/// same-step reads run inside `Machine::fill_forward`, a call Lockstep
+/// forwards to each machine and records no step of.
 fn rule3_steps(algo: Algorithm, n: usize) -> u64 {
     match (algo, n) {
-        (Algorithm::LoadBalanceErew, _) => 5,
-        (Algorithm::MultipleCompaction, _) => 8,
         (Algorithm::Hashing, SMALL) => 3,
         (Algorithm::Hashing, _) => 4,
-        (Algorithm::FetchAdd, _) => 4,
         _ => 0,
     }
 }
@@ -274,6 +273,8 @@ kernel_tests! {
     exclusive_claim_matches_the_oracle_on_every_machine: Kernel::Claim(ClaimMode::Exclusive),
     occupy_claim_matches_the_oracle_on_every_machine: Kernel::Claim(ClaimMode::Occupy),
     list_rank_matches_the_oracle_on_every_machine: Kernel::ListRank(_),
+    fill_forward_matches_the_oracle_on_every_machine: Kernel::FillForward,
+    duplicate_matches_the_oracle_on_every_machine: Kernel::Duplicate(..),
 }
 
 #[test]

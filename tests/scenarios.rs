@@ -1,9 +1,10 @@
 //! Every registered churn scenario through `Lockstep<Pram, _>` on every
 //! native and simulator pair: one churn trace (skewed keys, mixed epochs, live
 //! table state, each epoch one service batch) must re-execute step for step
-//! on every backend at every thread count.  The scenarios reach
-//! `propagate_nonempty_forward`, so each has a pinned count of rule-3 steps,
-//! and each also runs alone on every pair against a lone simulator run.
+//! on every backend at every thread count.  No step of a scenario breaks
+//! rule 3 (the counter batches' forward fill is one machine call, which
+//! Lockstep forwards), and each also runs alone on every pair against a
+//! lone simulator run.
 
 mod common;
 
@@ -25,12 +26,10 @@ fn lone<M: Machine>(m: &mut M, scenario: &Scenario) -> (ChurnOutcome, [u64; 3]) 
 }
 
 /// Runs `scenario` through every pair: the run validates against the host
-/// model, its rule-3 step count is `rule3_steps`, and a simulator pair
-/// never resyncs.
-/// A resync makes the machine under test partly the simulator, so every
-/// pair's machine also runs the scenario alone and must match a lone
-/// simulator run.  Returns the simulator's claim attempts.
-fn lockstep(scenario: &Scenario, rule3_steps: u64) -> u64 {
+/// model and no step breaks rule 3, so no pair resyncs.  Every pair's
+/// machine also runs the scenario alone and must match a lone simulator
+/// run.  Returns the simulator's claim attempts.
+fn lockstep(scenario: &Scenario) -> u64 {
     let want = lone(&mut Pram::with_seed(16, SEED), scenario);
     each_machine!(pairs_of(PAIRS), SEED, |pair, b| {
         let got = lone(&mut b, scenario);
@@ -41,10 +40,7 @@ fn lockstep(scenario: &Scenario, rule3_steps: u64) -> u64 {
         let label = format!("{} on {}", scenario.name, m.backend());
         let valid = scenario.run_churn(&mut m, N, SEED).valid;
         assert!(valid, "{label}: invalid");
-        assert_eq!(m.rule3_steps(), rule3_steps, "{label}: rule-3 steps");
-        if m.backend() == "sim" {
-            assert_eq!(m.resynced_steps(), 0, "{label}: sim resynced");
-        }
+        assert_eq!(m.rule3_steps(), 0, "{label}: rule-3 steps");
         claims = m.cost_report().claim_attempts;
     });
     claims
@@ -52,20 +48,20 @@ fn lockstep(scenario: &Scenario, rule3_steps: u64) -> u64 {
 
 #[test]
 fn every_registered_scenario_is_bit_identical_across_all_backends_and_threads() {
-    let pins = [
-        ("uniform-churn", 16),
-        ("zipf-hot", 30),
-        ("power-law-churn", 34),
-        ("all-same-key", 32),
-        ("adversarial-collide", 24),
+    let names = [
+        "uniform-churn",
+        "zipf-hot",
+        "power-law-churn",
+        "all-same-key",
+        "adversarial-collide",
     ];
     let registry = Scenario::registry();
-    assert_eq!(registry.len(), pins.len());
+    assert_eq!(registry.len(), names.len());
     // One thread per scenario: the sweep is the longest test in the file.
     std::thread::scope(|threads| {
-        for (scenario, (name, rule3_steps)) in registry.iter().zip(pins) {
+        for (scenario, name) in registry.iter().zip(names) {
             assert_eq!(scenario.name, name);
-            threads.spawn(move || lockstep(scenario, rule3_steps));
+            threads.spawn(move || lockstep(scenario));
         }
     });
 }
@@ -76,7 +72,7 @@ fn delete_reinsert_digest_regression_pins_tombstone_behavior() {
     // roughly half the keyspace, so tombstone writes and purge rebuilds
     // dominate.  `valid` cross-checks the live keys against the host model.
     let scenario = Scenario::parse("uniform/1:1:0/8").expect("spec parses");
-    let claims = lockstep(&scenario, 20);
+    let claims = lockstep(&scenario);
     assert!(claims > 0, "churn must actually exercise claims");
 }
 

@@ -67,6 +67,18 @@
 //!   pinned); with the kernel gone, pointer jumping in its place reads
 //!   1.05–1.07 (2 runs each), and interleaved pointer jumping, the
 //!   kernel sketched before the ruling set, read 0.43–0.53 in a model.
+//! - `fill_forward` of Fetch&Add's run-start prefixes at n = 2^18 (every
+//!   eighth of 2^18 cells set) against the Hillis–Steele route's 18
+//!   doubling rounds.  The blocked kernel (last values, a serial carry, a
+//!   fill) reads 0.02–0.03 of the step route as is and 0.02 pinned to one
+//!   CPU on the 2-vCPU reference box (5 and 4 runs: 0.08–0.11 ms against
+//!   3.2–5.1 ms as is, 0.13–0.14 ms against 6.1–6.4 ms pinned).
+//! - `duplicate` of hashing's displacement parameters at n = 2^16 (116
+//!   values into 2260 copies each) against the seed step and 12 doubling
+//!   rounds.  The one-dispatch fill reads 0.12–0.20 of the step route as
+//!   is and 0.13–0.14 pinned to one CPU on the 2-vCPU reference box (5
+//!   and 4 runs: 0.07–0.10 ms against 0.45–0.57 ms as is, 0.10–0.12 ms
+//!   against 0.79–0.83 ms pinned).
 //!
 //! Timing tests, so `#[ignore]`d; CI runs them in release, as is and pinned
 //! to one CPU:
@@ -283,6 +295,27 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
         top: 2 * cells,
         attempts: Vec::new(),
     };
+    // Fetch&Add's run-start prefixes at n = 2^18: every eighth of 2^18
+    // cells holds a value, filled forward over the runs between.
+    let runs = Case {
+        kernel: Kernel::FillForward,
+        input: (0..cells as u64)
+            .map(|i| if i % 8 == 0 { i } else { EMPTY })
+            .collect(),
+        base: 0,
+        top: cells,
+        attempts: Vec::new(),
+    };
+    // Hashing's displacement parameters at n = 2^16: 116 values into 2260
+    // copies each, in the cells past them.
+    let (k, copies) = (116, 2260);
+    let params = Case {
+        kernel: Kernel::Duplicate(k, copies),
+        input: (0..k as u64).map(|i| i * 7919).collect(),
+        base: 0,
+        top: k + k * copies,
+        attempts: Vec::new(),
+    };
     // The rows: a case, and the bound on its kernel's wall over its
     // default route's (see the module docs for the readings).
     let rows = [
@@ -292,6 +325,8 @@ fn every_native_kernel_stays_within_its_bound_of_the_step_route() {
         (sparse, 0.65),
         (darts, 0.95),
         (chain, 0.3),
+        (runs, 0.2),
+        (params, 0.5),
     ];
     for (case, bound) in rows {
         let pool = StepPool::with_threads(2);
