@@ -441,12 +441,7 @@ impl<'a> ArenaView<'a> {
     /// within a step, the range must be this chunk's alone.
     #[inline(always)]
     pub(crate) unsafe fn words_mut(&self, addr: usize, len: usize) -> Option<&'a mut [u64]> {
-        assert!(
-            addr + len <= self.len,
-            "cells {addr}..{} outside shared memory of size {}",
-            addr + len,
-            self.len
-        );
+        self.check_range(addr, len);
         if (addr & SHARD_MASK) + len > SHARD_CELLS {
             return None;
         }
@@ -455,6 +450,33 @@ impl<'a> ArenaView<'a> {
         let shard = self.shards.get_unchecked(addr >> SHARD_SHIFT);
         let first = shard.cells.as_ptr().add(addr & SHARD_MASK).cast::<u64>();
         Some(std::slice::from_raw_parts_mut(first, len))
+    }
+
+    /// Calls `f` on the cells `addr..addr + len` as plain words, one slice
+    /// per shard segment they span ([`Arena::for_segments`]).  Panics when
+    /// the range leaves the logical size.
+    ///
+    /// # Safety
+    /// As for [`ArenaView::words_mut`].
+    #[inline(always)]
+    pub(crate) unsafe fn for_words(&self, addr: usize, len: usize, mut f: impl FnMut(&mut [u64])) {
+        self.check_range(addr, len);
+        // `u64` and `AtomicU64` share layout; every segment lies in one
+        // published shard.
+        self.arena.for_segments(addr, len, |first, seg| {
+            f(std::slice::from_raw_parts_mut(first.cast::<u64>(), seg));
+        });
+    }
+
+    /// Panics when the cells `addr..addr + len` leave the logical size.
+    #[inline(always)]
+    fn check_range(&self, addr: usize, len: usize) {
+        assert!(
+            addr + len <= self.len,
+            "cells {addr}..{} outside shared memory of size {}",
+            addr + len,
+            self.len
+        );
     }
 
     /// Records that the cell at `addr` (inside the logical size) was

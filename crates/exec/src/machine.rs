@@ -56,10 +56,16 @@
 //!   word-aligned so chunks own whole words), and aggregates contention
 //!   bookkeeping per chunk into two atomic adds via
 //!   [`ContentionCounter::add`];
-//! * `scan_step` and `scan_tree` share one blocked scan — block sums, a
-//!   serial scan of the block offsets, a fill, as one pool dispatch — with
-//!   its per-block offset table in reusable scratch, so the Blelloch tree's
-//!   `2·lg w + 3` steps cost one read and one write sweep;
+//! * `scan_step`, `scan_tree` and `fill_forward` share one blocked scan,
+//!   generic over its associative operator — block totals, a serial scan
+//!   of them, a fill, as one pool dispatch over `SCAN_BLOCK`-aligned
+//!   chunks, each block taken as plain words (`ArenaView::for_words`) —
+//!   with its per-block table in reusable scratch.  The Blelloch tree's
+//!   `2·lg w + 3` steps cost one read and one write sweep of prefix sums;
+//!   the forward fill (the segmented broadcast), whose default route's
+//!   Hillis–Steele doubling takes `⌈lg len⌉` steps and `O(len lg len)`
+//!   work, is the same scan under "the later value unless it is
+//!   [`EMPTY`]";
 //! * `counting_pass` (the Fact 4.3 pass) is one 4-pass dispatch: a bucket
 //!   histogram per block in the same offset table, a serial bucket-major
 //!   scan of those histograms into ranks, a stable scatter into a reusable
@@ -76,12 +82,6 @@
 //!   links live in reused scratch, two words per node, and the kernel
 //!   panics on successors that do not form NIL-terminated lists with at
 //!   most one predecessor per node;
-//! * `fill_forward` (the segmented broadcast) is one 3-pass dispatch over
-//!   `SCAN_BLOCK`-aligned chunks, where the default route's Hillis–Steele
-//!   doubling takes `⌈lg len⌉` steps and `O(len lg len)` work: every
-//!   block's last non-[`EMPTY`] value into the reused offset table, a
-//!   serial carry over the blocks, a fill of each block's [`EMPTY`] cells
-//!   over plain word slices (`for_words`);
 //! * `duplicate` is one dispatch over its `k · copies` output cells, where
 //!   the default route takes `1 + ⌈lg copies⌉` doubling steps: a chunk
 //!   fills each run of copies it holds with one slice fill per shard;
@@ -108,6 +108,7 @@
 //! a same-step collision, and [`Machine::cost_report`] reports wall-clock
 //! time plus that count.
 
+use std::ops::Add;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -133,9 +134,9 @@ static NEXT_MACHINE_ID: AtomicU64 = AtomicU64::new(1);
 /// (every tag in the repository is an index-derived value far below it).
 const POISON: u64 = u64::MAX - 1;
 
-/// Cells per block of the blocked prefix of [`Machine::scan_step`] and
-/// [`Machine::scan_tree`], of the histograms of [`Machine::counting_pass`]
-/// and of the carries of [`Machine::fill_forward`]; also the chunk
+/// Cells per block of the blocked scan of [`Machine::scan_step`],
+/// [`Machine::scan_tree`] and [`Machine::fill_forward`] and of the
+/// histograms of [`Machine::counting_pass`]; also the chunk
 /// alignment of their dispatches, so every block belongs to exactly one
 /// chunk.
 const SCAN_BLOCK: usize = 8192;
@@ -185,8 +186,7 @@ struct Scratch {
     /// Scan pass: per-[`SCAN_BLOCK`] totals, then exclusive offsets.
     /// Counting pass: one bucket histogram per block, then per-bucket
     /// output ranks.  List ranking: one [`link`] per stride ruler, then
-    /// its node count to the end of its list, tagged [`RANKED`].  Forward
-    /// fill: every block's last non-[`EMPTY`] value, then its carry.
+    /// its node count to the end of its list, tagged [`RANKED`].
     offsets: Vec<AtomicU64>,
     /// Counting pass: the stably scattered words before the copy back.
     /// List ranking: every node's [`place`], its ruler and offset.
@@ -411,12 +411,24 @@ impl NativeMachine {
         self.counter.store(snap.attempts, snap.failures);
     }
 
-    /// Prefix sums over `[base, base+len)` in place, [`EMPTY`] read as 0,
-    /// exclusive or inclusive; returns the total.  The caller grows the
-    /// arena and advances the step index.
-    fn blocked_scan(&mut self, base: usize, len: usize, inclusive: bool) -> u64 {
+    /// A scan of `[base, base+len)` in place under the associative `join`
+    /// with identity `identity`, each cell entering as `read(cell)`:
+    /// inclusive or exclusive; returns the join of the whole range.  Its
+    /// two operators are the prefix sums of `scan_step` and `scan_tree`
+    /// ([`EMPTY`] read as 0) and `fill_forward`'s "the later value unless
+    /// it is [`EMPTY`]".  The caller grows the arena and advances the step
+    /// index.
+    fn blocked_scan(
+        &mut self,
+        base: usize,
+        len: usize,
+        inclusive: bool,
+        identity: u64,
+        read: impl Fn(u64) -> u64 + Sync,
+        join: impl Fn(u64, u64) -> u64 + Sync,
+    ) -> u64 {
         if len == 0 {
-            return 0;
+            return identity;
         }
         let nblocks = len.div_ceil(SCAN_BLOCK);
         ensure_words(&mut self.scratch.offsets, nblocks);
@@ -424,45 +436,49 @@ impl NativeMachine {
         self.arena.mark_range(base, len);
         let mem = self.arena.view();
         let offsets = &self.scratch.offsets[..nblocks];
-        let val = |i: usize| {
-            let v = mem.cell(base + i).load(Ordering::Relaxed);
-            if v == EMPTY {
-                0
-            } else {
-                v
-            }
-        };
-        // Blocked parallel prefix: per-block totals into reused scratch, an
+        // Blocked parallel scan: per-block totals into reused scratch, an
         // exclusive scan of those totals, then a parallel fill.  Chunks are
-        // SCAN_BLOCK-aligned, so each block has one writer.
+        // SCAN_BLOCK-aligned, so each block has one reader and writer, and
+        // the chunk may take its blocks as plain words.
         let sum_blocks = |lo: usize, hi: usize| {
             for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
-                offsets[block].store((i..end).map(val).sum(), Ordering::Relaxed);
+                let mut run = identity;
+                // SAFETY: the chunk owns its blocks for the pass.
+                unsafe {
+                    mem.for_words(base + i, end - i, |cells| {
+                        run = cells.iter().fold(run, |run, &v| join(run, read(v)));
+                    });
+                }
+                offsets[block].store(run, Ordering::Relaxed);
             });
         };
         let fill = |lo: usize, hi: usize| {
             for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
                 let mut run = offsets[block].load(Ordering::Relaxed);
-                for j in i..end {
-                    let excl = run;
-                    run += val(j);
-                    let out = if inclusive { run } else { excl };
-                    mem.cell(base + j).store(out, Ordering::Relaxed);
+                // SAFETY: as in the first pass.
+                unsafe {
+                    mem.for_words(base + i, end - i, |cells| {
+                        for cell in cells {
+                            let excl = run;
+                            run = join(run, read(*cell));
+                            *cell = if inclusive { run } else { excl };
+                        }
+                    });
                 }
             });
         };
-        // One pool dispatch: block sums, then the serial exclusive scan of
-        // the block totals run by whichever participant owns the first
-        // chunk of the middle pass (the other chunks of that pass are
-        // no-ops — the barrier still separates it from the fill), then the
-        // fill.
-        let total = AtomicU64::new(0);
+        // One pool dispatch: block totals, then the serial exclusive scan of
+        // them run by whichever participant owns the first chunk of the
+        // middle pass (the other chunks of that pass are no-ops — the
+        // barrier still separates it from the fill), then the fill.
+        let total = AtomicU64::new(identity);
         self.pool
             .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
                 0 => sum_blocks(lo, hi),
                 1 => {
                     if lo == 0 {
-                        total.store(exclusive_scan(offsets), Ordering::Relaxed);
+                        let all = exclusive_scan(offsets, identity, &join);
+                        total.store(all, Ordering::Relaxed);
                     }
                 }
                 _ => fill(lo, hi),
@@ -557,17 +573,27 @@ impl MachineProc for NativeProc<'_> {
     }
 }
 
-/// Turns the per-block totals in `offsets` into exclusive offsets in place
-/// and returns the grand total — the serial middle pass of the blocked scan and
-/// `compact_step`.
-fn exclusive_scan(offsets: &[AtomicU64]) -> u64 {
-    let mut acc = 0u64;
+/// Turns the per-block totals in `offsets` into exclusive offsets under
+/// `join`, starting from `identity`, in place and returns the join of them
+/// all — the serial middle pass of the blocked scan and `compact_step`.
+fn exclusive_scan(offsets: &[AtomicU64], identity: u64, join: impl Fn(u64, u64) -> u64) -> u64 {
+    let mut acc = identity;
     for block in offsets {
         let total = block.load(Ordering::Relaxed);
         block.store(acc, Ordering::Relaxed);
-        acc += total;
+        acc = join(acc, total);
     }
     acc
+}
+
+/// A cell of a prefix sum: [`EMPTY`] reads as 0.
+#[inline(always)]
+fn read_sum(v: u64) -> u64 {
+    if v == EMPTY {
+        0
+    } else {
+        v
+    }
 }
 
 /// The one block walk of the machine's kernels: calls `f(i / W, i, end)`
@@ -581,22 +607,6 @@ fn for_blocks<const W: usize>(lo: usize, hi: usize, mut f: impl FnMut(usize, usi
         let end = (i + W).min(hi);
         f(i / W, i, end);
         i = end;
-    }
-}
-
-/// Calls `f` on the cells `[addr, addr + len)` as plain words, one slice
-/// per shard they span.
-///
-/// # Safety
-/// As for [`ArenaView::words_mut`]: within a step, the cells must be this
-/// chunk's alone.
-#[inline(always)]
-unsafe fn for_words(mem: ArenaView<'_>, addr: usize, len: usize, mut f: impl FnMut(&mut [u64])) {
-    let (mut at, end) = (addr, addr + len);
-    while at < end {
-        let n = (end - at).min(SHARD_CELLS - (at & SHARD_MASK));
-        f(mem.words_mut(at, n).expect("n stops at the shard's end"));
-        at += n;
     }
 }
 
@@ -988,7 +998,7 @@ impl Machine for NativeMachine {
     fn scan_step(&mut self, base: usize, len: usize) -> u64 {
         self.grow(base + len);
         self.steps_executed += 1;
-        self.blocked_scan(base, len, true)
+        self.blocked_scan(base, len, true, 0, read_sum, u64::add)
     }
 
     fn global_or_step(&mut self, base: usize, len: usize) -> bool {
@@ -1045,7 +1055,7 @@ impl Machine for NativeMachine {
                     0 => count_survivors(mem, offsets, src, lo, hi),
                     1 => {
                         if lo == 0 {
-                            count.store(exclusive_scan(offsets), Ordering::Relaxed);
+                            count.store(exclusive_scan(offsets, 0, u64::add), Ordering::Relaxed);
                         }
                     }
                     _ => gather_survivors(mem, offsets, src, dst, lo, hi),
@@ -1058,7 +1068,7 @@ impl Machine for NativeMachine {
             self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
                 count_survivors(mem, offsets, src, lo, hi)
             });
-            let count = exclusive_scan(offsets);
+            let count = exclusive_scan(offsets, 0, u64::add);
             self.ensure_memory(dst + count as usize);
             let (mem, offsets) = (self.arena.view(), &self.scratch.offsets[..nblocks]);
             self.pool.dispatch(len, SCAN_BLOCK, |lo, hi| {
@@ -1120,7 +1130,7 @@ impl Machine for NativeMachine {
             return 0;
         }
         self.grow(base + len);
-        let total = self.blocked_scan(base, len, inclusive);
+        let total = self.blocked_scan(base, len, inclusive, 0, read_sum, u64::add);
         // The tree route's step count: copy, lg w up-sweep levels, root
         // clear, lg w down-sweep levels, write-back.
         let lg = len.next_power_of_two().trailing_zeros() as u64;
@@ -1435,62 +1445,10 @@ impl Machine for NativeMachine {
             return;
         }
         self.ensure_memory(base + len);
-        let nblocks = len.div_ceil(SCAN_BLOCK);
-        ensure_words(&mut self.scratch.offsets, nblocks);
-        // The fill may write any cell of the range.
-        self.arena.mark_range(base, len);
-        let mem = self.arena.view();
-        let carries = &self.scratch.offsets[..nblocks];
-        // Pass 0: every block's last non-EMPTY value, EMPTY for none.
-        // Chunks are SCAN_BLOCK-aligned, so each block has one writer.
-        let last = |lo: usize, hi: usize| {
-            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
-                let v = (i..end)
-                    .rev()
-                    .map(|j| mem.cell(base + j).load(Ordering::Relaxed))
-                    .find(|&v| v != EMPTY);
-                carries[block].store(v.unwrap_or(EMPTY), Ordering::Relaxed);
-            });
-        };
-        // Pass 1, serial: each block's carry, the last non-EMPTY value of
-        // the blocks before it.
-        let carry = || {
-            let mut run = EMPTY;
-            for block in carries {
-                let last = block.swap(run, Ordering::Relaxed);
-                if last != EMPTY {
-                    run = last;
-                }
-            }
-        };
-        // Pass 2: every EMPTY cell takes the last value before it.
-        let fill = |lo: usize, hi: usize| {
-            for_blocks::<SCAN_BLOCK>(lo, hi, |block, i, end| {
-                let mut run = carries[block].load(Ordering::Relaxed);
-                // SAFETY: the chunk owns its blocks for the pass.
-                unsafe {
-                    for_words(mem, base + i, end - i, |cells| {
-                        for cell in cells {
-                            if *cell == EMPTY {
-                                *cell = run;
-                            } else {
-                                run = *cell;
-                            }
-                        }
-                    });
-                }
-            });
-        };
-        self.pool
-            .dispatch_fused(len, SCAN_BLOCK, 3, |pass, lo, hi| match pass {
-                0 => last(lo, hi),
-                1 => {
-                    if lo == 0 {
-                        carry();
-                    }
-                }
-                _ => fill(lo, hi),
-            });
+        // The inclusive scan under "the later value unless it is EMPTY":
+        // every cell takes the last non-EMPTY value at or before it.
+        let later = |run: u64, v: u64| if v == EMPTY { run } else { v };
+        self.blocked_scan(base, len, true, EMPTY, |v| v, later);
         // The default route's step count: one doubling round per bit.
         self.steps_executed += ceil_lg(len as u64);
     }
@@ -1514,7 +1472,7 @@ impl Machine for NativeMachine {
                 let v = mem.cell(src + i).load(Ordering::Relaxed);
                 // SAFETY: the chunk owns its output cells, and the source
                 // region lies apart from them.
-                unsafe { for_words(mem, dest + at, end - at, |cells| cells.fill(v)) };
+                unsafe { mem.for_words(dest + at, end - at, |cells| cells.fill(v)) };
                 at = end;
             }
         });

@@ -725,8 +725,10 @@ pub trait Machine {
     /// index by exactly `⌈lg len⌉` (0 when `len <= 1`, which ensures no
     /// memory), draws no randomness and moves no claim counter; any
     /// override must do the same and leave the same `heap_top` and live
-    /// memory (the native backend runs one blocked pass: each block's last
-    /// value, a serial carry over the blocks, a fill).
+    /// memory (the native backend runs the blocked scan of
+    /// [`Machine::scan_tree`] under "the later value unless it is
+    /// [`crate::EMPTY`]": each block's last value, a serial carry over the
+    /// blocks, a fill).
     ///
     /// It is the one default route outside [`Machine::claim`] that is not
     /// EREW, and the one that breaks step race freedom (rule 3 of the

@@ -540,7 +540,8 @@ fn cases() -> Vec<Case> {
     }
 
     // Duplications of k values at 16 into copies each: none, one, two,
-    // seven and hashing's 2260 at n = 2^16 (116 values), below the
+    // seven, eight (power-of-two rounds only, more than one of them) and
+    // hashing's 2260 at n = 2^16 (116 values), below the
     // allocation top and raw above it, inline and pooled (past the
     // step pool's 2048-item cutoff); the largest across the shard seam.
     let values = |k: u64| (0..k).map(|i| if i % 5 == 4 { EMPTY } else { 100 + 3 * i });
@@ -552,6 +553,7 @@ fn cases() -> Vec<Case> {
         (1000, 2, 2000),
         (1500, 2, 2000),
         (500, 7, 1000),
+        (300, 8, 3000),
         (116, 2260, SHARD_CELLS - 1000),
     ] {
         for top in BTreeSet::from([dest + k as usize * copies, dest]) {

@@ -33,17 +33,20 @@
 //!   that runs the count matrix through the tree step by step again reads
 //!   about 1.
 //! - `scan_tree` on 2^18 cells against the Blelloch tree's `2·lg w + 3`
-//!   steps.  The blocked scan reads 0.27–0.29 of the step route as is and
-//!   pinned to one CPU on the 2-vCPU reference box (4 runs each: 0.63–0.80
-//!   ms against 2.4–2.9 ms as is, 0.87–0.93 ms against 3.0–3.4 ms
-//!   pinned); with the kernel gone, the tree's steps read 1.00–1.07.
+//!   steps.  The blocked scan, which takes each block as plain words,
+//!   reads 0.07–0.09 of the step route as is and 0.08 pinned to one CPU on
+//!   the 2-vCPU reference box (4 and 3 runs: 0.11–0.17 ms against
+//!   1.5–1.9 ms as is, 0.21 ms against 2.7 ms pinned; 0.25–0.26 as is
+//!   when it read the cells one atomic load at a time); with the kernel
+//!   gone, the tree's steps read 1.00–1.07.
 //! - `compact_step` on 2^18 cells, about half of them `EMPTY`, to a
 //!   destination below the allocation top, against the default route's
-//!   flag step, scan step and gather step.  The kernel reads 0.29–0.34
-//!   of the step route as is and 0.30–0.35 pinned to one CPU on the 2-vCPU
-//!   reference box (4 and 3 runs: 0.43–0.50 ms against 1.30–1.70 ms as
-//!   is, 0.67–0.97 ms against 1.89–3.29 ms pinned); with the kernel gone,
-//!   the default route in its place reads 0.94–0.96.
+//!   flag step, scan step and gather step.  The kernel reads 0.34–0.43
+//!   of the step route as is and 0.44–0.45 pinned to one CPU on the 2-vCPU
+//!   reference box (4 and 3 runs: 0.29–0.42 ms against 0.72–1.21 ms as
+//!   is, 0.58–0.61 ms against 1.30–1.36 ms pinned; the step route's scan
+//!   step is itself the blocked scan); with the kernel gone, the default
+//!   route in its place reads 0.94–0.96.
 //! - `claim` in Exclusive mode, 2^18 attempts tagged `j + 1` aimed by a
 //!   seeded hash of the index over 2^18 empty cells, against the six-step
 //!   route of `qrqw_sim::claim_by_steps`.  The kernel's three fused passes
@@ -69,10 +72,11 @@
 //!   kernel sketched before the ruling set, read 0.43–0.53 in a model.
 //! - `fill_forward` of Fetch&Add's run-start prefixes at n = 2^18 (every
 //!   eighth of 2^18 cells set) against the Hillis–Steele route's 18
-//!   doubling rounds.  The blocked kernel (last values, a serial carry, a
-//!   fill) reads 0.02–0.03 of the step route as is and 0.02 pinned to one
-//!   CPU on the 2-vCPU reference box (5 and 4 runs: 0.08–0.11 ms against
-//!   3.2–5.1 ms as is, 0.13–0.14 ms against 6.1–6.4 ms pinned).
+//!   doubling rounds.  The blocked scan under "the later value unless it
+//!   is `EMPTY`" (last values, a serial carry, a fill) reads 0.03–0.04 of
+//!   the step route as is and 0.04 pinned to one CPU on the 2-vCPU
+//!   reference box (4 and 3 runs: 0.11–0.13 ms against 3.0–4.1 ms as is,
+//!   0.21–0.22 ms against 5.8–6.0 ms pinned).
 //! - `duplicate` of hashing's displacement parameters at n = 2^16 (116
 //!   values into 2260 copies each) against the seed step and 12 doubling
 //!   rounds.  The one-dispatch fill reads 0.12–0.20 of the step route as
